@@ -11,12 +11,16 @@ Datasets live in a directory of UTF-8 TSV files plus one JSON schedule:
 Snapshots keep the full node universe; a sorted ``visible`` array encodes
 which nodes exist at a given session. Adjacency is symmetric CSR with a
 self-loop on every visible node, so visible degrees are always >= 1.
+Per-session graph state has one owner: ``graph_at`` memoises each session's
+snapshot on the bundle, and each snapshot caches its derived arrays
+(``visible_mask`` and M = D^-1 A as ``mean_adjacency``) on first use.
 """
 from __future__ import annotations
 
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +50,21 @@ class GraphSnapshot:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    @property
+    @cached_property
     def visible_mask(self) -> np.ndarray:
+        """Boolean mask over the node universe; read-only, shared by callers."""
         mask = np.zeros(self.num_nodes, dtype=bool)
         mask[self.visible] = True
+        mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def mean_adjacency(self) -> sp.csr_matrix:
+        """M = D^-1 A, stored entry for entry in the snapshot's CSR layout."""
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+        data = 1.0 / self.degree[rows]
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.num_nodes, self.num_nodes))
 
     def adjacency(self) -> sp.csr_matrix:
         data = np.ones(self.indices.size, dtype=np.float64)
@@ -111,20 +125,13 @@ def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray,
 
     loops = np.stack([visible, visible], axis=1)
     both = np.concatenate([edges, edges[:, ::-1], loops], axis=0)
-    key = both[:, 0] * num_nodes + both[:, 1]
-    key = np.unique(key)
+    # sorted unique keys are row-major: rows ascend, columns ascend per row
+    key = np.unique(both[:, 0] * num_nodes + both[:, 1])
     rows = key // num_nodes
-    cols = key % num_nodes
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], cols[order]
+    indices = key % num_nodes
     counts = np.bincount(rows, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    # sort column ids within each row for reproducible iteration
-    indices = np.empty_like(cols)
-    for u in range(num_nodes):
-        lo, hi = indptr[u], indptr[u + 1]
-        indices[lo:hi] = np.sort(cols[lo:hi])
     return GraphSnapshot(num_nodes=num_nodes, indptr=indptr, indices=indices,
                          features=features, visible=visible,
                          degree=counts.astype(np.int64))
@@ -134,13 +141,17 @@ def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray,
 class LabelTable:
     by_node: dict[int, int]
 
-    def nodes_of(self, class_id: int) -> np.ndarray:
-        nodes = sorted(n for n, c in self.by_node.items() if c == class_id)
-        return np.asarray(nodes, dtype=np.int64)
+    @cached_property
+    def _nodes_by_class(self) -> dict[int, np.ndarray]:
+        nodes = np.fromiter(self.by_node, dtype=np.int64, count=len(self.by_node))
+        classes = np.fromiter(self.by_node.values(), dtype=np.int64, count=nodes.size)
+        order = np.lexsort((nodes, classes))
+        keys, starts = np.unique(classes[order], return_index=True)
+        return dict(zip(keys.tolist(), np.split(nodes[order], starts[1:])))
 
-    @property
-    def classes(self) -> set[int]:
-        return set(self.by_node.values())
+    def nodes_of(self, class_id: int) -> np.ndarray:
+        """Sorted labeled nodes of ``class_id``, in a fresh array."""
+        return self._nodes_by_class.get(class_id, np.empty(0, np.int64)).copy()
 
 
 @dataclass(frozen=True)
@@ -253,6 +264,9 @@ class DatasetBundle:
     csds: CSDTable
     schedule: StreamSchedule
     raw_edges: np.ndarray = field(repr=False, default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
+    # graph_at's memo by session; init=False, so dataclasses.replace starts empty
+    _snapshots: dict[int, GraphSnapshot] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def num_sessions(self) -> int:
@@ -282,21 +296,22 @@ def graph_at(bundle: DatasetBundle, t: int) -> GraphSnapshot:
     """Snapshot of the graph as of session t (0 = base graph).
 
     Visible nodes are the base nodes plus every arrival scheduled at
-    sessions 1..t; edges are restricted to the visible set.
+    sessions 1..t; edges are restricted to the visible set. Each session's
+    snapshot is built once and memoised on the bundle.
     """
     sched = bundle.schedule
     sched._check_t(t)
-    all_arrivals: set[int] = set()
-    for s in sched.sessions:
-        all_arrivals.update(s.arrivals)
-    if not all_arrivals:
-        return bundle.graph
-    visible = set(range(bundle.graph.num_nodes)) - all_arrivals
-    for s in sched.sessions[:t]:
-        visible.update(s.arrivals)
-    return build_snapshot(bundle.graph.num_nodes, bundle.raw_edges,
-                          bundle.graph.features,
-                          np.asarray(sorted(visible), dtype=np.int64))
+    if t in bundle._snapshots:
+        return bundle._snapshots[t]
+    all_arrivals = {n for s in sched.sessions for n in s.arrivals}
+    graph = bundle.graph
+    if all_arrivals:
+        visible = set(range(graph.num_nodes)) - all_arrivals
+        visible.update(n for s in sched.sessions[:t] for n in s.arrivals)
+        graph = build_snapshot(graph.num_nodes, bundle.raw_edges, graph.features,
+                               np.asarray(sorted(visible), dtype=np.int64))
+    bundle._snapshots[t] = graph
+    return graph
 
 
 # -- directory I/O -----------------------------------------------------------
@@ -483,12 +498,8 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
                               sessions=tuple(sessions), mode=mode)
 
     graph = build_snapshot(n, edges, features)
-    bundle = DatasetBundle(graph=graph, labels=labels_table(labels),
+    bundle = DatasetBundle(graph=graph, labels=LabelTable(labels),
                            csds=CSDTable(csds), schedule=schedule,
                            raw_edges=edges)
     bundle.validate()
     return bundle
-
-
-def labels_table(by_node: dict[int, int]) -> LabelTable:
-    return LabelTable(dict(by_node))

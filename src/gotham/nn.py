@@ -3,7 +3,9 @@
 The graph encoder stacks ``H <- act(M (H W) + b)`` layers where M is the
 degree-normalized adjacency (self-loops included) restricted to the hop
 neighborhood actually needed, so embeddings of a node depend on exactly its
-L-hop surroundings. The final layer of both encoders is linear.
+L-hop surroundings. The final layer of both encoders is linear. This module
+holds no graph state: M is the session snapshot's ``mean_adjacency``, and a
+forward gathers the row blocks it needs from the snapshot's CSR with numpy.
 """
 from __future__ import annotations
 
@@ -144,35 +146,41 @@ def clone_params(model: ModelState) -> dict[str, np.ndarray]:
 
 # -- forward passes ----------------------------------------------------------
 
+def _row_entries(graph: GraphSnapshot,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block ``indptr`` of ``rows`` and where its entries sit in the CSR."""
+    starts, counts = graph.indptr[rows], graph.degree[rows]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    return indptr, take
+
+
+def _positions(graph: GraphSnapshot, cols: np.ndarray) -> np.ndarray:
+    """Position of each node of ``cols`` in ``cols``; undefined elsewhere."""
+    pos = np.empty(graph.num_nodes, dtype=np.int64)
+    pos[cols] = np.arange(cols.size)
+    return pos
+
+
 def _hop_sets(graph: GraphSnapshot, nodes: np.ndarray, depth: int) -> list[np.ndarray]:
     """needed[l] = nodes whose layer-l activations are required; needed[depth]=nodes."""
     needed = [None] * (depth + 1)
     needed[depth] = nodes
     current = nodes
     for l in range(depth - 1, -1, -1):
-        nbrs = [graph.indices[graph.indptr[u]:graph.indptr[u + 1]] for u in current]
-        nbrs.append(current)
-        current = np.unique(np.concatenate(nbrs))
+        _, take = _row_entries(graph, current)
+        current = np.unique(np.concatenate([graph.indices[take], current]))
         needed[l] = current
     return needed
 
 
 def _restricted_mean_agg(graph: GraphSnapshot, rows: np.ndarray,
                          cols: np.ndarray) -> sp.csr_matrix:
-    """Row-normalized adjacency block A[rows, cols] / degree[rows]."""
-    col_pos = {int(c): i for i, c in enumerate(cols)}
-    indptr = [0]
-    indices = []
-    data = []
-    for u in rows:
-        nbrs = graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
-        inv = 1.0 / graph.degree[u]
-        for v in nbrs:
-            indices.append(col_pos[int(v)])
-            data.append(inv)
-        indptr.append(len(indices))
-    return sp.csr_matrix((np.asarray(data), np.asarray(indices, dtype=np.int64),
-                          np.asarray(indptr, dtype=np.int64)),
+    """Row-normalized adjacency block A[rows, cols] / degree[rows], sliced
+    from the snapshot's ``mean_adjacency`` with each row's column order kept."""
+    indptr, take = _row_entries(graph, rows)
+    col_idx = _positions(graph, cols)[graph.indices[take]]
+    return sp.csr_matrix((graph.mean_adjacency.data[take], col_idx, indptr),
                          shape=(rows.size, cols.size))
 
 
@@ -200,21 +208,19 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
             z = _attention_aggregate(params, layer, graph, rows, cols, z)
         z = z + layer.bias
         h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
-    # rows of h follow needed[depth]; reorder to the caller's node order
-    pos = {int(u): i for i, u in enumerate(needed[depth])}
-    order = np.asarray([pos[int(u)] for u in nodes], dtype=np.int64)
-    return ad.gather_rows(h, order)
+    # the last layer's rows are needed[depth] = nodes, in the caller's order
+    return h
 
 
 def _attention_aggregate(params: GnnParams, layer: Layer, graph: GraphSnapshot,
                          rows: np.ndarray, cols: np.ndarray, z: Tensor) -> Tensor:
     """Softmax-weighted aggregation over each row's neighbor set."""
-    col_pos = {int(c): i for i, c in enumerate(cols)}
+    indptr, take = _row_entries(graph, rows)
+    pos = _positions(graph, cols)
     mask = np.zeros((rows.size, cols.size))
-    for i, u in enumerate(rows):
-        for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]:
-            mask[i, col_pos[int(v)]] = 1.0
-    row_idx = np.asarray([col_pos[int(u)] for u in rows], dtype=np.int64)
+    mask[np.repeat(np.arange(rows.size), np.diff(indptr)),
+         pos[graph.indices[take]]] = 1.0
+    row_idx = pos[rows]
     zr = ad.gather_rows(z, row_idx)
     scores = (zr @ layer.att_src.reshape(-1, 1)) + \
              (z @ layer.att_dst.reshape(-1, 1)).transpose()

@@ -15,14 +15,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from . import nn as network
-from .graphstore import DatasetBundle, GraphSnapshot, build_snapshot
+from .config import MODES
+from .graphstore import DatasetBundle, GraphSnapshot, build_snapshot, graph_at
 from .sampler import Episode
 
 __all__ = ["Prototype", "PrototypeBuild", "prototype_seen", "prototype_merged",
            "prototype_unseen", "unseen_prototype_tensor", "encode_csds",
            "build_prototype_set", "build_prototype_tensors"]
-
-MODES = ("gfscil_plain", "gfscil_semantic", "gcl")
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,6 @@ def build_prototype_set(model: network.ModelState, bundle: DatasetBundle,
                         episode: Episode, mode: str,
                         unseen_encoder: str = "gnn") -> dict[int, Prototype]:
     """One prototype per class in C^t, per the requested mode."""
-    from .graphstore import graph_at
     graph = graph_at(bundle, episode.session)
     build = build_prototype_tensors(model, graph, episode, mode,
                                     bundle.csds.vectors)

@@ -35,7 +35,6 @@ __all__ = ["TeacherSnapshot", "SessionReport", "classify", "base_train",
 class TeacherSnapshot:
     """Frozen previous-session model plus the class set it covers."""
     params: dict[str, np.ndarray]
-    gnn_spec: tuple                      # (sizes..., negative_slope, backbone)
     classes: tuple[int, ...]
     distill_nodes: np.ndarray
     captured_at: int
@@ -47,9 +46,8 @@ class TeacherSnapshot:
         nodes = [split.anchors[c] for c in classes if split.anchors[c].size]
         distill = (np.sort(np.unique(np.concatenate(nodes)))
                    if nodes else np.empty(0, dtype=np.int64))
-        return cls(params=network.clone_params(model),
-                   gnn_spec=(model.gnn.negative_slope, model.gnn.backbone),
-                   classes=classes, distill_nodes=distill, captured_at=t)
+        return cls(params=network.clone_params(model), classes=classes,
+                   distill_nodes=distill, captured_at=t)
 
     def materialize(self, like: network.ModelState) -> network.ModelState:
         """Rebuild a frozen model with this snapshot's parameter values."""

@@ -1,8 +1,11 @@
 """Dataset loading, validation, snapshots, and the synthetic generator."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gotham.graphstore import (CSDTable, DatasetBundle, DatasetError,
                                LabelTable, SessionSpec, StreamSchedule,
@@ -61,6 +64,34 @@ def test_duplicate_edges_deduped():
     edges = np.array([[0, 1], [1, 0], [0, 1]])
     g = build_snapshot(2, edges, np.ones((2, 1)))
     np.testing.assert_array_equal(g.degree, [2, 2])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), data=st.data())
+def test_snapshot_rows_strictly_ascend(n, data):
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    # duplicates, reversed copies and self-loops of the drawn edges
+    edges = edges + edges[: len(edges) // 2] + [(v, u) for u, v in edges[::3]] \
+        + [(u, u) for u, _ in edges[::4]]
+    hidden = data.draw(st.sets(node, max_size=n - 1))
+    visible = sorted(set(range(n)) - hidden)
+    g = build_snapshot(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                       np.ones((n, 1)), visible)
+    for u in range(n):
+        row = g.neighbors(u)
+        assert np.all(np.diff(row) > 0)
+        assert g.degree[u] == row.size
+    assert snapshot_edge_set(g) == induced_subgraph_oracle(edges, visible)
+
+
+def test_labels_nodes_of_sorted_per_class():
+    labels = LabelTable({7: 1, 2: 0, 5: 1, 0: 1, 9: 0})
+    np.testing.assert_array_equal(labels.nodes_of(1), [0, 5, 7])
+    np.testing.assert_array_equal(labels.nodes_of(0), [2, 9])
+    assert labels.nodes_of(3).dtype == np.int64 and labels.nodes_of(3).size == 0
+    labels.nodes_of(1)[0] = 99          # callers get their own array
+    np.testing.assert_array_equal(labels.nodes_of(1), [0, 5, 7])
 
 
 def test_missing_file_errors(tmp_path):
@@ -181,6 +212,34 @@ def test_graph_at_out_of_range():
     b = arrivals_bundle()
     with pytest.raises(DatasetError):
         graph_at(b, 3)
+
+
+def test_graph_at_builds_each_session_once():
+    b = arrivals_bundle()
+    for t in range(3):
+        assert graph_at(b, t) is graph_at(b, t)
+    assert graph_at(b, 0) is not graph_at(b, 1)
+
+
+def test_replaced_schedule_gets_its_own_snapshots():
+    b = arrivals_bundle()
+    g1 = graph_at(b, 1)
+    # the same nodes arrive in the opposite order
+    swapped = dataclasses.replace(
+        b.schedule, sessions=(SessionSpec((), (), 5, arrivals=(8,)),
+                              SessionSpec((), (), 5, arrivals=(9,))))
+    b2 = dataclasses.replace(b, schedule=swapped)
+    h1 = graph_at(b2, 1)
+    assert h1 is not g1
+    assert 8 in h1.visible and 9 not in h1.visible
+    assert graph_at(b, 1) is g1 and 9 in g1.visible
+
+
+def test_visible_mask_is_read_only():
+    g = graph_at(arrivals_bundle(), 0)
+    np.testing.assert_array_equal(np.flatnonzero(g.visible_mask), g.visible)
+    with pytest.raises(ValueError):
+        g.visible_mask[9] = True
 
 
 # -- synth --------------------------------------------------------------------

@@ -1,19 +1,27 @@
 """Forward-pass oracles, locality, equivariance, updates, checkpoints."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gotham import autodiff as ad
 from gotham import nn as network
 from gotham.graphstore import build_snapshot
 
 
+def dense_mean_adjacency(graph):
+    """D^-1 A from the dense adjacency (every node visible)."""
+    adj = graph.adjacency().toarray()
+    return adj / adj.sum(axis=1, keepdims=True)
+
+
 def dense_forward_oracle(graph, layers, slope):
     """Independent dense implementation: H <- act(D^-1 A (H W) + b)."""
-    adj = graph.adjacency().toarray()
-    deg = adj.sum(axis=1, keepdims=True)
+    m = dense_mean_adjacency(graph)
     h = graph.features.copy()
     for i, (w, b) in enumerate(layers):
-        z = (adj / deg) @ (h @ w) + b
+        z = m @ (h @ w) + b
         h = z if i == len(layers) - 1 else np.where(z >= 0, z, slope * z)
     return h
 
@@ -23,6 +31,15 @@ def star_graph(n_leaves=3, d=4, seed=0):
     edges = np.array([[0, i + 1] for i in range(n_leaves)])
     feats = rng.standard_normal((n_leaves + 1, d))
     return build_snapshot(n_leaves + 1, edges, feats)
+
+
+def test_mean_adjacency_matches_dense_oracle():
+    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [4, 4]])
+    g = build_snapshot(6, edges, np.ones((6, 1)))
+    for graph in (g, star_graph(n_leaves=5)):
+        np.testing.assert_array_equal(graph.mean_adjacency.toarray(),
+                                      dense_mean_adjacency(graph))
+    assert g.mean_adjacency is g.mean_adjacency
 
 
 def test_single_node_identity_layer_returns_feature():
@@ -100,6 +117,131 @@ def test_attention_backbone_runs_and_is_local():
     assert np.all(np.isfinite(out))
     sub = network.gnn_forward(params, g, [2, 0]).data
     np.testing.assert_allclose(sub, out[[2, 0]], rtol=1e-12)
+
+
+# -- vectorised neighbourhoods against per-node loop oracles -------------------
+
+def hop_sets_oracle(graph, nodes, depth):
+    needed = [None] * (depth + 1)
+    needed[depth] = nodes
+    current = nodes
+    for l in range(depth - 1, -1, -1):
+        nbrs = [graph.indices[graph.indptr[u]:graph.indptr[u + 1]] for u in current]
+        nbrs.append(current)
+        current = np.unique(np.concatenate(nbrs))
+        needed[l] = current
+    return needed
+
+
+def mean_agg_oracle(graph, rows, cols):
+    col_pos = {int(c): i for i, c in enumerate(cols)}
+    indptr = [0]
+    indices = []
+    data = []
+    for u in rows:
+        nbrs = graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
+        inv = 1.0 / graph.degree[u]
+        for v in nbrs:
+            indices.append(col_pos[int(v)])
+            data.append(inv)
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.asarray(data), np.asarray(indices, dtype=np.int64),
+                          np.asarray(indptr, dtype=np.int64)),
+                         shape=(rows.size, cols.size))
+
+
+def attention_aggregate_oracle(params, layer, graph, rows, cols, z):
+    col_pos = {int(c): i for i, c in enumerate(cols)}
+    mask = np.zeros((rows.size, cols.size))
+    for i, u in enumerate(rows):
+        for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]:
+            mask[i, col_pos[int(v)]] = 1.0
+    row_idx = np.asarray([col_pos[int(u)] for u in rows], dtype=np.int64)
+    zr = ad.gather_rows(z, row_idx)
+    scores = (zr @ layer.att_src.reshape(-1, 1)) + \
+             (z @ layer.att_dst.reshape(-1, 1)).transpose()
+    scores = ad.leaky_relu(scores, params.negative_slope)
+    shift = (scores.data * mask).max(axis=1, keepdims=True)
+    weights = ad.exp(scores - ad.constant(shift)) * ad.constant(mask)
+    denom = weights.sum(axis=1).reshape(-1, 1)
+    return (weights / denom) @ z
+
+
+def gnn_forward_oracle(params, graph, nodes):
+    nodes = np.asarray(nodes, dtype=np.int64)
+    depth = len(params.layers)
+    needed = hop_sets_oracle(graph, nodes, depth)
+    h = ad.constant(graph.features[needed[0]])
+    for l, layer in enumerate(params.layers):
+        rows, cols = needed[l + 1], needed[l]
+        z = h @ layer.weight
+        if params.backbone == "mean":
+            z = ad.sparse_matmul(mean_agg_oracle(graph, rows, cols), z)
+        else:
+            z = attention_aggregate_oracle(params, layer, graph, rows, cols, z)
+        z = z + layer.bias
+        h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
+    pos = {int(u): i for i, u in enumerate(needed[depth])}
+    return ad.gather_rows(h, [pos[int(u)] for u in nodes])
+
+
+@st.composite
+def graphs_with_hidden_nodes(draw):
+    """A random snapshot with some nodes not yet arrived, plus visible query
+    nodes in random order and an encoder depth."""
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    hidden = draw(st.sets(node, max_size=n - 1))
+    visible = sorted(set(range(n)) - hidden)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = build_snapshot(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                           rng.standard_normal((n, 3)), visible)
+    order = draw(st.permutations(visible))
+    nodes = np.asarray(order[:draw(st.integers(1, len(order)))], dtype=np.int64)
+    return graph, nodes, draw(st.integers(1, 3))
+
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@ORACLE_SETTINGS
+@given(graphs_with_hidden_nodes())
+def test_hop_sets_and_mean_blocks_equal_loop_oracles(case):
+    graph, nodes, depth = case
+    needed = network._hop_sets(graph, nodes, depth)
+    expected = hop_sets_oracle(graph, nodes, depth)
+    for got, want in zip(needed, expected):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for l in range(depth):
+        got = network._restricted_mean_agg(graph, needed[l + 1], needed[l])
+        want = mean_agg_oracle(graph, needed[l + 1], needed[l])
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+
+@ORACLE_SETTINGS
+@given(graphs_with_hidden_nodes(), st.sampled_from(["mean", "attention"]))
+def test_gnn_forward_and_gradients_equal_loop_oracle(case, backbone):
+    graph, nodes, depth = case
+    params = network.init_gnn([3] + [4] * depth, np.random.default_rng(depth),
+                              backbone=backbone)
+    weights = np.random.default_rng(1).standard_normal((nodes.size, 4))
+    results = []
+    for forward in (network.gnn_forward, gnn_forward_oracle):
+        out = forward(params, graph, nodes)
+        grads = network.compute_gradients(
+            {f"{i}.{k}": t for i, layer in enumerate(params.layers)
+             for k, t in vars(layer).items() if t is not None},
+            (out * weights).sum())
+        results.append((out.data, grads))
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_array_equal(got, want)
+    for name in want_grads:
+        np.testing.assert_array_equal(got_grads[name], want_grads[name])
 
 
 # -- semantic encoder ---------------------------------------------------------
