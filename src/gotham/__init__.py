@@ -13,7 +13,7 @@ from .graphstore import (CSDTable, DatasetBundle, DatasetError, GraphSnapshot,
                          LabelTable, SessionSpec, StreamSchedule, graph_at,
                          load_dataset, synth_generate, write_dataset)
 from .losses import LossWeights
-from .prototypes import Prototype, build_prototype_set
+from .prototypes import Prototype, build_prototype_tensors
 from .sampler import Episode, WalkConfig, build_class_split, extend_support, sample_episode
 from .trainer import SessionReport, TeacherSnapshot, classify, run_stream
 
@@ -23,7 +23,7 @@ __all__ = [
     "RunConfig", "DatasetBundle", "DatasetError", "GraphSnapshot", "LabelTable",
     "CSDTable", "SessionSpec", "StreamSchedule", "graph_at", "load_dataset",
     "write_dataset", "synth_generate", "LossWeights", "Prototype",
-    "build_prototype_set", "Episode", "WalkConfig", "build_class_split",
+    "build_prototype_tensors", "Episode", "WalkConfig", "build_class_split",
     "extend_support", "sample_episode", "SessionReport", "TeacherSnapshot",
     "classify", "run_stream", "__version__",
 ]

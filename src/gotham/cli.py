@@ -3,9 +3,11 @@
 Subcommands: ``run`` (train a stream from a config file), ``verify-theorem``
 (distortion-bound sweep), ``gradcheck`` (finite-difference audit of every
 loss), ``synth`` (write a synthetic dataset directory), and
-``export-prototypes`` (dump prototypes as TSV). ``GOTHAM_SEED`` provides the
-seed when no flag is given. Exit codes: 0 success, 1 runtime failure,
-2 invalid arguments or input validation failure.
+``export-prototypes`` (write as TSV the prototypes a finished run classified
+session t with; ``--run`` names the run directory, whose ``model.ckpt`` and
+``config.json`` fix the model, mode, split and walks). ``GOTHAM_SEED``
+provides the seed when no flag is given. Exit codes: 0 success, 1 runtime
+failure, 2 invalid arguments or input validation failure.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import RunConfig
 from .graphstore import DatasetError, load_dataset, synth_generate, write_dataset
@@ -74,14 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--k", type=int, default=5)
     sy.add_argument("--separation", type=float, default=4.0)
 
-    ex = sub.add_parser("export-prototypes", help="write prototypes as TSV")
-    ex.add_argument("--checkpoint", required=True)
-    ex.add_argument("--dataset", required=True)
-    ex.add_argument("--mode", default="gfscil_plain")
+    ex = sub.add_parser("export-prototypes",
+                        help="write a run's evaluation prototypes as TSV")
+    ex.add_argument("--run", required=True, metavar="RUN_DIR",
+                    help="run directory holding model.ckpt and config.json")
+    ex.add_argument("--dataset", default=None,
+                    help="defaults to the dataset named in config.json")
     ex.add_argument("--session", type=int, default=None,
                     help="defaults to the final session")
-    ex.add_argument("--seed", type=int, default=None)
-    ex.add_argument("--k", type=int, default=5)
     ex.add_argument("--out", required=True)
     return p
 
@@ -176,21 +176,20 @@ def cmd_synth(args) -> int:
 
 def cmd_export_prototypes(args) -> int:
     from . import nn as network
-    from .prototypes import build_prototype_set
-    from .sampler import build_class_split, extend_support, Episode
-    from .graphstore import graph_at
+    from .trainer import _eval_prototypes, run_split
 
-    model = network.load_model(args.checkpoint)
-    bundle = load_dataset(args.dataset)
-    t = args.session if args.session is not None else bundle.schedule.num_sessions
-    seed = args.seed if args.seed is not None else _seed_default()
-    split = build_class_split(bundle, args.k, anchor_seed=seed)
-    graph = graph_at(bundle, t)
-    rng = np.random.default_rng(seed)
-    extended = {cls: extend_support(graph, split.anchors[cls], 3, 5, rng)
-                for cls in bundle.schedule.seen_at(t)}
-    episode = Episode(session=t, support={}, extended_support=extended, query=())
-    protos = build_prototype_set(model, bundle, episode, args.mode)
+    run = Path(args.run)
+    for name in ("model.ckpt", "config.json"):
+        if not (run / name).is_file():
+            print(f"error: {run / name} not found", file=sys.stderr)
+            return 2
+    cfg = RunConfig.from_json(run / "config.json")
+    model = network.load_model(run / "model.ckpt")
+    bundle = load_dataset(args.dataset or cfg.dataset)
+    t = bundle.schedule.num_sessions if args.session is None else args.session
+    # the same split, walks and mode as the run, so these are the prototypes
+    # evaluation classified with
+    protos = _eval_prototypes(model, bundle, cfg, run_split(bundle, cfg), t)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:

@@ -11,9 +11,14 @@ import json
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
-__all__ = ["RunConfig", "MODES"]
+__all__ = ["RunConfig", "MODES", "is_semantic"]
 
 MODES = ("gfscil_plain", "gfscil_semantic", "gcl")
+
+
+def is_semantic(mode: str) -> bool:
+    """Whether ``mode`` merges prototypes with encoded class semantics."""
+    return mode in ("gfscil_semantic", "gcl")
 
 
 @dataclass

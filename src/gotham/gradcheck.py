@@ -15,7 +15,7 @@ from .graphstore import graph_at, synth_generate
 from .losses import (LossParts, LossWeights, loss_cluster, loss_finetune_total,
                      loss_kd_align, loss_kd_emb, loss_seg, loss_sem,
                      loss_train_total)
-from .prototypes import add_unseen_prototypes, build_prototype_tensors, encode_csds
+from .prototypes import build_prototype_tensors, encode_csds
 from .sampler import WalkConfig, build_class_split, sample_episode
 
 __all__ = ["run_gradcheck", "GRADCHECK_LOSSES"]
@@ -56,12 +56,8 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
     t_enc = encode_csds(teacher, {c: csds[c] for c in teacher_classes})
     teacher_enc = np.stack([t_enc[c].data for c in teacher_classes])
 
-    def build(mode="gcl"):
-        b = build_prototype_tensors(model, graph, episode, mode, csds)
-        if mode == "gcl":
-            add_unseen_prototypes(b, model, bundle.schedule.unseen_at(episode.session),
-                                  csds, "gnn")
-        return b
+    def build():
+        return build_prototype_tensors(model, bundle, episode, "gcl")
 
     def student_emb():
         return network.gnn_forward(model.gnn, graph, distill_nodes)
@@ -70,8 +66,8 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
         enc = encode_csds(model, {c: csds[c] for c in teacher_classes})
         return ad.vstack([enc[c].reshape(1, -1) for c in teacher_classes])
 
-    def parts_for(mode="gcl"):
-        b = build(mode)
+    def parts_for():
+        b = build()
         p = LossParts(
             cluster=loss_cluster(b.embeddings, b.seen, weights.gamma, "mean_hinge"),
             seg=loss_seg(b.final, weights.epsilon_log),

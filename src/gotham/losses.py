@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import is_semantic
 
 __all__ = ["LossWeights", "LossParts", "loss_cluster", "loss_seg", "loss_sem",
            "loss_kd_emb", "loss_kd_align", "loss_train_total",
@@ -164,7 +165,7 @@ def loss_train_total(parts: LossParts, weights: LossWeights,
                      mode: str = "gfscil_semantic") -> Tensor:
     """alpha1 * cluster + alpha2 * seg + alpha3 * sem (sem skipped when plain)."""
     total = weights.alpha1 * parts.cluster + weights.alpha2 * parts.seg
-    if mode != "gfscil_plain" and parts.sem is not None:
+    if is_semantic(mode) and parts.sem is not None:
         total = total + weights.alpha3 * parts.sem
     return total
 
@@ -177,6 +178,6 @@ def loss_finetune_total(parts: LossParts, weights: LossWeights,
     """
     total = loss_train_total(parts, weights, mode)
     kd = weights.lambda1 * parts.kd_emb
-    if mode != "gfscil_plain" and parts.kd_align is not None:
+    if is_semantic(mode) and parts.kd_align is not None:
         kd = kd + weights.lambda2 * parts.kd_align
     return total + weights.alpha4 * kd

@@ -5,6 +5,12 @@ extended support set. A *merged* prototype is the midpoint of the seen
 prototype and the encoded class-semantic vector. An *unseen_semantic*
 prototype is the graph encoder applied to the semantic vector as a one-node
 self-loop graph (mean aggregation degenerates to the identity there).
+
+``build_prototype_tensors`` is the one place that decides which kind each
+class in C^t gets: ``gfscil_plain`` gives every seen class a seen prototype,
+``gfscil_semantic`` and ``gcl`` give them merged ones, and ``gcl`` adds an
+unseen_semantic prototype for each zero-shot class announced by session t.
+Training, evaluation, export and the gradient audit all call it.
 """
 from __future__ import annotations
 
@@ -15,13 +21,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from . import nn as network
-from .config import MODES
+from .config import MODES, is_semantic
 from .graphstore import DatasetBundle, GraphSnapshot, build_snapshot, graph_at
 from .sampler import Episode
 
-__all__ = ["Prototype", "PrototypeBuild", "prototype_seen", "prototype_merged",
-           "prototype_unseen", "unseen_prototype_tensor", "encode_csds",
-           "build_prototype_set", "build_prototype_tensors"]
+__all__ = ["Prototype", "PrototypeBuild", "seen_prototype_tensor",
+           "unseen_prototype_tensor", "encode_csds", "build_prototype_tensors"]
 
 
 @dataclass(frozen=True)
@@ -45,25 +50,6 @@ def seen_prototype_tensor(embeddings: Tensor) -> Tensor:
     return embeddings.mean(axis=0)
 
 
-def prototype_seen(params: network.GnnParams, graph: GraphSnapshot,
-                   extended_support, class_id: int = -1) -> Prototype:
-    nodes = np.asarray(sorted(extended_support), dtype=np.int64)
-    if nodes.size == 0:
-        raise ValueError("empty support set")
-    emb = network.gnn_forward(params, graph, nodes)
-    return Prototype(class_id=class_id, vector=seen_prototype_tensor(emb).data.copy(),
-                     kind="seen", support_size=int(nodes.size))
-
-
-def prototype_merged(seen: Prototype, encoded_csd: np.ndarray) -> Prototype:
-    encoded_csd = np.asarray(encoded_csd, dtype=np.float64).reshape(-1)
-    if encoded_csd.shape != seen.vector.shape:
-        raise ValueError("encoded semantic vector dimension mismatch")
-    return Prototype(class_id=seen.class_id,
-                     vector=(seen.vector + encoded_csd) / 2.0,
-                     kind="merged", support_size=seen.support_size)
-
-
 def _self_loop_graph(vector: np.ndarray) -> GraphSnapshot:
     v = np.asarray(vector, dtype=np.float64).reshape(1, -1)
     return build_snapshot(1, np.zeros((0, 2), dtype=np.int64), v)
@@ -73,15 +59,6 @@ def unseen_prototype_tensor(params: network.GnnParams,
                             csd_vector: np.ndarray) -> Tensor:
     graph = _self_loop_graph(csd_vector)
     return network.gnn_forward(params, graph, [0]).reshape(-1)
-
-
-def prototype_unseen(params: network.GnnParams, csd_vector,
-                     class_id: int = -1) -> Prototype:
-    if csd_vector is None:
-        raise ValueError(f"class {class_id} has no semantic vector")
-    vec = unseen_prototype_tensor(params, np.asarray(csd_vector)).data.copy()
-    return Prototype(class_id=class_id, vector=vec, kind="unseen_semantic",
-                     support_size=0)
 
 
 def project_csd(model: network.ModelState, vec: np.ndarray) -> np.ndarray:
@@ -113,19 +90,27 @@ class PrototypeBuild:
     embeddings: dict[int, Tensor]         # extended-support embeddings per class
     kinds: dict[int, str]
 
-    def as_prototypes(self, support_sizes: dict[int, int]) -> dict[int, Prototype]:
+    def as_prototypes(self) -> dict[int, Prototype]:
+        """Detached prototypes; a support size counts extended-support rows."""
         return {c: Prototype(class_id=c, vector=t.data.copy(), kind=self.kinds[c],
-                             support_size=support_sizes.get(c, 0))
+                             support_size=(self.embeddings[c].shape[0]
+                                           if c in self.embeddings else 0))
                 for c, t in self.final.items()}
 
 
-def build_prototype_tensors(model: network.ModelState, graph: GraphSnapshot,
+def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
                             episode: Episode, mode: str,
-                            csds: dict[int, np.ndarray]) -> PrototypeBuild:
-    """All prototypes for the episode's class coverage, on the autodiff tape."""
+                            unseen_encoder: str = "gnn") -> PrototypeBuild:
+    """One prototype per class in C^t, per ``mode``, on the autodiff tape.
+
+    Seen classes come from the episode's extended supports on the session's
+    graph; in ``gcl`` mode the session's zero-shot classes follow them.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    semantic = mode in ("gfscil_semantic", "gcl")
+    semantic = is_semantic(mode)
+    graph = graph_at(bundle, episode.session)
+    csds = bundle.csds.vectors
 
     embeddings: dict[int, Tensor] = {}
     seen: dict[int, Tensor] = {}
@@ -152,8 +137,13 @@ def build_prototype_tensors(model: network.ModelState, graph: GraphSnapshot,
         else:
             final[cls] = proto
             kinds[cls] = "seen"
-    return PrototypeBuild(seen=seen, final=final, encoded=encoded,
-                          embeddings=embeddings, kinds=kinds)
+    build = PrototypeBuild(seen=seen, final=final, encoded=encoded,
+                           embeddings=embeddings, kinds=kinds)
+    if mode == "gcl":
+        add_unseen_prototypes(build, model,
+                              bundle.schedule.unseen_at(episode.session),
+                              csds, unseen_encoder)
+    return build
 
 
 def add_unseen_prototypes(build: PrototypeBuild, model: network.ModelState,
@@ -170,18 +160,3 @@ def add_unseen_prototypes(build: PrototypeBuild, model: network.ModelState,
         else:
             raise ValueError(f"unknown unseen_encoder {unseen_encoder!r}")
         build.kinds[cls] = "unseen_semantic"
-
-
-def build_prototype_set(model: network.ModelState, bundle: DatasetBundle,
-                        episode: Episode, mode: str,
-                        unseen_encoder: str = "gnn") -> dict[int, Prototype]:
-    """One prototype per class in C^t, per the requested mode."""
-    graph = graph_at(bundle, episode.session)
-    build = build_prototype_tensors(model, graph, episode, mode,
-                                    bundle.csds.vectors)
-    if mode == "gcl":
-        unseen = bundle.schedule.unseen_at(episode.session)
-        add_unseen_prototypes(build, model, unseen, bundle.csds.vectors,
-                              unseen_encoder)
-    sizes = {c: len(s) for c, s in episode.extended_support.items()}
-    return build.as_prototypes(sizes)

@@ -16,18 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import nn as network
-from .config import RunConfig
+from .config import RunConfig, is_semantic
 from .graphstore import DatasetBundle, DatasetError, graph_at
 from .losses import (LossParts, LossWeights, loss_cluster, loss_finetune_total,
                      loss_kd_align, loss_kd_emb, loss_seg, loss_sem,
                      loss_train_total)
-from .prototypes import (Prototype, add_unseen_prototypes,
-                         build_prototype_tensors, encode_csds)
-from .sampler import ClassSplit, Episode, WalkConfig, build_class_split, sample_episode
+from .prototypes import Prototype, build_prototype_tensors, encode_csds
+from .sampler import (ClassSplit, Episode, WalkConfig, build_class_split,
+                      extend_support, sample_episode)
 
-__all__ = ["TeacherSnapshot", "SessionReport", "classify", "base_train",
-           "finetune_session", "evaluate_session", "run_stream",
+__all__ = ["TeacherSnapshot", "SessionReport", "classify", "run_split",
+           "base_train", "finetune_session", "evaluate_session", "run_stream",
            "write_reports", "summary_tsv"]
 
 
@@ -126,10 +127,6 @@ def _walk_seed(cfg: RunConfig, t: int) -> int:
     return int(np.random.SeedSequence([cfg.seed, 2, t]).generate_state(1)[0])
 
 
-def _semantic(mode: str) -> bool:
-    return mode in ("gfscil_semantic", "gcl")
-
-
 class _TeacherCache:
     """Teacher outputs are constant within a session; compute them once."""
 
@@ -145,7 +142,7 @@ class _TeacherCache:
         else:
             self.embeddings = np.zeros((0, model.gnn.out_dim))
         self.encodings = np.zeros((0, model.gnn.out_dim))
-        if _semantic(mode) and frozen.mlp is not None and self.classes:
+        if is_semantic(mode) and frozen.mlp is not None and self.classes:
             enc = encode_csds(frozen, {c: bundle.csds.vectors[c]
                                        for c in self.classes})
             self.encodings = np.stack([enc[c].data for c in self.classes])
@@ -155,13 +152,8 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
                   episode: Episode, cfg: RunConfig, weights: LossWeights,
                   teacher_cache: "_TeacherCache | None") -> tuple[LossParts, object, dict]:
     """Forward all loss parts for one episode; returns (parts, total, protos)."""
-    t = episode.session
-    graph = graph_at(bundle, t)
-    build = build_prototype_tensors(model, graph, episode, cfg.mode,
-                                    bundle.csds.vectors)
-    if cfg.mode == "gcl":
-        add_unseen_prototypes(build, model, bundle.schedule.unseen_at(t),
-                              bundle.csds.vectors, cfg.unseen_encoder)
+    build = build_prototype_tensors(model, bundle, episode, cfg.mode,
+                                    cfg.unseen_encoder)
 
     parts = LossParts()
     # clustering acts on the task's support classes; the remaining seen
@@ -172,19 +164,19 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
     parts.cluster = loss_cluster(cluster_emb, build.seen, weights.gamma,
                                  cfg.cluster_variant)
     parts.seg = loss_seg(build.final, weights.epsilon_log)
-    if _semantic(cfg.mode):
+    if is_semantic(cfg.mode):
         parts.sem = loss_sem(build.encoded, build.seen)
 
     if teacher_cache is not None:
         if teacher_cache.nodes.size:
+            graph = graph_at(bundle, episode.session)
             student_emb = network.gnn_forward(model.gnn, graph, teacher_cache.nodes)
             parts.kd_emb = loss_kd_emb(teacher_cache.embeddings, student_emb)
         else:
             parts.kd_emb = loss_kd_emb(np.zeros((0, model.gnn.out_dim)), None)
-        if _semantic(cfg.mode) and teacher_cache.classes:
+        if is_semantic(cfg.mode) and teacher_cache.classes:
             enc = encode_csds(model, {c: bundle.csds.vectors[c]
                                       for c in teacher_cache.classes})
-            from . import autodiff as ad
             student_enc = ad.vstack([enc[c].reshape(1, -1)
                                      for c in teacher_cache.classes])
             parts.kd_align = loss_kd_align(teacher_cache.encodings, student_enc,
@@ -243,25 +235,17 @@ def _train_session(model, bundle, cfg, split, t, episodes, lr, teacher,
 def _eval_prototypes(model, bundle, cfg, split, t) -> dict[int, Prototype]:
     """Prototypes for evaluation: anchor shots extended by the session's
     fixed walk draw, matching the sets training optimized toward."""
-    sched = bundle.schedule
+    graph = graph_at(bundle, t)    # rejects an out-of-range t before seeding
     seed = _walk_seed(cfg, t)
-    walk_cfg = WalkConfig(cfg.walk_length, cfg.walks_per_seed)
-    from .sampler import extend_support
-    graph = graph_at(bundle, t)
     extended = {}
-    for cls in sched.seen_at(t):
+    for cls in bundle.schedule.seen_at(t):
         cls_rng = np.random.default_rng(np.random.SeedSequence([seed, cls]))
-        extended[cls] = extend_support(graph, split.anchors[cls],
-                                       walk_cfg.walk_length,
-                                       walk_cfg.walks_per_seed, cls_rng)
+        extended[cls] = extend_support(graph, split.anchors[cls], cfg.walk_length,
+                                       cfg.walks_per_seed, cls_rng)
     episode = Episode(session=t, support={}, extended_support=extended, query=())
-    build = build_prototype_tensors(model, graph, episode, cfg.mode,
-                                    bundle.csds.vectors)
-    if cfg.mode == "gcl":
-        add_unseen_prototypes(build, model, sched.unseen_at(t),
-                              bundle.csds.vectors, cfg.unseen_encoder)
-    sizes = {c: len(s) for c, s in extended.items()}
-    return build.as_prototypes(sizes)
+    build = build_prototype_tensors(model, bundle, episode, cfg.mode,
+                                    cfg.unseen_encoder)
+    return build.as_prototypes()
 
 
 def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
@@ -307,15 +291,16 @@ def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
 # -- public orchestration ------------------------------------------------------
 
 
+def run_split(bundle: DatasetBundle, cfg: RunConfig) -> ClassSplit:
+    """The anchors and held-out eval nodes of a run with ``cfg``."""
+    return build_class_split(bundle, cfg.k_shot, eval_fraction=cfg.eval_fraction,
+                             split_seed=cfg.split_seed, anchor_seed=cfg.seed)
+
+
 def base_train(bundle: DatasetBundle, model: network.ModelState,
-               cfg: RunConfig, *, split: ClassSplit | None = None,
+               cfg: RunConfig, *, split: ClassSplit,
                log_fn=None) -> SessionReport:
     """Episodic training on the base session (t=0) plus its evaluation."""
-    if split is None:
-        split = build_class_split(bundle, cfg.k_shot,
-                                  eval_fraction=cfg.eval_fraction,
-                                  split_seed=cfg.split_seed,
-                                  anchor_seed=cfg.seed)
     start = time.perf_counter()
     totals, q_accs = _train_session(model, bundle, cfg, split, 0,
                                     cfg.episodes_base, cfg.meta_lr,
@@ -330,7 +315,7 @@ def base_train(bundle: DatasetBundle, model: network.ModelState,
 
 def finetune_session(bundle: DatasetBundle, model: network.ModelState,
                      teacher: TeacherSnapshot, t: int, cfg: RunConfig, *,
-                     split: ClassSplit | None = None,
+                     split: ClassSplit,
                      log_fn=None) -> tuple[SessionReport, TeacherSnapshot]:
     """One streaming session: distill from the teacher, adapt, re-freeze."""
     if t < 1:
@@ -338,11 +323,6 @@ def finetune_session(bundle: DatasetBundle, model: network.ModelState,
     if teacher.captured_at != t - 1:
         raise ValueError(f"teacher was captured at session {teacher.captured_at}, "
                          f"expected {t - 1}")
-    if split is None:
-        split = build_class_split(bundle, cfg.k_shot,
-                                  eval_fraction=cfg.eval_fraction,
-                                  split_seed=cfg.split_seed,
-                                  anchor_seed=cfg.seed)
     start = time.perf_counter()
     step_offset = cfg.episodes_base + (t - 1) * cfg.episodes_finetune
     totals, q_accs = _train_session(model, bundle, cfg, split, t,
@@ -364,10 +344,8 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
     """Base training followed by every scheduled session; writes artifacts."""
     cfg.validate()
     _check_mode(bundle, cfg)
-    split = build_class_split(bundle, cfg.k_shot,
-                              eval_fraction=cfg.eval_fraction,
-                              split_seed=cfg.split_seed, anchor_seed=cfg.seed)
-    csd_dim = bundle.csds.dim if _semantic(cfg.mode) else None
+    split = run_split(bundle, cfg)
+    csd_dim = bundle.csds.dim if is_semantic(cfg.mode) else None
     model = network.init_model(bundle.graph.features.shape[1], cfg.hidden_dim,
                                cfg.out_dim, cfg.num_layers, cfg.seed,
                                csd_dim=csd_dim,
@@ -411,7 +389,7 @@ def _check_mode(bundle: DatasetBundle, cfg: RunConfig) -> None:
         raise DatasetError("schedule contains zero-shot classes; run mode must be gcl")
     if cfg.mode == "gcl" and sched_mode != "gcl":
         raise DatasetError("gcl run mode requires a gcl schedule")
-    if _semantic(cfg.mode):
+    if is_semantic(cfg.mode):
         missing = [c for c in bundle.schedule.class_universe
                    if not bundle.csds.has(c)]
         if missing:
