@@ -14,7 +14,8 @@ from .graphstore import (CSDTable, DatasetBundle, DatasetError, GraphSnapshot,
                          load_dataset, synth_generate, write_dataset)
 from .losses import LossWeights
 from .prototypes import Prototype, build_prototype_tensors
-from .sampler import Episode, WalkConfig, build_class_split, extend_support, sample_episode
+from .sampler import (Episode, WalkConfig, build_class_split, extend_support,
+                      sample_episode, session_supports)
 from .trainer import SessionReport, TeacherSnapshot, classify, run_stream
 
 __version__ = "0.1.0"
@@ -24,6 +25,6 @@ __all__ = [
     "CSDTable", "SessionSpec", "StreamSchedule", "graph_at", "load_dataset",
     "write_dataset", "synth_generate", "LossWeights", "Prototype",
     "build_prototype_tensors", "Episode", "WalkConfig", "build_class_split",
-    "extend_support", "sample_episode", "SessionReport", "TeacherSnapshot",
-    "classify", "run_stream", "__version__",
+    "extend_support", "sample_episode", "session_supports", "SessionReport",
+    "TeacherSnapshot", "classify", "run_stream", "__version__",
 ]

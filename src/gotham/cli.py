@@ -5,9 +5,10 @@ Subcommands: ``run`` (train a stream from a config file), ``verify-theorem``
 loss), ``synth`` (write a synthetic dataset directory), and
 ``export-prototypes`` (write as TSV the prototypes a finished run classified
 session t with; ``--run`` names the run directory, whose ``model.ckpt`` and
-``config.json`` fix the model, mode, split and walks). ``GOTHAM_SEED``
-provides the seed when no flag is given. Exit codes: 0 success, 1 runtime
-failure, 2 invalid arguments or input validation failure.
+``config.json`` fix the model, mode, split and walks). A seed comes from
+``--seed``, else ``GOTHAM_SEED``, else the config's seed (``run``) or 0.
+Exit codes: 0 success, 1 runtime failure, 2 invalid arguments or input
+validation failure.
 """
 from __future__ import annotations
 
@@ -23,9 +24,12 @@ from .graphstore import DatasetError, load_dataset, synth_generate, write_datase
 __all__ = ["main", "build_parser"]
 
 
-def _seed_default() -> int:
+def _seed(flag: int | None, fallback: int = 0) -> int:
+    """``--seed`` if given, else ``GOTHAM_SEED`` if set, else ``fallback``."""
+    if flag is not None:
+        return flag
     env = os.environ.get("GOTHAM_SEED")
-    return int(env) if env else 0
+    return int(env) if env else fallback
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,10 +103,7 @@ def cmd_run(args) -> int:
         cfg = cfg.replace(mode=args.mode)
     if args.out:
         cfg = cfg.replace(out_dir=args.out)
-    seed = args.seed if args.seed is not None else \
-        (int(os.environ["GOTHAM_SEED"]) if os.environ.get("GOTHAM_SEED") else None)
-    if seed is not None:
-        cfg = cfg.replace(seed=seed)
+    cfg = cfg.replace(seed=_seed(args.seed, cfg.seed))
     if not cfg.dataset or not Path(cfg.dataset).is_dir():
         print(f"error: dataset directory not found: {cfg.dataset}", file=sys.stderr)
         return 2
@@ -119,7 +120,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify_theorem(args) -> int:
     from .theorem import default_sweep
-    seed = args.seed if args.seed is not None else _seed_default()
+    seed = _seed(args.seed)
     result = default_sweep(trials=args.trials, repetitions=args.repetitions,
                            seed=seed, widths=tuple(args.widths),
                            xis=tuple(args.xis), betas=tuple(args.betas))
@@ -141,7 +142,7 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
-    seed = args.seed if args.seed is not None else _seed_default()
+    seed = _seed(args.seed)
     results = run_gradcheck(seed=seed, h=args.h, tol=args.tol,
                             n_coords=args.coords, inject_bug=args.inject_bug)
     ok = True
@@ -161,7 +162,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
+    seed = _seed(args.seed)
     bundle = synth_generate(seed, args.blocks, args.nodes_per_block,
                             args.p_in, args.p_out, args.dim,
                             mean_separation=args.separation,

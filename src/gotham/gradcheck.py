@@ -16,7 +16,8 @@ from .losses import (LossParts, LossWeights, loss_cluster, loss_finetune_total,
                      loss_kd_align, loss_kd_emb, loss_seg, loss_sem,
                      loss_train_total)
 from .prototypes import build_prototype_tensors, encode_csds
-from .sampler import WalkConfig, build_class_split, sample_episode
+from .sampler import (WalkConfig, build_class_split, sample_episode,
+                      session_supports)
 
 __all__ = ["run_gradcheck", "GRADCHECK_LOSSES"]
 
@@ -33,8 +34,9 @@ def _fixture(seed: int):
     model = network.init_model(feature_dim=4, hidden=6, out=5, num_layers=2,
                                seed=seed + 3, csd_dim=4)
     walk = WalkConfig(walk_length=2, walks_per_seed=3)
+    extended = session_supports(bundle, 1, split, walk, seed + 4)
     episode = sample_episode(bundle, 1, 1, np.random.default_rng(seed + 4),
-                             query_per_class=1, walk_cfg=walk, split=split)
+                             query_per_class=1, split=split, extended=extended)
     teacher = network.init_model(feature_dim=4, hidden=6, out=5, num_layers=2,
                                  seed=seed + 5, csd_dim=4)
     return bundle, split, model, episode, teacher
@@ -86,8 +88,8 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
         "kd_emb": lambda: loss_kd_emb(teacher_emb, student_emb()),
         "kd_align": lambda: loss_kd_align(teacher_enc, student_enc(),
                                           weights.epsilon_log),
-        "train_total": lambda: loss_train_total(parts_for(), weights, "gcl"),
-        "finetune_total": lambda: loss_finetune_total(parts_for(), weights, "gcl"),
+        "train_total": lambda: loss_train_total(parts_for(), weights),
+        "finetune_total": lambda: loss_finetune_total(parts_for(), weights),
     }
 
     bug_param = params["gnn.0.weight"]

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import is_semantic
 
 __all__ = ["LossWeights", "LossParts", "loss_cluster", "loss_seg", "loss_sem",
            "loss_kd_emb", "loss_kd_align", "loss_train_total",
@@ -161,23 +160,23 @@ class LossParts:
         return out
 
 
-def loss_train_total(parts: LossParts, weights: LossWeights,
-                     mode: str = "gfscil_semantic") -> Tensor:
-    """alpha1 * cluster + alpha2 * seg + alpha3 * sem (sem skipped when plain)."""
+def loss_train_total(parts: LossParts, weights: LossWeights) -> Tensor:
+    """alpha1 * cluster + alpha2 * seg + alpha3 * sem (sem skipped when unset)."""
     total = weights.alpha1 * parts.cluster + weights.alpha2 * parts.seg
-    if is_semantic(mode) and parts.sem is not None:
+    if parts.sem is not None:
         total = total + weights.alpha3 * parts.sem
     return total
 
 
-def loss_finetune_total(parts: LossParts, weights: LossWeights,
-                        mode: str = "gfscil_semantic") -> Tensor:
+def loss_finetune_total(parts: LossParts, weights: LossWeights) -> Tensor:
     """Training terms plus alpha4 * (lambda1 * kd_emb + lambda2 * kd_align).
 
-    In plain mode distillation acts on node embeddings only.
+    A term counts when its part is set; the trainer sets ``sem`` and
+    ``kd_align`` only in semantic modes, so in plain mode distillation acts
+    on node embeddings only.
     """
-    total = loss_train_total(parts, weights, mode)
+    total = loss_train_total(parts, weights)
     kd = weights.lambda1 * parts.kd_emb
-    if is_semantic(mode) and parts.kd_align is not None:
+    if parts.kd_align is not None:
         kd = kd + weights.lambda2 * parts.kd_align
     return total + weights.alpha4 * kd

@@ -1,7 +1,9 @@
 """Support-set extension by random walks and episodic task assembly.
 
 A class's labeled shots are its anchor nodes; walks from each anchor gather
-unlabeled neighbors into the extended support set. Episodes carry fresh walk
+unlabeled neighbors into the extended support set. ``session_supports`` draws
+those walks once per session, so every episode of the session and its
+evaluation share one extended support per class. Episodes carry fresh class
 and query randomness but reuse the anchors, so the labeled budget per class
 never exceeds k.
 """
@@ -14,7 +16,7 @@ import numpy as np
 from .graphstore import DatasetBundle, DatasetError, GraphSnapshot, graph_at
 
 __all__ = ["WalkConfig", "Episode", "ClassSplit", "extend_support",
-           "build_class_split", "sample_episode"]
+           "build_class_split", "session_supports", "sample_episode"]
 
 
 @dataclass(frozen=True)
@@ -153,37 +155,42 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
                       anchors=anchors)
 
 
+def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
+                     walk_cfg: WalkConfig, seed: int) -> dict[int, frozenset[int]]:
+    """Extended support of every class seen at session t.
+
+    Each class extends its anchors with an rng seeded by (session seed,
+    class), where the session seed derives from the run's ``seed`` and t. The
+    draw depends on nothing else, so every episode and the evaluation of
+    session t share it and the losses optimize toward stable prototype
+    targets. Zero-shot classes have no anchors and get no support.
+    """
+    graph = graph_at(bundle, t)    # rejects an out-of-range t before seeding
+    session_seed = int(np.random.SeedSequence([seed, 2, t]).generate_state(1)[0])
+    return {cls: extend_support(graph, split.anchors[cls], walk_cfg.walk_length,
+                                walk_cfg.walks_per_seed,
+                                np.random.default_rng(
+                                    np.random.SeedSequence([session_seed, cls])))
+            for cls in bundle.schedule.seen_at(t)}
+
+
 def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
-                   query_per_class: int = 10,
-                   walk_cfg: WalkConfig = WalkConfig(), *,
-                   split: ClassSplit | None = None,
-                   episode_class_pool: str = "all_seen",
-                   include_zero_shot_queries: bool | None = None,
-                   walk_seed: int | None = None) -> Episode:
+                   query_per_class: int = 10, *, split: ClassSplit,
+                   extended: dict[int, frozenset[int]],
+                   episode_class_pool: str = "all_seen") -> Episode:
     """Draw one task at session t.
 
     At t=0 the task covers ``n_way`` classes sampled from the base set; at
     t>=1 it covers all currently-seen classes ("all_seen") or ``n_way`` of
-    the session's novel few-shot classes ("novel_only"). Every other seen
-    class still contributes its anchor-extended support so the prototype set
-    spans C^t. In GCL mode, zero-shot classes contribute query nodes only.
-
-    ``walk_seed`` decouples walk draws from class/query sampling: each class
-    extends with an rng seeded by (walk_seed, class), so every episode sharing
-    a walk_seed extends identical node sets and the losses optimize toward
-    stable prototype targets.
+    the session's novel few-shot classes ("novel_only"). Every seen class
+    carries its extended support from ``extended``, the session's draw from
+    ``session_supports``, so the prototype set spans C^t. ``rng_seed`` drives
+    only the class and query draws. In GCL mode, zero-shot classes contribute
+    query nodes only.
     """
     sched = bundle.schedule
     sched._check_t(t)
-    if split is None:
-        split = build_class_split(bundle, k_shot=_session_k(sched, t))
     rng = _as_rng(rng_seed)
-
-    def class_walk_rng(cls):
-        if walk_seed is None:
-            return rng
-        return np.random.default_rng(np.random.SeedSequence([walk_seed, cls]))
-    graph = graph_at(bundle, t)
 
     seen = sched.seen_at(t)
     if t == 0:
@@ -204,7 +211,6 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
         raise ValueError(f"unknown episode_class_pool {episode_class_pool!r}")
 
     support: dict[int, tuple[int, ...]] = {}
-    extended: dict[int, frozenset[int]] = {}
     query: list[tuple[int, int]] = []
 
     for cls in task_classes:
@@ -214,26 +220,11 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
             raise DatasetError(
                 f"class {cls} has only {split.pool[cls].size} trainable labeled "
                 f"nodes; need k + query_per_class = {k + query_per_class}")
-        anchors = split.anchors[cls]
-        support[cls] = tuple(int(n) for n in anchors)
-        extended[cls] = extend_support(graph, anchors, walk_cfg.walk_length,
-                                       walk_cfg.walks_per_seed,
-                                       class_walk_rng(cls))
+        support[cls] = tuple(int(n) for n in split.anchors[cls])
         picked = rng.choice(qpool, size=query_per_class, replace=False)
         query.extend((int(n), cls) for n in np.sort(picked))
 
-    # anchor-extended coverage for seen classes outside the task
-    for cls in seen:
-        if cls in extended:
-            continue
-        extended[cls] = extend_support(graph, split.anchors[cls],
-                                       walk_cfg.walk_length,
-                                       walk_cfg.walks_per_seed,
-                                       class_walk_rng(cls))
-
-    if include_zero_shot_queries is None:
-        include_zero_shot_queries = sched.mode == "gcl"
-    if include_zero_shot_queries:
+    if sched.mode == "gcl":
         for cls in sched.unseen_at(t):
             qpool = split.query_pool(cls)
             n_q = min(query_per_class, qpool.size)
@@ -241,13 +232,8 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
                 picked = rng.choice(qpool, size=n_q, replace=False)
                 query.extend((int(n), cls) for n in np.sort(picked))
 
-    ep = Episode(session=t, support=support, extended_support=extended,
+    ep = Episode(session=t, support=support,
+                 extended_support={cls: extended[cls] for cls in seen},
                  query=tuple(query))
     ep.validate()
     return ep
-
-
-def _session_k(sched, t: int) -> int:
-    if t == 0:
-        return sched.sessions[0].k if sched.sessions else 5
-    return sched.sessions[t - 1].k

@@ -25,7 +25,7 @@ from .losses import (LossParts, LossWeights, loss_cluster, loss_finetune_total,
                      loss_train_total)
 from .prototypes import Prototype, build_prototype_tensors, encode_csds
 from .sampler import (ClassSplit, Episode, WalkConfig, build_class_split,
-                      extend_support, sample_episode)
+                      sample_episode, session_supports)
 
 __all__ = ["TeacherSnapshot", "SessionReport", "classify", "run_split",
            "base_train", "finetune_session", "evaluate_session", "run_stream",
@@ -121,12 +121,6 @@ def _episode_rng(cfg: RunConfig, t: int, episode: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, t, episode]))
 
 
-def _walk_seed(cfg: RunConfig, t: int) -> int:
-    # per-session seed: every episode of a session extends the same node
-    # sets, so the losses optimize toward stable prototype targets
-    return int(np.random.SeedSequence([cfg.seed, 2, t]).generate_state(1)[0])
-
-
 class _TeacherCache:
     """Teacher outputs are constant within a session; compute them once."""
 
@@ -181,9 +175,9 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
                                      for c in teacher_cache.classes])
             parts.kd_align = loss_kd_align(teacher_cache.encodings, student_enc,
                                            weights.epsilon_log)
-        total = loss_finetune_total(parts, weights, cfg.mode)
+        total = loss_finetune_total(parts, weights)
     else:
-        total = loss_train_total(parts, weights, cfg.mode)
+        total = loss_train_total(parts, weights)
     return parts, total, build
 
 
@@ -203,7 +197,8 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
 def _train_session(model, bundle, cfg, split, t, episodes, lr, teacher,
                    log_fn=None, step_offset=0) -> tuple[list[float], list[float]]:
     weights = _weights(cfg)
-    walk_cfg = WalkConfig(cfg.walk_length, cfg.walks_per_seed)
+    extended = session_supports(bundle, t, split, WalkConfig(
+        cfg.walk_length, cfg.walks_per_seed), cfg.seed)
     params = network.named_parameters(model)
     cache = (_TeacherCache(teacher, model, bundle, t, cfg.mode)
              if teacher is not None else None)
@@ -212,9 +207,9 @@ def _train_session(model, bundle, cfg, split, t, episodes, lr, teacher,
     for e in range(episodes):
         rng = _episode_rng(cfg, t, e)
         episode = sample_episode(bundle, t, cfg.n_way, rng,
-                                 cfg.query_per_class, walk_cfg, split=split,
-                                 episode_class_pool=cfg.episode_class_pool,
-                                 walk_seed=_walk_seed(cfg, t))
+                                 cfg.query_per_class, split=split,
+                                 extended=extended,
+                                 episode_class_pool=cfg.episode_class_pool)
         parts, total, build = _episode_step(model, bundle, episode, cfg,
                                             weights, cache)
         grads = network.compute_gradients(params, total)
@@ -232,16 +227,27 @@ def _train_session(model, bundle, cfg, split, t, episodes, lr, teacher,
     return totals, query_accs
 
 
+def _run_session(model, bundle, cfg, split, t, episodes, lr, teacher,
+                 log_fn=None, step_offset=0) -> SessionReport:
+    """Train session t for ``episodes`` episodes, then evaluate it."""
+    start = time.perf_counter()
+    # training returns before evaluation so the last episode's tape, gradients
+    # and teacher cache are freed first, which keeps peak memory down
+    totals, q_accs = _train_session(model, bundle, cfg, split, t, episodes, lr,
+                                    teacher, log_fn, step_offset)
+    protos = _eval_prototypes(model, bundle, cfg, split, t)
+    report = evaluate_session(model, bundle, t, protos, split)
+    report.episode_losses = totals
+    report.episode_query_acc = float(np.mean(q_accs)) if q_accs else None
+    report.wall_time = time.perf_counter() - start
+    return report
+
+
 def _eval_prototypes(model, bundle, cfg, split, t) -> dict[int, Prototype]:
-    """Prototypes for evaluation: anchor shots extended by the session's
-    fixed walk draw, matching the sets training optimized toward."""
-    graph = graph_at(bundle, t)    # rejects an out-of-range t before seeding
-    seed = _walk_seed(cfg, t)
-    extended = {}
-    for cls in bundle.schedule.seen_at(t):
-        cls_rng = np.random.default_rng(np.random.SeedSequence([seed, cls]))
-        extended[cls] = extend_support(graph, split.anchors[cls], cfg.walk_length,
-                                       cfg.walks_per_seed, cls_rng)
+    """Prototypes for evaluation, from the session's extended supports: the
+    sets training optimized toward."""
+    extended = session_supports(bundle, t, split, WalkConfig(
+        cfg.walk_length, cfg.walks_per_seed), cfg.seed)
     episode = Episode(session=t, support={}, extended_support=extended, query=())
     build = build_prototype_tensors(model, bundle, episode, cfg.mode,
                                     cfg.unseen_encoder)
@@ -301,16 +307,8 @@ def base_train(bundle: DatasetBundle, model: network.ModelState,
                cfg: RunConfig, *, split: ClassSplit,
                log_fn=None) -> SessionReport:
     """Episodic training on the base session (t=0) plus its evaluation."""
-    start = time.perf_counter()
-    totals, q_accs = _train_session(model, bundle, cfg, split, 0,
-                                    cfg.episodes_base, cfg.meta_lr,
-                                    teacher=None, log_fn=log_fn)
-    protos = _eval_prototypes(model, bundle, cfg, split, 0)
-    report = evaluate_session(model, bundle, 0, protos, split)
-    report.episode_losses = totals
-    report.episode_query_acc = float(np.mean(q_accs)) if q_accs else None
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _run_session(model, bundle, cfg, split, 0, cfg.episodes_base,
+                        cfg.meta_lr, teacher=None, log_fn=log_fn)
 
 
 def finetune_session(bundle: DatasetBundle, model: network.ModelState,
@@ -323,17 +321,10 @@ def finetune_session(bundle: DatasetBundle, model: network.ModelState,
     if teacher.captured_at != t - 1:
         raise ValueError(f"teacher was captured at session {teacher.captured_at}, "
                          f"expected {t - 1}")
-    start = time.perf_counter()
     step_offset = cfg.episodes_base + (t - 1) * cfg.episodes_finetune
-    totals, q_accs = _train_session(model, bundle, cfg, split, t,
-                                    cfg.episodes_finetune, cfg.ft_lr,
-                                    teacher=teacher, log_fn=log_fn,
-                                    step_offset=step_offset)
-    protos = _eval_prototypes(model, bundle, cfg, split, t)
-    report = evaluate_session(model, bundle, t, protos, split)
-    report.episode_losses = totals
-    report.episode_query_acc = float(np.mean(q_accs)) if q_accs else None
-    report.wall_time = time.perf_counter() - start
+    report = _run_session(model, bundle, cfg, split, t, cfg.episodes_finetune,
+                          cfg.ft_lr, teacher=teacher, log_fn=log_fn,
+                          step_offset=step_offset)
     next_teacher = TeacherSnapshot.capture(model, bundle.schedule.seen_at(t),
                                            split, t)
     return report, next_teacher

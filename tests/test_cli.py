@@ -122,3 +122,24 @@ def test_export_missing_dataset_exits_2(tmp_path, gcl_run, capsys):
 def test_run_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,env,want", [
+    ("5", "9", 5),        # --seed beats GOTHAM_SEED
+    (None, "9", 9),       # GOTHAM_SEED beats the config's seed
+    (None, None, 3),      # neither: the config's seed stays
+], ids=["flag", "env", "config"])
+def test_run_seed_precedence(tmp_path, monkeypatch, flag, env, want):
+    data, run = tmp_path / "data", tmp_path / "run"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
+    cfg = RunConfig(dataset=str(data), out_dir=str(run), n_way=2, k_shot=3,
+                    query_per_class=3, hidden_dim=8, out_dim=4, seed=3,
+                    episodes_base=1, episodes_finetune=1)
+    cfg.to_json(tmp_path / "config.json")
+    if env is None:
+        monkeypatch.delenv("GOTHAM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GOTHAM_SEED", env)
+    argv = ["run", "--config", str(tmp_path / "config.json")]
+    assert main(argv + (["--seed", flag] if flag else [])) == 0
+    assert RunConfig.from_json(run / "config.json").seed == want

@@ -216,31 +216,35 @@ def parts(c=0.3, s=-0.7, m=1.1, e=0.2, a=0.4):
 
 def test_train_total_table_weights():
     w = LossWeights()          # alpha = (1, 0.25, 1)
-    total = loss_train_total(parts(), w, "gfscil_semantic")
+    total = loss_train_total(parts(), w)
     assert total.item() == pytest.approx(1.0 * 0.3 + 0.25 * -0.7 + 1.0 * 1.1)
 
 
-def test_train_total_plain_skips_sem():
+def test_train_total_skips_unset_sem():
     w = LossWeights()
-    total = loss_train_total(parts(), w, "gfscil_plain")
+    p = parts()
+    p.sem = None
+    total = loss_train_total(p, w)
     assert total.item() == pytest.approx(0.3 + 0.25 * -0.7)
 
 
 def test_train_total_zero_parts():
     w = LossWeights()
-    assert loss_train_total(parts(0, 0, 0), w, "gcl").item() == 0.0
+    assert loss_train_total(parts(0, 0, 0), w).item() == 0.0
 
 
 def test_finetune_total_hand_sum():
     w = LossWeights(alpha4=2.0, lambda1=1.0, lambda2=1.0)
-    total = loss_finetune_total(parts(), w, "gcl")
+    total = loss_finetune_total(parts(), w)
     want = 0.3 + 0.25 * -0.7 + 1.1 + 2.0 * (0.2 + 0.4)
     assert total.item() == pytest.approx(want)
 
 
-def test_finetune_total_plain_drops_align():
+def test_finetune_total_skips_unset_sem_and_align():
     w = LossWeights(alpha4=1.0)
-    total = loss_finetune_total(parts(), w, "gfscil_plain")
+    p = parts()
+    p.sem = p.kd_align = None
+    total = loss_finetune_total(p, w)
     want = 0.3 + 0.25 * -0.7 + 1.0 * 0.2
     assert total.item() == pytest.approx(want)
 
@@ -248,8 +252,7 @@ def test_finetune_total_plain_drops_align():
 def test_finetune_alpha4_zero_reduces_to_train():
     w0 = LossWeights(alpha4=0.0)
     p = parts()
-    assert loss_finetune_total(p, w0, "gcl").item() == \
-        loss_train_total(p, w0, "gcl").item()
+    assert loss_finetune_total(p, w0).item() == loss_train_total(p, w0).item()
 
 
 # -- shared properties ---------------------------------------------------------------

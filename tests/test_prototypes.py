@@ -9,7 +9,8 @@ from gotham import nn as network
 from gotham.graphstore import CSDTable, build_snapshot, graph_at, synth_generate
 from gotham.prototypes import (build_prototype_tensors, encode_csds,
                                seen_prototype_tensor, unseen_prototype_tensor)
-from gotham.sampler import Episode, WalkConfig, build_class_split, sample_episode
+from gotham.sampler import (Episode, WalkConfig, build_class_split, sample_episode,
+                            session_supports)
 
 
 def linear_gnn(w, slope=1.0):
@@ -140,8 +141,8 @@ def fixture(mode_zero_shot=False):
     split = build_class_split(b, 3, anchor_seed=0)
     model = network.init_model(8, 10, 6, 2, seed=1, csd_dim=8)
     t = b.schedule.num_sessions
-    ep = sample_episode(b, t, 1, rng_seed=2, query_per_class=3,
-                        walk_cfg=WalkConfig(2, 3), split=split)
+    ep = sample_episode(b, t, 1, rng_seed=2, query_per_class=3, split=split,
+                        extended=session_supports(b, t, split, WalkConfig(2, 3), 2))
     return b, model, ep
 
 

@@ -1,11 +1,15 @@
 """Random-walk support extension and episode assembly."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from gotham.config import RunConfig
 from gotham.graphstore import (DatasetBundle, DatasetError, build_snapshot,
                                synth_generate)
 from gotham.sampler import (WalkConfig, build_class_split, extend_support,
-                            sample_episode)
+                            sample_episode, session_supports)
+from gotham.trainer import _episode_rng, run_split
 
 
 def path_graph(n=3):
@@ -70,11 +74,16 @@ def gcl_bundle():
                           zero_shot_classes=[4], k_shot=3)
 
 
+def draw(b, t, split, n_way, rng_seed, query_per_class, walk=WalkConfig(2, 3)):
+    """One episode at session t over the session's supports (walk seed 0)."""
+    return sample_episode(b, t, n_way, rng_seed, query_per_class, split=split,
+                          extended=session_supports(b, t, split, walk, 0))
+
+
 def test_base_episode_shape():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=0)
-    ep = sample_episode(b, 0, n_way=2, rng_seed=0, query_per_class=4,
-                        walk_cfg=WalkConfig(2, 3), split=split)
+    ep = draw(b, 0, split, n_way=2, rng_seed=0, query_per_class=4)
     assert len(ep.support) == 2
     for cls, nodes in ep.support.items():
         assert len(nodes) == 3
@@ -87,8 +96,7 @@ def test_finetune_episode_covers_all_seen_and_queries_zero_shot():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=1)
     t = b.schedule.num_sessions          # final session: class 4 is zero-shot
-    ep = sample_episode(b, t, n_way=1, rng_seed=5, query_per_class=4,
-                        walk_cfg=WalkConfig(2, 3), split=split)
+    ep = draw(b, t, split, n_way=1, rng_seed=5, query_per_class=4)
     seen = set(b.schedule.seen_at(t))
     assert set(ep.support) == seen
     assert set(ep.extended_support) == seen
@@ -100,8 +108,7 @@ def test_finetune_episode_covers_all_seen_and_queries_zero_shot():
 def test_support_query_disjoint_and_labels_true():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=2)
-    ep = sample_episode(b, 1, n_way=1, rng_seed=7, query_per_class=5,
-                        walk_cfg=WalkConfig(2, 3), split=split)
+    ep = draw(b, 1, split, n_way=1, rng_seed=7, query_per_class=5)
     support_nodes = {n for nodes in ep.support.values() for n in nodes}
     for node, cls in ep.query:
         assert node not in support_nodes
@@ -111,8 +118,7 @@ def test_support_query_disjoint_and_labels_true():
 def test_supports_are_disjoint_across_classes():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=3)
-    ep = sample_episode(b, 0, n_way=3, rng_seed=1, query_per_class=3,
-                        walk_cfg=WalkConfig(2, 3), split=split)
+    ep = draw(b, 0, split, n_way=3, rng_seed=1, query_per_class=3)
     seen_nodes: set[int] = set()
     for nodes in ep.support.values():
         assert not (set(nodes) & seen_nodes)
@@ -122,10 +128,8 @@ def test_supports_are_disjoint_across_classes():
 def test_episode_deterministic():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=4)
-    e1 = sample_episode(b, 1, 1, rng_seed=42, query_per_class=4,
-                        walk_cfg=WalkConfig(3, 5), split=split)
-    e2 = sample_episode(b, 1, 1, rng_seed=42, query_per_class=4,
-                        walk_cfg=WalkConfig(3, 5), split=split)
+    e1 = draw(b, 1, split, 1, rng_seed=42, query_per_class=4, walk=WalkConfig(3, 5))
+    e2 = draw(b, 1, split, 1, rng_seed=42, query_per_class=4, walk=WalkConfig(3, 5))
     assert e1.support == e2.support
     assert e1.extended_support == e2.extended_support
     assert e1.query == e2.query
@@ -136,14 +140,14 @@ def test_insufficient_labels_names_class():
     split = build_class_split(b, 3, eval_fraction=0.2, anchor_seed=0)
     # pool ~5 nodes per class; k + q = 3 + 5 = 8 > 5
     with pytest.raises(DatasetError, match="class [01]"):
-        sample_episode(b, 0, 1, rng_seed=0, query_per_class=5, split=split)
+        draw(b, 0, split, 1, rng_seed=0, query_per_class=5)
 
 
 def test_n_way_too_large_rejected():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=5)
     with pytest.raises(DatasetError, match="n_way"):
-        sample_episode(b, 0, n_way=4, rng_seed=0, query_per_class=2, split=split)
+        draw(b, 0, split, n_way=4, rng_seed=0, query_per_class=2)
 
 
 def test_zero_shot_class_never_has_anchors():
@@ -151,3 +155,25 @@ def test_zero_shot_class_never_has_anchors():
     split = build_class_split(b, 3, anchor_seed=6)
     assert split.anchors[4].size == 0
     assert split.pool[4].size > 0
+
+
+# sha256 of the sorted extended supports and queries of episode 0 in every
+# session of gcl_bundle(), drawn with a run's seeds; integers only, so it
+# holds across BLAS builds
+GOLDEN_DRAWS = "312cd17263bc3a06ab26cb27b88f585e28472e4509edf023ba9f3a256f50d9f3"
+
+
+def test_walk_and_query_draws_are_pinned():
+    b = gcl_bundle()
+    cfg = RunConfig(mode="gcl", n_way=2, k_shot=3, query_per_class=4, seed=3)
+    split = run_split(b, cfg)
+    walk = WalkConfig(cfg.walk_length, cfg.walks_per_seed)
+    h = hashlib.sha256()
+    for t in range(b.schedule.num_sessions + 1):
+        ep = sample_episode(b, t, cfg.n_way, _episode_rng(cfg, t, 0),
+                            cfg.query_per_class, split=split,
+                            extended=session_supports(b, t, split, walk, cfg.seed))
+        h.update(repr(sorted((c, sorted(nodes)) for c, nodes in
+                             ep.extended_support.items())).encode())
+        h.update(repr(sorted(ep.query)).encode())
+    assert h.hexdigest() == GOLDEN_DRAWS

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gotham import trainer
 from gotham.config import RunConfig
 from gotham.graphstore import graph_at, synth_generate
 from gotham.trainer import run_stream
@@ -79,3 +80,26 @@ def test_run_stream_with_streamed_class_arrivals(tmp_path):
     assert all(0.0 <= r.overall <= 1.0 for r in reports)
     for name in ARTIFACTS:
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
+    bundle = tiny_bundle((4,))
+    sched = bundle.schedule
+    cfg = tiny_config("gcl", "mean").replace(episodes_finetune=2)
+    supports = {t: [] for t in range(sched.num_sessions + 1)}
+    build = trainer.build_prototype_tensors
+
+    def spy(model, bundle, episode, *args):
+        supports[episode.session].append(episode.extended_support)
+        return build(model, bundle, episode, *args)
+
+    monkeypatch.setattr(trainer, "build_prototype_tensors", spy)
+    run_stream(bundle, cfg)
+    assert any(sched.unseen_at(t) for t in supports)
+    for t, draws in supports.items():
+        episodes = cfg.episodes_base if t == 0 else cfg.episodes_finetune
+        assert len(draws) == episodes + 1          # the episodes, then evaluation
+        assert all(d == draws[0] for d in draws)
+        # zero-shot classes have no anchors, so they get no support
+        assert sorted(draws[0]) == sched.seen_at(t)
+        assert not set(draws[0]) & set(sched.unseen_at(t))
