@@ -3,7 +3,8 @@
 Supports exactly the operations the training losses need: dense and sparse
 matrix products, broadcasting add/mul, leaky ReLU, hinges via ``maximum``,
 sqrt/log/exp, reductions, row gather and row stacking. Gradients accumulate
-into ``Tensor.grad`` after ``backward()`` on a scalar.
+into ``Tensor.grad`` of the leaves (parameters) after ``backward()`` on a
+scalar; intermediate nodes keep none.
 
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
 the positive-side slope is used.
@@ -162,10 +163,11 @@ def parameter(data) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    pos = x.data >= 0.0
-    out = Tensor(np.where(pos, x.data, slope * x.data), parents=(x,))
+    # x * 1.0 and x * slope are the two branches bit for bit, so one product
+    # gives the output and its backward reuses the scale
+    scale = np.where(x.data >= 0.0, 1.0, slope)
+    out = Tensor(x.data * scale, parents=(x,))
     if out.requires_grad:
-        scale = np.where(pos, 1.0, slope)
         out._backward = lambda g: (g * scale,)
     return out
 
@@ -224,9 +226,14 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     out = Tensor(x.data[idx], parents=(x,))
     if out.requires_grad:
         shape = x.data.shape
+        # without repeats a buffered scatter adds each row once, as add.at does
+        distinct = np.unique(idx).size == idx.size
         def bw(g):
             full = np.zeros(shape)
-            np.add.at(full, idx, g)
+            if distinct:
+                full[idx] += g
+            else:
+                np.add.at(full, idx, g)
             return (full,)
         out._backward = bw
     return out
@@ -243,7 +250,13 @@ def sparse_matmul(m: sp.spmatrix, x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into .grad for every reachable node."""
+    """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
+
+    Leaves are the nodes without a backward function (parameters);
+    intermediate gradients live only until their node has been processed.
+    Contributions are summed out of place, so a gradient array one backward
+    function hands to several parents is never written to.
+    """
     if loss.data.size != 1:
         raise ValueError("backward() expects a scalar loss")
     order: list[Tensor] = []
@@ -266,17 +279,14 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad += g
         if node._backward is None:
+            if node.grad is None:
+                node.grad = np.array(g, dtype=np.float64)    # the leaf's own copy
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
-            if acc is None:
-                grads[id(parent)] = pg.astype(np.float64, copy=True)
-            else:
-                acc += pg
+            grads[id(parent)] = pg if acc is None else acc + pg

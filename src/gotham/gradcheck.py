@@ -59,10 +59,10 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
     teacher_enc = np.stack([t_enc[c].data for c in teacher_classes])
 
     def build():
-        return build_prototype_tensors(model, bundle, episode, "gcl")
-
-    def student_emb():
-        return network.gnn_forward(model.gnn, graph, distill_nodes)
+        # the student's distill rows come from the prototypes' forward, as in
+        # training
+        return build_prototype_tensors(model, bundle, episode, "gcl",
+                                       distill_nodes=distill_nodes)
 
     def student_enc():
         enc = encode_csds(model, {c: csds[c] for c in teacher_classes})
@@ -74,7 +74,7 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
             cluster=loss_cluster(b.embeddings, b.seen, weights.gamma, "mean_hinge"),
             seg=loss_seg(b.final, weights.epsilon_log),
             sem=loss_sem(b.encoded, b.seen),
-            kd_emb=loss_kd_emb(teacher_emb, student_emb()),
+            kd_emb=loss_kd_emb(teacher_emb, b.distill),
             kd_align=loss_kd_align(teacher_enc, student_enc(), weights.epsilon_log))
         return p
 
@@ -85,7 +85,7 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
             b.embeddings, b.seen, weights.gamma, "self_normalized"))(build()),
         "seg": lambda: loss_seg(build().final, weights.epsilon_log),
         "sem": lambda: (lambda b: loss_sem(b.encoded, b.seen))(build()),
-        "kd_emb": lambda: loss_kd_emb(teacher_emb, student_emb()),
+        "kd_emb": lambda: loss_kd_emb(teacher_emb, build().distill),
         "kd_align": lambda: loss_kd_align(teacher_enc, student_enc(),
                                           weights.epsilon_log),
         "train_total": lambda: loss_train_total(parts_for(), weights),

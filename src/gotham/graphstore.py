@@ -116,10 +116,12 @@ def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray,
     if warn_asymmetric and edges.size:
         # a file listing each undirected edge once is canonical; only a mixed
         # export (some pairs in both directions, some not) looks directed
-        fwd = set(map(tuple, edges.tolist()))
-        missing = sum((v, u) not in fwd for u, v in fwd if u != v)
-        has_bidir = any((v, u) in fwd for u, v in fwd if u != v)
-        if missing and has_bidir:
+        pairs = edges[edges[:, 0] != edges[:, 1]]
+        fwd = np.unique(pairs[:, 0] * num_nodes + pairs[:, 1])
+        rev = (fwd % num_nodes) * num_nodes + fwd // num_nodes
+        has_reverse = np.isin(rev, fwd)
+        missing = int((~has_reverse).sum())
+        if missing and has_reverse.any():
             warnings.warn(f"{missing} edge(s) lacked a reverse counterpart; "
                           "symmetrized", stacklevel=2)
 
@@ -226,6 +228,17 @@ class StreamSchedule:
             return sorted(self.base_classes)
         return sorted(self.sessions[t - 1].few_shot)
 
+    def visible_from(self, num_nodes: int) -> np.ndarray:
+        """First session at which each node is visible: the first session
+        that lists it as an arrival, 0 for a node that none lists."""
+        first = np.zeros(num_nodes, dtype=np.int64)
+        for t in range(len(self.sessions), 0, -1):     # earlier sessions win
+            arrivals = np.asarray(self.sessions[t - 1].arrivals, dtype=np.int64)
+            if arrivals.size and (arrivals.min() < 0 or arrivals.max() >= num_nodes):
+                raise DatasetError("visible node id out of range")
+            first[arrivals] = t
+        return first
+
     def zero_shot_classes(self) -> set[int]:
         out: set[int] = set()
         for s in self.sessions:
@@ -303,13 +316,11 @@ def graph_at(bundle: DatasetBundle, t: int) -> GraphSnapshot:
     sched._check_t(t)
     if t in bundle._snapshots:
         return bundle._snapshots[t]
-    all_arrivals = {n for s in sched.sessions for n in s.arrivals}
     graph = bundle.graph
-    if all_arrivals:
-        visible = set(range(graph.num_nodes)) - all_arrivals
-        visible.update(n for s in sched.sessions[:t] for n in s.arrivals)
+    if any(s.arrivals for s in sched.sessions):
+        visible = np.flatnonzero(sched.visible_from(graph.num_nodes) <= t)
         graph = build_snapshot(graph.num_nodes, bundle.raw_edges, graph.features,
-                               np.asarray(sorted(visible), dtype=np.int64))
+                               visible)
     bundle._snapshots[t] = graph
     return graph
 
@@ -322,44 +333,46 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _read_table(path: Path, dtype, what: str, width: int | None = None) -> np.ndarray:
+    """Rows of whitespace-separated numbers, blank lines skipped; an empty
+    file gives ``(0, width or 1)``."""
+    _require(path)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            table = np.loadtxt(path, dtype=dtype, comments=None,
+                               ndmin=2, encoding="utf-8")
+        except ValueError:
+            with open(path, encoding="utf-8") as fh:
+                widths = {len(line.split()) for line in fh if line.strip()}
+            if len(widths) > 1:
+                raise DatasetError(
+                    f"inconsistent {what} widths {sorted(widths)}") from None
+            raise
+    if width is None:
+        return table
+    if table.size == 0:
+        return table.reshape(0, width)
+    if table.shape[1] != width:
+        raise DatasetError(f"{path.name} rows need {width} fields, "
+                           f"not {table.shape[1]}")
+    return table
+
+
 def load_dataset(directory) -> DatasetBundle:
     """Load and validate a dataset directory. Node order follows the files."""
     d = Path(directory)
     if not d.is_dir():
         raise DatasetError(f"dataset directory not found: {d}")
 
-    feats = []
-    with open(_require(d / "features.tsv"), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                feats.append([float(x) for x in line.split()])
-    if not feats:
+    features = _read_table(d / "features.tsv", np.float64, "feature")
+    if features.size == 0:
         raise DatasetError("features.tsv is empty")
-    widths = {len(r) for r in feats}
-    if len(widths) != 1:
-        raise DatasetError(f"inconsistent feature widths {sorted(widths)}")
-    features = np.asarray(feats, dtype=np.float64)
     num_nodes = features.shape[0]
-
-    edges = []
-    with open(_require(d / "edges.tsv"), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split("\t")
-            edges.append((int(u), int(v)))
-    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-
-    labels: dict[int, int] = {}
-    with open(_require(d / "labels.tsv"), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n, c = line.split("\t")
-            labels[int(n)] = int(c)
+    edge_arr = _read_table(d / "edges.tsv", np.int64, "edge", width=2)
+    label_arr = _read_table(d / "labels.tsv", np.int64, "label", width=2)
+    # later lines win, as when the file is read line by line
+    labels = dict(zip(label_arr[:, 0].tolist(), label_arr[:, 1].tolist()))
 
     vectors: dict[int, np.ndarray] = {}
     csd_path = d / "csd.tsv"

@@ -6,6 +6,12 @@ neighborhood actually needed, so embeddings of a node depend on exactly its
 L-hop surroundings. The final layer of both encoders is linear. This module
 holds no graph state: M is the session snapshot's ``mean_adjacency``, and a
 forward gathers the row blocks it needs from the snapshot's CSR with numpy.
+
+``gnn_forward_sets`` embeds several node sets of one snapshot, such as every
+seen class's extended support in a training episode. On the mean backbone it
+runs one forward over their union (the mini-batch scheme of GraphSAGE) and
+slices each set's rows from it; the attention backbone runs one forward per
+set, for the reason given there.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from .graphstore import GraphSnapshot
 
 __all__ = ["Layer", "GnnParams", "MlpParams", "ModelState", "init_gnn",
            "init_mlp", "init_model", "named_parameters", "gnn_forward",
-           "mlp_forward", "compute_gradients", "apply_update",
+           "gnn_forward_sets", "mlp_forward", "compute_gradients", "apply_update",
            "finite_diff_check", "FiniteDiffReport", "save_model", "load_model",
            "clone_params", "NonFiniteError"]
 
@@ -210,6 +216,24 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
         h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
     # the last layer's rows are needed[depth] = nodes, in the caller's order
     return h
+
+
+def gnn_forward_sets(params: GnnParams, graph: GraphSnapshot,
+                     node_sets) -> list[Tensor]:
+    """``gnn_forward`` of each array in ``node_sets``, rows in its order."""
+    node_sets = [np.asarray(nodes, dtype=np.int64) for nodes in node_sets]
+    if params.backbone != "mean" or not node_sets:
+        # the attention softmax and ``attn @ z`` sum over a row block's whole
+        # column set, so a union forward moves these embeddings by about
+        # 4e-16, which loss_seg amplifies when two prototypes nearly coincide
+        return [gnn_forward(params, graph, nodes) for nodes in node_sets]
+    # a mean row reads only its own CSR entries, so a union row equals the
+    # set's own row bit for bit whenever BLAS sums a row of ``h @ W`` alike at
+    # both row counts; numpy's one-row product takes a vector path that may not
+    union = np.unique(np.concatenate(node_sets))
+    emb = gnn_forward(params, graph, union)
+    return [ad.gather_rows(emb, np.searchsorted(union, nodes))
+            for nodes in node_sets]
 
 
 def _attention_aggregate(params: GnnParams, layer: Layer, graph: GraphSnapshot,

@@ -11,6 +11,11 @@ class in C^t gets: ``gfscil_plain`` gives every seen class a seen prototype,
 ``gfscil_semantic`` and ``gcl`` give them merged ones, and ``gcl`` adds an
 unseen_semantic prototype for each zero-shot class announced by session t.
 Training, evaluation, export and the gradient audit all call it.
+
+All seen classes' support rows, and the student's distillation rows when a
+training episode asks for them, come from one ``nn.gnn_forward_sets`` call:
+one encoder forward per episode on the mean backbone, one per node set on the
+attention backbone (whose union forward would not be bit-identical).
 """
 from __future__ import annotations
 
@@ -89,6 +94,7 @@ class PrototypeBuild:
     encoded: dict[int, Tensor]            # semantic-encoder outputs (seen classes)
     embeddings: dict[int, Tensor]         # extended-support embeddings per class
     kinds: dict[int, str]
+    distill: Tensor | None = None         # rows of the requested distill nodes
 
     def as_prototypes(self) -> dict[int, Prototype]:
         """Detached prototypes; a support size counts extended-support rows."""
@@ -100,11 +106,14 @@ class PrototypeBuild:
 
 def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
                             episode: Episode, mode: str,
-                            unseen_encoder: str = "gnn") -> PrototypeBuild:
+                            unseen_encoder: str = "gnn", *,
+                            distill_nodes=None) -> PrototypeBuild:
     """One prototype per class in C^t, per ``mode``, on the autodiff tape.
 
     Seen classes come from the episode's extended supports on the session's
-    graph; in ``gcl`` mode the session's zero-shot classes follow them.
+    graph; in ``gcl`` mode the session's zero-shot classes follow them. The
+    student embeddings of ``distill_nodes``, when given, come from the same
+    forward and land in ``distill``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -112,13 +121,14 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
     graph = graph_at(bundle, episode.session)
     csds = bundle.csds.vectors
 
-    embeddings: dict[int, Tensor] = {}
-    seen: dict[int, Tensor] = {}
-    for cls in sorted(episode.extended_support):
-        nodes = np.asarray(sorted(episode.extended_support[cls]), dtype=np.int64)
-        emb = network.gnn_forward(model.gnn, graph, nodes)
-        embeddings[cls] = emb
-        seen[cls] = seen_prototype_tensor(emb)
+    classes = sorted(episode.extended_support)
+    node_sets = [np.asarray(sorted(episode.extended_support[cls]), dtype=np.int64)
+                 for cls in classes]
+    if distill_nodes is not None:
+        node_sets.append(distill_nodes)
+    rows = network.gnn_forward_sets(model.gnn, graph, node_sets)
+    embeddings = dict(zip(classes, rows))
+    seen = {cls: seen_prototype_tensor(emb) for cls, emb in embeddings.items()}
 
     encoded: dict[int, Tensor] = {}
     if semantic:
@@ -138,7 +148,8 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
             final[cls] = proto
             kinds[cls] = "seen"
     build = PrototypeBuild(seen=seen, final=final, encoded=encoded,
-                           embeddings=embeddings, kinds=kinds)
+                           embeddings=embeddings, kinds=kinds,
+                           distill=rows[-1] if distill_nodes is not None else None)
     if mode == "gcl":
         add_unseen_prototypes(build, model,
                               bundle.schedule.unseen_at(episode.session),

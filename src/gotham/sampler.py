@@ -90,19 +90,26 @@ class ClassSplit:
     """Per-class node bookkeeping, fixed for a whole run.
 
     ``eval_nodes`` is the held-out query split used in session reports;
-    ``anchors`` are the k labeled shots a seen class trains from; ``pool``
-    is everything labeled except the eval split (episode queries draw from
-    pool minus anchors). Zero-shot classes have empty anchors.
+    ``anchors`` are the k labeled shots a seen class trains from, drawn from
+    nodes visible when the class is introduced; ``pool`` is everything
+    labeled except the eval split (episode queries at session t draw from the
+    pool nodes visible at t, minus anchors). ``visible_from`` is the
+    schedule's first session of visibility per node. Zero-shot classes have
+    empty anchors.
     """
     k_by_class: dict[int, int]
     eval_nodes: dict[int, np.ndarray]
     pool: dict[int, np.ndarray]
     anchors: dict[int, np.ndarray]
+    visible_from: np.ndarray
 
-    def query_pool(self, cls: int) -> np.ndarray:
-        anchors = set(self.anchors.get(cls, np.empty(0, dtype=np.int64)).tolist())
-        return np.asarray([n for n in self.pool[cls] if n not in anchors],
-                          dtype=np.int64)
+    def visible_pool(self, cls: int, t: int) -> np.ndarray:
+        pool = self.pool[cls]
+        return pool[self.visible_from[pool] <= t]
+
+    def query_pool(self, cls: int, t: int) -> np.ndarray:
+        pool = self.visible_pool(cls, t)
+        return pool[~np.isin(pool, self.anchors[cls])]
 
 
 def build_class_split(bundle: DatasetBundle, k_shot: int, *,
@@ -111,18 +118,23 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
     """Stratified eval split plus seeded k-shot anchors per class.
 
     Base classes get ``k_shot`` anchors; a streamed class gets its session's
-    k. The eval split depends only on ``split_seed`` so reports stay
-    comparable across training seeds; anchors depend on ``anchor_seed``
-    (typically the master seed).
+    k. Anchors come from the nodes visible at the session that introduces
+    the class (t=0 for base classes), so later arrivals never seed walks
+    before they exist. The eval split depends only on ``split_seed`` so
+    reports stay comparable across training seeds; anchors depend on
+    ``anchor_seed`` (typically the master seed).
     """
     sched = bundle.schedule
     zero_shot = sched.zero_shot_classes()
     k_by_class = {cls: k_shot for cls in sched.base_classes}
-    for s in sched.sessions:
+    introduced = {cls: 0 for cls in sched.base_classes}
+    for t, s in enumerate(sched.sessions, start=1):
         for cls in s.few_shot:
             k_by_class[cls] = s.k
+            introduced[cls] = t
         for cls in s.zero_shot:
             k_by_class[cls] = 0
+    visible_from = sched.visible_from(bundle.graph.num_nodes)
     split_rng = np.random.default_rng(split_seed)
     anchor_rng = np.random.default_rng(anchor_seed)
     eval_nodes: dict[int, np.ndarray] = {}
@@ -146,13 +158,16 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
         if cls in zero_shot:
             anchors[cls] = np.empty(0, dtype=np.int64)
         else:
+            t = introduced[cls]
+            rest = rest[visible_from[rest] <= t]
             if rest.size < k:
                 raise DatasetError(f"class {cls} has {rest.size} trainable "
-                                   f"labeled nodes, fewer than k={k}")
+                                   f"labeled nodes visible at session {t}, "
+                                   f"fewer than k={k}")
             anchors[cls] = np.sort(anchor_rng.choice(rest, size=k,
                                                      replace=False).astype(np.int64))
     return ClassSplit(k_by_class=k_by_class, eval_nodes=eval_nodes, pool=pool,
-                      anchors=anchors)
+                      anchors=anchors, visible_from=visible_from)
 
 
 def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
@@ -185,8 +200,8 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
     the session's novel few-shot classes ("novel_only"). Every seen class
     carries its extended support from ``extended``, the session's draw from
     ``session_supports``, so the prototype set spans C^t. ``rng_seed`` drives
-    only the class and query draws. In GCL mode, zero-shot classes contribute
-    query nodes only.
+    only the class and query draws, and queries come only from nodes visible
+    at t. In GCL mode, zero-shot classes contribute query nodes only.
     """
     sched = bundle.schedule
     sched._check_t(t)
@@ -214,19 +229,21 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
     query: list[tuple[int, int]] = []
 
     for cls in task_classes:
-        qpool = split.query_pool(cls)
         k = split.k_by_class[cls]
-        if split.pool[cls].size < k + query_per_class:
+        available = split.visible_pool(cls, t).size
+        if available < k + query_per_class:
             raise DatasetError(
-                f"class {cls} has only {split.pool[cls].size} trainable labeled "
-                f"nodes; need k + query_per_class = {k + query_per_class}")
+                f"class {cls} has only {available} trainable labeled nodes "
+                f"visible at session {t}; need k + query_per_class = "
+                f"{k + query_per_class}")
         support[cls] = tuple(int(n) for n in split.anchors[cls])
-        picked = rng.choice(qpool, size=query_per_class, replace=False)
+        picked = rng.choice(split.query_pool(cls, t), size=query_per_class,
+                            replace=False)
         query.extend((int(n), cls) for n in np.sort(picked))
 
     if sched.mode == "gcl":
         for cls in sched.unseen_at(t):
-            qpool = split.query_pool(cls)
+            qpool = split.query_pool(cls, t)
             n_q = min(query_per_class, qpool.size)
             if n_q:
                 picked = rng.choice(qpool, size=n_q, replace=False)

@@ -146,8 +146,12 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
                   episode: Episode, cfg: RunConfig, weights: LossWeights,
                   teacher_cache: "_TeacherCache | None") -> tuple[LossParts, object, dict]:
     """Forward all loss parts for one episode; returns (parts, total, protos)."""
+    # the teacher's distill nodes are anchors of classes seen at t-1, so on
+    # the mean backbone the prototypes' forward already holds their rows
+    distill = (teacher_cache.nodes if teacher_cache is not None
+               and teacher_cache.nodes.size else None)
     build = build_prototype_tensors(model, bundle, episode, cfg.mode,
-                                    cfg.unseen_encoder)
+                                    cfg.unseen_encoder, distill_nodes=distill)
 
     parts = LossParts()
     # clustering acts on the task's support classes; the remaining seen
@@ -162,12 +166,7 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
         parts.sem = loss_sem(build.encoded, build.seen)
 
     if teacher_cache is not None:
-        if teacher_cache.nodes.size:
-            graph = graph_at(bundle, episode.session)
-            student_emb = network.gnn_forward(model.gnn, graph, teacher_cache.nodes)
-            parts.kd_emb = loss_kd_emb(teacher_cache.embeddings, student_emb)
-        else:
-            parts.kd_emb = loss_kd_emb(np.zeros((0, model.gnn.out_dim)), None)
+        parts.kd_emb = loss_kd_emb(teacher_cache.embeddings, build.distill)
         if is_semantic(cfg.mode) and teacher_cache.classes:
             enc = encode_csds(model, {c: bundle.csds.vectors[c]
                                       for c in teacher_cache.classes})

@@ -1,7 +1,10 @@
-"""Engine unit tests: every op checked against central finite differences."""
+"""Engine unit tests: each op against central finite differences, and the
+leaf gradients of the tape against the engine it replaced."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gotham import autodiff as ad
 
@@ -131,3 +134,172 @@ def test_constant_loss_zero_grad():
     loss = ad.constant(5.0) + x.sum() * 0.0
     ad.backward(loss)
     np.testing.assert_array_equal(x.grad, np.zeros(3))
+
+
+# -- the lean tape against the engine it replaced -------------------------------
+
+def backward_oracle(loss):
+    """The former engine: every reached node keeps a .grad copy and first
+    contributions are copied before being added to in place."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.grad is None:
+            node.grad = g.copy()
+        else:
+            node.grad += g
+        if node._backward is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if not parent.requires_grad:
+                continue
+            acc = grads.get(id(parent))
+            if acc is None:
+                grads[id(parent)] = pg.astype(np.float64, copy=True)
+            else:
+                acc += pg
+
+
+def leaky_relu_oracle(x, slope):
+    pos = x.data >= 0.0
+    out = ad.Tensor(np.where(pos, x.data, slope * x.data), parents=(x,))
+    if out.requires_grad:
+        scale = np.where(pos, 1.0, slope)
+        out._backward = lambda g: (g * scale,)
+    return out
+
+
+def gather_rows_oracle(x, idx):
+    idx = np.asarray(idx, dtype=np.int64)
+    out = ad.Tensor(x.data[idx], parents=(x,))
+    if out.requires_grad:
+        shape = x.data.shape
+        def bw(g):
+            full = np.zeros(shape)
+            np.add.at(full, idx, g)
+            return (full,)
+        out._backward = bw
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-320, -1e-320, 2.5, -3.0]
+
+
+@st.composite
+def tapes(draw):
+    """Leaves of one (rows, cols) shape plus a bias and a square weight, and a
+    random op sequence over them, reusing nodes so subgraphs are shared."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = st.one_of(st.floats(-3, 3), st.sampled_from(SPECIAL))
+    def array(shape):
+        return np.asarray(draw(st.lists(values, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape)))),
+                          dtype=np.float64).reshape(shape)
+    n_leaves = draw(st.integers(1, 3))
+    leaves = [array((rows, cols)) for _ in range(n_leaves)]
+    bias, weight = array((cols,)), array((cols, cols))
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(["add", "sub", "mul", "relu", "gather",
+                                   "bias", "matmul"]))
+        a = draw(st.integers(0, 100))
+        b = draw(st.integers(0, 100))
+        idx = draw(st.lists(st.integers(0, rows - 1), min_size=rows, max_size=rows))
+        ops.append((op, a, b, idx, draw(st.sampled_from([0.01, 0.25, 1.0]))))
+    return leaves, bias, weight, ops, draw(st.integers(0, 100))
+
+
+def build_tape(case, relu, gather):
+    """The case's loss and its leaves, built with the given relu and gather."""
+    leaves, bias, weight, ops, pick = case
+    params = [ad.parameter(x) for x in leaves]
+    b, w = ad.parameter(bias), ad.parameter(weight)
+    nodes = list(params)
+    for op, i, j, idx, slope in ops:
+        x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        nodes.append({"add": lambda: x + y, "sub": lambda: x - y,
+                      "mul": lambda: x * y, "relu": lambda: relu(x, slope),
+                      "gather": lambda: gather(x, idx), "bias": lambda: x + b,
+                      "matmul": lambda: x @ w}[op]())
+    loss = (nodes[-1] + nodes[pick % len(nodes)]).sum()
+    return loss, params + [b, w], nodes
+
+
+# special values make inf - inf and 0 * inf on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tapes())
+def test_lean_backward_matches_former_engine_bit_for_bit(case):
+    loss, leaves, nodes = build_tape(case, ad.leaky_relu, ad.gather_rows)
+    ad.backward(loss)
+    got = [t.grad for t in leaves]
+    # intermediate nodes keep no gradient
+    assert all(n.grad is None for n in nodes[len(case[0]):])
+    assert loss.grad is None
+
+    want_loss, want_leaves, _ = build_tape(case, leaky_relu_oracle, gather_rows_oracle)
+    assert same_bits(loss.data, want_loss.data)
+    backward_oracle(want_loss)
+    for g, t in zip(got, want_leaves):
+        if t.grad is None:
+            assert g is None
+        else:
+            assert same_bits(g, t.grad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_leaky_relu_equals_former_formula_on_special_values():
+    x0 = np.asarray(SPECIAL + [-1e308, 1e308, 5e-324, -5e-324])
+    for slope in (0.0, 0.01, 0.5, 1.0):
+        x, y = ad.parameter(x0), ad.parameter(x0)
+        out, want = ad.leaky_relu(x, slope), leaky_relu_oracle(y, slope)
+        assert same_bits(out.data, want.data)
+        weights = np.linspace(-2.0, 2.0, x0.size)
+        ad.backward((out * weights).sum())
+        backward_oracle((want * weights).sum())
+        assert same_bits(x.grad, y.grad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gather_rows_without_repeats_scatters_like_add_at():
+    g = np.array([[-0.0, 1.5], [np.inf, -2.0], [np.nan, 0.0]])
+    for idx in ([2, 0, 1], [1, 3, 0], [0, 0, 3]):
+        x, y = ad.parameter(np.ones((4, 2))), ad.parameter(np.ones((4, 2)))
+        ad.backward((ad.gather_rows(x, idx) * g).sum())
+        ad.backward((gather_rows_oracle(y, idx) * g).sum())
+        assert same_bits(x.grad, y.grad)
+
+
+def test_parameter_accumulates_across_backward_calls():
+    x = ad.parameter(np.array([1.0, 2.0]))
+    ad.backward((x * x).sum())
+    ad.backward((x * 3.0).sum())
+    np.testing.assert_array_equal(x.grad, [5.0, 7.0])
+
+
+def test_leaves_fed_one_gradient_array_do_not_share_it():
+    # add's backward hands the same array to both parents
+    a, b = ad.parameter(np.ones(3)), ad.parameter(np.ones(3))
+    ad.backward((a + b).sum())
+    ad.backward((a * 2.0).sum())
+    np.testing.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])

@@ -119,6 +119,17 @@ def test_export_missing_dataset_exits_2(tmp_path, gcl_run, capsys):
     assert "dataset directory not found" in capsys.readouterr().err
 
 
+def test_run_ragged_features_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(synth_generate(0, 3, 4, 0.9, 0.1, 3), data)
+    with open(data / "features.tsv", "a", encoding="utf-8") as fh:
+        fh.write("1.0 2.0\n")
+    cfg = tmp_path / "cfg.json"
+    RunConfig(dataset=str(data)).to_json(cfg)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "inconsistent feature widths [2, 3]" in capsys.readouterr().err
+
+
 def test_run_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "config file not found" in capsys.readouterr().err

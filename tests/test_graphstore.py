@@ -1,6 +1,7 @@
 """Dataset loading, validation, snapshots, and the synthetic generator."""
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,63 @@ def test_missing_file_errors(tmp_path):
                           path3_schedule())
         (tmp_path / "features.tsv").unlink()
         load_dataset(tmp_path)
+
+
+def write_text_dataset(d, features, edges="0\t1\n", labels="0\t0\n"):
+    write_toy_dataset(d, [], [], [], path3_schedule())
+    (d / "features.tsv").write_text(features)
+    (d / "edges.tsv").write_text(edges)
+    (d / "labels.tsv").write_text(labels)
+
+
+@pytest.mark.parametrize("files,match", [
+    ({"features": ""}, "features.tsv is empty"),
+    ({"features": "\n  \n"}, "features.tsv is empty"),
+    ({"features": "1 2\n3\n4 5\n"}, r"inconsistent feature widths \[1, 2\]"),
+    ({"features": "1\n2\n", "edges": "0\t1\t1\n"}, "edges.tsv rows need 2 fields"),
+    ({"features": "1\n2\n", "edges": "0\t1\n1\n"}, r"inconsistent edge widths"),
+    ({"features": "1\n2\n", "labels": "0\n"}, "labels.tsv rows need 2 fields"),
+])
+def test_malformed_tables_raise_dataset_errors(tmp_path, files, match):
+    write_text_dataset(tmp_path, **files)
+    with pytest.raises(DatasetError, match=match):
+        load_dataset(tmp_path)
+
+
+def test_tables_parse_blank_lines_and_empty_edges(tmp_path):
+    write_text_dataset(tmp_path, "1.5 -2e-3\n\n0.1 7\n", edges="",
+                       labels="1\t1\n0\t0\n\n1\t0\n")
+    bundle = load_dataset(tmp_path)
+    np.testing.assert_array_equal(bundle.graph.features, [[1.5, -2e-3], [0.1, 7.0]])
+    assert bundle.raw_edges.shape == (0, 2) and bundle.raw_edges.dtype == np.int64
+    # a repeated node keeps its first position and its last class
+    assert list(bundle.labels.by_node.items()) == [(1, 0), (0, 0)]
+
+
+def asymmetry_oracle(edges):
+    """The former set scan: (pairs lacking a reverse, any pair with one)."""
+    fwd = set(map(tuple, edges.tolist()))
+    missing = sum((v, u) not in fwd for u, v in fwd if u != v)
+    has_bidir = any((v, u) in fwd for u, v in fwd if u != v)
+    return missing, has_bidir
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10), data=st.data())
+def test_asymmetry_warning_matches_set_scan(n, data):
+    node = st.integers(0, n - 1)
+    edges = np.asarray(data.draw(st.lists(st.tuples(node, node), max_size=4 * n)),
+                       dtype=np.int64).reshape(-1, 2)
+    missing, has_bidir = asymmetry_oracle(edges)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_snapshot(n, edges, np.ones((n, 1)), warn_asymmetric=True)
+    messages = [str(w.message) for w in caught]
+    if missing and has_bidir:
+        assert messages == [f"{missing} edge(s) lacked a reverse counterpart; "
+                            "symmetrized"]
+    else:
+        assert messages == []
 
 
 def test_label_class_missing_from_schedule_errors(tmp_path):
@@ -233,6 +291,20 @@ def test_replaced_schedule_gets_its_own_snapshots():
     assert h1 is not g1
     assert 8 in h1.visible and 9 not in h1.visible
     assert graph_at(b, 1) is g1 and 9 in g1.visible
+
+
+def test_visible_from_takes_the_first_listing_session():
+    sched = StreamSchedule(base_classes=(0,), sessions=(
+        SessionSpec((), (), 1, arrivals=(3, 1)), SessionSpec((), (), 1),
+        SessionSpec((), (), 1, arrivals=(1, 4))))
+    np.testing.assert_array_equal(sched.visible_from(6), [0, 1, 0, 1, 3, 0])
+    with pytest.raises(DatasetError, match="out of range"):
+        sched.visible_from(4)
+    b = arrivals_bundle()
+    for t in range(3):
+        np.testing.assert_array_equal(
+            graph_at(b, t).visible,
+            np.flatnonzero(b.schedule.visible_from(10) <= t))
 
 
 def test_visible_mask_is_read_only():

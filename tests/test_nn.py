@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gotham import autodiff as ad
@@ -242,6 +242,52 @@ def test_gnn_forward_and_gradients_equal_loop_oracle(case, backbone):
     np.testing.assert_array_equal(got, want)
     for name in want_grads:
         np.testing.assert_array_equal(got_grads[name], want_grads[name])
+
+
+def layer_params(params):
+    return {f"{i}.{k}": t for i, layer in enumerate(params.layers)
+            for k, t in vars(layer).items() if t is not None}
+
+
+@ORACLE_SETTINGS
+@given(graphs_with_hidden_nodes(), st.data())
+def test_union_forward_rows_equal_per_set_forwards(case, data):
+    graph, _, depth = case
+    assume(graph.visible.size >= 2)
+    # overlapping sets of visible nodes, as the classes' extended supports
+    # are; a set of two or more nodes keeps every dense product at two or more
+    # rows (a one-row product takes numpy's vector path, which sums in
+    # another order; see the test below)
+    sets = [np.asarray(data.draw(st.lists(st.sampled_from(graph.visible.tolist()),
+                                          min_size=2, max_size=8, unique=True)),
+                       dtype=np.int64)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    params = network.init_gnn([3] + [4] * depth, np.random.default_rng(depth))
+    weights = [np.random.default_rng(i).standard_normal((s.size, 4))
+               for i, s in enumerate(sets)]
+    results = []
+    for rows in (network.gnn_forward_sets(params, graph, sets),
+                 [network.gnn_forward(params, graph, s) for s in sets]):
+        loss = sum(((r * w).sum() for r, w in zip(rows, weights)), ad.constant(0.0))
+        results.append(([r.data for r in rows],
+                        network.compute_gradients(layer_params(params), loss)))
+    (got, got_grads), (want, want_grads) = results
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    # only the order in which the backward pass sums the shared rows differs
+    for name, w in want_grads.items():
+        err = np.abs(got_grads[name] - w).max()
+        assert err <= 1e-12 * max(np.abs(w).max(), 1e-300), name
+
+
+def test_union_forward_of_a_one_node_set_is_within_rounding():
+    g = star_graph(n_leaves=5, seed=2)
+    sets = [np.array([3]), np.array([0, 1, 4])]
+    params = network.init_gnn([4, 6, 3], np.random.default_rng(5))
+    rows = network.gnn_forward_sets(params, g, sets)
+    for r, s in zip(rows, sets):
+        want = network.gnn_forward(params, g, s).data
+        np.testing.assert_allclose(r.data, want, rtol=1e-14, atol=1e-15)
 
 
 # -- semantic encoder ---------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gotham import nn as network
 from gotham import trainer
 from gotham.config import RunConfig
 from gotham.graphstore import graph_at, synth_generate
@@ -89,9 +90,9 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
     supports = {t: [] for t in range(sched.num_sessions + 1)}
     build = trainer.build_prototype_tensors
 
-    def spy(model, bundle, episode, *args):
+    def spy(model, bundle, episode, *args, **kwargs):
         supports[episode.session].append(episode.extended_support)
-        return build(model, bundle, episode, *args)
+        return build(model, bundle, episode, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "build_prototype_tensors", spy)
     run_stream(bundle, cfg)
@@ -103,3 +104,67 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
         # zero-shot classes have no anchors, so they get no support
         assert sorted(draws[0]) == sched.seen_at(t)
         assert not set(draws[0]) & set(sched.unseen_at(t))
+
+
+@pytest.mark.parametrize("mode,backbone,zero_shot", [
+    ("gcl", "mean", (4,)),
+    ("gfscil_semantic", "attention", ()),
+])
+def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
+    """One encoder forward per training episode on the mean backbone serves
+    every seen class and the distillation rows; attention runs one forward
+    per class plus one for the distillation rows."""
+    bundle = tiny_bundle(zero_shot)
+    cfg = tiny_config(mode, backbone)
+    forward, step = network.gnn_forward, trainer._episode_step
+    counts = []
+
+    def count_forward(params, graph, nodes):
+        # zero-shot prototypes run on their own one-node graphs
+        if counts and graph is counts[-1][1]:
+            counts[-1][2] += 1
+        return forward(params, graph, nodes)
+
+    def count_step(model, bundle, episode, cfg, weights, cache):
+        counts.append([episode.session, graph_at(bundle, episode.session), 0])
+        try:
+            return step(model, bundle, episode, cfg, weights, cache)
+        finally:
+            counts[-1][1] = None      # the query-accuracy forward is not counted
+
+    monkeypatch.setattr(network, "gnn_forward", count_forward)
+    monkeypatch.setattr(trainer, "_episode_step", count_step)
+    run_stream(bundle, cfg)
+    assert len(counts) == cfg.episodes_base + bundle.num_sessions * cfg.episodes_finetune
+    for t, _, n in counts:
+        per_class = len(bundle.schedule.seen_at(t)) + (t > 0)
+        assert n == (1 if backbone == "mean" else per_class), t
+
+
+def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
+    """Nodes 0-9 of base class 0 arrive at session 2: anchors come from the
+    nodes visible at t=0 and episode queries from the nodes visible at t."""
+    bundle = synth_generate(0, 6, 30, 0.3, 0.02, 8, n_base=3, k_shot=5)
+    sessions = list(bundle.schedule.sessions)
+    sessions[1] = dataclasses.replace(sessions[1], arrivals=tuple(range(10)))
+    bundle = dataclasses.replace(bundle, schedule=dataclasses.replace(
+        bundle.schedule, sessions=tuple(sessions)))
+    queried = []
+    sample = trainer.sample_episode
+
+    def spy(bundle, t, *args, **kwargs):
+        episode = sample(bundle, t, *args, **kwargs)
+        queried.append((t, [n for n, _ in episode.query]))
+        return episode
+
+    monkeypatch.setattr(trainer, "sample_episode", spy)
+    for seed in (0, 1, 2):
+        cfg = tiny_config("gfscil_plain", "mean").replace(
+            seed=seed, k_shot=5, episodes_finetune=2)
+        split = trainer.run_split(bundle, cfg)
+        assert not set(split.anchors[0].tolist()) & set(range(10))
+        reports, records = stream(bundle, cfg, tmp_path / str(seed))
+        assert_every_step_logged(bundle, cfg, tmp_path / str(seed), records)
+        assert [r.n_classes for r in reports] == [3, 4, 5, 6]
+    assert all(not set(nodes) & set(range(10)) for t, nodes in queried if t < 2)
+    assert any(set(nodes) & set(range(10)) for t, nodes in queried if t >= 2)
