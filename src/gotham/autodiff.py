@@ -3,7 +3,7 @@
 Supports exactly the operations the training losses need: dense and sparse
 matrix products, broadcasting add/mul, leaky ReLU, hinges via ``maximum``,
 sqrt/log/exp, reductions, row gather and row stacking. Gradients accumulate
-into ``Tensor.grad`` of the leaves (parameters) after ``backward()`` on a
+into ``Tensor.grad`` of the leaves (parameters) after ``backward(loss)`` on a
 scalar; intermediate nodes keep none.
 
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
@@ -145,9 +145,6 @@ class Tensor:
             orig = self.data.shape
             out._backward = lambda g: (g.reshape(orig),)
         return out
-
-    def backward(self):
-        backward(self)
 
 
 def _wrap(x) -> Tensor:

@@ -2,13 +2,13 @@
 
 Subcommands: ``run`` (train a stream from a config file), ``verify-theorem``
 (distortion-bound sweep), ``gradcheck`` (finite-difference audit of every
-loss), ``synth`` (write a synthetic dataset directory), and
-``export-prototypes`` (write as TSV the prototypes a finished run classified
-session t with; ``--run`` names the run directory, whose ``model.ckpt`` and
-``config.json`` fix the model, mode, split and walks). A seed comes from
-``--seed``, else ``GOTHAM_SEED``, else the config's seed (``run``) or 0.
-Exit codes: 0 success, 1 runtime failure, 2 invalid arguments or input
-validation failure.
+training loss on both backbones), ``synth`` (write a synthetic dataset
+directory), and ``export-prototypes`` (write as TSV the prototypes a finished
+run classified session t with; ``--run`` names the run directory, whose
+``model.ckpt`` and ``config.json`` fix the model, mode, split and walks). A
+seed comes from ``--seed``, else ``GOTHAM_SEED``, else the config's seed
+(``run``) or 0. Exit codes: 0 success, 1 runtime failure, 2 invalid
+arguments or input validation failure.
 """
 from __future__ import annotations
 
@@ -149,7 +149,7 @@ def cmd_gradcheck(args) -> int:
     for name, rep in results.items():
         status = "pass" if rep.passed else "FAIL"
         ok = ok and rep.passed
-        print(f"{name:<24s} max_rel_err={rep.max_rel_err:.3e} "
+        print(f"{name:<34s} max_rel_err={rep.max_rel_err:.3e} "
               f"checked={rep.n_checked} kinks_skipped={rep.n_kink_skipped} {status}")
     if args.out:
         payload = {name: {"max_rel_err": r.max_rel_err, "n_checked": r.n_checked,

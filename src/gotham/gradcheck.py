@@ -1,28 +1,102 @@
 """Finite-difference audit of every training loss on a tiny fixture.
 
 Builds a 12-node synthetic bundle with one zero-shot class, freezes one
-episode per session, and checks the analytic gradient of each loss (and both
-composite objectives) against central differences. ``inject_bug`` adds a
-term the tape cannot see, proving the check fails when gradients are wrong.
+finetune episode, and checks, on both backbones, the analytic gradient of each
+loss part and of both composite objectives as ``trainer._episode_step``
+computes them: without a teacher for ``train_total``, with a teacher cache of
+an unrelated model for the distillation terms and ``finetune_total``.
+``inject_bug`` adds a term the tape cannot see, proving the check fails when
+gradients are wrong.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn as network
-from .graphstore import graph_at, synth_generate
-from .losses import (LossParts, LossWeights, loss_cluster, loss_finetune_total,
-                     loss_kd_align, loss_kd_emb, loss_seg, loss_sem,
-                     loss_train_total)
-from .prototypes import build_prototype_tensors, encode_csds
+from . import trainer
+from .config import RunConfig
+from .graphstore import synth_generate
 from .sampler import (WalkConfig, build_class_split, sample_episode,
                       session_supports)
 
-__all__ = ["run_gradcheck", "GRADCHECK_LOSSES"]
+__all__ = ["run_gradcheck", "GRADCHECK_LOSSES", "finite_diff_check",
+           "FiniteDiffReport"]
 
-GRADCHECK_LOSSES = ("cluster_mean_hinge", "cluster_self_normalized", "seg",
-                    "sem", "kd_emb", "kd_align", "train_total", "finetune_total")
+# loss -> (cluster variant, with a teacher, the LossParts field or "total")
+_SOURCES = {
+    "cluster_mean_hinge": ("mean_hinge", False, "cluster"),
+    "cluster_self_normalized": ("self_normalized", False, "cluster"),
+    "seg": ("mean_hinge", False, "seg"),
+    "sem": ("mean_hinge", False, "sem"),
+    "kd_emb": ("mean_hinge", True, "kd_emb"),
+    "kd_align": ("mean_hinge", True, "kd_align"),
+    "train_total": ("mean_hinge", False, "total"),
+    "finetune_total": ("mean_hinge", True, "total"),
+}
+GRADCHECK_LOSSES = tuple(_SOURCES)
+
+
+@dataclass
+class FiniteDiffReport:
+    max_rel_err: float
+    worst: tuple[str, int] | None
+    n_checked: int
+    n_kink_skipped: int
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.n_checked > 0 and self.max_rel_err < self.tol
+
+
+def finite_diff_check(params: dict[str, ad.Tensor], loss_fn, h: float = 1e-4,
+                      tol: float = 1e-4, rng=None, n_coords: int = 50,
+                      denom_floor: float = 1e-2) -> FiniteDiffReport:
+    """Central-difference check of analytic gradients on sampled coordinates.
+
+    Coordinates whose one-sided slopes disagree by more than 1% (a hinge or
+    activation kink inside the +-h window) are skipped, not failed.
+    """
+    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    grads = network.compute_gradients(params, loss_fn())
+
+    flat: list[tuple[str, int]] = []
+    for name, t in params.items():
+        flat.extend((name, i) for i in range(t.data.size))
+    if len(flat) > n_coords:
+        chosen = rng.choice(len(flat), size=n_coords, replace=False)
+        coords = [flat[i] for i in sorted(chosen)]
+    else:
+        coords = flat
+
+    f0 = loss_fn().item()
+    max_rel, worst, kinks, checked = 0.0, None, 0, 0
+    for name, idx in coords:
+        t = params[name]
+        orig = t.data.flat[idx]
+        t.data.flat[idx] = orig + h
+        fp = loss_fn().item()
+        t.data.flat[idx] = orig - h
+        fm = loss_fn().item()
+        t.data.flat[idx] = orig
+
+        d_plus = (fp - f0) / h
+        d_minus = (f0 - fm) / h
+        slope_scale = max(abs(d_plus), abs(d_minus), denom_floor)
+        if abs(d_plus - d_minus) > 1e-2 * slope_scale:
+            kinks += 1
+            continue
+        fd = (fp - fm) / (2.0 * h)
+        analytic = grads[name].flat[idx]
+        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), denom_floor)
+        checked += 1
+        if rel > max_rel:
+            max_rel, worst = rel, (name, idx)
+    return FiniteDiffReport(max_rel_err=max_rel, worst=worst, n_checked=checked,
+                            n_kink_skipped=kinks, tol=tol)
 
 
 def _fixture(seed: int):
@@ -31,81 +105,50 @@ def _fixture(seed: int):
                             k_shot=2, mean_separation=3.0)
     split = build_class_split(bundle, k_shot=2, eval_fraction=0.2,
                               split_seed=seed + 1, anchor_seed=seed + 2)
-    model = network.init_model(feature_dim=4, hidden=6, out=5, num_layers=2,
-                               seed=seed + 3, csd_dim=4)
     walk = WalkConfig(walk_length=2, walks_per_seed=3)
     extended = session_supports(bundle, 1, split, walk, seed + 4)
     episode = sample_episode(bundle, 1, 1, np.random.default_rng(seed + 4),
                              query_per_class=1, split=split, extended=extended)
-    teacher = network.init_model(feature_dim=4, hidden=6, out=5, num_layers=2,
-                                 seed=seed + 5, csd_dim=4)
-    return bundle, split, model, episode, teacher
+    return bundle, split, episode
 
 
 def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
                   n_coords: int = 60, inject_bug: bool = False
-                  ) -> dict[str, network.FiniteDiffReport]:
-    bundle, split, model, episode, teacher = _fixture(seed)
-    graph = graph_at(bundle, episode.session)
-    weights = LossWeights(gamma=0.01)
-    params = network.named_parameters(model)
-    csds = bundle.csds.vectors
-
-    distill_nodes = np.sort(np.concatenate(
-        [split.anchors[c] for c in bundle.schedule.seen_at(0)]))
-    teacher_emb = network.gnn_forward(teacher.gnn, graph, distill_nodes).data.copy()
-    teacher_classes = bundle.schedule.seen_at(0)
-    t_enc = encode_csds(teacher, {c: csds[c] for c in teacher_classes})
-    teacher_enc = np.stack([t_enc[c].data for c in teacher_classes])
-
-    def build():
-        # the student's distill rows come from the prototypes' forward, as in
-        # training
-        return build_prototype_tensors(model, bundle, episode, "gcl",
-                                       distill_nodes=distill_nodes)
-
-    def student_enc():
-        enc = encode_csds(model, {c: csds[c] for c in teacher_classes})
-        return ad.vstack([enc[c].reshape(1, -1) for c in teacher_classes])
-
-    def parts_for():
-        b = build()
-        p = LossParts(
-            cluster=loss_cluster(b.embeddings, b.seen, weights.gamma, "mean_hinge"),
-            seg=loss_seg(b.final, weights.epsilon_log),
-            sem=loss_sem(b.encoded, b.seen),
-            kd_emb=loss_kd_emb(teacher_emb, b.distill),
-            kd_align=loss_kd_align(teacher_enc, student_enc(), weights.epsilon_log))
-        return p
-
-    losses = {
-        "cluster_mean_hinge": lambda: (lambda b: loss_cluster(
-            b.embeddings, b.seen, weights.gamma, "mean_hinge"))(build()),
-        "cluster_self_normalized": lambda: (lambda b: loss_cluster(
-            b.embeddings, b.seen, weights.gamma, "self_normalized"))(build()),
-        "seg": lambda: loss_seg(build().final, weights.epsilon_log),
-        "sem": lambda: (lambda b: loss_sem(b.encoded, b.seen))(build()),
-        "kd_emb": lambda: loss_kd_emb(teacher_emb, build().distill),
-        "kd_align": lambda: loss_kd_align(teacher_enc, student_enc(),
-                                          weights.epsilon_log),
-        "train_total": lambda: loss_train_total(parts_for(), weights),
-        "finetune_total": lambda: loss_finetune_total(parts_for(), weights),
-    }
-
-    bug_param = params["gnn.0.weight"]
-
-    def with_bug(fn):
-        def wrapped():
-            # forward-visible, tape-invisible term: FD sees it, autodiff cannot
-            return fn() + ad.constant(0.05 * float(bug_param.data.sum()))
-        return wrapped
-
+                  ) -> dict[str, FiniteDiffReport]:
+    """One report per backbone and loss, keyed ``"<backbone>/<loss>"``."""
+    bundle, split, episode = _fixture(seed)
     rng = np.random.default_rng(seed + 10)
-    reports: dict[str, network.FiniteDiffReport] = {}
-    for name in GRADCHECK_LOSSES:
-        fn = losses[name]
-        if inject_bug:
-            fn = with_bug(fn)
-        reports[name] = network.finite_diff_check(params, fn, h=h, tol=tol,
-                                                  rng=rng, n_coords=n_coords)
+    reports: dict[str, FiniteDiffReport] = {}
+    for backbone in ("mean", "attention"):
+        model, teacher = (network.init_model(
+            feature_dim=4, hidden=6, out=5, num_layers=2, seed=s, csd_dim=4,
+            backbone=backbone) for s in (seed + 3, seed + 5))
+        cfg = RunConfig(mode="gcl", backbone=backbone)
+        cache = trainer._TeacherCache(
+            trainer.TeacherSnapshot.capture(teacher, bundle.schedule.seen_at(0),
+                                            split, 0),
+            model, bundle, episode.session, cfg.mode)
+        weights = trainer._weights(cfg)
+        params = network.named_parameters(model)
+        bug_param = params["gnn.0.weight"]
+
+        def loss_fn(variant, distil, part):
+            run_cfg = cfg.replace(cluster_variant=variant)
+
+            def fn():
+                parts, total, _ = trainer._episode_step(
+                    model, bundle, episode, run_cfg, weights,
+                    cache if distil else None)
+                loss = total if part == "total" else getattr(parts, part)
+                if inject_bug:
+                    # forward-visible, tape-invisible term: FD sees it,
+                    # autodiff cannot
+                    loss = loss + ad.constant(0.05 * float(bug_param.data.sum()))
+                return loss
+            return fn
+
+        for name, source in _SOURCES.items():
+            reports[f"{backbone}/{name}"] = finite_diff_check(
+                params, loss_fn(*source), h=h, tol=tol, rng=rng,
+                n_coords=n_coords)
     return reports

@@ -40,6 +40,9 @@ class LossWeights:
                 raise ValueError(f"{name} must be >= 0")
 
 
+_KD_ZERO_RTOL = 1e-12
+
+
 def _row_norms(diff: Tensor) -> Tensor:
     return ad.sqrt((diff * diff).sum(axis=1))
 
@@ -91,13 +94,16 @@ def loss_seg(prototypes: dict[int, Tensor], epsilon_log: float) -> Tensor:
         warnings.warn("loss_seg needs >= 2 prototypes; returning 0", stacklevel=2)
         return ad.constant(0.0)
     pm = ad.vstack([prototypes[cls].reshape(1, -1) for cls in classes])
-    sq = (pm * pm).sum(axis=1)
-    d2 = sq.reshape(-1, 1) + sq.reshape(1, -1) - 2.0 * (pm @ pm.transpose())
-    flat = d2.reshape(-1)
-    off_diag = np.asarray([i * c + j for i in range(c) for j in range(c) if i != j],
-                          dtype=np.int64)
-    d = ad.sqrt(ad.maximum(ad.gather_rows(flat, off_diag), epsilon_log ** 2))
-    return ad.log(d).sum() * (-1.0 / c)
+    # each unordered pair once, from its difference p_i - p_j (a +1/-1 row of
+    # an incidence matrix, exact in a product): |p_i|^2 + |p_j|^2 - 2 p_i.p_j
+    # cancels when two prototypes nearly coincide
+    i, j = np.triu_indices(c, 1)
+    incidence = np.zeros((i.size, c))
+    incidence[np.arange(i.size), i] = 1.0
+    incidence[np.arange(i.size), j] = -1.0
+    diff = ad.constant(incidence) @ pm
+    d = ad.sqrt(ad.maximum((diff * diff).sum(axis=1), epsilon_log ** 2))
+    return ad.log(d).sum() * (-2.0 / c)
 
 
 def loss_sem(encoded_csds: dict[int, Tensor], prototypes: dict[int, Tensor]) -> Tensor:
@@ -112,13 +118,22 @@ def loss_sem(encoded_csds: dict[int, Tensor], prototypes: dict[int, Tensor]) -> 
 
 
 def loss_kd_emb(teacher_embeddings, student_embeddings: Tensor) -> Tensor:
-    """Mean embedding distance between frozen teacher and student."""
+    """Mean embedding distance between frozen teacher and student.
+
+    A row whose distance is within rounding noise of 0 (at most
+    ``_KD_ZERO_RTOL`` times the teacher row's norm) counts as 0 and gets zero
+    gradient, a valid subgradient of the norm at 0. Otherwise the norm's
+    gradient there is a unit vector along the noise: a session's first
+    finetune episode starts with the student equal to the teacher.
+    """
     teacher = np.asarray(teacher_embeddings, dtype=np.float64)
     if teacher.shape[0] == 0:
         return ad.constant(0.0)
     if teacher.shape != student_embeddings.shape:
         raise ValueError("teacher/student embedding shapes differ")
-    return _row_norms(student_embeddings - ad.constant(teacher)).mean()
+    dist = _row_norms(student_embeddings - ad.constant(teacher))
+    noise = dist.data <= _KD_ZERO_RTOL * np.linalg.norm(teacher, axis=1)
+    return (dist * ad.constant(~noise)).mean()
 
 
 def loss_kd_align(teacher_encoded, student_encoded: Tensor,

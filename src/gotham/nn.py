@@ -8,10 +8,10 @@ holds no graph state: M is the session snapshot's ``mean_adjacency``, and a
 forward gathers the row blocks it needs from the snapshot's CSR with numpy.
 
 ``gnn_forward_sets`` embeds several node sets of one snapshot, such as every
-seen class's extended support in a training episode. On the mean backbone it
-runs one forward over their union (the mini-batch scheme of GraphSAGE) and
-slices each set's rows from it; the attention backbone runs one forward per
-set, for the reason given there.
+seen class's extended support in a training episode: one forward over their
+union (the mini-batch scheme of GraphSAGE) on either backbone, with each set's
+rows sliced from it. Mean rows equal the set's own forward bit for bit;
+attention rows match it within rounding.
 """
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ from .graphstore import GraphSnapshot
 __all__ = ["Layer", "GnnParams", "MlpParams", "ModelState", "init_gnn",
            "init_mlp", "init_model", "named_parameters", "gnn_forward",
            "gnn_forward_sets", "mlp_forward", "compute_gradients", "apply_update",
-           "finite_diff_check", "FiniteDiffReport", "save_model", "load_model",
-           "clone_params", "NonFiniteError"]
+           "save_model", "load_model", "clone_params", "NonFiniteError"]
 
 
 class NonFiniteError(FloatingPointError):
@@ -222,14 +221,13 @@ def gnn_forward_sets(params: GnnParams, graph: GraphSnapshot,
                      node_sets) -> list[Tensor]:
     """``gnn_forward`` of each array in ``node_sets``, rows in its order."""
     node_sets = [np.asarray(nodes, dtype=np.int64) for nodes in node_sets]
-    if params.backbone != "mean" or not node_sets:
-        # the attention softmax and ``attn @ z`` sum over a row block's whole
-        # column set, so a union forward moves these embeddings by about
-        # 4e-16, which loss_seg amplifies when two prototypes nearly coincide
-        return [gnn_forward(params, graph, nodes) for nodes in node_sets]
+    if not node_sets:
+        return []
     # a mean row reads only its own CSR entries, so a union row equals the
     # set's own row bit for bit whenever BLAS sums a row of ``h @ W`` alike at
-    # both row counts; numpy's one-row product takes a vector path that may not
+    # both row counts; numpy's one-row product takes a vector path that may not.
+    # The attention softmax and ``attn @ z`` sum over a row block's whole
+    # column set, so there a union row differs from the set's own by rounding
     union = np.unique(np.concatenate(node_sets))
     emb = gnn_forward(params, graph, union)
     return [ad.gather_rows(emb, np.searchsorted(union, nodes))
@@ -296,68 +294,6 @@ def apply_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if not np.all(np.isfinite(new)):
             raise NonFiniteError(f"non-finite update for parameter {name}")
         t.data = new
-
-
-# -- finite-difference verification ------------------------------------------
-
-@dataclass
-class FiniteDiffReport:
-    max_rel_err: float
-    worst: tuple[str, int] | None
-    n_checked: int
-    n_kink_skipped: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.n_checked > 0 and self.max_rel_err < self.tol
-
-
-def finite_diff_check(params: dict[str, Tensor], loss_fn, h: float = 1e-4,
-                      tol: float = 1e-4, rng=None, n_coords: int = 50,
-                      denom_floor: float = 1e-2) -> FiniteDiffReport:
-    """Central-difference check of analytic gradients on sampled coordinates.
-
-    Coordinates whose one-sided slopes disagree by more than 1% (a hinge or
-    activation kink inside the +-h window) are skipped, not failed.
-    """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    grads = compute_gradients(params, loss_fn())
-
-    flat: list[tuple[str, int]] = []
-    for name, t in params.items():
-        flat.extend((name, i) for i in range(t.data.size))
-    if len(flat) > n_coords:
-        chosen = rng.choice(len(flat), size=n_coords, replace=False)
-        coords = [flat[i] for i in sorted(chosen)]
-    else:
-        coords = flat
-
-    f0 = loss_fn().item()
-    max_rel, worst, kinks, checked = 0.0, None, 0, 0
-    for name, idx in coords:
-        t = params[name]
-        orig = t.data.flat[idx]
-        t.data.flat[idx] = orig + h
-        fp = loss_fn().item()
-        t.data.flat[idx] = orig - h
-        fm = loss_fn().item()
-        t.data.flat[idx] = orig
-
-        d_plus = (fp - f0) / h
-        d_minus = (f0 - fm) / h
-        slope_scale = max(abs(d_plus), abs(d_minus), denom_floor)
-        if abs(d_plus - d_minus) > 1e-2 * slope_scale:
-            kinks += 1
-            continue
-        fd = (fp - fm) / (2.0 * h)
-        analytic = grads[name].flat[idx]
-        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), denom_floor)
-        checked += 1
-        if rel > max_rel:
-            max_rel, worst = rel, (name, idx)
-    return FiniteDiffReport(max_rel_err=max_rel, worst=worst, n_checked=checked,
-                            n_kink_skipped=kinks, tol=tol)
 
 
 # -- checkpoints --------------------------------------------------------------

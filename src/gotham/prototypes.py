@@ -14,8 +14,8 @@ Training, evaluation, export and the gradient audit all call it.
 
 All seen classes' support rows, and the student's distillation rows when a
 training episode asks for them, come from one ``nn.gnn_forward_sets`` call:
-one encoder forward per episode on the mean backbone, one per node set on the
-attention backbone (whose union forward would not be bit-identical).
+one encoder forward per episode on either backbone. Mean rows are
+bit-identical to per-set forwards; attention rows match them within rounding.
 """
 from __future__ import annotations
 

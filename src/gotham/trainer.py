@@ -146,8 +146,8 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
                   episode: Episode, cfg: RunConfig, weights: LossWeights,
                   teacher_cache: "_TeacherCache | None") -> tuple[LossParts, object, dict]:
     """Forward all loss parts for one episode; returns (parts, total, protos)."""
-    # the teacher's distill nodes are anchors of classes seen at t-1, so on
-    # the mean backbone the prototypes' forward already holds their rows
+    # the teacher's distill nodes are anchors of classes seen at t-1, so the
+    # prototypes' forward already holds their rows
     distill = (teacher_cache.nodes if teacher_cache is not None
                and teacher_cache.nodes.size else None)
     build = build_prototype_tensors(model, bundle, episode, cfg.mode,

@@ -4,7 +4,12 @@ import time
 import numpy as np
 import pytest
 
-from gotham.gradcheck import GRADCHECK_LOSSES, run_gradcheck
+from gotham import autodiff as ad
+from gotham import nn as network
+from gotham.gradcheck import GRADCHECK_LOSSES, finite_diff_check, run_gradcheck
+
+REPORTS = {f"{backbone}/{name}" for backbone in ("mean", "attention")
+           for name in GRADCHECK_LOSSES}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -18,20 +23,69 @@ def test_every_loss_passes_fd_on_random_instances(seed):
 
 def test_gradcheck_covers_all_specified_losses():
     reports = run_gradcheck(seed=0, n_coords=10)
-    assert set(reports) == set(GRADCHECK_LOSSES)
+    assert set(reports) == REPORTS
     assert {"cluster_mean_hinge", "cluster_self_normalized", "seg", "sem",
-            "kd_emb", "kd_align", "train_total", "finetune_total"} == set(reports)
+            "kd_emb", "kd_align", "train_total",
+            "finetune_total"} == set(GRADCHECK_LOSSES)
 
 
 def test_injected_bug_is_caught():
     reports = run_gradcheck(seed=0, n_coords=30, inject_bug=True)
     # the invisible term touches gnn.0.weight; any loss sampling one of its
-    # coordinates must fail
-    failed = [n for n, r in reports.items() if not r.passed]
-    assert failed, "negative control: corrupted gradients went undetected"
+    # coordinates must fail, on either backbone
+    for backbone in ("mean", "attention"):
+        failed = [n for n, r in reports.items()
+                  if n.startswith(backbone + "/") and not r.passed]
+        assert failed, (f"negative control: corrupted {backbone} gradients "
+                        "went undetected")
 
 
 def test_gradcheck_runtime_budget():
     start = time.perf_counter()
     run_gradcheck(seed=3, n_coords=60)
     assert time.perf_counter() - start < 30.0
+
+
+# -- finite differences --------------------------------------------------------
+
+def test_fd_check_quadratic_tight():
+    model = network.init_model(3, 4, 2, 2, seed=1)
+    params = network.named_parameters(model)
+
+    def loss():
+        total = None
+        for t in params.values():
+            s = (t * t).sum() * 0.5
+            total = s if total is None else total + s
+        return total
+
+    rep = finite_diff_check(params, loss, h=1e-4, tol=1e-4,
+                            rng=0, n_coords=40)
+    assert rep.passed
+    assert rep.max_rel_err < 1e-8
+
+
+def test_fd_check_flags_kink():
+    p = ad.parameter(np.zeros(1))
+    params = {"w": p}
+
+    def loss():
+        return ad.maximum(params["w"], 0.0).sum()   # kink exactly at 0
+
+    rep = finite_diff_check(params, loss, rng=1, n_coords=5)
+    assert rep.n_kink_skipped == 1
+    assert rep.n_checked == 0
+
+
+def test_fd_check_catches_wrong_gradient():
+    p = ad.parameter(np.array([1.0, 2.0]))
+    params = {"w": p}
+
+    def loss():
+        # value depends on params but half of it is invisible to the tape
+        return (params["w"] * params["w"]).sum() + \
+            ad.constant(float(params["w"].data.sum()))
+
+    rep = finite_diff_check(params, loss, rng=2, n_coords=2)
+    assert not rep.passed
+    assert rep.max_rel_err > 0.1

@@ -126,6 +126,18 @@ def test_seg_decreases_as_distance_grows():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_seg_stable_when_two_prototypes_nearly_coincide():
+    """A 4e-16 relative nudge of one of two 512-d prototypes 1e-6 apart moves
+    the loss by rounding only, where |p_i|^2 + |p_j|^2 - 2 p_i.p_j cancels."""
+    rng = np.random.default_rng(8)
+    p = rng.standard_normal(512)
+    u = rng.standard_normal(512)
+    q = p + 1e-6 * u / np.linalg.norm(u)
+    base = loss_seg({0: T(p), 1: T(q)}, 1e-8).item()
+    nudged = loss_seg({0: T(p * (1 + 4e-16)), 1: T(q)}, 1e-8).item()
+    assert abs(nudged - base) < 1e-9 * abs(base)
+
+
 # -- semantic alignment -----------------------------------------------------------
 
 def test_sem_zero_when_aligned():
@@ -173,6 +185,37 @@ def test_kd_emb_matches_oracle():
     a, b = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
     want = np.linalg.norm(a - b, axis=1).mean()
     assert loss_kd_emb(a, T(b)).item() == pytest.approx(want, abs=1e-12)
+
+
+def kd_emb_value_and_grad(teacher, student):
+    s = ad.parameter(student)
+    loss = loss_kd_emb(teacher, s)
+    ad.backward(loss)
+    return loss.item(), s.grad
+
+
+def test_kd_emb_rows_within_rounding_of_the_teacher_get_zero_gradient():
+    rng = np.random.default_rng(7)
+    teacher = rng.standard_normal((4, 8))
+    noise = rng.standard_normal(teacher.shape)
+    student = teacher + 1e-16 * np.linalg.norm(teacher, axis=1, keepdims=True) * noise
+    assert (np.linalg.norm(student - teacher, axis=1) > 0).all()
+    _, grad = kd_emb_value_and_grad(teacher, student)
+    np.testing.assert_array_equal(grad, np.zeros_like(teacher))
+
+
+def test_kd_emb_guard_keeps_zero_rows_and_rows_above_the_threshold():
+    rng = np.random.default_rng(8)
+    teacher = rng.standard_normal((4, 8))
+    student = teacher.copy()
+    student[2:] += 1e-9 * rng.standard_normal((2, 8))     # far above rounding
+    value, grad = kd_emb_value_and_grad(teacher, student)
+    diff = student - teacher
+    norms = np.linalg.norm(diff, axis=1)
+    assert value == pytest.approx(norms.mean(), rel=1e-14)
+    want = np.zeros_like(diff)
+    want[2:] = diff[2:] / norms[2:, None] / 4
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
 
 
 def test_kd_emb_empty_set_zero():

@@ -111,9 +111,8 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
     ("gfscil_semantic", "attention", ()),
 ])
 def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
-    """One encoder forward per training episode on the mean backbone serves
-    every seen class and the distillation rows; attention runs one forward
-    per class plus one for the distillation rows."""
+    """One encoder forward per training episode serves every seen class and
+    the distillation rows, on either backbone."""
     bundle = tiny_bundle(zero_shot)
     cfg = tiny_config(mode, backbone)
     forward, step = network.gnn_forward, trainer._episode_step
@@ -136,9 +135,7 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
     monkeypatch.setattr(trainer, "_episode_step", count_step)
     run_stream(bundle, cfg)
     assert len(counts) == cfg.episodes_base + bundle.num_sessions * cfg.episodes_finetune
-    for t, _, n in counts:
-        per_class = len(bundle.schedule.seen_at(t)) + (t > 0)
-        assert n == (1 if backbone == "mean" else per_class), t
+    assert all(n == 1 for _, _, n in counts)
 
 
 def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
