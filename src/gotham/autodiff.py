@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 Supports exactly the operations the training losses need: dense and sparse
-matrix products, broadcasting add/mul, leaky ReLU, hinges via ``maximum``,
-sqrt/log/exp, reductions, row gather and row stacking. Gradients accumulate
-into ``Tensor.grad`` of the leaves (parameters) after ``backward(loss)`` on a
-scalar; intermediate nodes keep none.
+matrix products (a sparse matrix's entries may be a tensor), broadcasting
+add/mul, leaky ReLU, hinges via ``maximum``, sqrt/log/exp, reductions, row
+gather and row stacking. Gradients accumulate into ``Tensor.grad`` of the
+leaves (parameters) after ``backward(loss)`` on a scalar; intermediate nodes
+keep none.
 
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
 the positive-side slope is used.
@@ -15,9 +16,13 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["Tensor", "constant", "parameter", "leaky_relu", "maximum", "sqrt",
-           "log", "exp", "vstack", "gather_rows", "sparse_matmul", "backward"]
+           "log", "exp", "vstack", "gather_rows", "sparse_matmul", "csr_matmul",
+           "backward"]
 
 _SQRT_GUARD = 1e-150
+# entries of one nnz-row block of the gathers in ``csr_matmul``'s backward:
+# two blocks of 256 KB stay in cache, where whole nnz x d gathers do not
+_GATHER_BLOCK = 1 << 15
 
 
 def _as_array(x) -> np.ndarray:
@@ -241,8 +246,29 @@ def sparse_matmul(m: sp.spmatrix, x: Tensor) -> Tensor:
     m = m.tocsr()
     out = Tensor(m @ x.data, parents=(x,))
     if out.requires_grad:
-        mt = m.T.tocsr()
-        out._backward = lambda g: (mt @ g,)
+        out._backward = lambda g: (m.T @ g,)
+    return out
+
+
+def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
+               x: Tensor) -> Tensor:
+    """``A @ x`` for the CSR matrix A with ``indptr``, column ``indices`` and
+    entries ``values`` (nnz x 1), differentiable in ``values`` and in ``x``."""
+    m = sp.csr_matrix((values.data.ravel(), indices, indptr),
+                      shape=(indptr.size - 1, x.data.shape[0]))
+    out = Tensor(m @ x.data, parents=(values, x))
+    if out.requires_grad:
+        xd = x.data
+        row = np.repeat(np.arange(m.shape[0]), np.diff(indptr))
+        step = max(1, _GATHER_BLOCK // xd.shape[1])
+        def bw(g):
+            # d_values[e] = g[row_e] . x[col_e], the product A's pattern samples
+            dv = np.empty(indices.size)
+            for s in range(0, indices.size, step):
+                e = slice(s, s + step)
+                np.einsum("ij,ij->i", g[row[e]], xd[indices[e]], out=dv[e])
+            return dv.reshape(values.data.shape), m.T @ g
+        out._backward = bw
     return out
 
 

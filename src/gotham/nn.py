@@ -1,17 +1,18 @@
 """Dense numeric core: graph encoder, semantic encoder, gradients, updates.
 
-The graph encoder stacks ``H <- act(M (H W) + b)`` layers where M is the
-degree-normalized adjacency (self-loops included) restricted to the hop
-neighborhood actually needed, so embeddings of a node depend on exactly its
-L-hop surroundings. The final layer of both encoders is linear. This module
-holds no graph state: M is the session snapshot's ``mean_adjacency``, and a
-forward gathers the row blocks it needs from the snapshot's CSR with numpy.
+The graph encoder stacks ``H <- act(agg(H) W + b)`` layers. ``agg`` is a CSR
+block over the rows a layer must produce and the hop rows they read, so
+embeddings of a node depend on exactly its L-hop surroundings: the
+degree-normalized adjacency M (self-loops included) on the mean backbone, or a
+softmax over each row's CSR entries (GAT) on the attention backbone. The final
+layer of both encoders is linear. This module holds no graph state: M is the
+session snapshot's ``mean_adjacency``, and a forward gathers the row blocks it
+needs from the snapshot's CSR with numpy.
 
 ``gnn_forward_sets`` embeds several node sets of one snapshot, such as every
 seen class's extended support in a training episode: one forward over their
 union (the mini-batch scheme of GraphSAGE) on either backbone, with each set's
-rows sliced from it. Mean rows equal the set's own forward bit for bit;
-attention rows match it within rounding.
+rows sliced from it. A row equals the set's own forward bit for bit.
 """
 from __future__ import annotations
 
@@ -206,12 +207,15 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
     h = ad.constant(graph.features[needed[0]])
     for l, layer in enumerate(params.layers):
         rows, cols = needed[l + 1], needed[l]
-        z = h @ layer.weight
         if params.backbone == "mean":
-            z = ad.sparse_matmul(_restricted_mean_agg(graph, rows, cols), z)
+            agg = ad.sparse_matmul(_restricted_mean_agg(graph, rows, cols), h)
         else:
-            z = _attention_aggregate(params, layer, graph, rows, cols, z)
-        z = z + layer.bias
+            agg = _attention_aggregate(params, layer, graph, rows, cols, h)
+        # aggregating first is never dearer: its dense product costs
+        # |rows| d_in d_out against |cols| d_in d_out for transforming first,
+        # and the sparse products differ by nnz (d_in - d_out), small next to
+        # that because the mean degree is far below d_out
+        z = agg @ layer.weight + layer.bias
         h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
     # the last layer's rows are needed[depth] = nodes, in the caller's order
     return h
@@ -223,11 +227,10 @@ def gnn_forward_sets(params: GnnParams, graph: GraphSnapshot,
     node_sets = [np.asarray(nodes, dtype=np.int64) for nodes in node_sets]
     if not node_sets:
         return []
-    # a mean row reads only its own CSR entries, so a union row equals the
-    # set's own row bit for bit whenever BLAS sums a row of ``h @ W`` alike at
-    # both row counts; numpy's one-row product takes a vector path that may not.
-    # The attention softmax and ``attn @ z`` sum over a row block's whole
-    # column set, so there a union row differs from the set's own by rounding
+    # a row, mean or attention, reads only its own CSR entries, so a union row
+    # equals the set's own row bit for bit whenever BLAS sums a row of a dense
+    # product alike at both row counts; numpy's one-row product takes a vector
+    # path that may not
     union = np.unique(np.concatenate(node_sets))
     emb = gnn_forward(params, graph, union)
     return [ad.gather_rows(emb, np.searchsorted(union, nodes))
@@ -235,24 +238,31 @@ def gnn_forward_sets(params: GnnParams, graph: GraphSnapshot,
 
 
 def _attention_aggregate(params: GnnParams, layer: Layer, graph: GraphSnapshot,
-                         rows: np.ndarray, cols: np.ndarray, z: Tensor) -> Tensor:
-    """Softmax-weighted aggregation over each row's neighbor set."""
+                         rows: np.ndarray, cols: np.ndarray, h: Tensor) -> Tensor:
+    """``attn @ h`` for the softmax over each row's CSR entries (GAT), which
+    the caller multiplies by W; scores use ``(h W) a = h (W a)``."""
     indptr, take = _row_entries(graph, rows)
     pos = _positions(graph, cols)
-    mask = np.zeros((rows.size, cols.size))
-    mask[np.repeat(np.arange(rows.size), np.diff(indptr)),
-         pos[graph.indices[take]]] = 1.0
-    row_idx = pos[rows]
-    zr = ad.gather_rows(z, row_idx)
-    scores = (zr @ layer.att_src.reshape(-1, 1)) + \
-             (z @ layer.att_dst.reshape(-1, 1)).transpose()
-    scores = ad.leaky_relu(scores, params.negative_slope)
-    # subtract the row max (constant w.r.t. grad) for numeric stability
-    shift = (scores.data * mask).max(axis=1, keepdims=True)
-    weights = ad.exp(scores - ad.constant(shift)) * ad.constant(mask)
-    denom = weights.sum(axis=1).reshape(-1, 1)
-    attn = weights / denom
-    return attn @ z
+    col_idx = pos[graph.indices[take]]
+    nnz, counts = indptr[-1], np.diff(indptr)
+
+    # h (W a_src) and h (W a_dst) side by side, flattened to s[2j], s[2j + 1]
+    att = ad.vstack([layer.att_src, layer.att_dst]).transpose()
+    s = (h @ (layer.weight @ att)).reshape(-1, 1)
+    # entry e scores s[2 row_e] + s[2 col_e + 1]: a constant CSR picks both
+    pick = np.stack([2 * np.repeat(pos[rows], counts), 2 * col_idx + 1], axis=1)
+    both = sp.csr_matrix((np.ones(2 * nnz), pick.ravel(),
+                          np.arange(0, 2 * nnz + 1, 2)), shape=(nnz, 2 * cols.size))
+    scores = ad.leaky_relu(ad.sparse_matmul(both, s), params.negative_slope)
+    # subtract the row max (constant w.r.t. grad) for numeric stability; every
+    # visible row holds its self-loop, so no segment is empty
+    shift = np.repeat(np.maximum.reduceat(scores.data[:, 0], indptr[:-1]), counts)
+    weights = ad.exp(scores - ad.constant(shift[:, None]))
+    segment = sp.csr_matrix((np.ones(nnz), np.arange(nnz), indptr),
+                            shape=(rows.size, nnz))
+    denom = ad.sparse_matmul(segment, weights)
+    attn = weights / ad.sparse_matmul(segment.T, denom)
+    return ad.csr_matmul(attn, col_idx, indptr, h)
 
 
 def mlp_forward(params: MlpParams, vectors) -> Tensor:
@@ -278,8 +288,10 @@ def compute_gradients(params: dict[str, Tensor], loss: Tensor) -> dict[str, np.n
         raise NonFiniteError(f"loss is {float(loss.data)}; refusing to differentiate")
     for t in params.values():
         t.grad = None
+    # backward gives each leaf an array of its own, and the next call starts
+    # from None, so the arrays returned here are never written to again
     ad.backward(loss)
-    return {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
             for k, t in params.items()}
 
 

@@ -1,5 +1,7 @@
 """Engine unit tests: each op against central finite differences, and the
 leaf gradients of the tape against the engine it replaced."""
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -303,3 +305,83 @@ def test_leaves_fed_one_gradient_array_do_not_share_it():
     ad.backward((a * 2.0).sum())
     np.testing.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+# -- a sparse matrix whose entries are a tensor ----------------------------------
+
+@st.composite
+def csr_products(draw):
+    """A CSR pattern (rows may be empty, columns may repeat), entries, a dense
+    right-hand side, output weights, and a block size in entries for the
+    backward's gathers.
+
+    The block spans 1 to 4 nonzeros (d array entries each), so nnz (0 to 12)
+    falls below, on and above it, with a partial last block.
+    """
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    d = draw(st.integers(1, 4))
+    nnz = draw(st.integers(0, 12))
+    row = np.sort(np.asarray(draw(st.lists(st.integers(0, n_rows - 1),
+                                           min_size=nnz, max_size=nnz)), dtype=np.int64))
+    indices = np.asarray(draw(st.lists(st.integers(0, n_cols - 1), min_size=nnz,
+                                       max_size=nnz)), dtype=np.int64)
+    indptr = np.searchsorted(row, np.arange(n_rows + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.standard_normal((nnz, 1)), indices, indptr,
+            rng.standard_normal((n_cols, d)), rng.standard_normal((n_rows, d)),
+            draw(st.integers(1, 4)) * d)
+
+
+def dense_of(values, indices, indptr, n_cols):
+    """``dense(values)`` as a tensor: each entry scattered to its (row, col)."""
+    n_rows = indptr.size - 1
+    row = np.repeat(np.arange(n_rows), np.diff(indptr))
+    scatter = sp.csr_matrix((np.ones(indices.size), (row * n_cols + indices,
+                                                     np.arange(indices.size))),
+                            shape=(n_rows * n_cols, indices.size))
+    return ad.sparse_matmul(scatter, values).reshape(n_rows, n_cols)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(csr_products())
+def test_csr_matmul_matches_dense_oracle(case):
+    v0, indices, indptr, x0, weights, block = case
+    results = []
+    for product in (lambda v, x: ad.csr_matmul(v, indices, indptr, x),
+                    lambda v, x: dense_of(v, indices, indptr, x0.shape[0]) @ x):
+        v, x = ad.parameter(v0), ad.parameter(x0)
+        with mock.patch.object(ad, "_GATHER_BLOCK", block):
+            out = product(v, x)
+        ad.backward((out * weights).sum())
+        results.append((out.data, v.grad, x.grad))
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_csr_matmul_grad_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    indptr = np.array([0, 2, 2, 3, 6])             # an empty row, a one-entry row
+    indices = np.array([0, 3, 1, 2, 0, 3])
+    v0 = rng.standard_normal((6, 1))
+    x0 = rng.standard_normal((4, 3))
+    weights = rng.standard_normal((4, 3))
+    check_against_fd(lambda t: (ad.csr_matmul(t, indices, indptr, ad.constant(x0))
+                                * weights).sum(), v0)
+    check_against_fd(lambda t: (ad.csr_matmul(ad.constant(v0), indices, indptr, t)
+                                * weights).sum(), x0)
+
+
+def test_csr_matmul_grads_accumulate_with_other_ops():
+    rng = np.random.default_rng(9)
+    indptr, indices = np.array([0, 1, 3]), np.array([2, 0, 2])
+    v0, x0 = rng.standard_normal((3, 1)), rng.standard_normal((3, 2))
+    w = rng.standard_normal((2, 2))
+    grads = []
+    for product in (lambda v, x: ad.csr_matmul(v, indices, indptr, x),
+                    lambda v, x: dense_of(v, indices, indptr, 3) @ x):
+        v, x = ad.parameter(v0), ad.parameter(x0)
+        loss = (product(v, x) @ w).sum() + (v * v).sum() + (x @ w).sum()
+        ad.backward(loss)
+        grads.append((v.grad, x.grad))
+    for got, want in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -150,11 +150,29 @@ def mean_agg_oracle(graph, rows, cols):
                          shape=(rows.size, cols.size))
 
 
-def attention_aggregate_oracle(params, layer, graph, rows, cols, z):
+def attention_aggregate_oracle(params, layer, graph, rows, cols, h):
+    """Each row's softmax over its own neighbours, one row at a time, then the
+    weighted sum of their rows of ``h``."""
+    col_pos = {int(c): i for i, c in enumerate(cols)}
+    a_src = layer.weight @ layer.att_src.reshape(-1, 1)
+    a_dst = layer.weight @ layer.att_dst.reshape(-1, 1)
+    out = []
+    for u in rows:
+        nbrs = ad.gather_rows(h, [col_pos[int(v)] for v in graph.neighbors(u)])
+        scores = ad.leaky_relu(ad.gather_rows(h, [col_pos[int(u)]]) @ a_src
+                               + nbrs @ a_dst, params.negative_slope)
+        weights = ad.exp(scores - ad.constant(scores.data.max()))
+        out.append((weights / weights.sum()).transpose() @ nbrs)
+    return ad.vstack(out)
+
+
+def dense_mask_attention_oracle(params, layer, graph, rows, cols, z):
+    """Softmax of ``z``'s scores over a dense rows x cols neighbour mask, then
+    ``attn @ z``."""
     col_pos = {int(c): i for i, c in enumerate(cols)}
     mask = np.zeros((rows.size, cols.size))
     for i, u in enumerate(rows):
-        for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]:
+        for v in graph.neighbors(u):
             mask[i, col_pos[int(v)]] = 1.0
     row_idx = np.asarray([col_pos[int(u)] for u in rows], dtype=np.int64)
     zr = ad.gather_rows(z, row_idx)
@@ -167,18 +185,25 @@ def attention_aggregate_oracle(params, layer, graph, rows, cols, z):
     return (weights / denom) @ z
 
 
-def gnn_forward_oracle(params, graph, nodes):
+def gnn_forward_oracle(params, graph, nodes, transform_first=False):
+    """Loop-built ``agg(H) W + b`` layers; with ``transform_first``, the
+    ``M (H W) + b`` form with a dense attention mask instead."""
     nodes = np.asarray(nodes, dtype=np.int64)
     depth = len(params.layers)
     needed = hop_sets_oracle(graph, nodes, depth)
     h = ad.constant(graph.features[needed[0]])
     for l, layer in enumerate(params.layers):
         rows, cols = needed[l + 1], needed[l]
-        z = h @ layer.weight
-        if params.backbone == "mean":
-            z = ad.sparse_matmul(mean_agg_oracle(graph, rows, cols), z)
+        if transform_first and params.backbone == "mean":
+            z = ad.sparse_matmul(mean_agg_oracle(graph, rows, cols), h @ layer.weight)
+        elif transform_first:
+            z = dense_mask_attention_oracle(params, layer, graph, rows, cols,
+                                            h @ layer.weight)
+        elif params.backbone == "mean":
+            z = ad.sparse_matmul(mean_agg_oracle(graph, rows, cols), h) @ layer.weight
         else:
-            z = attention_aggregate_oracle(params, layer, graph, rows, cols, z)
+            z = attention_aggregate_oracle(params, layer, graph, rows, cols,
+                                           h) @ layer.weight
         z = z + layer.bias
         h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
     pos = {int(u): i for i, u in enumerate(needed[depth])}
@@ -223,6 +248,33 @@ def test_hop_sets_and_mean_blocks_equal_loop_oracles(case):
         np.testing.assert_array_equal(got.data, want.data)
 
 
+def layer_params(params):
+    return {f"{i}.{k}": t for i, layer in enumerate(params.layers)
+            for k, t in vars(layer).items() if t is not None}
+
+
+def forward_and_gradients(forward, params, graph, nodes, weights):
+    out = forward(params, graph, nodes)
+    return out.data, network.compute_gradients(layer_params(params),
+                                                (out * weights).sum())
+
+
+def assert_gradients_close(got, want, rtol):
+    """Each gradient within ``rtol`` of its own largest entry, except the
+    attention score vectors'.
+
+    A score gradient sums terms that cancel: all of them for a softmax over one
+    entry, and for att_src in every row, whose softmax is invariant to the
+    source score added to all of its entries except through the leaky-ReLU
+    kink. What is left of those sums is rounding, held against the largest
+    gradient entry of any parameter.
+    """
+    scale = max(np.abs(w).max() for w in want.values())
+    for name, w in want.items():
+        ref = scale if name.endswith(("att_src", "att_dst")) else np.abs(w).max()
+        assert np.abs(got[name] - w).max() <= rtol * max(ref, 1e-300), name
+
+
 @ORACLE_SETTINGS
 @given(graphs_with_hidden_nodes(), st.sampled_from(["mean", "attention"]))
 def test_gnn_forward_and_gradients_equal_loop_oracle(case, backbone):
@@ -230,23 +282,36 @@ def test_gnn_forward_and_gradients_equal_loop_oracle(case, backbone):
     params = network.init_gnn([3] + [4] * depth, np.random.default_rng(depth),
                               backbone=backbone)
     weights = np.random.default_rng(1).standard_normal((nodes.size, 4))
-    results = []
-    for forward in (network.gnn_forward, gnn_forward_oracle):
-        out = forward(params, graph, nodes)
-        grads = network.compute_gradients(
-            {f"{i}.{k}": t for i, layer in enumerate(params.layers)
-             for k, t in vars(layer).items() if t is not None},
-            (out * weights).sum())
-        results.append((out.data, grads))
-    (got, got_grads), (want, want_grads) = results
-    np.testing.assert_array_equal(got, want)
-    for name in want_grads:
-        np.testing.assert_array_equal(got_grads[name], want_grads[name])
+    got, got_grads = forward_and_gradients(network.gnn_forward, params, graph,
+                                           nodes, weights)
+    want, want_grads = forward_and_gradients(gnn_forward_oracle, params, graph,
+                                             nodes, weights)
+    if backbone == "mean":
+        # the same products in the same order
+        np.testing.assert_array_equal(got, want)
+        for name in want_grads:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name])
+    else:
+        # the oracle's row-at-a-time products sum in other orders
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert_gradients_close(got_grads, want_grads, 1e-12)
 
 
-def layer_params(params):
-    return {f"{i}.{k}": t for i, layer in enumerate(params.layers)
-            for k, t in vars(layer).items() if t is not None}
+@ORACLE_SETTINGS
+@given(graphs_with_hidden_nodes(), st.sampled_from(["mean", "attention"]))
+def test_gnn_forward_and_gradients_match_transform_first_oracle(case, backbone):
+    # (A H) W and A (H W) are one product summed in two orders
+    graph, nodes, depth = case
+    params = network.init_gnn([3] + [4] * depth, np.random.default_rng(depth),
+                              backbone=backbone)
+    weights = np.random.default_rng(1).standard_normal((nodes.size, 4))
+    got, got_grads = forward_and_gradients(network.gnn_forward, params, graph,
+                                           nodes, weights)
+    want, want_grads = forward_and_gradients(
+        lambda *args: gnn_forward_oracle(*args, transform_first=True),
+        params, graph, nodes, weights)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert_gradients_close(got_grads, want_grads, 1e-12)
 
 
 @ORACLE_SETTINGS
@@ -274,20 +339,29 @@ def test_union_forward_rows_equal_per_set_forwards(case, backbone, data):
         results.append(([r.data for r in rows],
                         network.compute_gradients(layer_params(params), loss)))
     (got, got_grads), (want, want_grads) = results
+    # a row, mean or attention, reads only its own CSR entries
     for g, w in zip(got, want):
-        if backbone == "mean":
-            np.testing.assert_array_equal(g, w)
-        else:
-            # the softmax and ``attn @ z`` sum over the block's whole column set
-            assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
-    # the backward pass also sums the shared rows in another order; an
-    # attention score gradient that is 0 (a softmax over one neighbour) picks
-    # up rounding of the size of the other parameters' gradients
-    scale = max(np.abs(w).max() for w in want_grads.values())
-    for name, w in want_grads.items():
-        err = np.abs(got_grads[name] - w).max()
-        ref = np.abs(w).max() if backbone == "mean" else scale
-        assert err <= 1e-12 * max(ref, 1e-300), name
+        np.testing.assert_array_equal(g, w)
+    # the backward pass sums the shared rows in another order
+    assert_gradients_close(got_grads, want_grads, 1e-12)
+
+
+def test_self_loop_only_row_is_its_own_affine_map():
+    # node 2 is visible with no edges: its one CSR entry is its self-loop, so
+    # its mean weight and its softmax weight are exactly 1; it sits between
+    # rows of three and two entries, so the softmax segments must line up
+    edges = np.array([[0, 1], [0, 3], [1, 3], [3, 4]])
+    feats = np.random.default_rng(6).standard_normal((5, 3))
+    g = build_snapshot(5, edges, feats)
+    nodes = np.array([0, 2, 4])
+    for backbone in ("mean", "attention"):
+        params = network.init_gnn([3, 4], np.random.default_rng(8),
+                                  backbone=backbone)
+        layer = params.layers[0]
+        out = network.gnn_forward(params, g, nodes).data
+        want = feats[nodes] @ layer.weight.data + layer.bias.data
+        np.testing.assert_array_equal(out[1], want[1])
+        assert not np.array_equal(out[[0, 2]], want[[0, 2]])
 
 
 def test_union_forward_of_a_one_node_set_is_within_rounding():
@@ -339,6 +413,20 @@ def test_compute_gradients_quadratic():
     np.testing.assert_allclose(grads["gnn.0.weight"], w.data)
     np.testing.assert_array_equal(grads["gnn.1.bias"],
                                   np.zeros_like(params["gnn.1.bias"].data))
+
+
+def test_returned_gradients_survive_the_next_step():
+    model = network.init_model(3, 4, 2, 2, seed=0)
+    params = network.named_parameters(model)
+    w = params["gnn.0.weight"]
+    first = network.compute_gradients(params, (w * w).sum())
+    kept = {k: g.copy() for k, g in first.items()}
+    network.apply_update(params, first, lr=0.1)
+    second = network.compute_gradients(params, (w * w * w).sum())
+    network.apply_update(params, second, lr=0.1)
+    for name, g in first.items():
+        np.testing.assert_array_equal(g, kept[name])
+        assert not np.shares_memory(g, second[name])
 
 
 def test_compute_gradients_rejects_nonfinite():
