@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 Supports exactly the operations the training losses need: dense and sparse
-matrix products (a sparse matrix's entries may be a tensor), broadcasting
-add/mul, leaky ReLU, hinges via ``maximum``, sqrt/log/exp, reductions, row
-gather and row stacking. Gradients accumulate into ``Tensor.grad`` of the
-leaves (parameters) after ``backward(loss)`` on a scalar; intermediate nodes
-keep none.
+matrix products (a sparse matrix's entries may be a tensor), the affine map
+``affine(x, w, b) = x @ w + b`` as one node, broadcasting add/mul, leaky ReLU,
+hinges via ``maximum``, sqrt/log/exp, reductions, row gather and row
+stacking. Gradients accumulate into ``Tensor.grad`` of the leaves
+(parameters) after ``backward(loss)`` on a scalar; intermediate nodes keep
+none. Dense products compute no gradient for an operand that needs none.
 
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
 the positive-side slope is used.
@@ -15,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Tensor", "constant", "parameter", "leaky_relu", "maximum", "sqrt",
-           "log", "exp", "vstack", "gather_rows", "sparse_matmul", "csr_matmul",
-           "backward"]
+__all__ = ["Tensor", "constant", "parameter", "affine", "leaky_relu", "maximum",
+           "sqrt", "log", "exp", "vstack", "gather_rows", "sparse_matmul",
+           "csr_matmul", "backward"]
 
 _SQRT_GUARD = 1e-150
 # entries of one nnz-row block of the gathers in ``csr_matmul``'s backward:
@@ -116,8 +117,10 @@ class Tensor:
         out = Tensor(self.data @ other.data, parents=(self, other))
         if out.requires_grad:
             a, b = self.data, other.data
+            # a constant operand's gradient would be thrown away
+            need_a, need_b = self.requires_grad, other.requires_grad
             def bw(g):
-                return (g @ b.T, a.T @ g)
+                return (g @ b.T if need_a else None, a.T @ g if need_b else None)
             out._backward = bw
         return out
 
@@ -164,10 +167,26 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, the bias added in place on the product."""
+    z = x.data @ w.data
+    z += b.data
+    out = Tensor(z, parents=(x, w, b))
+    if out.requires_grad:
+        xd, wd, need_x = x.data, w.data, x.requires_grad
+        def bw(g):
+            return (g @ wd.T if need_x else None, xd.T @ g, g.sum(axis=0))
+        out._backward = bw
+    return out
+
+
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    # x * 1.0 and x * slope are the two branches bit for bit, so one product
-    # gives the output and its backward reuses the scale
-    scale = np.where(x.data >= 0.0, 1.0, slope)
+    # arithmetic, not a select: numpy's where runs a branchy loop. For a slope
+    # in [0, 1], (1 - slope) + slope rounds to exactly 1.0, so the scale holds
+    # 1.0 or the slope; x * 1.0 and x * slope are the two branches bit for
+    # bit, so one product gives the output and its backward reuses the scale
+    scale = (x.data >= 0.0) * (1.0 - slope)
+    scale += slope
     out = Tensor(x.data * scale, parents=(x,))
     if out.requires_grad:
         out._backward = lambda g: (g * scale,)

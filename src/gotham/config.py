@@ -74,6 +74,10 @@ class RunConfig:
             raise ValueError("episode_class_pool must be all_seen or novel_only")
         if self.backbone not in ("mean", "attention"):
             raise ValueError("backbone must be mean or attention")
+        # also the range where leaky ReLU's arithmetic scale is exact
+        if not 0.0 <= self.negative_slope <= 1.0:
+            raise ValueError(f"negative_slope must lie in [0, 1], got "
+                             f"{self.negative_slope!r}")
         if self.unseen_encoder not in ("gnn", "mlp"):
             raise ValueError("unseen_encoder must be gnn or mlp")
         if not 0.0 < self.eval_fraction < 1.0:

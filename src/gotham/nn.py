@@ -215,7 +215,7 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
         # |rows| d_in d_out against |cols| d_in d_out for transforming first,
         # and the sparse products differ by nnz (d_in - d_out), small next to
         # that because the mean degree is far below d_out
-        z = agg @ layer.weight + layer.bias
+        z = ad.affine(agg, layer.weight, layer.bias)
         h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
     # the last layer's rows are needed[depth] = nodes, in the caller's order
     return h
@@ -275,7 +275,7 @@ def mlp_forward(params: MlpParams, vectors) -> Tensor:
                          f"{params.in_dim}")
     last = len(params.layers) - 1
     for l, layer in enumerate(params.layers):
-        h = h @ layer.weight + layer.bias
+        h = ad.affine(h, layer.weight, layer.bias)
         if l != last:
             h = ad.leaky_relu(h, params.negative_slope)
     return h
@@ -297,15 +297,26 @@ def compute_gradients(params: dict[str, Tensor], loss: Tensor) -> dict[str, np.n
 
 def apply_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                  lr: float, weight_decay: float = 0.0) -> None:
-    """SGD step with decoupled L2: p <- p - lr * (g + wd * p)."""
+    """SGD step with decoupled L2: p <- p - lr * (g + wd * p).
+
+    All or nothing: if any parameter's new value is not finite, none moves.
+    Neither ``grads`` nor the old parameter arrays are written to.
+    """
+    steps = {}
     for name, t in params.items():
-        g = grads[name]
-        if g.shape != t.data.shape:
+        p, g = t.data, grads[name]
+        if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        new = t.data - lr * (g + weight_decay * t.data)
-        if not np.all(np.isfinite(new)):
+        # p - lr * (g + wd * p) operation for operation, in one buffer
+        new = np.multiply(p, weight_decay)
+        new += g
+        new *= lr
+        np.subtract(p, new, out=new)
+        if not np.isfinite(new).all():
             raise NonFiniteError(f"non-finite update for parameter {name}")
-        t.data = new
+        steps[name] = new
+    for name, new in steps.items():
+        params[name].data = new
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -211,8 +211,13 @@ def _train_session(model, bundle, cfg, split, t, episodes, lr, teacher,
                                  episode_class_pool=cfg.episode_class_pool)
         parts, total, build = _episode_step(model, bundle, episode, cfg,
                                             weights, cache)
-        grads = network.compute_gradients(params, total)
-        network.apply_update(params, grads, lr, cfg.weight_decay)
+        try:
+            grads = network.compute_gradients(params, total)
+            network.apply_update(params, grads, lr, cfg.weight_decay)
+        except network.NonFiniteError as exc:
+            raise network.NonFiniteError(
+                f"session {t}, episode {e}: {exc}; loss parts "
+                f"{parts.values()}") from exc
         totals.append(total.item())
         acc = _episode_query_accuracy(model, bundle, episode, build)
         if acc is not None:

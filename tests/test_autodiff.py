@@ -185,6 +185,20 @@ def leaky_relu_oracle(x, slope):
     return out
 
 
+def matmul_oracle(x, y):
+    """The former matmul node: it returns both operands' gradients."""
+    out = ad.Tensor(x.data @ y.data, parents=(x, y))
+    if out.requires_grad:
+        a, b = x.data, y.data
+        out._backward = lambda g: (g @ b.T, a.T @ g)
+    return out
+
+
+def affine_oracle(x, w, b):
+    """``x @ w + b`` as two nodes, a product and a broadcast add."""
+    return matmul_oracle(x, w) + b
+
+
 def gather_rows_oracle(x, idx):
     idx = np.asarray(idx, dtype=np.int64)
     out = ad.Tensor(x.data[idx], parents=(x,))
@@ -209,7 +223,10 @@ SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-320, -1e-320, 2.5, -3
 @st.composite
 def tapes(draw):
     """Leaves of one (rows, cols) shape plus a bias and a square weight, and a
-    random op sequence over them, reusing nodes so subgraphs are shared."""
+    random op sequence over them, reusing nodes so subgraphs are shared.
+
+    ``affine`` and ``cmatmul`` take a constant operand when their flag is set:
+    affine's input, or one side of the product."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     values = st.one_of(st.floats(-3, 3), st.sampled_from(SPECIAL))
     def array(shape):
@@ -222,26 +239,39 @@ def tapes(draw):
     ops = []
     for _ in range(draw(st.integers(1, 12))):
         op = draw(st.sampled_from(["add", "sub", "mul", "relu", "gather",
-                                   "bias", "matmul"]))
+                                   "bias", "matmul", "cmatmul", "affine"]))
         a = draw(st.integers(0, 100))
         b = draw(st.integers(0, 100))
         idx = draw(st.lists(st.integers(0, rows - 1), min_size=rows, max_size=rows))
-        ops.append((op, a, b, idx, draw(st.sampled_from([0.01, 0.25, 1.0]))))
+        ops.append((op, a, b, idx, draw(st.sampled_from([0.01, 0.25, 1.0])),
+                    draw(st.booleans())))
     return leaves, bias, weight, ops, draw(st.integers(0, 100))
 
 
-def build_tape(case, relu, gather):
-    """The case's loss and its leaves, built with the given relu and gather."""
+LEAN = {"relu": ad.leaky_relu, "gather": ad.gather_rows, "affine": ad.affine,
+        "matmul": lambda x, y: x @ y}
+FORMER = {"relu": leaky_relu_oracle, "gather": gather_rows_oracle,
+          "affine": affine_oracle, "matmul": matmul_oracle}
+
+
+def build_tape(case, engine):
+    """The case's loss and its leaves, built with ``engine``'s ops."""
     leaves, bias, weight, ops, pick = case
+    relu, gather, affine, matmul = (engine[k] for k in
+                                    ("relu", "gather", "affine", "matmul"))
     params = [ad.parameter(x) for x in leaves]
     b, w = ad.parameter(bias), ad.parameter(weight)
     nodes = list(params)
-    for op, i, j, idx, slope in ops:
+    for op, i, j, idx, slope, const in ops:
         x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
         nodes.append({"add": lambda: x + y, "sub": lambda: x - y,
                       "mul": lambda: x * y, "relu": lambda: relu(x, slope),
                       "gather": lambda: gather(x, idx), "bias": lambda: x + b,
-                      "matmul": lambda: x @ w}[op]())
+                      "matmul": lambda: matmul(x, w),
+                      "cmatmul": lambda: (matmul(ad.constant(x.data), w) if const
+                                          else matmul(x, ad.constant(weight))),
+                      "affine": lambda: affine(ad.constant(x.data) if const else x,
+                                               w, b)}[op]())
     loss = (nodes[-1] + nodes[pick % len(nodes)]).sum()
     return loss, params + [b, w], nodes
 
@@ -251,14 +281,14 @@ def build_tape(case, relu, gather):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tapes())
 def test_lean_backward_matches_former_engine_bit_for_bit(case):
-    loss, leaves, nodes = build_tape(case, ad.leaky_relu, ad.gather_rows)
+    loss, leaves, nodes = build_tape(case, LEAN)
     ad.backward(loss)
     got = [t.grad for t in leaves]
     # intermediate nodes keep no gradient
     assert all(n.grad is None for n in nodes[len(case[0]):])
     assert loss.grad is None
 
-    want_loss, want_leaves, _ = build_tape(case, leaky_relu_oracle, gather_rows_oracle)
+    want_loss, want_leaves, _ = build_tape(case, FORMER)
     assert same_bits(loss.data, want_loss.data)
     backward_oracle(want_loss)
     for g, t in zip(got, want_leaves):
@@ -271,7 +301,7 @@ def test_lean_backward_matches_former_engine_bit_for_bit(case):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_leaky_relu_equals_former_formula_on_special_values():
     x0 = np.asarray(SPECIAL + [-1e308, 1e308, 5e-324, -5e-324])
-    for slope in (0.0, 0.01, 0.5, 1.0):
+    for slope in (0.0, 1e-300, 0.01, 0.5, 1.0):
         x, y = ad.parameter(x0), ad.parameter(x0)
         out, want = ad.leaky_relu(x, slope), leaky_relu_oracle(y, slope)
         assert same_bits(out.data, want.data)
@@ -279,6 +309,37 @@ def test_leaky_relu_equals_former_formula_on_special_values():
         ad.backward((out * weights).sum())
         backward_oracle((want * weights).sum())
         assert same_bits(x.grad, y.grad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 2.2e-308, 0.5,
+                                                       1.0 - 2**-53])))
+def test_leaky_relu_scale_is_exact_for_slopes_in_unit_interval(slope):
+    x = ad.parameter(np.array([-2.0, -0.0, 0.0, 3.0, -5e-324]))
+    out, want = ad.leaky_relu(x, slope), leaky_relu_oracle(x, slope)
+    assert same_bits(out.data, want.data)
+    ad.backward(out.sum())
+    assert same_bits(x.grad, [slope, 1.0, 1.0, 1.0, slope])
+
+
+def test_affine_is_one_node_and_skips_a_constant_inputs_gradient():
+    rng = np.random.default_rng(10)
+    x0, w0, b0 = (rng.standard_normal((3, 2)), rng.standard_normal((2, 4)),
+                  rng.standard_normal(4))
+    w, b = ad.parameter(w0), ad.parameter(b0)
+    g = rng.standard_normal((3, 4))
+    for x in (ad.constant(x0), ad.parameter(x0)):
+        out = ad.affine(x, w, b)
+        assert out._parents == (x, w, b)
+        assert same_bits(out.data, x0 @ w0 + b0)
+        gx, gw, gb = out._backward(g)
+        assert (gx is None) == (not x.requires_grad)
+        if gx is not None:
+            assert same_bits(gx, g @ w0.T)
+        assert same_bits(gw, x0.T @ g) and same_bits(gb, g.sum(axis=0))
+    # the constant operand of a product gets no gradient computed either
+    gc, gw = (ad.constant(x0) @ w)._backward(g)
+    assert gc is None and same_bits(gw, x0.T @ g)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -130,6 +130,16 @@ def test_run_ragged_features_exits_2(tmp_path, capsys):
     assert "inconsistent feature widths [2, 3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan")])
+def test_run_negative_slope_outside_unit_interval_exits_2(tmp_path, slope, capsys):
+    data = tmp_path / "data"
+    write_dataset(synth_generate(0, 3, 4, 0.9, 0.1, 3), data)
+    cfg = tmp_path / "cfg.json"
+    RunConfig(dataset=str(data), negative_slope=slope).to_json(cfg)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "negative_slope must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_run_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "config file not found" in capsys.readouterr().err

@@ -458,6 +458,47 @@ def test_apply_update_rejects_nonfinite():
         network.apply_update({"w": t}, {"w": np.array([np.inf])}, lr=0.1)
 
 
+def test_apply_update_is_all_or_nothing():
+    a, b = ad.parameter(np.array([1.0, 2.0])), ad.parameter(np.array([3.0]))
+    before = a.data
+    grads = {"a": np.array([0.5, -0.5]), "b": np.array([np.nan])}
+    with pytest.raises(network.NonFiniteError, match="b"):
+        network.apply_update({"a": a, "b": b}, grads, lr=0.1)
+    # the first parameter's step was finite, yet it did not move either
+    assert a.data is before
+    np.testing.assert_array_equal(a.data, [1.0, 2.0])
+    np.testing.assert_array_equal(b.data, [3.0])
+
+
+UPDATE_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, np.inf,
+                  -np.inf, np.nan, 1.0, -1.5]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.data())
+def test_apply_update_equals_formula_bit_for_bit(n, data):
+    values = st.one_of(st.floats(-4, 4), st.sampled_from(UPDATE_SPECIAL))
+    p0, g = (np.asarray(data.draw(st.lists(values, min_size=n, max_size=n)))
+             for _ in range(2))
+    lr = data.draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 3.0]))
+    wd = data.draw(st.sampled_from([0.0, 5e-3, 0.5, 1.0]))
+    want = p0 - lr * (g + wd * p0)
+    t, kept = ad.parameter(p0), g.copy()
+    old = t.data
+    if np.isfinite(want).all():
+        network.apply_update({"w": t}, {"w": g}, lr, wd)
+        assert t.data.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert not np.shares_memory(t.data, g)
+    else:
+        with pytest.raises(network.NonFiniteError):
+            network.apply_update({"w": t}, {"w": g}, lr, wd)
+        assert t.data is old
+    # neither the gradient nor the old parameter array was written to
+    assert g.view(np.uint64).tolist() == kept.view(np.uint64).tolist()
+    assert old.view(np.uint64).tolist() == p0.view(np.uint64).tolist()
+
+
 # -- checkpoints ---------------------------------------------------------------
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

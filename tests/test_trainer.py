@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gotham import autodiff as ad
 from gotham import nn as network
 from gotham import trainer
 from gotham.config import RunConfig
@@ -165,3 +166,23 @@ def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
         assert [r.n_classes for r in reports] == [3, 4, 5, 6]
     assert all(not set(nodes) & set(range(10)) for t, nodes in queried if t < 2)
     assert any(set(nodes) & set(range(10)) for t, nodes in queried if t >= 2)
+
+
+def test_nonfinite_loss_names_the_session_episode_and_loss_parts(monkeypatch):
+    cfg = tiny_config("gfscil_plain", "mean").replace(episodes_finetune=2)
+    seg, calls = trainer.loss_seg, []
+
+    def nan_on_fifth_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:         # session 1's second episode
+            return ad.constant(float("nan"))
+        return seg(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "loss_seg", nan_on_fifth_call)
+    with pytest.raises(network.NonFiniteError) as info:
+        run_stream(tiny_bundle(), cfg)
+    msg = str(info.value)
+    assert msg.startswith("session 1, episode 1: loss is nan")
+    assert "'seg': nan" in msg
+    for part in ("cluster", "sem", "kd_emb", "kd_align"):
+        assert f"'{part}': " in msg
