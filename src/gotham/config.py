@@ -8,6 +8,7 @@ lengths 2-4 with default 3.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -19,6 +20,18 @@ MODES = ("gfscil_plain", "gfscil_semantic", "gcl")
 def is_semantic(mode: str) -> bool:
     """Whether ``mode`` merges prototypes with encoded class semantics."""
     return mode in ("gfscil_semantic", "gcl")
+
+
+# the values each enumerated field may take
+_CHOICES = dict(mode=MODES, episode_class_pool=("all_seen", "novel_only"),
+                cluster_variant=("mean_hinge", "self_normalized"),
+                backbone=("mean", "attention"), unseen_encoder=("gnn", "mlp"))
+# the least value of each bounded numeric field; it must also be finite
+_LEAST = dict(n_way=1, k_shot=1, query_per_class=1, hidden_dim=1, out_dim=1,
+              num_layers=1, walk_length=0, walks_per_seed=0, episodes_base=0,
+              episodes_finetune=0, alpha1=0.0, alpha2=0.0, alpha3=0.0,
+              alpha4=0.0, lambda1=0.0, lambda2=0.0, gamma=0.0, meta_lr=0.0,
+              ft_lr=0.0, weight_decay=0.0)
 
 
 @dataclass
@@ -62,26 +75,29 @@ class RunConfig:
     eval_fraction: float = 0.2
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.walk_length < 0 or self.walks_per_seed < 0:
-            raise ValueError("walk settings must be >= 0")
-        if self.n_way < 1:
-            raise ValueError("n_way must be >= 1")
-        if self.k_shot < 1:
-            raise ValueError("k_shot must be >= 1")
-        if self.episode_class_pool not in ("all_seen", "novel_only"):
-            raise ValueError("episode_class_pool must be all_seen or novel_only")
-        if self.backbone not in ("mean", "attention"):
-            raise ValueError("backbone must be mean or attention")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a field takes its default's type; an int is a float, a bool no number
+            kind = (int, float) if type(f.default) is float else type(f.default)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be of type {f.type}, "
+                                 f"got {value!r}")
+            if f.name in _CHOICES and value not in _CHOICES[f.name]:
+                raise ValueError(f"{f.name} must be one of {_CHOICES[f.name]}, "
+                                 f"got {value!r}")
+            least = _LEAST.get(f.name)
+            if least is not None and not least <= value < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= {least}, "
+                                 f"got {value!r}")
         # also the range where leaky ReLU's arithmetic scale is exact
         if not 0.0 <= self.negative_slope <= 1.0:
             raise ValueError(f"negative_slope must lie in [0, 1], got "
                              f"{self.negative_slope!r}")
-        if self.unseen_encoder not in ("gnn", "mlp"):
-            raise ValueError("unseen_encoder must be gnn or mlp")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError("eval_fraction must lie in (0, 1)")
+        if not 0.0 < self.epsilon_log < math.inf:
+            raise ValueError(f"epsilon_log must be finite and > 0, got "
+                             f"{self.epsilon_log!r}")
 
     def to_json(self, path=None) -> str:
         text = json.dumps(asdict(self), indent=1, sort_keys=True) + "\n"

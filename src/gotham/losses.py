@@ -2,11 +2,13 @@
 
 All norms are Euclidean. Every function takes autodiff tensors (or constants)
 and returns a scalar tensor, so gradients flow to both encoders through the
-prototypes.
+prototypes. Prototypes arrive as one (C x d) matrix, a row per class, as
+``prototypes.PrototypeBuild`` holds them; embeddings, encoded semantics and
+teacher outputs are matrices with a row per node or class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import warnings
 
 import numpy as np
@@ -48,52 +50,51 @@ def _row_norms(diff: Tensor) -> Tensor:
 
 
 def _hinges(embeddings: Tensor, prototype: Tensor, gamma: float) -> Tensor:
-    diff = embeddings - prototype.reshape(1, -1)
-    return ad.maximum(_row_norms(diff) - gamma, 0.0)
+    return ad.maximum(_row_norms(embeddings - prototype) - gamma, 0.0)
 
 
-def loss_cluster(embeddings_by_class: dict[int, Tensor],
-                 prototypes: dict[int, Tensor], gamma: float,
+def loss_cluster(embeddings: Tensor, members: dict[int, np.ndarray],
+                 prototypes: Tensor, gamma: float,
                  variant: str = "mean_hinge") -> Tensor:
     """Pull extended-support embeddings inside a gamma-ball of their prototype.
 
-    ``mean_hinge`` averages the hinge distances; ``self_normalized`` keeps the
-    printed per-class normalization but squares the numerator so the weights
-    carry a usable gradient (the un-squared form sums to a constant 1 per
-    class whenever any hinge is active).
+    ``members`` maps a row of ``prototypes`` to the rows of ``embeddings`` in
+    that class's extended support; the loss averages over those classes, in
+    ascending row order. ``mean_hinge`` averages the hinge distances;
+    ``self_normalized`` keeps the printed per-class normalization but squares
+    the numerator so the weights carry a usable gradient (the un-squared form
+    sums to a constant 1 per class whenever any hinge is active).
     """
     if variant not in ("mean_hinge", "self_normalized"):
         raise ValueError(f"unknown cluster-loss variant {variant!r}")
-    classes = sorted(embeddings_by_class)
-    if not classes:
+    if not members:
         raise ValueError("loss_cluster needs at least one class")
     total = None
-    for cls in classes:
-        emb = embeddings_by_class[cls]
-        if emb.shape[0] == 0:
-            raise ValueError(f"class {cls} has no extended-support embeddings")
-        h = _hinges(emb, prototypes[cls], gamma)
+    for row in sorted(members):
+        if len(members[row]) == 0:
+            raise ValueError(f"prototype row {row} has no extended-support embeddings")
+        h = _hinges(ad.gather_rows(embeddings, members[row]),
+                    ad.gather_rows(prototypes, [row]), gamma)
         if variant == "mean_hinge":
             term = h.mean()
         else:
             denom = ad.maximum(h.sum(), 1e-300)
             term = (h * h).sum() / denom
         total = term if total is None else total + term
-    return total * (1.0 / len(classes))
+    return total * (1.0 / len(members))
 
 
-def loss_seg(prototypes: dict[int, Tensor], epsilon_log: float) -> Tensor:
-    """Negative mean log pairwise prototype distance over ordered pairs.
+def loss_seg(prototypes: Tensor, epsilon_log: float) -> Tensor:
+    """Negative mean log pairwise distance over ordered pairs of the rows of
+    the (C x d) ``prototypes``.
 
     Distances are clamped below at ``epsilon_log`` before the log so
     coincident prototypes stay finite.
     """
-    classes = sorted(prototypes)
-    c = len(classes)
+    c = prototypes.shape[0]
     if c < 2:
         warnings.warn("loss_seg needs >= 2 prototypes; returning 0", stacklevel=2)
         return ad.constant(0.0)
-    pm = ad.vstack([prototypes[cls].reshape(1, -1) for cls in classes])
     # each unordered pair once, from its difference p_i - p_j (a +1/-1 row of
     # an incidence matrix, exact in a product): |p_i|^2 + |p_j|^2 - 2 p_i.p_j
     # cancels when two prototypes nearly coincide
@@ -101,20 +102,18 @@ def loss_seg(prototypes: dict[int, Tensor], epsilon_log: float) -> Tensor:
     incidence = np.zeros((i.size, c))
     incidence[np.arange(i.size), i] = 1.0
     incidence[np.arange(i.size), j] = -1.0
-    diff = ad.constant(incidence) @ pm
+    diff = ad.constant(incidence) @ prototypes
     d = ad.sqrt(ad.maximum((diff * diff).sum(axis=1), epsilon_log ** 2))
     return ad.log(d).sum() * (-2.0 / c)
 
 
-def loss_sem(encoded_csds: dict[int, Tensor], prototypes: dict[int, Tensor]) -> Tensor:
-    """Sum of distances between encoded semantics and seen prototypes."""
-    classes = sorted(prototypes)
-    missing = [c for c in classes if c not in encoded_csds]
-    if missing:
-        raise ValueError(f"no encoded semantics for classes {missing}")
-    enc = ad.vstack([encoded_csds[c].reshape(1, -1) for c in classes])
-    pro = ad.vstack([prototypes[c].reshape(1, -1) for c in classes])
-    return _row_norms(enc - pro).sum()
+def loss_sem(encoded: Tensor, seen: Tensor) -> Tensor:
+    """Sum of distances between encoded semantics and seen prototypes, row
+    by row: row i of both belongs to one class."""
+    if encoded.shape != seen.shape:
+        raise ValueError(f"encoded semantics {encoded.shape} and seen "
+                         f"prototypes {seen.shape} differ in shape")
+    return _row_norms(encoded - seen).sum()
 
 
 def loss_kd_emb(teacher_embeddings, student_embeddings: Tensor) -> Tensor:
@@ -167,11 +166,12 @@ class LossParts:
     kd_emb: Tensor | None = None
     kd_align: Tensor | None = None
 
-    def values(self) -> dict[str, float]:
+    def values(self) -> dict[str, float | None]:
+        """Each part's value; a part that was never computed reads None."""
         out = {}
         for name in ("cluster", "seg", "sem", "kd_emb", "kd_align"):
             t = getattr(self, name)
-            out[name] = float(t.data) if t is not None else 0.0
+            out[name] = float(t.data) if t is not None else None
         return out
 
 

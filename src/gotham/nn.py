@@ -9,10 +9,10 @@ layer of both encoders is linear. This module holds no graph state: M is the
 session snapshot's ``mean_adjacency``, and a forward gathers the row blocks it
 needs from the snapshot's CSR with numpy.
 
-``gnn_forward_sets`` embeds several node sets of one snapshot, such as every
-seen class's extended support in a training episode: one forward over their
-union (the mini-batch scheme of GraphSAGE) on either backbone, with each set's
-rows sliced from it. A row equals the set's own forward bit for bit.
+A row, mean or attention, reads only its own CSR entries, so a forward over a
+union of node sets (the mini-batch scheme of GraphSAGE) gives each set's rows
+bit for bit whenever BLAS sums a row of a dense product alike at both row
+counts; numpy's one-row product takes a vector path that may not.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .graphstore import GraphSnapshot
 
 __all__ = ["Layer", "GnnParams", "MlpParams", "ModelState", "init_gnn",
            "init_mlp", "init_model", "named_parameters", "gnn_forward",
-           "gnn_forward_sets", "mlp_forward", "compute_gradients", "apply_update",
+           "mlp_forward", "compute_gradients", "apply_update",
            "save_model", "load_model", "clone_params", "NonFiniteError"]
 
 
@@ -221,22 +221,6 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
     return h
 
 
-def gnn_forward_sets(params: GnnParams, graph: GraphSnapshot,
-                     node_sets) -> list[Tensor]:
-    """``gnn_forward`` of each array in ``node_sets``, rows in its order."""
-    node_sets = [np.asarray(nodes, dtype=np.int64) for nodes in node_sets]
-    if not node_sets:
-        return []
-    # a row, mean or attention, reads only its own CSR entries, so a union row
-    # equals the set's own row bit for bit whenever BLAS sums a row of a dense
-    # product alike at both row counts; numpy's one-row product takes a vector
-    # path that may not
-    union = np.unique(np.concatenate(node_sets))
-    emb = gnn_forward(params, graph, union)
-    return [ad.gather_rows(emb, np.searchsorted(union, nodes))
-            for nodes in node_sets]
-
-
 def _attention_aggregate(params: GnnParams, layer: Layer, graph: GraphSnapshot,
                          rows: np.ndarray, cols: np.ndarray, h: Tensor) -> Tensor:
     """``attn @ h`` for the softmax over each row's CSR entries (GAT), which
@@ -265,14 +249,13 @@ def _attention_aggregate(params: GnnParams, layer: Layer, graph: GraphSnapshot,
     return ad.csr_matmul(attn, col_idx, indptr, h)
 
 
-def mlp_forward(params: MlpParams, vectors) -> Tensor:
-    """Affine + leaky-ReLU chain with a linear final layer."""
-    h = vectors if isinstance(vectors, Tensor) else ad.constant(vectors)
-    if h.data.ndim == 1:
-        h = h.reshape(1, -1)
-    if h.data.shape[1] != params.in_dim:
-        raise ValueError(f"input dim {h.data.shape[1]} != encoder input dim "
-                         f"{params.in_dim}")
+def mlp_forward(params: MlpParams | GnnParams, vectors) -> Tensor:
+    """Affine + leaky-ReLU chain with a linear final layer, a row per vector;
+    on ``GnnParams``, the graph encoder on nodes with only a self-loop."""
+    h = ad.constant(vectors)
+    if h.data.ndim != 2 or h.shape[1] != params.in_dim:
+        raise ValueError(f"inputs of shape {h.shape} do not fit encoder input "
+                         f"dim {params.in_dim}")
     last = len(params.layers) - 1
     for l, layer in enumerate(params.layers):
         h = ad.affine(h, layer.weight, layer.bias)

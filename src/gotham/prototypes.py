@@ -1,37 +1,37 @@
-"""Class prototypes: support-set averages, semantic merges, semantic-only.
+"""Class prototypes as one matrix: support averages, semantic merges, semantic-only.
 
-Three kinds exist. A *seen* prototype averages the embeddings of a class's
-extended support set. A *merged* prototype is the midpoint of the seen
-prototype and the encoded class-semantic vector. An *unseen_semantic*
-prototype is the graph encoder applied to the semantic vector as a one-node
-self-loop graph (mean aggregation degenerates to the identity there).
+A prototype set is a ``(C x d)`` tensor, one row per class in ascending class
+id, with the ids in an array beside it; ``PrototypeBuild`` owns both. A *seen*
+row averages the embeddings of a class's extended support set. A *merged* row
+is the midpoint of the seen row and the encoded class-semantic vector. An
+*unseen_semantic* row is the graph encoder applied to the semantic vector as
+a one-node self-loop graph.
 
 ``build_prototype_tensors`` is the one place that decides which kind each
-class in C^t gets: ``gfscil_plain`` gives every seen class a seen prototype,
+class in C^t gets: ``gfscil_plain`` gives every seen class a seen row,
 ``gfscil_semantic`` and ``gcl`` give them merged ones, and ``gcl`` adds an
-unseen_semantic prototype for each zero-shot class announced by session t.
-Training, evaluation, export and the gradient audit all call it.
-
-All seen classes' support rows, and the student's distillation rows when a
-training episode asks for them, come from one ``nn.gnn_forward_sets`` call:
-one encoder forward per episode on either backbone. Mean rows are
-bit-identical to per-set forwards; attention rows match them within rounding.
+unseen_semantic row for each zero-shot class announced by session t.
+Training, evaluation, export and the gradient audit all call it. One
+``nn.gnn_forward`` over the union of the seen classes' supports, and of the
+student's distillation nodes when an episode asks for them, gives every row
+the losses read: one encoder forward per episode on either backbone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from . import nn as network
 from .config import MODES, is_semantic
-from .graphstore import DatasetBundle, GraphSnapshot, build_snapshot, graph_at
+from .graphstore import DatasetBundle, graph_at
 from .sampler import Episode
 
-__all__ = ["Prototype", "PrototypeBuild", "seen_prototype_tensor",
-           "unseen_prototype_tensor", "encode_csds", "build_prototype_tensors"]
+__all__ = ["Prototype", "PrototypeBuild", "encode_csds",
+           "build_prototype_tensors", "add_unseen_prototypes"]
 
 
 @dataclass(frozen=True)
@@ -48,60 +48,45 @@ class Prototype:
             raise ValueError("unseen prototypes average no support nodes")
 
 
-def seen_prototype_tensor(embeddings: Tensor) -> Tensor:
-    """Arithmetic mean of the extended-support embedding rows."""
-    if embeddings.shape[0] == 0:
-        raise ValueError("empty support set")
-    return embeddings.mean(axis=0)
+def _csd_matrix(csds: dict[int, np.ndarray], classes) -> np.ndarray:
+    missing = [int(c) for c in classes if c not in csds]
+    if missing:
+        raise ValueError(f"no semantic vector for classes {missing}")
+    return np.stack([csds[c] for c in classes])
 
 
-def _self_loop_graph(vector: np.ndarray) -> GraphSnapshot:
-    v = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-    return build_snapshot(1, np.zeros((0, 2), dtype=np.int64), v)
-
-
-def unseen_prototype_tensor(params: network.GnnParams,
-                            csd_vector: np.ndarray) -> Tensor:
-    graph = _self_loop_graph(csd_vector)
-    return network.gnn_forward(params, graph, [0]).reshape(-1)
-
-
-def project_csd(model: network.ModelState, vec: np.ndarray) -> np.ndarray:
-    """Map a semantic vector into graph-feature space when dims differ."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if model.csd_projection is not None:
-        return vec @ model.csd_projection
-    return vec
-
-
-def encode_csds(model: network.ModelState, csd_by_class: dict[int, np.ndarray]) -> dict[int, Tensor]:
-    """Semantic-encoder output per class (rows kept separate per class id)."""
+def encode_csds(model: network.ModelState, classes,
+                csds: dict[int, np.ndarray]) -> Tensor:
+    """Semantic-encoder output for ``classes``, one row per class in that order."""
     if model.mlp is None:
         raise ValueError("model has no semantic encoder")
-    classes = sorted(csd_by_class)
-    if not classes:
-        return {}
-    mat = np.stack([csd_by_class[c] for c in classes])
-    enc = network.mlp_forward(model.mlp, mat)
-    return {c: ad.gather_rows(enc, [i]).reshape(-1) for i, c in enumerate(classes)}
+    return network.mlp_forward(model.mlp, _csd_matrix(csds, classes))
 
 
 @dataclass
 class PrototypeBuild:
-    """Differentiable prototype tensors plus bookkeeping for the losses."""
-    seen: dict[int, Tensor]               # seen prototypes (support average)
-    final: dict[int, Tensor]              # mode-dependent set over C^t
-    encoded: dict[int, Tensor]            # semantic-encoder outputs (seen classes)
-    embeddings: dict[int, Tensor]         # extended-support embeddings per class
-    kinds: dict[int, str]
-    distill: Tensor | None = None         # rows of the requested distill nodes
+    """One prototype matrix on the autodiff tape plus what the losses read.
+
+    ``final`` row i is the prototype of class ``classes[i]``, ascending.
+    ``seen`` and ``encoded`` share rows, those of ``seen_classes``.
+    """
+    classes: np.ndarray           # class id of each row of ``final``
+    final: Tensor                 # (C x d) mode-dependent prototypes over C^t
+    kinds: list[str]              # kind of each row of ``final``
+    seen_classes: np.ndarray      # class id of each row of ``seen``, ascending
+    seen: Tensor                  # (S x d) extended-support averages
+    encoded: Tensor | None        # (S x d) semantic-encoder outputs, semantic modes
+    embeddings: Tensor            # the forward's rows: supports and distill nodes
+    members: list[np.ndarray]     # rows of ``embeddings`` per row of ``seen``
+    distill: Tensor | None = None  # rows of the requested distill nodes
 
     def as_prototypes(self) -> dict[int, Prototype]:
         """Detached prototypes; a support size counts extended-support rows."""
-        return {c: Prototype(class_id=c, vector=t.data.copy(), kind=self.kinds[c],
-                             support_size=(self.embeddings[c].shape[0]
-                                           if c in self.embeddings else 0))
-                for c, t in self.final.items()}
+        sizes = dict(zip(self.seen_classes.tolist(),
+                         (m.size for m in self.members)))
+        return {c: Prototype(class_id=c, vector=self.final.data[i].copy(),
+                             kind=self.kinds[i], support_size=sizes.get(c, 0))
+                for i, c in enumerate(self.classes.tolist())}
 
 
 def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
@@ -111,45 +96,45 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
     """One prototype per class in C^t, per ``mode``, on the autodiff tape.
 
     Seen classes come from the episode's extended supports on the session's
-    graph; in ``gcl`` mode the session's zero-shot classes follow them. The
+    graph; in ``gcl`` mode the session's zero-shot classes join them. The
     student embeddings of ``distill_nodes``, when given, come from the same
     forward and land in ``distill``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    semantic = is_semantic(mode)
     graph = graph_at(bundle, episode.session)
     csds = bundle.csds.vectors
 
-    classes = sorted(episode.extended_support)
-    node_sets = [np.asarray(sorted(episode.extended_support[cls]), dtype=np.int64)
-                 for cls in classes]
-    if distill_nodes is not None:
-        node_sets.append(distill_nodes)
-    rows = network.gnn_forward_sets(model.gnn, graph, node_sets)
-    embeddings = dict(zip(classes, rows))
-    seen = {cls: seen_prototype_tensor(emb) for cls, emb in embeddings.items()}
+    classes = np.asarray(sorted(episode.extended_support), dtype=np.int64)
+    supports = [np.asarray(sorted(episode.extended_support[c]), dtype=np.int64)
+                for c in classes]
+    sizes = np.array([s.size for s in supports])
+    if (sizes == 0).any():
+        raise ValueError(f"empty support set for classes {classes[sizes == 0]}")
+    extra = [] if distill_nodes is None else [distill_nodes]
+    union, position = np.unique(np.concatenate(supports + extra), return_inverse=True)
+    embeddings = network.gnn_forward(model.gnn, graph, union)
 
-    encoded: dict[int, Tensor] = {}
-    if semantic:
-        missing = [c for c in seen if c not in csds]
-        if missing:
-            raise ValueError(f"mode {mode} requires semantic vectors; "
-                             f"missing for classes {missing}")
-        encoded = encode_csds(model, {c: csds[c] for c in sorted(seen)})
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    n_support = indptr[-1]
+    # row i of this CSR of ones adds class i's support rows in ascending node
+    # order, as the tape's emb.mean(axis=0) does before it scales by 1/n, so
+    # each seen prototype equals that mean bit for bit
+    membership = sp.csr_matrix((np.ones(n_support), position[:n_support], indptr),
+                               shape=(classes.size, union.size))
+    seen = ad.sparse_matmul(membership, embeddings) * (1.0 / sizes[:, None])
 
-    final: dict[int, Tensor] = {}
-    kinds: dict[int, str] = {}
-    for cls, proto in seen.items():
-        if semantic:
-            final[cls] = (proto + encoded[cls]) * 0.5
-            kinds[cls] = "merged"
-        else:
-            final[cls] = proto
-            kinds[cls] = "seen"
-    build = PrototypeBuild(seen=seen, final=final, encoded=encoded,
-                           embeddings=embeddings, kinds=kinds,
-                           distill=rows[-1] if distill_nodes is not None else None)
+    encoded = None
+    final, kinds = seen, ["seen"] * classes.size
+    if is_semantic(mode):
+        encoded = encode_csds(model, classes, csds)
+        final, kinds = (seen + encoded) * 0.5, ["merged"] * classes.size
+    build = PrototypeBuild(
+        classes=classes, final=final, kinds=kinds, seen_classes=classes,
+        seen=seen, encoded=encoded, embeddings=embeddings,
+        members=np.split(position[:n_support], indptr[1:-1]),
+        distill=(ad.gather_rows(embeddings, position[n_support:])
+                 if distill_nodes is not None else None))
     if mode == "gcl":
         add_unseen_prototypes(build, model,
                               bundle.schedule.unseen_at(episode.session),
@@ -160,14 +145,26 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
 def add_unseen_prototypes(build: PrototypeBuild, model: network.ModelState,
                           unseen_classes, csds: dict[int, np.ndarray],
                           unseen_encoder: str = "gnn") -> None:
-    for cls in sorted(unseen_classes):
-        if cls not in csds:
-            raise ValueError(f"zero-shot class {cls} has no semantic vector")
-        if unseen_encoder == "gnn":
-            vec = project_csd(model, csds[cls])
-            build.final[cls] = unseen_prototype_tensor(model.gnn, vec)
-        elif unseen_encoder == "mlp":
-            build.final[cls] = encode_csds(model, {cls: csds[cls]})[cls]
-        else:
-            raise ValueError(f"unknown unseen_encoder {unseen_encoder!r}")
-        build.kinds[cls] = "unseen_semantic"
+    """Add an unseen_semantic row to ``build.final`` per zero-shot class,
+    keeping the rows in ascending class id."""
+    unseen = np.asarray(sorted(unseen_classes), dtype=np.int64)
+    if unseen.size == 0:
+        return
+    if unseen_encoder == "gnn":
+        vectors = _csd_matrix(csds, unseen)
+        if model.csd_projection is not None:     # into graph-feature space
+            vectors = vectors @ model.csd_projection
+        # on either backbone a node whose only CSR entry is its self-loop
+        # passes each layer as a plain affine map, so the graph encoder on a
+        # one-node graph is its layers applied as an MLP
+        rows = network.mlp_forward(model.gnn, vectors)
+    elif unseen_encoder == "mlp":
+        rows = encode_csds(model, unseen, csds)
+    else:
+        raise ValueError(f"unknown unseen_encoder {unseen_encoder!r}")
+    classes = np.concatenate([build.classes, unseen])
+    kinds = build.kinds + ["unseen_semantic"] * unseen.size
+    order = np.argsort(classes, kind="stable")
+    build.final = ad.gather_rows(ad.vstack([build.final, rows]), order)
+    build.classes = classes[order]
+    build.kinds = [kinds[i] for i in order]

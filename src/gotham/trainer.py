@@ -88,23 +88,20 @@ class SessionReport:
         }
 
 
-def classify(query_embeddings, prototypes: dict[int, "Prototype | np.ndarray"]) -> np.ndarray:
-    """Nearest-prototype labels; ties break toward the smallest class id."""
-    if not prototypes:
+def classify(query_embeddings, classes, prototypes) -> np.ndarray:
+    """Nearest-prototype labels; row i of the (C x d) ``prototypes`` belongs
+    to ``classes[i]``, strictly ascending, so ties go to the smallest id."""
+    classes = np.asarray(classes, dtype=np.int64)
+    if classes.size == 0:
         raise ValueError("empty prototype set")
-    classes = sorted(prototypes)
-    mat = np.stack([_vec(prototypes[c]) for c in classes])
+    if (np.diff(classes) <= 0).any():
+        raise ValueError("prototype classes must be strictly ascending")
+    mat = np.asarray(prototypes, dtype=np.float64)
     q = np.asarray(query_embeddings, dtype=np.float64)
     if q.ndim == 1:
         q = q[None, :]
     d2 = ((q[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
-    picks = d2.argmin(axis=1)          # argmin returns the first (smallest id)
-    lookup = np.asarray(classes, dtype=np.int64)
-    return lookup[picks]
-
-
-def _vec(p) -> np.ndarray:
-    return p.vector if isinstance(p, Prototype) else np.asarray(p, dtype=np.float64)
+    return classes[d2.argmin(axis=1)]   # argmin returns the first (smallest id)
 
 
 # -- internals ----------------------------------------------------------------
@@ -137,9 +134,8 @@ class _TeacherCache:
             self.embeddings = np.zeros((0, model.gnn.out_dim))
         self.encodings = np.zeros((0, model.gnn.out_dim))
         if is_semantic(mode) and frozen.mlp is not None and self.classes:
-            enc = encode_csds(frozen, {c: bundle.csds.vectors[c]
-                                       for c in self.classes})
-            self.encodings = np.stack([enc[c].data for c in self.classes])
+            self.encodings = encode_csds(frozen, self.classes,
+                                         bundle.csds.vectors).data
 
 
 def _episode_step(model: network.ModelState, bundle: DatasetBundle,
@@ -157,10 +153,12 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
     # clustering acts on the task's support classes; the remaining seen
     # classes still contribute anchor-built prototypes to segregation and
     # alignment, so in "novel_only" mode old classes are shielded only by
-    # distillation
-    cluster_emb = {c: build.embeddings[c] for c in episode.support}
-    parts.cluster = loss_cluster(cluster_emb, build.seen, weights.gamma,
-                                 cfg.cluster_variant)
+    # distillation. The task's classes and the teacher's (seen at t-1) are
+    # all rows of build.seen.
+    task = np.searchsorted(build.seen_classes, sorted(episode.support))
+    parts.cluster = loss_cluster(build.embeddings,
+                                 {r: build.members[r] for r in task},
+                                 build.seen, weights.gamma, cfg.cluster_variant)
     parts.seg = loss_seg(build.final, weights.epsilon_log)
     if is_semantic(cfg.mode):
         parts.sem = loss_sem(build.encoded, build.seen)
@@ -168,10 +166,8 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
     if teacher_cache is not None:
         parts.kd_emb = loss_kd_emb(teacher_cache.embeddings, build.distill)
         if is_semantic(cfg.mode) and teacher_cache.classes:
-            enc = encode_csds(model, {c: bundle.csds.vectors[c]
-                                      for c in teacher_cache.classes})
-            student_enc = ad.vstack([enc[c].reshape(1, -1)
-                                     for c in teacher_cache.classes])
+            student_enc = ad.gather_rows(build.encoded, np.searchsorted(
+                build.seen_classes, teacher_cache.classes))
             parts.kd_align = loss_kd_align(teacher_cache.encodings, student_enc,
                                            weights.epsilon_log)
         total = loss_finetune_total(parts, weights)
@@ -188,8 +184,7 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     nodes = np.asarray([n for n, _ in episode.query], dtype=np.int64)
     truth = np.asarray([c for _, c in episode.query], dtype=np.int64)
     emb = network.gnn_forward(model.gnn, graph, nodes).data
-    protos = {c: t.data for c, t in build.final.items()}
-    pred = classify(emb, protos)
+    pred = classify(emb, build.classes, build.final.data)
     return float((pred == truth).mean())
 
 
@@ -215,9 +210,10 @@ def _train_session(model, bundle, cfg, split, t, episodes, lr, teacher,
             grads = network.compute_gradients(params, total)
             network.apply_update(params, grads, lr, cfg.weight_decay)
         except network.NonFiniteError as exc:
+            computed = {k: v for k, v in parts.values().items() if v is not None}
             raise network.NonFiniteError(
                 f"session {t}, episode {e}: {exc}; loss parts "
-                f"{parts.values()}") from exc
+                f"{computed}") from exc
         totals.append(total.item())
         acc = _episode_query_accuracy(model, bundle, episode, build)
         if acc is not None:
@@ -240,7 +236,8 @@ def _run_session(model, bundle, cfg, split, t, episodes, lr, teacher,
     totals, q_accs = _train_session(model, bundle, cfg, split, t, episodes, lr,
                                     teacher, log_fn, step_offset)
     protos = _eval_prototypes(model, bundle, cfg, split, t)
-    report = evaluate_session(model, bundle, t, protos, split)
+    report = evaluate_session(model, bundle, t,
+                              {c: p.vector for c, p in protos.items()}, split)
     report.episode_losses = totals
     report.episode_query_acc = float(np.mean(q_accs)) if q_accs else None
     report.wall_time = time.perf_counter() - start
@@ -259,9 +256,10 @@ def _eval_prototypes(model, bundle, cfg, split, t) -> dict[int, Prototype]:
 
 
 def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
-                     prototypes: dict[int, Prototype],
+                     prototypes: dict[int, np.ndarray],
                      split: ClassSplit) -> SessionReport:
-    """Accuracy on the fixed held-out split over all classes through t."""
+    """Accuracy on the fixed held-out split over all classes through t, by
+    nearest prototype among the class-id -> vector map ``prototypes``."""
     sched = bundle.schedule
     graph = graph_at(bundle, t)
     vis = graph.visible_mask
@@ -277,7 +275,8 @@ def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
         raise DatasetError(f"empty evaluation split at session {t}")
     emb = network.gnn_forward(model.gnn, graph,
                               np.asarray(nodes, dtype=np.int64)).data
-    pred = classify(emb, prototypes)
+    order = sorted(prototypes)
+    pred = classify(emb, order, [prototypes[c] for c in order])
     truth_arr = np.asarray(truth, dtype=np.int64)
     correct = pred == truth_arr
 

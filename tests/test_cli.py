@@ -164,3 +164,20 @@ def test_run_seed_precedence(tmp_path, monkeypatch, flag, env, want):
     argv = ["run", "--config", str(tmp_path / "config.json")]
     assert main(argv + (["--seed", flag] if flag else [])) == 0
     assert RunConfig.from_json(run / "config.json").seed == want
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_way", "3"), ("seed", 1.5), ("k_shot", 2.5), ("hidden_dim", 0),
+    ("meta_lr", float("nan")), ("num_layers", 0), ("episodes_base", -1),
+    ("epsilon_log", float("nan")),
+])
+def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
+    cfg = RunConfig(dataset=str(data), out_dir=str(run), n_way=2, k_shot=3,
+                    query_per_class=3, hidden_dim=8, out_dim=4,
+                    episodes_base=1, episodes_finetune=1)
+    cfg.replace(**{field: value}).to_json(tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not run.exists()

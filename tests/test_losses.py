@@ -15,44 +15,53 @@ def T(x):
 # -- clustering ----------------------------------------------------------------
 
 def test_cluster_zero_inside_boundary():
-    emb = {0: T([[0.0, 0.005], [0.003, 0.0]])}
-    protos = {0: T([0.0, 0.0])}
-    out = loss_cluster(emb, protos, gamma=0.01)
+    emb = T([[0.0, 0.005], [0.003, 0.0]])
+    protos = T([[0.0, 0.0]])
+    out = loss_cluster(emb, {0: [0, 1]}, protos, gamma=0.01)
     assert out.item() == 0.0
 
 
 def test_cluster_one_sample_at_gamma_plus_one():
-    emb = {0: T([[1.5 + 1.0, 0.0]])}
-    protos = {0: T([1.5, 0.0])}
+    emb = T([[1.5 + 1.0, 0.0]])
+    protos = T([[1.5, 0.0]])
     # distance gamma + 1 with gamma = 0 -> hinge exactly 1
-    assert loss_cluster(emb, protos, gamma=0.0).item() == pytest.approx(1.0)
-    emb2 = {0: T([[0.01 + 1.0, 0.0]])}
-    protos2 = {0: T([0.0, 0.0])}
-    assert loss_cluster(emb2, protos2, gamma=0.01).item() == pytest.approx(1.0)
+    assert loss_cluster(emb, {0: [0]}, protos, gamma=0.0).item() == pytest.approx(1.0)
+    emb2 = T([[0.01 + 1.0, 0.0]])
+    protos2 = T([[0.0, 0.0]])
+    assert loss_cluster(emb2, {0: [0]}, protos2, gamma=0.01).item() == pytest.approx(1.0)
 
 
-def cluster_oracle(emb_by_class, protos, gamma, variant):
+def cluster_oracle(embeddings, members, prototypes, gamma, variant):
     """Direct per-term summation, kept independent of the library."""
     total = 0.0
-    for cls, emb in emb_by_class.items():
-        h = np.maximum(np.linalg.norm(emb - protos[cls], axis=1) - gamma, 0.0)
+    for row, idx in members.items():
+        h = np.maximum(np.linalg.norm(embeddings[idx] - prototypes[row], axis=1)
+                       - gamma, 0.0)
         if variant == "mean_hinge":
             total += h.mean()
         else:
             s = h.sum()
             total += (h ** 2).sum() / s if s > 0 else 0.0
-    return total / len(emb_by_class)
+    return total / len(members)
 
 
 @pytest.mark.parametrize("variant", ["mean_hinge", "self_normalized"])
 def test_cluster_matches_direct_oracle(variant):
     rng = np.random.default_rng(0)
-    emb = {0: rng.standard_normal((3, 4)), 1: rng.standard_normal((3, 4))}
-    protos = {0: rng.standard_normal(4), 1: rng.standard_normal(4)}
-    got = loss_cluster({c: T(v) for c, v in emb.items()},
-                       {c: T(v) for c, v in protos.items()}, 0.5, variant)
-    want = cluster_oracle(emb, protos, 0.5, variant)
+    emb = rng.standard_normal((8, 4))
+    protos = rng.standard_normal((3, 4))
+    # interleaved, unsorted member rows; row 1 is a prototype of no task class
+    # and rows 2 and 5 of the embeddings belong to no member set
+    members = {2: np.array([6, 0, 3]), 0: np.array([7, 1, 4])}
+    got = loss_cluster(T(emb), members, T(protos), 0.5, variant)
+    want = cluster_oracle(emb, members, protos, 0.5, variant)
     assert got.item() == pytest.approx(want, abs=1e-12)
+
+
+def test_cluster_rejects_an_empty_member_set():
+    with pytest.raises(ValueError, match="no extended-support"):
+        loss_cluster(T(np.ones((2, 3))), {0: [0, 1], 1: []}, T(np.zeros((2, 3))),
+                     0.1)
 
 
 def test_cluster_raw_printed_form_is_degenerate():
@@ -72,28 +81,30 @@ def test_cluster_raw_printed_form_is_degenerate():
 def test_cluster_nonnegative_property():
     rng = np.random.default_rng(2)
     for trial in range(10):
-        emb = {c: T(rng.standard_normal((rng.integers(1, 5), 3)))
-               for c in range(3)}
-        protos = {c: T(rng.standard_normal(3)) for c in range(3)}
+        sizes = rng.integers(1, 5, size=3)
+        emb = T(rng.standard_normal((sizes.sum(), 3)))
+        members = dict(enumerate(np.split(np.arange(sizes.sum()),
+                                          np.cumsum(sizes)[:-1])))
+        protos = T(rng.standard_normal((3, 3)))
         for variant in ("mean_hinge", "self_normalized"):
-            assert loss_cluster(emb, protos, 0.1, variant).item() >= 0.0
+            assert loss_cluster(emb, members, protos, 0.1, variant).item() >= 0.0
 
 
 # -- segregation ----------------------------------------------------------------
 
 def test_seg_two_prototypes_at_distance_e():
-    protos = {0: T([0.0, 0.0]), 1: T([np.e, 0.0])}
+    protos = T([[0.0, 0.0], [np.e, 0.0]])
     assert loss_seg(protos, 1e-8).item() == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_seg_distance_one_is_zero():
-    protos = {0: T([0.0]), 1: T([1.0])}
+    protos = T([[0.0], [1.0]])
     assert loss_seg(protos, 1e-8).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_seg_coincident_guarded():
     eps = 1e-8
-    protos = {0: T([1.0, 1.0]), 1: T([1.0, 1.0]), 2: T([5.0, 0.0])}
+    protos = T([[1.0, 1.0], [1.0, 1.0], [5.0, 0.0]])
     out = loss_seg(protos, eps).item()
     assert np.isfinite(out)
     # pair (0,1) twice at the floor; the other four pairs at real distances
@@ -104,24 +115,24 @@ def test_seg_coincident_guarded():
 
 def test_seg_single_prototype_warns_zero():
     with pytest.warns(UserWarning):
-        out = loss_seg({0: T([1.0, 2.0])}, 1e-8)
+        out = loss_seg(T([[1.0, 2.0]]), 1e-8)
     assert out.item() == 0.0
 
 
 def test_seg_matches_pairwise_oracle():
     rng = np.random.default_rng(3)
-    protos = {c: rng.standard_normal(4) for c in range(5)}
-    got = loss_seg({c: T(v) for c, v in protos.items()}, 1e-8).item()
+    protos = rng.standard_normal((5, 4))
+    got = loss_seg(T(protos), 1e-8).item()
     acc = 0.0
-    for j in protos:
-        for p in protos:
+    for j in range(5):
+        for p in range(5):
             if p != j:
                 acc += np.log(max(np.linalg.norm(protos[j] - protos[p]), 1e-8))
     assert got == pytest.approx(-acc / 5, rel=1e-12)
 
 
 def test_seg_decreases_as_distance_grows():
-    vals = [loss_seg({0: T([0.0]), 1: T([d])}, 1e-8).item()
+    vals = [loss_seg(T([[0.0], [d]]), 1e-8).item()
             for d in (0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -133,38 +144,38 @@ def test_seg_stable_when_two_prototypes_nearly_coincide():
     p = rng.standard_normal(512)
     u = rng.standard_normal(512)
     q = p + 1e-6 * u / np.linalg.norm(u)
-    base = loss_seg({0: T(p), 1: T(q)}, 1e-8).item()
-    nudged = loss_seg({0: T(p * (1 + 4e-16)), 1: T(q)}, 1e-8).item()
+    base = loss_seg(T(np.stack([p, q])), 1e-8).item()
+    nudged = loss_seg(T(np.stack([p * (1 + 4e-16), q])), 1e-8).item()
     assert abs(nudged - base) < 1e-9 * abs(base)
 
 
 # -- semantic alignment -----------------------------------------------------------
 
 def test_sem_zero_when_aligned():
-    enc = {0: T([1.0, 2.0]), 1: T([3.0, 4.0])}
-    protos = {0: T([1.0, 2.0]), 1: T([3.0, 4.0])}
+    enc = T([[1.0, 2.0], [3.0, 4.0]])
+    protos = T([[1.0, 2.0], [3.0, 4.0]])
     assert loss_sem(enc, protos).item() == 0.0
 
 
 def test_sem_three_four_five():
-    enc = {0: T([3.0, 4.0])}
-    protos = {0: T([0.0, 0.0])}
+    enc = T([[3.0, 4.0]])
+    protos = T([[0.0, 0.0]])
     assert loss_sem(enc, protos).item() == pytest.approx(5.0)
 
 
 def test_sem_matches_direct_oracle():
     rng = np.random.default_rng(4)
-    enc = {c: rng.standard_normal(6) for c in range(4)}
-    protos = {c: rng.standard_normal(6) for c in range(4)}
-    got = loss_sem({c: T(v) for c, v in enc.items()},
-                   {c: T(v) for c, v in protos.items()}).item()
+    enc = rng.standard_normal((4, 6))
+    protos = rng.standard_normal((4, 6))
+    got = loss_sem(T(enc), T(protos)).item()
     want = sum(np.linalg.norm(enc[c] - protos[c]) for c in range(4))
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_sem_missing_class_rejected():
-    with pytest.raises(ValueError, match="1"):
-        loss_sem({0: T([1.0])}, {0: T([1.0]), 1: T([2.0])})
+    # one encoded row for two seen prototypes would broadcast silently
+    with pytest.raises(ValueError, match="differ in shape"):
+        loss_sem(T([[1.0]]), T([[1.0], [2.0]]))
 
 
 # -- distillation -----------------------------------------------------------------
@@ -303,18 +314,17 @@ def test_finetune_alpha4_zero_reduces_to_train():
 def test_translation_invariance_exact():
     # integer-valued data keeps float arithmetic exact under the shift
     rng = np.random.default_rng(8)
-    emb = {c: rng.integers(-5, 5, size=(3, 4)).astype(float) for c in range(3)}
-    protos = {c: rng.integers(-5, 5, size=4).astype(float) for c in range(3)}
+    emb = rng.integers(-5, 5, size=(9, 4)).astype(float)
+    protos = rng.integers(-5, 5, size=(3, 4)).astype(float)
+    members = {c: np.arange(3 * c, 3 * c + 3) for c in range(3)}
     shift = np.array([2.0, -8.0, 16.0, 4.0])
 
-    before_c = loss_cluster({c: T(v) for c, v in emb.items()},
-                            {c: T(v) for c, v in protos.items()}, 0.5).item()
-    after_c = loss_cluster({c: T(v + shift) for c, v in emb.items()},
-                           {c: T(v + shift) for c, v in protos.items()}, 0.5).item()
+    before_c = loss_cluster(T(emb), members, T(protos), 0.5).item()
+    after_c = loss_cluster(T(emb + shift), members, T(protos + shift), 0.5).item()
     assert before_c == after_c
 
-    before_s = loss_seg({c: T(v) for c, v in protos.items()}, 1e-8).item()
-    after_s = loss_seg({c: T(v + shift) for c, v in protos.items()}, 1e-8).item()
+    before_s = loss_seg(T(protos), 1e-8).item()
+    after_s = loss_seg(T(protos + shift), 1e-8).item()
     assert before_s == after_s
 
 

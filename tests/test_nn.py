@@ -314,6 +314,15 @@ def test_gnn_forward_and_gradients_match_transform_first_oracle(case, backbone):
     assert_gradients_close(got_grads, want_grads, 1e-12)
 
 
+def union_rows(params, graph, sets):
+    """Each set's rows of one forward over the union of ``sets``, as
+    ``prototypes.build_prototype_tensors`` embeds the supports of a task."""
+    union, position = np.unique(np.concatenate(sets), return_inverse=True)
+    emb = network.gnn_forward(params, graph, union)
+    ends = np.cumsum([s.size for s in sets])
+    return [ad.gather_rows(emb, p) for p in np.split(position, ends[:-1])]
+
+
 @ORACLE_SETTINGS
 @given(graphs_with_hidden_nodes(), st.sampled_from(["mean", "attention"]),
        st.data())
@@ -333,7 +342,7 @@ def test_union_forward_rows_equal_per_set_forwards(case, backbone, data):
     weights = [np.random.default_rng(i).standard_normal((s.size, 4))
                for i, s in enumerate(sets)]
     results = []
-    for rows in (network.gnn_forward_sets(params, graph, sets),
+    for rows in (union_rows(params, graph, sets),
                  [network.gnn_forward(params, graph, s) for s in sets]):
         loss = sum(((r * w).sum() for r, w in zip(rows, weights)), ad.constant(0.0))
         results.append(([r.data for r in rows],
@@ -368,7 +377,7 @@ def test_union_forward_of_a_one_node_set_is_within_rounding():
     g = star_graph(n_leaves=5, seed=2)
     sets = [np.array([3]), np.array([0, 1, 4])]
     params = network.init_gnn([4, 6, 3], np.random.default_rng(5))
-    rows = network.gnn_forward_sets(params, g, sets)
+    rows = union_rows(params, g, sets)
     for r, s in zip(rows, sets):
         want = network.gnn_forward(params, g, s).data
         np.testing.assert_allclose(r.data, want, rtol=1e-14, atol=1e-15)

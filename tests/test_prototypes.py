@@ -7,8 +7,8 @@ import pytest
 from gotham import autodiff as ad
 from gotham import nn as network
 from gotham.graphstore import CSDTable, build_snapshot, graph_at, synth_generate
-from gotham.prototypes import (build_prototype_tensors, encode_csds,
-                               seen_prototype_tensor, unseen_prototype_tensor)
+from gotham.prototypes import (add_unseen_prototypes, build_prototype_tensors,
+                               encode_csds)
 from gotham.sampler import (Episode, WalkConfig, build_class_split, sample_episode,
                             session_supports)
 
@@ -34,20 +34,44 @@ def plain_model(bundle, sizes=(5, 3), seed=1):
                               sizes[-1], len(sizes), seed=seed)
 
 
+def one_node_forward(params, vector):
+    """The graph encoder on ``vector`` as a one-node self-loop graph."""
+    g = build_snapshot(1, np.zeros((0, 2), dtype=np.int64), vector[None, :])
+    return network.gnn_forward(params, g, [0]).data[0]
+
+
+def with_unseen(model, bundle, csds, seen=(1, 2)):
+    """A gfscil_plain build over ``seen`` plus unseen rows for ``csds``."""
+    supports = {c: frozenset(range(10 * c, 10 * c + 3)) for c in seen}
+    build = build_prototype_tensors(model, bundle, eval_episode(supports),
+                                    "gfscil_plain")
+    add_unseen_prototypes(build, model, csds, csds)
+    return build
+
+
 def test_singleton_support_equals_embedding():
     b = small_bundle()
     model = plain_model(b)
     build = build_prototype_tensors(model, b, eval_episode({0: frozenset({1})}),
                                     "gfscil_plain")
     emb = network.gnn_forward(model.gnn, graph_at(b, 0), [1]).data[0]
-    np.testing.assert_array_equal(build.final[0].data, emb)
+    np.testing.assert_array_equal(build.final.data[0], emb)
     p = build.as_prototypes()[0]
     assert p.kind == "seen" and p.support_size == 1
 
 
 def test_opposite_embeddings_cancel():
-    e = ad.constant(np.array([[2.0, -3.0], [-2.0, 3.0]]))
-    np.testing.assert_array_equal(seen_prototype_tensor(e).data, [0.0, 0.0])
+    # two isolated nodes with opposite features under a linear encoder
+    b = small_bundle()
+    feats = np.ones((b.graph.num_nodes, 4))
+    feats[0], feats[1] = [2.0, -3.0, 0.5, 1.0], [-2.0, 3.0, -0.5, -1.0]
+    b = dataclasses.replace(b, graph=build_snapshot(
+        b.graph.num_nodes, np.zeros((0, 2), dtype=np.int64), feats))
+    w = np.random.default_rng(3).standard_normal((4, 2))
+    model = network.ModelState(gnn=linear_gnn(w), mlp=None)
+    build = build_prototype_tensors(model, b, eval_episode({0: frozenset({0, 1})}),
+                                    "gfscil_plain")
+    np.testing.assert_array_equal(build.final.data[0], [0.0, 0.0])
 
 
 def test_seen_prototype_matches_column_mean_oracle():
@@ -57,8 +81,35 @@ def test_seen_prototype_matches_column_mean_oracle():
     build = build_prototype_tensors(model, b, eval_episode({0: frozenset(support)}),
                                     "gfscil_plain")
     emb = network.gnn_forward(model.gnn, b.graph, sorted(support)).data
-    np.testing.assert_allclose(build.final[0].data, emb.mean(axis=0), atol=1e-12)
-    np.testing.assert_array_equal(build.embeddings[0].data, emb)
+    np.testing.assert_allclose(build.final.data[0], emb.mean(axis=0), atol=1e-12)
+    np.testing.assert_array_equal(build.embeddings.data, emb)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_seen_prototypes_equal_column_means_bit_for_bit(seed):
+    """The membership product, a sum of each class's rows in node order then
+    one scale, is the tape's ``emb.mean(axis=0)`` of those rows exactly (a sum
+    times 1/n; numpy's mean divides by n instead)."""
+    b = small_bundle()
+    model = plain_model(b, (6, 5), seed=seed)
+    rng = np.random.default_rng(seed)
+    supports = {c: frozenset(rng.choice(np.arange(10 * c, 10 * c + 10),
+                                        size=rng.integers(1, 8), replace=False)
+                             .tolist())
+                for c in range(3)}
+    distill = np.sort(rng.choice(30, size=5, replace=False))
+    build = build_prototype_tensors(model, b, eval_episode(supports),
+                                    "gfscil_plain", distill_nodes=distill)
+    assert build.seen_classes.tolist() == [0, 1, 2]
+    for row, c in enumerate(build.seen_classes):
+        rows = build.embeddings.data[build.members[row]]
+        np.testing.assert_array_equal(build.seen.data[row],
+                                      ad.constant(rows).mean(axis=0).data)
+        # the member rows are the class's support, in ascending node order
+        want = network.gnn_forward(model.gnn, b.graph, sorted(supports[c])).data
+        np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-14)
+    want = network.gnn_forward(model.gnn, b.graph, distill).data
+    np.testing.assert_allclose(build.distill.data, want, rtol=1e-12, atol=1e-14)
 
 
 def test_empty_support_rejected():
@@ -66,8 +117,6 @@ def test_empty_support_rejected():
     with pytest.raises(ValueError, match="empty"):
         build_prototype_tensors(plain_model(b, (3,)), b,
                                 eval_episode({0: frozenset()}), "gfscil_plain")
-    with pytest.raises(ValueError, match="empty"):
-        seen_prototype_tensor(ad.constant(np.zeros((0, 3))))
 
 
 def test_merged_is_midpoint():
@@ -77,36 +126,66 @@ def test_merged_is_midpoint():
                 2: frozenset({21, 22, 28})}
     build = build_prototype_tensors(model, b, eval_episode(supports),
                                     "gfscil_semantic")
-    for c in supports:
-        seen, enc = build.seen[c].data, build.encoded[c].data
-        got = build.final[c].data
+    assert build.classes.tolist() == sorted(supports)
+    for row in range(len(supports)):
+        seen, enc = build.seen.data[row], build.encoded.data[row]
+        got = build.final.data[row]
         np.testing.assert_array_equal(got, (seen + enc) * 0.5)
-        assert build.kinds[c] == "merged"
+        assert build.kinds[row] == "merged"
         # exact midpoint: equidistant from both ends
         assert np.linalg.norm(got - seen) == pytest.approx(
             np.linalg.norm(got - enc), rel=1e-12)
 
 
 def test_unseen_single_linear_layer():
-    w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    csd = np.array([1.0, 0.0, -1.0])
-    got = unseen_prototype_tensor(linear_gnn(w), csd).data
-    np.testing.assert_allclose(got, csd @ w, atol=1e-14)
+    w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    csd = np.array([1.0, 0.0, -1.0, 0.5])
+    model = network.ModelState(gnn=linear_gnn(w), mlp=None)
+    b = small_bundle()
+    build = with_unseen(model, b, {0: csd})
+    seen = with_unseen(model, b, {}).final.data
+    # the zero-shot row is permuted in front of the seen rows it precedes
+    assert build.classes.tolist() == [0, 1, 2]
+    assert build.kinds == ["unseen_semantic", "seen", "seen"]
+    np.testing.assert_allclose(build.final.data[0], csd @ w, atol=1e-14)
+    np.testing.assert_array_equal(build.final.data[1:], seen)
+    assert build.as_prototypes()[0].support_size == 0
 
 
 def test_unseen_zero_vector_zero_output():
-    got = unseen_prototype_tensor(linear_gnn(np.ones((2, 2))), np.zeros(2)).data
-    np.testing.assert_array_equal(got, np.zeros(2))
+    model = network.ModelState(gnn=linear_gnn(np.ones((4, 2))), mlp=None)
+    build = with_unseen(model, small_bundle(), {5: np.zeros(4)})
+    assert build.classes.tolist() == [1, 2, 5]
+    np.testing.assert_array_equal(build.final.data[2], np.zeros(2))
 
 
 def test_unseen_matches_explicit_one_node_graph():
-    rng = np.random.default_rng(4)
-    params = network.init_gnn([4, 6, 3], rng)
-    csd = rng.standard_normal(4)
-    got = unseen_prototype_tensor(params, csd).data
-    g = build_snapshot(1, np.zeros((0, 2), dtype=np.int64), csd[None, :])
-    expected = network.gnn_forward(params, g, [0]).data[0]
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    # a node whose only CSR entry is its self-loop: its mean weight and its
+    # softmax weight are exactly 1, so each layer is a plain affine map
+    for backbone in ("mean", "attention"):
+        rng = np.random.default_rng(4)
+        params = network.init_gnn([4, 6, 3], rng, backbone=backbone)
+        csd = rng.standard_normal(4)
+        model = network.ModelState(gnn=params, mlp=None)
+        build = with_unseen(model, small_bundle(), {7: csd})
+        np.testing.assert_array_equal(build.final.data[2],
+                                      one_node_forward(params, csd))
+
+
+def test_several_unseen_rows_match_one_node_graphs():
+    # one product over several rows may sum in another order than a one-row
+    # product, so several classes agree within rounding only
+    for backbone in ("mean", "attention"):
+        rng = np.random.default_rng(9)
+        params = network.init_gnn([4, 6, 3], rng, backbone=backbone)
+        csds = {c: rng.standard_normal(4) for c in (0, 3, 5, 7)}
+        model = network.ModelState(gnn=params, mlp=None)
+        build = with_unseen(model, small_bundle(), csds)
+        assert build.classes.tolist() == [0, 1, 2, 3, 5, 7]
+        for c, v in csds.items():
+            got = build.final.data[build.classes.tolist().index(c)]
+            want = one_node_forward(params, v)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_linear_scaling_property():
@@ -117,8 +196,8 @@ def test_linear_scaling_property():
     scaled = dataclasses.replace(
         b, graph=dataclasses.replace(b.graph, features=2.5 * b.graph.features))
     episode = eval_episode({0: frozenset({0, 1, 2})})
-    p1 = build_prototype_tensors(model, b, episode, "gfscil_plain").final[0].data
-    p2 = build_prototype_tensors(model, scaled, episode, "gfscil_plain").final[0].data
+    p1 = build_prototype_tensors(model, b, episode, "gfscil_plain").final.data[0]
+    p2 = build_prototype_tensors(model, scaled, episode, "gfscil_plain").final.data[0]
     np.testing.assert_allclose(p2, 2.5 * p1, rtol=1e-12)
 
 
@@ -126,9 +205,9 @@ def test_permutation_invariance_over_support():
     b = synth_generate(7, 2, 8, 0.8, 0.1, 4)
     model = plain_model(b, (3,), seed=7)
     p1 = build_prototype_tensors(model, b, eval_episode({0: (3, 1, 9)}),
-                                 "gfscil_plain").final[0].data
+                                 "gfscil_plain").final.data[0]
     p2 = build_prototype_tensors(model, b, eval_episode({0: (9, 3, 1)}),
-                                 "gfscil_plain").final[0].data
+                                 "gfscil_plain").final.data[0]
     np.testing.assert_array_equal(p1, p2)
 
 
@@ -149,26 +228,29 @@ def fixture(mode_zero_shot=False):
 def test_gfscil_plain_mode_all_seen():
     b, model, ep = fixture()
     build = build_prototype_tensors(model, b, ep, "gfscil_plain")
-    assert sorted(build.final) == [0, 1, 2, 3, 4]
-    assert set(build.kinds.values()) == {"seen"}
-    assert build.encoded == {}
+    assert build.classes.tolist() == [0, 1, 2, 3, 4]
+    assert build.final.shape == (5, 6)
+    assert set(build.kinds) == {"seen"}
+    assert build.encoded is None
 
 
 def test_gfscil_semantic_mode_all_merged():
     b, model, ep = fixture()
     build = build_prototype_tensors(model, b, ep, "gfscil_semantic")
-    assert sorted(build.final) == [0, 1, 2, 3, 4]
-    assert set(build.kinds.values()) == {"merged"}
+    assert build.classes.tolist() == [0, 1, 2, 3, 4]
+    assert set(build.kinds) == {"merged"}
 
 
 def test_gcl_mode_one_unseen():
     b, model, ep = fixture(mode_zero_shot=True)
     build = build_prototype_tensors(model, b, ep, "gcl")
-    assert build.kinds[4] == "unseen_semantic"
-    assert all(k == "merged" for c, k in build.kinds.items() if c != 4)
-    # exactly |seen| + |unseen| prototypes, seen classes inserted first
-    assert list(build.final) == b.schedule.seen_at(ep.session) + [4]
-    assert sorted(build.final) == b.schedule.classes_at(ep.session)
+    kinds = dict(zip(build.classes.tolist(), build.kinds))
+    assert kinds[4] == "unseen_semantic"
+    assert all(k == "merged" for c, k in kinds.items() if c != 4)
+    # exactly |seen| + |unseen| prototypes, rows in ascending class id
+    assert build.seen_classes.tolist() == b.schedule.seen_at(ep.session)
+    assert build.classes.tolist() == b.schedule.classes_at(ep.session)
+    assert build.final.shape[0] == len(build.classes)
 
 
 def test_gcl_unseen_prototype_projects_the_csd():
@@ -180,8 +262,9 @@ def test_gcl_unseen_prototype_projects_the_csd():
     model = network.init_model(8, 10, 6, 2, seed=1, csd_dim=5)
     assert model.csd_projection is not None
     build = build_prototype_tensors(model, b, ep, "gcl")
-    expected = unseen_prototype_tensor(model.gnn, csds[4] @ model.csd_projection)
-    np.testing.assert_array_equal(build.final[4].data, expected.data)
+    expected = one_node_forward(model.gnn, csds[4] @ model.csd_projection)
+    row = build.classes.tolist().index(4)
+    np.testing.assert_array_equal(build.final.data[row], expected)
 
 
 def test_missing_csd_rejected():
@@ -201,6 +284,7 @@ def test_unknown_mode_rejected():
 def test_unseen_mlp_encoder_flag():
     b, model, ep = fixture(mode_zero_shot=True)
     build = build_prototype_tensors(model, b, ep, "gcl", unseen_encoder="mlp")
-    assert build.kinds[4] == "unseen_semantic"
-    enc = encode_csds(model, {4: b.csds.vectors[4]})[4].data
-    np.testing.assert_allclose(build.final[4].data, enc, atol=1e-12)
+    row = build.classes.tolist().index(4)
+    assert build.kinds[row] == "unseen_semantic"
+    enc = encode_csds(model, [4], b.csds.vectors).data[0]
+    np.testing.assert_allclose(build.final.data[row], enc, atol=1e-12)

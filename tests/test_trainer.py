@@ -2,6 +2,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from gotham import autodiff as ad
@@ -9,7 +10,8 @@ from gotham import nn as network
 from gotham import trainer
 from gotham.config import RunConfig
 from gotham.graphstore import graph_at, synth_generate
-from gotham.trainer import run_stream
+from gotham.prototypes import encode_csds
+from gotham.trainer import classify, run_stream
 
 EPISODES = {"episodes_base": 3, "episodes_finetune": 1}
 ARTIFACTS = ("summary.tsv", "loss_log.jsonl", "model.ckpt")
@@ -120,8 +122,9 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
     counts = []
 
     def count_forward(params, graph, nodes):
-        # zero-shot prototypes run on their own one-node graphs
-        if counts and graph is counts[-1][1]:
+        # zero-shot prototypes take no graph forward at all
+        if counts and counts[-1][1] is not None:
+            assert graph is counts[-1][1]
             counts[-1][2] += 1
         return forward(params, graph, nodes)
 
@@ -184,5 +187,77 @@ def test_nonfinite_loss_names_the_session_episode_and_loss_parts(monkeypatch):
     msg = str(info.value)
     assert msg.startswith("session 1, episode 1: loss is nan")
     assert "'seg': nan" in msg
-    for part in ("cluster", "sem", "kd_emb", "kd_align"):
+    # a gfscil_plain finetune episode computes no sem and no kd_align
+    for part in ("cluster", "kd_emb"):
         assert f"'{part}': " in msg
+    for part in ("sem", "kd_align"):
+        assert f"'{part}'" not in msg
+
+
+@pytest.mark.parametrize("mode,semantic", [("gfscil_plain", False),
+                                           ("gfscil_semantic", True)])
+def test_loss_log_writes_null_for_parts_never_computed(tmp_path, mode, semantic):
+    bundle = tiny_bundle()
+    _, records = stream(bundle, tiny_config(mode, "mean"), tmp_path)
+    logged = [json.loads(line) for line in
+              (tmp_path / "loss_log.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert logged == records
+    for rec in logged:
+        finetune = rec["session"] > 0
+        assert isinstance(rec["l_cls"], float) and isinstance(rec["l_seg"], float)
+        assert isinstance(rec["l_sem"], float) if semantic else rec["l_sem"] is None
+        # base records have no teacher: no distillation term is computed
+        assert isinstance(rec["l_emb"], float) if finetune else rec["l_emb"] is None
+        if finetune and semantic:
+            assert isinstance(rec["l_align"], float)
+        else:
+            assert rec["l_align"] is None
+    assert {r["session"] for r in logged} == {0, 1, 2}
+
+
+def test_kd_align_student_rows_equal_a_separate_encoding(monkeypatch):
+    """The student's semantic rows for distillation are gathered from the
+    prototypes' own semantic forward, not recomputed."""
+    bundle = tiny_bundle()
+    cfg = tiny_config("gfscil_semantic", "mean")
+    step, align = trainer._episode_step, trainer.loss_kd_align
+    current, checked = {}, []
+
+    def spy_step(model, bundle, episode, cfg, weights, cache):
+        current.update(model=model, cache=cache)
+        return step(model, bundle, episode, cfg, weights, cache)
+
+    def spy_align(teacher, student, eps):
+        want = encode_csds(current["model"], current["cache"].classes,
+                           bundle.csds.vectors).data
+        assert student.shape == want.shape
+        assert np.abs(student.data - want).max() <= 1e-12 * np.abs(want).max()
+        checked.append(len(current["cache"].classes))
+        return align(teacher, student, eps)
+
+    monkeypatch.setattr(trainer, "_episode_step", spy_step)
+    monkeypatch.setattr(trainer, "loss_kd_align", spy_align)
+    run_stream(bundle, cfg)
+    assert checked == [3, 4]      # one finetune episode per session
+
+
+# -- nearest-prototype classification -------------------------------------------
+
+def test_classify_tie_goes_to_the_smallest_class_id():
+    protos = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    # (1, 0) is 1 from all three; (1.5, 0.5) is sqrt(0.5) from classes 8 and 9
+    queries = np.array([[1.0, 0.0], [1.5, 0.5], [1.0, 0.9]])
+    np.testing.assert_array_equal(classify(queries, [3, 8, 9], protos), [3, 8, 9])
+
+
+def test_classify_one_dimensional_query():
+    protos = np.array([[0.0, 0.0], [4.0, 4.0]])
+    np.testing.assert_array_equal(classify(np.array([3.0, 3.5]), [2, 7], protos),
+                                  [7])
+
+
+def test_classify_rejects_an_empty_or_unsorted_prototype_set():
+    with pytest.raises(ValueError, match="empty"):
+        classify(np.zeros((2, 3)), [], np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="ascending"):
+        classify(np.zeros((2, 3)), [4, 1], np.zeros((2, 3)))
