@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     from .trainer import run_stream
     cfg_path = Path(args.config)
-    if not cfg_path.exists():
+    if not cfg_path.is_file():
         print(f"error: config file not found: {cfg_path}", file=sys.stderr)
         return 2
     cfg = RunConfig.from_json(cfg_path)
@@ -177,7 +177,7 @@ def cmd_synth(args) -> int:
 
 def cmd_export_prototypes(args) -> int:
     from . import nn as network
-    from .trainer import _eval_prototypes, run_split
+    from .trainer import _eval_prototypes, _session_supports, run_split
 
     run = Path(args.run)
     for name in ("model.ckpt", "config.json"):
@@ -190,16 +190,16 @@ def cmd_export_prototypes(args) -> int:
     t = bundle.schedule.num_sessions if args.session is None else args.session
     # the same split, walks and mode as the run, so these are the prototypes
     # evaluation classified with
-    protos = _eval_prototypes(model, bundle, cfg, run_split(bundle, cfg), t)
+    extended = _session_supports(bundle, cfg, run_split(bundle, cfg), t)
+    build = _eval_prototypes(model, bundle, cfg, t, extended)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("class_id\tkind\tvector\n")
-        for cls in sorted(protos):
-            p = protos[cls]
-            vec = " ".join(repr(float(x)) for x in p.vector)
-            fh.write(f"{cls}\t{p.kind}\t{vec}\n")
-    print(f"wrote {len(protos)} prototypes to {out}")
+        for cls, kind, row in zip(build.classes, build.kinds, build.final.data):
+            vec = " ".join(repr(float(x)) for x in row)
+            fh.write(f"{cls}\t{kind}\t{vec}\n")
+    print(f"wrote {build.classes.size} prototypes to {out}")
     return 0
 
 

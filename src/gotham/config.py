@@ -111,6 +111,9 @@ class RunConfig:
             raw = json.loads(Path(source).read_text(encoding="utf-8"))
         else:
             raw = json.loads(source)
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object, got "
+                             f"{type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:

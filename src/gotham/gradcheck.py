@@ -124,10 +124,8 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
             feature_dim=4, hidden=6, out=5, num_layers=2, seed=s, csd_dim=4,
             backbone=backbone) for s in (seed + 3, seed + 5))
         cfg = RunConfig(mode="gcl", backbone=backbone)
-        cache = trainer._TeacherCache(
-            trainer.TeacherSnapshot.capture(teacher, bundle.schedule.seen_at(0),
-                                            split, 0),
-            model, bundle, episode.session, cfg.mode)
+        cache = trainer._TeacherCache(teacher, bundle, split, episode.session,
+                                      cfg.mode)
         weights = trainer._weights(cfg)
         params = network.named_parameters(model)
         bug_param = params["gnn.0.weight"]

@@ -30,7 +30,7 @@ from .graphstore import GraphSnapshot
 __all__ = ["Layer", "GnnParams", "MlpParams", "ModelState", "init_gnn",
            "init_mlp", "init_model", "named_parameters", "gnn_forward",
            "mlp_forward", "compute_gradients", "apply_update",
-           "save_model", "load_model", "clone_params", "NonFiniteError"]
+           "save_model", "load_model", "NonFiniteError"]
 
 
 class NonFiniteError(FloatingPointError):
@@ -144,10 +144,6 @@ def named_parameters(model: ModelState) -> dict[str, Tensor]:
             out[f"mlp.{i}.weight"] = layer.weight
             out[f"mlp.{i}.bias"] = layer.bias
     return out
-
-
-def clone_params(model: ModelState) -> dict[str, np.ndarray]:
-    return {k: v.data.copy() for k, v in named_parameters(model).items()}
 
 
 # -- forward passes ----------------------------------------------------------
@@ -355,6 +351,10 @@ def load_model(path) -> ModelState:
         size = int(np.prod(shape)) * 8
         proj = np.frombuffer(blob[offset:offset + size], dtype="<f8").reshape(shape).copy()
         offset += size
+    bad = [k for k, v in {**arrays, "csd_projection": proj}.items()
+           if v is not None and not np.isfinite(v).all()]
+    if bad:
+        raise ValueError(f"{path} holds non-finite parameters: {bad}")
 
     gnn_layers: list[Layer] = []
     i = 0

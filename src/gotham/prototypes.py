@@ -30,22 +30,8 @@ from .config import MODES, is_semantic
 from .graphstore import DatasetBundle, graph_at
 from .sampler import Episode
 
-__all__ = ["Prototype", "PrototypeBuild", "encode_csds",
-           "build_prototype_tensors", "add_unseen_prototypes"]
-
-
-@dataclass(frozen=True)
-class Prototype:
-    class_id: int
-    vector: np.ndarray
-    kind: str                 # "seen" | "merged" | "unseen_semantic"
-    support_size: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError(f"non-finite prototype for class {self.class_id}")
-        if self.kind == "unseen_semantic" and self.support_size != 0:
-            raise ValueError("unseen prototypes average no support nodes")
+__all__ = ["PrototypeBuild", "encode_csds", "build_prototype_tensors",
+           "add_unseen_prototypes"]
 
 
 def _csd_matrix(csds: dict[int, np.ndarray], classes) -> np.ndarray:
@@ -79,14 +65,6 @@ class PrototypeBuild:
     embeddings: Tensor            # the forward's rows: supports and distill nodes
     members: list[np.ndarray]     # rows of ``embeddings`` per row of ``seen``
     distill: Tensor | None = None  # rows of the requested distill nodes
-
-    def as_prototypes(self) -> dict[int, Prototype]:
-        """Detached prototypes; a support size counts extended-support rows."""
-        sizes = dict(zip(self.seen_classes.tolist(),
-                         (m.size for m in self.members)))
-        return {c: Prototype(class_id=c, vector=self.final.data[i].copy(),
-                             kind=self.kinds[i], support_size=sizes.get(c, 0))
-                for i, c in enumerate(self.classes.tolist())}
 
 
 def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,

@@ -1,14 +1,19 @@
 """Episodic training across streaming sessions with nearest-prototype eval.
 
-Base training optimizes clustering/segregation (plus semantic alignment when
-class semantics are available) over sampled tasks. Each later session loads
-the frozen previous-session model as a teacher, adds distillation terms, and
-finetunes on tasks covering all currently-seen classes. Classification is
-nearest prototype in embedding space with ties going to the smallest class
-id.
+``run_stream`` runs one session loop over t = 0..S. Base training (t = 0)
+optimizes clustering/segregation (plus semantic alignment when class
+semantics are available) over sampled tasks. Each later session distils from
+a frozen teacher, the model that finished session t-1: the live model still
+holds exactly those parameters when session t starts, so its outputs on the
+distillation set are read once, before the first update, and kept for the
+session. The session then finetunes on tasks covering all currently-seen
+classes. Every episode and the evaluation of a session share one random-walk
+draw. Classification is nearest prototype in embedding space with ties going
+to the smallest class id.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import time
 from dataclasses import dataclass, field
@@ -23,41 +28,12 @@ from .graphstore import DatasetBundle, DatasetError, graph_at
 from .losses import (LossParts, LossWeights, loss_cluster, loss_finetune_total,
                      loss_kd_align, loss_kd_emb, loss_seg, loss_sem,
                      loss_train_total)
-from .prototypes import Prototype, build_prototype_tensors, encode_csds
+from .prototypes import PrototypeBuild, build_prototype_tensors, encode_csds
 from .sampler import (ClassSplit, Episode, WalkConfig, build_class_split,
                       sample_episode, session_supports)
 
-__all__ = ["TeacherSnapshot", "SessionReport", "classify", "run_split",
-           "base_train", "finetune_session", "evaluate_session", "run_stream",
-           "write_reports", "summary_tsv"]
-
-
-@dataclass(frozen=True)
-class TeacherSnapshot:
-    """Frozen previous-session model plus the class set it covers."""
-    params: dict[str, np.ndarray]
-    classes: tuple[int, ...]
-    distill_nodes: np.ndarray
-    captured_at: int
-
-    @classmethod
-    def capture(cls, model: network.ModelState, classes, split: ClassSplit,
-                t: int) -> "TeacherSnapshot":
-        classes = tuple(sorted(classes))
-        nodes = [split.anchors[c] for c in classes if split.anchors[c].size]
-        distill = (np.sort(np.unique(np.concatenate(nodes)))
-                   if nodes else np.empty(0, dtype=np.int64))
-        return cls(params=network.clone_params(model), classes=classes,
-                   distill_nodes=distill, captured_at=t)
-
-    def materialize(self, like: network.ModelState) -> network.ModelState:
-        """Rebuild a frozen model with this snapshot's parameter values."""
-        import copy
-        frozen = copy.deepcopy(like)
-        for name, tensor in network.named_parameters(frozen).items():
-            tensor.data = self.params[name].copy()
-            tensor.requires_grad = False
-        return frozen
+__all__ = ["SessionReport", "classify", "run_split", "evaluate_session",
+           "run_stream", "write_reports", "summary_tsv"]
 
 
 @dataclass
@@ -119,23 +95,23 @@ def _episode_rng(cfg: RunConfig, t: int, episode: int) -> np.random.Generator:
 
 
 class _TeacherCache:
-    """Teacher outputs are constant within a session; compute them once."""
+    """The teacher's outputs for session t >= 1, read once before its first
+    update.
 
-    def __init__(self, teacher: TeacherSnapshot, model: network.ModelState,
-                 bundle: DatasetBundle, t: int, mode: str):
-        frozen = teacher.materialize(model)
-        graph = graph_at(bundle, t)
-        self.nodes = teacher.distill_nodes
-        self.classes = teacher.classes
-        if self.nodes.size:
-            self.embeddings = network.gnn_forward(frozen.gnn, graph,
-                                                  self.nodes).data.copy()
-        else:
-            self.embeddings = np.zeros((0, model.gnn.out_dim))
-        self.encodings = np.zeros((0, model.gnn.out_dim))
-        if is_semantic(mode) and frozen.mlp is not None and self.classes:
-            self.encodings = encode_csds(frozen, self.classes,
-                                         bundle.csds.vectors).data
+    The teacher is the model that finished session t-1, which is ``model``
+    itself when session t starts, so nothing is copied. It covers the
+    classes seen at t-1 and the union of their anchors, on session t's graph.
+    """
+
+    def __init__(self, model: network.ModelState, bundle: DatasetBundle,
+                 split: ClassSplit, t: int, mode: str):
+        self.classes = bundle.schedule.seen_at(t - 1)
+        self.nodes = np.unique(np.concatenate([split.anchors[c]
+                                               for c in self.classes]))
+        self.embeddings = network.gnn_forward(model.gnn, graph_at(bundle, t),
+                                              self.nodes).data
+        self.encodings = (encode_csds(model, self.classes, bundle.csds.vectors).data
+                          if is_semantic(mode) else None)
 
 
 def _episode_step(model: network.ModelState, bundle: DatasetBundle,
@@ -188,14 +164,21 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     return float((pred == truth).mean())
 
 
-def _train_session(model, bundle, cfg, split, t, episodes, lr, teacher,
-                   log_fn=None, step_offset=0) -> tuple[list[float], list[float]]:
-    weights = _weights(cfg)
-    extended = session_supports(bundle, t, split, WalkConfig(
+def _session_supports(bundle, cfg, split, t) -> dict[int, frozenset[int]]:
+    return session_supports(bundle, t, split, WalkConfig(
         cfg.walk_length, cfg.walks_per_seed), cfg.seed)
+
+
+def _train_session(model, bundle, cfg, split, t, extended,
+                   log_fn=None) -> tuple[list[float], list[float]]:
+    """Train session t: base episodes at ``meta_lr`` when t = 0, else
+    finetune episodes at ``ft_lr`` with the teacher's distillation terms."""
+    episodes, lr = ((cfg.episodes_base, cfg.meta_lr) if t == 0
+                    else (cfg.episodes_finetune, cfg.ft_lr))
+    step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
+    weights = _weights(cfg)
     params = network.named_parameters(model)
-    cache = (_TeacherCache(teacher, model, bundle, t, cfg.mode)
-             if teacher is not None else None)
+    cache = _TeacherCache(model, bundle, split, t, cfg.mode) if t else None
     totals: list[float] = []
     query_accs: list[float] = []
     for e in range(episodes):
@@ -227,46 +210,44 @@ def _train_session(model, bundle, cfg, split, t, episodes, lr, teacher,
     return totals, query_accs
 
 
-def _run_session(model, bundle, cfg, split, t, episodes, lr, teacher,
-                 log_fn=None, step_offset=0) -> SessionReport:
-    """Train session t for ``episodes`` episodes, then evaluate it."""
+def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
+    """Train session t, then evaluate it on the same walk draw."""
     start = time.perf_counter()
+    extended = _session_supports(bundle, cfg, split, t)
     # training returns before evaluation so the last episode's tape, gradients
     # and teacher cache are freed first, which keeps peak memory down
-    totals, q_accs = _train_session(model, bundle, cfg, split, t, episodes, lr,
-                                    teacher, log_fn, step_offset)
-    protos = _eval_prototypes(model, bundle, cfg, split, t)
-    report = evaluate_session(model, bundle, t,
-                              {c: p.vector for c, p in protos.items()}, split)
+    totals, q_accs = _train_session(model, bundle, cfg, split, t, extended,
+                                    log_fn)
+    build = _eval_prototypes(model, bundle, cfg, t, extended)
+    classes, prototypes = build.classes, build.final.data
+    del build          # frees the build's tape before evaluation's forward
+    report = evaluate_session(model, bundle, t, classes, prototypes, split)
     report.episode_losses = totals
     report.episode_query_acc = float(np.mean(q_accs)) if q_accs else None
     report.wall_time = time.perf_counter() - start
     return report
 
 
-def _eval_prototypes(model, bundle, cfg, split, t) -> dict[int, Prototype]:
+def _eval_prototypes(model, bundle, cfg, t, extended) -> PrototypeBuild:
     """Prototypes for evaluation, from the session's extended supports: the
     sets training optimized toward."""
-    extended = session_supports(bundle, t, split, WalkConfig(
-        cfg.walk_length, cfg.walks_per_seed), cfg.seed)
     episode = Episode(session=t, support={}, extended_support=extended, query=())
-    build = build_prototype_tensors(model, bundle, episode, cfg.mode,
-                                    cfg.unseen_encoder)
-    return build.as_prototypes()
+    return build_prototype_tensors(model, bundle, episode, cfg.mode,
+                                   cfg.unseen_encoder)
 
 
 def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
-                     prototypes: dict[int, np.ndarray],
-                     split: ClassSplit) -> SessionReport:
+                     classes, prototypes, split: ClassSplit) -> SessionReport:
     """Accuracy on the fixed held-out split over all classes through t, by
-    nearest prototype among the class-id -> vector map ``prototypes``."""
+    nearest prototype: row i of the (C x d) ``prototypes`` belongs to
+    ``classes[i]``, ascending, as in ``classify``."""
     sched = bundle.schedule
     graph = graph_at(bundle, t)
     vis = graph.visible_mask
     seen = set(sched.seen_at(t))
-    classes = sched.classes_at(t)
+    session_classes = sched.classes_at(t)
     nodes, truth = [], []
-    for cls in classes:
+    for cls in session_classes:
         ev = split.eval_nodes[cls]
         ev = ev[vis[ev]]
         nodes.extend(int(n) for n in ev)
@@ -275,20 +256,19 @@ def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
         raise DatasetError(f"empty evaluation split at session {t}")
     emb = network.gnn_forward(model.gnn, graph,
                               np.asarray(nodes, dtype=np.int64)).data
-    order = sorted(prototypes)
-    pred = classify(emb, order, [prototypes[c] for c in order])
+    pred = classify(emb, classes, prototypes)
     truth_arr = np.asarray(truth, dtype=np.int64)
     correct = pred == truth_arr
 
     per_class: dict[int, float] = {}
-    for cls in classes:
+    for cls in session_classes:
         mask = truth_arr == cls
         per_class[cls] = float(correct[mask].mean()) if mask.any() else float("nan")
     seen_mask = np.isin(truth_arr, sorted(seen))
     unseen_mask = ~seen_mask
     return SessionReport(
         session=t,
-        n_classes=len(classes),
+        n_classes=len(session_classes),
         overall=float(correct.mean()),
         seen_acc=float(correct[seen_mask].mean()) if seen_mask.any() else float("nan"),
         unseen_acc=(float(correct[unseen_mask].mean()) if unseen_mask.any() else None),
@@ -306,31 +286,16 @@ def run_split(bundle: DatasetBundle, cfg: RunConfig) -> ClassSplit:
                              split_seed=cfg.split_seed, anchor_seed=cfg.seed)
 
 
-def base_train(bundle: DatasetBundle, model: network.ModelState,
-               cfg: RunConfig, *, split: ClassSplit,
-               log_fn=None) -> SessionReport:
-    """Episodic training on the base session (t=0) plus its evaluation."""
-    return _run_session(model, bundle, cfg, split, 0, cfg.episodes_base,
-                        cfg.meta_lr, teacher=None, log_fn=log_fn)
-
-
-def finetune_session(bundle: DatasetBundle, model: network.ModelState,
-                     teacher: TeacherSnapshot, t: int, cfg: RunConfig, *,
-                     split: ClassSplit,
-                     log_fn=None) -> tuple[SessionReport, TeacherSnapshot]:
-    """One streaming session: distill from the teacher, adapt, re-freeze."""
-    if t < 1:
-        raise ValueError("finetune sessions start at t=1")
-    if teacher.captured_at != t - 1:
-        raise ValueError(f"teacher was captured at session {teacher.captured_at}, "
-                         f"expected {t - 1}")
-    step_offset = cfg.episodes_base + (t - 1) * cfg.episodes_finetune
-    report = _run_session(model, bundle, cfg, split, t, cfg.episodes_finetune,
-                          cfg.ft_lr, teacher=teacher, log_fn=log_fn,
-                          step_offset=step_offset)
-    next_teacher = TeacherSnapshot.capture(model, bundle.schedule.seen_at(t),
-                                           split, t)
-    return report, next_teacher
+def _steady_heap() -> None:
+    """Fix glibc's malloc thresholds for the whole process (no-op elsewhere):
+    the adaptive defaults hand the heap's free top back to the kernel after
+    some episodes and not others, and the next episode faults it back in."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 128 << 20)   # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
 
 
 def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
@@ -338,6 +303,7 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
     """Base training followed by every scheduled session; writes artifacts."""
     cfg.validate()
     _check_mode(bundle, cfg)
+    _steady_heap()
     split = run_split(bundle, cfg)
     csd_dim = bundle.csds.dim if is_semantic(cfg.mode) else None
     model = network.init_model(bundle.graph.features.shape[1], cfg.hidden_dim,
@@ -359,13 +325,8 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
                 _user(rec)
 
     try:
-        reports = [base_train(bundle, model, cfg, split=split, log_fn=emit)]
-        teacher = TeacherSnapshot.capture(model, bundle.schedule.seen_at(0),
-                                          split, 0)
-        for t in range(1, bundle.schedule.num_sessions + 1):
-            report, teacher = finetune_session(bundle, model, teacher, t, cfg,
-                                               split=split, log_fn=emit)
-            reports.append(report)
+        reports = [_run_session(model, bundle, cfg, split, t, emit)
+                   for t in range(bundle.schedule.num_sessions + 1)]
     finally:
         if sink is not None:
             sink.close()

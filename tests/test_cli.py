@@ -65,7 +65,10 @@ def test_export_reproduces_evaluation(tmp_path, mode):
     # the run did when it wrote summary.tsv
     cfg = RunConfig.from_json(run / "config.json")
     model = network.load_model(run / "model.ckpt")
-    report = evaluate_session(model, bundle, t, vectors, run_split(bundle, cfg))
+    classes = sorted(vectors)
+    report = evaluate_session(model, bundle, t, classes,
+                              np.array([vectors[c] for c in classes]),
+                              run_split(bundle, cfg))
     summary = (run / "summary.tsv").read_text(encoding="utf-8").splitlines()
     overall = next(r for r in summary if r.startswith("overall\t"))
     assert f"{report.overall:.6f}" == overall.split("\t")[-1]
@@ -111,6 +114,21 @@ def test_export_session_out_of_range_exits_2(tmp_path, gcl_run, session, capsys)
     assert not (tmp_path / "p.tsv").exists()
 
 
+def test_export_nonfinite_checkpoint_exits_2(tmp_path, gcl_run, capsys):
+    data, run = gcl_run
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "config.json").write_bytes((run / "config.json").read_bytes())
+    model = network.load_model(run / "model.ckpt")
+    model.gnn.layers[0].weight.data[0, 0] = np.nan
+    network.save_model(model, broken / "model.ckpt")
+    code = main(["export-prototypes", "--run", str(broken), "--dataset",
+                 str(data), "--out", str(tmp_path / "p.tsv")])
+    assert code == 2
+    assert "non-finite parameters: ['gnn.0.weight']" in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_export_missing_dataset_exits_2(tmp_path, gcl_run, capsys):
     _, run = gcl_run
     code = main(["export-prototypes", "--run", str(run), "--dataset",
@@ -143,6 +161,16 @@ def test_run_negative_slope_outside_unit_interval_exits_2(tmp_path, slope, capsy
 def test_run_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "config file not found" in capsys.readouterr().err
+    # a directory is no config file either
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", "5", "null"])
+def test_run_config_not_a_json_object_exits_2(tmp_path, text, capsys):
+    (tmp_path / "config.json").write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    assert "a config must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,env,want", [

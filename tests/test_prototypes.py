@@ -56,8 +56,7 @@ def test_singleton_support_equals_embedding():
                                     "gfscil_plain")
     emb = network.gnn_forward(model.gnn, graph_at(b, 0), [1]).data[0]
     np.testing.assert_array_equal(build.final.data[0], emb)
-    p = build.as_prototypes()[0]
-    assert p.kind == "seen" and p.support_size == 1
+    assert build.kinds == ["seen"] and build.members[0].size == 1
 
 
 def test_opposite_embeddings_cancel():
@@ -149,7 +148,8 @@ def test_unseen_single_linear_layer():
     assert build.kinds == ["unseen_semantic", "seen", "seen"]
     np.testing.assert_allclose(build.final.data[0], csd @ w, atol=1e-14)
     np.testing.assert_array_equal(build.final.data[1:], seen)
-    assert build.as_prototypes()[0].support_size == 0
+    # the zero-shot class averages no support: it has no row of ``seen``
+    assert build.seen_classes.tolist() == [1, 2]
 
 
 def test_unseen_zero_vector_zero_output():

@@ -1,4 +1,5 @@
 """End-to-end streams through ``run_stream``: artifacts, logging, determinism."""
+import copy
 import dataclasses
 import json
 
@@ -91,14 +92,22 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
     sched = bundle.schedule
     cfg = tiny_config("gcl", "mean").replace(episodes_finetune=2)
     supports = {t: [] for t in range(sched.num_sessions + 1)}
-    build = trainer.build_prototype_tensors
+    build, draw = trainer.build_prototype_tensors, trainer.session_supports
+    draws_at = []
 
     def spy(model, bundle, episode, *args, **kwargs):
         supports[episode.session].append(episode.extended_support)
         return build(model, bundle, episode, *args, **kwargs)
 
+    def count_draws(bundle, t, *args, **kwargs):
+        draws_at.append(t)
+        return draw(bundle, t, *args, **kwargs)
+
     monkeypatch.setattr(trainer, "build_prototype_tensors", spy)
+    monkeypatch.setattr(trainer, "session_supports", count_draws)
     run_stream(bundle, cfg)
+    # one walk draw per session serves its episodes and its evaluation
+    assert draws_at == list(range(sched.num_sessions + 1))
     assert any(sched.unseen_at(t) for t in supports)
     for t, draws in supports.items():
         episodes = cfg.episodes_base if t == 0 else cfg.episodes_finetune
@@ -107,6 +116,49 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
         # zero-shot classes have no anchors, so they get no support
         assert sorted(draws[0]) == sched.seen_at(t)
         assert not set(draws[0]) & set(sched.unseen_at(t))
+
+
+@pytest.mark.parametrize("mode,backbone,zero_shot", [
+    ("gcl", "mean", (4,)),
+    ("gfscil_semantic", "attention", ()),
+])
+def test_teacher_cache_equals_a_frozen_copy_of_the_previous_session(
+        monkeypatch, mode, backbone, zero_shot):
+    """The cache read from the live model at the start of session t holds,
+    bit for bit, what a frozen copy taken after session t-1 computes."""
+    bundle = tiny_bundle(zero_shot)
+    sched = bundle.schedule
+    cfg = tiny_config(mode, backbone)
+    run_session, cache_cls = trainer._run_session, trainer._TeacherCache
+    frozen, caches = {}, {}
+
+    def spy_session(model, bundle, cfg, split, t, log_fn=None):
+        report = run_session(model, bundle, cfg, split, t, log_fn)
+        frozen[t] = (copy.deepcopy(model), split)
+        for tensor in network.named_parameters(frozen[t][0]).values():
+            tensor.requires_grad = False
+        return report
+
+    class SpyCache(cache_cls):
+        def __init__(self, model, bundle, split, t, mode):
+            super().__init__(model, bundle, split, t, mode)
+            caches[t] = self
+
+    monkeypatch.setattr(trainer, "_run_session", spy_session)
+    monkeypatch.setattr(trainer, "_TeacherCache", SpyCache)
+    run_stream(bundle, cfg)
+    assert sorted(caches) == list(range(1, sched.num_sessions + 1))
+    for t, cache in caches.items():
+        teacher, split = frozen[t - 1]
+        assert list(cache.classes) == sched.seen_at(t - 1)
+        np.testing.assert_array_equal(cache.nodes, np.unique(np.concatenate(
+            [split.anchors[c] for c in sched.seen_at(t - 1)])))
+        want = network.gnn_forward(teacher.gnn, graph_at(bundle, t), cache.nodes)
+        assert not want.requires_grad
+        assert cache.embeddings.tobytes() == want.data.tobytes()
+        encoded = encode_csds(teacher, cache.classes, bundle.csds.vectors).data
+        assert cache.encodings.shape == (len(cache.classes), cfg.out_dim)
+        assert cache.encodings.tobytes() == encoded.tobytes()
 
 
 @pytest.mark.parametrize("mode,backbone,zero_shot", [
