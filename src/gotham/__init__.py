@@ -12,9 +12,8 @@ from .config import RunConfig
 from .graphstore import (CSDTable, DatasetBundle, DatasetError, GraphSnapshot,
                          LabelTable, SessionSpec, StreamSchedule, graph_at,
                          load_dataset, synth_generate, write_dataset)
-from .losses import LossWeights
 from .prototypes import build_prototype_tensors
-from .sampler import (Episode, WalkConfig, build_class_split, extend_support,
+from .sampler import (Episode, build_class_split, extend_support,
                       sample_episode, session_supports)
 from .trainer import SessionReport, classify, run_stream
 
@@ -23,8 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "RunConfig", "DatasetBundle", "DatasetError", "GraphSnapshot", "LabelTable",
     "CSDTable", "SessionSpec", "StreamSchedule", "graph_at", "load_dataset",
-    "write_dataset", "synth_generate", "LossWeights",
-    "build_prototype_tensors", "Episode", "WalkConfig", "build_class_split",
-    "extend_support", "sample_episode", "session_supports", "SessionReport",
-    "classify", "run_stream", "__version__",
+    "write_dataset", "synth_generate", "build_prototype_tensors", "Episode",
+    "build_class_split", "extend_support", "sample_episode",
+    "session_supports", "SessionReport", "classify", "run_stream",
+    "__version__",
 ]

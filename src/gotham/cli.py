@@ -177,7 +177,8 @@ def cmd_synth(args) -> int:
 
 def cmd_export_prototypes(args) -> int:
     from . import nn as network
-    from .trainer import _eval_prototypes, _session_supports, run_split
+    from .sampler import session_supports
+    from .trainer import _eval_prototypes, run_split
 
     run = Path(args.run)
     for name in ("model.ckpt", "config.json"):
@@ -190,7 +191,8 @@ def cmd_export_prototypes(args) -> int:
     t = bundle.schedule.num_sessions if args.session is None else args.session
     # the same split, walks and mode as the run, so these are the prototypes
     # evaluation classified with
-    extended = _session_supports(bundle, cfg, run_split(bundle, cfg), t)
+    extended = session_supports(bundle, t, run_split(bundle, cfg),
+                                cfg.walk_length, cfg.walks_per_seed, cfg.seed)
     build = _eval_prototypes(model, bundle, cfg, t, extended)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

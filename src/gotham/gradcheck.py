@@ -2,9 +2,9 @@
 
 Builds a 12-node synthetic bundle with one zero-shot class, freezes one
 finetune episode, and checks, on both backbones, the analytic gradient of each
-loss part and of both composite objectives as ``trainer._episode_step``
-computes them: without a teacher for ``train_total``, with a teacher cache of
-an unrelated model for the distillation terms and ``finetune_total``.
+loss part and of the weighted total as ``trainer._episode_step`` computes
+them: without a teacher for ``train_total``, with a teacher cache of an
+unrelated model for the distillation terms and ``finetune_total``.
 ``inject_bug`` adds a term the tape cannot see, proving the check fails when
 gradients are wrong.
 """
@@ -19,8 +19,7 @@ from . import nn as network
 from . import trainer
 from .config import RunConfig
 from .graphstore import synth_generate
-from .sampler import (WalkConfig, build_class_split, sample_episode,
-                      session_supports)
+from .sampler import build_class_split, sample_episode, session_supports
 
 __all__ = ["run_gradcheck", "GRADCHECK_LOSSES", "finite_diff_check",
            "FiniteDiffReport"]
@@ -105,8 +104,8 @@ def _fixture(seed: int):
                             k_shot=2, mean_separation=3.0)
     split = build_class_split(bundle, k_shot=2, eval_fraction=0.2,
                               split_seed=seed + 1, anchor_seed=seed + 2)
-    walk = WalkConfig(walk_length=2, walks_per_seed=3)
-    extended = session_supports(bundle, 1, split, walk, seed + 4)
+    extended = session_supports(bundle, 1, split, walk_length=2,
+                                walks_per_seed=3, seed=seed + 4)
     episode = sample_episode(bundle, 1, 1, np.random.default_rng(seed + 4),
                              query_per_class=1, split=split, extended=extended)
     return bundle, split, episode
@@ -116,6 +115,11 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
                   n_coords: int = 60, inject_bug: bool = False
                   ) -> dict[str, FiniteDiffReport]:
     """One report per backbone and loss, keyed ``"<backbone>/<loss>"``."""
+    if n_coords < 1:
+        raise ValueError(f"n_coords must be >= 1, got {n_coords}")
+    for name, value in (("h", h), ("tol", tol)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     bundle, split, episode = _fixture(seed)
     rng = np.random.default_rng(seed + 10)
     reports: dict[str, FiniteDiffReport] = {}
@@ -126,7 +130,6 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
         cfg = RunConfig(mode="gcl", backbone=backbone)
         cache = trainer._TeacherCache(teacher, bundle, split, episode.session,
                                       cfg.mode)
-        weights = trainer._weights(cfg)
         params = network.named_parameters(model)
         bug_param = params["gnn.0.weight"]
 
@@ -135,8 +138,7 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
 
             def fn():
                 parts, total, _ = trainer._episode_step(
-                    model, bundle, episode, run_cfg, weights,
-                    cache if distil else None)
+                    model, bundle, episode, run_cfg, cache if distil else None)
                 loss = total if part == "total" else getattr(parts, part)
                 if inject_bug:
                     # forward-visible, tape-invisible term: FD sees it,

@@ -1,4 +1,4 @@
-"""Scalar training losses and the two composite objectives.
+"""Scalar training losses and the objective that weighs them.
 
 All norms are Euclidean. Every function takes autodiff tensors (or constants)
 and returns a scalar tensor, so gradients flow to both encoders through the
@@ -15,32 +15,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import RunConfig
 
-__all__ = ["LossWeights", "LossParts", "loss_cluster", "loss_seg", "loss_sem",
-           "loss_kd_emb", "loss_kd_align", "loss_train_total",
-           "loss_finetune_total"]
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha1: float = 1.0
-    alpha2: float = 0.25
-    alpha3: float = 1.0
-    alpha4: float = 1.0
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    gamma: float = 0.01
-    epsilon_log: float = 1e-8
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.epsilon_log <= 0:
-            raise ValueError("epsilon_log must be > 0")
-        for name in ("alpha1", "alpha2", "alpha3", "alpha4", "lambda1", "lambda2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
+__all__ = ["LossParts", "loss_cluster", "loss_seg", "loss_sem", "loss_kd_emb",
+           "loss_kd_align", "loss_total"]
 
 _KD_ZERO_RTOL = 1e-12
 
@@ -175,23 +153,20 @@ class LossParts:
         return out
 
 
-def loss_train_total(parts: LossParts, weights: LossWeights) -> Tensor:
-    """alpha1 * cluster + alpha2 * seg + alpha3 * sem (sem skipped when unset)."""
-    total = weights.alpha1 * parts.cluster + weights.alpha2 * parts.seg
-    if parts.sem is not None:
-        total = total + weights.alpha3 * parts.sem
-    return total
+def loss_total(parts: LossParts, cfg: RunConfig) -> Tensor:
+    """alpha1 * cluster + alpha2 * seg + alpha3 * sem, plus
+    alpha4 * (lambda1 * kd_emb + lambda2 * kd_align) once a teacher exists.
 
-
-def loss_finetune_total(parts: LossParts, weights: LossWeights) -> Tensor:
-    """Training terms plus alpha4 * (lambda1 * kd_emb + lambda2 * kd_align).
-
-    A term counts when its part is set; the trainer sets ``sem`` and
-    ``kd_align`` only in semantic modes, so in plain mode distillation acts
-    on node embeddings only.
+    A term counts when its part is set: the trainer sets ``sem`` and
+    ``kd_align`` only in semantic modes and ``kd_emb`` only from session 1 on,
+    so in plain mode distillation acts on node embeddings only.
     """
-    total = loss_train_total(parts, weights)
-    kd = weights.lambda1 * parts.kd_emb
+    total = cfg.alpha1 * parts.cluster + cfg.alpha2 * parts.seg
+    if parts.sem is not None:
+        total = total + cfg.alpha3 * parts.sem
+    if parts.kd_emb is None:
+        return total
+    kd = cfg.lambda1 * parts.kd_emb
     if parts.kd_align is not None:
-        kd = kd + weights.lambda2 * parts.kd_align
-    return total + weights.alpha4 * kd
+        kd = kd + cfg.lambda2 * parts.kd_align
+    return total + cfg.alpha4 * kd

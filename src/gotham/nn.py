@@ -1,6 +1,8 @@
 """Dense numeric core: graph encoder, semantic encoder, gradients, updates.
 
-The graph encoder stacks ``H <- act(agg(H) W + b)`` layers. ``agg`` is a CSR
+Both encoders are ``GnnParams``; the semantic one is a plain layer chain that
+``mlp_forward`` runs without a graph, so its ``backbone`` is never read. The
+graph encoder stacks ``H <- act(agg(H) W + b)`` layers. ``agg`` is a CSR
 block over the rows a layer must produce and the hop rows they read, so
 embeddings of a node depend on exactly its L-hop surroundings: the
 degree-normalized adjacency M (self-loops included) on the mean backbone, or a
@@ -27,10 +29,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .graphstore import GraphSnapshot
 
-__all__ = ["Layer", "GnnParams", "MlpParams", "ModelState", "init_gnn",
-           "init_mlp", "init_model", "named_parameters", "gnn_forward",
-           "mlp_forward", "compute_gradients", "apply_update",
-           "save_model", "load_model", "NonFiniteError"]
+__all__ = ["Layer", "GnnParams", "ModelState", "init_gnn", "init_model",
+           "named_parameters", "gnn_forward", "mlp_forward",
+           "compute_gradients", "apply_update", "save_model", "load_model",
+           "NonFiniteError"]
 
 
 class NonFiniteError(FloatingPointError):
@@ -61,23 +63,9 @@ class GnnParams:
 
 
 @dataclass
-class MlpParams:
-    layers: list[Layer]
-    negative_slope: float = 0.01
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[1]
-
-
-@dataclass
 class ModelState:
     gnn: GnnParams
-    mlp: MlpParams | None
+    mlp: GnnParams | None                      # the semantic encoder
     csd_projection: np.ndarray | None = None   # maps d_s -> gnn input dim
     seed: int = 0
     extra: dict = field(default_factory=dict)
@@ -106,43 +94,37 @@ def init_gnn(sizes, rng: np.random.Generator, negative_slope: float = 0.01,
     return GnnParams(layers, negative_slope, backbone)
 
 
-def init_mlp(sizes, rng: np.random.Generator,
-             negative_slope: float = 0.01) -> MlpParams:
-    layers = [_init_layer(rng, sizes[i], sizes[i + 1])
-              for i in range(len(sizes) - 1)]
-    return MlpParams(layers, negative_slope)
-
-
 def init_model(feature_dim: int, hidden: int, out: int, num_layers: int,
                seed: int, *, csd_dim: int | None = None,
-               negative_slope: float = 0.01, backbone: str = "mean",
-               mlp_hidden: int | None = None) -> ModelState:
+               negative_slope: float = 0.01,
+               backbone: str = "mean") -> ModelState:
     rng = np.random.default_rng(seed)
     gnn_sizes = [feature_dim] + [hidden] * (num_layers - 1) + [out]
     gnn = init_gnn(gnn_sizes, rng, negative_slope, backbone)
     mlp = None
     proj = None
     if csd_dim is not None:
-        mlp_sizes = [csd_dim, mlp_hidden or hidden, out]
-        mlp = init_mlp(mlp_sizes, rng, negative_slope)
+        mlp = init_gnn([csd_dim, hidden, out], rng, negative_slope)
         if csd_dim != feature_dim:
             # fixed random map so the graph encoder can also consume CSDs
             proj = rng.standard_normal((csd_dim, feature_dim)) / np.sqrt(csd_dim)
     return ModelState(gnn=gnn, mlp=mlp, csd_projection=proj, seed=seed)
 
 
+_LAYER_FIELDS = ("weight", "bias", "att_src", "att_dst")
+
+
 def named_parameters(model: ModelState) -> dict[str, Tensor]:
+    """``<encoder>.<layer>.<field>`` for every set field, graph encoder first."""
     out: dict[str, Tensor] = {}
-    for i, layer in enumerate(model.gnn.layers):
-        out[f"gnn.{i}.weight"] = layer.weight
-        out[f"gnn.{i}.bias"] = layer.bias
-        if layer.att_src is not None:
-            out[f"gnn.{i}.att_src"] = layer.att_src
-            out[f"gnn.{i}.att_dst"] = layer.att_dst
-    if model.mlp is not None:
-        for i, layer in enumerate(model.mlp.layers):
-            out[f"mlp.{i}.weight"] = layer.weight
-            out[f"mlp.{i}.bias"] = layer.bias
+    for prefix, params in (("gnn", model.gnn), ("mlp", model.mlp)):
+        if params is None:
+            continue
+        for i, layer in enumerate(params.layers):
+            for name in _LAYER_FIELDS:
+                tensor = getattr(layer, name)
+                if tensor is not None:
+                    out[f"{prefix}.{i}.{name}"] = tensor
     return out
 
 
@@ -245,9 +227,9 @@ def _attention_aggregate(params: GnnParams, layer: Layer, graph: GraphSnapshot,
     return ad.csr_matmul(attn, col_idx, indptr, h)
 
 
-def mlp_forward(params: MlpParams | GnnParams, vectors) -> Tensor:
-    """Affine + leaky-ReLU chain with a linear final layer, a row per vector;
-    on ``GnnParams``, the graph encoder on nodes with only a self-loop."""
+def mlp_forward(params: GnnParams, vectors) -> Tensor:
+    """Affine + leaky-ReLU chain with a linear final layer, a row per vector:
+    the encoder on nodes with only a self-loop."""
     h = ad.constant(vectors)
     if h.data.ndim != 2 or h.shape[1] != params.in_dim:
         raise ValueError(f"inputs of shape {h.shape} do not fit encoder input "
@@ -356,27 +338,18 @@ def load_model(path) -> ModelState:
     if bad:
         raise ValueError(f"{path} holds non-finite parameters: {bad}")
 
-    gnn_layers: list[Layer] = []
-    i = 0
-    while f"gnn.{i}.weight" in arrays:
-        gnn_layers.append(Layer(
-            ad.parameter(arrays[f"gnn.{i}.weight"]),
-            ad.parameter(arrays[f"gnn.{i}.bias"]),
-            att_src=(ad.parameter(arrays[f"gnn.{i}.att_src"])
-                     if f"gnn.{i}.att_src" in arrays else None),
-            att_dst=(ad.parameter(arrays[f"gnn.{i}.att_dst"])
-                     if f"gnn.{i}.att_dst" in arrays else None)))
-        i += 1
-    gnn = GnnParams(gnn_layers, header["gnn_negative_slope"], header["gnn_backbone"])
-
-    mlp = None
-    if "mlp.0.weight" in arrays:
-        mlp_layers: list[Layer] = []
-        i = 0
-        while f"mlp.{i}.weight" in arrays:
-            mlp_layers.append(Layer(ad.parameter(arrays[f"mlp.{i}.weight"]),
-                                    ad.parameter(arrays[f"mlp.{i}.bias"])))
+    def layers(prefix: str) -> list[Layer]:
+        out, i = [], 0
+        while f"{prefix}.{i}.weight" in arrays:
+            out.append(Layer(**{name: ad.parameter(arrays[key])
+                                for name in _LAYER_FIELDS
+                                if (key := f"{prefix}.{i}.{name}") in arrays}))
             i += 1
-        mlp = MlpParams(mlp_layers, header["mlp_negative_slope"])
+        return out
+
+    gnn = GnnParams(layers("gnn"), header["gnn_negative_slope"],
+                    header["gnn_backbone"])
+    mlp = (GnnParams(layers("mlp"), header["mlp_negative_slope"])
+           if "mlp.0.weight" in arrays else None)
     return ModelState(gnn=gnn, mlp=mlp, csd_projection=proj,
                       seed=header["seed"], extra=header.get("extra", {}))

@@ -9,20 +9,14 @@ never exceeds k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphstore import DatasetBundle, DatasetError, GraphSnapshot, graph_at
 
-__all__ = ["WalkConfig", "Episode", "ClassSplit", "extend_support",
-           "build_class_split", "session_supports", "sample_episode"]
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    walk_length: int = 3
-    walks_per_seed: int = 5
+__all__ = ["Episode", "ClassSplit", "extend_support", "build_class_split",
+           "session_supports", "sample_episode"]
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,8 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
 
 
 def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
-                     walk_cfg: WalkConfig, seed: int) -> dict[int, frozenset[int]]:
+                     walk_length: int, walks_per_seed: int,
+                     seed: int) -> dict[int, frozenset[int]]:
     """Extended support of every class seen at session t.
 
     Each class extends its anchors with an rng seeded by (session seed,
@@ -182,9 +177,8 @@ def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
     """
     graph = graph_at(bundle, t)    # rejects an out-of-range t before seeding
     session_seed = int(np.random.SeedSequence([seed, 2, t]).generate_state(1)[0])
-    return {cls: extend_support(graph, split.anchors[cls], walk_cfg.walk_length,
-                                walk_cfg.walks_per_seed,
-                                np.random.default_rng(
+    return {cls: extend_support(graph, split.anchors[cls], walk_length,
+                                walks_per_seed, np.random.default_rng(
                                     np.random.SeedSequence([session_seed, cls])))
             for cls in bundle.schedule.seen_at(t)}
 

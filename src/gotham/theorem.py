@@ -251,6 +251,8 @@ def verify_bound(*, n_units: int = 4, xi: float = 0.5, beta: float = 0.2,
     A repetition fails when delta_hat + 2 SE < RHS (full-constant form); the
     overall check passes when at most 5% of repetitions fail.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     config = {"n_units": n_units, "xi": xi, "beta": beta, "d": d, "n0": n0,
               "steps": steps, "attach_prob": attach_prob,
               "arrivals_per_step": arrivals_per_step, "trials": trials,

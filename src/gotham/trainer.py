@@ -25,12 +25,11 @@ from . import autodiff as ad
 from . import nn as network
 from .config import RunConfig, is_semantic
 from .graphstore import DatasetBundle, DatasetError, graph_at
-from .losses import (LossParts, LossWeights, loss_cluster, loss_finetune_total,
-                     loss_kd_align, loss_kd_emb, loss_seg, loss_sem,
-                     loss_train_total)
+from .losses import (LossParts, loss_cluster, loss_kd_align, loss_kd_emb,
+                     loss_seg, loss_sem, loss_total)
 from .prototypes import PrototypeBuild, build_prototype_tensors, encode_csds
-from .sampler import (ClassSplit, Episode, WalkConfig, build_class_split,
-                      sample_episode, session_supports)
+from .sampler import (ClassSplit, Episode, build_class_split, sample_episode,
+                      session_supports)
 
 __all__ = ["SessionReport", "classify", "run_split", "evaluate_session",
            "run_stream", "write_reports", "summary_tsv"]
@@ -38,15 +37,21 @@ __all__ = ["SessionReport", "classify", "run_split", "evaluate_session",
 
 @dataclass
 class SessionReport:
-    session: int
-    n_classes: int
-    overall: float
-    seen_acc: float
-    unseen_acc: float | None
-    per_class: dict[int, float]
-    n_queries: int
+    """One session's evaluation on the held-out split, plus its training."""
+
+    session: int                 # t; 0 is base training
+    n_classes: int               # classes evaluated: every class through t
+    overall: float               # accuracy over all held-out nodes of those classes
+    seen_acc: float              # accuracy on classes with anchors; nan if none
+    unseen_acc: float | None     # accuracy on zero-shot classes; None if none
+    per_class: dict[int, float]  # accuracy per class id; nan for an empty split
+    n_queries: int               # held-out nodes classified
+    # the total loss of each training episode, in order
     episode_losses: list[float] = field(default_factory=list)
+    # mean post-update accuracy on the episodes' own query draws, each
+    # classified against that episode's prototypes; None when none drew queries
     episode_query_acc: float | None = None
+    # seconds spent on the session: training plus evaluation
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
@@ -83,13 +88,6 @@ def classify(query_embeddings, classes, prototypes) -> np.ndarray:
 # -- internals ----------------------------------------------------------------
 
 
-def _weights(cfg: RunConfig) -> LossWeights:
-    return LossWeights(alpha1=cfg.alpha1, alpha2=cfg.alpha2, alpha3=cfg.alpha3,
-                       alpha4=cfg.alpha4, lambda1=cfg.lambda1,
-                       lambda2=cfg.lambda2, gamma=cfg.gamma,
-                       epsilon_log=cfg.epsilon_log)
-
-
 def _episode_rng(cfg: RunConfig, t: int, episode: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, t, episode]))
 
@@ -115,7 +113,7 @@ class _TeacherCache:
 
 
 def _episode_step(model: network.ModelState, bundle: DatasetBundle,
-                  episode: Episode, cfg: RunConfig, weights: LossWeights,
+                  episode: Episode, cfg: RunConfig,
                   teacher_cache: "_TeacherCache | None") -> tuple[LossParts, object, dict]:
     """Forward all loss parts for one episode; returns (parts, total, protos)."""
     # the teacher's distill nodes are anchors of classes seen at t-1, so the
@@ -134,8 +132,8 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
     task = np.searchsorted(build.seen_classes, sorted(episode.support))
     parts.cluster = loss_cluster(build.embeddings,
                                  {r: build.members[r] for r in task},
-                                 build.seen, weights.gamma, cfg.cluster_variant)
-    parts.seg = loss_seg(build.final, weights.epsilon_log)
+                                 build.seen, cfg.gamma, cfg.cluster_variant)
+    parts.seg = loss_seg(build.final, cfg.epsilon_log)
     if is_semantic(cfg.mode):
         parts.sem = loss_sem(build.encoded, build.seen)
 
@@ -145,11 +143,8 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
             student_enc = ad.gather_rows(build.encoded, np.searchsorted(
                 build.seen_classes, teacher_cache.classes))
             parts.kd_align = loss_kd_align(teacher_cache.encodings, student_enc,
-                                           weights.epsilon_log)
-        total = loss_finetune_total(parts, weights)
-    else:
-        total = loss_train_total(parts, weights)
-    return parts, total, build
+                                           cfg.epsilon_log)
+    return parts, loss_total(parts, cfg), build
 
 
 def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
@@ -164,11 +159,6 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     return float((pred == truth).mean())
 
 
-def _session_supports(bundle, cfg, split, t) -> dict[int, frozenset[int]]:
-    return session_supports(bundle, t, split, WalkConfig(
-        cfg.walk_length, cfg.walks_per_seed), cfg.seed)
-
-
 def _train_session(model, bundle, cfg, split, t, extended,
                    log_fn=None) -> tuple[list[float], list[float]]:
     """Train session t: base episodes at ``meta_lr`` when t = 0, else
@@ -176,7 +166,6 @@ def _train_session(model, bundle, cfg, split, t, extended,
     episodes, lr = ((cfg.episodes_base, cfg.meta_lr) if t == 0
                     else (cfg.episodes_finetune, cfg.ft_lr))
     step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
-    weights = _weights(cfg)
     params = network.named_parameters(model)
     cache = _TeacherCache(model, bundle, split, t, cfg.mode) if t else None
     totals: list[float] = []
@@ -187,8 +176,7 @@ def _train_session(model, bundle, cfg, split, t, extended,
                                  cfg.query_per_class, split=split,
                                  extended=extended,
                                  episode_class_pool=cfg.episode_class_pool)
-        parts, total, build = _episode_step(model, bundle, episode, cfg,
-                                            weights, cache)
+        parts, total, build = _episode_step(model, bundle, episode, cfg, cache)
         try:
             grads = network.compute_gradients(params, total)
             network.apply_update(params, grads, lr, cfg.weight_decay)
@@ -213,7 +201,8 @@ def _train_session(model, bundle, cfg, split, t, extended,
 def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
     """Train session t, then evaluate it on the same walk draw."""
     start = time.perf_counter()
-    extended = _session_supports(bundle, cfg, split, t)
+    extended = session_supports(bundle, t, split, cfg.walk_length,
+                                cfg.walks_per_seed, cfg.seed)
     # training returns before evaluation so the last episode's tape, gradients
     # and teacher cache are freed first, which keeps peak memory down
     totals, q_accs = _train_session(model, bundle, cfg, split, t, extended,

@@ -1,4 +1,7 @@
-"""``gotham`` command line: export-prototypes against a finished run, exit codes."""
+"""``gotham`` command line: export-prototypes against a finished run, the
+theorem sweep, exit codes."""
+import json
+
 import numpy as np
 import pytest
 
@@ -197,7 +200,8 @@ def test_run_seed_precedence(tmp_path, monkeypatch, flag, env, want):
 @pytest.mark.parametrize("field,value", [
     ("n_way", "3"), ("seed", 1.5), ("k_shot", 2.5), ("hidden_dim", 0),
     ("meta_lr", float("nan")), ("num_layers", 0), ("episodes_base", -1),
-    ("epsilon_log", float("nan")),
+    ("epsilon_log", float("nan")), ("epsilon_log", 0.0), ("gamma", -0.1),
+    ("alpha2", -1.0),
 ])
 def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -209,3 +213,34 @@ def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
     assert f"error: {field} must be" in capsys.readouterr().err
     assert not run.exists()
+
+
+BAD_ARGUMENTS = [
+    ("gradcheck --coords=0", "n_coords"), ("gradcheck --h=0", "h"),
+    ("gradcheck --h=-1e-4", "h"), ("gradcheck --h=nan", "h"),
+    ("gradcheck --tol=0", "tol"), ("gradcheck --tol=inf", "tol"),
+    # no repetition would be a vacuous pass
+    ("verify-theorem --repetitions=0", "repetitions"),
+]
+
+
+@pytest.mark.parametrize("argv,name", BAD_ARGUMENTS,
+                         ids=[argv for argv, _ in BAD_ARGUMENTS])
+def test_bad_argument_exits_2(argv, name, capsys):
+    assert main(argv.split()) == 2
+    assert f"error: {name} must be" in capsys.readouterr().err
+
+
+def test_verify_theorem_sweep_writes_its_report(tmp_path, capsys):
+    out = tmp_path / "sub" / "theorem.json"
+    argv = ["verify-theorem", "--trials", "200", "--repetitions", "3", "--seed",
+            "0", "--widths", "1", "4", "--xis", "0.1", "0.5", "--betas", "0.2",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ALL PASS"
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["all_pass"] is True
+    grid = sorted((r["config"]["n_units"], r["config"]["xi"], r["config"]["beta"])
+                  for r in report["reports"])
+    assert grid == [(1, 0.1, 0.2), (1, 0.5, 0.2), (4, 0.1, 0.2), (4, 0.5, 0.2)]
+    assert all(r["repetitions"] == 3 and r["pass"] for r in report["reports"])

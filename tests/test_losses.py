@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from gotham import autodiff as ad
-from gotham.losses import (LossParts, LossWeights, loss_cluster,
-                           loss_finetune_total, loss_kd_align, loss_kd_emb,
-                           loss_seg, loss_sem, loss_train_total)
+from gotham.config import RunConfig
+from gotham.losses import (LossParts, loss_cluster, loss_kd_align, loss_kd_emb,
+                           loss_seg, loss_sem, loss_total)
 
 
 def T(x):
@@ -262,51 +262,63 @@ def test_kd_align_empty_zero():
     assert loss_kd_align(np.zeros((0, 2)), None).item() == 0.0
 
 
-# -- composite objectives ----------------------------------------------------------
+# -- the weighted total -------------------------------------------------------------
 
-def parts(c=0.3, s=-0.7, m=1.1, e=0.2, a=0.4):
-    return LossParts(cluster=T(c), seg=T(s), sem=T(m), kd_emb=T(e), kd_align=T(a))
+def parts(c=0.3, s=-0.7, m=1.1, e=None, a=None):
+    """Loss parts as constants; a distillation part is set only when given."""
+    return LossParts(cluster=T(c), seg=T(s), sem=T(m),
+                     kd_emb=None if e is None else T(e),
+                     kd_align=None if a is None else T(a))
 
 
 def test_train_total_table_weights():
-    w = LossWeights()          # alpha = (1, 0.25, 1)
-    total = loss_train_total(parts(), w)
+    cfg = RunConfig()          # alpha = (1, 0.25, 1)
+    total = loss_total(parts(), cfg)
     assert total.item() == pytest.approx(1.0 * 0.3 + 0.25 * -0.7 + 1.0 * 1.1)
 
 
 def test_train_total_skips_unset_sem():
-    w = LossWeights()
     p = parts()
     p.sem = None
-    total = loss_train_total(p, w)
+    total = loss_total(p, RunConfig())
     assert total.item() == pytest.approx(0.3 + 0.25 * -0.7)
 
 
 def test_train_total_zero_parts():
-    w = LossWeights()
-    assert loss_train_total(parts(0, 0, 0), w).item() == 0.0
+    assert loss_total(parts(0, 0, 0), RunConfig()).item() == 0.0
 
 
 def test_finetune_total_hand_sum():
-    w = LossWeights(alpha4=2.0, lambda1=1.0, lambda2=1.0)
-    total = loss_finetune_total(parts(), w)
+    cfg = RunConfig(alpha4=2.0, lambda1=1.0, lambda2=1.0)
+    total = loss_total(parts(e=0.2, a=0.4), cfg)
     want = 0.3 + 0.25 * -0.7 + 1.1 + 2.0 * (0.2 + 0.4)
     assert total.item() == pytest.approx(want)
 
 
 def test_finetune_total_skips_unset_sem_and_align():
-    w = LossWeights(alpha4=1.0)
-    p = parts()
-    p.sem = p.kd_align = None
-    total = loss_finetune_total(p, w)
+    p = parts(e=0.2)
+    p.sem = None
+    total = loss_total(p, RunConfig(alpha4=1.0))
     want = 0.3 + 0.25 * -0.7 + 1.0 * 0.2
     assert total.item() == pytest.approx(want)
 
 
 def test_finetune_alpha4_zero_reduces_to_train():
-    w0 = LossWeights(alpha4=0.0)
-    p = parts()
-    assert loss_finetune_total(p, w0).item() == loss_train_total(p, w0).item()
+    cfg = RunConfig(alpha4=0.0)
+    assert (loss_total(parts(e=0.2, a=0.4), cfg).item()
+            == loss_total(parts(), cfg).item())
+
+
+def test_total_keeps_the_operation_order():
+    """alpha1 c + alpha2 s + alpha3 m, then + alpha4 (lambda1 e + lambda2 a),
+    left to right, so a run's logged totals keep their bits."""
+    cfg = RunConfig(alpha1=0.7, alpha2=0.3, alpha3=1.3, alpha4=0.9,
+                    lambda1=1.1, lambda2=0.6)
+    # values where each other grouping or expansion rounds differently
+    c, s, m, e, a = -1.8, -2.0, 1.9, -0.8, 0.4
+    want = (0.7 * c + 0.3 * s + 1.3 * m) + 0.9 * (1.1 * e + 0.6 * a)
+    assert want != 0.7 * c + 0.3 * s + 1.3 * m + 0.9 * 1.1 * e + 0.9 * 0.6 * a
+    assert loss_total(parts(c, s, m, e, a), cfg).item() == want
 
 
 # -- shared properties ---------------------------------------------------------------
@@ -327,11 +339,3 @@ def test_translation_invariance_exact():
     after_s = loss_seg(T(protos + shift), 1e-8).item()
     assert before_s == after_s
 
-
-def test_weights_validate():
-    with pytest.raises(ValueError):
-        LossWeights(gamma=-0.1)
-    with pytest.raises(ValueError):
-        LossWeights(epsilon_log=0.0)
-    with pytest.raises(ValueError):
-        LossWeights(alpha2=-1.0)

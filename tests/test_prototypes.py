@@ -9,7 +9,7 @@ from gotham import nn as network
 from gotham.graphstore import CSDTable, build_snapshot, graph_at, synth_generate
 from gotham.prototypes import (add_unseen_prototypes, build_prototype_tensors,
                                encode_csds)
-from gotham.sampler import (Episode, WalkConfig, build_class_split, sample_episode,
+from gotham.sampler import (Episode, build_class_split, sample_episode,
                             session_supports)
 
 
@@ -220,8 +220,10 @@ def fixture(mode_zero_shot=False):
     split = build_class_split(b, 3, anchor_seed=0)
     model = network.init_model(8, 10, 6, 2, seed=1, csd_dim=8)
     t = b.schedule.num_sessions
+    extended = session_supports(b, t, split, walk_length=2, walks_per_seed=3,
+                                seed=2)
     ep = sample_episode(b, t, 1, rng_seed=2, query_per_class=3, split=split,
-                        extended=session_supports(b, t, split, WalkConfig(2, 3), 2))
+                        extended=extended)
     return b, model, ep
 
 

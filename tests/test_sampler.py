@@ -7,8 +7,8 @@ import pytest
 from gotham.config import RunConfig
 from gotham.graphstore import (DatasetBundle, DatasetError, build_snapshot,
                                synth_generate)
-from gotham.sampler import (WalkConfig, build_class_split, extend_support,
-                            sample_episode, session_supports)
+from gotham.sampler import (build_class_split, extend_support, sample_episode,
+                            session_supports)
 from gotham.trainer import _episode_rng, run_split
 
 
@@ -74,10 +74,12 @@ def gcl_bundle():
                           zero_shot_classes=[4], k_shot=3)
 
 
-def draw(b, t, split, n_way, rng_seed, query_per_class, walk=WalkConfig(2, 3)):
-    """One episode at session t over the session's supports (walk seed 0)."""
+def draw(b, t, split, n_way, rng_seed, query_per_class, walk=(2, 3), **kwargs):
+    """One episode at session t over the session's supports (walk seed 0);
+    ``walk`` is (walk_length, walks_per_seed)."""
     return sample_episode(b, t, n_way, rng_seed, query_per_class, split=split,
-                          extended=session_supports(b, t, split, walk, 0))
+                          extended=session_supports(b, t, split, *walk, 0),
+                          **kwargs)
 
 
 def test_base_episode_shape():
@@ -128,8 +130,8 @@ def test_supports_are_disjoint_across_classes():
 def test_episode_deterministic():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=4)
-    e1 = draw(b, 1, split, 1, rng_seed=42, query_per_class=4, walk=WalkConfig(3, 5))
-    e2 = draw(b, 1, split, 1, rng_seed=42, query_per_class=4, walk=WalkConfig(3, 5))
+    e1 = draw(b, 1, split, 1, rng_seed=42, query_per_class=4, walk=(3, 5))
+    e2 = draw(b, 1, split, 1, rng_seed=42, query_per_class=4, walk=(3, 5))
     assert e1.support == e2.support
     assert e1.extended_support == e2.extended_support
     assert e1.query == e2.query
@@ -150,6 +152,42 @@ def test_n_way_too_large_rejected():
         draw(b, 0, split, n_way=4, rng_seed=0, query_per_class=2)
 
 
+def novel_bundle():
+    """Two novel few-shot classes (3 and 4) at session 1, one (5) at session 2."""
+    return synth_generate(11, 6, 20, 0.6, 0.02, 8, n_base=3,
+                          novel_per_session=2, k_shot=3)
+
+
+def test_novel_only_task_draws_the_session_novel_classes():
+    b = novel_bundle()
+    split = build_class_split(b, 3, anchor_seed=7)
+    novel, seen = b.schedule.novel_few_shot_at(1), b.schedule.seen_at(1)
+    assert novel == [3, 4]
+    drawn = set()
+    for seed in range(8):
+        ep = draw(b, 1, split, n_way=1, rng_seed=seed, query_per_class=3,
+                  episode_class_pool="novel_only")
+        assert len(ep.support) == 1 and set(ep.support) <= set(novel)
+        assert {c for _, c in ep.query} == set(ep.support)
+        # prototypes still span every seen class
+        assert sorted(ep.extended_support) == seen
+        drawn |= set(ep.support)
+    assert drawn == {3, 4}
+    ep = draw(b, 1, split, n_way=2, rng_seed=0, query_per_class=3,
+              episode_class_pool="novel_only")
+    assert sorted(ep.support) == novel
+    assert sorted(ep.extended_support) == seen
+
+
+@pytest.mark.parametrize("t,n_way", [(1, 3), (2, 2)])
+def test_novel_only_n_way_beyond_the_session_novel_classes_rejected(t, n_way):
+    b = novel_bundle()
+    split = build_class_split(b, 3, anchor_seed=7)
+    with pytest.raises(DatasetError, match="n_way=.* exceeds novel few-shot"):
+        draw(b, t, split, n_way=n_way, rng_seed=0, query_per_class=3,
+             episode_class_pool="novel_only")
+
+
 def test_zero_shot_class_never_has_anchors():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=6)
@@ -167,12 +205,12 @@ def test_walk_and_query_draws_are_pinned():
     b = gcl_bundle()
     cfg = RunConfig(mode="gcl", n_way=2, k_shot=3, query_per_class=4, seed=3)
     split = run_split(b, cfg)
-    walk = WalkConfig(cfg.walk_length, cfg.walks_per_seed)
     h = hashlib.sha256()
     for t in range(b.schedule.num_sessions + 1):
+        extended = session_supports(b, t, split, cfg.walk_length,
+                                    cfg.walks_per_seed, cfg.seed)
         ep = sample_episode(b, t, cfg.n_way, _episode_rng(cfg, t, 0),
-                            cfg.query_per_class, split=split,
-                            extended=session_supports(b, t, split, walk, cfg.seed))
+                            cfg.query_per_class, split=split, extended=extended)
         h.update(repr(sorted((c, sorted(nodes)) for c, nodes in
                              ep.extended_support.items())).encode())
         h.update(repr(sorted(ep.query)).encode())

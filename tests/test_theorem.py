@@ -170,3 +170,6 @@ def test_invalid_parameters_rejected():
         simulate_growth(0, n0=1, steps=1, attach_prob=0.5, d=2)
     with pytest.raises(ValueError):
         simulate_growth(0, n0=3, steps=1, attach_prob=0.0, d=2)
+    # no repetition would be a vacuous pass
+    with pytest.raises(ValueError, match="repetitions"):
+        verify_bound(repetitions=0)

@@ -180,10 +180,10 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
             counts[-1][2] += 1
         return forward(params, graph, nodes)
 
-    def count_step(model, bundle, episode, cfg, weights, cache):
+    def count_step(model, bundle, episode, cfg, cache):
         counts.append([episode.session, graph_at(bundle, episode.session), 0])
         try:
-            return step(model, bundle, episode, cfg, weights, cache)
+            return step(model, bundle, episode, cfg, cache)
         finally:
             counts[-1][1] = None      # the query-accuracy forward is not counted
 
@@ -275,9 +275,9 @@ def test_kd_align_student_rows_equal_a_separate_encoding(monkeypatch):
     step, align = trainer._episode_step, trainer.loss_kd_align
     current, checked = {}, []
 
-    def spy_step(model, bundle, episode, cfg, weights, cache):
+    def spy_step(model, bundle, episode, cfg, cache):
         current.update(model=model, cache=cache)
-        return step(model, bundle, episode, cfg, weights, cache)
+        return step(model, bundle, episode, cfg, cache)
 
     def spy_align(teacher, student, eps):
         want = encode_csds(current["model"], current["cache"].classes,
