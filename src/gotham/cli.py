@@ -44,6 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory override")
     run.add_argument("--dataset", default=None, help="dataset directory override")
     run.add_argument("--mode", default=None, help="run mode override")
+    run.add_argument("--telemetry", action="store_true",
+                     help="also report each session's post-update episode "
+                          "query accuracy (one more forward per episode)")
 
     vt = sub.add_parser("verify-theorem", help="distortion lower-bound sweep")
     vt.add_argument("--trials", type=int, default=1000)
@@ -103,6 +106,8 @@ def cmd_run(args) -> int:
         cfg = cfg.replace(mode=args.mode)
     if args.out:
         cfg = cfg.replace(out_dir=args.out)
+    if args.telemetry:
+        cfg = cfg.replace(telemetry=True)
     cfg = cfg.replace(seed=_seed(args.seed, cfg.seed))
     if not cfg.dataset or not Path(cfg.dataset).is_dir():
         print(f"error: dataset directory not found: {cfg.dataset}", file=sys.stderr)

@@ -38,6 +38,13 @@ _LEAST = dict(n_way=1, k_shot=1, query_per_class=1, hidden_dim=1, out_dim=1,
 
 @dataclass
 class RunConfig:
+    """Every setting of a run; each field takes its default's type.
+
+    ``telemetry`` turns on diagnostics that cost time but change no training
+    output: with it off (the default) the post-update query accuracy of each
+    episode is not computed and ``SessionReport.episode_query_acc`` is None.
+    """
+
     dataset: str = ""
     mode: str = "gfscil_plain"
     out_dir: str = "runs/out"
@@ -75,13 +82,16 @@ class RunConfig:
     seed: int = 0
     split_seed: int = 1234
     eval_fraction: float = 0.2
+    telemetry: bool = False
 
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # a field takes its default's type; an int is a float, a bool no number
+            # a field takes its default's type; an int is a float, a bool no
+            # number and no number a bool
             kind = (int, float) if type(f.default) is float else type(f.default)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, kind)):
                 raise ValueError(f"{f.name} must be of type {f.type}, "
                                  f"got {value!r}")
             if f.name in _CHOICES and value not in _CHOICES[f.name]:
@@ -109,7 +119,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, source) -> "RunConfig":
-        if isinstance(source, (str, Path)) and Path(source).exists():
+        try:
+            is_file = isinstance(source, (str, Path)) and Path(source).exists()
+        except OSError:       # JSON text too long to be a file name
+            is_file = False
+        if is_file:
             raw = json.loads(Path(source).read_text(encoding="utf-8"))
         else:
             raw = json.loads(source)

@@ -13,7 +13,8 @@ which nodes exist at a given session. Adjacency is symmetric CSR with a
 self-loop on every visible node, so visible degrees are always >= 1.
 Per-session graph state has one owner: ``graph_at`` memoises each session's
 snapshot on the bundle, and each snapshot caches its derived arrays
-(``visible_mask`` and M = D^-1 A as ``mean_adjacency``) on first use.
+(``visible_mask``, M = D^-1 A as ``mean_adjacency`` and M X as
+``mean_features``) on first use.
 """
 from __future__ import annotations
 
@@ -65,6 +66,14 @@ class GraphSnapshot:
         data = 1.0 / self.degree[rows]
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.num_nodes, self.num_nodes))
+
+    @cached_property
+    def mean_features(self) -> np.ndarray:
+        """M X, the mean backbone's first aggregate; read-only. Each row sums
+        its CSR entries in order, as a row block of M does on the same rows."""
+        out = self.mean_adjacency @ self.features
+        out.flags.writeable = False
+        return out
 
     def adjacency(self) -> sp.csr_matrix:
         data = np.ones(self.indices.size, dtype=np.float64)
@@ -254,7 +263,7 @@ class StreamSchedule:
         if self.mode not in ("gfscil", "gcl"):
             raise DatasetError(f"unknown schedule mode {self.mode!r}")
         seen_sets = [set(self.base_classes)]
-        for s in self.sessions:
+        for t, s in enumerate(self.sessions, start=1):
             novel = set(s.few_shot) | set(s.zero_shot)
             if set(s.few_shot) & set(s.zero_shot):
                 raise DatasetError("class listed as both few-shot and zero-shot")
@@ -265,6 +274,10 @@ class StreamSchedule:
                         f"novel classes {sorted(overlap)} overlap an earlier session")
             if s.k < 0:
                 raise DatasetError("negative k")
+            if s.few_shot and s.k == 0:
+                raise DatasetError(f"session {t} lists few-shot "
+                                   f"classes {list(s.few_shot)} with k=0; "
+                                   "few-shot classes need k >= 1")
             seen_sets.append(novel)
         if self.mode == "gfscil" and self.zero_shot_classes():
             raise DatasetError("gfscil schedule contains zero-shot classes")
@@ -469,6 +482,15 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
         raise DatasetError("require 0 <= p_out < p_in <= 1")
     if d < blocks:
         raise DatasetError("feature dim must be >= number of blocks")
+    if n_base is None:
+        n_base = blocks
+    zero = set(int(c) for c in zero_shot_classes)
+    streamed = [c for c in range(n_base, blocks)]
+    bad = zero - set(streamed)
+    if bad:
+        raise DatasetError(f"zero-shot classes {sorted(bad)} are not streamed")
+    if k_shot < 1 and set(streamed) - zero:
+        raise DatasetError(f"k_shot={k_shot}: few-shot sessions need k >= 1")
 
     rng = np.random.default_rng(seed)
     n = blocks * nodes_per_block
@@ -491,13 +513,6 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
     labels = {i: int(block_of[i]) for i in range(n)}
     csds = {c: means[c].copy() for c in range(blocks)}
 
-    if n_base is None:
-        n_base = blocks
-    zero = set(int(c) for c in zero_shot_classes)
-    streamed = [c for c in range(n_base, blocks)]
-    bad = zero - set(streamed)
-    if bad:
-        raise DatasetError(f"zero-shot classes {sorted(bad)} are not streamed")
     sessions = []
     for i in range(0, len(streamed), novel_per_session):
         chunk = streamed[i:i + novel_per_session]

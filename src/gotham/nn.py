@@ -9,7 +9,13 @@ degree-normalized adjacency M (self-loops included) on the mean backbone, or a
 softmax over each row's CSR entries (GAT) on the attention backbone. The final
 layer of both encoders is linear. This module holds no graph state: M is the
 session snapshot's ``mean_adjacency``, and a forward gathers the row blocks it
-needs from the snapshot's CSR with numpy.
+needs from the snapshot's CSR with numpy. The features never change, so on
+the mean backbone layer 0 reads its rows of the snapshot's ``mean_features``
+(M X, computed once per snapshot; a row sums its CSR entries in the same
+order as a row block of M would) and the hop sets are one level shorter: an
+L-layer mean forward expands L - 1 hops, and the first hop set holds the rows
+layer 0 produces, not its input rows. The attention backbone's scores depend
+on W, so it expands all L hops from the features.
 
 A row, mean or attention, reads only its own CSR entries, so a forward over a
 union of node sets (the mini-batch scheme of GraphSAGE) gives each set's rows
@@ -181,14 +187,22 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
     if graph.features.shape[1] != params.in_dim:
         raise ValueError(f"feature dim {graph.features.shape[1]} != "
                          f"encoder input dim {params.in_dim}")
-    needed = _hop_sets(graph, nodes, depth)
-    h = ad.constant(graph.features[needed[0]])
+    mean = params.backbone == "mean"
+    if mean:
+        # layer 0's aggregate is a row block of the snapshot's M X, so the hop
+        # sets stop one level short and no input rows are gathered
+        needed = [None] + _hop_sets(graph, nodes, depth - 1)
+    else:
+        needed = _hop_sets(graph, nodes, depth)
+        h = ad.constant(graph.features[needed[0]])
     for l, layer in enumerate(params.layers):
         rows, cols = needed[l + 1], needed[l]
-        if params.backbone == "mean":
-            agg = ad.sparse_matmul(_restricted_mean_agg(graph, rows, cols), h)
-        else:
+        if not mean:
             agg = _attention_aggregate(params, layer, graph, rows, cols, h)
+        elif l == 0:
+            agg = ad.constant(graph.mean_features[rows])
+        else:
+            agg = ad.sparse_matmul(_restricted_mean_agg(graph, rows, cols), h)
         # aggregating first is never dearer: its dense product costs
         # |rows| d_in d_out against |cols| d_in d_out for transforming first,
         # and the sparse products differ by nnz (d_in - d_out), small next to

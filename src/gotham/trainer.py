@@ -49,7 +49,8 @@ class SessionReport:
     # the total loss of each training episode, in order
     episode_losses: list[float] = field(default_factory=list)
     # mean post-update accuracy on the episodes' own query draws, each
-    # classified against that episode's prototypes; None when none drew queries
+    # classified against that episode's prototypes; None unless the run's
+    # ``telemetry`` is on, or when no episode drew queries
     episode_query_acc: float | None = None
     # seconds spent on the session: training plus evaluation
     wall_time: float = 0.0
@@ -69,9 +70,15 @@ class SessionReport:
         }
 
 
+# query rows per block of ``classify``, whose distances take block x C x d floats
+_CLASSIFY_ROWS = 256
+
+
 def classify(query_embeddings, classes, prototypes) -> np.ndarray:
     """Nearest-prototype labels; row i of the (C x d) ``prototypes`` belongs
-    to ``classes[i]``, strictly ascending, so ties go to the smallest id."""
+    to ``classes[i]``, strictly ascending, so ties go to the smallest id.
+    Distances are formed a block of query rows at a time; each row's are the
+    same bits at any block size."""
     classes = np.asarray(classes, dtype=np.int64)
     if classes.size == 0:
         raise ValueError("empty prototype set")
@@ -81,8 +88,12 @@ def classify(query_embeddings, classes, prototypes) -> np.ndarray:
     q = np.asarray(query_embeddings, dtype=np.float64)
     if q.ndim == 1:
         q = q[None, :]
-    d2 = ((q[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
-    return classes[d2.argmin(axis=1)]   # argmin returns the first (smallest id)
+    best = np.empty(q.shape[0], dtype=np.int64)
+    for s in range(0, q.shape[0], _CLASSIFY_ROWS):
+        block = q[s:s + _CLASSIFY_ROWS]
+        d2 = ((block[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
+        best[s:s + block.shape[0]] = d2.argmin(axis=1)   # first: smallest id
+    return classes[best]
 
 
 # -- internals ----------------------------------------------------------------
@@ -186,9 +197,12 @@ def _train_session(model, bundle, cfg, split, t, extended,
                 f"session {t}, episode {e}: {exc}; loss parts "
                 f"{computed}") from exc
         totals.append(total.item())
-        acc = _episode_query_accuracy(model, bundle, episode, build)
-        if acc is not None:
-            query_accs.append(acc)
+        # a second forward, so only under telemetry; the episode still draws
+        # its queries, which keeps the rng stream of every run alike
+        if cfg.telemetry:
+            acc = _episode_query_accuracy(model, bundle, episode, build)
+            if acc is not None:
+                query_accs.append(acc)
         if log_fn is not None:
             vals = parts.values()
             log_fn({"step": step_offset + e, "session": t,
@@ -292,6 +306,7 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
     """Base training followed by every scheduled session; writes artifacts."""
     cfg.validate()
     _check_mode(bundle, cfg)
+    _check_n_way(bundle, cfg)
     _steady_heap()
     split = run_split(bundle, cfg)
     csd_dim = bundle.csds.dim if is_semantic(cfg.mode) else None
@@ -339,6 +354,21 @@ def _check_mode(bundle: DatasetBundle, cfg: RunConfig) -> None:
         if missing:
             raise DatasetError(f"mode {cfg.mode} requires CSD vectors; "
                                f"missing for classes {sorted(missing)}")
+
+
+def _check_n_way(bundle: DatasetBundle, cfg: RunConfig) -> None:
+    """Reject before any training an ``n_way`` that ``sample_episode`` would
+    reject at the first episode of some session."""
+    sched = bundle.schedule
+    if cfg.episodes_base and cfg.n_way > len(sched.base_classes):
+        raise DatasetError(f"n_way={cfg.n_way} exceeds |base classes|="
+                           f"{len(sched.base_classes)}")
+    if cfg.episodes_finetune and cfg.episode_class_pool == "novel_only":
+        for t in range(1, sched.num_sessions + 1):
+            novel = sched.novel_few_shot_at(t)
+            if cfg.n_way > len(novel):
+                raise DatasetError(f"n_way={cfg.n_way} exceeds novel few-shot "
+                                   f"classes at session {t} ({len(novel)})")
 
 
 def write_reports(reports: list[SessionReport], out_dir) -> None:

@@ -201,7 +201,8 @@ def test_run_seed_precedence(tmp_path, monkeypatch, flag, env, want):
     ("n_way", "3"), ("seed", 1.5), ("k_shot", 2.5), ("hidden_dim", 0),
     ("meta_lr", float("nan")), ("num_layers", 0), ("episodes_base", -1),
     ("epsilon_log", float("nan")), ("epsilon_log", 0.0), ("gamma", -0.1),
-    ("alpha2", -1.0),
+    ("alpha2", -1.0), ("telemetry", 1), ("telemetry", 0), ("telemetry", "yes"),
+    ("seed", True),
 ])
 def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -212,6 +213,58 @@ def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
     cfg.replace(**{field: value}).to_json(tmp_path / "config.json")
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
     assert f"error: {field} must be" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_telemetry_config_round_trips_and_the_flag_sets_it(tmp_path):
+    cfg = RunConfig(telemetry=True)
+    cfg.validate()
+    assert RunConfig.from_json(cfg.to_json()) == cfg
+    assert RunConfig.from_json(RunConfig().to_json()).telemetry is False
+
+    data, run = tmp_path / "data", tmp_path / "run"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
+    RunConfig(dataset=str(data), out_dir=str(run), n_way=2, k_shot=3,
+              query_per_class=3, hidden_dim=8, out_dim=4, episodes_base=1,
+              episodes_finetune=1).to_json(tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--telemetry"]) == 0
+    assert RunConfig.from_json(run / "config.json").telemetry is True
+    report = json.loads((run / "reports" / "session_1.json").read_text())
+    assert isinstance(report["episode_query_acc"], float)
+
+
+def test_synth_with_k_0_exits_2(tmp_path, capsys):
+    argv = ["synth", "--out", str(tmp_path / "data"), "--blocks", "5",
+            "--base-classes", "4", "--k", "0"]
+    assert main(argv) == 2
+    assert "k_shot=0" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_run_on_a_few_shot_session_with_k_0_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
+    schedule = json.loads((data / "schedule.json").read_text())
+    schedule["sessions"][0]["k"] = 0
+    (data / "schedule.json").write_text(json.dumps(schedule))
+    RunConfig(dataset=str(data), out_dir=str(tmp_path / "run")).to_json(
+        tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    assert "with k=0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_with_n_way_beyond_a_session_exits_2_before_training(tmp_path,
+                                                                 capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
+    RunConfig(dataset=str(data), out_dir=str(run), n_way=2, k_shot=3,
+              query_per_class=3, hidden_dim=8, out_dim=4, episodes_base=1,
+              episodes_finetune=1, episode_class_pool="novel_only").to_json(
+        tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    assert "n_way=2 exceeds novel few-shot" in capsys.readouterr().err
     assert not run.exists()
 
 

@@ -314,7 +314,45 @@ def test_visible_mask_is_read_only():
         g.visible_mask[9] = True
 
 
+def test_mean_features_is_lazy_cached_read_only_and_equal_to_m_x():
+    b = arrivals_bundle()
+    for t in range(3):
+        g = graph_at(b, t)
+        # neither graph_at nor build_snapshot computes it
+        assert "mean_features" not in vars(g)
+        mx = g.mean_features
+        assert g.mean_features is mx
+        assert mx.tobytes() == (g.mean_adjacency @ g.features).tobytes()
+        with pytest.raises(ValueError):
+            mx[0, 0] = 1.0
+    # rows of nodes not yet arrived have no CSR entries and stay zero
+    assert not graph_at(b, 0).mean_features[[8, 9]].any()
+
+
+def test_schedule_rejects_a_few_shot_session_with_k_0():
+    sched = StreamSchedule(base_classes=(0, 1),
+                           sessions=(SessionSpec((), (2,), 0),
+                                     SessionSpec((3,), (), 0)), mode="gcl")
+    with pytest.raises(DatasetError, match=r"session 2 .*k=0"):
+        sched.validate()
+    # a session of zero-shot classes only takes no shots
+    dataclasses.replace(sched, sessions=sched.sessions[:1]).validate()
+
+
 # -- synth --------------------------------------------------------------------
+
+def test_synth_rejects_k_shot_below_1_for_few_shot_sessions():
+    with pytest.raises(DatasetError, match="k_shot=0"):
+        synth_generate(0, 4, 10, 0.5, 0.1, 4, n_base=2, k_shot=0)
+    with pytest.raises(DatasetError, match="k_shot=0"):
+        synth_generate(0, 4, 10, 0.5, 0.1, 4, n_base=2, zero_shot_classes=(3,),
+                       k_shot=0)
+    # no streamed class, or only zero-shot ones: k is never used
+    synth_generate(0, 4, 10, 0.5, 0.1, 4, k_shot=0)
+    b = synth_generate(0, 4, 10, 0.5, 0.1, 4, n_base=2,
+                       zero_shot_classes=(2, 3), k_shot=0)
+    assert [s.k for s in b.schedule.sessions] == [0, 0]
+
 
 def test_synth_counts():
     b = synth_generate(1, 3, 30, 0.5, 0.1, 8)

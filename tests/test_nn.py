@@ -1,4 +1,6 @@
 """Forward-pass oracles, locality, equivariance, updates, checkpoints."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from gotham import autodiff as ad
 from gotham import nn as network
-from gotham.graphstore import build_snapshot
+from gotham.graphstore import build_snapshot, graph_at, synth_generate
 
 
 def dense_mean_adjacency(graph):
@@ -312,6 +314,53 @@ def test_gnn_forward_and_gradients_match_transform_first_oracle(case, backbone):
         params, graph, nodes, weights)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert_gradients_close(got_grads, want_grads, 1e-12)
+
+
+def former_mean_forward(params, graph, nodes):
+    """The mean forward as it was before layer 0 read ``mean_features``: L
+    hops, the input rows gathered from the features, a row block of M on
+    every layer."""
+    depth = len(params.layers)
+    needed = network._hop_sets(graph, nodes, depth)
+    h = ad.constant(graph.features[needed[0]])
+    for l, layer in enumerate(params.layers):
+        block = network._restricted_mean_agg(graph, needed[l + 1], needed[l])
+        z = ad.affine(ad.sparse_matmul(block, h), layer.weight, layer.bias)
+        h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
+    return h
+
+
+def arrivals_snapshots():
+    """Sessions 0 and 1 of a 100-node stream whose class-3 nodes (75-99)
+    arrive at session 1."""
+    bundle = synth_generate(0, 4, 25, 0.2, 0.03, 6, n_base=3, k_shot=3)
+    spec = dataclasses.replace(bundle.schedule.sessions[0],
+                               arrivals=tuple(range(75, 100)))
+    bundle = dataclasses.replace(bundle, schedule=dataclasses.replace(
+        bundle.schedule, sessions=(spec,)))
+    return graph_at(bundle, 0), graph_at(bundle, 1)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_mean_forward_equals_the_former_two_hop_form(depth, monkeypatch):
+    params = network.init_gnn([6] + [32] * depth, np.random.default_rng(depth))
+    rng = np.random.default_rng(7)
+    hops = []
+    hop_sets = network._hop_sets
+    monkeypatch.setattr(network, "_hop_sets", lambda graph, nodes, depth:
+                        hops.append(depth) or hop_sets(graph, nodes, depth))
+    for graph in arrivals_snapshots():
+        nodes = rng.permutation(graph.visible)[:30]
+        weights = rng.standard_normal((nodes.size, 32))
+        hops.clear()
+        got, got_grads = forward_and_gradients(network.gnn_forward, params,
+                                               graph, nodes, weights)
+        assert hops == [depth - 1]     # one hop fewer than the layers
+        want, want_grads = forward_and_gradients(former_mean_forward, params,
+                                                 graph, nodes, weights)
+        assert got.tobytes() == want.tobytes()
+        for name in want_grads:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
 
 
 def union_rows(params, graph, sets):

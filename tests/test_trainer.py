@@ -10,7 +10,7 @@ from gotham import autodiff as ad
 from gotham import nn as network
 from gotham import trainer
 from gotham.config import RunConfig
-from gotham.graphstore import graph_at, synth_generate
+from gotham.graphstore import DatasetError, graph_at, synth_generate
 from gotham.prototypes import encode_csds
 from gotham.trainer import classify, run_stream
 
@@ -293,7 +293,74 @@ def test_kd_align_student_rows_equal_a_separate_encoding(monkeypatch):
     assert checked == [3, 4]      # one finetune episode per session
 
 
+# -- telemetry ------------------------------------------------------------------
+
+def test_telemetry_adds_query_accuracy_and_changes_no_artifact(tmp_path,
+                                                               monkeypatch):
+    bundle = tiny_bundle((4,))
+    cfg = tiny_config("gcl", "mean")
+    query_acc, calls = trainer._episode_query_accuracy, []
+
+    def spy(*args):
+        calls.append(args[2].session)
+        return query_acc(*args)
+
+    monkeypatch.setattr(trainer, "_episode_query_accuracy", spy)
+    off, _ = stream(bundle, cfg, tmp_path / "off")
+    assert calls == []
+    on, _ = stream(bundle, cfg.replace(telemetry=True), tmp_path / "on")
+    assert len(calls) == cfg.episodes_base + bundle.num_sessions * cfg.episodes_finetune
+    for name in ARTIFACTS:
+        assert (tmp_path / "off" / name).read_bytes() == \
+            (tmp_path / "on" / name).read_bytes(), name
+    for r_off, r_on in zip(off, on):
+        assert r_off.episode_query_acc is None
+        assert isinstance(r_on.episode_query_acc, float)
+        written = json.loads((tmp_path / "off" / "reports" /
+                              f"session_{r_off.session}.json").read_text())
+        assert written["episode_query_acc"] is None
+
+
+# -- n_way checked before training ------------------------------------------------
+
+@pytest.mark.parametrize("changes,message", [
+    ({"n_way": 4}, r"n_way=4 exceeds \|base classes\|=3"),
+    ({"episode_class_pool": "novel_only"},
+     r"n_way=2 exceeds novel few-shot classes at session 1 \(1\)"),
+])
+def test_n_way_beyond_a_session_is_rejected_before_the_first_episode(
+        changes, message):
+    records = []
+    with pytest.raises(DatasetError, match=message):
+        run_stream(tiny_bundle(), tiny_config("gfscil_plain", "mean").replace(
+            **changes), log_fn=records.append)
+    assert records == []
+
+
+def test_n_way_is_not_checked_for_sessions_that_train_no_episode():
+    cfg = tiny_config("gfscil_plain", "mean").replace(
+        n_way=4, episodes_base=0, episode_class_pool="novel_only",
+        episodes_finetune=0)
+    assert len(run_stream(tiny_bundle(), cfg)) == 3
+
+
 # -- nearest-prototype classification -------------------------------------------
+
+def test_classify_in_row_blocks_equals_the_one_shot_formula():
+    rng = np.random.default_rng(0)
+    # small integers make exact ties common; two classes share a prototype
+    protos = rng.integers(-2, 3, size=(6, 5)).astype(np.float64)
+    protos[4] = protos[1]
+    n = 2 * trainer._CLASSIFY_ROWS + 37
+    queries = rng.integers(-2, 3, size=(n, 5)).astype(np.float64)
+    queries[::7] = protos[1]
+    classes = np.array([1, 3, 4, 8, 9, 12])
+    d2 = ((queries[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
+    ties = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert ties[:trainer._CLASSIFY_ROWS].any() and ties[-37:].any()
+    np.testing.assert_array_equal(classify(queries, classes, protos),
+                                  classes[d2.argmin(axis=1)])
+
 
 def test_classify_tie_goes_to_the_smallest_class_id():
     protos = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
