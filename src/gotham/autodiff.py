@@ -6,7 +6,8 @@ matrix products (a sparse matrix's entries may be a tensor), the affine map
 hinges via ``maximum``, sqrt/log/exp, reductions, row gather and row
 stacking. Gradients accumulate into ``Tensor.grad`` of the leaves
 (parameters) after ``backward(loss)`` on a scalar; intermediate nodes keep
-none. Dense products compute no gradient for an operand that needs none.
+none. Dense and CSR products compute no gradient for an operand that needs
+none.
 
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
 the positive-side slope is used.
@@ -260,33 +261,48 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return out
 
 
-def sparse_matmul(m: sp.spmatrix, x: Tensor) -> Tensor:
-    """Product of a constant sparse matrix with a dense tensor."""
-    m = m.tocsr()
+def sparse_matmul(m: sp.spmatrix, x: Tensor,
+                  m_t: sp.csr_matrix | None = None) -> Tensor:
+    """Product of a constant sparse matrix with a dense tensor.
+
+    ``m_t``, when given, is the CSR transpose of the CSR matrix ``m``, built
+    once by a caller that multiplies by ``m`` again and again; the backward
+    multiplies by it. Its rows list their columns in ascending order, so each
+    gradient row sums its terms in the order ``m.T`` (CSC) would.
+    """
+    if m_t is None:
+        m = m.tocsr()
+        m_t = m.T
     out = Tensor(m @ x.data, parents=(x,))
     if out.requires_grad:
-        out._backward = lambda g: (m.T @ g,)
+        out._backward = lambda g: (m_t @ g,)
     return out
 
 
 def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
-               x: Tensor) -> Tensor:
+               x: Tensor, row: np.ndarray | None = None) -> Tensor:
     """``A @ x`` for the CSR matrix A with ``indptr``, column ``indices`` and
-    entries ``values`` (nnz x 1), differentiable in ``values`` and in ``x``."""
+    entries ``values`` (nnz x 1), differentiable in ``values`` and in ``x``.
+    ``row``, when given, is each entry's row, which the backward reads."""
     m = sp.csr_matrix((values.data.ravel(), indices, indptr),
                       shape=(indptr.size - 1, x.data.shape[0]))
     out = Tensor(m @ x.data, parents=(values, x))
     if out.requires_grad:
         xd = x.data
-        row = np.repeat(np.arange(m.shape[0]), np.diff(indptr))
+        need_v, need_x = values.requires_grad, x.requires_grad
+        if need_v and row is None:
+            row = np.repeat(np.arange(m.shape[0]), np.diff(indptr))
         step = max(1, _GATHER_BLOCK // xd.shape[1])
         def bw(g):
-            # d_values[e] = g[row_e] . x[col_e], the product A's pattern samples
-            dv = np.empty(indices.size)
-            for s in range(0, indices.size, step):
-                e = slice(s, s + step)
-                np.einsum("ij,ij->i", g[row[e]], xd[indices[e]], out=dv[e])
-            return dv.reshape(values.data.shape), m.T @ g
+            dv = None
+            if need_v:
+                # d_values[e] = g[row_e] . x[col_e], the product A's pattern samples
+                dv = np.empty(indices.size)
+                for s in range(0, indices.size, step):
+                    e = slice(s, s + step)
+                    np.einsum("ij,ij->i", g[row[e]], xd[indices[e]], out=dv[e])
+                dv = dv.reshape(values.data.shape)
+            return dv, (m.T @ g if need_x else None)
         out._backward = bw
     return out
 

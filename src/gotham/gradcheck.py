@@ -130,6 +130,9 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
         cfg = RunConfig(mode="gcl", backbone=backbone)
         cache = trainer._TeacherCache(teacher, bundle, split, episode.session,
                                       cfg.mode)
+        plans = {distil: trainer._session_plan(
+                     model, bundle, episode.session, episode.extended_support,
+                     cache if distil else None) for distil in (False, True)}
         params = network.named_parameters(model)
         bug_param = params["gnn.0.weight"]
 
@@ -138,7 +141,8 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
 
             def fn():
                 parts, total, _ = trainer._episode_step(
-                    model, bundle, episode, run_cfg, cache if distil else None)
+                    model, bundle, episode, run_cfg, cache if distil else None,
+                    plans[distil])
                 loss = total if part == "total" else getattr(parts, part)
                 if inject_bug:
                     # forward-visible, tape-invisible term: FD sees it,

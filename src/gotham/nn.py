@@ -8,14 +8,24 @@ embeddings of a node depend on exactly its L-hop surroundings: the
 degree-normalized adjacency M (self-loops included) on the mean backbone, or a
 softmax over each row's CSR entries (GAT) on the attention backbone. The final
 layer of both encoders is linear. This module holds no graph state: M is the
-session snapshot's ``mean_adjacency``, and a forward gathers the row blocks it
-needs from the snapshot's CSR with numpy. The features never change, so on
-the mean backbone layer 0 reads its rows of the snapshot's ``mean_features``
-(M X, computed once per snapshot; a row sums its CSR entries in the same
-order as a row block of M would) and the hop sets are one level shorter: an
-L-layer mean forward expands L - 1 hops, and the first hop set holds the rows
-layer 0 produces, not its input rows. The attention backbone's scores depend
-on W, so it expands all L hops from the features.
+session snapshot's ``mean_adjacency``, and ``forward_plan`` gathers the row
+blocks a forward needs from the snapshot's CSR with numpy. The features never
+change, so on the mean backbone layer 0 reads its rows of the snapshot's
+``mean_features`` (M X, computed once per snapshot; a row sums its CSR
+entries in the same order as a row block of M would) and the hop sets are one
+level shorter: an L-layer mean forward expands L - 1 hops, and the first hop
+set holds the rows layer 0 produces, not its input rows. The attention
+backbone's scores depend on W, so it expands all L hops from the features.
+
+A ``ForwardPlan`` is everything of a forward that the parameters do not
+touch, derived from its hop sets: layer 0's input rows, and each layer's
+sparse operators beside their CSR transposes, which the backward multiplies
+by. It is built
+once per node list and snapshot and never written to, so it serves any number
+of forwards while the parameters change between them. The trainer keeps one
+per session, for the union every episode forwards, and drops it when the
+session ends; a forward given a node list builds a plan of its own and drops
+it on return.
 
 A row, mean or attention, reads only its own CSR entries, so a forward over a
 union of node sets (the mini-batch scheme of GraphSAGE) gives each set's rows
@@ -36,7 +46,8 @@ from .autodiff import Tensor
 from .graphstore import GraphSnapshot
 
 __all__ = ["Layer", "GnnParams", "ModelState", "init_gnn", "init_model",
-           "named_parameters", "gnn_forward", "mlp_forward",
+           "named_parameters", "ForwardPlan", "forward_plan", "gnn_forward",
+           "mlp_forward",
            "compute_gradients", "apply_update", "save_model", "load_model",
            "NonFiniteError"]
 
@@ -174,71 +185,139 @@ def _restricted_mean_agg(graph: GraphSnapshot, rows: np.ndarray,
                          shape=(rows.size, cols.size))
 
 
-def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
-    """Embeddings for ``nodes`` (|nodes| x d_out), touching only L hops."""
+def _csr_pair(m: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``m`` beside its CSR transpose, as ``ad.sparse_matmul`` takes them."""
+    return m, m.T.tocsr()
+
+
+@dataclass(frozen=True, eq=False)
+class _AttentionBlock:
+    """One attention layer's structure over its ``rows`` x ``cols`` block;
+    each constant CSR sits beside its CSR transpose."""
+    indptr: np.ndarray           # block indptr of the rows' CSR entries
+    col_idx: np.ndarray          # each entry's column, as a position in cols
+    counts: np.ndarray           # entries per row
+    row: np.ndarray              # each entry's row, as ``csr_matmul`` reads it
+    pick: sp.csr_matrix          # (nnz x 2|cols|) picks an entry's two scores
+    pick_t: sp.csr_matrix
+    segment: sp.csr_matrix       # (|rows| x nnz) sums each row's entries
+    segment_t: sp.csr_matrix
+
+
+def _attention_block(graph: GraphSnapshot, rows: np.ndarray,
+                     cols: np.ndarray) -> _AttentionBlock:
+    indptr, take = _row_entries(graph, rows)
+    pos = _positions(graph, cols)
+    col_idx = pos[graph.indices[take]]
+    nnz, counts = indptr[-1], np.diff(indptr)
+    # entry e scores s[2 row_e] + s[2 col_e + 1]: a constant CSR picks both
+    pick = np.stack([2 * np.repeat(pos[rows], counts), 2 * col_idx + 1], axis=1)
+    both = sp.csr_matrix((np.ones(2 * nnz), pick.ravel(),
+                          np.arange(0, 2 * nnz + 1, 2)), shape=(nnz, 2 * cols.size))
+    segment = sp.csr_matrix((np.ones(nnz), np.arange(nnz), indptr),
+                            shape=(rows.size, nnz))
+    return _AttentionBlock(indptr, col_idx, counts,
+                           np.repeat(np.arange(rows.size), counts),
+                           *_csr_pair(both), *_csr_pair(segment))
+
+
+@dataclass(frozen=True, eq=False)
+class ForwardPlan:
+    """Everything of a ``gnn_forward`` over ``nodes`` on ``graph`` that no
+    parameter touches, for encoders of one backbone and depth.
+
+    ``inputs`` is layer 0's input block: rows of M X on the mean backbone,
+    rows of X on attention. ``blocks[l]`` is layer l's aggregation
+    structure: None for mean layer 0, whose aggregate ``inputs`` already is,
+    a (CSR block of M, its CSR transpose) pair on later mean layers, and an
+    ``_AttentionBlock`` on attention. Nothing in it is written after
+    ``forward_plan`` returns.
+    """
+    graph: GraphSnapshot
+    nodes: np.ndarray
+    backbone: str
+    inputs: np.ndarray
+    blocks: tuple
+
+
+def forward_plan(params: GnnParams, graph: GraphSnapshot, nodes) -> ForwardPlan:
+    """The plan of ``params``' forward over ``nodes`` on ``graph``."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size == 0:
-        return ad.constant(np.zeros((0, params.out_dim)))
     vis = graph.visible_mask
     if not vis[nodes].all():
         bad = nodes[~vis[nodes]]
         raise ValueError(f"nodes {bad.tolist()} are not visible in this snapshot")
-    depth = len(params.layers)
     if graph.features.shape[1] != params.in_dim:
         raise ValueError(f"feature dim {graph.features.shape[1]} != "
                          f"encoder input dim {params.in_dim}")
-    mean = params.backbone == "mean"
-    if mean:
+    depth = len(params.layers)
+    if params.backbone == "mean":
         # layer 0's aggregate is a row block of the snapshot's M X, so the hop
         # sets stop one level short and no input rows are gathered
         needed = [None] + _hop_sets(graph, nodes, depth - 1)
+        inputs = graph.mean_features[needed[1]]
+        blocks = [None] + [_csr_pair(_restricted_mean_agg(graph, needed[l + 1],
+                                                          needed[l]))
+                           for l in range(1, depth)]
     else:
         needed = _hop_sets(graph, nodes, depth)
-        h = ad.constant(graph.features[needed[0]])
-    for l, layer in enumerate(params.layers):
-        rows, cols = needed[l + 1], needed[l]
-        if not mean:
-            agg = _attention_aggregate(params, layer, graph, rows, cols, h)
-        elif l == 0:
-            agg = ad.constant(graph.mean_features[rows])
+        inputs = graph.features[needed[0]]
+        blocks = [_attention_block(graph, needed[l + 1], needed[l])
+                  for l in range(depth)]
+    inputs.flags.writeable = False
+    # the last layer's rows are needed[depth] = nodes, in the caller's order
+    return ForwardPlan(graph, nodes, params.backbone, inputs, tuple(blocks))
+
+
+def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
+    """Embeddings for ``nodes`` (|nodes| x d_out), touching only L hops.
+
+    ``nodes`` is a node list, or a ``ForwardPlan`` that ``forward_plan`` built
+    on ``graph`` for ``params``' backbone and depth; a node list gets a plan
+    of its own, used once.
+    """
+    plan = (nodes if isinstance(nodes, ForwardPlan)
+            else forward_plan(params, graph, nodes))
+    if (plan.graph is not graph or plan.backbone != params.backbone
+            or len(plan.blocks) != len(params.layers)):
+        raise ValueError("forward plan was built for another snapshot or encoder")
+    if plan.nodes.size == 0:
+        return ad.constant(np.zeros((0, params.out_dim)))
+    h = ad.constant(plan.inputs)
+    last = len(params.layers) - 1
+    for l, (layer, block) in enumerate(zip(params.layers, plan.blocks)):
+        if block is None:
+            agg = h
+        elif params.backbone == "mean":
+            agg = ad.sparse_matmul(block[0], h, block[1])
         else:
-            agg = ad.sparse_matmul(_restricted_mean_agg(graph, rows, cols), h)
+            agg = _attention_aggregate(params, layer, block, h)
         # aggregating first is never dearer: its dense product costs
         # |rows| d_in d_out against |cols| d_in d_out for transforming first,
         # and the sparse products differ by nnz (d_in - d_out), small next to
         # that because the mean degree is far below d_out
         z = ad.affine(agg, layer.weight, layer.bias)
-        h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
-    # the last layer's rows are needed[depth] = nodes, in the caller's order
+        h = z if l == last else ad.leaky_relu(z, params.negative_slope)
     return h
 
 
-def _attention_aggregate(params: GnnParams, layer: Layer, graph: GraphSnapshot,
-                         rows: np.ndarray, cols: np.ndarray, h: Tensor) -> Tensor:
+def _attention_aggregate(params: GnnParams, layer: Layer, block: _AttentionBlock,
+                         h: Tensor) -> Tensor:
     """``attn @ h`` for the softmax over each row's CSR entries (GAT), which
     the caller multiplies by W; scores use ``(h W) a = h (W a)``."""
-    indptr, take = _row_entries(graph, rows)
-    pos = _positions(graph, cols)
-    col_idx = pos[graph.indices[take]]
-    nnz, counts = indptr[-1], np.diff(indptr)
-
     # h (W a_src) and h (W a_dst) side by side, flattened to s[2j], s[2j + 1]
     att = ad.vstack([layer.att_src, layer.att_dst]).transpose()
     s = (h @ (layer.weight @ att)).reshape(-1, 1)
-    # entry e scores s[2 row_e] + s[2 col_e + 1]: a constant CSR picks both
-    pick = np.stack([2 * np.repeat(pos[rows], counts), 2 * col_idx + 1], axis=1)
-    both = sp.csr_matrix((np.ones(2 * nnz), pick.ravel(),
-                          np.arange(0, 2 * nnz + 1, 2)), shape=(nnz, 2 * cols.size))
-    scores = ad.leaky_relu(ad.sparse_matmul(both, s), params.negative_slope)
+    scores = ad.leaky_relu(ad.sparse_matmul(block.pick, s, block.pick_t),
+                           params.negative_slope)
     # subtract the row max (constant w.r.t. grad) for numeric stability; every
     # visible row holds its self-loop, so no segment is empty
-    shift = np.repeat(np.maximum.reduceat(scores.data[:, 0], indptr[:-1]), counts)
+    shift = np.repeat(np.maximum.reduceat(scores.data[:, 0], block.indptr[:-1]),
+                      block.counts)
     weights = ad.exp(scores - ad.constant(shift[:, None]))
-    segment = sp.csr_matrix((np.ones(nnz), np.arange(nnz), indptr),
-                            shape=(rows.size, nnz))
-    denom = ad.sparse_matmul(segment, weights)
-    attn = weights / ad.sparse_matmul(segment.T, denom)
-    return ad.csr_matmul(attn, col_idx, indptr, h)
+    denom = ad.sparse_matmul(block.segment, weights, block.segment_t)
+    attn = weights / ad.sparse_matmul(block.segment_t, denom, block.segment)
+    return ad.csr_matmul(attn, block.col_idx, block.indptr, h, block.row)
 
 
 def mlp_forward(params: GnnParams, vectors) -> Tensor:

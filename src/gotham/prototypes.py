@@ -15,6 +15,15 @@ Training, evaluation, export and the gradient audit all call it. One
 ``nn.gnn_forward`` over the union of the seen classes' supports, and of the
 student's distillation nodes when an episode asks for them, gives every row
 the losses read: one encoder forward per episode on either backbone.
+
+Everything of that build that no parameter touches is a ``SupportPlan``: the
+union, each class's rows in it, the distillation rows, the membership CSR
+that averages a class's rows beside its CSR transpose, and the union's
+``nn.ForwardPlan``. Every episode of a session forwards the same union on the
+same snapshot, so the trainer builds one plan per session, hands it to every
+episode and to the session's evaluation prototypes, and drops it before the
+session's evaluation forward. A build without a plan makes one and drops it
+on return.
 """
 from __future__ import annotations
 
@@ -30,8 +39,8 @@ from .config import MODES, is_semantic
 from .graphstore import DatasetBundle, graph_at
 from .sampler import Episode
 
-__all__ = ["PrototypeBuild", "encode_csds", "build_prototype_tensors",
-           "add_unseen_prototypes"]
+__all__ = ["PrototypeBuild", "SupportPlan", "plan_supports", "encode_csds",
+           "build_prototype_tensors", "add_unseen_prototypes"]
 
 
 def _csd_matrix(csds: dict[int, np.ndarray], classes) -> np.ndarray:
@@ -64,35 +73,39 @@ class PrototypeBuild:
     encoded: Tensor | None        # (S x d) semantic-encoder outputs, semantic modes
     embeddings: Tensor            # the forward's rows: supports and distill nodes
     members: list[np.ndarray]     # rows of ``embeddings`` per row of ``seen``
-    distill: Tensor | None = None  # rows of the requested distill nodes
+    distill: Tensor | None = None  # rows of the plan's distill nodes
 
 
-def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
-                            episode: Episode, mode: str,
-                            unseen_encoder: str = "gnn", *,
-                            distill_nodes=None) -> PrototypeBuild:
-    """One prototype per class in C^t, per ``mode``, on the autodiff tape.
+@dataclass(frozen=True, eq=False)
+class SupportPlan:
+    """The parameter-free part of ``build_prototype_tensors`` for a set of
+    extended supports, and optionally distill nodes, on one snapshot.
 
-    Seen classes come from the episode's extended supports on the session's
-    graph; in ``gcl`` mode the session's zero-shot classes join them. The
-    student embeddings of ``distill_nodes``, when given, come from the same
-    forward and land in ``distill``.
+    The union, ``forward.nodes``, holds every support and distill node once,
+    ascending; the forward's row i is its node i. Nothing in the plan is
+    written after ``plan_supports`` returns.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    graph = graph_at(bundle, episode.session)
-    csds = bundle.csds.vectors
+    supports: dict[int, frozenset[int]]   # the extended supports planned for
+    classes: np.ndarray           # seen classes, ascending: rows of ``seen``
+    inv_sizes: np.ndarray         # (S x 1) one over each support's size
+    members: list[np.ndarray]     # union rows per class, ascending
+    membership: sp.csr_matrix     # (S x |union|) ones: class i's rows in row i
+    membership_t: sp.csr_matrix   # its CSR transpose, for the backward
+    distill: np.ndarray | None    # union rows of the distill nodes
+    forward: network.ForwardPlan  # the union's encoder forward; nodes = union
 
-    classes = np.asarray(sorted(episode.extended_support), dtype=np.int64)
-    supports = [np.asarray(sorted(episode.extended_support[c]), dtype=np.int64)
-                for c in classes]
-    sizes = np.array([s.size for s in supports])
+
+def plan_supports(gnn: network.GnnParams, graph, supports: dict,
+                  distill_nodes=None) -> SupportPlan:
+    """The plan of ``gnn``'s prototype forward over ``supports``, a class ->
+    extended support mapping, and ``distill_nodes`` on ``graph``."""
+    classes = np.asarray(sorted(supports), dtype=np.int64)
+    nodes = [np.asarray(sorted(supports[c]), dtype=np.int64) for c in classes]
+    sizes = np.array([s.size for s in nodes])
     if (sizes == 0).any():
         raise ValueError(f"empty support set for classes {classes[sizes == 0]}")
     extra = [] if distill_nodes is None else [distill_nodes]
-    union, position = np.unique(np.concatenate(supports + extra), return_inverse=True)
-    embeddings = network.gnn_forward(model.gnn, graph, union)
-
+    union, position = np.unique(np.concatenate(nodes + extra), return_inverse=True)
     indptr = np.concatenate([[0], np.cumsum(sizes)])
     n_support = indptr[-1]
     # row i of this CSR of ones adds class i's support rows in ascending node
@@ -100,7 +113,39 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
     # each seen prototype equals that mean bit for bit
     membership = sp.csr_matrix((np.ones(n_support), position[:n_support], indptr),
                                shape=(classes.size, union.size))
-    seen = ad.sparse_matmul(membership, embeddings) * (1.0 / sizes[:, None])
+    return SupportPlan(
+        supports=supports, classes=classes, inv_sizes=1.0 / sizes[:, None],
+        members=np.split(position[:n_support], indptr[1:-1]),
+        membership=membership, membership_t=membership.T.tocsr(),
+        distill=position[n_support:] if distill_nodes is not None else None,
+        forward=network.forward_plan(gnn, graph, union))
+
+
+def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
+                            episode: Episode, mode: str,
+                            unseen_encoder: str = "gnn", *,
+                            plan: SupportPlan | None = None) -> PrototypeBuild:
+    """One prototype per class in C^t, per ``mode``, on the autodiff tape.
+
+    Seen classes come from the episode's extended supports on the session's
+    graph; in ``gcl`` mode the session's zero-shot classes join them.
+    ``plan`` is a ``SupportPlan`` of the episode's extended supports on the
+    session's graph; the student embeddings of its distill nodes come from
+    the same forward and land in ``distill``. Without a plan, one without
+    distill nodes is built here and dropped on return.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    graph = graph_at(bundle, episode.session)
+    csds = bundle.csds.vectors
+    if plan is None:
+        plan = plan_supports(model.gnn, graph, episode.extended_support)
+    elif plan.supports != episode.extended_support:
+        raise ValueError("the plan was built for other supports")
+    classes = plan.classes
+    embeddings = network.gnn_forward(model.gnn, graph, plan.forward)
+    seen = (ad.sparse_matmul(plan.membership, embeddings, plan.membership_t)
+            * plan.inv_sizes)
 
     encoded = None
     final, kinds = seen, ["seen"] * classes.size
@@ -109,10 +154,9 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
         final, kinds = (seen + encoded) * 0.5, ["merged"] * classes.size
     build = PrototypeBuild(
         classes=classes, final=final, kinds=kinds, seen_classes=classes,
-        seen=seen, encoded=encoded, embeddings=embeddings,
-        members=np.split(position[:n_support], indptr[1:-1]),
-        distill=(ad.gather_rows(embeddings, position[n_support:])
-                 if distill_nodes is not None else None))
+        seen=seen, encoded=encoded, embeddings=embeddings, members=plan.members,
+        distill=(ad.gather_rows(embeddings, plan.distill)
+                 if plan.distill is not None else None))
     if mode == "gcl":
         add_unseen_prototypes(build, model,
                               bundle.schedule.unseen_at(episode.session),

@@ -9,7 +9,7 @@ never exceeds k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,14 +96,24 @@ class ClassSplit:
     pool: dict[int, np.ndarray]
     anchors: dict[int, np.ndarray]
     visible_from: np.ndarray
+    # query_pool's read-only results by (class, session): every episode of a
+    # session asks for the same pools
+    _query_pools: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def visible_pool(self, cls: int, t: int) -> np.ndarray:
         pool = self.pool[cls]
         return pool[self.visible_from[pool] <= t]
 
     def query_pool(self, cls: int, t: int) -> np.ndarray:
-        pool = self.visible_pool(cls, t)
-        return pool[~np.isin(pool, self.anchors[cls])]
+        """The pool nodes of ``cls`` visible at t minus its anchors; read-only."""
+        pool = self._query_pools.get((cls, t))
+        if pool is None:
+            pool = self.visible_pool(cls, t)
+            pool = pool[~np.isin(pool, self.anchors[cls])]
+            pool.flags.writeable = False
+            self._query_pools[(cls, t)] = pool
+        return pool
 
 
 def build_class_split(bundle: DatasetBundle, k_shot: int, *,

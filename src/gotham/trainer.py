@@ -8,8 +8,13 @@ holds exactly those parameters when session t starts, so its outputs on the
 distillation set are read once, before the first update, and kept for the
 session. The session then finetunes on tasks covering all currently-seen
 classes. Every episode and the evaluation of a session share one random-walk
-draw. Classification is nearest prototype in embedding space with ties going
-to the smallest class id.
+draw, so all of them forward one union of nodes on one snapshot. What no
+parameter touches of that forward (the union, its membership CSR, the
+encoder's sparse operators and their transposes) is one
+``prototypes.SupportPlan``, built before the session's first episode and
+dropped before its evaluation forward; no plan outlives its session.
+Classification is nearest prototype in embedding space with ties going to
+the smallest class id.
 """
 from __future__ import annotations
 
@@ -27,7 +32,8 @@ from .config import RunConfig, is_semantic
 from .graphstore import DatasetBundle, DatasetError, graph_at
 from .losses import (LossParts, loss_cluster, loss_kd_align, loss_kd_emb,
                      loss_seg, loss_sem, loss_total)
-from .prototypes import PrototypeBuild, build_prototype_tensors, encode_csds
+from .prototypes import (PrototypeBuild, SupportPlan, build_prototype_tensors,
+                         encode_csds, plan_supports)
 from .sampler import (ClassSplit, Episode, build_class_split, sample_episode,
                       session_supports)
 
@@ -123,16 +129,25 @@ class _TeacherCache:
                           if is_semantic(mode) else None)
 
 
-def _episode_step(model: network.ModelState, bundle: DatasetBundle,
-                  episode: Episode, cfg: RunConfig,
-                  teacher_cache: "_TeacherCache | None") -> tuple[LossParts, object, dict]:
-    """Forward all loss parts for one episode; returns (parts, total, protos)."""
-    # the teacher's distill nodes are anchors of classes seen at t-1, so the
-    # prototypes' forward already holds their rows
+def _session_plan(model: network.ModelState, bundle: DatasetBundle, t: int,
+                  extended: dict, teacher_cache: "_TeacherCache | None") -> SupportPlan:
+    """The plan every episode of session t forwards: the extended supports
+    and the teacher's distill nodes on session t's snapshot."""
+    # the distill nodes are anchors of classes seen at t-1, so the union of
+    # the supports already holds them
     distill = (teacher_cache.nodes if teacher_cache is not None
                and teacher_cache.nodes.size else None)
+    return plan_supports(model.gnn, graph_at(bundle, t), extended, distill)
+
+
+def _episode_step(model: network.ModelState, bundle: DatasetBundle,
+                  episode: Episode, cfg: RunConfig,
+                  teacher_cache: "_TeacherCache | None",
+                  plan: SupportPlan) -> tuple[LossParts, object, dict]:
+    """Forward all loss parts for one episode; returns (parts, total, protos).
+    ``plan`` is ``_session_plan`` of the episode's supports and teacher."""
     build = build_prototype_tensors(model, bundle, episode, cfg.mode,
-                                    cfg.unseen_encoder, distill_nodes=distill)
+                                    cfg.unseen_encoder, plan=plan)
 
     parts = LossParts()
     # clustering acts on the task's support classes; the remaining seen
@@ -170,7 +185,7 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     return float((pred == truth).mean())
 
 
-def _train_session(model, bundle, cfg, split, t, extended,
+def _train_session(model, bundle, cfg, split, t, extended, cache, plan,
                    log_fn=None) -> tuple[list[float], list[float]]:
     """Train session t: base episodes at ``meta_lr`` when t = 0, else
     finetune episodes at ``ft_lr`` with the teacher's distillation terms."""
@@ -178,7 +193,6 @@ def _train_session(model, bundle, cfg, split, t, extended,
                     else (cfg.episodes_finetune, cfg.ft_lr))
     step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
     params = network.named_parameters(model)
-    cache = _TeacherCache(model, bundle, split, t, cfg.mode) if t else None
     totals: list[float] = []
     query_accs: list[float] = []
     for e in range(episodes):
@@ -187,7 +201,8 @@ def _train_session(model, bundle, cfg, split, t, extended,
                                  cfg.query_per_class, split=split,
                                  extended=extended,
                                  episode_class_pool=cfg.episode_class_pool)
-        parts, total, build = _episode_step(model, bundle, episode, cfg, cache)
+        parts, total, build = _episode_step(model, bundle, episode, cfg, cache,
+                                            plan)
         try:
             grads = network.compute_gradients(params, total)
             network.apply_update(params, grads, lr, cfg.weight_decay)
@@ -217,13 +232,18 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
     start = time.perf_counter()
     extended = session_supports(bundle, t, split, cfg.walk_length,
                                 cfg.walks_per_seed, cfg.seed)
-    # training returns before evaluation so the last episode's tape, gradients
-    # and teacher cache are freed first, which keeps peak memory down
+    # the teacher is read before the first update
+    cache = _TeacherCache(model, bundle, split, t, cfg.mode) if t else None
+    plan = _session_plan(model, bundle, t, extended, cache)
+    # training returns before evaluation so the last episode's tape and
+    # gradients are freed first, which keeps peak memory down
     totals, q_accs = _train_session(model, bundle, cfg, split, t, extended,
-                                    log_fn)
-    build = _eval_prototypes(model, bundle, cfg, t, extended)
+                                    cache, plan, log_fn)
+    del cache
+    build = _eval_prototypes(model, bundle, cfg, t, extended, plan)
     classes, prototypes = build.classes, build.final.data
-    del build          # frees the build's tape before evaluation's forward
+    # frees the build's tape and the session's plan before evaluation's forward
+    del build, plan
     report = evaluate_session(model, bundle, t, classes, prototypes, split)
     report.episode_losses = totals
     report.episode_query_acc = float(np.mean(q_accs)) if q_accs else None
@@ -231,12 +251,14 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
     return report
 
 
-def _eval_prototypes(model, bundle, cfg, t, extended) -> PrototypeBuild:
+def _eval_prototypes(model, bundle, cfg, t, extended,
+                     plan: SupportPlan | None = None) -> PrototypeBuild:
     """Prototypes for evaluation, from the session's extended supports: the
-    sets training optimized toward."""
+    sets training optimized toward. ``plan``, when given, is the session's;
+    its distillation rows are not read."""
     episode = Episode(session=t, support={}, extended_support=extended, query=())
     return build_prototype_tensors(model, bundle, episode, cfg.mode,
-                                   cfg.unseen_encoder)
+                                   cfg.unseen_encoder, plan=plan)
 
 
 def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,

@@ -446,3 +446,41 @@ def test_csr_matmul_grads_accumulate_with_other_ops():
         grads.append((v.grad, x.grad))
     for got, want in zip(*grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_sparse_matmul_with_a_csr_transpose_equals_the_csc_backward():
+    """A caller's CSR transpose gives the product and the gradient that
+    ``m.T`` (CSC) gives, bit for bit, at one column and at several."""
+    rng = np.random.default_rng(10)
+    m = sp.random(40, 30, density=0.15, format="csr", random_state=1)
+    for width in (1, 5):
+        x0, w = rng.standard_normal((30, width)), rng.standard_normal((40, width))
+        results = []
+        for transpose in ((), (m.T.tocsr(),)):
+            x = ad.parameter(x0)
+            out = ad.sparse_matmul(m, x, *transpose)
+            ad.backward((out * w).sum())
+            results.append((out.data.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
+
+
+def test_csr_matmul_computes_no_gradient_for_a_constant_operand():
+    indptr, indices = np.array([0, 1, 3]), np.array([2, 0, 2])
+    rng = np.random.default_rng(12)
+    v0, x0 = rng.standard_normal((3, 1)), rng.standard_normal((3, 2))
+    g = rng.standard_normal((2, 2))
+    out = ad.csr_matmul(ad.parameter(v0), indices, indptr, ad.constant(x0))
+    dv, dx = out._backward(g)
+    assert dx is None and dv.shape == v0.shape
+    out = ad.csr_matmul(ad.constant(v0), indices, indptr, ad.parameter(x0))
+    dv, dx = out._backward(g)
+    assert dv is None and dx.shape == x0.shape
+    # a given row index is the one it would compute
+    row = np.repeat(np.arange(2), np.diff(indptr))
+    grads = []
+    for extra in ((), (row,)):
+        v = ad.parameter(v0)
+        ad.backward((ad.csr_matmul(v, indices, indptr, ad.constant(x0), *extra)
+                     * g).sum())
+        grads.append(v.grad.tobytes())
+    assert grads[0] == grads[1]

@@ -363,6 +363,88 @@ def test_mean_forward_equals_the_former_two_hop_form(depth, monkeypatch):
             assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
 
 
+def former_attention_aggregate(params, layer, graph, rows, cols, h):
+    """The attention aggregate as it was before forward plans: every operator
+    built on each call, every backward through ``m.T`` (CSC)."""
+    indptr, take = network._row_entries(graph, rows)
+    pos = network._positions(graph, cols)
+    col_idx = pos[graph.indices[take]]
+    nnz, counts = indptr[-1], np.diff(indptr)
+    att = ad.vstack([layer.att_src, layer.att_dst]).transpose()
+    s = (h @ (layer.weight @ att)).reshape(-1, 1)
+    pick = np.stack([2 * np.repeat(pos[rows], counts), 2 * col_idx + 1], axis=1)
+    both = sp.csr_matrix((np.ones(2 * nnz), pick.ravel(),
+                          np.arange(0, 2 * nnz + 1, 2)), shape=(nnz, 2 * cols.size))
+    scores = ad.leaky_relu(ad.sparse_matmul(both, s), params.negative_slope)
+    shift = np.repeat(np.maximum.reduceat(scores.data[:, 0], indptr[:-1]), counts)
+    weights = ad.exp(scores - ad.constant(shift[:, None]))
+    segment = sp.csr_matrix((np.ones(nnz), np.arange(nnz), indptr),
+                            shape=(rows.size, nnz))
+    denom = ad.sparse_matmul(segment, weights)
+    attn = weights / ad.sparse_matmul(segment.T, denom)
+    return ad.csr_matmul(attn, col_idx, indptr, h)
+
+
+def former_forward(params, graph, nodes):
+    """The forward as it was before forward plans, on either backbone."""
+    if params.backbone == "mean":
+        return former_mean_forward(params, graph, nodes)
+    depth = len(params.layers)
+    needed = network._hop_sets(graph, nodes, depth)
+    h = ad.constant(graph.features[needed[0]])
+    for l, layer in enumerate(params.layers):
+        agg = former_attention_aggregate(params, layer, graph, needed[l + 1],
+                                         needed[l], h)
+        z = ad.affine(agg, layer.weight, layer.bias)
+        h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
+    return h
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_plan_driven_forward_equals_a_fresh_forward(depth, backbone):
+    """One plan serves forward after forward while the parameters move; each
+    gives the outputs and parameter gradients, bit for bit, of a forward that
+    builds its own plan and of the former per-call form."""
+    params = network.init_gnn([6] + [32] * depth, np.random.default_rng(depth),
+                              backbone=backbone)
+    rng = np.random.default_rng(11)
+    for graph in arrivals_snapshots():
+        nodes = rng.permutation(graph.visible)[:30]
+        weights = rng.standard_normal((nodes.size, 32))
+        plan = network.forward_plan(params, graph, nodes)
+        for _ in range(2):
+            got, got_grads = forward_and_gradients(
+                lambda p, g, n: network.gnn_forward(p, g, plan), params, graph,
+                nodes, weights)
+            for forward in (network.gnn_forward, former_forward):
+                want, want_grads = forward_and_gradients(forward, params, graph,
+                                                         nodes, weights)
+                assert got.tobytes() == want.tobytes()
+                assert got_grads.keys() == want_grads.keys()
+                for name in want_grads:
+                    assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+            # the next forward runs on moved parameters
+            network.apply_update(layer_params(params), got_grads, 0.5)
+
+
+def test_invisible_nodes_are_rejected_and_plans_stay_with_their_snapshot():
+    before, after = arrivals_snapshots()          # nodes 75-99 arrive at t=1
+    params = network.init_gnn([6, 8, 4], np.random.default_rng(0),
+                              backbone="attention")
+    message = r"nodes \[80, 99\] are not visible in this snapshot"
+    for build in (network.gnn_forward, network.forward_plan):
+        with pytest.raises(ValueError, match=message):
+            build(params, before, [3, 80, 99])
+    plan = network.forward_plan(params, after, [3, 80, 99])
+    mean = network.init_gnn([6, 8, 4], np.random.default_rng(0))
+    for other, graph in ((params, before), (mean, after),
+                         (network.init_gnn([6, 4], np.random.default_rng(0),
+                                           backbone="attention"), after)):
+        with pytest.raises(ValueError, match="another snapshot or encoder"):
+            network.gnn_forward(other, graph, plan)
+
+
 def union_rows(params, graph, sets):
     """Each set's rows of one forward over the union of ``sets``, as
     ``prototypes.build_prototype_tensors`` embeds the supports of a task."""

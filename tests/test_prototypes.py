@@ -8,7 +8,7 @@ from gotham import autodiff as ad
 from gotham import nn as network
 from gotham.graphstore import CSDTable, build_snapshot, graph_at, synth_generate
 from gotham.prototypes import (add_unseen_prototypes, build_prototype_tensors,
-                               encode_csds)
+                               encode_csds, plan_supports)
 from gotham.sampler import (Episode, build_class_split, sample_episode,
                             session_supports)
 
@@ -97,8 +97,9 @@ def test_seen_prototypes_equal_column_means_bit_for_bit(seed):
                              .tolist())
                 for c in range(3)}
     distill = np.sort(rng.choice(30, size=5, replace=False))
+    plan = plan_supports(model.gnn, b.graph, supports, distill)
     build = build_prototype_tensors(model, b, eval_episode(supports),
-                                    "gfscil_plain", distill_nodes=distill)
+                                    "gfscil_plain", plan=plan)
     assert build.seen_classes.tolist() == [0, 1, 2]
     for row, c in enumerate(build.seen_classes):
         rows = build.embeddings.data[build.members[row]]
@@ -109,6 +110,49 @@ def test_seen_prototypes_equal_column_means_bit_for_bit(seed):
         np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-14)
     want = network.gnn_forward(model.gnn, b.graph, distill).data
     np.testing.assert_allclose(build.distill.data, want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+def test_a_plan_serves_builds_as_a_fresh_plan_does(backbone):
+    """Builds that share one plan give what a build on a fresh plan gives,
+    bit for bit, also after the parameters move."""
+    b = small_bundle()
+    model = network.init_model(4, 6, 5, 2, seed=2, csd_dim=4, backbone=backbone)
+    supports = {0: frozenset({0, 3, 7}), 1: frozenset({12, 15}),
+                2: frozenset({21, 22, 28})}
+    distill = np.array([3, 12, 21])
+    episode = eval_episode(supports)
+    plan = plan_supports(model.gnn, graph_at(b, 0), supports, distill)
+    np.testing.assert_array_equal(plan.forward.nodes,
+                                  sorted(set().union(*supports.values())))
+    np.testing.assert_array_equal(plan.forward.nodes[plan.distill], distill)
+    for _ in range(2):
+        builds = [build_prototype_tensors(model, b, episode, "gfscil_semantic",
+                                          plan=p)
+                  for p in (plan, plan_supports(model.gnn, graph_at(b, 0),
+                                                supports, distill))]
+        for name in ("final", "seen", "embeddings", "distill"):
+            got, want = (getattr(build, name).data for build in builds)
+            assert got.tobytes() == want.tobytes(), name
+        params = network.named_parameters(model)
+        grads = network.compute_gradients(params, builds[0].final.sum()
+                                          + builds[0].distill.sum())
+        network.apply_update(params, grads, 0.5)
+
+
+def test_a_plan_of_other_supports_or_unseen_nodes_is_rejected():
+    b = small_bundle()
+    model = plain_model(b)
+    plan = plan_supports(model.gnn, graph_at(b, 0),
+                         {0: frozenset({0, 3}), 1: frozenset({12})})
+    with pytest.raises(ValueError, match="other supports"):
+        build_prototype_tensors(model, b, eval_episode({0: frozenset({0, 3})}),
+                                "gfscil_plain", plan=plan)
+    hidden = dataclasses.replace(b.graph, visible=np.arange(20))
+    with pytest.raises(ValueError,
+                       match=r"nodes \[25\] are not visible in this snapshot"):
+        plan_supports(model.gnn, hidden, {0: frozenset({0, 3}),
+                                          2: frozenset({25})})
 
 
 def test_empty_support_rejected():

@@ -215,3 +215,16 @@ def test_walk_and_query_draws_are_pinned():
                              ep.extended_support.items())).encode())
         h.update(repr(sorted(ep.query)).encode())
     assert h.hexdigest() == GOLDEN_DRAWS
+
+
+def test_query_pool_is_computed_once_per_class_and_session():
+    b = gcl_bundle()
+    split = build_class_split(b, 3, anchor_seed=1)
+    for t in range(b.schedule.num_sessions + 1):
+        for cls in b.schedule.classes_at(t):
+            pool = split.query_pool(cls, t)
+            visible = split.visible_pool(cls, t)
+            np.testing.assert_array_equal(
+                pool, visible[~np.isin(visible, split.anchors[cls])])
+            assert split.query_pool(cls, t) is pool
+            assert not pool.flags.writeable

@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -180,10 +181,10 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
             counts[-1][2] += 1
         return forward(params, graph, nodes)
 
-    def count_step(model, bundle, episode, cfg, cache):
+    def count_step(model, bundle, episode, cfg, cache, plan):
         counts.append([episode.session, graph_at(bundle, episode.session), 0])
         try:
-            return step(model, bundle, episode, cfg, cache)
+            return step(model, bundle, episode, cfg, cache, plan)
         finally:
             counts[-1][1] = None      # the query-accuracy forward is not counted
 
@@ -192,6 +193,43 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
     run_stream(bundle, cfg)
     assert len(counts) == cfg.episodes_base + bundle.num_sessions * cfg.episodes_finetune
     assert all(n == 1 for _, _, n in counts)
+
+
+@pytest.mark.parametrize("mode,backbone,zero_shot", [
+    ("gcl", "mean", (4,)),
+    ("gfscil_semantic", "attention", ()),
+])
+def test_one_plan_per_session_is_freed_when_the_session_returns(
+        monkeypatch, mode, backbone, zero_shot):
+    """Every episode and the evaluation prototypes of a session read one
+    plan, and nothing holds it once ``_run_session`` returns."""
+    bundle = with_arrivals(tiny_bundle(zero_shot))
+    cfg = tiny_config(mode, backbone)
+    make_plan, run_session = trainer._session_plan, trainer._run_session
+    build = trainer.build_prototype_tensors
+    plans, used = [], []
+
+    def spy_plan(*args):
+        plan = make_plan(*args)
+        plans.append((weakref.ref(plan), weakref.ref(plan.forward)))
+        return plan
+
+    def spy_build(*args, plan=None, **kwargs):
+        used.append(id(plan))
+        return build(*args, plan=plan, **kwargs)
+
+    def spy_session(*args, **kwargs):
+        used.clear()
+        report = run_session(*args, **kwargs)
+        assert len(set(used)) == 1 and used[0] != id(None)
+        assert all(ref() is None for ref in plans[-1])
+        return report
+
+    monkeypatch.setattr(trainer, "_session_plan", spy_plan)
+    monkeypatch.setattr(trainer, "build_prototype_tensors", spy_build)
+    monkeypatch.setattr(trainer, "_run_session", spy_session)
+    run_stream(bundle, cfg)
+    assert len(plans) == bundle.num_sessions + 1
 
 
 def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
@@ -275,9 +313,9 @@ def test_kd_align_student_rows_equal_a_separate_encoding(monkeypatch):
     step, align = trainer._episode_step, trainer.loss_kd_align
     current, checked = {}, []
 
-    def spy_step(model, bundle, episode, cfg, cache):
+    def spy_step(model, bundle, episode, cfg, cache, plan):
         current.update(model=model, cache=cache)
-        return step(model, bundle, episode, cfg, cache)
+        return step(model, bundle, episode, cfg, cache, plan)
 
     def spy_align(teacher, student, eps):
         want = encode_csds(current["model"], current["cache"].classes,
