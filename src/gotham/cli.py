@@ -182,6 +182,8 @@ def cmd_synth(args) -> int:
 
 def cmd_export_prototypes(args) -> int:
     from . import nn as network
+    from .graphstore import graph_at
+    from .prototypes import plan_supports
     from .sampler import session_supports
     from .trainer import _eval_prototypes, run_split
 
@@ -198,7 +200,8 @@ def cmd_export_prototypes(args) -> int:
     # evaluation classified with
     extended = session_supports(bundle, t, run_split(bundle, cfg),
                                 cfg.walk_length, cfg.walks_per_seed, cfg.seed)
-    build = _eval_prototypes(model, bundle, cfg, t, extended)
+    plan = plan_supports(model.gnn, graph_at(bundle, t), extended)
+    build = _eval_prototypes(model, bundle, cfg, t, plan)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:

@@ -4,7 +4,8 @@ Builds a 12-node synthetic bundle with one zero-shot class, freezes one
 finetune episode, and checks, on both backbones, the analytic gradient of each
 loss part and of the weighted total as ``trainer._episode_step`` computes
 them: without a teacher for ``train_total``, with a teacher cache of an
-unrelated model for the distillation terms and ``finetune_total``.
+unrelated model for the distillation terms and ``finetune_total``. Both
+cases forward one session plan that holds the distillation nodes.
 ``inject_bug`` adds a term the tape cannot see, proving the check fails when
 gradients are wrong.
 """
@@ -18,7 +19,8 @@ from . import autodiff as ad
 from . import nn as network
 from . import trainer
 from .config import RunConfig
-from .graphstore import synth_generate
+from .graphstore import graph_at, synth_generate
+from .prototypes import plan_supports
 from .sampler import build_class_split, sample_episode, session_supports
 
 __all__ = ["run_gradcheck", "GRADCHECK_LOSSES", "finite_diff_check",
@@ -107,8 +109,8 @@ def _fixture(seed: int):
     extended = session_supports(bundle, 1, split, walk_length=2,
                                 walks_per_seed=3, seed=seed + 4)
     episode = sample_episode(bundle, 1, 1, np.random.default_rng(seed + 4),
-                             query_per_class=1, split=split, extended=extended)
-    return bundle, split, episode
+                             query_per_class=0, split=split)
+    return bundle, extended, trainer._distill_nodes(bundle, split, 1), episode
 
 
 def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
@@ -120,7 +122,8 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
     for name, value in (("h", h), ("tol", tol)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    bundle, split, episode = _fixture(seed)
+    bundle, extended, distill, episode = _fixture(seed)
+    graph = graph_at(bundle, episode.session)
     rng = np.random.default_rng(seed + 10)
     reports: dict[str, FiniteDiffReport] = {}
     for backbone in ("mean", "attention"):
@@ -128,11 +131,9 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
             feature_dim=4, hidden=6, out=5, num_layers=2, seed=s, csd_dim=4,
             backbone=backbone) for s in (seed + 3, seed + 5))
         cfg = RunConfig(mode="gcl", backbone=backbone)
-        cache = trainer._TeacherCache(teacher, bundle, split, episode.session,
+        plan = plan_supports(model.gnn, graph, extended, distill)
+        cache = trainer._TeacherCache(teacher, bundle, plan, episode.session,
                                       cfg.mode)
-        plans = {distil: trainer._session_plan(
-                     model, bundle, episode.session, episode.extended_support,
-                     cache if distil else None) for distil in (False, True)}
         params = network.named_parameters(model)
         bug_param = params["gnn.0.weight"]
 
@@ -142,7 +143,7 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
             def fn():
                 parts, total, _ = trainer._episode_step(
                     model, bundle, episode, run_cfg, cache if distil else None,
-                    plans[distil])
+                    plan)
                 loss = total if part == "total" else getattr(parts, part)
                 if inject_bug:
                     # forward-visible, tape-invisible term: FD sees it,

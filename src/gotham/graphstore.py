@@ -262,6 +262,8 @@ class StreamSchedule:
     def validate(self) -> None:
         if self.mode not in ("gfscil", "gcl"):
             raise DatasetError(f"unknown schedule mode {self.mode!r}")
+        if not self.base_classes:
+            raise DatasetError("a stream needs at least one base class")
         seen_sets = [set(self.base_classes)]
         for t, s in enumerate(self.sessions, start=1):
             novel = set(s.few_shot) | set(s.zero_shot)
@@ -484,6 +486,9 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
         raise DatasetError("feature dim must be >= number of blocks")
     if n_base is None:
         n_base = blocks
+    if not 1 <= n_base <= blocks:
+        raise DatasetError(f"base classes must number 1 to blocks={blocks}, "
+                           f"got {n_base}")
     zero = set(int(c) for c in zero_shot_classes)
     streamed = [c for c in range(n_base, blocks)]
     bad = zero - set(streamed)

@@ -20,12 +20,13 @@ backbone's scores depend on W, so it expands all L hops from the features.
 A ``ForwardPlan`` is everything of a forward that the parameters do not
 touch, derived from its hop sets: layer 0's input rows, and each layer's
 sparse operators beside their CSR transposes, which the backward multiplies
-by. It is built
-once per node list and snapshot and never written to, so it serves any number
-of forwards while the parameters change between them. The trainer keeps one
-per session, for the union every episode forwards, and drops it when the
-session ends; a forward given a node list builds a plan of its own and drops
-it on return.
+by. It is built once per node list and snapshot and never written to, so it
+serves any number of forwards while the parameters change between them. The
+trainer keeps one per session, inside the session's
+``prototypes.SupportPlan``: the teacher, every episode and the evaluation
+prototypes forward it, and it is dropped when the session ends. A forward
+given a node list (evaluation's held-out nodes, telemetry's queries) builds a
+plan of its own and drops it on return.
 
 A row, mean or attention, reads only its own CSR entries, so a forward over a
 union of node sets (the mini-batch scheme of GraphSAGE) gives each set's rows

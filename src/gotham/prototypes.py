@@ -12,18 +12,17 @@ class in C^t gets: ``gfscil_plain`` gives every seen class a seen row,
 ``gfscil_semantic`` and ``gcl`` give them merged ones, and ``gcl`` adds an
 unseen_semantic row for each zero-shot class announced by session t.
 Training, evaluation, export and the gradient audit all call it. One
-``nn.gnn_forward`` over the union of the seen classes' supports, and of the
-student's distillation nodes when an episode asks for them, gives every row
-the losses read: one encoder forward per episode on either backbone.
+``nn.gnn_forward`` over the union of the seen classes' supports and of any
+distillation nodes gives every row the losses read: one encoder forward per
+episode on either backbone.
 
-Everything of that build that no parameter touches is a ``SupportPlan``: the
-union, each class's rows in it, the distillation rows, the membership CSR
-that averages a class's rows beside its CSR transpose, and the union's
-``nn.ForwardPlan``. Every episode of a session forwards the same union on the
-same snapshot, so the trainer builds one plan per session, hands it to every
-episode and to the session's evaluation prototypes, and drops it before the
-session's evaluation forward. A build without a plan makes one and drops it
-on return.
+Everything of that build that no parameter touches is a ``SupportPlan``, the
+only carrier of a session's supports: the union, each class's rows in it,
+the distillation rows, the membership CSR that averages a class's rows
+beside its CSR transpose, and the union's ``nn.ForwardPlan``. The trainer
+builds one per session from ``sampler.session_supports``; the teacher reads
+its distillation rows from it, and every episode and the session's
+evaluation prototypes build from it.
 """
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ from .autodiff import Tensor
 from . import nn as network
 from .config import MODES, is_semantic
 from .graphstore import DatasetBundle, graph_at
-from .sampler import Episode
 
 __all__ = ["PrototypeBuild", "SupportPlan", "plan_supports", "encode_csds",
            "build_prototype_tensors", "add_unseen_prototypes"]
@@ -85,7 +83,6 @@ class SupportPlan:
     ascending; the forward's row i is its node i. Nothing in the plan is
     written after ``plan_supports`` returns.
     """
-    supports: dict[int, frozenset[int]]   # the extended supports planned for
     classes: np.ndarray           # seen classes, ascending: rows of ``seen``
     inv_sizes: np.ndarray         # (S x 1) one over each support's size
     members: list[np.ndarray]     # union rows per class, ascending
@@ -114,7 +111,7 @@ def plan_supports(gnn: network.GnnParams, graph, supports: dict,
     membership = sp.csr_matrix((np.ones(n_support), position[:n_support], indptr),
                                shape=(classes.size, union.size))
     return SupportPlan(
-        supports=supports, classes=classes, inv_sizes=1.0 / sizes[:, None],
+        classes=classes, inv_sizes=1.0 / sizes[:, None],
         members=np.split(position[:n_support], indptr[1:-1]),
         membership=membership, membership_t=membership.T.tocsr(),
         distill=position[n_support:] if distill_nodes is not None else None,
@@ -122,28 +119,20 @@ def plan_supports(gnn: network.GnnParams, graph, supports: dict,
 
 
 def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
-                            episode: Episode, mode: str,
-                            unseen_encoder: str = "gnn", *,
-                            plan: SupportPlan | None = None) -> PrototypeBuild:
+                            t: int, plan: SupportPlan, mode: str,
+                            unseen_encoder: str = "gnn") -> PrototypeBuild:
     """One prototype per class in C^t, per ``mode``, on the autodiff tape.
 
-    Seen classes come from the episode's extended supports on the session's
-    graph; in ``gcl`` mode the session's zero-shot classes join them.
-    ``plan`` is a ``SupportPlan`` of the episode's extended supports on the
-    session's graph; the student embeddings of its distill nodes come from
-    the same forward and land in ``distill``. Without a plan, one without
-    distill nodes is built here and dropped on return.
+    ``plan`` is a ``SupportPlan`` of the seen classes' extended supports on
+    session t's graph; the student embeddings of its distill nodes come from
+    the same forward and land in ``distill``. In ``gcl`` mode the session's
+    zero-shot classes join the seen ones.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    graph = graph_at(bundle, episode.session)
     csds = bundle.csds.vectors
-    if plan is None:
-        plan = plan_supports(model.gnn, graph, episode.extended_support)
-    elif plan.supports != episode.extended_support:
-        raise ValueError("the plan was built for other supports")
     classes = plan.classes
-    embeddings = network.gnn_forward(model.gnn, graph, plan.forward)
+    embeddings = network.gnn_forward(model.gnn, graph_at(bundle, t), plan.forward)
     seen = (ad.sparse_matmul(plan.membership, embeddings, plan.membership_t)
             * plan.inv_sizes)
 
@@ -158,9 +147,8 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
         distill=(ad.gather_rows(embeddings, plan.distill)
                  if plan.distill is not None else None))
     if mode == "gcl":
-        add_unseen_prototypes(build, model,
-                              bundle.schedule.unseen_at(episode.session),
-                              csds, unseen_encoder)
+        add_unseen_prototypes(build, model, bundle.schedule.unseen_at(t), csds,
+                              unseen_encoder)
     return build
 
 

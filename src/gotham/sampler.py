@@ -2,10 +2,11 @@
 
 A class's labeled shots are its anchor nodes; walks from each anchor gather
 unlabeled neighbors into the extended support set. ``session_supports`` draws
-those walks once per session, so every episode of the session and its
-evaluation share one extended support per class. Episodes carry fresh class
-and query randomness but reuse the anchors, so the labeled budget per class
-never exceeds k.
+those walks once per session; the trainer plans that draw once
+(``prototypes.SupportPlan``) and every episode and the evaluation of the
+session read the plan. An episode is only its class draw and its queries:
+fresh randomness per episode over the same anchors, so the labeled budget
+per class never exceeds k.
 """
 from __future__ import annotations
 
@@ -21,25 +22,10 @@ __all__ = ["Episode", "ClassSplit", "extend_support", "build_class_split",
 
 @dataclass(frozen=True)
 class Episode:
-    """One task: per-class support and walk-extended support, plus queries.
-
-    ``support`` holds only the classes sampled into this task;
-    ``extended_support`` additionally covers every other currently-seen class
-    (from its anchors) so prototypes span the full class set.
-    """
+    """One task at a session: the classes it trains, and its query draw."""
     session: int
-    support: dict[int, tuple[int, ...]]
-    extended_support: dict[int, frozenset[int]]
+    classes: tuple[int, ...]              # the task's classes, ascending
     query: tuple[tuple[int, int], ...]    # (node, true class)
-
-    def validate(self) -> None:
-        query_nodes = {n for n, _ in self.query}
-        for cls, nodes in self.support.items():
-            if set(nodes) & query_nodes:
-                raise ValueError(f"support/query overlap for class {cls}")
-            if not set(nodes) <= self.extended_support.get(cls, frozenset()):
-                raise ValueError(f"extended support does not cover support "
-                                 f"for class {cls}")
 
 
 def _as_rng(rng_seed) -> np.random.Generator:
@@ -195,23 +181,21 @@ def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
 
 def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
                    query_per_class: int = 10, *, split: ClassSplit,
-                   extended: dict[int, frozenset[int]],
                    episode_class_pool: str = "all_seen") -> Episode:
     """Draw one task at session t.
 
     At t=0 the task covers ``n_way`` classes sampled from the base set; at
     t>=1 it covers all currently-seen classes ("all_seen") or ``n_way`` of
-    the session's novel few-shot classes ("novel_only"). Every seen class
-    carries its extended support from ``extended``, the session's draw from
-    ``session_supports``, so the prototype set spans C^t. ``rng_seed`` drives
-    only the class and query draws, and queries come only from nodes visible
-    at t. In GCL mode, zero-shot classes contribute query nodes only.
+    the session's novel few-shot classes ("novel_only"). Prototypes span
+    every seen class whatever the task, from the session's supports.
+    ``rng_seed`` drives the class draw, then ``query_per_class`` queries per
+    task class from its nodes visible at t minus its anchors. In GCL mode,
+    zero-shot classes contribute query nodes only.
     """
     sched = bundle.schedule
     sched._check_t(t)
     rng = _as_rng(rng_seed)
 
-    seen = sched.seen_at(t)
     if t == 0:
         pool_classes = sorted(sched.base_classes)
         if n_way > len(pool_classes):
@@ -219,7 +203,7 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
         task_classes = sorted(rng.choice(pool_classes, size=n_way,
                                          replace=False).tolist())
     elif episode_class_pool == "all_seen":
-        task_classes = seen
+        task_classes = sched.seen_at(t)
     elif episode_class_pool == "novel_only":
         novel = sched.novel_few_shot_at(t)
         if n_way > len(novel):
@@ -229,18 +213,15 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
     else:
         raise ValueError(f"unknown episode_class_pool {episode_class_pool!r}")
 
-    support: dict[int, tuple[int, ...]] = {}
     query: list[tuple[int, int]] = []
-
     for cls in task_classes:
-        k = split.k_by_class[cls]
+        # the anchors are visible at t, so this binds only when queries are drawn
         available = split.visible_pool(cls, t).size
-        if available < k + query_per_class:
+        if available < split.k_by_class[cls] + query_per_class:
             raise DatasetError(
                 f"class {cls} has only {available} trainable labeled nodes "
                 f"visible at session {t}; need k + query_per_class = "
-                f"{k + query_per_class}")
-        support[cls] = tuple(int(n) for n in split.anchors[cls])
+                f"{split.k_by_class[cls] + query_per_class}")
         picked = rng.choice(split.query_pool(cls, t), size=query_per_class,
                             replace=False)
         query.extend((int(n), cls) for n in np.sort(picked))
@@ -253,8 +234,5 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
                 picked = rng.choice(qpool, size=n_q, replace=False)
                 query.extend((int(n), cls) for n in np.sort(picked))
 
-    ep = Episode(session=t, support=support,
-                 extended_support={cls: extended[cls] for cls in seen},
-                 query=tuple(query))
-    ep.validate()
-    return ep
+    return Episode(session=t, classes=tuple(task_classes),
+                   query=tuple(query))

@@ -3,18 +3,20 @@
 ``run_stream`` runs one session loop over t = 0..S. Base training (t = 0)
 optimizes clustering/segregation (plus semantic alignment when class
 semantics are available) over sampled tasks. Each later session distils from
-a frozen teacher, the model that finished session t-1: the live model still
-holds exactly those parameters when session t starts, so its outputs on the
-distillation set are read once, before the first update, and kept for the
-session. The session then finetunes on tasks covering all currently-seen
-classes. Every episode and the evaluation of a session share one random-walk
-draw, so all of them forward one union of nodes on one snapshot. What no
-parameter touches of that forward (the union, its membership CSR, the
-encoder's sparse operators and their transposes) is one
-``prototypes.SupportPlan``, built before the session's first episode and
-dropped before its evaluation forward; no plan outlives its session.
-Classification is nearest prototype in embedding space with ties going to
-the smallest class id.
+a frozen teacher, the model that finished session t-1, then finetunes on
+tasks covering all currently-seen classes.
+
+A session starts by drawing its random walks once (``session_supports``)
+and planning them once: the ``prototypes.SupportPlan`` holds the union of the
+extended supports and of the distillation nodes (the anchors of the classes
+seen at t-1), and everything of its forward that no parameter touches. The
+live model still holds the teacher's parameters when session t starts, so
+the teacher's outputs are its forward on that plan, read once before the
+first update. Every episode, which is only a class draw (and a query draw
+under ``telemetry``), and the session's evaluation prototypes then build
+from the same plan; it is dropped before evaluation's forward, so no plan
+outlives its session. Classification is nearest prototype in embedding
+space with ties going to the smallest class id.
 """
 from __future__ import annotations
 
@@ -115,29 +117,26 @@ class _TeacherCache:
 
     The teacher is the model that finished session t-1, which is ``model``
     itself when session t starts, so nothing is copied. It covers the
-    classes seen at t-1 and the union of their anchors, on session t's graph.
+    classes seen at t-1 and the distill rows of session t's ``plan``.
     """
 
     def __init__(self, model: network.ModelState, bundle: DatasetBundle,
-                 split: ClassSplit, t: int, mode: str):
+                 plan: SupportPlan, t: int, mode: str):
         self.classes = bundle.schedule.seen_at(t - 1)
-        self.nodes = np.unique(np.concatenate([split.anchors[c]
-                                               for c in self.classes]))
-        self.embeddings = network.gnn_forward(model.gnn, graph_at(bundle, t),
-                                              self.nodes).data
+        self.embeddings = network.gnn_forward(
+            model.gnn, graph_at(bundle, t), plan.forward).data[plan.distill]
         self.encodings = (encode_csds(model, self.classes, bundle.csds.vectors).data
                           if is_semantic(mode) else None)
 
 
-def _session_plan(model: network.ModelState, bundle: DatasetBundle, t: int,
-                  extended: dict, teacher_cache: "_TeacherCache | None") -> SupportPlan:
-    """The plan every episode of session t forwards: the extended supports
-    and the teacher's distill nodes on session t's snapshot."""
-    # the distill nodes are anchors of classes seen at t-1, so the union of
-    # the supports already holds them
-    distill = (teacher_cache.nodes if teacher_cache is not None
-               and teacher_cache.nodes.size else None)
-    return plan_supports(model.gnn, graph_at(bundle, t), extended, distill)
+def _distill_nodes(bundle: DatasetBundle, split: ClassSplit,
+                   t: int) -> np.ndarray | None:
+    """The nodes distilled at session t, None at t = 0: the anchors of the
+    classes seen at t-1, which session t's supports already hold."""
+    if t == 0:
+        return None
+    return np.unique(np.concatenate([split.anchors[c]
+                                     for c in bundle.schedule.seen_at(t - 1)]))
 
 
 def _episode_step(model: network.ModelState, bundle: DatasetBundle,
@@ -145,17 +144,17 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
                   teacher_cache: "_TeacherCache | None",
                   plan: SupportPlan) -> tuple[LossParts, object, dict]:
     """Forward all loss parts for one episode; returns (parts, total, protos).
-    ``plan`` is ``_session_plan`` of the episode's supports and teacher."""
-    build = build_prototype_tensors(model, bundle, episode, cfg.mode,
-                                    cfg.unseen_encoder, plan=plan)
+    ``plan`` is the session's, whose distill rows the teacher read."""
+    build = build_prototype_tensors(model, bundle, episode.session, plan,
+                                    cfg.mode, cfg.unseen_encoder)
 
     parts = LossParts()
-    # clustering acts on the task's support classes; the remaining seen
-    # classes still contribute anchor-built prototypes to segregation and
-    # alignment, so in "novel_only" mode old classes are shielded only by
-    # distillation. The task's classes and the teacher's (seen at t-1) are
-    # all rows of build.seen.
-    task = np.searchsorted(build.seen_classes, sorted(episode.support))
+    # clustering acts on the task's classes; the remaining seen classes
+    # still contribute anchor-built prototypes to segregation and alignment,
+    # so in "novel_only" mode old classes are shielded only by distillation.
+    # The task's classes and the teacher's (seen at t-1) are all rows of
+    # build.seen.
+    task = np.searchsorted(build.seen_classes, episode.classes)
     parts.cluster = loss_cluster(build.embeddings,
                                  {r: build.members[r] for r in task},
                                  build.seen, cfg.gamma, cfg.cluster_variant)
@@ -185,7 +184,7 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     return float((pred == truth).mean())
 
 
-def _train_session(model, bundle, cfg, split, t, extended, cache, plan,
+def _train_session(model, bundle, cfg, split, t, cache, plan,
                    log_fn=None) -> tuple[list[float], list[float]]:
     """Train session t: base episodes at ``meta_lr`` when t = 0, else
     finetune episodes at ``ft_lr`` with the teacher's distillation terms."""
@@ -193,13 +192,14 @@ def _train_session(model, bundle, cfg, split, t, extended, cache, plan,
                     else (cfg.episodes_finetune, cfg.ft_lr))
     step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
     params = network.named_parameters(model)
+    # queries are read only by the telemetry; each episode's rng draws its
+    # classes first, so drawing none leaves training as it is
+    queries = cfg.query_per_class if cfg.telemetry else 0
     totals: list[float] = []
     query_accs: list[float] = []
     for e in range(episodes):
-        rng = _episode_rng(cfg, t, e)
-        episode = sample_episode(bundle, t, cfg.n_way, rng,
-                                 cfg.query_per_class, split=split,
-                                 extended=extended,
+        episode = sample_episode(bundle, t, cfg.n_way, _episode_rng(cfg, t, e),
+                                 queries, split=split,
                                  episode_class_pool=cfg.episode_class_pool)
         parts, total, build = _episode_step(model, bundle, episode, cfg, cache,
                                             plan)
@@ -212,8 +212,6 @@ def _train_session(model, bundle, cfg, split, t, extended, cache, plan,
                 f"session {t}, episode {e}: {exc}; loss parts "
                 f"{computed}") from exc
         totals.append(total.item())
-        # a second forward, so only under telemetry; the episode still draws
-        # its queries, which keeps the rng stream of every run alike
         if cfg.telemetry:
             acc = _episode_query_accuracy(model, bundle, episode, build)
             if acc is not None:
@@ -232,15 +230,16 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
     start = time.perf_counter()
     extended = session_supports(bundle, t, split, cfg.walk_length,
                                 cfg.walks_per_seed, cfg.seed)
+    plan = plan_supports(model.gnn, graph_at(bundle, t), extended,
+                         _distill_nodes(bundle, split, t))
     # the teacher is read before the first update
-    cache = _TeacherCache(model, bundle, split, t, cfg.mode) if t else None
-    plan = _session_plan(model, bundle, t, extended, cache)
+    cache = _TeacherCache(model, bundle, plan, t, cfg.mode) if t else None
     # training returns before evaluation so the last episode's tape and
     # gradients are freed first, which keeps peak memory down
-    totals, q_accs = _train_session(model, bundle, cfg, split, t, extended,
-                                    cache, plan, log_fn)
+    totals, q_accs = _train_session(model, bundle, cfg, split, t, cache, plan,
+                                    log_fn)
     del cache
-    build = _eval_prototypes(model, bundle, cfg, t, extended, plan)
+    build = _eval_prototypes(model, bundle, cfg, t, plan)
     classes, prototypes = build.classes, build.final.data
     # frees the build's tape and the session's plan before evaluation's forward
     del build, plan
@@ -251,14 +250,12 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
     return report
 
 
-def _eval_prototypes(model, bundle, cfg, t, extended,
-                     plan: SupportPlan | None = None) -> PrototypeBuild:
-    """Prototypes for evaluation, from the session's extended supports: the
-    sets training optimized toward. ``plan``, when given, is the session's;
-    its distillation rows are not read."""
-    episode = Episode(session=t, support={}, extended_support=extended, query=())
-    return build_prototype_tensors(model, bundle, episode, cfg.mode,
-                                   cfg.unseen_encoder, plan=plan)
+def _eval_prototypes(model, bundle, cfg, t, plan: SupportPlan) -> PrototypeBuild:
+    """Prototypes for evaluation from ``plan``, a plan of session t's
+    extended supports: the sets training optimized toward. Its distill rows
+    are not read."""
+    return build_prototype_tensors(model, bundle, t, plan, cfg.mode,
+                                   cfg.unseen_encoder)
 
 
 def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,

@@ -242,6 +242,30 @@ def test_synth_with_k_0_exits_2(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("n_base", ["0", "-2", "10"])
+def test_synth_with_base_classes_outside_1_to_blocks_exits_2(tmp_path, n_base,
+                                                             capsys):
+    argv = ["synth", "--out", str(tmp_path / "data"), "--blocks", "8",
+            "--base-classes", n_base]
+    assert main(argv) == 2
+    assert f"blocks=8, got {n_base}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_run_on_a_stream_without_base_classes_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=1, k_shot=3), data)
+    schedule = json.loads((data / "schedule.json").read_text())
+    schedule["base_classes"] = []
+    schedule["sessions"].insert(0, {"few_shot": [0], "k": 3})
+    (data / "schedule.json").write_text(json.dumps(schedule))
+    RunConfig(dataset=str(data), out_dir=str(tmp_path / "run"),
+              episodes_base=0).to_json(tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    assert "at least one base class" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_on_a_few_shot_session_with_k_0_exits_2(tmp_path, capsys):
     data = tmp_path / "data"
     write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)

@@ -339,6 +339,16 @@ def test_schedule_rejects_a_few_shot_session_with_k_0():
     dataclasses.replace(sched, sessions=sched.sessions[:1]).validate()
 
 
+def test_a_stream_without_base_classes_is_rejected(tmp_path):
+    write_dataset(synth_generate(0, 3, 4, 0.9, 0.1, 3, n_base=1), tmp_path)
+    schedule = json.loads((tmp_path / "schedule.json").read_text())
+    schedule["base_classes"] = []
+    schedule["sessions"].insert(0, {"few_shot": [0], "k": 1})
+    (tmp_path / "schedule.json").write_text(json.dumps(schedule))
+    with pytest.raises(DatasetError, match="at least one base class"):
+        load_dataset(tmp_path)
+
+
 # -- synth --------------------------------------------------------------------
 
 def test_synth_rejects_k_shot_below_1_for_few_shot_sessions():
@@ -352,6 +362,15 @@ def test_synth_rejects_k_shot_below_1_for_few_shot_sessions():
     b = synth_generate(0, 4, 10, 0.5, 0.1, 4, n_base=2,
                        zero_shot_classes=(2, 3), k_shot=0)
     assert [s.k for s in b.schedule.sessions] == [0, 0]
+
+
+@pytest.mark.parametrize("n_base", [0, -2, 9])
+def test_synth_rejects_base_classes_outside_1_to_blocks(n_base):
+    with pytest.raises(DatasetError, match=f"blocks=8, got {n_base}"):
+        synth_generate(0, 8, 4, 0.5, 0.1, 8, n_base=n_base)
+    for n in (1, 8):
+        assert len(synth_generate(0, 8, 4, 0.5, 0.1, 8,
+                                  n_base=n).schedule.base_classes) == n
 
 
 def test_synth_counts():

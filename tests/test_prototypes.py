@@ -9,8 +9,7 @@ from gotham import nn as network
 from gotham.graphstore import CSDTable, build_snapshot, graph_at, synth_generate
 from gotham.prototypes import (add_unseen_prototypes, build_prototype_tensors,
                                encode_csds, plan_supports)
-from gotham.sampler import (Episode, build_class_split, sample_episode,
-                            session_supports)
+from gotham.sampler import build_class_split, session_supports
 
 
 def linear_gnn(w, slope=1.0):
@@ -18,10 +17,11 @@ def linear_gnn(w, slope=1.0):
     return network.GnnParams([layer], negative_slope=slope)
 
 
-def eval_episode(supports, session=0):
-    """An episode that only carries extended supports, as evaluation builds."""
-    return Episode(session=session, support={}, extended_support=supports,
-                   query=())
+def build_of(model, bundle, supports, mode, t=0, distill=None, **kwargs):
+    """The prototypes of ``supports`` at session t, planned as the trainer
+    plans a session's supports."""
+    plan = plan_supports(model.gnn, graph_at(bundle, t), supports, distill)
+    return build_prototype_tensors(model, bundle, t, plan, mode, **kwargs)
 
 
 def small_bundle(seed=5):
@@ -43,8 +43,7 @@ def one_node_forward(params, vector):
 def with_unseen(model, bundle, csds, seen=(1, 2)):
     """A gfscil_plain build over ``seen`` plus unseen rows for ``csds``."""
     supports = {c: frozenset(range(10 * c, 10 * c + 3)) for c in seen}
-    build = build_prototype_tensors(model, bundle, eval_episode(supports),
-                                    "gfscil_plain")
+    build = build_of(model, bundle, supports, "gfscil_plain")
     add_unseen_prototypes(build, model, csds, csds)
     return build
 
@@ -52,8 +51,7 @@ def with_unseen(model, bundle, csds, seen=(1, 2)):
 def test_singleton_support_equals_embedding():
     b = small_bundle()
     model = plain_model(b)
-    build = build_prototype_tensors(model, b, eval_episode({0: frozenset({1})}),
-                                    "gfscil_plain")
+    build = build_of(model, b, {0: frozenset({1})}, "gfscil_plain")
     emb = network.gnn_forward(model.gnn, graph_at(b, 0), [1]).data[0]
     np.testing.assert_array_equal(build.final.data[0], emb)
     assert build.kinds == ["seen"] and build.members[0].size == 1
@@ -68,8 +66,7 @@ def test_opposite_embeddings_cancel():
         b.graph.num_nodes, np.zeros((0, 2), dtype=np.int64), feats))
     w = np.random.default_rng(3).standard_normal((4, 2))
     model = network.ModelState(gnn=linear_gnn(w), mlp=None)
-    build = build_prototype_tensors(model, b, eval_episode({0: frozenset({0, 1})}),
-                                    "gfscil_plain")
+    build = build_of(model, b, {0: frozenset({0, 1})}, "gfscil_plain")
     np.testing.assert_array_equal(build.final.data[0], [0.0, 0.0])
 
 
@@ -77,8 +74,7 @@ def test_seen_prototype_matches_column_mean_oracle():
     b = small_bundle()
     model = plain_model(b)
     support = {0, 3, 7, 12, 25}
-    build = build_prototype_tensors(model, b, eval_episode({0: frozenset(support)}),
-                                    "gfscil_plain")
+    build = build_of(model, b, {0: frozenset(support)}, "gfscil_plain")
     emb = network.gnn_forward(model.gnn, b.graph, sorted(support)).data
     np.testing.assert_allclose(build.final.data[0], emb.mean(axis=0), atol=1e-12)
     np.testing.assert_array_equal(build.embeddings.data, emb)
@@ -98,8 +94,7 @@ def test_seen_prototypes_equal_column_means_bit_for_bit(seed):
                 for c in range(3)}
     distill = np.sort(rng.choice(30, size=5, replace=False))
     plan = plan_supports(model.gnn, b.graph, supports, distill)
-    build = build_prototype_tensors(model, b, eval_episode(supports),
-                                    "gfscil_plain", plan=plan)
+    build = build_prototype_tensors(model, b, 0, plan, "gfscil_plain")
     assert build.seen_classes.tolist() == [0, 1, 2]
     for row, c in enumerate(build.seen_classes):
         rows = build.embeddings.data[build.members[row]]
@@ -121,14 +116,12 @@ def test_a_plan_serves_builds_as_a_fresh_plan_does(backbone):
     supports = {0: frozenset({0, 3, 7}), 1: frozenset({12, 15}),
                 2: frozenset({21, 22, 28})}
     distill = np.array([3, 12, 21])
-    episode = eval_episode(supports)
     plan = plan_supports(model.gnn, graph_at(b, 0), supports, distill)
     np.testing.assert_array_equal(plan.forward.nodes,
                                   sorted(set().union(*supports.values())))
     np.testing.assert_array_equal(plan.forward.nodes[plan.distill], distill)
     for _ in range(2):
-        builds = [build_prototype_tensors(model, b, episode, "gfscil_semantic",
-                                          plan=p)
+        builds = [build_prototype_tensors(model, b, 0, p, "gfscil_semantic")
                   for p in (plan, plan_supports(model.gnn, graph_at(b, 0),
                                                 supports, distill))]
         for name in ("final", "seen", "embeddings", "distill"):
@@ -140,15 +133,14 @@ def test_a_plan_serves_builds_as_a_fresh_plan_does(backbone):
         network.apply_update(params, grads, 0.5)
 
 
-def test_a_plan_of_other_supports_or_unseen_nodes_is_rejected():
+def test_a_plan_of_another_snapshot_or_unseen_nodes_is_rejected():
     b = small_bundle()
     model = plain_model(b)
-    plan = plan_supports(model.gnn, graph_at(b, 0),
-                         {0: frozenset({0, 3}), 1: frozenset({12})})
-    with pytest.raises(ValueError, match="other supports"):
-        build_prototype_tensors(model, b, eval_episode({0: frozenset({0, 3})}),
-                                "gfscil_plain", plan=plan)
     hidden = dataclasses.replace(b.graph, visible=np.arange(20))
+    plan = plan_supports(model.gnn, hidden, {0: frozenset({0, 3}),
+                                             1: frozenset({12})})
+    with pytest.raises(ValueError, match="another snapshot or encoder"):
+        build_prototype_tensors(model, b, 0, plan, "gfscil_plain")
     with pytest.raises(ValueError,
                        match=r"nodes \[25\] are not visible in this snapshot"):
         plan_supports(model.gnn, hidden, {0: frozenset({0, 3}),
@@ -158,8 +150,7 @@ def test_a_plan_of_other_supports_or_unseen_nodes_is_rejected():
 def test_empty_support_rejected():
     b = small_bundle(6)
     with pytest.raises(ValueError, match="empty"):
-        build_prototype_tensors(plain_model(b, (3,)), b,
-                                eval_episode({0: frozenset()}), "gfscil_plain")
+        build_of(plain_model(b, (3,)), b, {0: frozenset()}, "gfscil_plain")
 
 
 def test_merged_is_midpoint():
@@ -167,8 +158,7 @@ def test_merged_is_midpoint():
     model = network.init_model(4, 5, 3, 2, seed=1, csd_dim=b.csds.dim)
     supports = {0: frozenset({0, 3, 7}), 1: frozenset({11, 14}),
                 2: frozenset({21, 22, 28})}
-    build = build_prototype_tensors(model, b, eval_episode(supports),
-                                    "gfscil_semantic")
+    build = build_of(model, b, supports, "gfscil_semantic")
     assert build.classes.tolist() == sorted(supports)
     for row in range(len(supports)):
         seen, enc = build.seen.data[row], build.encoded.data[row]
@@ -239,19 +229,17 @@ def test_linear_scaling_property():
     model = network.ModelState(gnn=linear_gnn(w), mlp=None)
     scaled = dataclasses.replace(
         b, graph=dataclasses.replace(b.graph, features=2.5 * b.graph.features))
-    episode = eval_episode({0: frozenset({0, 1, 2})})
-    p1 = build_prototype_tensors(model, b, episode, "gfscil_plain").final.data[0]
-    p2 = build_prototype_tensors(model, scaled, episode, "gfscil_plain").final.data[0]
+    support = {0: frozenset({0, 1, 2})}
+    p1 = build_of(model, b, support, "gfscil_plain").final.data[0]
+    p2 = build_of(model, scaled, support, "gfscil_plain").final.data[0]
     np.testing.assert_allclose(p2, 2.5 * p1, rtol=1e-12)
 
 
 def test_permutation_invariance_over_support():
     b = synth_generate(7, 2, 8, 0.8, 0.1, 4)
     model = plain_model(b, (3,), seed=7)
-    p1 = build_prototype_tensors(model, b, eval_episode({0: (3, 1, 9)}),
-                                 "gfscil_plain").final.data[0]
-    p2 = build_prototype_tensors(model, b, eval_episode({0: (9, 3, 1)}),
-                                 "gfscil_plain").final.data[0]
+    p1 = build_of(model, b, {0: (3, 1, 9)}, "gfscil_plain").final.data[0]
+    p2 = build_of(model, b, {0: (9, 3, 1)}, "gfscil_plain").final.data[0]
     np.testing.assert_array_equal(p1, p2)
 
 
@@ -266,14 +254,12 @@ def fixture(mode_zero_shot=False):
     t = b.schedule.num_sessions
     extended = session_supports(b, t, split, walk_length=2, walks_per_seed=3,
                                 seed=2)
-    ep = sample_episode(b, t, 1, rng_seed=2, query_per_class=3, split=split,
-                        extended=extended)
-    return b, model, ep
+    return b, model, t, extended
 
 
 def test_gfscil_plain_mode_all_seen():
-    b, model, ep = fixture()
-    build = build_prototype_tensors(model, b, ep, "gfscil_plain")
+    b, model, t, supports = fixture()
+    build = build_of(model, b, supports, "gfscil_plain", t)
     assert build.classes.tolist() == [0, 1, 2, 3, 4]
     assert build.final.shape == (5, 6)
     assert set(build.kinds) == {"seen"}
@@ -281,55 +267,55 @@ def test_gfscil_plain_mode_all_seen():
 
 
 def test_gfscil_semantic_mode_all_merged():
-    b, model, ep = fixture()
-    build = build_prototype_tensors(model, b, ep, "gfscil_semantic")
+    b, model, t, supports = fixture()
+    build = build_of(model, b, supports, "gfscil_semantic", t)
     assert build.classes.tolist() == [0, 1, 2, 3, 4]
     assert set(build.kinds) == {"merged"}
 
 
 def test_gcl_mode_one_unseen():
-    b, model, ep = fixture(mode_zero_shot=True)
-    build = build_prototype_tensors(model, b, ep, "gcl")
+    b, model, t, supports = fixture(mode_zero_shot=True)
+    build = build_of(model, b, supports, "gcl", t)
     kinds = dict(zip(build.classes.tolist(), build.kinds))
     assert kinds[4] == "unseen_semantic"
     assert all(k == "merged" for c, k in kinds.items() if c != 4)
     # exactly |seen| + |unseen| prototypes, rows in ascending class id
-    assert build.seen_classes.tolist() == b.schedule.seen_at(ep.session)
-    assert build.classes.tolist() == b.schedule.classes_at(ep.session)
+    assert build.seen_classes.tolist() == b.schedule.seen_at(t)
+    assert build.classes.tolist() == b.schedule.classes_at(t)
     assert build.final.shape[0] == len(build.classes)
 
 
 def test_gcl_unseen_prototype_projects_the_csd():
-    b, _, ep = fixture(mode_zero_shot=True)
+    b, _, t, supports = fixture(mode_zero_shot=True)
     # semantic vectors narrower than the node features need the projection
     csds = {c: np.random.default_rng(c).standard_normal(5)
             for c in b.csds.vectors}
     b = dataclasses.replace(b, csds=CSDTable(csds))
     model = network.init_model(8, 10, 6, 2, seed=1, csd_dim=5)
     assert model.csd_projection is not None
-    build = build_prototype_tensors(model, b, ep, "gcl")
+    build = build_of(model, b, supports, "gcl", t)
     expected = one_node_forward(model.gnn, csds[4] @ model.csd_projection)
     row = build.classes.tolist().index(4)
     np.testing.assert_array_equal(build.final.data[row], expected)
 
 
 def test_missing_csd_rejected():
-    b, model, ep = fixture(mode_zero_shot=True)
+    b, model, t, supports = fixture(mode_zero_shot=True)
     csds = {c: v for c, v in b.csds.vectors.items() if c != 4}
     b = dataclasses.replace(b, csds=CSDTable(csds))
     with pytest.raises(ValueError, match="semantic vector"):
-        build_prototype_tensors(model, b, ep, "gcl")
+        build_of(model, b, supports, "gcl", t)
 
 
 def test_unknown_mode_rejected():
-    b, model, ep = fixture()
+    b, model, t, supports = fixture()
     with pytest.raises(ValueError, match="unknown mode"):
-        build_prototype_tensors(model, b, ep, "gfscil")
+        build_of(model, b, supports, "gfscil", t)
 
 
 def test_unseen_mlp_encoder_flag():
-    b, model, ep = fixture(mode_zero_shot=True)
-    build = build_prototype_tensors(model, b, ep, "gcl", unseen_encoder="mlp")
+    b, model, t, supports = fixture(mode_zero_shot=True)
+    build = build_of(model, b, supports, "gcl", t, unseen_encoder="mlp")
     row = build.classes.tolist().index(4)
     assert build.kinds[row] == "unseen_semantic"
     enc = encode_csds(model, [4], b.csds.vectors).data[0]

@@ -1,4 +1,5 @@
 """Random-walk support extension and episode assembly."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -74,11 +75,15 @@ def gcl_bundle():
                           zero_shot_classes=[4], k_shot=3)
 
 
-def draw(b, t, split, n_way, rng_seed, query_per_class, walk=(2, 3), **kwargs):
-    """One episode at session t over the session's supports (walk seed 0);
-    ``walk`` is (walk_length, walks_per_seed)."""
+def supports_at(b, t, split, walk=(2, 3)):
+    """Session t's extended supports (walk seed 0); ``walk`` is
+    (walk_length, walks_per_seed)."""
+    return session_supports(b, t, split, *walk, 0)
+
+
+def draw(b, t, split, n_way, rng_seed, query_per_class, **kwargs):
+    """One episode at session t."""
     return sample_episode(b, t, n_way, rng_seed, query_per_class, split=split,
-                          extended=session_supports(b, t, split, *walk, 0),
                           **kwargs)
 
 
@@ -86,12 +91,14 @@ def test_base_episode_shape():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=0)
     ep = draw(b, 0, split, n_way=2, rng_seed=0, query_per_class=4)
-    assert len(ep.support) == 2
-    for cls, nodes in ep.support.items():
-        assert len(nodes) == 3
-        assert set(nodes) <= set(ep.extended_support[cls])
+    assert len(ep.classes) == 2 and list(ep.classes) == sorted(ep.classes)
+    assert {c for _, c in ep.query} == set(ep.classes)
+    supports = supports_at(b, 0, split)
+    for cls in ep.classes:
+        assert split.anchors[cls].size == 3
+        assert set(split.anchors[cls].tolist()) <= supports[cls]
     # all base classes covered by extended supports for prototype building
-    assert set(ep.extended_support) == {0, 1, 2}
+    assert set(supports) == {0, 1, 2}
 
 
 def test_finetune_episode_covers_all_seen_and_queries_zero_shot():
@@ -99,42 +106,59 @@ def test_finetune_episode_covers_all_seen_and_queries_zero_shot():
     split = build_class_split(b, 3, anchor_seed=1)
     t = b.schedule.num_sessions          # final session: class 4 is zero-shot
     ep = draw(b, t, split, n_way=1, rng_seed=5, query_per_class=4)
-    seen = set(b.schedule.seen_at(t))
-    assert set(ep.support) == seen
-    assert set(ep.extended_support) == seen
-    assert 4 not in ep.support and 4 not in ep.extended_support
+    seen = b.schedule.seen_at(t)
+    assert list(ep.classes) == seen
+    assert sorted(supports_at(b, t, split)) == seen
+    assert 4 not in ep.classes
     query_classes = {c for _, c in ep.query}
     assert 4 in query_classes
 
 
 def test_support_query_disjoint_and_labels_true():
+    """In every session, queries (zero-shot classes' too) are labeled true
+    and never hit any class's anchors."""
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=2)
-    ep = draw(b, 1, split, n_way=1, rng_seed=7, query_per_class=5)
-    support_nodes = {n for nodes in ep.support.values() for n in nodes}
-    for node, cls in ep.query:
-        assert node not in support_nodes
-        assert b.labels.by_node[node] == cls
+    anchors = set(np.concatenate(list(split.anchors.values())).tolist())
+    for t in range(b.schedule.num_sessions + 1):
+        for seed in range(5):
+            ep = draw(b, t, split, n_way=1, rng_seed=seed, query_per_class=5)
+            assert ep.query
+            for node, cls in ep.query:
+                assert node not in anchors
+                assert b.labels.by_node[node] == cls
+
+
+def test_extended_supports_hold_their_anchors_in_every_session():
+    b = with_arrivals(novel_bundle())
+    split = build_class_split(b, 3, anchor_seed=8)
+    for t in range(b.schedule.num_sessions + 1):
+        for walk in ((0, 1), (2, 3), (4, 5)):
+            supports = supports_at(b, t, split, walk)
+            assert sorted(supports) == b.schedule.seen_at(t)
+            for cls, nodes in supports.items():
+                assert set(split.anchors[cls].tolist()) <= nodes
+            if walk == (0, 1):
+                assert all(nodes == set(split.anchors[cls].tolist())
+                           for cls, nodes in supports.items())
 
 
 def test_supports_are_disjoint_across_classes():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=3)
-    ep = draw(b, 0, split, n_way=3, rng_seed=1, query_per_class=3)
     seen_nodes: set[int] = set()
-    for nodes in ep.support.values():
-        assert not (set(nodes) & seen_nodes)
-        seen_nodes.update(nodes)
+    for nodes in split.anchors.values():
+        assert not (set(nodes.tolist()) & seen_nodes)
+        seen_nodes.update(nodes.tolist())
 
 
 def test_episode_deterministic():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=4)
-    e1 = draw(b, 1, split, 1, rng_seed=42, query_per_class=4, walk=(3, 5))
-    e2 = draw(b, 1, split, 1, rng_seed=42, query_per_class=4, walk=(3, 5))
-    assert e1.support == e2.support
-    assert e1.extended_support == e2.extended_support
-    assert e1.query == e2.query
+    e1 = draw(b, 0, split, 2, rng_seed=42, query_per_class=4)
+    e2 = draw(b, 0, split, 2, rng_seed=42, query_per_class=4)
+    assert e1 == e2
+    assert supports_at(b, 1, split, (3, 5)) == supports_at(b, 1, split, (3, 5))
 
 
 def test_insufficient_labels_names_class():
@@ -143,6 +167,8 @@ def test_insufficient_labels_names_class():
     # pool ~5 nodes per class; k + q = 3 + 5 = 8 > 5
     with pytest.raises(DatasetError, match="class [01]"):
         draw(b, 0, split, 1, rng_seed=0, query_per_class=5)
+    # without queries the k anchors suffice
+    assert draw(b, 0, split, 1, rng_seed=0, query_per_class=0).query == ()
 
 
 def test_n_way_too_large_rejected():
@@ -150,6 +176,15 @@ def test_n_way_too_large_rejected():
     split = build_class_split(b, 3, anchor_seed=5)
     with pytest.raises(DatasetError, match="n_way"):
         draw(b, 0, split, n_way=4, rng_seed=0, query_per_class=2)
+
+
+def with_arrivals(b):
+    """Each streamed class's nodes arrive in the session that introduces it."""
+    sessions = tuple(dataclasses.replace(spec, arrivals=tuple(
+        n for n, c in sorted(b.labels.by_node.items())
+        if c in spec.few_shot + spec.zero_shot)) for spec in b.schedule.sessions)
+    return dataclasses.replace(b, schedule=dataclasses.replace(
+        b.schedule, sessions=sessions))
 
 
 def novel_bundle():
@@ -167,16 +202,15 @@ def test_novel_only_task_draws_the_session_novel_classes():
     for seed in range(8):
         ep = draw(b, 1, split, n_way=1, rng_seed=seed, query_per_class=3,
                   episode_class_pool="novel_only")
-        assert len(ep.support) == 1 and set(ep.support) <= set(novel)
-        assert {c for _, c in ep.query} == set(ep.support)
-        # prototypes still span every seen class
-        assert sorted(ep.extended_support) == seen
-        drawn |= set(ep.support)
+        assert len(ep.classes) == 1 and set(ep.classes) <= set(novel)
+        assert {c for _, c in ep.query} == set(ep.classes)
+        drawn |= set(ep.classes)
     assert drawn == {3, 4}
     ep = draw(b, 1, split, n_way=2, rng_seed=0, query_per_class=3,
               episode_class_pool="novel_only")
-    assert sorted(ep.support) == novel
-    assert sorted(ep.extended_support) == seen
+    assert list(ep.classes) == novel
+    # prototypes still span every seen class
+    assert sorted(supports_at(b, 1, split)) == seen
 
 
 @pytest.mark.parametrize("t,n_way", [(1, 3), (2, 2)])
@@ -195,8 +229,8 @@ def test_zero_shot_class_never_has_anchors():
     assert split.pool[4].size > 0
 
 
-# sha256 of the sorted extended supports and queries of episode 0 in every
-# session of gcl_bundle(), drawn with a run's seeds; integers only, so it
+# sha256 of the sorted extended supports of every session of gcl_bundle() and
+# the queries of its episode 0, drawn with a run's seeds; integers only, so it
 # holds across BLAS builds
 GOLDEN_DRAWS = "312cd17263bc3a06ab26cb27b88f585e28472e4509edf023ba9f3a256f50d9f3"
 
@@ -210,9 +244,9 @@ def test_walk_and_query_draws_are_pinned():
         extended = session_supports(b, t, split, cfg.walk_length,
                                     cfg.walks_per_seed, cfg.seed)
         ep = sample_episode(b, t, cfg.n_way, _episode_rng(cfg, t, 0),
-                            cfg.query_per_class, split=split, extended=extended)
+                            cfg.query_per_class, split=split)
         h.update(repr(sorted((c, sorted(nodes)) for c, nodes in
-                             ep.extended_support.items())).encode())
+                             extended.items())).encode())
         h.update(repr(sorted(ep.query)).encode())
     assert h.hexdigest() == GOLDEN_DRAWS
 

@@ -92,31 +92,41 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
     bundle = tiny_bundle((4,))
     sched = bundle.schedule
     cfg = tiny_config("gcl", "mean").replace(episodes_finetune=2)
-    supports = {t: [] for t in range(sched.num_sessions + 1)}
-    build, draw = trainer.build_prototype_tensors, trainer.session_supports
-    draws_at = []
-
-    def spy(model, bundle, episode, *args, **kwargs):
-        supports[episode.session].append(episode.extended_support)
-        return build(model, bundle, episode, *args, **kwargs)
+    draw, plan = trainer.session_supports, trainer.plan_supports
+    build = trainer.build_prototype_tensors
+    draws, plans = [], []
+    built = {t: [] for t in range(sched.num_sessions + 1)}
 
     def count_draws(bundle, t, *args, **kwargs):
-        draws_at.append(t)
-        return draw(bundle, t, *args, **kwargs)
+        draws.append((t, draw(bundle, t, *args, **kwargs)))
+        return draws[-1][1]
 
-    monkeypatch.setattr(trainer, "build_prototype_tensors", spy)
+    def spy_plan(gnn, graph, supports, distill_nodes=None):
+        plans.append((supports, plan(gnn, graph, supports, distill_nodes)))
+        return plans[-1][1]
+
+    def spy_build(model, bundle, t, plan, *args):
+        built[t].append(plan)
+        return build(model, bundle, t, plan, *args)
+
     monkeypatch.setattr(trainer, "session_supports", count_draws)
+    monkeypatch.setattr(trainer, "plan_supports", spy_plan)
+    monkeypatch.setattr(trainer, "build_prototype_tensors", spy_build)
     run_stream(bundle, cfg)
-    # one walk draw per session serves its episodes and its evaluation
-    assert draws_at == list(range(sched.num_sessions + 1))
-    assert any(sched.unseen_at(t) for t in supports)
-    for t, draws in supports.items():
+    # one walk draw and one plan of it per session serve its episodes and
+    # its evaluation
+    assert [t for t, _ in draws] == list(range(sched.num_sessions + 1))
+    assert len(plans) == len(draws)
+    assert any(sched.unseen_at(t) for t in built)
+    for (t, supports), (planned, session_plan) in zip(draws, plans):
+        assert planned is supports
         episodes = cfg.episodes_base if t == 0 else cfg.episodes_finetune
-        assert len(draws) == episodes + 1          # the episodes, then evaluation
-        assert all(d == draws[0] for d in draws)
+        assert len(built[t]) == episodes + 1       # the episodes, then evaluation
+        assert all(p is session_plan for p in built[t])
         # zero-shot classes have no anchors, so they get no support
-        assert sorted(draws[0]) == sched.seen_at(t)
-        assert not set(draws[0]) & set(sched.unseen_at(t))
+        assert sorted(supports) == sched.seen_at(t)
+        assert session_plan.classes.tolist() == sched.seen_at(t)
+        assert not set(supports) & set(sched.unseen_at(t))
 
 
 @pytest.mark.parametrize("mode,backbone,zero_shot", [
@@ -126,12 +136,15 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
 def test_teacher_cache_equals_a_frozen_copy_of_the_previous_session(
         monkeypatch, mode, backbone, zero_shot):
     """The cache read from the live model at the start of session t holds,
-    bit for bit, what a frozen copy taken after session t-1 computes."""
+    bit for bit, what a frozen copy taken after session t-1 computes on the
+    session's plan; the first finetune episode's student rows equal it, so
+    its embedding distillation is exactly 0."""
     bundle = tiny_bundle(zero_shot)
     sched = bundle.schedule
     cfg = tiny_config(mode, backbone)
     run_session, cache_cls = trainer._run_session, trainer._TeacherCache
-    frozen, caches = {}, {}
+    step = trainer._episode_step
+    frozen, caches, first = {}, {}, {}
 
     def spy_session(model, bundle, cfg, split, t, log_fn=None):
         report = run_session(model, bundle, cfg, split, t, log_fn)
@@ -141,25 +154,38 @@ def test_teacher_cache_equals_a_frozen_copy_of_the_previous_session(
         return report
 
     class SpyCache(cache_cls):
-        def __init__(self, model, bundle, split, t, mode):
-            super().__init__(model, bundle, split, t, mode)
-            caches[t] = self
+        def __init__(self, model, bundle, plan, t, mode):
+            super().__init__(model, bundle, plan, t, mode)
+            caches[t] = (self, plan)
+
+    def spy_step(model, bundle, episode, cfg, cache, plan):
+        parts, total, build = step(model, bundle, episode, cfg, cache, plan)
+        first.setdefault(episode.session, build.distill)
+        return parts, total, build
 
     monkeypatch.setattr(trainer, "_run_session", spy_session)
     monkeypatch.setattr(trainer, "_TeacherCache", SpyCache)
-    run_stream(bundle, cfg)
+    monkeypatch.setattr(trainer, "_episode_step", spy_step)
+    _, records = stream(bundle, cfg, None)
     assert sorted(caches) == list(range(1, sched.num_sessions + 1))
-    for t, cache in caches.items():
+    for t, (cache, plan) in caches.items():
         teacher, split = frozen[t - 1]
         assert list(cache.classes) == sched.seen_at(t - 1)
-        np.testing.assert_array_equal(cache.nodes, np.unique(np.concatenate(
-            [split.anchors[c] for c in sched.seen_at(t - 1)])))
-        want = network.gnn_forward(teacher.gnn, graph_at(bundle, t), cache.nodes)
+        np.testing.assert_array_equal(
+            plan.forward.nodes[plan.distill],
+            np.unique(np.concatenate([split.anchors[c]
+                                      for c in sched.seen_at(t - 1)])))
+        want = network.gnn_forward(teacher.gnn, graph_at(bundle, t), plan.forward)
         assert not want.requires_grad
-        assert cache.embeddings.tobytes() == want.data.tobytes()
+        assert cache.embeddings.tobytes() == want.data[plan.distill].tobytes()
+        assert first[t].data.tobytes() == cache.embeddings.tobytes()
         encoded = encode_csds(teacher, cache.classes, bundle.csds.vectors).data
         assert cache.encodings.shape == (len(cache.classes), cfg.out_dim)
         assert cache.encodings.tobytes() == encoded.tobytes()
+    assert first[0] is None
+    firsts = [next(r for r in records if r["session"] == t)
+              for t in range(1, sched.num_sessions + 1)]
+    assert [r["l_emb"] for r in firsts] == [0.0] * sched.num_sessions
 
 
 @pytest.mark.parametrize("mode,backbone,zero_shot", [
@@ -201,12 +227,12 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
 ])
 def test_one_plan_per_session_is_freed_when_the_session_returns(
         monkeypatch, mode, backbone, zero_shot):
-    """Every episode and the evaluation prototypes of a session read one
-    plan, and nothing holds it once ``_run_session`` returns."""
+    """The teacher, every episode and the evaluation prototypes of a session
+    read one plan, and nothing holds it once ``_run_session`` returns."""
     bundle = with_arrivals(tiny_bundle(zero_shot))
     cfg = tiny_config(mode, backbone)
-    make_plan, run_session = trainer._session_plan, trainer._run_session
-    build = trainer.build_prototype_tensors
+    make_plan, run_session = trainer.plan_supports, trainer._run_session
+    build, cache_cls = trainer.build_prototype_tensors, trainer._TeacherCache
     plans, used = [], []
 
     def spy_plan(*args):
@@ -214,22 +240,60 @@ def test_one_plan_per_session_is_freed_when_the_session_returns(
         plans.append((weakref.ref(plan), weakref.ref(plan.forward)))
         return plan
 
-    def spy_build(*args, plan=None, **kwargs):
+    def spy_build(model, bundle, t, plan, *args):
         used.append(id(plan))
-        return build(*args, plan=plan, **kwargs)
+        return build(model, bundle, t, plan, *args)
 
-    def spy_session(*args, **kwargs):
+    class SpyCache(cache_cls):
+        def __init__(self, model, bundle, plan, t, mode):
+            used.append(id(plan))
+            super().__init__(model, bundle, plan, t, mode)
+
+    def spy_session(model, bundle, cfg, split, t, log_fn=None):
         used.clear()
-        report = run_session(*args, **kwargs)
-        assert len(set(used)) == 1 and used[0] != id(None)
+        report = run_session(model, bundle, cfg, split, t, log_fn)
+        episodes = cfg.episodes_base if t == 0 else cfg.episodes_finetune
+        # the teacher (t >= 1), the episodes, then evaluation
+        assert len(used) == (t > 0) + episodes + 1 and len(set(used)) == 1
         assert all(ref() is None for ref in plans[-1])
         return report
 
-    monkeypatch.setattr(trainer, "_session_plan", spy_plan)
+    monkeypatch.setattr(trainer, "plan_supports", spy_plan)
     monkeypatch.setattr(trainer, "build_prototype_tensors", spy_build)
+    monkeypatch.setattr(trainer, "_TeacherCache", SpyCache)
     monkeypatch.setattr(trainer, "_run_session", spy_session)
     run_stream(bundle, cfg)
     assert len(plans) == bundle.num_sessions + 1
+
+
+@pytest.mark.parametrize("mode,backbone,zero_shot", [
+    ("gcl", "mean", (4,)),
+    ("gfscil_semantic", "attention", ()),
+])
+def test_forward_plans_are_built_per_session_and_per_evaluation_only(
+        monkeypatch, mode, backbone, zero_shot):
+    """A stream builds one forward plan per session plan and one for each
+    evaluation forward: none per episode and none for the teacher."""
+    bundle = with_arrivals(tiny_bundle(zero_shot))
+    cfg = tiny_config(mode, backbone)
+    make_forward, make_plan = network.forward_plan, trainer.plan_supports
+    built, planning = [], []
+
+    def spy_forward(params, graph, nodes):
+        built.append("session" if planning else "evaluation")
+        return make_forward(params, graph, nodes)
+
+    def spy_plan(*args):
+        planning.append(True)
+        try:
+            return make_plan(*args)
+        finally:
+            planning.pop()
+
+    monkeypatch.setattr(network, "forward_plan", spy_forward)
+    monkeypatch.setattr(trainer, "plan_supports", spy_plan)
+    run_stream(bundle, cfg)
+    assert built == ["session", "evaluation"] * (bundle.num_sessions + 1)
 
 
 def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
@@ -250,8 +314,9 @@ def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
 
     monkeypatch.setattr(trainer, "sample_episode", spy)
     for seed in (0, 1, 2):
+        # queries are drawn only under telemetry
         cfg = tiny_config("gfscil_plain", "mean").replace(
-            seed=seed, k_shot=5, episodes_finetune=2)
+            seed=seed, k_shot=5, episodes_finetune=2, telemetry=True)
         split = trainer.run_split(bundle, cfg)
         assert not set(split.anchors[0].tolist()) & set(range(10))
         reports, records = stream(bundle, cfg, tmp_path / str(seed))
@@ -357,6 +422,26 @@ def test_telemetry_adds_query_accuracy_and_changes_no_artifact(tmp_path,
         written = json.loads((tmp_path / "off" / "reports" /
                               f"session_{r_off.session}.json").read_text())
         assert written["episode_query_acc"] is None
+
+
+def test_episodes_draw_queries_only_under_telemetry(monkeypatch):
+    bundle = tiny_bundle((4,))
+    cfg = tiny_config("gcl", "mean")
+    sample, episodes = trainer.sample_episode, []
+
+    def spy(*args, **kwargs):
+        episodes.append(sample(*args, **kwargs))
+        return episodes[-1]
+
+    monkeypatch.setattr(trainer, "sample_episode", spy)
+    run_stream(bundle, cfg)
+    off, episodes[:] = list(episodes), []
+    run_stream(bundle, cfg.replace(telemetry=True))
+    assert len(off) == len(episodes) > 0
+    for quiet, queried in zip(off, episodes):
+        assert quiet.query == () and queried.query
+        assert quiet.classes == queried.classes
+        assert {c for _, c in queried.query} >= set(queried.classes)
 
 
 # -- n_way checked before training ------------------------------------------------
