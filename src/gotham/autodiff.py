@@ -6,8 +6,18 @@ matrix products (a sparse matrix's entries may be a tensor), the affine map
 hinges via ``maximum``, sqrt/log/exp, reductions, row gather and row
 stacking. Gradients accumulate into ``Tensor.grad`` of the leaves
 (parameters) after ``backward(loss)`` on a scalar; intermediate nodes keep
-none. Dense and CSR products compute no gradient for an operand that needs
 none.
+
+The tape is made of nodes, not tensors. A differentiable result owns a
+``_Node`` that holds its operands' nodes and its backward function, and no
+array; a parameter is its own node, and nothing points from a node back to
+the tensor that owns it, so the tape has no reference cycle. A backward
+function captures the arrays and shapes it reads, never a ``Tensor``, so a
+result's data dies with the tensor unless a backward reads it, and the
+arrays that remain are exactly what the backward pass needs. An operand that
+needs no gradient stands on the tape as the shared ``_CONSTANT`` node, and
+no operation computes, or keeps the arrays for, a gradient that would be
+thrown away.
 
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
 the positive-side slope is used.
@@ -46,15 +56,58 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+class _Node:
+    """A differentiable result on the tape: its operands' nodes, in operand
+    order, and the function that maps its gradient to theirs."""
+    __slots__ = ("_parents", "_backward")
+    requires_grad = True
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+    def __init__(self, parents: tuple):
+        self._parents = parents
+        self._backward = None
+
+
+class _ConstantNode(_Node):
+    """Stands on the tape for an operand that needs no gradient."""
+    __slots__ = ()
+    requires_grad = False
+
+
+_CONSTANT = _ConstantNode(())
+
+
+class Tensor:
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+
+    def __init__(self, data, requires_grad=False, parents=()):
         self.data = _as_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents = parents if self.requires_grad else ()
-        self._backward = backward_fn if self.requires_grad else None
+        # a parameter (no parents) is its own node; it keeps ``_node`` None
+        self._node = (_Node(tuple(p._tape_node for p in parents))
+                      if self.requires_grad and parents else None)
+
+    @property
+    def _tape_node(self):
+        """What stands for this tensor on a tape: its node, itself if it is a
+        parameter, ``_CONSTANT`` if it needs no gradient."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else _CONSTANT
+
+    @property
+    def _parents(self) -> tuple:
+        # a walk that starts at a loss tensor (the benchmark's tape count)
+        # reads its node's operands, as it reads every node's
+        return self._node._parents if self._node is not None else ()
+
+    @property
+    def _backward(self):
+        return self._node._backward if self._node is not None else None
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node._backward = fn
 
     @property
     def shape(self):
@@ -69,10 +122,8 @@ class Tensor:
         other = _wrap(other)
         out = Tensor(self.data + other.data, parents=(self, other))
         if out.requires_grad:
-            def bw(g):
-                return (_unbroadcast(g, self.data.shape),
-                        _unbroadcast(g, other.data.shape))
-            out._backward = bw
+            sa, sb = self.data.shape, other.data.shape
+            out._backward = lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
         return out
 
     __radd__ = __add__
@@ -93,10 +144,13 @@ class Tensor:
         other = _wrap(other)
         out = Tensor(self.data * other.data, parents=(self, other))
         if out.requires_grad:
-            a, b = self.data, other.data
+            sa, sb = self.data.shape, other.data.shape
+            # each operand's gradient reads the other operand only
+            a = self.data if other.requires_grad else None
+            b = other.data if self.requires_grad else None
             def bw(g):
-                return (_unbroadcast(g * b, a.shape),
-                        _unbroadcast(g * a, b.shape))
+                return (None if b is None else _unbroadcast(g * b, sa),
+                        None if a is None else _unbroadcast(g * a, sb))
             out._backward = bw
         return out
 
@@ -106,10 +160,12 @@ class Tensor:
         other = _wrap(other)
         out = Tensor(self.data / other.data, parents=(self, other))
         if out.requires_grad:
-            a, b = self.data, other.data
+            sa, b = self.data.shape, other.data
+            need_a, need_b = self.requires_grad, other.requires_grad
+            a = self.data if need_b else None
             def bw(g):
-                return (_unbroadcast(g / b, a.shape),
-                        _unbroadcast(-g * a / (b * b), b.shape))
+                return (_unbroadcast(g / b, sa) if need_a else None,
+                        _unbroadcast(-g * a / (b * b), b.shape) if need_b else None)
             out._backward = bw
         return out
 
@@ -117,11 +173,13 @@ class Tensor:
         other = _wrap(other)
         out = Tensor(self.data @ other.data, parents=(self, other))
         if out.requires_grad:
-            a, b = self.data, other.data
-            # a constant operand's gradient would be thrown away
-            need_a, need_b = self.requires_grad, other.requires_grad
+            # a constant operand's gradient would be thrown away, and the
+            # other operand's data is read only for it
+            a = self.data if other.requires_grad else None
+            b = other.data if self.requires_grad else None
             def bw(g):
-                return (g @ b.T if need_a else None, a.T @ g if need_b else None)
+                return (None if b is None else g @ b.T,
+                        None if a is None else a.T @ g)
             out._backward = bw
         return out
 
@@ -174,9 +232,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     z += b.data
     out = Tensor(z, parents=(x, w, b))
     if out.requires_grad:
-        xd, wd, need_x = x.data, w.data, x.requires_grad
+        wd = w.data if x.requires_grad else None
+        xd = x.data if w.requires_grad else None
+        need_b = b.requires_grad
         def bw(g):
-            return (g @ wd.T if need_x else None, xd.T @ g, g.sum(axis=0))
+            return (None if wd is None else g @ wd.T,
+                    None if xd is None else xd.T @ g,
+                    g.sum(axis=0) if need_b else None)
         out._backward = bw
     return out
 
@@ -288,11 +350,12 @@ def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
                       shape=(indptr.size - 1, x.data.shape[0]))
     out = Tensor(m @ x.data, parents=(values, x))
     if out.requires_grad:
-        xd = x.data
-        need_v, need_x = values.requires_grad, x.requires_grad
+        need_v = values.requires_grad
+        xd = x.data if need_v else None
+        m_t = m.T if x.requires_grad else None
         if need_v and row is None:
             row = np.repeat(np.arange(m.shape[0]), np.diff(indptr))
-        step = max(1, _GATHER_BLOCK // xd.shape[1])
+        v_shape, step = values.data.shape, max(1, _GATHER_BLOCK // x.data.shape[1])
         def bw(g):
             dv = None
             if need_v:
@@ -301,8 +364,8 @@ def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
                 for s in range(0, indices.size, step):
                     e = slice(s, s + step)
                     np.einsum("ij,ij->i", g[row[e]], xd[indices[e]], out=dv[e])
-                dv = dv.reshape(values.data.shape)
-            return dv, (m.T @ g if need_x else None)
+                dv = dv.reshape(v_shape)
+            return dv, (None if m_t is None else m_t @ g)
         out._backward = bw
     return out
 
@@ -310,16 +373,17 @@ def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
 
-    Leaves are the nodes without a backward function (parameters);
-    intermediate gradients live only until their node has been processed.
-    Contributions are summed out of place, so a gradient array one backward
-    function hands to several parents is never written to.
+    Leaves are the nodes without a backward function: the parameters, each
+    its own node. Intermediate gradients live only until their node has been
+    processed. Contributions are summed out of place, so a gradient array one
+    backward function hands to several parents is never written to.
     """
     if loss.data.size != 1:
         raise ValueError("backward() expects a scalar loss")
-    order: list[Tensor] = []
+    root = loss._tape_node
+    order: list = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -332,7 +396,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:

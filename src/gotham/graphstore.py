@@ -489,6 +489,9 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
     if not 1 <= n_base <= blocks:
         raise DatasetError(f"base classes must number 1 to blocks={blocks}, "
                            f"got {n_base}")
+    if novel_per_session < 1:
+        raise DatasetError(f"novel_per_session must be at least 1, "
+                           f"got {novel_per_session}")
     zero = set(int(c) for c in zero_shot_classes)
     streamed = [c for c in range(n_base, blocks)]
     bad = zero - set(streamed)

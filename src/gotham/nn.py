@@ -343,11 +343,15 @@ def compute_gradients(params: dict[str, Tensor], loss: Tensor) -> dict[str, np.n
         raise NonFiniteError(f"loss is {float(loss.data)}; refusing to differentiate")
     for t in params.values():
         t.grad = None
-    # backward gives each leaf an array of its own, and the next call starts
-    # from None, so the arrays returned here are never written to again
+    # backward gives each leaf an array of its own, and the leaves hand it
+    # over here, so the arrays returned are never written to again and live
+    # only as long as the caller keeps them
     ad.backward(loss)
-    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for k, t in params.items()}
+    grads = {}
+    for k, t in params.items():
+        grads[k] = t.grad if t.grad is not None else np.zeros_like(t.data)
+        t.grad = None
+    return grads
 
 
 def apply_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],

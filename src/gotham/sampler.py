@@ -17,7 +17,7 @@ import numpy as np
 from .graphstore import DatasetBundle, DatasetError, GraphSnapshot, graph_at
 
 __all__ = ["Episode", "ClassSplit", "extend_support", "build_class_split",
-           "session_supports", "sample_episode"]
+           "session_supports", "check_query_supply", "sample_episode"]
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,19 @@ def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
             for cls in bundle.schedule.seen_at(t)}
 
 
+def check_query_supply(split: ClassSplit, cls: int, t: int,
+                       query_per_class: int) -> None:
+    """Reject a task class at session t with fewer than k + ``query_per_class``
+    trainable labeled nodes visible. Its anchors are visible at t, so this
+    binds only when queries are drawn."""
+    available = split.visible_pool(cls, t).size
+    need = split.k_by_class[cls] + query_per_class
+    if available < need:
+        raise DatasetError(
+            f"class {cls} has only {available} trainable labeled nodes "
+            f"visible at session {t}; need k + query_per_class = {need}")
+
+
 def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
                    query_per_class: int = 10, *, split: ClassSplit,
                    episode_class_pool: str = "all_seen") -> Episode:
@@ -215,13 +228,7 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
 
     query: list[tuple[int, int]] = []
     for cls in task_classes:
-        # the anchors are visible at t, so this binds only when queries are drawn
-        available = split.visible_pool(cls, t).size
-        if available < split.k_by_class[cls] + query_per_class:
-            raise DatasetError(
-                f"class {cls} has only {available} trainable labeled nodes "
-                f"visible at session {t}; need k + query_per_class = "
-                f"{split.k_by_class[cls] + query_per_class}")
+        check_query_supply(split, cls, t, query_per_class)
         picked = rng.choice(split.query_pool(cls, t), size=query_per_class,
                             replace=False)
         query.extend((int(n), cls) for n in np.sort(picked))

@@ -15,7 +15,10 @@ the teacher's outputs are its forward on that plan, read once before the
 first update. Every episode, which is only a class draw (and a query draw
 under ``telemetry``), and the session's evaluation prototypes then build
 from the same plan; it is dropped before evaluation's forward, so no plan
-outlives its session. Classification is nearest prototype in embedding
+outlives its session. An episode runs in ``_train_episode``, which returns
+only floats, so its autodiff tape, prototype build and gradients die before
+the next episode's forward and the last ones before evaluation's: at most
+one tape is alive at a time. Classification is nearest prototype in embedding
 space with ties going to the smallest class id.
 """
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .losses import (LossParts, loss_cluster, loss_kd_align, loss_kd_emb,
                      loss_seg, loss_sem, loss_total)
 from .prototypes import (PrototypeBuild, SupportPlan, build_prototype_tensors,
                          encode_csds, plan_supports)
-from .sampler import (ClassSplit, Episode, build_class_split, sample_episode,
-                      session_supports)
+from .sampler import (ClassSplit, Episode, build_class_split,
+                      check_query_supply, sample_episode, session_supports)
 
 __all__ = ["SessionReport", "classify", "run_split", "evaluate_session",
            "run_stream", "write_reports", "summary_tsv"]
@@ -184,6 +187,27 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     return float((pred == truth).mean())
 
 
+def _train_episode(model, bundle, cfg, episode, e, cache, plan, params,
+                   lr) -> tuple[float, dict[str, float | None], float | None]:
+    """Episode e's forward, update and telemetry. Only floats leave it: the
+    loss total, the loss parts and the query accuracy (None unless
+    ``telemetry`` and queries were drawn), so its tape, prototype build and
+    gradients are freed when it returns, before the next episode's forward."""
+    parts, total, build = _episode_step(model, bundle, episode, cfg, cache, plan)
+    values = parts.values()
+    try:
+        grads = network.compute_gradients(params, total)
+        network.apply_update(params, grads, lr, cfg.weight_decay)
+    except network.NonFiniteError as exc:
+        computed = {k: v for k, v in values.items() if v is not None}
+        raise network.NonFiniteError(
+            f"session {episode.session}, episode {e}: {exc}; loss parts "
+            f"{computed}") from exc
+    acc = (_episode_query_accuracy(model, bundle, episode, build)
+           if cfg.telemetry else None)
+    return total.item(), values, acc
+
+
 def _train_session(model, bundle, cfg, split, t, cache, plan,
                    log_fn=None) -> tuple[list[float], list[float]]:
     """Train session t: base episodes at ``meta_lr`` when t = 0, else
@@ -201,27 +225,16 @@ def _train_session(model, bundle, cfg, split, t, cache, plan,
         episode = sample_episode(bundle, t, cfg.n_way, _episode_rng(cfg, t, e),
                                  queries, split=split,
                                  episode_class_pool=cfg.episode_class_pool)
-        parts, total, build = _episode_step(model, bundle, episode, cfg, cache,
-                                            plan)
-        try:
-            grads = network.compute_gradients(params, total)
-            network.apply_update(params, grads, lr, cfg.weight_decay)
-        except network.NonFiniteError as exc:
-            computed = {k: v for k, v in parts.values().items() if v is not None}
-            raise network.NonFiniteError(
-                f"session {t}, episode {e}: {exc}; loss parts "
-                f"{computed}") from exc
-        totals.append(total.item())
-        if cfg.telemetry:
-            acc = _episode_query_accuracy(model, bundle, episode, build)
-            if acc is not None:
-                query_accs.append(acc)
+        total, vals, acc = _train_episode(model, bundle, cfg, episode, e, cache,
+                                          plan, params, lr)
+        totals.append(total)
+        if acc is not None:
+            query_accs.append(acc)
         if log_fn is not None:
-            vals = parts.values()
             log_fn({"step": step_offset + e, "session": t,
                     "l_cls": vals["cluster"], "l_seg": vals["seg"],
                     "l_sem": vals["sem"], "l_emb": vals["kd_emb"],
-                    "l_align": vals["kd_align"], "total": total.item()})
+                    "l_align": vals["kd_align"], "total": total})
     return totals, query_accs
 
 
@@ -234,8 +247,9 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
                          _distill_nodes(bundle, split, t))
     # the teacher is read before the first update
     cache = _TeacherCache(model, bundle, plan, t, cfg.mode) if t else None
-    # training returns before evaluation so the last episode's tape and
-    # gradients are freed first, which keeps peak memory down
+    # every episode's tape, prototype build and gradients die before the
+    # next episode's forward, the last one's before evaluation's, so no two
+    # tapes are ever alive at once
     totals, q_accs = _train_session(model, bundle, cfg, split, t, cache, plan,
                                     log_fn)
     del cache
@@ -328,6 +342,7 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
     _check_n_way(bundle, cfg)
     _steady_heap()
     split = run_split(bundle, cfg)
+    _check_queries(bundle, cfg, split)
     csd_dim = bundle.csds.dim if is_semantic(cfg.mode) else None
     model = network.init_model(bundle.graph.features.shape[1], cfg.hidden_dim,
                                cfg.out_dim, cfg.num_layers, cfg.seed,
@@ -388,6 +403,25 @@ def _check_n_way(bundle: DatasetBundle, cfg: RunConfig) -> None:
             if cfg.n_way > len(novel):
                 raise DatasetError(f"n_way={cfg.n_way} exceeds novel few-shot "
                                    f"classes at session {t} ({len(novel)})")
+
+
+def _check_queries(bundle: DatasetBundle, cfg: RunConfig,
+                   split: ClassSplit) -> None:
+    """Reject before any output a ``telemetry`` run whose query draw
+    ``sample_episode`` would reject: every class a training session may
+    task needs k + ``query_per_class`` trainable nodes visible."""
+    if not cfg.telemetry:
+        return
+    sched = bundle.schedule
+    for t in range(sched.num_sessions + 1):
+        if not (cfg.episodes_base if t == 0 else cfg.episodes_finetune):
+            continue
+        classes = (sched.base_classes if t == 0
+                   else sched.novel_few_shot_at(t)
+                   if cfg.episode_class_pool == "novel_only"
+                   else sched.seen_at(t))
+        for cls in sorted(classes):
+            check_query_supply(split, cls, t, cfg.query_per_class)
 
 
 def write_reports(reports: list[SessionReport], out_dir) -> None:

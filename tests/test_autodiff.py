@@ -141,9 +141,12 @@ def test_constant_loss_zero_grad():
 # -- the lean tape against the engine it replaced -------------------------------
 
 def backward_oracle(loss):
-    """The former engine: every reached node keeps a .grad copy and first
-    contributions are copied before being added to in place."""
-    order, seen, stack = [], set(), [(loss, False)]
+    """The former engine: every reached node keeps a copy of its gradient and
+    first contributions are copied before being added to in place. A tape
+    node has no ``.grad``, so the copies are kept by node id and returned; a
+    parameter is its own node."""
+    root = loss._tape_node
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -155,15 +158,15 @@ def backward_oracle(loss):
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads, kept = {id(root): np.ones_like(loss.data)}, {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
+        if id(node) not in kept:
+            kept[id(node)] = g.copy()
         else:
-            node.grad += g
+            kept[id(node)] += g
         if node._backward is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
@@ -174,6 +177,7 @@ def backward_oracle(loss):
                 grads[id(parent)] = pg.astype(np.float64, copy=True)
             else:
                 acc += pg
+    return kept
 
 
 def leaky_relu_oracle(x, slope):
@@ -290,12 +294,13 @@ def test_lean_backward_matches_former_engine_bit_for_bit(case):
 
     want_loss, want_leaves, _ = build_tape(case, FORMER)
     assert same_bits(loss.data, want_loss.data)
-    backward_oracle(want_loss)
+    kept = backward_oracle(want_loss)
     for g, t in zip(got, want_leaves):
-        if t.grad is None:
+        want = kept.get(id(t))
+        if want is None:
             assert g is None
         else:
-            assert same_bits(g, t.grad)
+            assert same_bits(g, want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -307,8 +312,8 @@ def test_leaky_relu_equals_former_formula_on_special_values():
         assert same_bits(out.data, want.data)
         weights = np.linspace(-2.0, 2.0, x0.size)
         ad.backward((out * weights).sum())
-        backward_oracle((want * weights).sum())
-        assert same_bits(x.grad, y.grad)
+        kept = backward_oracle((want * weights).sum())
+        assert same_bits(x.grad, kept[id(y)])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -330,7 +335,10 @@ def test_affine_is_one_node_and_skips_a_constant_inputs_gradient():
     g = rng.standard_normal((3, 4))
     for x in (ad.constant(x0), ad.parameter(x0)):
         out = ad.affine(x, w, b)
-        assert out._parents == (x, w, b)
+        # one node: its parents are the operands' own nodes, no product node;
+        # a parameter is its own node and a constant stands as _CONSTANT
+        assert out._parents == (x if x.requires_grad else ad._CONSTANT, w, b)
+        assert not ad._CONSTANT.requires_grad
         assert same_bits(out.data, x0 @ w0 + b0)
         gx, gw, gb = out._backward(g)
         assert (gx is None) == (not x.requires_grad)

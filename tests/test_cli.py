@@ -252,6 +252,15 @@ def test_synth_with_base_classes_outside_1_to_blocks_exits_2(tmp_path, n_base,
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_synth_with_novel_per_session_below_1_exits_2(tmp_path, n, capsys):
+    argv = ["synth", "--out", str(tmp_path / "data"), "--base-classes", "4",
+            f"--novel-per-session={n}"]
+    assert main(argv) == 2
+    assert f"novel_per_session must be at least 1, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_run_on_a_stream_without_base_classes_exits_2(tmp_path, capsys):
     data = tmp_path / "data"
     write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=1, k_shot=3), data)
@@ -290,6 +299,26 @@ def test_run_with_n_way_beyond_a_session_exits_2_before_training(tmp_path,
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
     assert "n_way=2 exceeds novel few-shot" in capsys.readouterr().err
     assert not run.exists()
+
+
+def test_telemetry_short_of_queries_exits_2_before_writing(tmp_path, capsys):
+    """12 nodes a class, 2 held out: 10 trainable, short of k + queries = 15.
+    Only the telemetry draws queries, so only the telemetry run is bad input,
+    and it is rejected before the run directory is made."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    write_dataset(synth_generate(0, 8, 12, 0.3, 0.02, 16, n_base=4, k_shot=5),
+                  data)
+    RunConfig(dataset=str(data), out_dir=str(run), mode="gfscil_plain",
+              k_shot=5, query_per_class=10, hidden_dim=8, out_dim=4,
+              episodes_base=1, episodes_finetune=1).to_json(
+        tmp_path / "config.json")
+    argv = ["run", "--config", str(tmp_path / "config.json")]
+    assert main(argv + ["--telemetry"]) == 2
+    assert ("class 0 has only 10 trainable labeled nodes visible at session 0; "
+            "need k + query_per_class = 15") in capsys.readouterr().err
+    assert not run.exists()
+    assert main(argv) == 0
+    assert (run / "loss_log.jsonl").stat().st_size > 0
 
 
 BAD_ARGUMENTS = [

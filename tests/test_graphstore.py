@@ -373,6 +373,12 @@ def test_synth_rejects_base_classes_outside_1_to_blocks(n_base):
                                   n_base=n).schedule.base_classes) == n
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_synth_rejects_fewer_than_one_novel_class_per_session(n):
+    with pytest.raises(DatasetError, match=f"at least 1, got {n}"):
+        synth_generate(0, 8, 4, 0.5, 0.1, 8, n_base=4, novel_per_session=n)
+
+
 def test_synth_counts():
     b = synth_generate(1, 3, 30, 0.5, 0.1, 8)
     assert b.graph.num_nodes == 90

@@ -1,5 +1,6 @@
 """Forward-pass oracles, locality, equivariance, updates, checkpoints."""
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -314,6 +315,59 @@ def test_gnn_forward_and_gradients_match_transform_first_oracle(case, backbone):
         params, graph, nodes, weights)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert_gradients_close(got_grads, want_grads, 1e-12)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_a_taped_mean_forward_frees_its_hidden_activations(depth, monkeypatch,
+                                                           refcount_only):
+    """No backward reads a hidden layer's pre-activation or post-activation:
+    leaky ReLU keeps its slope mask and the next layer's sparse product its
+    operator. Both arrays of every hidden layer, layer 0's included, are
+    freed before ``gnn_forward`` returns, and the gradients still equal the
+    loop oracle's bit for bit."""
+    graph = graph_at(synth_generate(0, 3, 10, 0.5, 0.1, 4), 0)
+    nodes = np.arange(0, 30, 3)
+    params = network.init_gnn([4] + [5] * depth, np.random.default_rng(depth))
+    weights = np.random.default_rng(1).standard_normal((nodes.size, 5))
+    made = []
+
+    def spy(fn):
+        def taped(*args):
+            out = fn(*args)
+            made.append(weakref.ref(out.data))
+            return out
+        return taped
+
+    monkeypatch.setattr(ad, "affine", spy(ad.affine))
+    monkeypatch.setattr(ad, "leaky_relu", spy(ad.leaky_relu))
+    out = network.gnn_forward(params, graph, nodes)
+    # z_0, h_0, ..., z_{L-1}: the output's array is the only one alive
+    assert [ref() is None for ref in made] == [True] * (2 * depth - 2) + [False]
+    got = network.compute_gradients(layer_params(params), (out * weights).sum())
+    monkeypatch.undo()
+    _, want = forward_and_gradients(gnn_forward_oracle, params, graph, nodes,
+                                    weights)
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name])
+
+
+def test_a_model_and_its_tape_are_freed_by_reference_counting(refcount_only):
+    """Nothing points from a tape node back to a parameter, so a model, and a
+    tape built from it, die without the cyclic collector."""
+    model = network.init_model(4, 6, 5, 2, seed=0, csd_dim=3,
+                               backbone="attention")
+    graph = graph_at(synth_generate(0, 3, 10, 0.5, 0.1, 4), 0)
+    loss = (network.gnn_forward(model.gnn, graph, np.arange(8)).sum()
+            + network.mlp_forward(model.mlp, np.ones((2, 3))).sum())
+    params = network.named_parameters(model)
+    grads = network.compute_gradients(params, loss)
+    model_ref = weakref.ref(model)
+    arrays = [weakref.ref(t.data) for t in params.values()]
+    arrays += [weakref.ref(g) for g in grads.values()]
+    del model, params
+    assert model_ref() is None
+    del loss, grads
+    assert all(ref() is None for ref in arrays)
 
 
 def former_mean_forward(params, graph, nodes):

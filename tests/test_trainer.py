@@ -270,6 +270,48 @@ def test_one_plan_per_session_is_freed_when_the_session_returns(
     ("gcl", "mean", (4,)),
     ("gfscil_semantic", "attention", ()),
 ])
+def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
+                                        backbone, zero_shot):
+    """When an episode's forward starts, the previous episode's prototype
+    build and gradient arrays are gone, freed by reference counting alone;
+    evaluation's prototypes find the session's last episode gone too."""
+    bundle = with_arrivals(tiny_bundle(zero_shot))
+    cfg = tiny_config(mode, backbone).replace(telemetry=True)
+    step, gradients = trainer._episode_step, network.compute_gradients
+    evaluate = trainer._eval_prototypes
+    alive, steps = [], []
+
+    def assert_previous_freed():
+        assert all(ref() is None for ref in alive)
+        alive.clear()
+
+    def spy_step(*args):
+        assert_previous_freed()
+        steps.append(None)
+        parts, total, build = step(*args)
+        alive.append(weakref.ref(build.embeddings.data))
+        return parts, total, build
+
+    def spy_gradients(params, loss):
+        grads = gradients(params, loss)
+        alive.extend(weakref.ref(g) for g in grads.values())
+        return grads
+
+    def spy_eval(*args):
+        assert_previous_freed()
+        return evaluate(*args)
+
+    monkeypatch.setattr(trainer, "_episode_step", spy_step)
+    monkeypatch.setattr(network, "compute_gradients", spy_gradients)
+    monkeypatch.setattr(trainer, "_eval_prototypes", spy_eval)
+    run_stream(bundle, cfg)
+    assert len(steps) == cfg.episodes_base + bundle.num_sessions * cfg.episodes_finetune
+
+
+@pytest.mark.parametrize("mode,backbone,zero_shot", [
+    ("gcl", "mean", (4,)),
+    ("gfscil_semantic", "attention", ()),
+])
 def test_forward_plans_are_built_per_session_and_per_evaluation_only(
         monkeypatch, mode, backbone, zero_shot):
     """A stream builds one forward plan per session plan and one for each
