@@ -38,6 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="train and evaluate a class stream")
+    run.set_defaults(handler=cmd_run)
     run.add_argument("--config", required=True, help="JSON run configuration")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config seed (GOTHAM_SEED also honored)")
@@ -49,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "query accuracy (one more forward per episode)")
 
     vt = sub.add_parser("verify-theorem", help="distortion lower-bound sweep")
+    vt.set_defaults(handler=cmd_verify_theorem)
     vt.add_argument("--trials", type=int, default=1000)
     vt.add_argument("--repetitions", type=int, default=20)
     vt.add_argument("--seed", type=int, default=None)
@@ -58,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--out", default=None, help="write the JSON report here")
 
     gc = sub.add_parser("gradcheck", help="finite-difference audit of losses")
+    gc.set_defaults(handler=cmd_gradcheck)
     gc.add_argument("--seed", type=int, default=None)
     gc.add_argument("--h", type=float, default=1e-4)
     gc.add_argument("--tol", type=float, default=1e-4)
@@ -68,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--out", default=None)
 
     sy = sub.add_parser("synth", help="generate a synthetic dataset directory")
+    sy.set_defaults(handler=cmd_synth)
     sy.add_argument("--out", required=True)
     sy.add_argument("--seed", type=int, default=None)
     sy.add_argument("--blocks", type=int, default=8)
@@ -83,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("export-prototypes",
                         help="write a run's evaluation prototypes as TSV")
+    ex.set_defaults(handler=cmd_export_prototypes)
     ex.add_argument("--run", required=True, metavar="RUN_DIR",
                     help="run directory holding model.ckpt and config.json")
     ex.add_argument("--dataset", default=None,
@@ -213,20 +218,11 @@ def cmd_export_prototypes(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "run": cmd_run,
-    "verify-theorem": cmd_verify_theorem,
-    "gradcheck": cmd_gradcheck,
-    "synth": cmd_synth,
-    "export-prototypes": cmd_export_prototypes,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (DatasetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,16 +11,17 @@ Datasets live in a directory of UTF-8 TSV files plus one JSON schedule:
 Snapshots keep the full node universe; a sorted ``visible`` array encodes
 which nodes exist at a given session. Adjacency is symmetric CSR with a
 self-loop on every visible node, so visible degrees are always >= 1.
-Per-session graph state has one owner: ``graph_at`` memoises each session's
-snapshot on the bundle, and each snapshot caches its derived arrays
-(``visible_mask``, M = D^-1 A as ``mean_adjacency`` and M X as
-``mean_features``) on first use.
+Per-session graph state has one owner: ``graph_at`` cuts each session's
+snapshot from the bundle's full graph, whose CSR is the only edge list a
+bundle holds, and memoises it on the bundle. Each snapshot caches its
+derived arrays (``degree``, ``visible_mask``, M = D^-1 A as
+``mean_adjacency`` and M X as ``mean_features``) on first use.
 """
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -46,10 +47,22 @@ class GraphSnapshot:
     indices: np.ndarray
     features: np.ndarray
     visible: np.ndarray          # sorted node ids present in this snapshot
-    degree: np.ndarray           # row counts incl. self-loop; 0 if not visible
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def edges(self) -> np.ndarray:
+        """Each undirected edge once as (u, v) with u < v, in CSR order."""
+        rows = np.repeat(np.arange(self.num_nodes), self.degree)
+        upper = rows < self.indices
+        return np.stack([rows[upper], self.indices[upper]], axis=1)
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """Row counts incl. self-loop, 0 if not visible; read-only."""
+        degree = np.diff(self.indptr)
+        degree.flags.writeable = False
+        return degree
 
     @cached_property
     def visible_mask(self) -> np.ndarray:
@@ -62,7 +75,7 @@ class GraphSnapshot:
     @cached_property
     def mean_adjacency(self) -> sp.csr_matrix:
         """M = D^-1 A, stored entry for entry in the snapshot's CSR layout."""
-        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+        rows = np.repeat(np.arange(self.num_nodes), self.degree)
         data = 1.0 / self.degree[rows]
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.num_nodes, self.num_nodes))
@@ -140,12 +153,10 @@ def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray,
     key = np.unique(both[:, 0] * num_nodes + both[:, 1])
     rows = key // num_nodes
     indices = key % num_nodes
-    counts = np.bincount(rows, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
     return GraphSnapshot(num_nodes=num_nodes, indptr=indptr, indices=indices,
-                         features=features, visible=visible,
-                         degree=counts.astype(np.int64))
+                         features=features, visible=visible)
 
 
 @dataclass(frozen=True)
@@ -175,9 +186,6 @@ class CSDTable:
             return int(v.shape[0])
         return None
 
-    def has(self, class_id: int) -> bool:
-        return class_id in self.vectors
-
     def validate(self) -> None:
         dims = {v.shape[0] for v in self.vectors.values()}
         if len(dims) > 1:
@@ -204,14 +212,6 @@ class StreamSchedule:
     @property
     def num_sessions(self) -> int:
         return len(self.sessions)
-
-    @property
-    def class_universe(self) -> set[int]:
-        u = set(self.base_classes)
-        for s in self.sessions:
-            u.update(s.few_shot)
-            u.update(s.zero_shot)
-        return u
 
     def seen_at(self, t: int) -> list[int]:
         """Classes with labeled shots available by session t, ascending."""
@@ -248,12 +248,6 @@ class StreamSchedule:
             first[arrivals] = t
         return first
 
-    def zero_shot_classes(self) -> set[int]:
-        out: set[int] = set()
-        for s in self.sessions:
-            out.update(s.zero_shot)
-        return out
-
     def _check_t(self, t: int) -> None:
         if not 0 <= t <= len(self.sessions):
             raise DatasetError(f"session index {t} out of range "
@@ -281,7 +275,7 @@ class StreamSchedule:
                                    f"classes {list(s.few_shot)} with k=0; "
                                    "few-shot classes need k >= 1")
             seen_sets.append(novel)
-        if self.mode == "gfscil" and self.zero_shot_classes():
+        if self.mode == "gfscil" and self.unseen_at(self.num_sessions):
             raise DatasetError("gfscil schedule contains zero-shot classes")
 
 
@@ -291,20 +285,15 @@ class DatasetBundle:
     labels: LabelTable
     csds: CSDTable
     schedule: StreamSchedule
-    raw_edges: np.ndarray = field(repr=False, default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     # graph_at's memo by session; init=False, so dataclasses.replace starts empty
     _snapshots: dict[int, GraphSnapshot] = field(
         init=False, repr=False, compare=False, default_factory=dict)
-
-    @property
-    def num_sessions(self) -> int:
-        return self.schedule.num_sessions
 
     def validate(self) -> None:
         self.graph.validate()
         self.csds.validate()
         self.schedule.validate()
-        universe = self.schedule.class_universe
+        universe = set(self.schedule.classes_at(self.schedule.num_sessions))
         for node, cls in self.labels.by_node.items():
             if not 0 <= node < self.graph.num_nodes:
                 raise DatasetError(f"labeled node {node} out of range")
@@ -324,8 +313,8 @@ def graph_at(bundle: DatasetBundle, t: int) -> GraphSnapshot:
     """Snapshot of the graph as of session t (0 = base graph).
 
     Visible nodes are the base nodes plus every arrival scheduled at
-    sessions 1..t; edges are restricted to the visible set. Each session's
-    snapshot is built once and memoised on the bundle.
+    sessions 1..t; edges are the full graph's, restricted to the visible
+    set. Each session's snapshot is built once and memoised on the bundle.
     """
     sched = bundle.schedule
     sched._check_t(t)
@@ -334,7 +323,9 @@ def graph_at(bundle: DatasetBundle, t: int) -> GraphSnapshot:
     graph = bundle.graph
     if any(s.arrivals for s in sched.sessions):
         visible = np.flatnonzero(sched.visible_from(graph.num_nodes) <= t)
-        graph = build_snapshot(graph.num_nodes, bundle.raw_edges, graph.features,
+        # build_snapshot symmetrizes and adds the self-loops, so each edge
+        # once is enough, and half the CSR entries cost half the sort
+        graph = build_snapshot(graph.num_nodes, graph.edges(), graph.features,
                                visible)
     bundle._snapshots[t] = graph
     return graph
@@ -374,6 +365,38 @@ def _read_table(path: Path, dtype, what: str, width: int | None = None) -> np.nd
     return table
 
 
+def _read_schedule(path: Path) -> StreamSchedule:
+    """The schedule in ``path``; a malformed one raises a DatasetError that
+    names the file, before any field is read as the wrong type."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise DatasetError(f"schedule.json: {what}")
+
+    def ids(obj: dict, key: str, where: str = "") -> tuple[int, ...]:
+        value = obj.get(key, [])
+        check(isinstance(value, list) and all(type(c) is int for c in value),
+              f"{where}{key} must be a list of integers")
+        return tuple(value)
+
+    check(isinstance(raw, dict), "the top level must be an object")
+    check("base_classes" in raw, "base_classes is missing")
+    sessions = raw.get("sessions", [])
+    check(isinstance(sessions, list) and all(isinstance(s, dict) for s in sessions),
+          "sessions must be a list of objects")
+    specs = []
+    for t, s in enumerate(sessions, start=1):
+        where, k = f"session {t}: ", s.get("k", 0)
+        check(type(k) is int, f"{where}k must be an integer, got {k!r}")
+        specs.append(SessionSpec(ids(s, "few_shot", where),
+                                 ids(s, "zero_shot", where), k,
+                                 ids(s, "arrivals", where)))
+    return StreamSchedule(base_classes=ids(raw, "base_classes"),
+                          sessions=tuple(specs), mode=raw.get("mode", "gfscil"))
+
+
 def load_dataset(directory) -> DatasetBundle:
     """Load and validate a dataset directory. Node order follows the files."""
     d = Path(directory)
@@ -401,23 +424,10 @@ def load_dataset(directory) -> DatasetBundle:
                 vectors[int(cls)] = np.asarray([float(x) for x in vec.split()],
                                                dtype=np.float64)
 
-    with open(_require(d / "schedule.json"), encoding="utf-8") as fh:
-        raw = json.load(fh)
-    sessions = tuple(
-        SessionSpec(few_shot=tuple(int(c) for c in s.get("few_shot", [])),
-                    zero_shot=tuple(int(c) for c in s.get("zero_shot", [])),
-                    k=int(s.get("k", 0)),
-                    arrivals=tuple(int(n) for n in s.get("arrivals", [])))
-        for s in raw.get("sessions", []))
-    schedule = StreamSchedule(
-        base_classes=tuple(int(c) for c in raw["base_classes"]),
-        sessions=sessions,
-        mode=raw.get("mode", "gfscil"))
-
+    schedule = _read_schedule(_require(d / "schedule.json"))
     graph = build_snapshot(num_nodes, edge_arr, features, warn_asymmetric=True)
     bundle = DatasetBundle(graph=graph, labels=LabelTable(labels),
-                           csds=CSDTable(vectors), schedule=schedule,
-                           raw_edges=edge_arr)
+                           csds=CSDTable(vectors), schedule=schedule)
     bundle.validate()
     return bundle
 
@@ -433,10 +443,7 @@ def write_dataset(bundle: DatasetBundle, directory) -> None:
 
     g = bundle.graph
     with open(d / "edges.tsv", "w", encoding="utf-8") as fh:
-        for u in range(g.num_nodes):
-            for v in g.neighbors(u):
-                if u < v:
-                    fh.write(f"{u}\t{v}\n")
+        fh.writelines(f"{u}\t{v}\n" for u, v in g.edges().tolist())
     with open(d / "features.tsv", "w", encoding="utf-8") as fh:
         for row in g.features:
             fh.write(" ".join(_fmt(x) for x in row) + "\n")
@@ -448,17 +455,9 @@ def write_dataset(bundle: DatasetBundle, directory) -> None:
             for cls in sorted(bundle.csds.vectors):
                 vec = " ".join(_fmt(x) for x in bundle.csds.vectors[cls])
                 fh.write(f"{cls}\t{vec}\n")
-    sched = bundle.schedule
-    payload = {
-        "base_classes": list(sched.base_classes),
-        "sessions": [{"few_shot": list(s.few_shot),
-                      "zero_shot": list(s.zero_shot),
-                      "k": s.k,
-                      "arrivals": list(s.arrivals)} for s in sched.sessions],
-        "mode": sched.mode,
-    }
     with open(d / "schedule.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        # the schedule's fields in their declared order, tuples as lists
+        json.dump(asdict(bundle.schedule), fh, indent=1)
         fh.write("\n")
 
 
@@ -535,7 +534,6 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
 
     graph = build_snapshot(n, edges, features)
     bundle = DatasetBundle(graph=graph, labels=LabelTable(labels),
-                           csds=CSDTable(csds), schedule=schedule,
-                           raw_edges=edges)
+                           csds=CSDTable(csds), schedule=schedule)
     bundle.validate()
     return bundle

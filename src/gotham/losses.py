@@ -8,7 +8,7 @@ teacher outputs are matrices with a row per node or class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import warnings
 
 import numpy as np
@@ -146,11 +146,8 @@ class LossParts:
 
     def values(self) -> dict[str, float | None]:
         """Each part's value; a part that was never computed reads None."""
-        out = {}
-        for name in ("cluster", "seg", "sem", "kd_emb", "kd_align"):
-            t = getattr(self, name)
-            out[name] = float(t.data) if t is not None else None
-        return out
+        return {f.name: None if (t := getattr(self, f.name)) is None
+                else float(t.data) for f in fields(self)}
 
 
 def loss_total(parts: LossParts, cfg: RunConfig) -> Tensor:

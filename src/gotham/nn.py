@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,7 +129,7 @@ def init_model(feature_dim: int, hidden: int, out: int, num_layers: int,
     return ModelState(gnn=gnn, mlp=mlp, csd_projection=proj, seed=seed)
 
 
-_LAYER_FIELDS = ("weight", "bias", "att_src", "att_dst")
+_LAYER_FIELDS = tuple(f.name for f in fields(Layer))
 
 
 def named_parameters(model: ModelState) -> dict[str, Tensor]:
@@ -397,10 +397,9 @@ def save_model(model: ModelState, path) -> None:
         "seed": model.seed,
         "extra": model.extra,
     }
-    blob = b"".join(np.ascontiguousarray(v.data, dtype="<f8").tobytes()
-                    for v in params.values())
-    if model.csd_projection is not None:
-        blob += np.ascontiguousarray(model.csd_projection, dtype="<f8").tobytes()
+    arrays = [v.data for v in params.values()] + (
+        [model.csd_projection] if model.csd_projection is not None else [])
+    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         hdr = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -417,24 +416,22 @@ def load_model(path) -> ModelState:
         header = json.loads(fh.read(hlen).decode("utf-8"))
         blob = fh.read()
 
+    # the projection's block follows the parameters' in the blob
+    entries = header["params"] + (
+        [{"name": "csd_projection", "shape": header["csd_projection_shape"]}]
+        if header["csd_projection_shape"] is not None else [])
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in header["params"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) * 8
         arr = np.frombuffer(blob[offset:offset + size], dtype="<f8").reshape(shape)
         arrays[entry["name"]] = arr.astype(np.float64)
         offset += size
-    proj = None
-    if header["csd_projection_shape"] is not None:
-        shape = tuple(header["csd_projection_shape"])
-        size = int(np.prod(shape)) * 8
-        proj = np.frombuffer(blob[offset:offset + size], dtype="<f8").reshape(shape).copy()
-        offset += size
-    bad = [k for k, v in {**arrays, "csd_projection": proj}.items()
-           if v is not None and not np.isfinite(v).all()]
+    bad = [k for k, v in arrays.items() if not np.isfinite(v).all()]
     if bad:
         raise ValueError(f"{path} holds non-finite parameters: {bad}")
+    proj = arrays.pop("csd_projection", None)
 
     def layers(prefix: str) -> list[Layer]:
         out, i = [], 0

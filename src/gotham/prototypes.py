@@ -22,7 +22,9 @@ the distillation rows, the membership CSR that averages a class's rows
 beside its CSR transpose, and the union's ``nn.ForwardPlan``. The trainer
 builds one per session from ``sampler.session_supports``; the teacher reads
 its distillation rows from it, and every episode and the session's
-evaluation prototypes build from it.
+evaluation prototypes build from it. A ``PrototypeBuild`` holds only the
+rows that depend on the parameters; the class of each ``seen`` row and each
+class's rows in ``embeddings`` are the plan's ``classes`` and ``members``.
 """
 from __future__ import annotations
 
@@ -61,16 +63,14 @@ class PrototypeBuild:
     """One prototype matrix on the autodiff tape plus what the losses read.
 
     ``final`` row i is the prototype of class ``classes[i]``, ascending.
-    ``seen`` and ``encoded`` share rows, those of ``seen_classes``.
+    ``seen`` and ``encoded`` share rows, those of the plan's ``classes``.
     """
     classes: np.ndarray           # class id of each row of ``final``
     final: Tensor                 # (C x d) mode-dependent prototypes over C^t
     kinds: list[str]              # kind of each row of ``final``
-    seen_classes: np.ndarray      # class id of each row of ``seen``, ascending
     seen: Tensor                  # (S x d) extended-support averages
     encoded: Tensor | None        # (S x d) semantic-encoder outputs, semantic modes
     embeddings: Tensor            # the forward's rows: supports and distill nodes
-    members: list[np.ndarray]     # rows of ``embeddings`` per row of ``seen``
     distill: Tensor | None = None  # rows of the plan's distill nodes
 
 
@@ -142,8 +142,8 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
         encoded = encode_csds(model, classes, csds)
         final, kinds = (seen + encoded) * 0.5, ["merged"] * classes.size
     build = PrototypeBuild(
-        classes=classes, final=final, kinds=kinds, seen_classes=classes,
-        seen=seen, encoded=encoded, embeddings=embeddings, members=plan.members,
+        classes=classes, final=final, kinds=kinds, seen=seen, encoded=encoded,
+        embeddings=embeddings,
         distill=(ad.gather_rows(embeddings, plan.distill)
                  if plan.distill is not None else None))
     if mode == "gcl":

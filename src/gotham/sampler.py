@@ -7,6 +7,11 @@ those walks once per session; the trainer plans that draw once
 session read the plan. An episode is only its class draw and its queries:
 fresh randomness per episode over the same anchors, so the labeled budget
 per class never exceeds k.
+
+``task_pool`` alone states the task policy, which classes a task at session
+t draws ``n_way`` from or covers; ``sample_episode`` and the trainer's pre-run
+check read it. A ``ClassSplit`` holds per class ``eval_nodes``, ``pool`` and
+``anchors`` (k of them, the one record of k) and per node ``visible_from``.
 """
 from __future__ import annotations
 
@@ -14,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphstore import DatasetBundle, DatasetError, GraphSnapshot, graph_at
+from .graphstore import (DatasetBundle, DatasetError, GraphSnapshot,
+                         StreamSchedule, graph_at)
 
 __all__ = ["Episode", "ClassSplit", "extend_support", "build_class_split",
-           "session_supports", "check_query_supply", "sample_episode"]
+           "session_supports", "check_query_supply", "task_pool",
+           "sample_episode"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,6 @@ class ClassSplit:
     schedule's first session of visibility per node. Zero-shot classes have
     empty anchors.
     """
-    k_by_class: dict[int, int]
     eval_nodes: dict[int, np.ndarray]
     pool: dict[int, np.ndarray]
     anchors: dict[int, np.ndarray]
@@ -115,15 +121,10 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
     ``anchor_seed`` (typically the master seed).
     """
     sched = bundle.schedule
-    zero_shot = sched.zero_shot_classes()
-    k_by_class = {cls: k_shot for cls in sched.base_classes}
-    introduced = {cls: 0 for cls in sched.base_classes}
+    # (session that introduces the class, its k) per class with shots
+    shots = {cls: (0, k_shot) for cls in sched.base_classes}
     for t, s in enumerate(sched.sessions, start=1):
-        for cls in s.few_shot:
-            k_by_class[cls] = s.k
-            introduced[cls] = t
-        for cls in s.zero_shot:
-            k_by_class[cls] = 0
+        shots.update((cls, (t, s.k)) for cls in s.few_shot)
     visible_from = sched.visible_from(bundle.graph.num_nodes)
     split_rng = np.random.default_rng(split_seed)
     anchor_rng = np.random.default_rng(anchor_seed)
@@ -131,7 +132,7 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
     pool: dict[int, np.ndarray] = {}
     anchors: dict[int, np.ndarray] = {}
     visible = bundle.graph.visible_mask
-    for cls in sorted(sched.class_universe):
+    for cls in sched.classes_at(sched.num_sessions):
         nodes = bundle.labels.nodes_of(cls)
         nodes = nodes[visible[nodes]]
         if nodes.size == 0:
@@ -144,11 +145,10 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
         eval_nodes[cls] = np.sort(picked.astype(np.int64))
         rest = np.setdiff1d(nodes, eval_nodes[cls])
         pool[cls] = rest
-        k = k_by_class[cls]
-        if cls in zero_shot:
+        if cls not in shots:  # zero-shot
             anchors[cls] = np.empty(0, dtype=np.int64)
         else:
-            t = introduced[cls]
+            t, k = shots[cls]
             rest = rest[visible_from[rest] <= t]
             if rest.size < k:
                 raise DatasetError(f"class {cls} has {rest.size} trainable "
@@ -156,8 +156,8 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
                                    f"fewer than k={k}")
             anchors[cls] = np.sort(anchor_rng.choice(rest, size=k,
                                                      replace=False).astype(np.int64))
-    return ClassSplit(k_by_class=k_by_class, eval_nodes=eval_nodes, pool=pool,
-                      anchors=anchors, visible_from=visible_from)
+    return ClassSplit(eval_nodes=eval_nodes, pool=pool, anchors=anchors,
+                      visible_from=visible_from)
 
 
 def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
@@ -185,46 +185,55 @@ def check_query_supply(split: ClassSplit, cls: int, t: int,
     trainable labeled nodes visible. Its anchors are visible at t, so this
     binds only when queries are drawn."""
     available = split.visible_pool(cls, t).size
-    need = split.k_by_class[cls] + query_per_class
+    need = split.anchors[cls].size + query_per_class
     if available < need:
         raise DatasetError(
             f"class {cls} has only {available} trainable labeled nodes "
             f"visible at session {t}; need k + query_per_class = {need}")
 
 
-def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
-                   query_per_class: int = 10, *, split: ClassSplit,
-                   episode_class_pool: str = "all_seen") -> Episode:
-    """Draw one task at session t.
+def task_pool(schedule: StreamSchedule, t: int, n_way: int,
+              episode_class_pool: str = "all_seen") -> tuple[list[int], bool]:
+    """The classes a task at session t is taken from, ascending, and whether
+    it draws ``n_way`` of them (True) or covers them all (False).
 
-    At t=0 the task covers ``n_way`` classes sampled from the base set; at
-    t>=1 it covers all currently-seen classes ("all_seen") or ``n_way`` of
-    the session's novel few-shot classes ("novel_only"). Prototypes span
-    every seen class whatever the task, from the session's supports.
-    ``rng_seed`` drives the class draw, then ``query_per_class`` queries per
-    task class from its nodes visible at t minus its anchors. In GCL mode,
-    zero-shot classes contribute query nodes only.
+    At t=0 a task draws ``n_way`` of the base classes; at t>=1 it covers all
+    currently-seen classes ("all_seen") or draws ``n_way`` of the session's
+    novel few-shot classes ("novel_only"). A draw larger than its pool is
+    rejected.
     """
-    sched = bundle.schedule
-    sched._check_t(t)
-    rng = _as_rng(rng_seed)
-
+    schedule._check_t(t)
     if t == 0:
-        pool_classes = sorted(sched.base_classes)
-        if n_way > len(pool_classes):
-            raise DatasetError(f"n_way={n_way} exceeds |base classes|={len(pool_classes)}")
-        task_classes = sorted(rng.choice(pool_classes, size=n_way,
-                                         replace=False).tolist())
-    elif episode_class_pool == "all_seen":
-        task_classes = sched.seen_at(t)
-    elif episode_class_pool == "novel_only":
-        novel = sched.novel_few_shot_at(t)
+        pool = sorted(schedule.base_classes)
+        if n_way > len(pool):
+            raise DatasetError(f"n_way={n_way} exceeds |base classes|={len(pool)}")
+        return pool, True
+    if episode_class_pool == "all_seen":
+        return schedule.seen_at(t), False
+    if episode_class_pool == "novel_only":
+        novel = schedule.novel_few_shot_at(t)
         if n_way > len(novel):
             raise DatasetError(f"n_way={n_way} exceeds novel few-shot classes "
                                f"at session {t} ({len(novel)})")
-        task_classes = sorted(rng.choice(novel, size=n_way, replace=False).tolist())
-    else:
-        raise ValueError(f"unknown episode_class_pool {episode_class_pool!r}")
+        return novel, True
+    raise ValueError(f"unknown episode_class_pool {episode_class_pool!r}")
+
+
+def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
+                   query_per_class: int = 10, *, split: ClassSplit,
+                   episode_class_pool: str = "all_seen") -> Episode:
+    """Draw one task at session t, its classes per ``task_pool``.
+
+    Prototypes span every seen class whatever the task, from the session's
+    supports. ``rng_seed`` drives the class draw, then ``query_per_class``
+    queries per task class from its nodes visible at t minus its anchors. In
+    GCL mode, zero-shot classes contribute query nodes only.
+    """
+    sched = bundle.schedule
+    pool, draw = task_pool(sched, t, n_way, episode_class_pool)
+    rng = _as_rng(rng_seed)
+    task_classes = (sorted(rng.choice(pool, size=n_way, replace=False).tolist())
+                    if draw else pool)
 
     query: list[tuple[int, int]] = []
     for cls in task_classes:

@@ -19,7 +19,7 @@ where the full-constant form is the pass/fail reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class WidthNNet:
     def __post_init__(self):
         if self.n_units < 1:
             raise ValueError("width must be >= 1")
-        if self.xi < 0:
-            raise ValueError("xi must be >= 0")
+        if not (np.isfinite(self.xi) and self.xi >= 0):
+            raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
 
@@ -78,10 +78,6 @@ class GrowthTrace:
     params: GrowthParams
     features: np.ndarray                  # all node features, arrival order
     support_sets: list[np.ndarray]        # indices into features, per time step
-
-    @property
-    def degrees(self) -> list[int]:
-        return [s.size for s in self.support_sets]
 
     def pair(self, t: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Support sets at the (t, t+1) step pair; defaults to the last pair."""
@@ -235,10 +231,7 @@ class BoundReport:
         return self.violations <= 0.05 * self.repetitions
 
     def to_dict(self) -> dict:
-        return {"delta_hat": self.delta_hat, "se": self.se,
-                "rhs_appendix": self.rhs_appendix, "rhs_eq7": self.rhs_eq7,
-                "violations": self.violations, "repetitions": self.repetitions,
-                "pass": self.passed, "config": self.config}
+        return {**asdict(self), "pass": self.passed}
 
 
 def verify_bound(*, n_units: int = 4, xi: float = 0.5, beta: float = 0.2,

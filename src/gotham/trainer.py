@@ -20,13 +20,18 @@ only floats, so its autodiff tape, prototype build and gradients die before
 the next episode's forward and the last ones before evaluation's: at most
 one tape is alive at a time. Classification is nearest prototype in embedding
 space with ties going to the smallest class id.
+
+Before any output, one pass over the sessions that train rejects a run that
+``sample_episode`` would reject mid-stream: a session's ``sampler.task_pool``
+must hold its ``n_way`` draw and, under ``telemetry``, each of its classes
+k + ``query_per_class`` trainable nodes visible.
 """
 from __future__ import annotations
 
 import ctypes
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +45,8 @@ from .losses import (LossParts, loss_cluster, loss_kd_align, loss_kd_emb,
 from .prototypes import (PrototypeBuild, SupportPlan, build_prototype_tensors,
                          encode_csds, plan_supports)
 from .sampler import (ClassSplit, Episode, build_class_split,
-                      check_query_supply, sample_episode, session_supports)
+                      check_query_supply, sample_episode, session_supports,
+                      task_pool)
 
 __all__ = ["SessionReport", "classify", "run_split", "evaluate_session",
            "run_stream", "write_reports", "summary_tsv"]
@@ -67,18 +73,8 @@ class SessionReport:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "session": self.session,
-            "n_classes": self.n_classes,
-            "overall": self.overall,
-            "seen_acc": self.seen_acc,
-            "unseen_acc": self.unseen_acc,
-            "per_class": {str(k): v for k, v in sorted(self.per_class.items())},
-            "n_queries": self.n_queries,
-            "episode_losses": self.episode_losses,
-            "episode_query_acc": self.episode_query_acc,
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "per_class": {
+            str(k): v for k, v in sorted(self.per_class.items())}}
 
 
 # query rows per block of ``classify``, whose distances take block x C x d floats
@@ -156,10 +152,10 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
     # still contribute anchor-built prototypes to segregation and alignment,
     # so in "novel_only" mode old classes are shielded only by distillation.
     # The task's classes and the teacher's (seen at t-1) are all rows of
-    # build.seen.
-    task = np.searchsorted(build.seen_classes, episode.classes)
+    # build.seen, whose classes are the plan's.
+    task = np.searchsorted(plan.classes, episode.classes)
     parts.cluster = loss_cluster(build.embeddings,
-                                 {r: build.members[r] for r in task},
+                                 {r: plan.members[r] for r in task},
                                  build.seen, cfg.gamma, cfg.cluster_variant)
     parts.seg = loss_seg(build.final, cfg.epsilon_log)
     if is_semantic(cfg.mode):
@@ -169,7 +165,7 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
         parts.kd_emb = loss_kd_emb(teacher_cache.embeddings, build.distill)
         if is_semantic(cfg.mode) and teacher_cache.classes:
             student_enc = ad.gather_rows(build.encoded, np.searchsorted(
-                build.seen_classes, teacher_cache.classes))
+                plan.classes, teacher_cache.classes))
             parts.kd_align = loss_kd_align(teacher_cache.encodings, student_enc,
                                            cfg.epsilon_log)
     return parts, loss_total(parts, cfg), build
@@ -280,7 +276,6 @@ def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
     sched = bundle.schedule
     graph = graph_at(bundle, t)
     vis = graph.visible_mask
-    seen = set(sched.seen_at(t))
     session_classes = sched.classes_at(t)
     nodes, truth = [], []
     for cls in session_classes:
@@ -300,7 +295,7 @@ def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
     for cls in session_classes:
         mask = truth_arr == cls
         per_class[cls] = float(correct[mask].mean()) if mask.any() else float("nan")
-    seen_mask = np.isin(truth_arr, sorted(seen))
+    seen_mask = np.isin(truth_arr, sched.seen_at(t))
     unseen_mask = ~seen_mask
     return SessionReport(
         session=t,
@@ -339,10 +334,9 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
     """Base training followed by every scheduled session; writes artifacts."""
     cfg.validate()
     _check_mode(bundle, cfg)
-    _check_n_way(bundle, cfg)
     _steady_heap()
     split = run_split(bundle, cfg)
-    _check_queries(bundle, cfg, split)
+    _check_tasks(bundle, cfg, split)
     csd_dim = bundle.csds.dim if is_semantic(cfg.mode) else None
     model = network.init_model(bundle.graph.features.shape[1], cfg.hidden_dim,
                                cfg.out_dim, cfg.num_layers, cfg.seed,
@@ -377,51 +371,33 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
 
 
 def _check_mode(bundle: DatasetBundle, cfg: RunConfig) -> None:
-    sched_mode = bundle.schedule.mode
-    if sched_mode == "gcl" and cfg.mode != "gcl":
+    sched = bundle.schedule
+    if sched.mode == "gcl" and cfg.mode != "gcl":
         raise DatasetError("schedule contains zero-shot classes; run mode must be gcl")
-    if cfg.mode == "gcl" and sched_mode != "gcl":
+    if cfg.mode == "gcl" and sched.mode != "gcl":
         raise DatasetError("gcl run mode requires a gcl schedule")
     if is_semantic(cfg.mode):
-        missing = [c for c in bundle.schedule.class_universe
-                   if not bundle.csds.has(c)]
+        missing = [c for c in sched.classes_at(sched.num_sessions)
+                   if c not in bundle.csds.vectors]
         if missing:
             raise DatasetError(f"mode {cfg.mode} requires CSD vectors; "
-                               f"missing for classes {sorted(missing)}")
+                               f"missing for classes {missing}")
 
 
-def _check_n_way(bundle: DatasetBundle, cfg: RunConfig) -> None:
-    """Reject before any training an ``n_way`` that ``sample_episode`` would
-    reject at the first episode of some session."""
-    sched = bundle.schedule
-    if cfg.episodes_base and cfg.n_way > len(sched.base_classes):
-        raise DatasetError(f"n_way={cfg.n_way} exceeds |base classes|="
-                           f"{len(sched.base_classes)}")
-    if cfg.episodes_finetune and cfg.episode_class_pool == "novel_only":
-        for t in range(1, sched.num_sessions + 1):
-            novel = sched.novel_few_shot_at(t)
-            if cfg.n_way > len(novel):
-                raise DatasetError(f"n_way={cfg.n_way} exceeds novel few-shot "
-                                   f"classes at session {t} ({len(novel)})")
-
-
-def _check_queries(bundle: DatasetBundle, cfg: RunConfig,
-                   split: ClassSplit) -> None:
-    """Reject before any output a ``telemetry`` run whose query draw
-    ``sample_episode`` would reject: every class a training session may
-    task needs k + ``query_per_class`` trainable nodes visible."""
-    if not cfg.telemetry:
-        return
-    sched = bundle.schedule
-    for t in range(sched.num_sessions + 1):
+def _check_tasks(bundle: DatasetBundle, cfg: RunConfig,
+                 split: ClassSplit) -> None:
+    """Reject before any output a run whose tasks ``sample_episode`` would
+    reject at some session that trains: an ``n_way`` larger than the
+    session's task pool, or under ``telemetry`` a pool class short of
+    k + ``query_per_class`` trainable nodes visible."""
+    for t in range(bundle.schedule.num_sessions + 1):
         if not (cfg.episodes_base if t == 0 else cfg.episodes_finetune):
             continue
-        classes = (sched.base_classes if t == 0
-                   else sched.novel_few_shot_at(t)
-                   if cfg.episode_class_pool == "novel_only"
-                   else sched.seen_at(t))
-        for cls in sorted(classes):
-            check_query_supply(split, cls, t, cfg.query_per_class)
+        pool, _ = task_pool(bundle.schedule, t, cfg.n_way,
+                            cfg.episode_class_pool)
+        if cfg.telemetry:
+            for cls in pool:
+                check_query_supply(split, cls, t, cfg.query_per_class)
 
 
 def write_reports(reports: list[SessionReport], out_dir) -> None:

@@ -275,6 +275,25 @@ def test_run_on_a_stream_without_base_classes_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda s: {k: v for k, v in s.items() if k != "base_classes"},
+     "schedule.json: base_classes is missing"),
+    (lambda s: {**s, "sessions": [1, 2]},
+     "schedule.json: sessions must be a list of objects"),
+    (lambda s: list(s), "schedule.json: the top level must be an object"),
+], ids=["no base_classes", "sessions of ints", "a list"])
+def test_run_on_a_malformed_schedule_exits_2(tmp_path, edit, message, capsys):
+    data = tmp_path / "data"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
+    schedule = json.loads((data / "schedule.json").read_text())
+    (data / "schedule.json").write_text(json.dumps(edit(schedule)))
+    RunConfig(dataset=str(data), out_dir=str(tmp_path / "run")).to_json(
+        tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_on_a_few_shot_session_with_k_0_exits_2(tmp_path, capsys):
     data = tmp_path / "data"
     write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
@@ -327,6 +346,8 @@ BAD_ARGUMENTS = [
     ("gradcheck --tol=0", "tol"), ("gradcheck --tol=inf", "tol"),
     # no repetition would be a vacuous pass
     ("verify-theorem --repetitions=0", "repetitions"),
+    ("verify-theorem --xis nan --trials 10 --repetitions 2", "xi"),
+    ("verify-theorem --xis inf --trials 10 --repetitions 2", "xi"),
 ]
 
 

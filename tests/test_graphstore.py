@@ -44,6 +44,17 @@ def test_path_graph_degrees_with_self_loops(tmp_path):
     np.testing.assert_array_equal(bundle.graph.degree, [2, 3, 2])
 
 
+def test_degree_is_a_cached_read_only_view_of_the_row_counts():
+    g = build_snapshot(4, np.array([[0, 1], [1, 2]]), np.ones((4, 1)), [0, 1, 2])
+    assert "degree" not in vars(g)
+    degree = g.degree
+    assert g.degree is degree
+    np.testing.assert_array_equal(degree, [2, 3, 2, 0])
+    np.testing.assert_array_equal(degree, np.diff(g.indptr))
+    with pytest.raises(ValueError):
+        degree[0] = 5
+
+
 def test_asymmetric_edges_symmetrized(tmp_path):
     write_toy_dataset(tmp_path, [(0, 1), (1, 2)],
                       [[1.0], [2.0], [3.0]], [(0, 0)], path3_schedule())
@@ -129,7 +140,9 @@ def test_tables_parse_blank_lines_and_empty_edges(tmp_path):
                        labels="1\t1\n0\t0\n\n1\t0\n")
     bundle = load_dataset(tmp_path)
     np.testing.assert_array_equal(bundle.graph.features, [[1.5, -2e-3], [0.1, 7.0]])
-    assert bundle.raw_edges.shape == (0, 2) and bundle.raw_edges.dtype == np.int64
+    # no edges: each node's only CSR entry is its self-loop
+    np.testing.assert_array_equal(bundle.graph.indptr, [0, 1, 2])
+    np.testing.assert_array_equal(bundle.graph.indices, [0, 1])
     # a repeated node keeps its first position and its last class
     assert list(bundle.labels.by_node.items()) == [(1, 0), (0, 0)]
 
@@ -199,19 +212,22 @@ def test_schedule_prefix_identity():
 
 # -- graph_at -----------------------------------------------------------------
 
+# the edges of arrivals_bundle(), as its generator lists them
+ARRIVAL_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+                 (7, 9), (9, 0), (8, 2), (8, 9)]
+
+
 def arrivals_bundle():
     # 10 nodes; node 9 arrives at session 1, node 8 at session 2
     rng = np.random.default_rng(0)
-    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7],
-                      [7, 9], [9, 0], [8, 2], [8, 9]])
     feats = rng.standard_normal((10, 3))
     labels = {i: 0 if i < 5 else 1 for i in range(10)}
     sched = StreamSchedule(base_classes=(0, 1),
                            sessions=(SessionSpec((), (), 5, arrivals=(9,)),
                                      SessionSpec((), (), 5, arrivals=(8,))))
-    graph = build_snapshot(10, edges, feats)
+    graph = build_snapshot(10, np.array(ARRIVAL_EDGES), feats)
     return DatasetBundle(graph=graph, labels=LabelTable(labels),
-                         csds=CSDTable({}), schedule=sched, raw_edges=edges)
+                         csds=CSDTable({}), schedule=sched)
 
 
 def induced_subgraph_oracle(edges, visible):
@@ -237,7 +253,7 @@ def test_graph_at_base_excludes_arrivals():
     b = arrivals_bundle()
     g0 = graph_at(b, 0)
     assert set(g0.visible.tolist()) == set(range(8))
-    assert snapshot_edge_set(g0) == induced_subgraph_oracle(b.raw_edges.tolist(),
+    assert snapshot_edge_set(g0) == induced_subgraph_oracle(ARRIVAL_EDGES,
                                                             range(8))
 
 
@@ -246,8 +262,7 @@ def test_graph_at_arrival_brings_its_edges():
     g1 = graph_at(b, 1)
     assert 9 in g1.visible
     assert 8 not in g1.visible
-    expected = induced_subgraph_oracle(b.raw_edges.tolist(),
-                                       set(range(8)) | {9})
+    expected = induced_subgraph_oracle(ARRIVAL_EDGES, set(range(8)) | {9})
     assert snapshot_edge_set(g1) == expected
     # v9's edges into visible nodes are present, its edge to 8 is not
     assert 7 in g1.neighbors(9) and 0 in g1.neighbors(9)
@@ -264,6 +279,28 @@ def test_graph_at_full_and_monotone():
         assert prev_nodes <= nodes and prev_edges <= edges
         prev_nodes, prev_edges = nodes, edges
     assert prev_nodes == set(range(10))
+
+
+def test_a_bundle_built_directly_cuts_its_snapshots_from_its_graph():
+    """A bundle holds no edge list beside its graph: each session's snapshot
+    is the induced subgraph of the full graph's edges, whoever built it."""
+    rng = np.random.default_rng(3)
+    pairs = rng.integers(0, 30, size=(80, 2))
+    edges = [tuple(e) for e in pairs.tolist()]
+    sched = StreamSchedule(base_classes=(0, 1), sessions=(
+        SessionSpec((2,), (), 2, arrivals=tuple(range(20, 25))),
+        SessionSpec((), (), 2, arrivals=tuple(range(25, 30)))))
+    b = DatasetBundle(graph=build_snapshot(30, pairs, rng.standard_normal((30, 2))),
+                      labels=LabelTable({i: i // 10 for i in range(30)}),
+                      csds=CSDTable({}), schedule=sched)
+    for t, n_visible in enumerate((20, 25, 30)):
+        g = graph_at(b, t)
+        np.testing.assert_array_equal(g.visible, np.arange(n_visible))
+        assert snapshot_edge_set(g) == induced_subgraph_oracle(edges,
+                                                               range(n_visible))
+    # the last session sees every node, so its CSR is the full graph's
+    np.testing.assert_array_equal(graph_at(b, 2).indptr, b.graph.indptr)
+    np.testing.assert_array_equal(graph_at(b, 2).indices, b.graph.indices)
 
 
 def test_graph_at_out_of_range():
@@ -349,6 +386,37 @@ def test_a_stream_without_base_classes_is_rejected(tmp_path):
         load_dataset(tmp_path)
 
 
+MALFORMED_SCHEDULES = [
+    ([0, 1], "the top level must be an object"),
+    ({"sessions": []}, "base_classes is missing"),
+    ({"base_classes": 0}, "base_classes must be a list of integers"),
+    ({"base_classes": [0, None]}, "base_classes must be a list of integers"),
+    ({"base_classes": [0], "sessions": [1, 2]}, "sessions must be a list of objects"),
+    ({"base_classes": [0], "sessions": {"k": 1}}, "sessions must be a list of objects"),
+    ({"base_classes": [0], "sessions": [{"few_shot": 1, "k": 1}]},
+     "session 1: few_shot must be a list of integers"),
+    ({"base_classes": [0], "sessions": [{"zero_shot": "1"}]},
+     "session 1: zero_shot must be a list of integers"),
+    ({"base_classes": [0], "sessions": [{"few_shot": [1], "k": 1},
+                                        {"arrivals": 2}]},
+     "session 2: arrivals must be a list of integers"),
+    ({"base_classes": [0], "sessions": [{"few_shot": [1], "k": 1.5}]},
+     "session 1: k must be an integer, got 1.5"),
+    ({"base_classes": [0], "sessions": [{"few_shot": [1], "k": "2"}]},
+     "session 1: k must be an integer, got '2'"),
+]
+
+
+@pytest.mark.parametrize("schedule,message", MALFORMED_SCHEDULES,
+                         ids=[m for _, m in MALFORMED_SCHEDULES])
+def test_malformed_schedule_raises_a_dataset_error_naming_the_file(
+        tmp_path, schedule, message):
+    write_toy_dataset(tmp_path, [(0, 1)], [[1.0], [1.0]], [(0, 0), (1, 1)],
+                      schedule)
+    with pytest.raises(DatasetError, match=f"^schedule.json: {message}$"):
+        load_dataset(tmp_path)
+
+
 # -- synth --------------------------------------------------------------------
 
 def test_synth_rejects_k_shot_below_1_for_few_shot_sessions():
@@ -382,7 +450,7 @@ def test_synth_rejects_fewer_than_one_novel_class_per_session(n):
 def test_synth_counts():
     b = synth_generate(1, 3, 30, 0.5, 0.1, 8)
     assert b.graph.num_nodes == 90
-    assert sorted(b.schedule.class_universe) == [0, 1, 2]
+    assert b.schedule.classes_at(b.schedule.num_sessions) == [0, 1, 2]
     assert all(b.labels.by_node[i] == i // 30 for i in range(90))
 
 

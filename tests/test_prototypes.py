@@ -51,10 +51,11 @@ def with_unseen(model, bundle, csds, seen=(1, 2)):
 def test_singleton_support_equals_embedding():
     b = small_bundle()
     model = plain_model(b)
-    build = build_of(model, b, {0: frozenset({1})}, "gfscil_plain")
+    plan = plan_supports(model.gnn, graph_at(b, 0), {0: frozenset({1})})
+    build = build_prototype_tensors(model, b, 0, plan, "gfscil_plain")
     emb = network.gnn_forward(model.gnn, graph_at(b, 0), [1]).data[0]
     np.testing.assert_array_equal(build.final.data[0], emb)
-    assert build.kinds == ["seen"] and build.members[0].size == 1
+    assert build.kinds == ["seen"] and plan.members[0].size == 1
 
 
 def test_opposite_embeddings_cancel():
@@ -95,9 +96,9 @@ def test_seen_prototypes_equal_column_means_bit_for_bit(seed):
     distill = np.sort(rng.choice(30, size=5, replace=False))
     plan = plan_supports(model.gnn, b.graph, supports, distill)
     build = build_prototype_tensors(model, b, 0, plan, "gfscil_plain")
-    assert build.seen_classes.tolist() == [0, 1, 2]
-    for row, c in enumerate(build.seen_classes):
-        rows = build.embeddings.data[build.members[row]]
+    assert plan.classes.tolist() == [0, 1, 2] and build.seen.shape[0] == 3
+    for row, c in enumerate(plan.classes):
+        rows = build.embeddings.data[plan.members[row]]
         np.testing.assert_array_equal(build.seen.data[row],
                                       ad.constant(rows).mean(axis=0).data)
         # the member rows are the class's support, in ascending node order
@@ -182,8 +183,10 @@ def test_unseen_single_linear_layer():
     assert build.kinds == ["unseen_semantic", "seen", "seen"]
     np.testing.assert_allclose(build.final.data[0], csd @ w, atol=1e-14)
     np.testing.assert_array_equal(build.final.data[1:], seen)
-    # the zero-shot class averages no support: it has no row of ``seen``
-    assert build.seen_classes.tolist() == [1, 2]
+    # the zero-shot class averages no support: it has no row of ``seen``,
+    # whose rows are those of classes 1 and 2
+    assert build.seen.shape[0] == 2
+    np.testing.assert_array_equal(build.seen.data, build.final.data[1:])
 
 
 def test_unseen_zero_vector_zero_output():
@@ -275,12 +278,14 @@ def test_gfscil_semantic_mode_all_merged():
 
 def test_gcl_mode_one_unseen():
     b, model, t, supports = fixture(mode_zero_shot=True)
-    build = build_of(model, b, supports, "gcl", t)
+    plan = plan_supports(model.gnn, graph_at(b, t), supports)
+    build = build_prototype_tensors(model, b, t, plan, "gcl")
     kinds = dict(zip(build.classes.tolist(), build.kinds))
     assert kinds[4] == "unseen_semantic"
     assert all(k == "merged" for c, k in kinds.items() if c != 4)
     # exactly |seen| + |unseen| prototypes, rows in ascending class id
-    assert build.seen_classes.tolist() == b.schedule.seen_at(t)
+    assert plan.classes.tolist() == b.schedule.seen_at(t)
+    assert build.seen.shape[0] == len(b.schedule.seen_at(t))
     assert build.classes.tolist() == b.schedule.classes_at(t)
     assert build.final.shape[0] == len(build.classes)
 

@@ -9,7 +9,7 @@ from gotham.config import RunConfig
 from gotham.graphstore import (DatasetBundle, DatasetError, build_snapshot,
                                synth_generate)
 from gotham.sampler import (build_class_split, extend_support, sample_episode,
-                            session_supports)
+                            session_supports, task_pool)
 from gotham.trainer import _episode_rng, run_split
 
 
@@ -176,6 +176,8 @@ def test_n_way_too_large_rejected():
     split = build_class_split(b, 3, anchor_seed=5)
     with pytest.raises(DatasetError, match="n_way"):
         draw(b, 0, split, n_way=4, rng_seed=0, query_per_class=2)
+    with pytest.raises(DatasetError, match=r"^n_way=4 exceeds \|base classes\|=3$"):
+        task_pool(b.schedule, 0, 4)
 
 
 def with_arrivals(b):
@@ -220,6 +222,41 @@ def test_novel_only_n_way_beyond_the_session_novel_classes_rejected(t, n_way):
     with pytest.raises(DatasetError, match="n_way=.* exceeds novel few-shot"):
         draw(b, t, split, n_way=n_way, rng_seed=0, query_per_class=3,
              episode_class_pool="novel_only")
+    novel = len(b.schedule.novel_few_shot_at(t))
+    with pytest.raises(DatasetError, match=rf"^n_way={n_way} exceeds novel few-shot "
+                                           rf"classes at session {t} \({novel}\)$"):
+        task_pool(b.schedule, t, n_way, "novel_only")
+
+
+@pytest.mark.parametrize("t,pool,n_way,want", [
+    (0, "all_seen", 3, ([0, 1, 2], True)),
+    # the pool names the classes of a finetune session only
+    (0, "novel_only", 1, ([0, 1, 2], True)),
+    # all_seen covers every seen class, so n_way is not read
+    (1, "all_seen", 99, ([0, 1, 2, 3, 4], False)),
+    (2, "all_seen", 1, ([0, 1, 2, 3, 4, 5], False)),
+    (1, "novel_only", 2, ([3, 4], True)),
+    (2, "novel_only", 1, ([5], True)),
+])
+def test_task_pool_per_session_and_pool(t, pool, n_way, want):
+    b = novel_bundle()
+    assert task_pool(b.schedule, t, n_way, pool) == want
+    split = build_class_split(b, 3, anchor_seed=7)
+    ep = draw(b, t, split, n_way=n_way, rng_seed=0, query_per_class=3,
+              episode_class_pool=pool)
+    classes, drawn = want
+    assert set(ep.classes) <= set(classes)
+    assert len(ep.classes) == (n_way if drawn else len(classes))
+
+
+def test_task_pool_rejects_an_out_of_range_session_and_an_unknown_pool():
+    sched = novel_bundle().schedule
+    with pytest.raises(DatasetError, match=r"session index 3 out of range \[0, 2\]"):
+        task_pool(sched, 3, 1)
+    with pytest.raises(DatasetError, match="session index -1 out of range"):
+        task_pool(sched, -1, 1)
+    with pytest.raises(ValueError, match="unknown episode_class_pool 'novel'"):
+        task_pool(sched, 1, 1, "novel")
 
 
 def test_zero_shot_class_never_has_anchors():

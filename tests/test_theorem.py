@@ -166,6 +166,9 @@ def test_invalid_parameters_rejected():
         WidthNNet(0, 2, 0.1, 0.5)
     with pytest.raises(ValueError):
         WidthNNet(1, 2, 0.1, 1.5)
+    for xi in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="xi must be finite and >= 0"):
+            WidthNNet(1, 2, xi, 0.5)
     with pytest.raises(ValueError):
         simulate_growth(0, n0=1, steps=1, attach_prob=0.5, d=2)
     with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ def stream(bundle, cfg, out_dir):
 
 def assert_every_step_logged(bundle, cfg, out_dir, records):
     sessions = [0] * cfg.episodes_base
-    for t in range(1, bundle.num_sessions + 1):
+    for t in range(1, bundle.schedule.num_sessions + 1):
         sessions += [t] * cfg.episodes_finetune
     logged = [json.loads(line) for line in
               (out_dir / "loss_log.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -217,7 +217,7 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
     monkeypatch.setattr(network, "gnn_forward", count_forward)
     monkeypatch.setattr(trainer, "_episode_step", count_step)
     run_stream(bundle, cfg)
-    assert len(counts) == cfg.episodes_base + bundle.num_sessions * cfg.episodes_finetune
+    assert len(counts) == cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
     assert all(n == 1 for _, _, n in counts)
 
 
@@ -263,7 +263,7 @@ def test_one_plan_per_session_is_freed_when_the_session_returns(
     monkeypatch.setattr(trainer, "_TeacherCache", SpyCache)
     monkeypatch.setattr(trainer, "_run_session", spy_session)
     run_stream(bundle, cfg)
-    assert len(plans) == bundle.num_sessions + 1
+    assert len(plans) == bundle.schedule.num_sessions + 1
 
 
 @pytest.mark.parametrize("mode,backbone,zero_shot", [
@@ -305,7 +305,7 @@ def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
     monkeypatch.setattr(network, "compute_gradients", spy_gradients)
     monkeypatch.setattr(trainer, "_eval_prototypes", spy_eval)
     run_stream(bundle, cfg)
-    assert len(steps) == cfg.episodes_base + bundle.num_sessions * cfg.episodes_finetune
+    assert len(steps) == cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
 
 
 @pytest.mark.parametrize("mode,backbone,zero_shot", [
@@ -335,7 +335,7 @@ def test_forward_plans_are_built_per_session_and_per_evaluation_only(
     monkeypatch.setattr(network, "forward_plan", spy_forward)
     monkeypatch.setattr(trainer, "plan_supports", spy_plan)
     run_stream(bundle, cfg)
-    assert built == ["session", "evaluation"] * (bundle.num_sessions + 1)
+    assert built == ["session", "evaluation"] * (bundle.schedule.num_sessions + 1)
 
 
 def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
@@ -454,7 +454,7 @@ def test_telemetry_adds_query_accuracy_and_changes_no_artifact(tmp_path,
     off, _ = stream(bundle, cfg, tmp_path / "off")
     assert calls == []
     on, _ = stream(bundle, cfg.replace(telemetry=True), tmp_path / "on")
-    assert len(calls) == cfg.episodes_base + bundle.num_sessions * cfg.episodes_finetune
+    assert len(calls) == cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
     for name in ARTIFACTS:
         assert (tmp_path / "off" / name).read_bytes() == \
             (tmp_path / "on" / name).read_bytes(), name
@@ -494,12 +494,15 @@ def test_episodes_draw_queries_only_under_telemetry(monkeypatch):
      r"n_way=2 exceeds novel few-shot classes at session 1 \(1\)"),
 ])
 def test_n_way_beyond_a_session_is_rejected_before_the_first_episode(
-        changes, message):
+        changes, message, tmp_path):
     records = []
-    with pytest.raises(DatasetError, match=message):
-        run_stream(tiny_bundle(), tiny_config("gfscil_plain", "mean").replace(
-            **changes), log_fn=records.append)
+    for telemetry in (False, True):
+        with pytest.raises(DatasetError, match=message):
+            run_stream(tiny_bundle(), tiny_config("gfscil_plain", "mean").replace(
+                telemetry=telemetry, **changes), out_dir=tmp_path / "run",
+                log_fn=records.append)
     assert records == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_n_way_is_not_checked_for_sessions_that_train_no_episode():
