@@ -187,10 +187,7 @@ def cmd_synth(args) -> int:
 
 def cmd_export_prototypes(args) -> int:
     from . import nn as network
-    from .graphstore import graph_at
-    from .prototypes import plan_supports
-    from .sampler import session_supports
-    from .trainer import _eval_prototypes, run_split
+    from .trainer import _eval_prototypes, run_split, session_plan
 
     run = Path(args.run)
     for name in ("model.ckpt", "config.json"):
@@ -203,9 +200,7 @@ def cmd_export_prototypes(args) -> int:
     t = bundle.schedule.num_sessions if args.session is None else args.session
     # the same split, walks and mode as the run, so these are the prototypes
     # evaluation classified with
-    extended = session_supports(bundle, t, run_split(bundle, cfg),
-                                cfg.walk_length, cfg.walks_per_seed, cfg.seed)
-    plan = plan_supports(model.gnn, graph_at(bundle, t), extended)
+    plan = session_plan(model, bundle, cfg, run_split(bundle, cfg), t)
     build = _eval_prototypes(model, bundle, cfg, t, plan)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -118,15 +118,9 @@ class RunConfig:
         return text
 
     @classmethod
-    def from_json(cls, source) -> "RunConfig":
-        try:
-            is_file = isinstance(source, (str, Path)) and Path(source).exists()
-        except OSError:       # JSON text too long to be a file name
-            is_file = False
-        if is_file:
-            raw = json.loads(Path(source).read_text(encoding="utf-8"))
-        else:
-            raw = json.loads(source)
+    def from_json(cls, path) -> "RunConfig":
+        """The validated config in the JSON file at ``path``."""
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"a config must be a JSON object, got "
                              f"{type(raw).__name__}")

@@ -19,9 +19,8 @@ from . import autodiff as ad
 from . import nn as network
 from . import trainer
 from .config import RunConfig
-from .graphstore import graph_at, synth_generate
-from .prototypes import plan_supports
-from .sampler import build_class_split, sample_episode, session_supports
+from .graphstore import synth_generate
+from .sampler import build_class_split, sample_episode
 
 __all__ = ["run_gradcheck", "GRADCHECK_LOSSES", "finite_diff_check",
            "FiniteDiffReport"]
@@ -106,11 +105,9 @@ def _fixture(seed: int):
                             k_shot=2, mean_separation=3.0)
     split = build_class_split(bundle, k_shot=2, eval_fraction=0.2,
                               split_seed=seed + 1, anchor_seed=seed + 2)
-    extended = session_supports(bundle, 1, split, walk_length=2,
-                                walks_per_seed=3, seed=seed + 4)
     episode = sample_episode(bundle, 1, 1, np.random.default_rng(seed + 4),
                              query_per_class=0, split=split)
-    return bundle, extended, trainer._distill_nodes(bundle, split, 1), episode
+    return bundle, split, episode
 
 
 def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
@@ -122,16 +119,16 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
     for name, value in (("h", h), ("tol", tol)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    bundle, extended, distill, episode = _fixture(seed)
-    graph = graph_at(bundle, episode.session)
+    bundle, split, episode = _fixture(seed)
     rng = np.random.default_rng(seed + 10)
     reports: dict[str, FiniteDiffReport] = {}
     for backbone in ("mean", "attention"):
         model, teacher = (network.init_model(
             feature_dim=4, hidden=6, out=5, num_layers=2, seed=s, csd_dim=4,
             backbone=backbone) for s in (seed + 3, seed + 5))
-        cfg = RunConfig(mode="gcl", backbone=backbone)
-        plan = plan_supports(model.gnn, graph, extended, distill)
+        cfg = RunConfig(mode="gcl", backbone=backbone, walk_length=2,
+                        walks_per_seed=3, seed=seed + 4)
+        plan = trainer.session_plan(model, bundle, cfg, split, episode.session)
         cache = trainer._TeacherCache(teacher, bundle, plan, episode.session,
                                       cfg.mode)
         params = network.named_parameters(model)

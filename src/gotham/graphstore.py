@@ -10,12 +10,15 @@ Datasets live in a directory of UTF-8 TSV files plus one JSON schedule:
 
 Snapshots keep the full node universe; a sorted ``visible`` array encodes
 which nodes exist at a given session. Adjacency is symmetric CSR with a
-self-loop on every visible node, so visible degrees are always >= 1.
+self-loop on every visible node, so visible degrees are always >= 1. Only
+the full graph is built from an edge list (``build_snapshot``, which
+symmetrizes, deduplicates, sorts and adds a self-loop to every node).
 Per-session graph state has one owner: ``graph_at`` cuts each session's
-snapshot from the bundle's full graph, whose CSR is the only edge list a
-bundle holds, and memoises it on the bundle. Each snapshot caches its
-derived arrays (``degree``, ``visible_mask``, M = D^-1 A as
-``mean_adjacency`` and M X as ``mean_features``) on first use.
+snapshot from the bundle's full graph with ``GraphSnapshot.restrict``, which
+keeps the CSR entries whose endpoints are both visible, so a snapshot is
+never rebuilt, re-sorted or re-checked, and memoises it on the bundle. Each
+snapshot caches its derived arrays (``degree``, ``visible_mask``, M = D^-1 A
+as ``mean_adjacency`` and M X as ``mean_features``) on first use.
 """
 from __future__ import annotations
 
@@ -42,11 +45,14 @@ class DatasetError(ValueError):
 class GraphSnapshot:
     """Immutable undirected graph with self-loops on visible nodes."""
 
-    num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     features: np.ndarray
     visible: np.ndarray          # sorted node ids present in this snapshot
+
+    @property
+    def num_nodes(self) -> int:
+        return self.indptr.size - 1
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -56,6 +62,18 @@ class GraphSnapshot:
         rows = np.repeat(np.arange(self.num_nodes), self.degree)
         upper = rows < self.indices
         return np.stack([rows[upper], self.indices[upper]], axis=1)
+
+    def restrict(self, visible_mask: np.ndarray) -> GraphSnapshot:
+        """The subgraph induced by the nodes of ``visible_mask``: the CSR
+        entries whose row and column are both visible, in order, over the same
+        node universe and ``features``. On a graph that holds every node's
+        self-loop, as ``build_snapshot``'s do, each visible node keeps its own."""
+        keep = np.repeat(visible_mask, self.degree) & visible_mask[self.indices]
+        # a row's new start counts the kept entries before its old start
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        return GraphSnapshot(indptr=kept[self.indptr], indices=self.indices[keep],
+                             features=self.features,
+                             visible=np.flatnonzero(visible_mask))
 
     @cached_property
     def degree(self) -> np.ndarray:
@@ -88,52 +106,23 @@ class GraphSnapshot:
         out.flags.writeable = False
         return out
 
-    def adjacency(self) -> sp.csr_matrix:
-        data = np.ones(self.indices.size, dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.num_nodes, self.num_nodes))
 
-    def validate(self) -> None:
-        if self.features.shape[0] != self.num_nodes:
-            raise DatasetError("feature row count does not match num_nodes")
-        if not np.all(np.isfinite(self.features)):
-            raise DatasetError("non-finite feature value")
-        adj = self.adjacency()
-        if (adj != adj.T).nnz:
-            raise DatasetError("adjacency is not symmetric")
-        if np.any(self.degree[self.visible] < 1):
-            raise DatasetError("visible node with degree 0")
-
-
-def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray,
-                   visible: np.ndarray | None = None, *,
+def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray, *,
                    warn_asymmetric: bool = False) -> GraphSnapshot:
     """Symmetrize, deduplicate, add self-loops and pack into CSR.
 
-    ``edges`` is an (m, 2) int array; edges touching non-visible nodes are
-    rejected. Self-loops present in the input are merged with the injected
-    ones.
+    ``edges`` is an (m, 2) int array; every node is visible. Self-loops
+    present in the input are merged with the injected ones.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
         raise DatasetError(f"features must be ({num_nodes}, d)")
     if not np.all(np.isfinite(features)):
         raise DatasetError("non-finite feature value")
-    if visible is None:
-        visible = np.arange(num_nodes, dtype=np.int64)
-    else:
-        visible = np.unique(np.asarray(visible, dtype=np.int64))
-        if visible.size and (visible[0] < 0 or visible[-1] >= num_nodes):
-            raise DatasetError("visible node id out of range")
-
+    visible = np.arange(num_nodes, dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        if edges.min() < 0 or edges.max() >= num_nodes:
-            raise DatasetError("edge endpoint out of range")
-        vis_mask = np.zeros(num_nodes, dtype=bool)
-        vis_mask[visible] = True
-        keep = vis_mask[edges[:, 0]] & vis_mask[edges[:, 1]]
-        edges = edges[keep]
+    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
+        raise DatasetError("edge endpoint out of range")
 
     if warn_asymmetric and edges.size:
         # a file listing each undirected edge once is canonical; only a mixed
@@ -155,8 +144,8 @@ def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray,
     indices = key % num_nodes
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-    return GraphSnapshot(num_nodes=num_nodes, indptr=indptr, indices=indices,
-                         features=features, visible=visible)
+    return GraphSnapshot(indptr=indptr, indices=indices, features=features,
+                         visible=visible)
 
 
 @dataclass(frozen=True)
@@ -290,7 +279,6 @@ class DatasetBundle:
         init=False, repr=False, compare=False, default_factory=dict)
 
     def validate(self) -> None:
-        self.graph.validate()
         self.csds.validate()
         self.schedule.validate()
         universe = set(self.schedule.classes_at(self.schedule.num_sessions))
@@ -313,8 +301,8 @@ def graph_at(bundle: DatasetBundle, t: int) -> GraphSnapshot:
     """Snapshot of the graph as of session t (0 = base graph).
 
     Visible nodes are the base nodes plus every arrival scheduled at
-    sessions 1..t; edges are the full graph's, restricted to the visible
-    set. Each session's snapshot is built once and memoised on the bundle.
+    sessions 1..t; the snapshot is the full graph's cut to them. Each
+    session's snapshot is cut once and memoised on the bundle.
     """
     sched = bundle.schedule
     sched._check_t(t)
@@ -322,11 +310,7 @@ def graph_at(bundle: DatasetBundle, t: int) -> GraphSnapshot:
         return bundle._snapshots[t]
     graph = bundle.graph
     if any(s.arrivals for s in sched.sessions):
-        visible = np.flatnonzero(sched.visible_from(graph.num_nodes) <= t)
-        # build_snapshot symmetrizes and adds the self-loops, so each edge
-        # once is enough, and half the CSR entries cost half the sort
-        graph = build_snapshot(graph.num_nodes, graph.edges(), graph.features,
-                               visible)
+        graph = graph.restrict(sched.visible_from(graph.num_nodes) <= t)
     bundle._snapshots[t] = graph
     return graph
 
@@ -416,13 +400,18 @@ def load_dataset(directory) -> DatasetBundle:
     csd_path = d / "csd.tsv"
     if csd_path.exists():
         with open(csd_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for n, line in enumerate(fh, start=1):
+                cls, tab, vec = line.strip().partition("\t")
+                if not cls:
                     continue
-                cls, vec = line.split("\t")
-                vectors[int(cls)] = np.asarray([float(x) for x in vec.split()],
-                                               dtype=np.float64)
+                if not tab:
+                    raise DatasetError(f"csd.tsv line {n}: expected "
+                                       "class_id<TAB>vector")
+                try:        # a class id or a vector entry that is no number
+                    vectors[int(cls)] = np.asarray(
+                        [float(x) for x in vec.split()], dtype=np.float64)
+                except ValueError as exc:
+                    raise DatasetError(f"csd.tsv line {n}: {exc}") from None
 
     schedule = _read_schedule(_require(d / "schedule.json"))
     graph = build_snapshot(num_nodes, edge_arr, features, warn_asymmetric=True)

@@ -381,6 +381,8 @@ def apply_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 # -- checkpoints --------------------------------------------------------------
 
 _MAGIC = b"GOTHAM1\n"
+_HEADER_KEYS = ("params", "gnn_negative_slope", "gnn_backbone",
+                "mlp_negative_slope", "csd_projection_shape", "seed", "extra")
 
 
 def save_model(model: ModelState, path) -> None:
@@ -409,25 +411,39 @@ def save_model(model: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
+    """The model ``save_model`` wrote to ``path``. Anything else raises a
+    ValueError that names ``path``: an unreadable header, one without a key
+    ``save_model`` writes, or a blob not exactly the size of its shapes."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path} is not a model checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (struct.error, ValueError):
+            raise ValueError(f"{path}: unreadable checkpoint header") from None
         blob = fh.read()
+    missing = [k for k in _HEADER_KEYS
+               if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {missing}")
 
     # the projection's block follows the parameters' in the blob
-    entries = header["params"] + (
-        [{"name": "csd_projection", "shape": header["csd_projection_shape"]}]
-        if header["csd_projection_shape"] is not None else [])
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in entries:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) * 8
-        arr = np.frombuffer(blob[offset:offset + size], dtype="<f8").reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float64)
-        offset += size
+    try:
+        entries = header["params"] + (
+            [{"name": "csd_projection", "shape": header["csd_projection_shape"]}]
+            if header["csd_projection_shape"] is not None else [])
+        names = [str(entry["name"]) for entry in entries]
+        shapes = [tuple(int(n) for n in entry["shape"]) for entry in entries]
+    except (TypeError, KeyError, ValueError):
+        raise ValueError(f"{path}: malformed checkpoint parameter list") from None
+    ends = np.cumsum([0] + [8 * int(np.prod(shape)) for shape in shapes])
+    if len(blob) != ends[-1]:
+        raise ValueError(f"{path}: checkpoint holds {len(blob)} parameter "
+                         f"bytes, its header's shapes need {ends[-1]}")
+    arrays = {name: np.frombuffer(blob[start:end], dtype="<f8")
+              .reshape(shape).astype(np.float64)
+              for name, shape, start, end in zip(names, shapes, ends, ends[1:])}
     bad = [k for k, v in arrays.items() if not np.isfinite(v).all()]
     if bad:
         raise ValueError(f"{path} holds non-finite parameters: {bad}")
@@ -447,4 +463,4 @@ def load_model(path) -> ModelState:
     mlp = (GnnParams(layers("mlp"), header["mlp_negative_slope"])
            if "mlp.0.weight" in arrays else None)
     return ModelState(gnn=gnn, mlp=mlp, csd_projection=proj,
-                      seed=header["seed"], extra=header.get("extra", {}))
+                      seed=header["seed"], extra=header["extra"])

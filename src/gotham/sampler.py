@@ -131,10 +131,8 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
     eval_nodes: dict[int, np.ndarray] = {}
     pool: dict[int, np.ndarray] = {}
     anchors: dict[int, np.ndarray] = {}
-    visible = bundle.graph.visible_mask
     for cls in sched.classes_at(sched.num_sessions):
         nodes = bundle.labels.nodes_of(cls)
-        nodes = nodes[visible[nodes]]
         if nodes.size == 0:
             raise DatasetError(f"class {cls} has no labeled nodes")
         n_eval = max(1, int(round(eval_fraction * nodes.size)))

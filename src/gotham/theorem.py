@@ -28,6 +28,9 @@ __all__ = ["WidthNNet", "GrowthTrace", "simulate_growth",
            "default_sweep"]
 
 RANDOMIZE = ("params", "growth", "both")
+# xi^4 scales both the bound and the squared distortion and overflows float64
+# past about 1.2e77; a width that far beyond the O(1) optimum perturbs nothing
+XI_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,8 @@ class WidthNNet:
             raise ValueError("width must be >= 1")
         if not (np.isfinite(self.xi) and self.xi >= 0):
             raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
+        if self.xi > XI_MAX:
+            raise ValueError(f"xi must be at most {XI_MAX:g}, got {self.xi:g}")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
 

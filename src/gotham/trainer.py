@@ -6,20 +6,21 @@ semantics are available) over sampled tasks. Each later session distils from
 a frozen teacher, the model that finished session t-1, then finetunes on
 tasks covering all currently-seen classes.
 
-A session starts by drawing its random walks once (``session_supports``)
-and planning them once: the ``prototypes.SupportPlan`` holds the union of the
-extended supports and of the distillation nodes (the anchors of the classes
-seen at t-1), and everything of its forward that no parameter touches. The
-live model still holds the teacher's parameters when session t starts, so
-the teacher's outputs are its forward on that plan, read once before the
-first update. Every episode, which is only a class draw (and a query draw
-under ``telemetry``), and the session's evaluation prototypes then build
-from the same plan; it is dropped before evaluation's forward, so no plan
-outlives its session. An episode runs in ``_train_episode``, which returns
-only floats, so its autodiff tape, prototype build and gradients die before
-the next episode's forward and the last ones before evaluation's: at most
-one tape is alive at a time. Classification is nearest prototype in embedding
-space with ties going to the smallest class id.
+A session starts with ``session_plan``: its random walks drawn once
+(``session_supports``) and planned once. The ``prototypes.SupportPlan``
+holds the union of the extended supports and of the distillation nodes
+(the anchors of the classes seen at t-1), and everything of its forward
+that no parameter touches. The live model still holds the teacher's
+parameters when session t starts, so the teacher's outputs are its forward
+on that plan, read once before the first update. Every episode, which is
+only a class draw (and a query draw under ``telemetry``), and the
+session's evaluation prototypes then build from the same plan; it is
+dropped before evaluation's forward, so no plan outlives its session. An
+episode runs in ``_train_episode``, which returns only floats, so its
+autodiff tape, prototype build and gradients die before the next episode's
+forward and the last ones before evaluation's: at most one tape is alive
+at a time. Classification is nearest prototype in embedding space with
+ties going to the smallest class id.
 
 Before any output, one pass over the sessions that train rejects a run that
 ``sample_episode`` would reject mid-stream: a session's ``sampler.task_pool``
@@ -48,8 +49,8 @@ from .sampler import (ClassSplit, Episode, build_class_split,
                       check_query_supply, sample_episode, session_supports,
                       task_pool)
 
-__all__ = ["SessionReport", "classify", "run_split", "evaluate_session",
-           "run_stream", "write_reports", "summary_tsv"]
+__all__ = ["SessionReport", "classify", "run_split", "session_plan",
+           "evaluate_session", "run_stream", "write_reports", "summary_tsv"]
 
 
 @dataclass
@@ -126,16 +127,6 @@ class _TeacherCache:
             model.gnn, graph_at(bundle, t), plan.forward).data[plan.distill]
         self.encodings = (encode_csds(model, self.classes, bundle.csds.vectors).data
                           if is_semantic(mode) else None)
-
-
-def _distill_nodes(bundle: DatasetBundle, split: ClassSplit,
-                   t: int) -> np.ndarray | None:
-    """The nodes distilled at session t, None at t = 0: the anchors of the
-    classes seen at t-1, which session t's supports already hold."""
-    if t == 0:
-        return None
-    return np.unique(np.concatenate([split.anchors[c]
-                                     for c in bundle.schedule.seen_at(t - 1)]))
 
 
 def _episode_step(model: network.ModelState, bundle: DatasetBundle,
@@ -234,13 +225,23 @@ def _train_session(model, bundle, cfg, split, t, cache, plan,
     return totals, query_accs
 
 
+def session_plan(model: network.ModelState, bundle: DatasetBundle,
+                 cfg: RunConfig, split: ClassSplit, t: int) -> SupportPlan:
+    """Session t's one plan: its walks, drawn once, and from t = 1 its
+    distill nodes, the anchors of the classes seen at t-1, which its supports
+    already hold. Its teacher, every episode, its evaluation and
+    ``export-prototypes`` read it."""
+    extended = session_supports(bundle, t, split, cfg.walk_length,
+                                cfg.walks_per_seed, cfg.seed)
+    distill = None if t == 0 else np.unique(np.concatenate(
+        [split.anchors[c] for c in bundle.schedule.seen_at(t - 1)]))
+    return plan_supports(model.gnn, graph_at(bundle, t), extended, distill)
+
+
 def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
     """Train session t, then evaluate it on the same walk draw."""
     start = time.perf_counter()
-    extended = session_supports(bundle, t, split, cfg.walk_length,
-                                cfg.walks_per_seed, cfg.seed)
-    plan = plan_supports(model.gnn, graph_at(bundle, t), extended,
-                         _distill_nodes(bundle, split, t))
+    plan = session_plan(model, bundle, cfg, split, t)
     # the teacher is read before the first update
     cache = _TeacherCache(model, bundle, plan, t, cfg.mode) if t else None
     # every episode's tape, prototype build and gradients die before the

@@ -132,6 +132,24 @@ def test_export_nonfinite_checkpoint_exits_2(tmp_path, gcl_run, capsys):
     assert not (tmp_path / "p.tsv").exists()
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw + bytes(8),              # bytes after the blob
+    lambda raw: raw[:-16],                   # a truncated blob
+    lambda raw: raw.replace(b'"params"', b'"paramz"', 1),   # no params key
+], ids=["appended", "truncated", "no-params"])
+def test_export_corrupt_checkpoint_exits_2(tmp_path, gcl_run, corrupt, capsys):
+    data, run = gcl_run
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "config.json").write_bytes((run / "config.json").read_bytes())
+    (broken / "model.ckpt").write_bytes(corrupt((run / "model.ckpt").read_bytes()))
+    code = main(["export-prototypes", "--run", str(broken), "--dataset",
+                 str(data), "--out", str(tmp_path / "p.tsv")])
+    assert code == 2
+    assert f"error: {broken / 'model.ckpt'}: checkpoint " in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_export_missing_dataset_exits_2(tmp_path, gcl_run, capsys):
     _, run = gcl_run
     code = main(["export-prototypes", "--run", str(run), "--dataset",
@@ -219,8 +237,10 @@ def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
 def test_telemetry_config_round_trips_and_the_flag_sets_it(tmp_path):
     cfg = RunConfig(telemetry=True)
     cfg.validate()
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-    assert RunConfig.from_json(RunConfig().to_json()).telemetry is False
+    cfg.to_json(tmp_path / "on.json")
+    RunConfig().to_json(tmp_path / "off.json")
+    assert RunConfig.from_json(tmp_path / "on.json") == cfg
+    assert RunConfig.from_json(tmp_path / "off.json").telemetry is False
 
     data, run = tmp_path / "data", tmp_path / "run"
     write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
@@ -348,6 +368,8 @@ BAD_ARGUMENTS = [
     ("verify-theorem --repetitions=0", "repetitions"),
     ("verify-theorem --xis nan --trials 10 --repetitions 2", "xi"),
     ("verify-theorem --xis inf --trials 10 --repetitions 2", "xi"),
+    ("verify-theorem --xis 1e200 --trials 10 --repetitions 2 --widths 1 "
+     "--betas 0.2", "xi"),
 ]
 
 

@@ -45,7 +45,8 @@ def test_path_graph_degrees_with_self_loops(tmp_path):
 
 
 def test_degree_is_a_cached_read_only_view_of_the_row_counts():
-    g = build_snapshot(4, np.array([[0, 1], [1, 2]]), np.ones((4, 1)), [0, 1, 2])
+    g = build_snapshot(4, np.array([[0, 1], [1, 2]]), np.ones((4, 1))).restrict(
+        np.array([True, True, True, False]))
     assert "degree" not in vars(g)
     degree = g.degree
     assert g.degree is degree
@@ -89,7 +90,7 @@ def test_snapshot_rows_strictly_ascend(n, data):
     hidden = data.draw(st.sets(node, max_size=n - 1))
     visible = sorted(set(range(n)) - hidden)
     g = build_snapshot(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                       np.ones((n, 1)), visible)
+                       np.ones((n, 1))).restrict(np.isin(np.arange(n), visible))
     for u in range(n):
         row = g.neighbors(u)
         assert np.all(np.diff(row) > 0)
@@ -114,11 +115,13 @@ def test_missing_file_errors(tmp_path):
         load_dataset(tmp_path)
 
 
-def write_text_dataset(d, features, edges="0\t1\n", labels="0\t0\n"):
+def write_text_dataset(d, features, edges="0\t1\n", labels="0\t0\n", csd=None):
     write_toy_dataset(d, [], [], [], path3_schedule())
     (d / "features.tsv").write_text(features)
     (d / "edges.tsv").write_text(edges)
     (d / "labels.tsv").write_text(labels)
+    if csd is not None:
+        (d / "csd.tsv").write_text(csd)
 
 
 @pytest.mark.parametrize("files,match", [
@@ -128,6 +131,12 @@ def write_text_dataset(d, features, edges="0\t1\n", labels="0\t0\n"):
     ({"features": "1\n2\n", "edges": "0\t1\t1\n"}, "edges.tsv rows need 2 fields"),
     ({"features": "1\n2\n", "edges": "0\t1\n1\n"}, r"inconsistent edge widths"),
     ({"features": "1\n2\n", "labels": "0\n"}, "labels.tsv rows need 2 fields"),
+    ({"features": "1\n2\n", "csd": "0\t1 2\n1 1 2\n"},
+     "csd.tsv line 2: expected class_id<TAB>vector"),
+    ({"features": "1\n2\n", "csd": "0\t1 2\n\nx\t1 2\n"},
+     "csd.tsv line 3: invalid literal for int"),
+    ({"features": "1\n2\n", "csd": "0\t1 two\n"},
+     "csd.tsv line 1: could not convert string to float: 'two'"),
 ])
 def test_malformed_tables_raise_dataset_errors(tmp_path, files, match):
     write_text_dataset(tmp_path, **files)
@@ -301,6 +310,50 @@ def test_a_bundle_built_directly_cuts_its_snapshots_from_its_graph():
     # the last session sees every node, so its CSR is the full graph's
     np.testing.assert_array_equal(graph_at(b, 2).indptr, b.graph.indptr)
     np.testing.assert_array_equal(graph_at(b, 2).indices, b.graph.indices)
+
+
+def graph_at_oracle(n, edges, visible):
+    """(indptr, indices, visible) of the snapshot induced by ``visible``: the
+    sorted unique keys ``u * n + v`` of its symmetrized edges and of its
+    self-loops, one CSR entry each."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    visible = np.asarray(visible, dtype=np.int64)
+    inside = edges[np.isin(edges, visible).all(axis=1)]
+    key = np.unique(np.concatenate([inside[:, 0] * n + inside[:, 1],
+                                    inside[:, 1] * n + inside[:, 0],
+                                    visible * n + visible]))
+    return np.searchsorted(key, np.arange(n + 1) * n), key % n, visible
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 16), data=st.data())
+def test_graph_at_equals_the_induced_subgraph_oracle_at_every_session(n, data):
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    # duplicates, reversed copies and self-loops of the drawn edges
+    edges = edges + edges[: len(edges) // 2] + [(v, u) for u, v in edges[::3]] \
+        + [(u, u) for u, _ in edges[::4]]
+    # a node may be listed again after it arrived; its first listing counts
+    arrivals = data.draw(st.lists(st.lists(node, unique=True, max_size=n),
+                                  max_size=3))
+    sched = StreamSchedule(base_classes=(0,), sessions=tuple(
+        SessionSpec((), (), 1, arrivals=tuple(a)) for a in arrivals))
+    b = DatasetBundle(
+        graph=build_snapshot(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                             np.arange(n, dtype=np.float64)[:, None]),
+        labels=LabelTable({}), csds=CSDTable({}), schedule=sched)
+    first = {}
+    for t, nodes in enumerate(arrivals, start=1):
+        for u in nodes:
+            first.setdefault(u, t)
+    for t in range(len(arrivals) + 1):
+        g = graph_at(b, t)
+        want = graph_at_oracle(n, edges, [u for u in range(n)
+                                          if first.get(u, 0) <= t])
+        for got, expected in zip((g.indptr, g.indices, g.visible), want):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert g.num_nodes == n and g.features is b.graph.features
 
 
 def test_graph_at_out_of_range():

@@ -1,5 +1,7 @@
 """Forward-pass oracles, locality, equivariance, updates, checkpoints."""
 import dataclasses
+import json
+import struct
 import weakref
 
 import numpy as np
@@ -14,8 +16,11 @@ from gotham.graphstore import build_snapshot, graph_at, synth_generate
 
 
 def dense_mean_adjacency(graph):
-    """D^-1 A from the dense adjacency (every node visible)."""
-    adj = graph.adjacency().toarray()
+    """D^-1 A from the dense adjacency (every node visible), one CSR row at a
+    time."""
+    adj = np.zeros((graph.num_nodes, graph.num_nodes))
+    for u in range(graph.num_nodes):
+        adj[u, graph.indices[graph.indptr[u]:graph.indptr[u + 1]]] += 1.0
     return adj / adj.sum(axis=1, keepdims=True)
 
 
@@ -223,8 +228,10 @@ def graphs_with_hidden_nodes(draw):
     hidden = draw(st.sets(node, max_size=n - 1))
     visible = sorted(set(range(n)) - hidden)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # cut from the full graph, as graph_at cuts a session's snapshot
     graph = build_snapshot(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                           rng.standard_normal((n, 3)), visible)
+                           rng.standard_normal((n, 3))).restrict(
+                               np.isin(np.arange(n), visible))
     order = draw(st.permutations(visible))
     nodes = np.asarray(order[:draw(st.integers(1, len(order)))], dtype=np.int64)
     return graph, nodes, draw(st.integers(1, 3))
@@ -709,3 +716,50 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert k1 == k2
         np.testing.assert_array_equal(v1.data, v2.data)
     np.testing.assert_array_equal(model.csd_projection, loaded.csd_projection)
+
+
+def header_edit(edit):
+    """A corruption of a checkpoint's bytes that applies ``edit`` to its
+    JSON header."""
+    def corrupt(raw):
+        start = len(network._MAGIC) + 4
+        (hlen,) = struct.unpack("<I", raw[len(network._MAGIC):start])
+        header = json.loads(raw[start:start + hlen])
+        edit(header)
+        text = json.dumps(header).encode()
+        return raw[:len(network._MAGIC)] + struct.pack("<I", len(text)) + text \
+            + raw[start + hlen:]
+    return corrupt
+
+
+MALFORMED = "malformed checkpoint parameter list"
+CORRUPT_CHECKPOINTS = {
+    "appended bytes": (lambda raw: raw + bytes(8),
+                       "holds 1344 parameter bytes, its header's shapes need 1336"),
+    "truncated blob": (lambda raw: raw[:-16],
+                       "holds 1320 parameter bytes, its header's shapes need 1336"),
+    "no header": (lambda raw: raw[:len(network._MAGIC) + 2],
+                  "unreadable checkpoint header"),
+    "cut header": (lambda raw: raw[:len(network._MAGIC) + 20],
+                   "unreadable checkpoint header"),
+    "no params": (header_edit(lambda h: h.pop("params")),
+                  r"checkpoint header lacks \['params'\]"),
+    "empty header": (header_edit(lambda h: h.clear()),
+                     r"lacks \['params', 'gnn_negative_slope'"),
+    "params not a list": (header_edit(lambda h: h.update(params=5)), MALFORMED),
+    "shape not numbers": (header_edit(lambda h: h["params"][0].update(shape="ab")),
+                          MALFORMED),
+    "entry without name": (header_edit(lambda h: h["params"][0].pop("name")),
+                           MALFORMED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+def test_a_corrupt_checkpoint_raises_a_value_error_naming_its_path(tmp_path, case):
+    corrupt, match = CORRUPT_CHECKPOINTS[case]
+    path = tmp_path / "m.ckpt"
+    network.save_model(network.init_model(5, 8, 4, 2, seed=42, csd_dim=3), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=match) as err:
+        network.load_model(path)
+    assert str(err.value).startswith(f"{path}: ")

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from gotham.theorem import (GrowthParams, GrowthTrace, WidthNNet, bound_rhs,
-                            default_sweep, empirical_distortion,
+from gotham.theorem import (XI_MAX, GrowthParams, GrowthTrace, WidthNNet,
+                            bound_rhs, default_sweep, empirical_distortion,
                             simulate_growth, verify_bound)
 
 
@@ -169,6 +169,11 @@ def test_invalid_parameters_rejected():
     for xi in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="xi must be finite and >= 0"):
             WidthNNet(1, 2, xi, 0.5)
+    # finite, but xi^4 and the squared distortion would overflow float64
+    for xi in (1e7, 1e200):
+        with pytest.raises(ValueError, match="xi must be at most 1e"):
+            WidthNNet(1, 2, xi, 0.5)
+    assert WidthNNet(1, 2, XI_MAX, 0.5).xi == XI_MAX
     with pytest.raises(ValueError):
         simulate_growth(0, n0=1, steps=1, attach_prob=0.5, d=2)
     with pytest.raises(ValueError):
