@@ -19,22 +19,56 @@ needs no gradient stands on the tape as the shared ``_CONSTANT`` node, and
 no operation computes, or keeps the arrays for, a gradient that would be
 thrown away.
 
+Inside ``with no_grad():`` no result requires a gradient, so no operation
+makes a node or a backward function and nothing is captured: a forward's
+temporaries die as soon as nothing reads them. Parameters made inside it
+still require gradients. The previous mode comes back on exit, also when the
+block raises.
+
+The backward pass writes only gradient arrays it owns. It owns a sum it
+allocated, and an array a backward function returned if that array is not
+the gradient the function was handed, is not a view (its ``base`` is None)
+and appears once in the returned tuple. Later contributions to a parent are
+added in place into an owned sum, and a leaf keeps an owned array as its
+``.grad`` without a copy; every other array may be shared (``__add__`` hands
+one array to both operands) and is never written. This rests on one rule
+that every backward function keeps: it never returns an array it captured.
+``leaky_relu``'s backward is the one that may write its gradient, and only
+when the engine owns it.
+
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
 the positive-side slope is used.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["Tensor", "constant", "parameter", "affine", "leaky_relu", "maximum",
            "sqrt", "log", "exp", "vstack", "gather_rows", "sparse_matmul",
-           "csr_matmul", "backward"]
+           "csr_matmul", "backward", "no_grad"]
 
 _SQRT_GUARD = 1e-150
 # entries of one nnz-row block of the gathers in ``csr_matmul``'s backward:
 # two blocks of 256 KB stay in cache, where whole nnz x d gathers do not
 _GATHER_BLOCK = 1 << 15
+# entries of one row block of leaky ReLU's scale, which is never made whole
+_SCALE_BLOCK = 1 << 15
+# False inside ``no_grad``
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block: no result requires a gradient."""
+    global _grad_enabled
+    before, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = before
 
 
 def _as_array(x) -> np.ndarray:
@@ -53,18 +87,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    # a sum is a fresh array, which a reshape to its own shape would make a view
+    return grad if grad.shape == shape else grad.reshape(shape)
 
 
 class _Node:
     """A differentiable result on the tape: its operands' nodes, in operand
-    order, and the function that maps its gradient to theirs."""
-    __slots__ = ("_parents", "_backward")
+    order, and the function that maps its gradient to theirs. With
+    ``_in_place`` set, that function takes ``(g, owned)`` and may write ``g``
+    when ``owned``."""
+    __slots__ = ("_parents", "_backward", "_in_place")
     requires_grad = True
 
     def __init__(self, parents: tuple):
         self._parents = parents
         self._backward = None
+        self._in_place = False
 
 
 class _ConstantNode(_Node):
@@ -82,7 +120,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=()):
         self.data = _as_array(data)
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+        self.requires_grad = bool(requires_grad) or (
+            _grad_enabled and any(p.requires_grad for p in parents))
         # a parameter (no parents) is its own node; it keeps ``_node`` None
         self._node = (_Node(tuple(p._tape_node for p in parents))
                       if self.requires_grad and parents else None)
@@ -243,16 +282,36 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _scale_rows(src: np.ndarray, keep: np.ndarray, slope: float,
+                out: np.ndarray) -> np.ndarray:
+    """``out = src * scale`` for leaky ReLU's scale, rebuilt from the mask
+    ``keep`` a row block at a time; ``out`` may be ``src``."""
+    if src.ndim == 0:
+        blocks = [...]
+    else:
+        step = max(1, _SCALE_BLOCK // max(1, int(np.prod(src.shape[1:]))))
+        blocks = [slice(s, s + step) for s in range(0, src.shape[0], step)]
+    for rows in blocks:
+        # arithmetic, not a select: numpy's where runs a branchy loop. For a
+        # slope in [0, 1], (1 - slope) + slope rounds to exactly 1.0, so the
+        # scale holds 1.0 or the slope, and x * 1.0 and x * slope are the two
+        # branches bit for bit
+        scale = keep[rows] * (1.0 - slope)
+        scale += slope
+        np.multiply(src[rows], scale, out=out[rows])
+    return out
+
+
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    # arithmetic, not a select: numpy's where runs a branchy loop. For a slope
-    # in [0, 1], (1 - slope) + slope rounds to exactly 1.0, so the scale holds
-    # 1.0 or the slope; x * 1.0 and x * slope are the two branches bit for
-    # bit, so one product gives the output and its backward reuses the scale
-    scale = (x.data >= 0.0) * (1.0 - slope)
-    scale += slope
-    out = Tensor(x.data * scale, parents=(x,))
+    # the backward keeps the sign mask, a byte an entry, not the scale
+    keep = x.data >= 0.0
+    out = Tensor(_scale_rows(x.data, keep, slope, np.empty_like(x.data)),
+                 parents=(x,))
     if out.requires_grad:
-        out._backward = lambda g: (g * scale,)
+        def bw(g, owned=False):
+            return (_scale_rows(g, keep, slope, g if owned else np.empty_like(g)),)
+        out._backward = bw
+        out._node._in_place = True
     return out
 
 
@@ -370,13 +429,21 @@ def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
     return out
 
 
+def _owned(pg, g: np.ndarray, grads: tuple) -> bool:
+    """Whether ``pg``, one of the ``grads`` a backward function returned for
+    the gradient ``g``, is an array no one else holds."""
+    return (type(pg) is np.ndarray and pg.base is None and pg is not g
+            and sum(p is pg for p in grads) == 1)
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
 
     Leaves are the nodes without a backward function: the parameters, each
     its own node. Intermediate gradients live only until their node has been
-    processed. Contributions are summed out of place, so a gradient array one
-    backward function hands to several parents is never written to.
+    processed. Only arrays the engine owns (see the module docstring) are
+    written: a later contribution is added in place into an owned sum, and
+    out of place into any other, whose sum the engine then owns.
     """
     if loss.data.size != 1:
         raise ValueError("backward() expects a scalar loss")
@@ -397,18 +464,32 @@ def backward(loss: Tensor) -> None:
             stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    owned = {id(root)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
+        mine = id(node) in owned
         if node._backward is None:
             if node.grad is None:
-                node.grad = np.array(g, dtype=np.float64)    # the leaf's own copy
+                # an array no one else holds becomes the leaf's; others are copied
+                node.grad = g if mine else np.array(g, dtype=np.float64)
             else:
                 node.grad += g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        out = node._backward(g, mine) if node._in_place else node._backward(g)
+        for parent, pg in zip(node._parents, out):
             if not parent.requires_grad:
                 continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            key = id(parent)
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = pg
+                if _owned(pg, g, out):
+                    owned.add(key)
+            elif key in owned:
+                acc += pg
+            else:
+                grads[key] = acc = acc + pg
+                if type(acc) is np.ndarray:
+                    owned.add(key)

@@ -25,8 +25,13 @@ serves any number of forwards while the parameters change between them. The
 trainer keeps one per session, inside the session's
 ``prototypes.SupportPlan``: the teacher, every episode and the evaluation
 prototypes forward it, and it is dropped when the session ends. A forward
-given a node list (evaluation's held-out nodes, telemetry's queries) builds a
-plan of its own and drops it on return.
+given a node list (telemetry's queries, or one row block of evaluation's
+held-out nodes) builds a plan of its own and drops it on return, so
+evaluation plans per block and no plan covers every held-out node.
+
+Without a tape (``autodiff.no_grad``) nothing else holds a layer's arrays,
+so a forward keeps at most three alive beside the plan: a layer's input,
+its aggregate and its pre-activation, each dropped once the next exists.
 
 A row, mean or attention, reads only its own CSR entries, so a forward over a
 union of node sets (the mini-batch scheme of GraphSAGE) gives each set's rows
@@ -297,8 +302,12 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
         # |rows| d_in d_out against |cols| d_in d_out for transforming first,
         # and the sparse products differ by nnz (d_in - d_out), small next to
         # that because the mean degree is far below d_out
-        z = ad.affine(agg, layer.weight, layer.bias)
-        h = z if l == last else ad.leaky_relu(z, params.negative_slope)
+        h = ad.affine(agg, layer.weight, layer.bias)
+        # without a tape nothing else holds the layer's input (rebound just
+        # now), its aggregate or, once rebound below, its pre-activation
+        del agg
+        if l != last:
+            h = ad.leaky_relu(h, params.negative_slope)
     return h
 
 
@@ -413,7 +422,8 @@ def save_model(model: ModelState, path) -> None:
 def load_model(path) -> ModelState:
     """The model ``save_model`` wrote to ``path``. Anything else raises a
     ValueError that names ``path``: an unreadable header, one without a key
-    ``save_model`` writes, or a blob not exactly the size of its shapes."""
+    ``save_model`` writes or with a backbone other than ``mean`` and
+    ``attention``, or a blob not exactly the size of its shapes."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path} is not a model checkpoint")
@@ -458,6 +468,9 @@ def load_model(path) -> ModelState:
             i += 1
         return out
 
+    if header["gnn_backbone"] not in ("mean", "attention"):
+        raise ValueError(f"{path}: checkpoint header names an unknown "
+                         f"gnn_backbone {header['gnn_backbone']!r}")
     gnn = GnnParams(layers("gnn"), header["gnn_negative_slope"],
                     header["gnn_backbone"])
     mlp = (GnnParams(layers("mlp"), header["mlp_negative_slope"])

@@ -19,8 +19,13 @@ dropped before evaluation's forward, so no plan outlives its session. An
 episode runs in ``_train_episode``, which returns only floats, so its
 autodiff tape, prototype build and gradients die before the next episode's
 forward and the last ones before evaluation's: at most one tape is alive
-at a time. Classification is nearest prototype in embedding space with
-ties going to the smallest class id.
+at a time. Only training builds a tape: the teacher's outputs, the
+evaluation prototypes (which ``export-prototypes`` also reads), evaluation's
+forward and telemetry's query accuracy run under ``autodiff.no_grad``.
+Evaluation embeds and classifies its held-out nodes a block of
+``_CLASSIFY_ROWS`` at a time, so no array or plan spans all of them.
+Classification is nearest prototype in embedding space with ties going to
+the smallest class id.
 
 Before any output, one pass over the sessions that train rejects a run that
 ``sample_episode`` would reject mid-stream: a session's ``sampler.task_pool``
@@ -78,7 +83,8 @@ class SessionReport:
             str(k): v for k, v in sorted(self.per_class.items())}}
 
 
-# query rows per block of ``classify``, whose distances take block x C x d floats
+# query rows per block of ``classify``, whose distances take block x C x d
+# floats, and held-out nodes per forward of ``evaluate_session``
 _CLASSIFY_ROWS = 256
 
 
@@ -123,10 +129,12 @@ class _TeacherCache:
     def __init__(self, model: network.ModelState, bundle: DatasetBundle,
                  plan: SupportPlan, t: int, mode: str):
         self.classes = bundle.schedule.seen_at(t - 1)
-        self.embeddings = network.gnn_forward(
-            model.gnn, graph_at(bundle, t), plan.forward).data[plan.distill]
-        self.encodings = (encode_csds(model, self.classes, bundle.csds.vectors).data
-                          if is_semantic(mode) else None)
+        with ad.no_grad():
+            self.embeddings = network.gnn_forward(
+                model.gnn, graph_at(bundle, t), plan.forward).data[plan.distill]
+            self.encodings = (encode_csds(model, self.classes,
+                                          bundle.csds.vectors).data
+                              if is_semantic(mode) else None)
 
 
 def _episode_step(model: network.ModelState, bundle: DatasetBundle,
@@ -169,7 +177,8 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     graph = graph_at(bundle, episode.session)
     nodes = np.asarray([n for n, _ in episode.query], dtype=np.int64)
     truth = np.asarray([c for _, c in episode.query], dtype=np.int64)
-    emb = network.gnn_forward(model.gnn, graph, nodes).data
+    with ad.no_grad():
+        emb = network.gnn_forward(model.gnn, graph, nodes).data
     pred = classify(emb, build.classes, build.final.data)
     return float((pred == truth).mean())
 
@@ -252,7 +261,7 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
     del cache
     build = _eval_prototypes(model, bundle, cfg, t, plan)
     classes, prototypes = build.classes, build.final.data
-    # frees the build's tape and the session's plan before evaluation's forward
+    # frees the build and the session's plan before evaluation's forward
     del build, plan
     report = evaluate_session(model, bundle, t, classes, prototypes, split)
     report.episode_losses = totals
@@ -264,16 +273,29 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
 def _eval_prototypes(model, bundle, cfg, t, plan: SupportPlan) -> PrototypeBuild:
     """Prototypes for evaluation from ``plan``, a plan of session t's
     extended supports: the sets training optimized toward. Its distill rows
-    are not read."""
-    return build_prototype_tensors(model, bundle, t, plan, cfg.mode,
-                                   cfg.unseen_encoder)
+    are not read. No tape is built."""
+    with ad.no_grad():
+        return build_prototype_tensors(model, bundle, t, plan, cfg.mode,
+                                       cfg.unseen_encoder)
+
+
+def _eval_blocks(n: int) -> list[slice]:
+    """Blocks of ``_CLASSIFY_ROWS`` over n rows; a tail shorter than half a
+    block joins the previous block, since a forward of a few rows may round
+    its last bits apart from the same rows in a larger one."""
+    starts = list(range(0, n, _CLASSIFY_ROWS))
+    if len(starts) > 1 and n - starts[-1] < _CLASSIFY_ROWS // 2:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
                      classes, prototypes, split: ClassSplit) -> SessionReport:
     """Accuracy on the fixed held-out split over all classes through t, by
     nearest prototype: row i of the (C x d) ``prototypes`` belongs to
-    ``classes[i]``, ascending, as in ``classify``."""
+    ``classes[i]``, ascending, as in ``classify``. The held-out nodes are
+    embedded and classified a block (``_eval_blocks``) at a time, without a
+    tape."""
     sched = bundle.schedule
     graph = graph_at(bundle, t)
     vis = graph.visible_mask
@@ -286,9 +308,12 @@ def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
         truth.extend([cls] * ev.size)
     if not nodes:
         raise DatasetError(f"empty evaluation split at session {t}")
-    emb = network.gnn_forward(model.gnn, graph,
-                              np.asarray(nodes, dtype=np.int64)).data
-    pred = classify(emb, classes, prototypes)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    pred = np.empty(nodes.size, dtype=np.int64)
+    with ad.no_grad():
+        for rows in _eval_blocks(nodes.size):
+            emb = network.gnn_forward(model.gnn, graph, nodes[rows]).data
+            pred[rows] = classify(emb, classes, prototypes)
     truth_arr = np.asarray(truth, dtype=np.int64)
     correct = pred == truth_arr
 

@@ -492,3 +492,187 @@ def test_csr_matmul_computes_no_gradient_for_a_constant_operand():
                      * g).sum())
         grads.append(v.grad.tobytes())
     assert grads[0] == grads[1]
+
+
+# -- no tape ----------------------------------------------------------------------
+
+def test_no_grad_results_have_no_node():
+    rng = np.random.default_rng(13)
+    x, w = ad.parameter(rng.standard_normal((3, 2))), ad.parameter(np.eye(2))
+    b, v = ad.parameter(np.ones(2)), ad.parameter(np.ones((4, 1)))
+    indptr, indices = np.array([0, 1, 4]), np.array([2, 0, 1, 2])
+    with ad.no_grad():
+        outs = [x + 1.0, x - 1.0, x * x, x / 2.0, -x, x @ w,
+                ad.affine(x, w, b), ad.leaky_relu(x, 0.1), ad.maximum(x, 0.0),
+                ad.sqrt(x * x), ad.log(x * x + 1.0), ad.exp(x),
+                ad.vstack([x, x]), ad.gather_rows(x, [2, 0]), x.sum(),
+                x.mean(axis=0), x.transpose(), x.reshape(6),
+                ad.sparse_matmul(sp.eye(3, format="csr"), x),
+                ad.csr_matmul(v, indices, indptr, x)]
+        made = ad.parameter(np.zeros(2))
+    for out in outs:
+        assert not out.requires_grad
+        assert out._node is None and out._tape_node is ad._CONSTANT
+    # a parameter made inside still needs its gradient, and after the block
+    # results are taped again
+    assert made.requires_grad and (made * 2.0).requires_grad
+    assert (x * x)._node is not None
+
+
+def taped():
+    """Whether an operation on a parameter is recorded right now."""
+    return (ad.parameter(np.ones(2)) * 2.0).requires_grad
+
+
+def test_no_grad_restores_the_mode_after_nesting_and_an_exception():
+    assert taped()
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not taped()
+        assert not taped()
+    assert taped()
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert taped()
+    with ad.no_grad():
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("nested")
+        assert not taped()
+    assert taped()
+
+
+# -- the arrays the engine writes ------------------------------------------------
+
+def spy_tape(loss):
+    """Wrap every backward function on ``loss``'s tape and log what it does.
+
+    ``shared`` holds each returned array that another may hold (the gradient
+    the function was handed, a view, or one returned for two parents) with
+    a copy taken on return; ``captured`` each array a function captured with
+    a copy taken now; ``relu`` whether each in-place function was handed an
+    owned gradient; ``returned`` every array returned.
+    """
+    log = {"shared": [], "captured": [], "relu": [], "returned": []}
+    seen, stack = set(), [loss._tape_node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        fn = node._backward
+        if fn is None:
+            continue
+        for cell in fn.__closure__ or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                log["captured"].append((cell.cell_contents,
+                                        cell.cell_contents.copy()))
+
+        def spy(g, *owned, fn=fn, in_place=node._in_place):
+            before = g.copy()
+            out = fn(g, *owned)
+            if in_place:
+                log["relu"].append(bool(owned and owned[0]))
+                if not log["relu"][-1]:
+                    assert same_bits(g, before)
+            for pg in out:
+                if isinstance(pg, np.ndarray):
+                    log["returned"].append(pg)
+                    if (pg is g or pg.base is not None
+                            or sum(p is pg for p in out) > 1):
+                        log["shared"].append((pg, pg.copy()))
+            return out
+        node._backward = spy
+    return log
+
+
+def assert_nothing_shared_was_written(log):
+    for array, copy in log["shared"] + log["captured"]:
+        assert same_bits(array, copy)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tapes())
+def test_no_array_handed_to_two_parents_or_captured_is_written(case):
+    # the same tapes as the former-engine test, which checks their gradients
+    loss, _, _ = build_tape(case, LEAN)
+    log = spy_tape(loss)
+    ad.backward(loss)
+    assert_nothing_shared_was_written(log)
+
+
+CONTRIBUTIONS = {
+    # a product's gradient: a fresh array
+    "dense": lambda r, p: r @ p["v"],
+    # a broadcast add's: a fresh sum over the broadcast axis
+    "summed": lambda r, p: p["big"] + r,
+    # add's: the gradient it was handed, also given to q
+    "pass": lambda r, p: r + p["q"],
+    # add's, the one array given twice to the same parent
+    "twice": lambda r, p: r + r,
+}
+
+
+def contributions_tape(kinds, relu, affine):
+    """``r = relu(affine(x, w, b))`` feeding one term per kind of
+    contribution; returns the loss, the leaves by name and ``r``."""
+    rng = np.random.default_rng(14)
+    shapes = {"x": (3, 4), "w": (4, 4), "b": (4,), "v": (4, 2), "q": (3, 4),
+              "big": (2, 3, 4)}
+    p = {k: ad.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+    r = relu(affine(p["x"], p["w"], p["b"]), 0.1)
+    loss = ad.constant(0.0)
+    for kind in kinds:
+        term = CONTRIBUTIONS[kind](r, p)
+        loss = loss + (term * rng.standard_normal(term.shape)).sum()
+    return loss, p
+
+
+@pytest.mark.parametrize("block", [1 << 15, 5])
+@pytest.mark.parametrize("kinds", [
+    ("dense",), ("summed",), ("pass",), ("twice",),
+    ("pass", "dense"), ("dense", "pass"), ("pass", "summed", "dense"),
+    ("summed", "pass", "twice"), ("dense", "summed", "pass", "twice")])
+def test_one_parent_takes_dense_summed_and_pass_through_contributions(
+        kinds, block, monkeypatch):
+    """Leaky ReLU is handed an owned gradient, and writes it in place, unless
+    its only contribution is one that add also hands to another parent. No
+    shared or captured array is written, a leaf keeps an owned array without
+    a copy, and the gradients equal the former engine's bit for bit (on one
+    and on several row blocks of the scale)."""
+    monkeypatch.setattr(ad, "_SCALE_BLOCK", block)
+    loss, params = contributions_tape(kinds, ad.leaky_relu, ad.affine)
+    log = spy_tape(loss)
+    ad.backward(loss)
+    assert log["relu"] == [kinds != ("pass",)]
+    assert_nothing_shared_was_written(log)
+    # w's gradient is affine's fresh x.T @ g, kept as is; q's, when add hands
+    # it the array it also hands to r, is a copy
+    assert any(params["w"].grad is a for a in log["returned"])
+    if "pass" in kinds:
+        assert not any(params["q"].grad is a for a in log["returned"])
+    want_loss, want = contributions_tape(kinds, leaky_relu_oracle, affine_oracle)
+    kept = backward_oracle(want_loss)
+    for name, t in params.items():
+        if id(want[name]) in kept:
+            assert same_bits(t.grad, kept[id(want[name])]), name
+        else:
+            assert t.grad is None, name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("owned", [False, True])
+def test_leaky_relu_backward_writes_only_an_owned_gradient(owned, monkeypatch):
+    monkeypatch.setattr(ad, "_SCALE_BLOCK", 3)
+    x0 = np.asarray(SPECIAL + [-1e308, 1e308]).reshape(6, 2)
+    out = ad.leaky_relu(ad.parameter(x0), 0.01)
+    g = np.linspace(-2.0, 2.0, x0.size).reshape(x0.shape)
+    before = g.copy()
+    (got,) = out._backward(g, owned)
+    assert (got is g) == owned
+    assert same_bits(got, before * np.where(x0 >= 0.0, 1.0, 0.01))
+    if not owned:
+        assert same_bits(g, before)

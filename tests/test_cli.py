@@ -136,7 +136,9 @@ def test_export_nonfinite_checkpoint_exits_2(tmp_path, gcl_run, capsys):
     lambda raw: raw + bytes(8),              # bytes after the blob
     lambda raw: raw[:-16],                   # a truncated blob
     lambda raw: raw.replace(b'"params"', b'"paramz"', 1),   # no params key
-], ids=["appended", "truncated", "no-params"])
+    # a backbone the encoder has no forward for, in a header of the same length
+    lambda raw: raw.replace(b'"gnn_backbone": "mean"', b'"gnn_backbone": "bogu"', 1),
+], ids=["appended", "truncated", "no-params", "unknown-backbone"])
 def test_export_corrupt_checkpoint_exits_2(tmp_path, gcl_run, corrupt, capsys):
     data, run = gcl_run
     broken = tmp_path / "broken"

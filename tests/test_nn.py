@@ -358,6 +358,71 @@ def test_a_taped_mean_forward_frees_its_hidden_activations(depth, monkeypatch,
         np.testing.assert_array_equal(got[name], want[name])
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+def test_a_tape_free_mean_forward_drops_each_layer_as_it_moves_on(
+        depth, monkeypatch, refcount_only):
+    """Under ``no_grad`` nothing keeps a layer's arrays: when an operation of
+    the forward starts, the only arrays it made earlier that are alive are
+    the operation's operands and the last leaky-ReLU output, the input of the
+    aggregate being transformed. So a layer's pre-activation and aggregate
+    die while the forward still runs, and only the output outlives it."""
+    graph = graph_at(synth_generate(0, 3, 10, 0.5, 0.1, 4), 0)
+    nodes = np.arange(0, 30, 3)
+    params = network.init_gnn([4] + [5] * depth, np.random.default_rng(depth))
+    made, relu_out, calls = [], [], []
+
+    def spy(fn, relu=False):
+        def run(*args):
+            allowed = {id(a.data) for a in args if isinstance(a, ad.Tensor)}
+            if relu_out:
+                allowed.add(id(relu_out[-1]()))
+            alive = {id(ref()) for ref in made if ref() is not None}
+            assert alive <= allowed, fn.__name__
+            calls.append(fn.__name__)
+            out = fn(*args)
+            assert out._node is None
+            made.append(weakref.ref(out.data))
+            if relu:
+                relu_out.append(made[-1])
+            return out
+        return run
+
+    monkeypatch.setattr(ad, "sparse_matmul", spy(ad.sparse_matmul))
+    monkeypatch.setattr(ad, "affine", spy(ad.affine))
+    monkeypatch.setattr(ad, "leaky_relu", spy(ad.leaky_relu, relu=True))
+    with ad.no_grad():
+        out = network.gnn_forward(params, graph, nodes)
+    monkeypatch.undo()
+    # layer 0 aggregates nothing; each later layer multiplies by M first
+    assert calls == ["affine", "leaky_relu"] + ["sparse_matmul", "affine",
+                                                "leaky_relu"] * (depth - 2) + [
+        "sparse_matmul", "affine"]
+    assert [ref() is None for ref in made] == [True] * (len(made) - 1) + [False]
+    taped = network.gnn_forward(params, graph, nodes)
+    assert out.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+def test_training_after_a_tape_free_forward_gives_the_same_gradients(backbone):
+    graph = graph_at(synth_generate(0, 3, 10, 0.5, 0.1, 4), 0)
+    nodes, others = np.arange(0, 30, 3), np.arange(1, 30, 4)
+    weights = np.random.default_rng(1).standard_normal((nodes.size, 5))
+    results = []
+    for tape_free_first in (False, True):
+        params = network.init_gnn([4, 5, 5], np.random.default_rng(2),
+                                  backbone=backbone)
+        if tape_free_first:
+            with ad.no_grad():
+                for rows in (nodes, others):
+                    free = network.gnn_forward(params, graph, rows)
+                    assert not free.requires_grad
+                assert all(t.requires_grad for t in layer_params(params).values())
+        out, grads = forward_and_gradients(network.gnn_forward, params, graph,
+                                           nodes, weights)
+        results.append((out.tobytes(), {k: g.tobytes() for k, g in grads.items()}))
+    assert results[0] == results[1]
+
+
 def test_a_model_and_its_tape_are_freed_by_reference_counting(refcount_only):
     """Nothing points from a tape node back to a parameter, so a model, and a
     tape built from it, die without the cyclic collector."""
@@ -751,6 +816,10 @@ CORRUPT_CHECKPOINTS = {
                           MALFORMED),
     "entry without name": (header_edit(lambda h: h["params"][0].pop("name")),
                            MALFORMED),
+    "unknown backbone": (header_edit(lambda h: h.update(gnn_backbone="bogus")),
+                         "checkpoint header names an unknown gnn_backbone 'bogus'"),
+    "no backbone": (header_edit(lambda h: h.update(gnn_backbone=None)),
+                    "checkpoint header names an unknown gnn_backbone None"),
 }
 
 

@@ -225,6 +225,45 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
     ("gcl", "mean", (4,)),
     ("gfscil_semantic", "attention", ()),
 ])
+def test_only_training_episodes_build_a_tape(monkeypatch, mode, backbone,
+                                             zero_shot):
+    """The teacher, the evaluation prototypes, evaluation and telemetry's
+    query accuracy run their encoders without a tape; every encoder forward
+    of an episode's loss has one."""
+    bundle = tiny_bundle(zero_shot)
+    cfg = tiny_config(mode, backbone).replace(telemetry=True)
+    forward, mlp, step = network.gnn_forward, network.mlp_forward, trainer._episode_step
+    in_step, taped = [], {True: [], False: []}
+
+    def spy(fn):
+        def run(*args):
+            out = fn(*args)
+            taped[bool(in_step)].append(out.requires_grad)
+            return out
+        return run
+
+    def spy_step(*args):
+        in_step.append(True)
+        try:
+            return step(*args)
+        finally:
+            in_step.pop()
+
+    monkeypatch.setattr(network, "gnn_forward", spy(forward))
+    monkeypatch.setattr(network, "mlp_forward", spy(mlp))
+    monkeypatch.setattr(trainer, "_episode_step", spy_step)
+    run_stream(bundle, cfg)
+    episodes = cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
+    assert len(taped[True]) >= episodes and all(taped[True])
+    # per session an evaluation-prototype forward and evaluation's, per
+    # episode a query forward, and from t = 1 the teacher's
+    assert len(taped[False]) >= 2 * 3 + episodes + 2 and not any(taped[False])
+
+
+@pytest.mark.parametrize("mode,backbone,zero_shot", [
+    ("gcl", "mean", (4,)),
+    ("gfscil_semantic", "attention", ()),
+])
 def test_one_plan_per_session_is_freed_when_the_session_returns(
         monkeypatch, mode, backbone, zero_shot):
     """The teacher, every episode and the evaluation prototypes of a session
@@ -513,6 +552,68 @@ def test_n_way_is_not_checked_for_sessions_that_train_no_episode():
 
 
 # -- nearest-prototype classification -------------------------------------------
+
+# tails of 1 and 3 rows, just under and just over half a block, and a count
+# below one block, with the blocks each count is embedded in
+EVAL_BLOCKS = {100: [100], 257: [257], 259: [259], 383: [383], 385: [256, 129],
+               449: [256, 193]}
+
+
+def test_eval_blocks_merge_a_tail_shorter_than_half_a_block():
+    assert trainer._CLASSIFY_ROWS == 256
+    for n, sizes in EVAL_BLOCKS.items():
+        blocks = trainer._eval_blocks(n)
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert trainer._eval_blocks(512) == [slice(0, 256), slice(256, 512)]
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+def test_row_blocked_evaluation_reports_what_one_forward_reports(
+        monkeypatch, backbone):
+    """``evaluate_session`` embeds its held-out nodes a block at a time; for
+    every eval count its report equals the report of one forward over all
+    of them, and no forward covers more than a block and a short tail."""
+    # 3 base classes of 150 nodes, nodes of class c at 150c..150c+149
+    bundle = synth_generate(0, 4, 150, 0.05, 0.005, 8, n_base=3, k_shot=3)
+    cfg = tiny_config("gfscil_plain", backbone)
+    model = network.init_model(8, 16, 8, 2, seed=0, backbone=backbone)
+    graph = graph_at(bundle, 0)
+    forward = network.gnn_forward
+    whole = forward(model.gnn, graph, np.arange(450)).data
+    # class means of the embeddings: accuracies strictly between 0 and 1
+    prototypes = np.stack([whole[150 * c:150 * (c + 1)].mean(axis=0)
+                           for c in range(3)])
+    blocks = trainer._eval_blocks
+    for n, sizes in EVAL_BLOCKS.items():
+        nodes = np.arange(n)
+        split = dataclasses.replace(trainer.run_split(bundle, cfg), eval_nodes={
+            c: nodes[nodes // 150 == c] for c in range(3)})
+        reports, rows = [], []
+
+        def spy(params, graph, nodes):
+            out = forward(params, graph, nodes)
+            assert not out.requires_grad
+            rows.append(out.data)
+            return out
+
+        monkeypatch.setattr(network, "gnn_forward", spy)
+        for one_forward in (False, True):
+            if one_forward:
+                monkeypatch.setattr(trainer, "_eval_blocks", lambda n: [slice(0, n)])
+            reports.append(trainer.evaluate_session(
+                model, bundle, 0, [0, 1, 2], prototypes, split).to_dict())
+        monkeypatch.setattr(trainer, "_eval_blocks", blocks)
+        monkeypatch.setattr(network, "gnn_forward", forward)
+        assert reports[0]["n_queries"] == n
+        assert 0.0 < reports[0]["overall"] < 1.0
+        assert json.dumps(reports[0], sort_keys=True) == \
+            json.dumps(reports[1], sort_keys=True), n
+        assert [r.shape[0] for r in rows] == sizes + [n]
+        blocked = np.concatenate(rows[:-1])
+        assert np.abs(blocked - rows[-1]).max() <= 1e-12 * np.abs(rows[-1]).max()
+
 
 def test_classify_in_row_blocks_equals_the_one_shot_formula():
     rng = np.random.default_rng(0)
