@@ -3,9 +3,9 @@
 Subcommands: ``run`` (train a stream from a config file), ``verify-theorem``
 (distortion-bound sweep), ``gradcheck`` (finite-difference audit of every
 training loss on both backbones), ``synth`` (write a synthetic dataset
-directory), and ``export-prototypes`` (write as TSV the prototypes a finished
-run classified session t with; ``--run`` names the run directory, whose
-``model.ckpt`` and ``config.json`` fix the model, mode, split and walks). A
+directory), and ``export-prototypes`` (copy the TSV of the prototypes a
+finished run classified session t with, the ``prototypes/session_<t>.tsv``
+the run wrote into the run directory ``--run``; it reads nothing else). A
 seed comes from ``--seed``, else ``GOTHAM_SEED``, else the config's seed
 (``run``) or 0. Exit codes: 0 success, 1 runtime failure, 2 invalid
 arguments or input validation failure.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -89,11 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a run's evaluation prototypes as TSV")
     ex.set_defaults(handler=cmd_export_prototypes)
     ex.add_argument("--run", required=True, metavar="RUN_DIR",
-                    help="run directory holding model.ckpt and config.json")
-    ex.add_argument("--dataset", default=None,
-                    help="defaults to the dataset named in config.json")
+                    help="run directory holding prototypes/session_<t>.tsv")
     ex.add_argument("--session", type=int, default=None,
-                    help="defaults to the final session")
+                    help="defaults to the last session with a file")
     ex.add_argument("--out", required=True)
     return p
 
@@ -186,30 +185,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export_prototypes(args) -> int:
-    from . import nn as network
-    from .trainer import _eval_prototypes, run_split, session_plan
-
-    run = Path(args.run)
-    for name in ("model.ckpt", "config.json"):
-        if not (run / name).is_file():
-            print(f"error: {run / name} not found", file=sys.stderr)
-            return 2
-    cfg = RunConfig.from_json(run / "config.json")
-    model = network.load_model(run / "model.ckpt")
-    bundle = load_dataset(args.dataset or cfg.dataset)
-    t = bundle.schedule.num_sessions if args.session is None else args.session
-    # the same split, walks and mode as the run, so these are the prototypes
-    # evaluation classified with
-    plan = session_plan(model, bundle, cfg, run_split(bundle, cfg), t)
-    build = _eval_prototypes(model, bundle, cfg, t, plan)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("class_id\tkind\tvector\n")
-        for cls, kind, row in zip(build.classes, build.kinds, build.final.data):
-            vec = " ".join(repr(float(x)) for x in row)
-            fh.write(f"{cls}\t{kind}\t{vec}\n")
-    print(f"wrote {build.classes.size} prototypes to {out}")
+    from .trainer import prototype_files
+    files = prototype_files(args.run)
+    t = max(files, default=None) if args.session is None else args.session
+    if files and not 0 <= t <= max(files):
+        raise ValueError(f"session index {t} out of range [0, {max(files)}]")
+    if t not in files:
+        name = f"session_{'<t>' if t is None else t}.tsv"
+        raise ValueError(f"{Path(args.run) / 'prototypes' / name} not found")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(files[t], args.out)
+    print(f"wrote session {t}'s prototypes to {args.out}")
     return 0
 
 

@@ -423,7 +423,7 @@ def load_model(path) -> ModelState:
     """The model ``save_model`` wrote to ``path``. Anything else raises a
     ValueError that names ``path``: an unreadable header, one without a key
     ``save_model`` writes or with a backbone other than ``mean`` and
-    ``attention``, or a blob not exactly the size of its shapes."""
+    ``attention``, a blob not the size of its shapes, or non-finite values."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path} is not a model checkpoint")
@@ -456,7 +456,7 @@ def load_model(path) -> ModelState:
               for name, shape, start, end in zip(names, shapes, ends, ends[1:])}
     bad = [k for k, v in arrays.items() if not np.isfinite(v).all()]
     if bad:
-        raise ValueError(f"{path} holds non-finite parameters: {bad}")
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters: {bad}")
     proj = arrays.pop("csd_projection", None)
 
     def layers(prefix: str) -> list[Layer]:

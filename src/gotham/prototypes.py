@@ -11,7 +11,7 @@ a one-node self-loop graph.
 class in C^t gets: ``gfscil_plain`` gives every seen class a seen row,
 ``gfscil_semantic`` and ``gcl`` give them merged ones, and ``gcl`` adds an
 unseen_semantic row for each zero-shot class announced by session t.
-Training, evaluation, export and the gradient audit all call it. One
+Training, evaluation and the gradient audit all call it. One
 ``nn.gnn_forward`` over the union of the seen classes' supports and of any
 distillation nodes gives every row the losses read: one encoder forward per
 episode on either backbone.

@@ -20,10 +20,10 @@ episode runs in ``_train_episode``, which returns only floats, so its
 autodiff tape, prototype build and gradients die before the next episode's
 forward and the last ones before evaluation's: at most one tape is alive
 at a time. Only training builds a tape: the teacher's outputs, the
-evaluation prototypes (which ``export-prototypes`` also reads), evaluation's
-forward and telemetry's query accuracy run under ``autodiff.no_grad``.
-Evaluation embeds and classifies its held-out nodes a block of
-``_CLASSIFY_ROWS`` at a time, so no array or plan spans all of them.
+evaluation prototypes (which the run keeps as ``prototypes/session_<t>.tsv``),
+evaluation's forward and telemetry's query accuracy run under
+``autodiff.no_grad``. Evaluation embeds and classifies its held-out nodes a
+block of ``_CLASSIFY_ROWS`` at a time, so no array or plan spans all of them.
 Classification is nearest prototype in embedding space with ties going to
 the smallest class id.
 
@@ -55,7 +55,8 @@ from .sampler import (ClassSplit, Episode, build_class_split,
                       task_pool)
 
 __all__ = ["SessionReport", "classify", "run_split", "session_plan",
-           "evaluate_session", "run_stream", "write_reports", "summary_tsv"]
+           "evaluate_session", "run_stream", "write_reports", "summary_tsv",
+           "prototype_files"]
 
 
 @dataclass
@@ -238,8 +239,8 @@ def session_plan(model: network.ModelState, bundle: DatasetBundle,
                  cfg: RunConfig, split: ClassSplit, t: int) -> SupportPlan:
     """Session t's one plan: its walks, drawn once, and from t = 1 its
     distill nodes, the anchors of the classes seen at t-1, which its supports
-    already hold. Its teacher, every episode, its evaluation and
-    ``export-prototypes`` read it."""
+    already hold. Its teacher, every episode and its evaluation prototypes
+    read it."""
     extended = session_supports(bundle, t, split, cfg.walk_length,
                                 cfg.walks_per_seed, cfg.seed)
     distill = None if t == 0 else np.unique(np.concatenate(
@@ -247,8 +248,9 @@ def session_plan(model: network.ModelState, bundle: DatasetBundle,
     return plan_supports(model.gnn, graph_at(bundle, t), extended, distill)
 
 
-def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
-    """Train session t, then evaluate it on the same walk draw."""
+def _run_session(model, bundle, cfg, split, t, log_fn=None):
+    """Train session t, then evaluate it on the same walk draw. Returns the
+    report and the (classes, kinds, prototypes) evaluation classified with."""
     start = time.perf_counter()
     plan = session_plan(model, bundle, cfg, split, t)
     # the teacher is read before the first update
@@ -260,14 +262,14 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None) -> SessionReport:
                                     log_fn)
     del cache
     build = _eval_prototypes(model, bundle, cfg, t, plan)
-    classes, prototypes = build.classes, build.final.data
+    classes, kinds, prototypes = build.classes, build.kinds, build.final.data
     # frees the build and the session's plan before evaluation's forward
     del build, plan
     report = evaluate_session(model, bundle, t, classes, prototypes, split)
     report.episode_losses = totals
     report.episode_query_acc = float(np.mean(q_accs)) if q_accs else None
     report.wall_time = time.perf_counter() - start
-    return report
+    return report, (classes, kinds, prototypes)
 
 
 def _eval_prototypes(model, bundle, cfg, t, plan: SupportPlan) -> PrototypeBuild:
@@ -383,17 +385,17 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
                 _user(rec)
 
     try:
-        reports = [_run_session(model, bundle, cfg, split, t, emit)
-                   for t in range(bundle.schedule.num_sessions + 1)]
+        reports, tables = zip(*[_run_session(model, bundle, cfg, split, t, emit)
+                                for t in range(bundle.schedule.num_sessions + 1)])
     finally:
         if sink is not None:
             sink.close()
 
     if out_dir is not None:
-        write_reports(reports, out_dir)
+        write_reports(reports, tables, out_dir)
         network.save_model(model, Path(out_dir) / "model.ckpt")
         cfg.to_json(Path(out_dir) / "config.json")
-    return reports
+    return list(reports)
 
 
 def _check_mode(bundle: DatasetBundle, cfg: RunConfig) -> None:
@@ -426,15 +428,27 @@ def _check_tasks(bundle: DatasetBundle, cfg: RunConfig,
                 check_query_supply(split, cls, t, cfg.query_per_class)
 
 
-def write_reports(reports: list[SessionReport], out_dir) -> None:
+def write_reports(reports: list[SessionReport], tables, out_dir) -> None:
+    """Each session t's ``reports/session_<t>.json`` and, from its (classes,
+    kinds, prototypes), the tab-separated ``prototypes/session_<t>.tsv``,
+    whose ``repr`` entries read back exact; then ``summary.tsv``."""
     out = Path(out_dir)
-    rep_dir = out / "reports"
-    rep_dir.mkdir(parents=True, exist_ok=True)
-    for r in reports:
-        with open(rep_dir / f"session_{r.session}.json", "w", encoding="utf-8") as fh:
-            json.dump(r.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    for name in ("reports", "prototypes"):
+        (out / name).mkdir(exist_ok=True)
+    for r, (classes, kinds, prototypes) in zip(reports, tables):
+        (out / "reports" / f"session_{r.session}.json").write_text(
+            json.dumps(r.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        rows = "".join(f"{c}\t{k}\t{' '.join(map(repr, v))}\n"
+                       for c, k, v in zip(classes, kinds, prototypes.tolist()))
+        (out / "prototypes" / f"session_{r.session}.tsv").write_text(
+            "class_id\tkind\tvector\n" + rows, encoding="utf-8")
     (out / "summary.tsv").write_text(summary_tsv(reports), encoding="utf-8")
+
+
+def prototype_files(run_dir) -> dict[int, Path]:
+    """Session t -> the ``prototypes/session_<t>.tsv`` in ``run_dir``."""
+    paths = (Path(run_dir) / "prototypes").glob("session_*.tsv")
+    return {int(p.stem[8:]): p for p in paths if p.stem[8:].isdecimal()}
 
 
 def summary_tsv(reports: list[SessionReport]) -> str:

@@ -1,11 +1,13 @@
 """``gotham`` command line: export-prototypes against a finished run, the
 theorem sweep, exit codes."""
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from gotham import nn as network
+from gotham import trainer
 from gotham.cli import main
 from gotham.config import RunConfig
 from gotham.graphstore import load_dataset, synth_generate, write_dataset
@@ -18,7 +20,7 @@ KINDS = {
 }
 
 
-def make_run(root, mode):
+def make_run(root, mode, backbone="mean"):
     """A tiny finished run: dataset in root/data, artifacts in root/run."""
     zero_shot = (4,) if mode == "gcl" else ()
     # 5 classes of 20 nodes: 3 base classes, then one streamed class per session
@@ -26,22 +28,21 @@ def make_run(root, mode):
                            zero_shot_classes=zero_shot, k_shot=3)
     data, run = root / "data", root / "run"
     write_dataset(synth, data)
-    cfg = RunConfig(dataset=str(data), mode=mode, out_dir=str(run), n_way=2,
-                    k_shot=3, query_per_class=3, hidden_dim=16, out_dim=8,
-                    seed=3, episodes_base=3, episodes_finetune=1)
+    cfg = RunConfig(dataset=str(data), mode=mode, backbone=backbone,
+                    out_dir=str(run), n_way=2, k_shot=3, query_per_class=3,
+                    hidden_dim=16, out_dim=8, seed=3, episodes_base=3,
+                    episodes_finetune=1)
     run_stream(load_dataset(data), cfg, out_dir=run)
     return data, run
 
 
 def read_tsv(path):
+    """The classes, kinds and vectors of a prototype TSV, in its row order."""
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "class_id\tkind\tvector"
-    kinds, vectors = {}, {}
-    for line in lines[1:]:
-        cls, kind, vec = line.split("\t")
-        kinds[int(cls)] = kind
-        vectors[int(cls)] = np.array([float(x) for x in vec.split()])
-    return kinds, vectors
+    rows = [line.split("\t") for line in lines[1:]]
+    return ([int(cls) for cls, _, _ in rows], [kind for _, kind, _ in rows],
+            np.array([[float(x) for x in vec.split()] for _, _, vec in rows]))
 
 
 @pytest.fixture(scope="module")
@@ -53,111 +54,121 @@ def gcl_run(tmp_path_factory):
 def test_export_reproduces_evaluation(tmp_path, mode):
     data, run = make_run(tmp_path, mode)
     out = tmp_path / "protos.tsv"
-    # no --dataset: the run's config.json names it
     assert main(["export-prototypes", "--run", str(run), "--out", str(out)]) == 0
 
     bundle = load_dataset(data)
     t = bundle.schedule.num_sessions
-    kinds, vectors = read_tsv(out)
-    assert sorted(kinds) == bundle.schedule.classes_at(t)
-    assert set(kinds.values()) == KINDS[mode]
+    classes, kinds, vectors = read_tsv(out)
+    assert classes == bundle.schedule.classes_at(t)
+    assert set(kinds) == KINDS[mode]
     for cls in bundle.schedule.unseen_at(t):
-        assert kinds[cls] == "unseen_semantic"
+        assert kinds[classes.index(cls)] == "unseen_semantic"
 
     # the exported vectors classify the final session's eval nodes exactly as
     # the run did when it wrote summary.tsv
     cfg = RunConfig.from_json(run / "config.json")
     model = network.load_model(run / "model.ckpt")
-    classes = sorted(vectors)
-    report = evaluate_session(model, bundle, t, classes,
-                              np.array([vectors[c] for c in classes]),
+    report = evaluate_session(model, bundle, t, classes, vectors,
                               run_split(bundle, cfg))
     summary = (run / "summary.tsv").read_text(encoding="utf-8").splitlines()
     overall = next(r for r in summary if r.startswith("overall\t"))
     assert f"{report.overall:.6f}" == overall.split("\t")[-1]
 
 
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+def test_every_session_writes_and_exports_what_evaluation_classified_with(
+        tmp_path, monkeypatch, backbone):
+    """For every session t, ``prototypes/session_<t>.tsv`` and ``export-
+    prototypes --session t`` hold, bit for bit, the classes and vectors
+    ``evaluate_session`` received and the kinds of the build they came from."""
+    evaluate, eval_prototypes = trainer.evaluate_session, trainer._eval_prototypes
+    used, kinds = {}, {}
+
+    def spy_prototypes(model, bundle, cfg, t, plan):
+        build = eval_prototypes(model, bundle, cfg, t, plan)
+        kinds[t] = list(build.kinds)
+        return build
+
+    def spy_evaluate(model, bundle, t, classes, prototypes, split):
+        used[t] = (np.array(classes), np.array(prototypes))
+        return evaluate(model, bundle, t, classes, prototypes, split)
+
+    monkeypatch.setattr(trainer, "_eval_prototypes", spy_prototypes)
+    monkeypatch.setattr(trainer, "evaluate_session", spy_evaluate)
+    data, run = make_run(tmp_path, "gcl", backbone)
+    sessions = load_dataset(data).schedule.num_sessions
+    assert sorted(used) == list(range(sessions + 1))
+    assert sorted(trainer.prototype_files(run)) == list(range(sessions + 1))
+    for t, (classes, vectors) in used.items():
+        out = tmp_path / f"s{t}.tsv"
+        assert main(["export-prototypes", "--run", str(run), "--session",
+                     str(t), "--out", str(out)]) == 0
+        assert out.read_bytes() == (run / "prototypes" / f"session_{t}.tsv").read_bytes()
+        got_classes, got_kinds, got_vectors = read_tsv(out)
+        assert got_classes == classes.tolist()
+        assert got_kinds == kinds[t]
+        assert got_vectors.tobytes() == vectors.tobytes()
+    assert "unseen_semantic" in kinds[sessions]
+
+
 def test_export_earlier_session(tmp_path, gcl_run):
     data, run = gcl_run
     out = tmp_path / "s0.tsv"
-    assert main(["export-prototypes", "--run", str(run), "--dataset", str(data),
-                 "--session", "0", "--out", str(out)]) == 0
-    kinds, _ = read_tsv(out)
-    assert sorted(kinds) == load_dataset(data).schedule.classes_at(0)
-    assert set(kinds.values()) == {"merged"}
+    assert main(["export-prototypes", "--run", str(run), "--session", "0",
+                 "--out", str(out)]) == 0
+    classes, kinds, _ = read_tsv(out)
+    assert classes == load_dataset(data).schedule.classes_at(0)
+    assert set(kinds) == {"merged"}
 
 
-def test_export_missing_run_dir_exits_2(tmp_path, gcl_run, capsys):
-    data, _ = gcl_run
+def test_export_reads_neither_the_checkpoint_nor_the_dataset(tmp_path, gcl_run,
+                                                             capsys):
+    _, run = gcl_run
+    bare = tmp_path / "bare"
+    shutil.copytree(run, bare)
+    (bare / "model.ckpt").unlink()
+    cfg = json.loads((bare / "config.json").read_text(encoding="utf-8"))
+    cfg["dataset"] = str(tmp_path / "absent")
+    (bare / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "p.tsv"
+    # no --session: the last session with a file
+    assert main(["export-prototypes", "--run", str(bare), "--out", str(out)]) == 0
+    assert out.read_bytes() == (run / "prototypes" / "session_2.tsv").read_bytes()
+    assert "wrote session 2's prototypes" in capsys.readouterr().out
+
+
+def test_export_missing_run_dir_exits_2(tmp_path, capsys):
     code = main(["export-prototypes", "--run", str(tmp_path / "absent"),
-                 "--dataset", str(data), "--out", str(tmp_path / "p.tsv")])
+                 "--out", str(tmp_path / "p.tsv")])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
 
 
-def test_export_run_without_checkpoint_exits_2(tmp_path, gcl_run, capsys):
-    data, run = gcl_run
+@pytest.mark.parametrize("session,name", [(None, "session_<t>.tsv"),
+                                          ("0", "session_0.tsv")],
+                         ids=["last", "session-0"])
+def test_export_run_without_prototypes_exits_2(tmp_path, gcl_run, session,
+                                               name, capsys):
+    _, run = gcl_run
     partial = tmp_path / "partial"
-    partial.mkdir()
-    (partial / "config.json").write_bytes((run / "config.json").read_bytes())
-    code = main(["export-prototypes", "--run", str(partial),
-                 "--dataset", str(data), "--out", str(tmp_path / "p.tsv")])
+    shutil.copytree(run, partial, ignore=shutil.ignore_patterns("prototypes"))
+    argv = ["export-prototypes", "--run", str(partial),
+            "--out", str(tmp_path / "p.tsv")]
+    code = main(argv + (["--session", session] if session else []))
     assert code == 2
-    assert "model.ckpt" in capsys.readouterr().err
+    assert f"error: {partial / 'prototypes' / name} not found" in capsys.readouterr().err
     assert not (tmp_path / "p.tsv").exists()
 
 
 @pytest.mark.parametrize("session", ["-1", "3"])
 def test_export_session_out_of_range_exits_2(tmp_path, gcl_run, session, capsys):
-    data, run = gcl_run
-    code = main(["export-prototypes", "--run", str(run), "--dataset", str(data),
+    _, run = gcl_run
+    code = main(["export-prototypes", "--run", str(run),
                  "--session", session, "--out", str(tmp_path / "p.tsv")])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
     assert not (tmp_path / "p.tsv").exists()
-
-
-def test_export_nonfinite_checkpoint_exits_2(tmp_path, gcl_run, capsys):
-    data, run = gcl_run
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    (broken / "config.json").write_bytes((run / "config.json").read_bytes())
-    model = network.load_model(run / "model.ckpt")
-    model.gnn.layers[0].weight.data[0, 0] = np.nan
-    network.save_model(model, broken / "model.ckpt")
-    code = main(["export-prototypes", "--run", str(broken), "--dataset",
-                 str(data), "--out", str(tmp_path / "p.tsv")])
-    assert code == 2
-    assert "non-finite parameters: ['gnn.0.weight']" in capsys.readouterr().err
-    assert not (tmp_path / "p.tsv").exists()
-
-
-@pytest.mark.parametrize("corrupt", [
-    lambda raw: raw + bytes(8),              # bytes after the blob
-    lambda raw: raw[:-16],                   # a truncated blob
-    lambda raw: raw.replace(b'"params"', b'"paramz"', 1),   # no params key
-    # a backbone the encoder has no forward for, in a header of the same length
-    lambda raw: raw.replace(b'"gnn_backbone": "mean"', b'"gnn_backbone": "bogu"', 1),
-], ids=["appended", "truncated", "no-params", "unknown-backbone"])
-def test_export_corrupt_checkpoint_exits_2(tmp_path, gcl_run, corrupt, capsys):
-    data, run = gcl_run
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    (broken / "config.json").write_bytes((run / "config.json").read_bytes())
-    (broken / "model.ckpt").write_bytes(corrupt((run / "model.ckpt").read_bytes()))
-    code = main(["export-prototypes", "--run", str(broken), "--dataset",
-                 str(data), "--out", str(tmp_path / "p.tsv")])
-    assert code == 2
-    assert f"error: {broken / 'model.ckpt'}: checkpoint " in capsys.readouterr().err
-    assert not (tmp_path / "p.tsv").exists()
-
-
-def test_export_missing_dataset_exits_2(tmp_path, gcl_run, capsys):
-    _, run = gcl_run
-    code = main(["export-prototypes", "--run", str(run), "--dataset",
-                 str(tmp_path / "absent"), "--out", str(tmp_path / "p.tsv")])
-    assert code == 2
-    assert "dataset directory not found" in capsys.readouterr().err
 
 
 def test_run_ragged_features_exits_2(tmp_path, capsys):

@@ -798,6 +798,15 @@ def header_edit(edit):
 
 
 MALFORMED = "malformed checkpoint parameter list"
+
+
+def first_parameter_nan(raw):
+    """A checkpoint whose first parameter value, ``gnn.0.weight[0, 0]``, is
+    NaN."""
+    start = len(network._MAGIC) + 4
+    (hlen,) = struct.unpack("<I", raw[len(network._MAGIC):start])
+    blob = start + hlen
+    return raw[:blob] + struct.pack("<d", float("nan")) + raw[blob + 8:]
 CORRUPT_CHECKPOINTS = {
     "appended bytes": (lambda raw: raw + bytes(8),
                        "holds 1344 parameter bytes, its header's shapes need 1336"),
@@ -820,6 +829,8 @@ CORRUPT_CHECKPOINTS = {
                          "checkpoint header names an unknown gnn_backbone 'bogus'"),
     "no backbone": (header_edit(lambda h: h.update(gnn_backbone=None)),
                     "checkpoint header names an unknown gnn_backbone None"),
+    "non-finite parameter": (first_parameter_nan,
+                             r"holds non-finite parameters: \['gnn\.0\.weight'\]"),
 }
 
 

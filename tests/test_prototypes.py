@@ -325,3 +325,35 @@ def test_unseen_mlp_encoder_flag():
     assert build.kinds[row] == "unseen_semantic"
     enc = encode_csds(model, [4], b.csds.vectors).data[0]
     np.testing.assert_allclose(build.final.data[row], enc, atol=1e-12)
+
+
+def test_gcl_rows_stay_aligned_around_a_zero_shot_class():
+    """A zero-shot class among few-shot ones (4 beside 5 and 6) shifts no
+    semantic row: row i of ``seen`` and ``encoded`` is class
+    ``plan.classes[i]``'s, its merged row is their midpoint, and the unseen
+    row is the one-node forward of class 4's CSD."""
+    b = synth_generate(21, 7, 16, 0.6, 0.05, 8, n_base=4, novel_per_session=3,
+                       zero_shot_classes=(4,), k_shot=3)
+    assert b.schedule.unseen_at(1) == [4]
+    assert b.schedule.classes_at(1) == [0, 1, 2, 3, 4, 5, 6]
+    model = network.init_model(8, 10, 6, 2, seed=1, csd_dim=8)
+    assert model.csd_projection is None
+    supports = session_supports(b, 1, build_class_split(b, 3, anchor_seed=0),
+                                walk_length=2, walks_per_seed=3, seed=2)
+    plan = plan_supports(model.gnn, graph_at(b, 1), supports)
+    build = build_prototype_tensors(model, b, 1, plan, "gcl")
+    assert plan.classes.tolist() == [0, 1, 2, 3, 5, 6]
+    rows = build.classes.tolist()
+    for i, cls in enumerate(plan.classes.tolist()):
+        seen, encoded = build.seen.data[i], build.encoded.data[i]
+        alone = encode_csds(model, [cls], b.csds.vectors).data[0]
+        np.testing.assert_allclose(encoded, alone, rtol=0, atol=1e-12)
+        support = network.gnn_forward(model.gnn, graph_at(b, 1),
+                                      sorted(supports[cls])).data
+        np.testing.assert_allclose(seen, support.mean(axis=0), rtol=0, atol=1e-12)
+        assert build.kinds[rows.index(cls)] == "merged"
+        np.testing.assert_array_equal(build.final.data[rows.index(cls)],
+                                      (seen + encoded) * 0.5)
+    assert build.kinds[rows.index(4)] == "unseen_semantic"
+    np.testing.assert_array_equal(build.final.data[rows.index(4)],
+                                  one_node_forward(model.gnn, b.csds.vectors[4]))

@@ -70,7 +70,9 @@ def test_run_stream_is_byte_identical_on_rerun(tmp_path, mode, backbone, zero_sh
     stream(tiny_bundle(zero_shot), cfg, tmp_path / "b")
     assert [r.session for r in first] == [0, 1, 2]
     assert_every_step_logged(bundle, cfg, tmp_path / "a", records)
-    for name in ARTIFACTS + ("config.json",):
+    written = sorted(p.name for p in (tmp_path / "a" / "prototypes").iterdir())
+    assert written == [f"session_{t}.tsv" for t in range(3)]
+    for name in ARTIFACTS + ("config.json",) + tuple(f"prototypes/{w}" for w in written):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
 
