@@ -193,8 +193,13 @@ def cmd_export_prototypes(args) -> int:
     if t not in files:
         name = f"session_{'<t>' if t is None else t}.tsv"
         raise ValueError(f"{Path(args.run) / 'prototypes' / name} not found")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(files[t], args.out)
+    out = Path(args.out)
+    if out.is_dir():
+        raise ValueError(f"--out {out} is a directory; name the file to write")
+    if out.exists() and out.samefile(files[t]):
+        raise ValueError(f"--out {out} is the file it would copy")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(files[t], out)
     print(f"wrote session {t}'s prototypes to {args.out}")
     return 0
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 __all__ = ["RunConfig", "MODES", "is_semantic"]
 
+# gcl differs from gfscil_semantic only in accepting zero-shot classes
 MODES = ("gfscil_plain", "gfscil_semantic", "gcl")
 
 

@@ -126,11 +126,10 @@ def run_gradcheck(seed: int = 0, h: float = 1e-4, tol: float = 1e-4,
         model, teacher = (network.init_model(
             feature_dim=4, hidden=6, out=5, num_layers=2, seed=s, csd_dim=4,
             backbone=backbone) for s in (seed + 3, seed + 5))
-        cfg = RunConfig(mode="gcl", backbone=backbone, walk_length=2,
+        cfg = RunConfig(backbone=backbone, walk_length=2,
                         walks_per_seed=3, seed=seed + 4)
         plan = trainer.session_plan(model, bundle, cfg, split, episode.session)
-        cache = trainer._TeacherCache(teacher, bundle, plan, episode.session,
-                                      cfg.mode)
+        cache = trainer._TeacherCache(teacher, bundle, plan, episode.session)
         params = network.named_parameters(model)
         bug_param = params["gnn.0.weight"]
 

@@ -6,7 +6,8 @@ Datasets live in a directory of UTF-8 TSV files plus one JSON schedule:
     features.tsv  line i holds the space-separated feature row of node i
     labels.tsv    ``node_id<TAB>class_id`` for each labeled node
     csd.tsv       ``class_id<TAB>f1 f2 ...`` (optional)
-    schedule.json base classes, per-session novel class sets, k, arrivals
+    schedule.json base classes, per-session few-shot and zero-shot classes,
+                  k, arrivals; no run mode (an old ``"mode"`` key is ignored)
 
 Snapshots keep the full node universe; a sorted ``visible`` array encodes
 which nodes exist at a given session. Adjacency is symmetric CSR with a
@@ -196,7 +197,6 @@ class SessionSpec:
 class StreamSchedule:
     base_classes: tuple[int, ...]
     sessions: tuple[SessionSpec, ...]
-    mode: str = "gfscil"   # "gfscil" | "gcl"
 
     @property
     def num_sessions(self) -> int:
@@ -243,8 +243,6 @@ class StreamSchedule:
                                f"[0, {len(self.sessions)}]")
 
     def validate(self) -> None:
-        if self.mode not in ("gfscil", "gcl"):
-            raise DatasetError(f"unknown schedule mode {self.mode!r}")
         if not self.base_classes:
             raise DatasetError("a stream needs at least one base class")
         seen_sets = [set(self.base_classes)]
@@ -264,8 +262,6 @@ class StreamSchedule:
                                    f"classes {list(s.few_shot)} with k=0; "
                                    "few-shot classes need k >= 1")
             seen_sets.append(novel)
-        if self.mode == "gfscil" and self.unseen_at(self.num_sessions):
-            raise DatasetError("gfscil schedule contains zero-shot classes")
 
 
 @dataclass(frozen=True)
@@ -287,14 +283,6 @@ class DatasetBundle:
                 raise DatasetError(f"labeled node {node} out of range")
             if cls not in universe:
                 raise DatasetError(f"label class {cls} absent from schedule")
-        if self.csds.vectors:
-            if self.schedule.mode == "gcl":
-                missing = universe - set(self.csds.vectors)
-                if missing:
-                    raise DatasetError(
-                        f"gcl mode requires a CSD for every class; missing {sorted(missing)}")
-        elif self.schedule.mode == "gcl":
-            raise DatasetError("gcl mode requires a CSD table")
 
 
 def graph_at(bundle: DatasetBundle, t: int) -> GraphSnapshot:
@@ -378,7 +366,7 @@ def _read_schedule(path: Path) -> StreamSchedule:
                                  ids(s, "zero_shot", where), k,
                                  ids(s, "arrivals", where)))
     return StreamSchedule(base_classes=ids(raw, "base_classes"),
-                          sessions=tuple(specs), mode=raw.get("mode", "gfscil"))
+                          sessions=tuple(specs))
 
 
 def load_dataset(directory) -> DatasetBundle:
@@ -456,8 +444,7 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
                    p_in: float, p_out: float, d: int, *,
                    mean_separation: float = 4.0, feature_sigma: float = 1.0,
                    n_base: int | None = None, novel_per_session: int = 1,
-                   zero_shot_classes=(), k_shot: int = 5,
-                   mode: str | None = None) -> DatasetBundle:
+                   zero_shot_classes=(), k_shot: int = 5) -> DatasetBundle:
     """Class-separable stochastic block model with Gaussian features.
 
     Node i belongs to block i // nodes_per_block; block means sit at pairwise
@@ -516,10 +503,8 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
             few_shot=tuple(c for c in chunk if c not in zero),
             zero_shot=tuple(c for c in chunk if c in zero),
             k=k_shot))
-    if mode is None:
-        mode = "gcl" if zero else "gfscil"
     schedule = StreamSchedule(base_classes=tuple(range(n_base)),
-                              sessions=tuple(sessions), mode=mode)
+                              sessions=tuple(sessions))
 
     graph = build_snapshot(n, edges, features)
     bundle = DatasetBundle(graph=graph, labels=LabelTable(labels),

@@ -155,8 +155,8 @@ def loss_total(parts: LossParts, cfg: RunConfig) -> Tensor:
     alpha4 * (lambda1 * kd_emb + lambda2 * kd_align) once a teacher exists.
 
     A term counts when its part is set: the trainer sets ``sem`` and
-    ``kd_align`` only in semantic modes and ``kd_emb`` only from session 1 on,
-    so in plain mode distillation acts on node embeddings only.
+    ``kd_align`` only for a model with a semantic encoder and ``kd_emb`` only
+    from session 1 on, so without one distillation acts on node embeddings.
     """
     total = cfg.alpha1 * parts.cluster + cfg.alpha2 * parts.seg
     if parts.sem is not None:

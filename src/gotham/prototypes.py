@@ -8,9 +8,9 @@ is the midpoint of the seen row and the encoded class-semantic vector. An
 a one-node self-loop graph.
 
 ``build_prototype_tensors`` is the one place that decides which kind each
-class in C^t gets: ``gfscil_plain`` gives every seen class a seen row,
-``gfscil_semantic`` and ``gcl`` give them merged ones, and ``gcl`` adds an
-unseen_semantic row for each zero-shot class announced by session t.
+class in C^t gets, reading no run mode: a model without a semantic encoder
+gives every seen class a seen row, one with it a merged row, and each
+zero-shot class the schedule announces by session t an unseen_semantic row.
 Training, evaluation and the gradient audit all call it. One
 ``nn.gnn_forward`` over the union of the seen classes' supports and of any
 distillation nodes gives every row the losses read: one encoder forward per
@@ -36,7 +36,6 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Tensor
 from . import nn as network
-from .config import MODES, is_semantic
 from .graphstore import DatasetBundle, graph_at
 
 __all__ = ["PrototypeBuild", "SupportPlan", "plan_supports", "encode_csds",
@@ -66,10 +65,10 @@ class PrototypeBuild:
     ``seen`` and ``encoded`` share rows, those of the plan's ``classes``.
     """
     classes: np.ndarray           # class id of each row of ``final``
-    final: Tensor                 # (C x d) mode-dependent prototypes over C^t
+    final: Tensor                 # (C x d) prototypes over C^t, kinds as built
     kinds: list[str]              # kind of each row of ``final``
     seen: Tensor                  # (S x d) extended-support averages
-    encoded: Tensor | None        # (S x d) semantic-encoder outputs, semantic modes
+    encoded: Tensor | None        # (S x d) semantic-encoder outputs, if model.mlp
     embeddings: Tensor            # the forward's rows: supports and distill nodes
     distill: Tensor | None = None  # rows of the plan's distill nodes
 
@@ -119,17 +118,16 @@ def plan_supports(gnn: network.GnnParams, graph, supports: dict,
 
 
 def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
-                            t: int, plan: SupportPlan, mode: str,
+                            t: int, plan: SupportPlan,
                             unseen_encoder: str = "gnn") -> PrototypeBuild:
-    """One prototype per class in C^t, per ``mode``, on the autodiff tape.
+    """One prototype per class in C^t on the autodiff tape.
 
     ``plan`` is a ``SupportPlan`` of the seen classes' extended supports on
     session t's graph; the student embeddings of its distill nodes come from
-    the same forward and land in ``distill``. In ``gcl`` mode the session's
-    zero-shot classes join the seen ones.
+    the same forward and land in ``distill``. Seen rows are merged with the
+    encoded semantics when ``model.mlp`` is set, and the zero-shot classes
+    of ``bundle.schedule.unseen_at(t)`` join them as unseen_semantic rows.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     csds = bundle.csds.vectors
     classes = plan.classes
     embeddings = network.gnn_forward(model.gnn, graph_at(bundle, t), plan.forward)
@@ -138,7 +136,7 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
 
     encoded = None
     final, kinds = seen, ["seen"] * classes.size
-    if is_semantic(mode):
+    if model.mlp is not None:
         encoded = encode_csds(model, classes, csds)
         final, kinds = (seen + encoded) * 0.5, ["merged"] * classes.size
     build = PrototypeBuild(
@@ -146,9 +144,8 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
         embeddings=embeddings,
         distill=(ad.gather_rows(embeddings, plan.distill)
                  if plan.distill is not None else None))
-    if mode == "gcl":
-        add_unseen_prototypes(build, model, bundle.schedule.unseen_at(t), csds,
-                              unseen_encoder)
+    add_unseen_prototypes(build, model, bundle.schedule.unseen_at(t), csds,
+                          unseen_encoder)
     return build
 
 

@@ -224,11 +224,10 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
 
     Prototypes span every seen class whatever the task, from the session's
     supports. ``rng_seed`` drives the class draw, then ``query_per_class``
-    queries per task class from its nodes visible at t minus its anchors. In
-    GCL mode, zero-shot classes contribute query nodes only.
+    queries per task class from its nodes visible at t minus its anchors.
+    Zero-shot classes announced by session t contribute query nodes only.
     """
-    sched = bundle.schedule
-    pool, draw = task_pool(sched, t, n_way, episode_class_pool)
+    pool, draw = task_pool(bundle.schedule, t, n_way, episode_class_pool)
     rng = _as_rng(rng_seed)
     task_classes = (sorted(rng.choice(pool, size=n_way, replace=False).tolist())
                     if draw else pool)
@@ -240,13 +239,12 @@ def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
                             replace=False)
         query.extend((int(n), cls) for n in np.sort(picked))
 
-    if sched.mode == "gcl":
-        for cls in sched.unseen_at(t):
-            qpool = split.query_pool(cls, t)
-            n_q = min(query_per_class, qpool.size)
-            if n_q:
-                picked = rng.choice(qpool, size=n_q, replace=False)
-                query.extend((int(n), cls) for n in np.sort(picked))
+    for cls in bundle.schedule.unseen_at(t):
+        qpool = split.query_pool(cls, t)
+        n_q = min(query_per_class, qpool.size)
+        if n_q:
+            picked = rng.choice(qpool, size=n_q, replace=False)
+            query.extend((int(n), cls) for n in np.sort(picked))
 
     return Episode(session=t, classes=tuple(task_classes),
                    query=tuple(query))

@@ -128,14 +128,14 @@ class _TeacherCache:
     """
 
     def __init__(self, model: network.ModelState, bundle: DatasetBundle,
-                 plan: SupportPlan, t: int, mode: str):
+                 plan: SupportPlan, t: int):
         self.classes = bundle.schedule.seen_at(t - 1)
         with ad.no_grad():
             self.embeddings = network.gnn_forward(
                 model.gnn, graph_at(bundle, t), plan.forward).data[plan.distill]
             self.encodings = (encode_csds(model, self.classes,
                                           bundle.csds.vectors).data
-                              if is_semantic(mode) else None)
+                              if model.mlp is not None else None)
 
 
 def _episode_step(model: network.ModelState, bundle: DatasetBundle,
@@ -145,7 +145,7 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
     """Forward all loss parts for one episode; returns (parts, total, protos).
     ``plan`` is the session's, whose distill rows the teacher read."""
     build = build_prototype_tensors(model, bundle, episode.session, plan,
-                                    cfg.mode, cfg.unseen_encoder)
+                                    cfg.unseen_encoder)
 
     parts = LossParts()
     # clustering acts on the task's classes; the remaining seen classes
@@ -158,12 +158,12 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
                                  {r: plan.members[r] for r in task},
                                  build.seen, cfg.gamma, cfg.cluster_variant)
     parts.seg = loss_seg(build.final, cfg.epsilon_log)
-    if is_semantic(cfg.mode):
+    if build.encoded is not None:
         parts.sem = loss_sem(build.encoded, build.seen)
 
     if teacher_cache is not None:
         parts.kd_emb = loss_kd_emb(teacher_cache.embeddings, build.distill)
-        if is_semantic(cfg.mode) and teacher_cache.classes:
+        if teacher_cache.encodings is not None and teacher_cache.classes:
             student_enc = ad.gather_rows(build.encoded, np.searchsorted(
                 plan.classes, teacher_cache.classes))
             parts.kd_align = loss_kd_align(teacher_cache.encodings, student_enc,
@@ -254,7 +254,7 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None):
     start = time.perf_counter()
     plan = session_plan(model, bundle, cfg, split, t)
     # the teacher is read before the first update
-    cache = _TeacherCache(model, bundle, plan, t, cfg.mode) if t else None
+    cache = _TeacherCache(model, bundle, plan, t) if t else None
     # every episode's tape, prototype build and gradients die before the
     # next episode's forward, the last one's before evaluation's, so no two
     # tapes are ever alive at once
@@ -277,7 +277,7 @@ def _eval_prototypes(model, bundle, cfg, t, plan: SupportPlan) -> PrototypeBuild
     extended supports: the sets training optimized toward. Its distill rows
     are not read. No tape is built."""
     with ad.no_grad():
-        return build_prototype_tensors(model, bundle, t, plan, cfg.mode,
+        return build_prototype_tensors(model, bundle, t, plan,
                                        cfg.unseen_encoder)
 
 
@@ -399,11 +399,11 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
 
 
 def _check_mode(bundle: DatasetBundle, cfg: RunConfig) -> None:
+    """The one relation of run mode to dataset: zero-shot classes in the
+    schedule need mode ``gcl``; a semantic mode needs every class's CSD."""
     sched = bundle.schedule
-    if sched.mode == "gcl" and cfg.mode != "gcl":
+    if sched.unseen_at(sched.num_sessions) and cfg.mode != "gcl":
         raise DatasetError("schedule contains zero-shot classes; run mode must be gcl")
-    if cfg.mode == "gcl" and sched.mode != "gcl":
-        raise DatasetError("gcl run mode requires a gcl schedule")
     if is_semantic(cfg.mode):
         missing = [c for c in sched.classes_at(sched.num_sessions)
                    if c not in bundle.csds.vectors]

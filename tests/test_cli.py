@@ -171,6 +171,28 @@ def test_export_session_out_of_range_exits_2(tmp_path, gcl_run, session, capsys)
     assert not (tmp_path / "p.tsv").exists()
 
 
+@pytest.mark.parametrize("spelling", [("prototypes",), ("prototypes", "..", "prototypes")],
+                         ids=["direct", "via .."])
+def test_export_onto_the_run_s_own_file_exits_2(gcl_run, spelling, capsys):
+    _, run = gcl_run
+    source = run / "prototypes" / "session_1.tsv"
+    before = source.read_bytes()
+    out = run.joinpath(*spelling, "session_1.tsv")
+    code = main(["export-prototypes", "--run", str(run), "--session", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"error: --out {out} is the file it would copy" in capsys.readouterr().err
+    assert source.read_bytes() == before
+
+
+def test_export_onto_a_directory_exits_2(tmp_path, gcl_run, capsys):
+    _, run = gcl_run
+    code = main(["export-prototypes", "--run", str(run), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"error: --out {tmp_path} is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_ragged_features_exits_2(tmp_path, capsys):
     data = tmp_path / "data"
     write_dataset(synth_generate(0, 3, 4, 0.9, 0.1, 3), data)
@@ -233,7 +255,7 @@ def test_run_seed_precedence(tmp_path, monkeypatch, flag, env, want):
     ("meta_lr", float("nan")), ("num_layers", 0), ("episodes_base", -1),
     ("epsilon_log", float("nan")), ("epsilon_log", 0.0), ("gamma", -0.1),
     ("alpha2", -1.0), ("telemetry", 1), ("telemetry", 0), ("telemetry", "yes"),
-    ("seed", True),
+    ("seed", True), ("mode", "gfscil"),
 ])
 def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -338,6 +360,30 @@ def test_run_on_a_few_shot_session_with_k_0_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
     assert "with k=0" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("keep_class_0", [True, False],
+                         ids=["class 0 only", "no csd.tsv"])
+@pytest.mark.parametrize("mode", ["gfscil_semantic", "gcl"])
+def test_semantic_run_without_every_csd_exits_2(tmp_path, mode, keep_class_0,
+                                                capsys):
+    """Every semantic mode needs a CSD for every class of the stream; the
+    run names the missing classes and writes nothing."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
+    csd = data / "csd.tsv"
+    if keep_class_0:
+        csd.write_text(csd.read_text(encoding="utf-8").splitlines(keepends=True)[0],
+                       encoding="utf-8")
+    else:
+        csd.unlink()
+    RunConfig(dataset=str(data), out_dir=str(run), mode=mode).to_json(
+        tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    missing = [1, 2, 3] if keep_class_0 else [0, 1, 2, 3]
+    assert (f"error: mode {mode} requires CSD vectors; missing for classes "
+            f"{missing}") in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_run_with_n_way_beyond_a_session_exits_2_before_training(tmp_path,

@@ -33,7 +33,7 @@ def write_toy_dataset(d, edges, features, labels, schedule, csd=None):
 
 
 def path3_schedule():
-    return {"base_classes": [0, 1], "sessions": [], "mode": "gfscil"}
+    return {"base_classes": [0, 1], "sessions": []}
 
 
 def test_path_graph_degrees_with_self_loops(tmp_path):
@@ -208,8 +208,7 @@ def test_schedule_prefix_identity():
     sched = StreamSchedule(base_classes=(0, 1, 2),
                            sessions=(SessionSpec((3,), (4,), 5),
                                      SessionSpec((5, 6), (), 5),
-                                     SessionSpec((), (7,), 5)),
-                           mode="gcl")
+                                     SessionSpec((), (7,), 5)))
     sched.validate()
     expect = 3
     for t in range(len(sched.sessions) + 1):
@@ -422,7 +421,7 @@ def test_mean_features_is_lazy_cached_read_only_and_equal_to_m_x():
 def test_schedule_rejects_a_few_shot_session_with_k_0():
     sched = StreamSchedule(base_classes=(0, 1),
                            sessions=(SessionSpec((), (2,), 0),
-                                     SessionSpec((3,), (), 0)), mode="gcl")
+                                     SessionSpec((3,), (), 0)))
     with pytest.raises(DatasetError, match=r"session 2 .*k=0"):
         sched.validate()
     # a session of zero-shot classes only takes no shots
@@ -564,12 +563,18 @@ def test_roundtrip_semantically_identical(tmp_path):
     np.testing.assert_array_equal(b.graph.indices, loaded.graph.indices)
 
 
-def test_gcl_mode_requires_full_csd_table(tmp_path):
-    write_toy_dataset(tmp_path, [(0, 1), (1, 2)], [[1.0], [1.0], [1.0]],
-                      [(0, 0), (1, 1), (2, 2)],
-                      {"base_classes": [0, 1],
-                       "sessions": [{"few_shot": [], "zero_shot": [2], "k": 0}],
-                       "mode": "gcl"},
-                      csd=[(0, [1.0, 0.0])])
-    with pytest.raises(DatasetError, match="CSD"):
-        load_dataset(tmp_path)
+@pytest.mark.parametrize("zero_shot", [(), (2,)], ids=["few-shot", "zero-shot"])
+def test_a_schedule_mode_key_is_ignored(tmp_path, zero_shot):
+    """A schedule holds no run mode: an old ``"mode"`` key, whatever its
+    value, loads to the schedule the file gives without it, and
+    ``write_dataset`` writes no such key."""
+    write_dataset(synth_generate(5, 3, 8, 0.6, 0.1, 4, n_base=1,
+                                 zero_shot_classes=zero_shot, k_shot=2), tmp_path)
+    path = tmp_path / "schedule.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    assert "mode" not in raw
+    want = load_dataset(tmp_path).schedule
+    assert want.unseen_at(want.num_sessions) == list(zero_shot)
+    for mode in ("gcl", "gfscil"):
+        path.write_text(json.dumps({**raw, "mode": mode}), encoding="utf-8")
+        assert load_dataset(tmp_path).schedule == want

@@ -1,4 +1,4 @@
-"""Prototype construction oracles and mode behavior."""
+"""Prototype construction oracles and the kind of each row."""
 import dataclasses
 
 import numpy as np
@@ -17,11 +17,11 @@ def linear_gnn(w, slope=1.0):
     return network.GnnParams([layer], negative_slope=slope)
 
 
-def build_of(model, bundle, supports, mode, t=0, distill=None, **kwargs):
+def build_of(model, bundle, supports, t=0, distill=None, **kwargs):
     """The prototypes of ``supports`` at session t, planned as the trainer
     plans a session's supports."""
     plan = plan_supports(model.gnn, graph_at(bundle, t), supports, distill)
-    return build_prototype_tensors(model, bundle, t, plan, mode, **kwargs)
+    return build_prototype_tensors(model, bundle, t, plan, **kwargs)
 
 
 def small_bundle(seed=5):
@@ -43,7 +43,7 @@ def one_node_forward(params, vector):
 def with_unseen(model, bundle, csds, seen=(1, 2)):
     """A gfscil_plain build over ``seen`` plus unseen rows for ``csds``."""
     supports = {c: frozenset(range(10 * c, 10 * c + 3)) for c in seen}
-    build = build_of(model, bundle, supports, "gfscil_plain")
+    build = build_of(model, bundle, supports)
     add_unseen_prototypes(build, model, csds, csds)
     return build
 
@@ -52,7 +52,7 @@ def test_singleton_support_equals_embedding():
     b = small_bundle()
     model = plain_model(b)
     plan = plan_supports(model.gnn, graph_at(b, 0), {0: frozenset({1})})
-    build = build_prototype_tensors(model, b, 0, plan, "gfscil_plain")
+    build = build_prototype_tensors(model, b, 0, plan)
     emb = network.gnn_forward(model.gnn, graph_at(b, 0), [1]).data[0]
     np.testing.assert_array_equal(build.final.data[0], emb)
     assert build.kinds == ["seen"] and plan.members[0].size == 1
@@ -67,7 +67,7 @@ def test_opposite_embeddings_cancel():
         b.graph.num_nodes, np.zeros((0, 2), dtype=np.int64), feats))
     w = np.random.default_rng(3).standard_normal((4, 2))
     model = network.ModelState(gnn=linear_gnn(w), mlp=None)
-    build = build_of(model, b, {0: frozenset({0, 1})}, "gfscil_plain")
+    build = build_of(model, b, {0: frozenset({0, 1})})
     np.testing.assert_array_equal(build.final.data[0], [0.0, 0.0])
 
 
@@ -75,7 +75,7 @@ def test_seen_prototype_matches_column_mean_oracle():
     b = small_bundle()
     model = plain_model(b)
     support = {0, 3, 7, 12, 25}
-    build = build_of(model, b, {0: frozenset(support)}, "gfscil_plain")
+    build = build_of(model, b, {0: frozenset(support)})
     emb = network.gnn_forward(model.gnn, b.graph, sorted(support)).data
     np.testing.assert_allclose(build.final.data[0], emb.mean(axis=0), atol=1e-12)
     np.testing.assert_array_equal(build.embeddings.data, emb)
@@ -95,7 +95,7 @@ def test_seen_prototypes_equal_column_means_bit_for_bit(seed):
                 for c in range(3)}
     distill = np.sort(rng.choice(30, size=5, replace=False))
     plan = plan_supports(model.gnn, b.graph, supports, distill)
-    build = build_prototype_tensors(model, b, 0, plan, "gfscil_plain")
+    build = build_prototype_tensors(model, b, 0, plan)
     assert plan.classes.tolist() == [0, 1, 2] and build.seen.shape[0] == 3
     for row, c in enumerate(plan.classes):
         rows = build.embeddings.data[plan.members[row]]
@@ -122,7 +122,7 @@ def test_a_plan_serves_builds_as_a_fresh_plan_does(backbone):
                                   sorted(set().union(*supports.values())))
     np.testing.assert_array_equal(plan.forward.nodes[plan.distill], distill)
     for _ in range(2):
-        builds = [build_prototype_tensors(model, b, 0, p, "gfscil_semantic")
+        builds = [build_prototype_tensors(model, b, 0, p)
                   for p in (plan, plan_supports(model.gnn, graph_at(b, 0),
                                                 supports, distill))]
         for name in ("final", "seen", "embeddings", "distill"):
@@ -141,7 +141,7 @@ def test_a_plan_of_another_snapshot_or_unseen_nodes_is_rejected():
     plan = plan_supports(model.gnn, hidden, {0: frozenset({0, 3}),
                                              1: frozenset({12})})
     with pytest.raises(ValueError, match="another snapshot or encoder"):
-        build_prototype_tensors(model, b, 0, plan, "gfscil_plain")
+        build_prototype_tensors(model, b, 0, plan)
     with pytest.raises(ValueError,
                        match=r"nodes \[25\] are not visible in this snapshot"):
         plan_supports(model.gnn, hidden, {0: frozenset({0, 3}),
@@ -151,7 +151,7 @@ def test_a_plan_of_another_snapshot_or_unseen_nodes_is_rejected():
 def test_empty_support_rejected():
     b = small_bundle(6)
     with pytest.raises(ValueError, match="empty"):
-        build_of(plain_model(b, (3,)), b, {0: frozenset()}, "gfscil_plain")
+        build_of(plain_model(b, (3,)), b, {0: frozenset()})
 
 
 def test_merged_is_midpoint():
@@ -159,7 +159,7 @@ def test_merged_is_midpoint():
     model = network.init_model(4, 5, 3, 2, seed=1, csd_dim=b.csds.dim)
     supports = {0: frozenset({0, 3, 7}), 1: frozenset({11, 14}),
                 2: frozenset({21, 22, 28})}
-    build = build_of(model, b, supports, "gfscil_semantic")
+    build = build_of(model, b, supports)
     assert build.classes.tolist() == sorted(supports)
     for row in range(len(supports)):
         seen, enc = build.seen.data[row], build.encoded.data[row]
@@ -233,23 +233,23 @@ def test_linear_scaling_property():
     scaled = dataclasses.replace(
         b, graph=dataclasses.replace(b.graph, features=2.5 * b.graph.features))
     support = {0: frozenset({0, 1, 2})}
-    p1 = build_of(model, b, support, "gfscil_plain").final.data[0]
-    p2 = build_of(model, scaled, support, "gfscil_plain").final.data[0]
+    p1 = build_of(model, b, support).final.data[0]
+    p2 = build_of(model, scaled, support).final.data[0]
     np.testing.assert_allclose(p2, 2.5 * p1, rtol=1e-12)
 
 
 def test_permutation_invariance_over_support():
     b = synth_generate(7, 2, 8, 0.8, 0.1, 4)
     model = plain_model(b, (3,), seed=7)
-    p1 = build_of(model, b, {0: (3, 1, 9)}, "gfscil_plain").final.data[0]
-    p2 = build_of(model, b, {0: (9, 3, 1)}, "gfscil_plain").final.data[0]
+    p1 = build_of(model, b, {0: (3, 1, 9)}).final.data[0]
+    p2 = build_of(model, b, {0: (9, 3, 1)}).final.data[0]
     np.testing.assert_array_equal(p1, p2)
 
 
 # -- full prototype sets -------------------------------------------------------
 
-def fixture(mode_zero_shot=False):
-    zero = [4] if mode_zero_shot else []
+def fixture(zero_shot=False):
+    zero = [4] if zero_shot else []
     b = synth_generate(21, 5, 16, 0.6, 0.05, 8, n_base=3,
                        zero_shot_classes=zero, k_shot=3)
     split = build_class_split(b, 3, anchor_seed=0)
@@ -261,8 +261,9 @@ def fixture(mode_zero_shot=False):
 
 
 def test_gfscil_plain_mode_all_seen():
-    b, model, t, supports = fixture()
-    build = build_of(model, b, supports, "gfscil_plain", t)
+    """A model without a semantic encoder gives every class a seen row."""
+    b, _, t, supports = fixture()
+    build = build_of(plain_model(b, (10, 6)), b, supports, t)
     assert build.classes.tolist() == [0, 1, 2, 3, 4]
     assert build.final.shape == (5, 6)
     assert set(build.kinds) == {"seen"}
@@ -271,15 +272,15 @@ def test_gfscil_plain_mode_all_seen():
 
 def test_gfscil_semantic_mode_all_merged():
     b, model, t, supports = fixture()
-    build = build_of(model, b, supports, "gfscil_semantic", t)
+    build = build_of(model, b, supports, t)
     assert build.classes.tolist() == [0, 1, 2, 3, 4]
     assert set(build.kinds) == {"merged"}
 
 
 def test_gcl_mode_one_unseen():
-    b, model, t, supports = fixture(mode_zero_shot=True)
+    b, model, t, supports = fixture(zero_shot=True)
     plan = plan_supports(model.gnn, graph_at(b, t), supports)
-    build = build_prototype_tensors(model, b, t, plan, "gcl")
+    build = build_prototype_tensors(model, b, t, plan)
     kinds = dict(zip(build.classes.tolist(), build.kinds))
     assert kinds[4] == "unseen_semantic"
     assert all(k == "merged" for c, k in kinds.items() if c != 4)
@@ -291,36 +292,30 @@ def test_gcl_mode_one_unseen():
 
 
 def test_gcl_unseen_prototype_projects_the_csd():
-    b, _, t, supports = fixture(mode_zero_shot=True)
+    b, _, t, supports = fixture(zero_shot=True)
     # semantic vectors narrower than the node features need the projection
     csds = {c: np.random.default_rng(c).standard_normal(5)
             for c in b.csds.vectors}
     b = dataclasses.replace(b, csds=CSDTable(csds))
     model = network.init_model(8, 10, 6, 2, seed=1, csd_dim=5)
     assert model.csd_projection is not None
-    build = build_of(model, b, supports, "gcl", t)
+    build = build_of(model, b, supports, t)
     expected = one_node_forward(model.gnn, csds[4] @ model.csd_projection)
     row = build.classes.tolist().index(4)
     np.testing.assert_array_equal(build.final.data[row], expected)
 
 
 def test_missing_csd_rejected():
-    b, model, t, supports = fixture(mode_zero_shot=True)
+    b, model, t, supports = fixture(zero_shot=True)
     csds = {c: v for c, v in b.csds.vectors.items() if c != 4}
     b = dataclasses.replace(b, csds=CSDTable(csds))
     with pytest.raises(ValueError, match="semantic vector"):
-        build_of(model, b, supports, "gcl", t)
-
-
-def test_unknown_mode_rejected():
-    b, model, t, supports = fixture()
-    with pytest.raises(ValueError, match="unknown mode"):
-        build_of(model, b, supports, "gfscil", t)
+        build_of(model, b, supports, t)
 
 
 def test_unseen_mlp_encoder_flag():
-    b, model, t, supports = fixture(mode_zero_shot=True)
-    build = build_of(model, b, supports, "gcl", t, unseen_encoder="mlp")
+    b, model, t, supports = fixture(zero_shot=True)
+    build = build_of(model, b, supports, t, unseen_encoder="mlp")
     row = build.classes.tolist().index(4)
     assert build.kinds[row] == "unseen_semantic"
     enc = encode_csds(model, [4], b.csds.vectors).data[0]
@@ -341,7 +336,7 @@ def test_gcl_rows_stay_aligned_around_a_zero_shot_class():
     supports = session_supports(b, 1, build_class_split(b, 3, anchor_seed=0),
                                 walk_length=2, walks_per_seed=3, seed=2)
     plan = plan_supports(model.gnn, graph_at(b, 1), supports)
-    build = build_prototype_tensors(model, b, 1, plan, "gcl")
+    build = build_prototype_tensors(model, b, 1, plan)
     assert plan.classes.tolist() == [0, 1, 2, 3, 5, 6]
     rows = build.classes.tolist()
     for i, cls in enumerate(plan.classes.tolist()):

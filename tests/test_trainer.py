@@ -10,7 +10,7 @@ import pytest
 from gotham import autodiff as ad
 from gotham import nn as network
 from gotham import trainer
-from gotham.config import RunConfig
+from gotham.config import MODES, RunConfig
 from gotham.graphstore import DatasetError, graph_at, synth_generate
 from gotham.prototypes import encode_csds
 from gotham.trainer import classify, run_stream
@@ -75,6 +75,31 @@ def test_run_stream_is_byte_identical_on_rerun(tmp_path, mode, backbone, zero_sh
     for name in ARTIFACTS + ("config.json",) + tuple(f"prototypes/{w}" for w in written):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+def test_zero_shot_classes_alone_make_a_gcl_stream(tmp_path, backbone):
+    """A stream that lists zero-shot classes runs only under ``gcl``; the
+    others are rejected before any output. On a stream without them ``gcl``
+    writes, byte for byte, what ``gfscil_semantic`` writes."""
+    for mode in MODES:
+        run_stream(tiny_bundle(), tiny_config(mode, backbone),
+                   out_dir=tmp_path / mode)
+    run_stream(tiny_bundle((4,)), tiny_config("gcl", backbone),
+               out_dir=tmp_path / "zero-shot-gcl")
+    for mode in ("gfscil_plain", "gfscil_semantic"):
+        out = tmp_path / f"zero-shot-{mode}"
+        with pytest.raises(DatasetError, match=r"^schedule contains zero-shot "
+                                               r"classes; run mode must be gcl$"):
+            run_stream(tiny_bundle((4,)), tiny_config(mode, backbone), out_dir=out)
+        assert not out.exists()
+    assert "unseen_semantic" in (tmp_path / "zero-shot-gcl" / "prototypes" /
+                                 "session_2.tsv").read_text(encoding="utf-8")
+    written = sorted(p.name for p in (tmp_path / "gcl" / "prototypes").iterdir())
+    assert written == [f"session_{t}.tsv" for t in range(3)]
+    for name in ARTIFACTS + tuple(f"prototypes/{w}" for w in written):
+        assert (tmp_path / "gcl" / name).read_bytes() == \
+            (tmp_path / "gfscil_semantic" / name).read_bytes(), name
 
 
 def test_run_stream_with_streamed_class_arrivals(tmp_path):
@@ -156,8 +181,8 @@ def test_teacher_cache_equals_a_frozen_copy_of_the_previous_session(
         return report
 
     class SpyCache(cache_cls):
-        def __init__(self, model, bundle, plan, t, mode):
-            super().__init__(model, bundle, plan, t, mode)
+        def __init__(self, model, bundle, plan, t):
+            super().__init__(model, bundle, plan, t)
             caches[t] = (self, plan)
 
     def spy_step(model, bundle, episode, cfg, cache, plan):
@@ -286,9 +311,9 @@ def test_one_plan_per_session_is_freed_when_the_session_returns(
         return build(model, bundle, t, plan, *args)
 
     class SpyCache(cache_cls):
-        def __init__(self, model, bundle, plan, t, mode):
+        def __init__(self, model, bundle, plan, t):
             used.append(id(plan))
-            super().__init__(model, bundle, plan, t, mode)
+            super().__init__(model, bundle, plan, t)
 
     def spy_session(model, bundle, cfg, split, t, log_fn=None):
         used.clear()
