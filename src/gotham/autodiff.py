@@ -382,18 +382,14 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return out
 
 
-def sparse_matmul(m: sp.spmatrix, x: Tensor,
-                  m_t: sp.csr_matrix | None = None) -> Tensor:
+def sparse_matmul(m: sp.spmatrix, x: Tensor, m_t: sp.spmatrix) -> Tensor:
     """Product of a constant sparse matrix with a dense tensor.
 
-    ``m_t``, when given, is the CSR transpose of the CSR matrix ``m``, built
-    once by a caller that multiplies by ``m`` again and again; the backward
-    multiplies by it. Its rows list their columns in ascending order, so each
-    gradient row sums its terms in the order ``m.T`` (CSC) would.
+    ``m_t`` is the transpose of ``m``, built once by a caller that multiplies
+    by ``m`` again and again; the backward multiplies by it. A CSR transpose
+    whose rows list their columns in ascending order sums each gradient row's
+    terms in the order ``m.T`` (CSC) would.
     """
-    if m_t is None:
-        m = m.tocsr()
-        m_t = m.T
     out = Tensor(m @ x.data, parents=(x,))
     if out.requires_grad:
         out._backward = lambda g: (m_t @ g,)
@@ -401,10 +397,10 @@ def sparse_matmul(m: sp.spmatrix, x: Tensor,
 
 
 def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
-               x: Tensor, row: np.ndarray | None = None) -> Tensor:
+               x: Tensor, row: np.ndarray) -> Tensor:
     """``A @ x`` for the CSR matrix A with ``indptr``, column ``indices`` and
     entries ``values`` (nnz x 1), differentiable in ``values`` and in ``x``.
-    ``row``, when given, is each entry's row, which the backward reads."""
+    ``row`` is each entry's row, which the backward reads."""
     m = sp.csr_matrix((values.data.ravel(), indices, indptr),
                       shape=(indptr.size - 1, x.data.shape[0]))
     out = Tensor(m @ x.data, parents=(values, x))
@@ -412,8 +408,6 @@ def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
         need_v = values.requires_grad
         xd = x.data if need_v else None
         m_t = m.T if x.requires_grad else None
-        if need_v and row is None:
-            row = np.repeat(np.arange(m.shape[0]), np.diff(indptr))
         v_shape, step = values.data.shape, max(1, _GATHER_BLOCK // x.data.shape[1])
         def bw(g):
             dv = None

@@ -33,6 +33,20 @@ def _seed(flag: int | None, fallback: int = 0) -> int:
     return int(env) if env else fallback
 
 
+def _out_path(out, flag: str = "--out", *, directory: bool = False) -> Path:
+    """``out`` as a path; one under a file, or a file where a ``directory``
+    is made, or a directory where a file is written, is rejected."""
+    out = Path(out)
+    parent = next((p for p in out.parents if p.exists()), None)
+    if parent is not None and not parent.is_dir():
+        raise ValueError(f"{flag} {out} lies under {parent}, which is a file")
+    if directory and out.exists() and not out.is_dir():
+        raise ValueError(f"{flag} {out} is a file; name a directory")
+    if not directory and out.is_dir():
+        raise ValueError(f"{flag} {out} is a directory; name the file to write")
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gotham",
                                 description=__doc__.splitlines()[0])
@@ -113,6 +127,7 @@ def cmd_run(args) -> int:
     if args.telemetry:
         cfg = cfg.replace(telemetry=True)
     cfg = cfg.replace(seed=_seed(args.seed, cfg.seed))
+    _out_path(cfg.out_dir, "--out" if args.out else "out_dir", directory=True)
     if not cfg.dataset or not Path(cfg.dataset).is_dir():
         print(f"error: dataset directory not found: {cfg.dataset}", file=sys.stderr)
         return 2
@@ -129,6 +144,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify_theorem(args) -> int:
     from .theorem import default_sweep
+    out = _out_path(args.out) if args.out else None
     seed = _seed(args.seed)
     result = default_sweep(trials=args.trials, repetitions=args.repetitions,
                            seed=seed, widths=tuple(args.widths),
@@ -142,15 +158,16 @@ def cmd_verify_theorem(args) -> int:
     print(f"rank correlation (width vs distortion): "
           f"{result['rank_correlation_width_vs_distortion']:.3f}")
     print("ALL PASS" if result["all_pass"] else "BOUND VIOLATED")
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
-                                  encoding="utf-8")
+    if out is not None:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
     return 0 if result["all_pass"] else 1
 
 
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
+    out = _out_path(args.out) if args.out else None
     seed = _seed(args.seed)
     results = run_gradcheck(seed=seed, h=args.h, tol=args.tol,
                             n_coords=args.coords, inject_bug=args.inject_bug)
@@ -160,17 +177,19 @@ def cmd_gradcheck(args) -> int:
         ok = ok and rep.passed
         print(f"{name:<34s} max_rel_err={rep.max_rel_err:.3e} "
               f"checked={rep.n_checked} kinks_skipped={rep.n_kink_skipped} {status}")
-    if args.out:
+    if out is not None:
         payload = {name: {"max_rel_err": r.max_rel_err, "n_checked": r.n_checked,
                           "n_kink_skipped": r.n_kink_skipped, "pass": r.passed}
                    for name, r in results.items()}
-        Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                                  encoding="utf-8")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
     print("ALL PASS" if ok else "GRADIENT MISMATCH")
     return 0 if ok else 1
 
 
 def cmd_synth(args) -> int:
+    _out_path(args.out, directory=True)
     seed = _seed(args.seed)
     bundle = synth_generate(seed, args.blocks, args.nodes_per_block,
                             args.p_in, args.p_out, args.dim,
@@ -186,6 +205,7 @@ def cmd_synth(args) -> int:
 
 def cmd_export_prototypes(args) -> int:
     from .trainer import prototype_files
+    out = _out_path(args.out)
     files = prototype_files(args.run)
     t = max(files, default=None) if args.session is None else args.session
     if files and not 0 <= t <= max(files):
@@ -193,9 +213,6 @@ def cmd_export_prototypes(args) -> int:
     if t not in files:
         name = f"session_{'<t>' if t is None else t}.tsv"
         raise ValueError(f"{Path(args.run) / 'prototypes' / name} not found")
-    out = Path(args.out)
-    if out.is_dir():
-        raise ValueError(f"--out {out} is a directory; name the file to write")
     if out.exists() and out.samefile(files[t]):
         raise ValueError(f"--out {out} is the file it would copy")
     out.parent.mkdir(parents=True, exist_ok=True)

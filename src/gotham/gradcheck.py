@@ -49,7 +49,7 @@ class FiniteDiffReport:
 
     @property
     def passed(self) -> bool:
-        return self.n_checked > 0 and self.max_rel_err < self.tol
+        return bool(self.n_checked > 0 and self.max_rel_err < self.tol)
 
 
 def finite_diff_check(params: dict[str, ad.Tensor], loss_fn, h: float = 1e-4,
@@ -105,8 +105,7 @@ def _fixture(seed: int):
                             k_shot=2, mean_separation=3.0)
     split = build_class_split(bundle, k_shot=2, eval_fraction=0.2,
                               split_seed=seed + 1, anchor_seed=seed + 2)
-    episode = sample_episode(bundle, 1, 1, np.random.default_rng(seed + 4),
-                             query_per_class=0, split=split)
+    episode = sample_episode(bundle, 1, 1, np.random.default_rng(seed + 4))
     return bundle, split, episode
 
 

@@ -337,9 +337,10 @@ def _read_table(path: Path, dtype, what: str, width: int | None = None) -> np.nd
     return table
 
 
-def _read_schedule(path: Path) -> StreamSchedule:
-    """The schedule in ``path``; a malformed one raises a DatasetError that
-    names the file, before any field is read as the wrong type."""
+def _read_schedule(path: Path, num_nodes: int) -> StreamSchedule:
+    """The schedule in ``path`` of a graph of ``num_nodes`` nodes; a malformed
+    one raises a DatasetError that names the file, before any field is read
+    as the wrong type."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
 
@@ -362,9 +363,11 @@ def _read_schedule(path: Path) -> StreamSchedule:
     for t, s in enumerate(sessions, start=1):
         where, k = f"session {t}: ", s.get("k", 0)
         check(type(k) is int, f"{where}k must be an integer, got {k!r}")
+        arrivals = ids(s, "arrivals", where)
+        check(all(0 <= n < num_nodes for n in arrivals),
+              f"{where}arrivals must be node ids in [0, {num_nodes})")
         specs.append(SessionSpec(ids(s, "few_shot", where),
-                                 ids(s, "zero_shot", where), k,
-                                 ids(s, "arrivals", where)))
+                                 ids(s, "zero_shot", where), k, arrivals))
     return StreamSchedule(base_classes=ids(raw, "base_classes"),
                           sessions=tuple(specs))
 
@@ -401,7 +404,7 @@ def load_dataset(directory) -> DatasetBundle:
                 except ValueError as exc:
                     raise DatasetError(f"csd.tsv line {n}: {exc}") from None
 
-    schedule = _read_schedule(_require(d / "schedule.json"))
+    schedule = _read_schedule(_require(d / "schedule.json"), num_nodes)
     graph = build_snapshot(num_nodes, edge_arr, features, warn_asymmetric=True)
     bundle = DatasetBundle(graph=graph, labels=LabelTable(labels),
                            csds=CSDTable(vectors), schedule=schedule)

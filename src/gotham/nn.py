@@ -25,9 +25,10 @@ serves any number of forwards while the parameters change between them. The
 trainer keeps one per session, inside the session's
 ``prototypes.SupportPlan``: the teacher, every episode and the evaluation
 prototypes forward it, and it is dropped when the session ends. A forward
-given a node list (telemetry's queries, or one row block of evaluation's
-held-out nodes) builds a plan of its own and drops it on return, so
-evaluation plans per block and no plan covers every held-out node.
+given a node list (the queries telemetry draws after an episode's update,
+or one row block of evaluation's held-out nodes) builds a plan of its own
+and drops it on return, so evaluation plans per block and no plan covers
+every held-out node.
 
 Without a tape (``autodiff.no_grad``) nothing else holds a layer's arrays,
 so a forward keeps at most three alive beside the plan: a layer's input,
@@ -79,10 +80,6 @@ class GnnParams:
     @property
     def in_dim(self) -> int:
         return self.layers[0].weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[1]
 
 
 @dataclass
@@ -287,8 +284,6 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
     if (plan.graph is not graph or plan.backbone != params.backbone
             or len(plan.blocks) != len(params.layers)):
         raise ValueError("forward plan was built for another snapshot or encoder")
-    if plan.nodes.size == 0:
-        return ad.constant(np.zeros((0, params.out_dim)))
     h = ad.constant(plan.inputs)
     last = len(params.layers) - 1
     for l, (layer, block) in enumerate(zip(params.layers, plan.blocks)):

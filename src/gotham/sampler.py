@@ -4,18 +4,21 @@ A class's labeled shots are its anchor nodes; walks from each anchor gather
 unlabeled neighbors into the extended support set. ``session_supports`` draws
 those walks once per session; the trainer plans that draw once
 (``prototypes.SupportPlan``) and every episode and the evaluation of the
-session read the plan. An episode is only its class draw and its queries:
-fresh randomness per episode over the same anchors, so the labeled budget
-per class never exceeds k.
+session read the plan. An episode is only its class draw: fresh randomness
+per episode over the same anchors, so the labeled budget per class never
+exceeds k. ``draw_queries`` draws an episode's query nodes; only the
+trainer's telemetry calls it, after the episode's update, on the rng that
+drew the episode's classes.
 
 ``task_pool`` alone states the task policy, which classes a task at session
 t draws ``n_way`` from or covers; ``sample_episode`` and the trainer's pre-run
 check read it. A ``ClassSplit`` holds per class ``eval_nodes``, ``pool`` and
-``anchors`` (k of them, the one record of k) and per node ``visible_from``.
+``anchors`` (k of them, the one record of k); which nodes are visible at t
+is the session snapshot's ``visible_mask`` (``graph_at``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +27,19 @@ from .graphstore import (DatasetBundle, DatasetError, GraphSnapshot,
 
 __all__ = ["Episode", "ClassSplit", "extend_support", "build_class_split",
            "session_supports", "check_query_supply", "task_pool",
-           "sample_episode"]
+           "sample_episode", "draw_queries"]
 
 
 @dataclass(frozen=True)
 class Episode:
-    """One task at a session: the classes it trains, and its query draw."""
+    """One task at a session: the classes it trains."""
     session: int
-    classes: tuple[int, ...]              # the task's classes, ascending
-    query: tuple[tuple[int, int], ...]    # (node, true class)
-
-
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
+    classes: tuple[int, ...]              # ascending
 
 
 def extend_support(graph: GraphSnapshot, seeds, walk_length: int,
-                   walks_per_seed: int, rng_seed) -> frozenset[int]:
+                   walks_per_seed: int,
+                   rng: np.random.Generator) -> frozenset[int]:
     """Seeds plus every node visited by uniform random walks from each seed.
 
     A step picks uniformly among the current node's neighbors excluding
@@ -57,7 +54,6 @@ def extend_support(graph: GraphSnapshot, seeds, walk_length: int,
     for s in seeds:
         if not (0 <= s < graph.num_nodes) or not vis[s]:
             raise ValueError(f"seed node {s} is not in the graph")
-    rng = _as_rng(rng_seed)
     visited: set[int] = set(seeds)
     for s in seeds:
         for _ in range(walks_per_seed):
@@ -80,32 +76,12 @@ class ClassSplit:
     ``anchors`` are the k labeled shots a seen class trains from, drawn from
     nodes visible when the class is introduced; ``pool`` is everything
     labeled except the eval split (episode queries at session t draw from the
-    pool nodes visible at t, minus anchors). ``visible_from`` is the
-    schedule's first session of visibility per node. Zero-shot classes have
-    empty anchors.
+    pool nodes visible at t, minus anchors). Zero-shot classes have empty
+    anchors.
     """
     eval_nodes: dict[int, np.ndarray]
     pool: dict[int, np.ndarray]
     anchors: dict[int, np.ndarray]
-    visible_from: np.ndarray
-    # query_pool's read-only results by (class, session): every episode of a
-    # session asks for the same pools
-    _query_pools: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-
-    def visible_pool(self, cls: int, t: int) -> np.ndarray:
-        pool = self.pool[cls]
-        return pool[self.visible_from[pool] <= t]
-
-    def query_pool(self, cls: int, t: int) -> np.ndarray:
-        """The pool nodes of ``cls`` visible at t minus its anchors; read-only."""
-        pool = self._query_pools.get((cls, t))
-        if pool is None:
-            pool = self.visible_pool(cls, t)
-            pool = pool[~np.isin(pool, self.anchors[cls])]
-            pool.flags.writeable = False
-            self._query_pools[(cls, t)] = pool
-        return pool
 
 
 def build_class_split(bundle: DatasetBundle, k_shot: int, *,
@@ -154,8 +130,7 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
                                    f"fewer than k={k}")
             anchors[cls] = np.sort(anchor_rng.choice(rest, size=k,
                                                      replace=False).astype(np.int64))
-    return ClassSplit(eval_nodes=eval_nodes, pool=pool, anchors=anchors,
-                      visible_from=visible_from)
+    return ClassSplit(eval_nodes=eval_nodes, pool=pool, anchors=anchors)
 
 
 def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
@@ -177,12 +152,12 @@ def session_supports(bundle: DatasetBundle, t: int, split: ClassSplit,
             for cls in bundle.schedule.seen_at(t)}
 
 
-def check_query_supply(split: ClassSplit, cls: int, t: int,
-                       query_per_class: int) -> None:
+def check_query_supply(bundle: DatasetBundle, split: ClassSplit, cls: int,
+                       t: int, query_per_class: int) -> None:
     """Reject a task class at session t with fewer than k + ``query_per_class``
     trainable labeled nodes visible. Its anchors are visible at t, so this
     binds only when queries are drawn."""
-    available = split.visible_pool(cls, t).size
+    available = int(graph_at(bundle, t).visible_mask[split.pool[cls]].sum())
     need = split.anchors[cls].size + query_per_class
     if available < need:
         raise DatasetError(
@@ -217,34 +192,44 @@ def task_pool(schedule: StreamSchedule, t: int, n_way: int,
     raise ValueError(f"unknown episode_class_pool {episode_class_pool!r}")
 
 
-def sample_episode(bundle: DatasetBundle, t: int, n_way: int, rng_seed,
-                   query_per_class: int = 10, *, split: ClassSplit,
+def sample_episode(bundle: DatasetBundle, t: int, n_way: int,
+                   rng: np.random.Generator, *,
                    episode_class_pool: str = "all_seen") -> Episode:
     """Draw one task at session t, its classes per ``task_pool``.
 
     Prototypes span every seen class whatever the task, from the session's
-    supports. ``rng_seed`` drives the class draw, then ``query_per_class``
-    queries per task class from its nodes visible at t minus its anchors.
-    Zero-shot classes announced by session t contribute query nodes only.
+    supports. ``rng`` draws the classes only.
     """
     pool, draw = task_pool(bundle.schedule, t, n_way, episode_class_pool)
-    rng = _as_rng(rng_seed)
-    task_classes = (sorted(rng.choice(pool, size=n_way, replace=False).tolist())
-                    if draw else pool)
+    classes = (sorted(rng.choice(pool, size=n_way, replace=False).tolist())
+               if draw else pool)
+    return Episode(session=t, classes=tuple(classes))
+
+
+def draw_queries(bundle: DatasetBundle, split: ClassSplit, episode: Episode,
+                 query_per_class: int,
+                 rng: np.random.Generator) -> list[tuple[int, int]]:
+    """``query_per_class`` (node, true class) queries per task class of
+    ``episode``, from its pool nodes visible at the episode's session minus
+    its anchors; each zero-shot class announced by then gives as many as it
+    has, up to ``query_per_class``."""
+    t = episode.session
+    visible = graph_at(bundle, t).visible_mask
+
+    def pool_of(cls):
+        pool = split.pool[cls]
+        return pool[visible[pool] & ~np.isin(pool, split.anchors[cls])]
 
     query: list[tuple[int, int]] = []
-    for cls in task_classes:
-        check_query_supply(split, cls, t, query_per_class)
-        picked = rng.choice(split.query_pool(cls, t), size=query_per_class,
-                            replace=False)
+    for cls in episode.classes:
+        check_query_supply(bundle, split, cls, t, query_per_class)
+        picked = rng.choice(pool_of(cls), size=query_per_class, replace=False)
         query.extend((int(n), cls) for n in np.sort(picked))
 
     for cls in bundle.schedule.unseen_at(t):
-        qpool = split.query_pool(cls, t)
+        qpool = pool_of(cls)
         n_q = min(query_per_class, qpool.size)
         if n_q:
             picked = rng.choice(qpool, size=n_q, replace=False)
             query.extend((int(n), cls) for n in np.sort(picked))
-
-    return Episode(session=t, classes=tuple(task_classes),
-                   query=tuple(query))
+    return query

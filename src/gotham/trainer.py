@@ -13,24 +13,25 @@ holds the union of the extended supports and of the distillation nodes
 that no parameter touches. The live model still holds the teacher's
 parameters when session t starts, so the teacher's outputs are its forward
 on that plan, read once before the first update. Every episode, which is
-only a class draw (and a query draw under ``telemetry``), and the
-session's evaluation prototypes then build from the same plan; it is
-dropped before evaluation's forward, so no plan outlives its session. An
-episode runs in ``_train_episode``, which returns only floats, so its
-autodiff tape, prototype build and gradients die before the next episode's
-forward and the last ones before evaluation's: at most one tape is alive
-at a time. Only training builds a tape: the teacher's outputs, the
-evaluation prototypes (which the run keeps as ``prototypes/session_<t>.tsv``),
-evaluation's forward and telemetry's query accuracy run under
-``autodiff.no_grad``. Evaluation embeds and classifies its held-out nodes a
+only a class draw, and the session's evaluation prototypes then build from
+the same plan; it is dropped before evaluation's forward, so no plan
+outlives its session. An episode runs in ``_train_episode``, which returns
+only floats, so its autodiff tape, prototype build and gradients die before
+the next episode's forward and the last ones before evaluation's: at most
+one tape is alive at a time. Only training builds a tape: the teacher's
+outputs, the evaluation prototypes (which the run keeps as
+``prototypes/session_<t>.tsv``), evaluation's forward and telemetry's query
+accuracy run under ``autodiff.no_grad``. Only ``telemetry`` draws queries
+(``sampler.draw_queries``), after the episode's update, on the rng that
+drew its classes. Evaluation embeds and classifies its held-out nodes a
 block of ``_CLASSIFY_ROWS`` at a time, so no array or plan spans all of them.
 Classification is nearest prototype in embedding space with ties going to
 the smallest class id.
 
 Before any output, one pass over the sessions that train rejects a run that
-``sample_episode`` would reject mid-stream: a session's ``sampler.task_pool``
-must hold its ``n_way`` draw and, under ``telemetry``, each of its classes
-k + ``query_per_class`` trainable nodes visible.
+``sample_episode`` or ``draw_queries`` would reject mid-stream: a session's
+``sampler.task_pool`` must hold its ``n_way`` draw and, under ``telemetry``,
+each of its classes k + ``query_per_class`` trainable nodes visible.
 """
 from __future__ import annotations
 
@@ -51,8 +52,8 @@ from .losses import (LossParts, loss_cluster, loss_kd_align, loss_kd_emb,
 from .prototypes import (PrototypeBuild, SupportPlan, build_prototype_tensors,
                          encode_csds, plan_supports)
 from .sampler import (ClassSplit, Episode, build_class_split,
-                      check_query_supply, sample_episode, session_supports,
-                      task_pool)
+                      check_query_supply, draw_queries, sample_episode,
+                      session_supports, task_pool)
 
 __all__ = ["SessionReport", "classify", "run_split", "session_plan",
            "evaluate_session", "run_stream", "write_reports", "summary_tsv",
@@ -172,24 +173,33 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
 
 
 def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
-                            episode: Episode, build) -> float | None:
-    if not episode.query:
+                            episode: Episode, build, split: ClassSplit,
+                            query_per_class: int,
+                            rng: np.random.Generator) -> float | None:
+    """Accuracy of the updated model on queries ``rng`` draws for
+    ``episode``, against its prototypes ``build``; None without queries."""
+    query = draw_queries(bundle, split, episode, query_per_class, rng)
+    if not query:
         return None
     graph = graph_at(bundle, episode.session)
-    nodes = np.asarray([n for n, _ in episode.query], dtype=np.int64)
-    truth = np.asarray([c for _, c in episode.query], dtype=np.int64)
+    nodes = np.asarray([n for n, _ in query], dtype=np.int64)
+    truth = np.asarray([c for _, c in query], dtype=np.int64)
     with ad.no_grad():
         emb = network.gnn_forward(model.gnn, graph, nodes).data
     pred = classify(emb, build.classes, build.final.data)
     return float((pred == truth).mean())
 
 
-def _train_episode(model, bundle, cfg, episode, e, cache, plan, params,
+def _train_episode(model, bundle, cfg, split, t, e, cache, plan, params,
                    lr) -> tuple[float, dict[str, float | None], float | None]:
-    """Episode e's forward, update and telemetry. Only floats leave it: the
-    loss total, the loss parts and the query accuracy (None unless
-    ``telemetry`` and queries were drawn), so its tape, prototype build and
-    gradients are freed when it returns, before the next episode's forward."""
+    """Episode e of session t: its draw, forward, update and telemetry. Only
+    floats leave it: the loss total, the loss parts and the query accuracy
+    (None unless ``telemetry`` and queries were drawn), so its tape,
+    prototype build and gradients are freed when it returns, before the next
+    episode's forward."""
+    rng = _episode_rng(cfg, t, e)
+    episode = sample_episode(bundle, t, cfg.n_way, rng,
+                             episode_class_pool=cfg.episode_class_pool)
     parts, total, build = _episode_step(model, bundle, episode, cfg, cache, plan)
     values = parts.values()
     try:
@@ -198,9 +208,10 @@ def _train_episode(model, bundle, cfg, episode, e, cache, plan, params,
     except network.NonFiniteError as exc:
         computed = {k: v for k, v in values.items() if v is not None}
         raise network.NonFiniteError(
-            f"session {episode.session}, episode {e}: {exc}; loss parts "
+            f"session {t}, episode {e}: {exc}; loss parts "
             f"{computed}") from exc
-    acc = (_episode_query_accuracy(model, bundle, episode, build)
+    acc = (_episode_query_accuracy(model, bundle, episode, build, split,
+                                   cfg.query_per_class, rng)
            if cfg.telemetry else None)
     return total.item(), values, acc
 
@@ -213,17 +224,11 @@ def _train_session(model, bundle, cfg, split, t, cache, plan,
                     else (cfg.episodes_finetune, cfg.ft_lr))
     step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
     params = network.named_parameters(model)
-    # queries are read only by the telemetry; each episode's rng draws its
-    # classes first, so drawing none leaves training as it is
-    queries = cfg.query_per_class if cfg.telemetry else 0
     totals: list[float] = []
     query_accs: list[float] = []
     for e in range(episodes):
-        episode = sample_episode(bundle, t, cfg.n_way, _episode_rng(cfg, t, e),
-                                 queries, split=split,
-                                 episode_class_pool=cfg.episode_class_pool)
-        total, vals, acc = _train_episode(model, bundle, cfg, episode, e, cache,
-                                          plan, params, lr)
+        total, vals, acc = _train_episode(model, bundle, cfg, split, t, e,
+                                          cache, plan, params, lr)
         totals.append(total)
         if acc is not None:
             query_accs.append(acc)
@@ -414,10 +419,10 @@ def _check_mode(bundle: DatasetBundle, cfg: RunConfig) -> None:
 
 def _check_tasks(bundle: DatasetBundle, cfg: RunConfig,
                  split: ClassSplit) -> None:
-    """Reject before any output a run whose tasks ``sample_episode`` would
-    reject at some session that trains: an ``n_way`` larger than the
-    session's task pool, or under ``telemetry`` a pool class short of
-    k + ``query_per_class`` trainable nodes visible."""
+    """Reject before any output a run whose episodes would be rejected at
+    some session that trains: an ``n_way`` larger than the session's task
+    pool (``sample_episode``), or under ``telemetry`` a pool class short of
+    k + ``query_per_class`` trainable nodes visible (``draw_queries``)."""
     for t in range(bundle.schedule.num_sessions + 1):
         if not (cfg.episodes_base if t == 0 else cfg.episodes_finetune):
             continue
@@ -425,7 +430,8 @@ def _check_tasks(bundle: DatasetBundle, cfg: RunConfig,
                             cfg.episode_class_pool)
         if cfg.telemetry:
             for cls in pool:
-                check_query_supply(split, cls, t, cfg.query_per_class)
+                check_query_supply(bundle, split, cls, t,
+                                   cfg.query_per_class)
 
 
 def write_reports(reports: list[SessionReport], tables, out_dir) -> None:

@@ -71,7 +71,7 @@ def test_sparse_matmul_matches_dense():
     x0 = rng.standard_normal((5, 3))
 
     t1 = ad.parameter(x0)
-    out1 = (ad.sparse_matmul(m, t1) * ad.sparse_matmul(m, t1)).sum()
+    out1 = (ad.sparse_matmul(m, t1, m.T) * ad.sparse_matmul(m, t1, m.T)).sum()
     ad.backward(out1)
 
     t2 = ad.parameter(x0)
@@ -401,14 +401,18 @@ def csr_products(draw):
             draw(st.integers(1, 4)) * d)
 
 
+def rows_of(indptr):
+    """Each CSR entry's row, as ``ad.csr_matmul`` takes it."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
 def dense_of(values, indices, indptr, n_cols):
     """``dense(values)`` as a tensor: each entry scattered to its (row, col)."""
-    n_rows = indptr.size - 1
-    row = np.repeat(np.arange(n_rows), np.diff(indptr))
+    n_rows, row = indptr.size - 1, rows_of(indptr)
     scatter = sp.csr_matrix((np.ones(indices.size), (row * n_cols + indices,
                                                      np.arange(indices.size))),
                             shape=(n_rows * n_cols, indices.size))
-    return ad.sparse_matmul(scatter, values).reshape(n_rows, n_cols)
+    return ad.sparse_matmul(scatter, values, scatter.T).reshape(n_rows, n_cols)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -416,7 +420,8 @@ def dense_of(values, indices, indptr, n_cols):
 def test_csr_matmul_matches_dense_oracle(case):
     v0, indices, indptr, x0, weights, block = case
     results = []
-    for product in (lambda v, x: ad.csr_matmul(v, indices, indptr, x),
+    for product in (lambda v, x: ad.csr_matmul(v, indices, indptr, x,
+                                               rows_of(indptr)),
                     lambda v, x: dense_of(v, indices, indptr, x0.shape[0]) @ x):
         v, x = ad.parameter(v0), ad.parameter(x0)
         with mock.patch.object(ad, "_GATHER_BLOCK", block):
@@ -434,10 +439,11 @@ def test_csr_matmul_grad_matches_finite_differences():
     v0 = rng.standard_normal((6, 1))
     x0 = rng.standard_normal((4, 3))
     weights = rng.standard_normal((4, 3))
-    check_against_fd(lambda t: (ad.csr_matmul(t, indices, indptr, ad.constant(x0))
-                                * weights).sum(), v0)
-    check_against_fd(lambda t: (ad.csr_matmul(ad.constant(v0), indices, indptr, t)
-                                * weights).sum(), x0)
+    row = rows_of(indptr)
+    check_against_fd(lambda t: (ad.csr_matmul(t, indices, indptr, ad.constant(x0),
+                                              row) * weights).sum(), v0)
+    check_against_fd(lambda t: (ad.csr_matmul(ad.constant(v0), indices, indptr, t,
+                                              row) * weights).sum(), x0)
 
 
 def test_csr_matmul_grads_accumulate_with_other_ops():
@@ -446,7 +452,8 @@ def test_csr_matmul_grads_accumulate_with_other_ops():
     v0, x0 = rng.standard_normal((3, 1)), rng.standard_normal((3, 2))
     w = rng.standard_normal((2, 2))
     grads = []
-    for product in (lambda v, x: ad.csr_matmul(v, indices, indptr, x),
+    for product in (lambda v, x: ad.csr_matmul(v, indices, indptr, x,
+                                               rows_of(indptr)),
                     lambda v, x: dense_of(v, indices, indptr, 3) @ x):
         v, x = ad.parameter(v0), ad.parameter(x0)
         loss = (product(v, x) @ w).sum() + (v * v).sum() + (x @ w).sum()
@@ -464,9 +471,9 @@ def test_sparse_matmul_with_a_csr_transpose_equals_the_csc_backward():
     for width in (1, 5):
         x0, w = rng.standard_normal((30, width)), rng.standard_normal((40, width))
         results = []
-        for transpose in ((), (m.T.tocsr(),)):
+        for transpose in (m.T, m.T.tocsr()):
             x = ad.parameter(x0)
-            out = ad.sparse_matmul(m, x, *transpose)
+            out = ad.sparse_matmul(m, x, transpose)
             ad.backward((out * w).sum())
             results.append((out.data.tobytes(), x.grad.tobytes()))
         assert results[0] == results[1]
@@ -477,21 +484,13 @@ def test_csr_matmul_computes_no_gradient_for_a_constant_operand():
     rng = np.random.default_rng(12)
     v0, x0 = rng.standard_normal((3, 1)), rng.standard_normal((3, 2))
     g = rng.standard_normal((2, 2))
-    out = ad.csr_matmul(ad.parameter(v0), indices, indptr, ad.constant(x0))
+    row = rows_of(indptr)
+    out = ad.csr_matmul(ad.parameter(v0), indices, indptr, ad.constant(x0), row)
     dv, dx = out._backward(g)
     assert dx is None and dv.shape == v0.shape
-    out = ad.csr_matmul(ad.constant(v0), indices, indptr, ad.parameter(x0))
+    out = ad.csr_matmul(ad.constant(v0), indices, indptr, ad.parameter(x0), row)
     dv, dx = out._backward(g)
     assert dv is None and dx.shape == x0.shape
-    # a given row index is the one it would compute
-    row = np.repeat(np.arange(2), np.diff(indptr))
-    grads = []
-    for extra in ((), (row,)):
-        v = ad.parameter(v0)
-        ad.backward((ad.csr_matmul(v, indices, indptr, ad.constant(x0), *extra)
-                     * g).sum())
-        grads.append(v.grad.tobytes())
-    assert grads[0] == grads[1]
 
 
 # -- no tape ----------------------------------------------------------------------
@@ -507,8 +506,8 @@ def test_no_grad_results_have_no_node():
                 ad.sqrt(x * x), ad.log(x * x + 1.0), ad.exp(x),
                 ad.vstack([x, x]), ad.gather_rows(x, [2, 0]), x.sum(),
                 x.mean(axis=0), x.transpose(), x.reshape(6),
-                ad.sparse_matmul(sp.eye(3, format="csr"), x),
-                ad.csr_matmul(v, indices, indptr, x)]
+                ad.sparse_matmul(sp.eye(3, format="csr"), x, sp.eye(3)),
+                ad.csr_matmul(v, indices, indptr, x, rows_of(indptr))]
         made = ad.parameter(np.zeros(2))
     for out in outs:
         assert not out.requires_grad

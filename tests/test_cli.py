@@ -10,6 +10,7 @@ from gotham import nn as network
 from gotham import trainer
 from gotham.cli import main
 from gotham.config import RunConfig
+from gotham.gradcheck import GRADCHECK_LOSSES
 from gotham.graphstore import load_dataset, synth_generate, write_dataset
 from gotham.trainer import evaluate_session, run_split, run_stream
 
@@ -255,7 +256,8 @@ def test_run_seed_precedence(tmp_path, monkeypatch, flag, env, want):
     ("meta_lr", float("nan")), ("num_layers", 0), ("episodes_base", -1),
     ("epsilon_log", float("nan")), ("epsilon_log", 0.0), ("gamma", -0.1),
     ("alpha2", -1.0), ("telemetry", 1), ("telemetry", 0), ("telemetry", "yes"),
-    ("seed", True), ("mode", "gfscil"),
+    ("seed", True), ("mode", "gfscil"), ("eval_fraction", 0.0),
+    ("eval_fraction", 1.0), ("no_such_key", 1),
 ])
 def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -263,9 +265,13 @@ def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
     cfg = RunConfig(dataset=str(data), out_dir=str(run), n_way=2, k_shot=3,
                     query_per_class=3, hidden_dim=8, out_dim=4,
                     episodes_base=1, episodes_finetune=1)
-    cfg.replace(**{field: value}).to_json(tmp_path / "config.json")
+    raw = {**json.loads(cfg.to_json()), field: value}
+    (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
-    assert f"error: {field} must be" in capsys.readouterr().err
+    want = {"eval_fraction": "eval_fraction must lie in (0, 1)"}.get(
+        field, f"{field} must be" if hasattr(cfg, field)
+        else f"unknown config keys: ['{field}']")
+    assert f"error: {want}" in capsys.readouterr().err
     assert not run.exists()
 
 
@@ -336,7 +342,13 @@ def test_run_on_a_stream_without_base_classes_exits_2(tmp_path, capsys):
     (lambda s: {**s, "sessions": [1, 2]},
      "schedule.json: sessions must be a list of objects"),
     (lambda s: list(s), "schedule.json: the top level must be an object"),
-], ids=["no base_classes", "sessions of ints", "a list"])
+    (lambda s: {**s, "sessions": [{**s["sessions"][0], "zero_shot": [3]}]},
+     "class listed as both few-shot and zero-shot"),
+    (lambda s: {**s, "sessions": [{**s["sessions"][0], "k": -1}]}, "negative k"),
+    (lambda s: {**s, "sessions": [{**s["sessions"][0], "arrivals": [3, 80]}]},
+     "schedule.json: session 1: arrivals must be node ids in [0, 80)"),
+], ids=["no base_classes", "sessions of ints", "a list", "few-shot and zero-shot",
+        "negative k", "arrivals beyond the graph"])
 def test_run_on_a_malformed_schedule_exits_2(tmp_path, edit, message, capsys):
     data = tmp_path / "data"
     write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
@@ -420,23 +432,28 @@ def test_telemetry_short_of_queries_exits_2_before_writing(tmp_path, capsys):
 
 
 BAD_ARGUMENTS = [
-    ("gradcheck --coords=0", "n_coords"), ("gradcheck --h=0", "h"),
-    ("gradcheck --h=-1e-4", "h"), ("gradcheck --h=nan", "h"),
-    ("gradcheck --tol=0", "tol"), ("gradcheck --tol=inf", "tol"),
+    ("gradcheck --coords=0", "n_coords must be"), ("gradcheck --h=0", "h must be"),
+    ("gradcheck --h=-1e-4", "h must be"), ("gradcheck --h=nan", "h must be"),
+    ("gradcheck --tol=0", "tol must be"), ("gradcheck --tol=inf", "tol must be"),
     # no repetition would be a vacuous pass
-    ("verify-theorem --repetitions=0", "repetitions"),
-    ("verify-theorem --xis nan --trials 10 --repetitions 2", "xi"),
-    ("verify-theorem --xis inf --trials 10 --repetitions 2", "xi"),
+    ("verify-theorem --repetitions=0", "repetitions must be"),
+    ("verify-theorem --xis nan --trials 10 --repetitions 2", "xi must be"),
+    ("verify-theorem --xis inf --trials 10 --repetitions 2", "xi must be"),
     ("verify-theorem --xis 1e200 --trials 10 --repetitions 2 --widths 1 "
-     "--betas 0.2", "xi"),
+     "--betas 0.2", "xi must be"),
+    # rejected before anything is written, so --out names no real directory
+    ("synth --out unwritten --blocks 4 --base-classes 2 --zero-shot 1",
+     "zero-shot classes [1] are not streamed"),
+    ("synth --out unwritten --blocks 8 --dim 4",
+     "feature dim must be >= number of blocks"),
 ]
 
 
-@pytest.mark.parametrize("argv,name", BAD_ARGUMENTS,
+@pytest.mark.parametrize("argv,message", BAD_ARGUMENTS,
                          ids=[argv for argv, _ in BAD_ARGUMENTS])
-def test_bad_argument_exits_2(argv, name, capsys):
+def test_bad_argument_exits_2(argv, message, capsys):
     assert main(argv.split()) == 2
-    assert f"error: {name} must be" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_verify_theorem_sweep_writes_its_report(tmp_path, capsys):
@@ -452,3 +469,100 @@ def test_verify_theorem_sweep_writes_its_report(tmp_path, capsys):
                   for r in report["reports"])
     assert grid == [(1, 0.1, 0.2), (1, 0.5, 0.2), (4, 0.1, 0.2), (4, 0.5, 0.2)]
     assert all(r["repetitions"] == 3 and r["pass"] for r in report["reports"])
+
+
+def test_gradcheck_writes_its_report(tmp_path, capsys):
+    out = tmp_path / "sub" / "gradcheck.json"
+    assert main(["gradcheck", "--seed", "0", "--coords", "2", "--out",
+                 str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ALL PASS"
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(report) == sorted(f"{b}/{loss}" for b in ("mean", "attention")
+                                    for loss in GRADCHECK_LOSSES)
+    for entry in report.values():
+        assert entry["pass"] is True
+        assert entry["n_checked"] + entry["n_kink_skipped"] == 2
+        assert 0.0 <= entry["max_rel_err"] < 1e-4
+
+
+# each command's --out under the file ``blocker``, with ``run`` the finished
+# gcl run, ``config`` a config of its dataset and ``blocker`` a file
+OUT_UNDER_A_FILE = {
+    "run": lambda run, config, blocker: (
+        ["run", "--config", str(config), "--out", str(blocker / "run")]),
+    "synth": lambda run, config, blocker: ["synth", "--out", str(blocker / "data")],
+    "verify-theorem": lambda run, config, blocker: (
+        ["verify-theorem", "--trials", "10", "--repetitions", "2", "--out",
+         str(blocker / "t.json")]),
+    "gradcheck": lambda run, config, blocker: (
+        ["gradcheck", "--coords", "2", "--out", str(blocker / "g.json")]),
+    "export-prototypes": lambda run, config, blocker: (
+        ["export-prototypes", "--run", str(run), "--out",
+         str(blocker / "x.tsv")]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_UNDER_A_FILE))
+def test_out_under_a_file_exits_2_before_any_work(tmp_path, gcl_run, command,
+                                                  capsys):
+    data, run = gcl_run
+    config = tmp_path / "config.json"
+    RunConfig(dataset=str(data)).to_json(config)
+    # export's --out lies under the run's own summary.tsv
+    blocker = (run / "summary.tsv" if command == "export-prototypes"
+               else tmp_path / "file")
+    if not blocker.exists():
+        blocker.write_text("kept\n", encoding="utf-8")
+    before, listing = blocker.read_bytes(), sorted(tmp_path.iterdir())
+    argv = OUT_UNDER_A_FILE[command](run, config, blocker)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: --out {argv[-1]} lies under {blocker}, which is a file" in captured.err
+    assert captured.out == ""
+    assert blocker.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("run --config {config} --out {file}", "is a file; name a directory"),
+    ("synth --out {file}", "is a file; name a directory"),
+    ("verify-theorem --trials 10 --repetitions 2 --out {dir}",
+     "is a directory; name the file to write"),
+    ("gradcheck --coords 2 --out {dir}", "is a directory; name the file to write"),
+], ids=["run", "synth", "verify-theorem", "gradcheck"])
+def test_out_of_the_wrong_kind_exits_2_before_any_work(tmp_path, gcl_run, argv,
+                                                       message, capsys):
+    """A file where a directory is made, a directory where a file is written."""
+    config, file = tmp_path / "config.json", tmp_path / "file"
+    RunConfig(dataset=str(gcl_run[0])).to_json(config)
+    file.write_text("kept\n", encoding="utf-8")
+    listing = sorted(tmp_path.iterdir())
+    argv = argv.format(config=config, file=file, dir=tmp_path).split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: --out {argv[-1]} {message}" in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == listing
+    assert file.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_run_flags_override_the_config(tmp_path):
+    """``--dataset``, ``--mode`` and ``--out`` replace the config's values;
+    the config's own ``out_dir`` is never made."""
+    data = tmp_path / "data"
+    write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
+    RunConfig(dataset=str(tmp_path / "absent"), mode="gfscil_plain",
+              out_dir=str(tmp_path / "config_out"), n_way=2, k_shot=3,
+              query_per_class=3, hidden_dim=8, out_dim=4, episodes_base=1,
+              episodes_finetune=1).to_json(tmp_path / "config.json")
+    run = tmp_path / "flag_out"
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--dataset", str(data), "--mode", "gfscil_semantic",
+                 "--out", str(run)]) == 0
+    cfg = RunConfig.from_json(run / "config.json")
+    assert (cfg.dataset, cfg.mode, cfg.out_dir) == (str(data), "gfscil_semantic",
+                                                    str(run))
+    assert not (tmp_path / "config_out").exists()
+    # the semantic mode took effect: every prototype merges its class's CSD
+    _, kinds, _ = read_tsv(run / "prototypes" / "session_1.tsv")
+    assert set(kinds) == {"merged"}

@@ -137,6 +137,13 @@ def write_text_dataset(d, features, edges="0\t1\n", labels="0\t0\n", csd=None):
      "csd.tsv line 3: invalid literal for int"),
     ({"features": "1\n2\n", "csd": "0\t1 two\n"},
      "csd.tsv line 1: could not convert string to float: 'two'"),
+    ({"features": "1\nnan\n"}, "non-finite feature value"),
+    ({"features": "1\n2\n", "edges": "0\t2\n"}, "edge endpoint out of range"),
+    ({"features": "1\n2\n", "labels": "0\t0\n2\t1\n"}, "labeled node 2 out of range"),
+    ({"features": "1\n2\n", "csd": "0\t1 2\n1\t1\n"},
+     r"CSD vectors have mixed dimensions \[1, 2\]"),
+    ({"features": "1\n2\n", "csd": "0\t1 2\n1\t1 inf\n"},
+     "non-finite CSD entry for class 1"),
 ])
 def test_malformed_tables_raise_dataset_errors(tmp_path, files, match):
     write_text_dataset(tmp_path, **files)

@@ -141,6 +141,13 @@ def hop_sets_oracle(graph, nodes, depth):
     return needed
 
 
+def csc_backward_product(m, h):
+    """``m @ h`` with ``m`` in CSR form and a backward through its ``.T``
+    (CSC), as every sparse product was computed before forward plans."""
+    m = m.tocsr()
+    return ad.sparse_matmul(m, h, m.T)
+
+
 def mean_agg_oracle(graph, rows, cols):
     col_pos = {int(c): i for i, c in enumerate(cols)}
     indptr = [0]
@@ -203,12 +210,12 @@ def gnn_forward_oracle(params, graph, nodes, transform_first=False):
     for l, layer in enumerate(params.layers):
         rows, cols = needed[l + 1], needed[l]
         if transform_first and params.backbone == "mean":
-            z = ad.sparse_matmul(mean_agg_oracle(graph, rows, cols), h @ layer.weight)
+            z = csc_backward_product(mean_agg_oracle(graph, rows, cols), h @ layer.weight)
         elif transform_first:
             z = dense_mask_attention_oracle(params, layer, graph, rows, cols,
                                             h @ layer.weight)
         elif params.backbone == "mean":
-            z = ad.sparse_matmul(mean_agg_oracle(graph, rows, cols), h) @ layer.weight
+            z = csc_backward_product(mean_agg_oracle(graph, rows, cols), h) @ layer.weight
         else:
             z = attention_aggregate_oracle(params, layer, graph, rows, cols,
                                            h) @ layer.weight
@@ -451,7 +458,7 @@ def former_mean_forward(params, graph, nodes):
     h = ad.constant(graph.features[needed[0]])
     for l, layer in enumerate(params.layers):
         block = network._restricted_mean_agg(graph, needed[l + 1], needed[l])
-        z = ad.affine(ad.sparse_matmul(block, h), layer.weight, layer.bias)
+        z = ad.affine(csc_backward_product(block, h), layer.weight, layer.bias)
         h = z if l == depth - 1 else ad.leaky_relu(z, params.negative_slope)
     return h
 
@@ -501,14 +508,15 @@ def former_attention_aggregate(params, layer, graph, rows, cols, h):
     pick = np.stack([2 * np.repeat(pos[rows], counts), 2 * col_idx + 1], axis=1)
     both = sp.csr_matrix((np.ones(2 * nnz), pick.ravel(),
                           np.arange(0, 2 * nnz + 1, 2)), shape=(nnz, 2 * cols.size))
-    scores = ad.leaky_relu(ad.sparse_matmul(both, s), params.negative_slope)
+    scores = ad.leaky_relu(csc_backward_product(both, s), params.negative_slope)
     shift = np.repeat(np.maximum.reduceat(scores.data[:, 0], indptr[:-1]), counts)
     weights = ad.exp(scores - ad.constant(shift[:, None]))
     segment = sp.csr_matrix((np.ones(nnz), np.arange(nnz), indptr),
                             shape=(rows.size, nnz))
-    denom = ad.sparse_matmul(segment, weights)
-    attn = weights / ad.sparse_matmul(segment.T, denom)
-    return ad.csr_matmul(attn, col_idx, indptr, h)
+    denom = csc_backward_product(segment, weights)
+    attn = weights / csc_backward_product(segment.T, denom)
+    return ad.csr_matmul(attn, col_idx, indptr, h,
+                         np.repeat(np.arange(rows.size), counts))
 
 
 def former_forward(params, graph, nodes):
@@ -569,6 +577,23 @@ def test_invisible_nodes_are_rejected_and_plans_stay_with_their_snapshot():
                                            backbone="attention"), after)):
         with pytest.raises(ValueError, match="another snapshot or encoder"):
             network.gnn_forward(other, graph, plan)
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_an_empty_node_list_embeds_to_no_rows(depth, backbone):
+    """No node gives a (0, d_out) embedding, with a tape and without, and a
+    loss over it a zero gradient of every parameter."""
+    _, graph = arrivals_snapshots()
+    model = network.init_model(6, 8, 4, depth, 0, backbone=backbone)
+    with ad.no_grad():
+        assert network.gnn_forward(model.gnn, graph, []).shape == (0, 4)
+    emb = network.gnn_forward(model.gnn, graph, np.empty(0, dtype=np.int64))
+    assert emb.shape == (0, 4) and emb.requires_grad
+    params = network.named_parameters(model)
+    grads = network.compute_gradients(params, emb.sum())
+    assert sorted(grads) == sorted(params)
+    assert all(not g.any() for g in grads.values())
 
 
 def union_rows(params, graph, sets):

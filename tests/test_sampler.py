@@ -7,9 +7,10 @@ import pytest
 
 from gotham.config import RunConfig
 from gotham.graphstore import (DatasetBundle, DatasetError, build_snapshot,
-                               synth_generate)
-from gotham.sampler import (build_class_split, extend_support, sample_episode,
-                            session_supports, task_pool)
+                               graph_at, synth_generate)
+from gotham.sampler import (Episode, build_class_split, draw_queries,
+                            extend_support, sample_episode, session_supports,
+                            task_pool)
 from gotham.trainer import _episode_rng, run_split
 
 
@@ -20,13 +21,13 @@ def path_graph(n=3):
 
 def test_zero_length_walk_returns_seeds():
     g = path_graph(5)
-    out = extend_support(g, {1, 3}, walk_length=0, walks_per_seed=4, rng_seed=0)
+    out = extend_support(g, {1, 3}, walk_length=0, walks_per_seed=4, rng=np.random.default_rng(0))
     assert out == {1, 3}
 
 
 def test_isolated_seed_stays_put():
     g = build_snapshot(3, np.array([[1, 2]]), np.ones((3, 1)))
-    out = extend_support(g, {0}, walk_length=5, walks_per_seed=10, rng_seed=1)
+    out = extend_support(g, {0}, walk_length=5, walks_per_seed=10, rng=np.random.default_rng(1))
     assert out == {0}
 
 
@@ -34,7 +35,7 @@ def test_path_two_hops_covers_line():
     # enumerating length-2 walks from a: a->b->{a|c}; with many walks the
     # chance of never stepping to c is 0.5**60
     g = path_graph(3)
-    out = extend_support(g, {0}, walk_length=2, walks_per_seed=60, rng_seed=2)
+    out = extend_support(g, {0}, walk_length=2, walks_per_seed=60, rng=np.random.default_rng(2))
     assert out == {0, 1, 2}
 
 
@@ -43,29 +44,29 @@ def test_walks_exclude_self_loop_step():
     # never stay at 1
     g = path_graph(3)
     for seed in range(20):
-        out = extend_support(g, {1}, walk_length=1, walks_per_seed=1, rng_seed=seed)
+        out = extend_support(g, {1}, walk_length=1, walks_per_seed=1, rng=np.random.default_rng(seed))
         assert out in ({0, 1}, {1, 2})
 
 
 def test_extend_support_deterministic():
     b = synth_generate(3, 3, 20, 0.5, 0.05, 4)
     seeds = {0, 25, 41}
-    a = extend_support(b.graph, seeds, 3, 5, rng_seed=9)
-    bb = extend_support(b.graph, seeds, 3, 5, rng_seed=9)
+    a = extend_support(b.graph, seeds, 3, 5, rng=np.random.default_rng(9))
+    bb = extend_support(b.graph, seeds, 3, 5, rng=np.random.default_rng(9))
     assert a == bb
 
 
 def test_extend_support_size_bound():
     b = synth_generate(4, 3, 20, 0.5, 0.05, 4)
     seeds = {0, 21}
-    out = extend_support(b.graph, seeds, 3, 5, rng_seed=3)
+    out = extend_support(b.graph, seeds, 3, 5, rng=np.random.default_rng(3))
     assert len(out) <= len(seeds) * (5 * 3 + 1)
 
 
 def test_unknown_seed_rejected():
     g = path_graph(3)
     with pytest.raises(ValueError, match="99"):
-        extend_support(g, {99}, 1, 1, rng_seed=0)
+        extend_support(g, {99}, 1, 1, rng=np.random.default_rng(0))
 
 
 # -- episodes -----------------------------------------------------------------
@@ -81,18 +82,20 @@ def supports_at(b, t, split, walk=(2, 3)):
     return session_supports(b, t, split, *walk, 0)
 
 
-def draw(b, t, split, n_way, rng_seed, query_per_class, **kwargs):
-    """One episode at session t."""
-    return sample_episode(b, t, n_way, rng_seed, query_per_class, split=split,
-                          **kwargs)
+def draw(b, t, split, n_way, seed, query_per_class, **kwargs):
+    """One episode at session t and its queries, drawn on one rng as the
+    trainer's telemetry draws them: the classes first, then the queries."""
+    rng = np.random.default_rng(seed)
+    episode = sample_episode(b, t, n_way, rng, **kwargs)
+    return episode, draw_queries(b, split, episode, query_per_class, rng)
 
 
 def test_base_episode_shape():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=0)
-    ep = draw(b, 0, split, n_way=2, rng_seed=0, query_per_class=4)
+    ep, query = draw(b, 0, split, n_way=2, seed=0, query_per_class=4)
     assert len(ep.classes) == 2 and list(ep.classes) == sorted(ep.classes)
-    assert {c for _, c in ep.query} == set(ep.classes)
+    assert {c for _, c in query} == set(ep.classes)
     supports = supports_at(b, 0, split)
     for cls in ep.classes:
         assert split.anchors[cls].size == 3
@@ -105,12 +108,12 @@ def test_finetune_episode_covers_all_seen_and_queries_zero_shot():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=1)
     t = b.schedule.num_sessions          # final session: class 4 is zero-shot
-    ep = draw(b, t, split, n_way=1, rng_seed=5, query_per_class=4)
+    ep, query = draw(b, t, split, n_way=1, seed=5, query_per_class=4)
     seen = b.schedule.seen_at(t)
     assert list(ep.classes) == seen
     assert sorted(supports_at(b, t, split)) == seen
     assert 4 not in ep.classes
-    query_classes = {c for _, c in ep.query}
+    query_classes = {c for _, c in query}
     assert 4 in query_classes
 
 
@@ -122,9 +125,9 @@ def test_support_query_disjoint_and_labels_true():
     anchors = set(np.concatenate(list(split.anchors.values())).tolist())
     for t in range(b.schedule.num_sessions + 1):
         for seed in range(5):
-            ep = draw(b, t, split, n_way=1, rng_seed=seed, query_per_class=5)
-            assert ep.query
-            for node, cls in ep.query:
+            _, query = draw(b, t, split, n_way=1, seed=seed, query_per_class=5)
+            assert query
+            for node, cls in query:
                 assert node not in anchors
                 assert b.labels.by_node[node] == cls
 
@@ -155,8 +158,8 @@ def test_supports_are_disjoint_across_classes():
 def test_episode_deterministic():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=4)
-    e1 = draw(b, 0, split, 2, rng_seed=42, query_per_class=4)
-    e2 = draw(b, 0, split, 2, rng_seed=42, query_per_class=4)
+    e1 = draw(b, 0, split, 2, seed=42, query_per_class=4)
+    e2 = draw(b, 0, split, 2, seed=42, query_per_class=4)
     assert e1 == e2
     assert supports_at(b, 1, split, (3, 5)) == supports_at(b, 1, split, (3, 5))
 
@@ -166,16 +169,16 @@ def test_insufficient_labels_names_class():
     split = build_class_split(b, 3, eval_fraction=0.2, anchor_seed=0)
     # pool ~5 nodes per class; k + q = 3 + 5 = 8 > 5
     with pytest.raises(DatasetError, match="class [01]"):
-        draw(b, 0, split, 1, rng_seed=0, query_per_class=5)
+        draw(b, 0, split, 1, seed=0, query_per_class=5)
     # without queries the k anchors suffice
-    assert draw(b, 0, split, 1, rng_seed=0, query_per_class=0).query == ()
+    assert draw(b, 0, split, 1, seed=0, query_per_class=0)[1] == []
 
 
 def test_n_way_too_large_rejected():
     b = gcl_bundle()
     split = build_class_split(b, 3, anchor_seed=5)
     with pytest.raises(DatasetError, match="n_way"):
-        draw(b, 0, split, n_way=4, rng_seed=0, query_per_class=2)
+        draw(b, 0, split, n_way=4, seed=0, query_per_class=2)
     with pytest.raises(DatasetError, match=r"^n_way=4 exceeds \|base classes\|=3$"):
         task_pool(b.schedule, 0, 4)
 
@@ -202,14 +205,14 @@ def test_novel_only_task_draws_the_session_novel_classes():
     assert novel == [3, 4]
     drawn = set()
     for seed in range(8):
-        ep = draw(b, 1, split, n_way=1, rng_seed=seed, query_per_class=3,
-                  episode_class_pool="novel_only")
+        ep, query = draw(b, 1, split, n_way=1, seed=seed, query_per_class=3,
+                         episode_class_pool="novel_only")
         assert len(ep.classes) == 1 and set(ep.classes) <= set(novel)
-        assert {c for _, c in ep.query} == set(ep.classes)
+        assert {c for _, c in query} == set(ep.classes)
         drawn |= set(ep.classes)
     assert drawn == {3, 4}
-    ep = draw(b, 1, split, n_way=2, rng_seed=0, query_per_class=3,
-              episode_class_pool="novel_only")
+    ep, _ = draw(b, 1, split, n_way=2, seed=0, query_per_class=3,
+                 episode_class_pool="novel_only")
     assert list(ep.classes) == novel
     # prototypes still span every seen class
     assert sorted(supports_at(b, 1, split)) == seen
@@ -220,7 +223,7 @@ def test_novel_only_n_way_beyond_the_session_novel_classes_rejected(t, n_way):
     b = novel_bundle()
     split = build_class_split(b, 3, anchor_seed=7)
     with pytest.raises(DatasetError, match="n_way=.* exceeds novel few-shot"):
-        draw(b, t, split, n_way=n_way, rng_seed=0, query_per_class=3,
+        draw(b, t, split, n_way=n_way, seed=0, query_per_class=3,
              episode_class_pool="novel_only")
     novel = len(b.schedule.novel_few_shot_at(t))
     with pytest.raises(DatasetError, match=rf"^n_way={n_way} exceeds novel few-shot "
@@ -242,8 +245,8 @@ def test_task_pool_per_session_and_pool(t, pool, n_way, want):
     b = novel_bundle()
     assert task_pool(b.schedule, t, n_way, pool) == want
     split = build_class_split(b, 3, anchor_seed=7)
-    ep = draw(b, t, split, n_way=n_way, rng_seed=0, query_per_class=3,
-              episode_class_pool=pool)
+    ep, _ = draw(b, t, split, n_way=n_way, seed=0, query_per_class=3,
+                 episode_class_pool=pool)
     classes, drawn = want
     assert set(ep.classes) <= set(classes)
     assert len(ep.classes) == (n_way if drawn else len(classes))
@@ -267,8 +270,9 @@ def test_zero_shot_class_never_has_anchors():
 
 
 # sha256 of the sorted extended supports of every session of gcl_bundle() and
-# the queries of its episode 0, drawn with a run's seeds; integers only, so it
-# holds across BLAS builds
+# the queries of its episode 0, drawn with a run's seeds (the queries on the
+# episode's rng after its classes); integers only, so it holds across BLAS
+# builds
 GOLDEN_DRAWS = "312cd17263bc3a06ab26cb27b88f585e28472e4509edf023ba9f3a256f50d9f3"
 
 
@@ -280,22 +284,37 @@ def test_walk_and_query_draws_are_pinned():
     for t in range(b.schedule.num_sessions + 1):
         extended = session_supports(b, t, split, cfg.walk_length,
                                     cfg.walks_per_seed, cfg.seed)
-        ep = sample_episode(b, t, cfg.n_way, _episode_rng(cfg, t, 0),
-                            cfg.query_per_class, split=split)
+        rng = _episode_rng(cfg, t, 0)
+        ep = sample_episode(b, t, cfg.n_way, rng)
+        query = draw_queries(b, split, ep, cfg.query_per_class, rng)
         h.update(repr(sorted((c, sorted(nodes)) for c, nodes in
                              extended.items())).encode())
-        h.update(repr(sorted(ep.query)).encode())
+        h.update(repr(sorted(query)).encode())
     assert h.hexdigest() == GOLDEN_DRAWS
 
 
-def test_query_pool_is_computed_once_per_class_and_session():
-    b = gcl_bundle()
+def test_queries_come_from_the_visible_pool_minus_anchors():
+    """A task class's queries, drawn as many as its pool holds, are exactly
+    its pool nodes visible at t minus its anchors; one more is rejected.
+    Zero-shot classes give as many as they have, up to the same count."""
+    b = with_arrivals(gcl_bundle())
     split = build_class_split(b, 3, anchor_seed=1)
     for t in range(b.schedule.num_sessions + 1):
+        visible = graph_at(b, t).visible_mask
+        want = {}
         for cls in b.schedule.classes_at(t):
-            pool = split.query_pool(cls, t)
-            visible = split.visible_pool(cls, t)
-            np.testing.assert_array_equal(
-                pool, visible[~np.isin(visible, split.anchors[cls])])
-            assert split.query_pool(cls, t) is pool
-            assert not pool.flags.writeable
+            pool = split.pool[cls][visible[split.pool[cls]]]
+            want[cls] = set(pool.tolist()) - set(split.anchors[cls].tolist())
+        for cls in b.schedule.seen_at(t):
+            episode = Episode(t, (cls,))
+            rng = np.random.default_rng(t)
+            n_q = len(want[cls])
+            query = draw_queries(b, split, episode, n_q, rng)
+            assert {n for n, c in query if c == cls} == want[cls]
+            for zero in b.schedule.unseen_at(t):
+                got = {n for n, c in query if c == zero}
+                assert got <= want[zero] and len(got) == min(n_q, len(want[zero]))
+            with pytest.raises(DatasetError, match=f"class {cls} has only"):
+                draw_queries(b, split, episode, len(want[cls]) + 1, rng)
+    # arrivals shrink the early pools of the streamed classes
+    assert not graph_at(b, 0).visible_mask[split.pool[4]].any()

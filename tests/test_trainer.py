@@ -9,7 +9,7 @@ import pytest
 
 from gotham import autodiff as ad
 from gotham import nn as network
-from gotham import trainer
+from gotham import sampler, trainer
 from gotham.config import MODES, RunConfig
 from gotham.graphstore import DatasetError, graph_at, synth_generate
 from gotham.prototypes import encode_csds
@@ -413,14 +413,14 @@ def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
     bundle = dataclasses.replace(bundle, schedule=dataclasses.replace(
         bundle.schedule, sessions=tuple(sessions)))
     queried = []
-    sample = trainer.sample_episode
+    draw = trainer.draw_queries
 
-    def spy(bundle, t, *args, **kwargs):
-        episode = sample(bundle, t, *args, **kwargs)
-        queried.append((t, [n for n, _ in episode.query]))
-        return episode
+    def spy(bundle, split, episode, *args):
+        query = draw(bundle, split, episode, *args)
+        queried.append((episode.session, [n for n, _ in query]))
+        return query
 
-    monkeypatch.setattr(trainer, "sample_episode", spy)
+    monkeypatch.setattr(trainer, "draw_queries", spy)
     for seed in (0, 1, 2):
         # queries are drawn only under telemetry
         cfg = tiny_config("gfscil_plain", "mean").replace(
@@ -536,20 +536,56 @@ def test_episodes_draw_queries_only_under_telemetry(monkeypatch):
     bundle = tiny_bundle((4,))
     cfg = tiny_config("gcl", "mean")
     sample, episodes = trainer.sample_episode, []
+    draw, queries = trainer.draw_queries, []
 
-    def spy(*args, **kwargs):
+    def spy_sample(*args, **kwargs):
         episodes.append(sample(*args, **kwargs))
         return episodes[-1]
 
-    monkeypatch.setattr(trainer, "sample_episode", spy)
+    def spy_draw(*args):
+        queries.append(draw(*args))
+        return queries[-1]
+
+    monkeypatch.setattr(trainer, "sample_episode", spy_sample)
+    monkeypatch.setattr(trainer, "draw_queries", spy_draw)
     run_stream(bundle, cfg)
     off, episodes[:] = list(episodes), []
+    assert queries == []
     run_stream(bundle, cfg.replace(telemetry=True))
-    assert len(off) == len(episodes) > 0
-    for quiet, queried in zip(off, episodes):
-        assert quiet.query == () and queried.query
+    assert len(off) == len(episodes) == len(queries) > 0
+    for quiet, queried, query in zip(off, episodes, queries):
         assert quiet.classes == queried.classes
-        assert {c for _, c in queried.query} >= set(queried.classes)
+        assert {c for _, c in query} >= set(queried.classes)
+
+
+def test_no_query_is_drawn_or_checked_without_telemetry(monkeypatch):
+    """Without telemetry no episode draws queries or checks their supply;
+    with it, each episode draws them once, after its update."""
+    bundle = tiny_bundle((4,))
+    cfg = tiny_config("gcl", "mean").replace(episodes_finetune=2)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (trainer, sampler):
+        monkeypatch.setattr(module, "check_query_supply",
+                            spy("check", module.check_query_supply))
+    monkeypatch.setattr(trainer, "draw_queries",
+                        spy("draw", trainer.draw_queries))
+    monkeypatch.setattr(network, "apply_update",
+                        spy("update", network.apply_update))
+    run_stream(bundle, cfg)
+    assert set(calls) == {"update"}
+    calls.clear()
+    run_stream(bundle, cfg.replace(telemetry=True))
+    episodes = calls.count("update")
+    assert episodes == cfg.episodes_base + 2 * cfg.episodes_finetune
+    trained = [c for c in calls if c != "check"]
+    assert trained == ["update", "draw"] * episodes
 
 
 # -- n_way checked before training ------------------------------------------------
