@@ -26,11 +26,17 @@ __all__ = ["main", "build_parser"]
 
 
 def _seed(flag: int | None, fallback: int = 0) -> int:
-    """``--seed`` if given, else ``GOTHAM_SEED`` if set, else ``fallback``."""
+    """``--seed`` if given, else ``GOTHAM_SEED`` if set, else ``fallback``;
+    a seed from either is a non-negative integer."""
     if flag is not None:
-        return flag
-    env = os.environ.get("GOTHAM_SEED")
-    return int(env) if env else fallback
+        name, seed = "--seed", flag
+    elif os.environ.get("GOTHAM_SEED"):
+        name, seed = "GOTHAM_SEED", os.environ["GOTHAM_SEED"]
+    else:
+        return fallback
+    if not str(seed).isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def _out_path(out, flag: str = "--out", *, directory: bool = False) -> Path:

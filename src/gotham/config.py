@@ -28,13 +28,13 @@ def is_semantic(mode: str) -> bool:
 # the values each enumerated field may take
 _CHOICES = dict(mode=MODES, episode_class_pool=("all_seen", "novel_only"),
                 cluster_variant=("mean_hinge", "self_normalized"),
-                backbone=("mean", "attention"), unseen_encoder=("gnn", "mlp"))
+                backbone=("mean", "attention"))
 # the least value of each bounded numeric field; it must also be finite
 _LEAST = dict(n_way=1, k_shot=1, query_per_class=1, hidden_dim=1, out_dim=1,
               num_layers=1, walk_length=0, walks_per_seed=0, episodes_base=0,
               episodes_finetune=0, alpha1=0.0, alpha2=0.0, alpha3=0.0,
               alpha4=0.0, lambda1=0.0, lambda2=0.0, gamma=0.0, meta_lr=0.0,
-              ft_lr=0.0, weight_decay=0.0)
+              ft_lr=0.0, weight_decay=0.0, seed=0, split_seed=0)
 
 
 @dataclass
@@ -78,7 +78,6 @@ class RunConfig:
     num_layers: int = 2
     negative_slope: float = 0.01
     backbone: str = "mean"                 # "mean" | "attention"
-    unseen_encoder: str = "gnn"            # "gnn" | "mlp"
 
     seed: int = 0
     split_seed: int = 1234

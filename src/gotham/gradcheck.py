@@ -52,15 +52,17 @@ class FiniteDiffReport:
         return bool(self.n_checked > 0 and self.max_rel_err < self.tol)
 
 
-def finite_diff_check(params: dict[str, ad.Tensor], loss_fn, h: float = 1e-4,
-                      tol: float = 1e-4, rng=None, n_coords: int = 50,
+def finite_diff_check(params: dict[str, ad.Tensor], loss_fn,
+                      rng: np.random.Generator, h: float = 1e-4,
+                      tol: float = 1e-4, n_coords: int = 50,
                       denom_floor: float = 1e-2) -> FiniteDiffReport:
     """Central-difference check of analytic gradients on sampled coordinates.
 
     Coordinates whose one-sided slopes disagree by more than 1% (a hinge or
-    activation kink inside the +-h window) are skipped, not failed.
+    activation kink inside the +-h window) are skipped, not failed. A
+    coordinate whose perturbed losses, slopes or analytic gradient are not
+    finite fails with an infinite error.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     grads = network.compute_gradients(params, loss_fn())
 
     flat: list[tuple[str, int]] = []
@@ -85,13 +87,16 @@ def finite_diff_check(params: dict[str, ad.Tensor], loss_fn, h: float = 1e-4,
 
         d_plus = (fp - f0) / h
         d_minus = (f0 - fm) / h
-        slope_scale = max(abs(d_plus), abs(d_minus), denom_floor)
-        if abs(d_plus - d_minus) > 1e-2 * slope_scale:
-            kinks += 1
-            continue
         fd = (fp - fm) / (2.0 * h)
         analytic = grads[name].flat[idx]
-        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), denom_floor)
+        if not np.isfinite([fp, fm, d_plus, d_minus, fd, analytic]).all():
+            rel = np.inf
+        else:
+            slope_scale = max(abs(d_plus), abs(d_minus), denom_floor)
+            if abs(d_plus - d_minus) > 1e-2 * slope_scale:
+                kinks += 1
+                continue
+            rel = abs(analytic - fd) / max(abs(analytic), abs(fd), denom_floor)
         checked += 1
         if rel > max_rel:
             max_rel, worst = rel, (name, idx)

@@ -20,8 +20,6 @@ from .config import RunConfig
 __all__ = ["LossParts", "loss_cluster", "loss_seg", "loss_sem", "loss_kd_emb",
            "loss_kd_align", "loss_total"]
 
-_KD_ZERO_RTOL = 1e-12
-
 
 def _row_norms(diff: Tensor) -> Tensor:
     return ad.sqrt((diff * diff).sum(axis=1))
@@ -97,20 +95,17 @@ def loss_sem(encoded: Tensor, seen: Tensor) -> Tensor:
 def loss_kd_emb(teacher_embeddings, student_embeddings: Tensor) -> Tensor:
     """Mean embedding distance between frozen teacher and student.
 
-    A row whose distance is within rounding noise of 0 (at most
-    ``_KD_ZERO_RTOL`` times the teacher row's norm) counts as 0 and gets zero
-    gradient, a valid subgradient of the norm at 0. Otherwise the norm's
-    gradient there is a unit vector along the noise: a session's first
-    finetune episode starts with the student equal to the teacher.
+    A session's first finetune episode starts with the student equal to the
+    teacher (the same plan's forward of the same parameters), so every
+    distance is exactly 0; a zero row gets zero gradient, a subgradient of
+    the norm at 0, through ``autodiff._SQRT_GUARD``, as in ``loss_cluster``.
     """
     teacher = np.asarray(teacher_embeddings, dtype=np.float64)
     if teacher.shape[0] == 0:
         return ad.constant(0.0)
     if teacher.shape != student_embeddings.shape:
         raise ValueError("teacher/student embedding shapes differ")
-    dist = _row_norms(student_embeddings - ad.constant(teacher))
-    noise = dist.data <= _KD_ZERO_RTOL * np.linalg.norm(teacher, axis=1)
-    return (dist * ad.constant(~noise)).mean()
+    return _row_norms(student_embeddings - ad.constant(teacher)).mean()
 
 
 def loss_kd_align(teacher_encoded, student_encoded: Tensor,

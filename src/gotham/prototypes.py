@@ -4,8 +4,9 @@ A prototype set is a ``(C x d)`` tensor, one row per class in ascending class
 id, with the ids in an array beside it; ``PrototypeBuild`` owns both. A *seen*
 row averages the embeddings of a class's extended support set. A *merged* row
 is the midpoint of the seen row and the encoded class-semantic vector. An
-*unseen_semantic* row is the graph encoder applied to the semantic vector as
-a one-node self-loop graph.
+*unseen_semantic* row is the graph encoder applied to the class's semantic
+vector (projected into graph-feature space when the widths differ) as a
+one-node self-loop graph; no other encoder makes zero-shot rows.
 
 ``build_prototype_tensors`` is the one place that decides which kind each
 class in C^t gets, reading no run mode: a model without a semantic encoder
@@ -118,8 +119,7 @@ def plan_supports(gnn: network.GnnParams, graph, supports: dict,
 
 
 def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
-                            t: int, plan: SupportPlan,
-                            unseen_encoder: str = "gnn") -> PrototypeBuild:
+                            t: int, plan: SupportPlan) -> PrototypeBuild:
     """One prototype per class in C^t on the autodiff tape.
 
     ``plan`` is a ``SupportPlan`` of the seen classes' extended supports on
@@ -144,31 +144,25 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
         embeddings=embeddings,
         distill=(ad.gather_rows(embeddings, plan.distill)
                  if plan.distill is not None else None))
-    add_unseen_prototypes(build, model, bundle.schedule.unseen_at(t), csds,
-                          unseen_encoder)
+    add_unseen_prototypes(build, model, bundle.schedule.unseen_at(t), csds)
     return build
 
 
 def add_unseen_prototypes(build: PrototypeBuild, model: network.ModelState,
-                          unseen_classes, csds: dict[int, np.ndarray],
-                          unseen_encoder: str = "gnn") -> None:
+                          unseen_classes, csds: dict[int, np.ndarray]) -> None:
     """Add an unseen_semantic row to ``build.final`` per zero-shot class,
-    keeping the rows in ascending class id."""
+    the graph encoder applied to its CSD, keeping the rows in ascending
+    class id."""
     unseen = np.asarray(sorted(unseen_classes), dtype=np.int64)
     if unseen.size == 0:
         return
-    if unseen_encoder == "gnn":
-        vectors = _csd_matrix(csds, unseen)
-        if model.csd_projection is not None:     # into graph-feature space
-            vectors = vectors @ model.csd_projection
-        # on either backbone a node whose only CSR entry is its self-loop
-        # passes each layer as a plain affine map, so the graph encoder on a
-        # one-node graph is its layers applied as an MLP
-        rows = network.mlp_forward(model.gnn, vectors)
-    elif unseen_encoder == "mlp":
-        rows = encode_csds(model, unseen, csds)
-    else:
-        raise ValueError(f"unknown unseen_encoder {unseen_encoder!r}")
+    vectors = _csd_matrix(csds, unseen)
+    if model.csd_projection is not None:     # into graph-feature space
+        vectors = vectors @ model.csd_projection
+    # on either backbone a node whose only CSR entry is its self-loop passes
+    # each layer as a plain affine map, so the graph encoder on a one-node
+    # graph is its layers applied as an MLP
+    rows = network.mlp_forward(model.gnn, vectors)
     classes = np.concatenate([build.classes, unseen])
     kinds = build.kinds + ["unseen_semantic"] * unseen.size
     order = np.argsort(classes, kind="stable")

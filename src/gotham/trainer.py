@@ -6,27 +6,27 @@ semantics are available) over sampled tasks. Each later session distils from
 a frozen teacher, the model that finished session t-1, then finetunes on
 tasks covering all currently-seen classes.
 
-A session starts with ``session_plan``: its random walks drawn once
-(``session_supports``) and planned once. The ``prototypes.SupportPlan``
-holds the union of the extended supports and of the distillation nodes
-(the anchors of the classes seen at t-1), and everything of its forward
-that no parameter touches. The live model still holds the teacher's
-parameters when session t starts, so the teacher's outputs are its forward
-on that plan, read once before the first update. Every episode, which is
-only a class draw, and the session's evaluation prototypes then build from
-the same plan; it is dropped before evaluation's forward, so no plan
-outlives its session. An episode runs in ``_train_episode``, which returns
-only floats, so its autodiff tape, prototype build and gradients die before
-the next episode's forward and the last ones before evaluation's: at most
-one tape is alive at a time. Only training builds a tape: the teacher's
-outputs, the evaluation prototypes (which the run keeps as
-``prototypes/session_<t>.tsv``), evaluation's forward and telemetry's query
-accuracy run under ``autodiff.no_grad``. Only ``telemetry`` draws queries
-(``sampler.draw_queries``), after the episode's update, on the rng that
-drew its classes. Evaluation embeds and classifies its held-out nodes a
-block of ``_CLASSIFY_ROWS`` at a time, so no array or plan spans all of them.
-Classification is nearest prototype in embedding space with ties going to
-the smallest class id.
+``_run_session`` reads session t top to bottom. ``session_plan`` draws its
+random walks once (``session_supports``) and plans them once: the
+``prototypes.SupportPlan`` holds the union of the extended supports and of
+the distillation nodes (the anchors of the classes seen at t-1), and
+everything of its forward that no parameter touches. The live model still
+holds the teacher's parameters when session t starts, so the teacher's
+outputs are its forward on that plan, read before the first update. Every
+episode, which is only a class draw, and the session's evaluation
+prototypes build from the same plan; it is dropped before evaluation's
+forward. An episode runs in ``_train_episode``, which returns only floats,
+so its autodiff tape, prototype build and gradients die before the next
+forward: at most one tape is alive at a time.
+
+Only training builds a tape. The teacher's outputs, the evaluation
+prototypes (which the run keeps as ``prototypes/session_<t>.tsv``) and
+every prediction run under ``autodiff.no_grad``. Evaluation and
+telemetry's query accuracy predict through one path, ``_predict``: it
+embeds ``_EVAL_ROWS`` nodes a forward and labels each by its nearest
+prototype (``classify``), ties going to the smallest class id. Only
+``telemetry`` draws queries (``sampler.draw_queries``), after the
+episode's update, on the rng that drew its classes.
 
 Before any output, one pass over the sessions that train rejects a run that
 ``sample_episode`` or ``draw_queries`` would reject mid-stream: a session's
@@ -85,31 +85,24 @@ class SessionReport:
             str(k): v for k, v in sorted(self.per_class.items())}}
 
 
-# query rows per block of ``classify``, whose distances take block x C x d
-# floats, and held-out nodes per forward of ``evaluate_session``
-_CLASSIFY_ROWS = 256
+# held-out nodes per evaluation forward (``_eval_blocks``)
+_EVAL_ROWS = 256
 
 
 def classify(query_embeddings, classes, prototypes) -> np.ndarray:
     """Nearest-prototype labels; row i of the (C x d) ``prototypes`` belongs
     to ``classes[i]``, strictly ascending, so ties go to the smallest id.
-    Distances are formed a block of query rows at a time; each row's are the
-    same bits at any block size."""
+    Distances are formed one prototype at a time, so no temporary is larger
+    than the queries."""
     classes = np.asarray(classes, dtype=np.int64)
     if classes.size == 0:
         raise ValueError("empty prototype set")
     if (np.diff(classes) <= 0).any():
         raise ValueError("prototype classes must be strictly ascending")
-    mat = np.asarray(prototypes, dtype=np.float64)
-    q = np.asarray(query_embeddings, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
-    best = np.empty(q.shape[0], dtype=np.int64)
-    for s in range(0, q.shape[0], _CLASSIFY_ROWS):
-        block = q[s:s + _CLASSIFY_ROWS]
-        d2 = ((block[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
-        best[s:s + block.shape[0]] = d2.argmin(axis=1)   # first: smallest id
-    return classes[best]
+    q = np.atleast_2d(np.asarray(query_embeddings, dtype=np.float64))
+    d2 = np.stack([((q - p) ** 2).sum(axis=1)
+                   for p in np.asarray(prototypes, dtype=np.float64)])
+    return classes[d2.argmin(axis=0)]   # first: smallest id
 
 
 # -- internals ----------------------------------------------------------------
@@ -145,8 +138,7 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
                   plan: SupportPlan) -> tuple[LossParts, object, dict]:
     """Forward all loss parts for one episode; returns (parts, total, protos).
     ``plan`` is the session's, whose distill rows the teacher read."""
-    build = build_prototype_tensors(model, bundle, episode.session, plan,
-                                    cfg.unseen_encoder)
+    build = build_prototype_tensors(model, bundle, episode.session, plan)
 
     parts = LossParts()
     # clustering acts on the task's classes; the remaining seen classes
@@ -181,12 +173,9 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     query = draw_queries(bundle, split, episode, query_per_class, rng)
     if not query:
         return None
-    graph = graph_at(bundle, episode.session)
-    nodes = np.asarray([n for n, _ in query], dtype=np.int64)
-    truth = np.asarray([c for _, c in query], dtype=np.int64)
-    with ad.no_grad():
-        emb = network.gnn_forward(model.gnn, graph, nodes).data
-    pred = classify(emb, build.classes, build.final.data)
+    nodes, truth = (np.array(col, dtype=np.int64) for col in zip(*query))
+    pred = _predict(model, graph_at(bundle, episode.session), nodes,
+                    build.classes, build.final.data)
     return float((pred == truth).mean())
 
 
@@ -216,30 +205,6 @@ def _train_episode(model, bundle, cfg, split, t, e, cache, plan, params,
     return total.item(), values, acc
 
 
-def _train_session(model, bundle, cfg, split, t, cache, plan,
-                   log_fn=None) -> tuple[list[float], list[float]]:
-    """Train session t: base episodes at ``meta_lr`` when t = 0, else
-    finetune episodes at ``ft_lr`` with the teacher's distillation terms."""
-    episodes, lr = ((cfg.episodes_base, cfg.meta_lr) if t == 0
-                    else (cfg.episodes_finetune, cfg.ft_lr))
-    step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
-    params = network.named_parameters(model)
-    totals: list[float] = []
-    query_accs: list[float] = []
-    for e in range(episodes):
-        total, vals, acc = _train_episode(model, bundle, cfg, split, t, e,
-                                          cache, plan, params, lr)
-        totals.append(total)
-        if acc is not None:
-            query_accs.append(acc)
-        if log_fn is not None:
-            log_fn({"step": step_offset + e, "session": t,
-                    "l_cls": vals["cluster"], "l_seg": vals["seg"],
-                    "l_sem": vals["sem"], "l_emb": vals["kd_emb"],
-                    "l_align": vals["kd_align"], "total": total})
-    return totals, query_accs
-
-
 def session_plan(model: network.ModelState, bundle: DatasetBundle,
                  cfg: RunConfig, split: ClassSplit, t: int) -> SupportPlan:
     """Session t's one plan: its walks, drawn once, and from t = 1 its
@@ -254,19 +219,34 @@ def session_plan(model: network.ModelState, bundle: DatasetBundle,
 
 
 def _run_session(model, bundle, cfg, split, t, log_fn=None):
-    """Train session t, then evaluate it on the same walk draw. Returns the
-    report and the (classes, kinds, prototypes) evaluation classified with."""
+    """Session t: its plan, teacher, episodes and evaluation on the same walk
+    draw. Returns the report and the (classes, kinds, prototypes) evaluation
+    classified with."""
     start = time.perf_counter()
     plan = session_plan(model, bundle, cfg, split, t)
     # the teacher is read before the first update
     cache = _TeacherCache(model, bundle, plan, t) if t else None
+    episodes, lr = ((cfg.episodes_base, cfg.meta_lr) if t == 0
+                    else (cfg.episodes_finetune, cfg.ft_lr))
+    step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
+    params = network.named_parameters(model)
+    totals, q_accs = [], []
     # every episode's tape, prototype build and gradients die before the
     # next episode's forward, the last one's before evaluation's, so no two
     # tapes are ever alive at once
-    totals, q_accs = _train_session(model, bundle, cfg, split, t, cache, plan,
-                                    log_fn)
+    for e in range(episodes):
+        total, vals, acc = _train_episode(model, bundle, cfg, split, t, e,
+                                          cache, plan, params, lr)
+        totals.append(total)
+        if acc is not None:
+            q_accs.append(acc)
+        if log_fn is not None:
+            log_fn({"step": step_offset + e, "session": t,
+                    "l_cls": vals["cluster"], "l_seg": vals["seg"],
+                    "l_sem": vals["sem"], "l_emb": vals["kd_emb"],
+                    "l_align": vals["kd_align"], "total": total})
     del cache
-    build = _eval_prototypes(model, bundle, cfg, t, plan)
+    build = _eval_prototypes(model, bundle, t, plan)
     classes, kinds, prototypes = build.classes, build.kinds, build.final.data
     # frees the build and the session's plan before evaluation's forward
     del build, plan
@@ -277,68 +257,62 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None):
     return report, (classes, kinds, prototypes)
 
 
-def _eval_prototypes(model, bundle, cfg, t, plan: SupportPlan) -> PrototypeBuild:
+def _eval_prototypes(model, bundle, t, plan: SupportPlan) -> PrototypeBuild:
     """Prototypes for evaluation from ``plan``, a plan of session t's
     extended supports: the sets training optimized toward. Its distill rows
     are not read. No tape is built."""
     with ad.no_grad():
-        return build_prototype_tensors(model, bundle, t, plan,
-                                       cfg.unseen_encoder)
+        return build_prototype_tensors(model, bundle, t, plan)
 
 
 def _eval_blocks(n: int) -> list[slice]:
-    """Blocks of ``_CLASSIFY_ROWS`` over n rows; a tail shorter than half a
+    """Blocks of ``_EVAL_ROWS`` over n rows; a tail shorter than half a
     block joins the previous block, since a forward of a few rows may round
     its last bits apart from the same rows in a larger one."""
-    starts = list(range(0, n, _CLASSIFY_ROWS))
-    if len(starts) > 1 and n - starts[-1] < _CLASSIFY_ROWS // 2:
+    starts = list(range(0, n, _EVAL_ROWS))
+    if len(starts) > 1 and n - starts[-1] < _EVAL_ROWS // 2:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
-                     classes, prototypes, split: ClassSplit) -> SessionReport:
-    """Accuracy on the fixed held-out split over all classes through t, by
-    nearest prototype: row i of the (C x d) ``prototypes`` belongs to
-    ``classes[i]``, ascending, as in ``classify``. The held-out nodes are
-    embedded and classified a block (``_eval_blocks``) at a time, without a
-    tape."""
-    sched = bundle.schedule
-    graph = graph_at(bundle, t)
-    vis = graph.visible_mask
-    session_classes = sched.classes_at(t)
-    nodes, truth = [], []
-    for cls in session_classes:
-        ev = split.eval_nodes[cls]
-        ev = ev[vis[ev]]
-        nodes.extend(int(n) for n in ev)
-        truth.extend([cls] * ev.size)
-    if not nodes:
-        raise DatasetError(f"empty evaluation split at session {t}")
-    nodes = np.asarray(nodes, dtype=np.int64)
+def _predict(model, graph, nodes: np.ndarray, classes, prototypes) -> np.ndarray:
+    """Nearest-prototype labels of ``nodes`` on ``graph``: embedded without
+    a tape and classified a block (``_eval_blocks``) at a time."""
     pred = np.empty(nodes.size, dtype=np.int64)
     with ad.no_grad():
         for rows in _eval_blocks(nodes.size):
             emb = network.gnn_forward(model.gnn, graph, nodes[rows]).data
             pred[rows] = classify(emb, classes, prototypes)
-    truth_arr = np.asarray(truth, dtype=np.int64)
-    correct = pred == truth_arr
+    return pred
 
-    per_class: dict[int, float] = {}
-    for cls in session_classes:
-        mask = truth_arr == cls
-        per_class[cls] = float(correct[mask].mean()) if mask.any() else float("nan")
-    seen_mask = np.isin(truth_arr, sched.seen_at(t))
-    unseen_mask = ~seen_mask
+
+def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
+                     classes, prototypes, split: ClassSplit) -> SessionReport:
+    """Accuracy on the fixed held-out split over all classes through t, by
+    nearest prototype (``_predict``): row i of the (C x d) ``prototypes``
+    belongs to ``classes[i]``, ascending, as in ``classify``."""
+    sched = bundle.schedule
+    graph = graph_at(bundle, t)
+    session_classes = sched.classes_at(t)
+    held_out = [split.eval_nodes[c] for c in session_classes]
+    held_out = [ev[graph.visible_mask[ev]] for ev in held_out]
+    nodes = np.concatenate(held_out)
+    if not nodes.size:
+        raise DatasetError(f"empty evaluation split at session {t}")
+    truth = np.repeat(np.asarray(session_classes, dtype=np.int64),
+                      [ev.size for ev in held_out])
+    correct = _predict(model, graph, nodes, classes, prototypes) == truth
+
+    def accuracy(mask):
+        return float(correct[mask].mean()) if mask.any() else float("nan")
+
+    seen = np.isin(truth, sched.seen_at(t))
     return SessionReport(
-        session=t,
-        n_classes=len(session_classes),
-        overall=float(correct.mean()),
-        seen_acc=float(correct[seen_mask].mean()) if seen_mask.any() else float("nan"),
-        unseen_acc=(float(correct[unseen_mask].mean()) if unseen_mask.any() else None),
-        per_class=per_class,
-        n_queries=len(nodes),
-    )
+        session=t, n_classes=len(session_classes),
+        overall=float(correct.mean()), seen_acc=accuracy(seen),
+        unseen_acc=accuracy(~seen) if not seen.all() else None,
+        per_class={cls: accuracy(truth == cls) for cls in session_classes},
+        n_queries=nodes.size)
 
 
 # -- public orchestration ------------------------------------------------------
@@ -437,10 +411,13 @@ def _check_tasks(bundle: DatasetBundle, cfg: RunConfig,
 def write_reports(reports: list[SessionReport], tables, out_dir) -> None:
     """Each session t's ``reports/session_<t>.json`` and, from its (classes,
     kinds, prototypes), the tab-separated ``prototypes/session_<t>.tsv``,
-    whose ``repr`` entries read back exact; then ``summary.tsv``."""
+    whose ``repr`` entries read back exact, in place of any an earlier run
+    left; then ``summary.tsv``."""
     out = Path(out_dir)
-    for name in ("reports", "prototypes"):
+    for name, suffix in (("reports", "json"), ("prototypes", "tsv")):
         (out / name).mkdir(exist_ok=True)
+        for stale in (out / name).glob(f"session_*.{suffix}"):
+            stale.unlink()
     for r, (classes, kinds, prototypes) in zip(reports, tables):
         (out / "reports" / f"session_{r.session}.json").write_text(
             json.dumps(r.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -85,8 +85,8 @@ def test_every_session_writes_and_exports_what_evaluation_classified_with(
     evaluate, eval_prototypes = trainer.evaluate_session, trainer._eval_prototypes
     used, kinds = {}, {}
 
-    def spy_prototypes(model, bundle, cfg, t, plan):
-        build = eval_prototypes(model, bundle, cfg, t, plan)
+    def spy_prototypes(model, bundle, t, plan):
+        build = eval_prototypes(model, bundle, t, plan)
         kinds[t] = list(build.kinds)
         return build
 
@@ -186,6 +186,34 @@ def test_export_onto_the_run_s_own_file_exits_2(gcl_run, spelling, capsys):
     assert source.read_bytes() == before
 
 
+def test_a_reused_run_directory_exports_only_the_last_run(tmp_path, capsys):
+    """A 4-session run, then a 2-session run into the same directory: the
+    directory keeps only the second run's sessions, export without
+    ``--session`` copies its last one and ``--session 3`` is out of range."""
+    run = tmp_path / "run"
+    for blocks in (7, 5):
+        data = tmp_path / f"data{blocks}"
+        write_dataset(synth_generate(0, blocks, 20, 0.3, 0.02, 8, n_base=3,
+                                     k_shot=3), data)
+        RunConfig(dataset=str(data), out_dir=str(run), n_way=2, k_shot=3,
+                  query_per_class=3, hidden_dim=8, out_dim=4, episodes_base=1,
+                  episodes_finetune=1).to_json(tmp_path / "config.json")
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+    assert sorted(p.name for p in (run / "reports").iterdir()) == [
+        f"session_{t}.json" for t in range(3)]
+    assert sorted(p.name for p in (run / "prototypes").iterdir()) == [
+        f"session_{t}.tsv" for t in range(3)]
+    out = tmp_path / "last.tsv"
+    assert main(["export-prototypes", "--run", str(run), "--out", str(out)]) == 0
+    assert out.read_bytes() == (run / "prototypes" / "session_2.tsv").read_bytes()
+    assert read_tsv(out)[0] == [0, 1, 2, 3, 4]
+    capsys.readouterr()
+    assert main(["export-prototypes", "--run", str(run), "--session", "3",
+                 "--out", str(tmp_path / "s3.tsv")]) == 2
+    assert "session index 3 out of range [0, 2]" in capsys.readouterr().err
+    assert not (tmp_path / "s3.tsv").exists()
+
+
 def test_export_onto_a_directory_exits_2(tmp_path, gcl_run, capsys):
     _, run = gcl_run
     code = main(["export-prototypes", "--run", str(run), "--out", str(tmp_path)])
@@ -257,7 +285,8 @@ def test_run_seed_precedence(tmp_path, monkeypatch, flag, env, want):
     ("epsilon_log", float("nan")), ("epsilon_log", 0.0), ("gamma", -0.1),
     ("alpha2", -1.0), ("telemetry", 1), ("telemetry", 0), ("telemetry", "yes"),
     ("seed", True), ("mode", "gfscil"), ("eval_fraction", 0.0),
-    ("eval_fraction", 1.0), ("no_such_key", 1),
+    ("eval_fraction", 1.0), ("no_such_key", 1), ("seed", -1),
+    ("split_seed", -1), ("unseen_encoder", "gnn"),
 ])
 def test_run_bad_config_value_exits_2(tmp_path, field, value, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -446,6 +475,9 @@ BAD_ARGUMENTS = [
      "zero-shot classes [1] are not streamed"),
     ("synth --out unwritten --blocks 8 --dim 4",
      "feature dim must be >= number of blocks"),
+    ("synth --out unwritten --seed -1", "--seed must be a non-negative integer"),
+    ("gradcheck --seed -1", "--seed must be a non-negative integer"),
+    ("verify-theorem --seed -1", "--seed must be a non-negative integer"),
 ]
 
 
@@ -454,6 +486,29 @@ BAD_ARGUMENTS = [
 def test_bad_argument_exits_2(argv, message, capsys):
     assert main(argv.split()) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "synth", "gradcheck",
+                                     "verify-theorem"])
+@pytest.mark.parametrize("flag,env,message", [
+    ("-1", None, "--seed must be a non-negative integer, got -1"),
+    (None, "-1", "GOTHAM_SEED must be a non-negative integer, got '-1'"),
+    (None, "x", "GOTHAM_SEED must be a non-negative integer, got 'x'"),
+], ids=["flag", "env-negative", "env-not-a-number"])
+def test_bad_seed_exits_2_naming_its_source(tmp_path, monkeypatch, command,
+                                            flag, env, message, capsys):
+    """A negative or non-numeric seed from ``--seed`` or ``GOTHAM_SEED`` is
+    rejected before any work, on every command that takes a seed."""
+    monkeypatch.setenv("GOTHAM_SEED", env or "")
+    RunConfig(dataset=str(tmp_path / "absent")).to_json(tmp_path / "config.json")
+    argv = {"run": ["run", "--config", str(tmp_path / "config.json")],
+            "synth": ["synth", "--out", str(tmp_path / "data")]}.get(
+        command, [command])
+    assert main(argv + (["--seed", flag] if flag else [])) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_verify_theorem_sweep_writes_its_report(tmp_path, capsys):

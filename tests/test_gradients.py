@@ -60,7 +60,7 @@ def test_fd_check_quadratic_tight():
         return total
 
     rep = finite_diff_check(params, loss, h=1e-4, tol=1e-4,
-                            rng=0, n_coords=40)
+                            rng=np.random.default_rng(0), n_coords=40)
     assert rep.passed
     assert rep.max_rel_err < 1e-8
 
@@ -72,7 +72,8 @@ def test_fd_check_flags_kink():
     def loss():
         return ad.maximum(params["w"], 0.0).sum()   # kink exactly at 0
 
-    rep = finite_diff_check(params, loss, rng=1, n_coords=5)
+    rep = finite_diff_check(params, loss, rng=np.random.default_rng(1),
+                            n_coords=5)
     assert rep.n_kink_skipped == 1
     assert rep.n_checked == 0
 
@@ -86,6 +87,31 @@ def test_fd_check_catches_wrong_gradient():
         return (params["w"] * params["w"]).sum() + \
             ad.constant(float(params["w"].data.sum()))
 
-    rep = finite_diff_check(params, loss, rng=2, n_coords=2)
+    rep = finite_diff_check(params, loss, rng=np.random.default_rng(2),
+                            n_coords=2)
     assert not rep.passed
     assert rep.max_rel_err > 0.1
+
+
+def nan_gradient(w):
+    """sum(w), whose backward hands back NaN."""
+    out = ad.Tensor(w.data.sum(), parents=(w,))
+    out._backward = lambda g: (np.full(w.shape, np.nan),)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("loss,start", [
+    (nan_gradient, [1.0, 2.0]),
+    # log(w - h) is NaN at w = 1e-5, h = 1e-4: a NaN one-sided slope
+    (lambda w: ad.log(w).sum(), [1e-5, 1e-5]),
+], ids=["nan-gradient", "nan-perturbed-loss"])
+def test_fd_check_fails_a_coordinate_that_is_not_finite(loss, start):
+    params = {"w": ad.parameter(np.array(start))}
+    rep = finite_diff_check(params, lambda: loss(params["w"]),
+                            rng=np.random.default_rng(0), n_coords=2)
+    assert not rep.passed
+    assert rep.max_rel_err == np.inf
+    assert rep.worst == ("w", 0)
+    assert rep.n_checked == 2
+

@@ -17,11 +17,11 @@ def linear_gnn(w, slope=1.0):
     return network.GnnParams([layer], negative_slope=slope)
 
 
-def build_of(model, bundle, supports, t=0, distill=None, **kwargs):
+def build_of(model, bundle, supports, t=0, distill=None):
     """The prototypes of ``supports`` at session t, planned as the trainer
     plans a session's supports."""
     plan = plan_supports(model.gnn, graph_at(bundle, t), supports, distill)
-    return build_prototype_tensors(model, bundle, t, plan, **kwargs)
+    return build_prototype_tensors(model, bundle, t, plan)
 
 
 def small_bundle(seed=5):
@@ -311,15 +311,6 @@ def test_missing_csd_rejected():
     b = dataclasses.replace(b, csds=CSDTable(csds))
     with pytest.raises(ValueError, match="semantic vector"):
         build_of(model, b, supports, t)
-
-
-def test_unseen_mlp_encoder_flag():
-    b, model, t, supports = fixture(zero_shot=True)
-    build = build_of(model, b, supports, t, unseen_encoder="mlp")
-    row = build.classes.tolist().index(4)
-    assert build.kinds[row] == "unseen_semantic"
-    enc = encode_csds(model, [4], b.csds.vectors).data[0]
-    np.testing.assert_allclose(build.final.data[row], enc, atol=1e-12)
 
 
 def test_gcl_rows_stay_aligned_around_a_zero_shot_class():

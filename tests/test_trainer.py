@@ -2,10 +2,13 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gotham import autodiff as ad
 from gotham import nn as network
@@ -623,7 +626,7 @@ EVAL_BLOCKS = {100: [100], 257: [257], 259: [259], 383: [383], 385: [256, 129],
 
 
 def test_eval_blocks_merge_a_tail_shorter_than_half_a_block():
-    assert trainer._CLASSIFY_ROWS == 256
+    assert trainer._EVAL_ROWS == 256
     for n, sizes in EVAL_BLOCKS.items():
         blocks = trainer._eval_blocks(n)
         assert [b.stop - b.start for b in blocks] == sizes
@@ -683,15 +686,69 @@ def test_classify_in_row_blocks_equals_the_one_shot_formula():
     # small integers make exact ties common; two classes share a prototype
     protos = rng.integers(-2, 3, size=(6, 5)).astype(np.float64)
     protos[4] = protos[1]
-    n = 2 * trainer._CLASSIFY_ROWS + 37
+    # two blocks of 256 rows and a tail, as the former form blocked them
+    n = 2 * 256 + 37
     queries = rng.integers(-2, 3, size=(n, 5)).astype(np.float64)
     queries[::7] = protos[1]
     classes = np.array([1, 3, 4, 8, 9, 12])
     d2 = ((queries[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
     ties = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
-    assert ties[:trainer._CLASSIFY_ROWS].any() and ties[-37:].any()
+    assert ties[:256].any() and ties[-37:].any()
     np.testing.assert_array_equal(classify(queries, classes, protos),
                                   classes[d2.argmin(axis=1)])
+
+
+def former_classify(queries, classes, prototypes):
+    """``classify`` as it was: every query's distances to every prototype
+    in one rows x C x d array."""
+    d2 = ((queries[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
+    return np.asarray(classes)[d2.argmin(axis=1)]
+
+
+@st.composite
+def classify_cases(draw):
+    """Queries, ascending classes and prototypes; a prototype repeats an
+    earlier one and some queries sit on it, so exact ties are planted."""
+    rows, c = draw(st.integers(1, 60)), draw(st.integers(1, 12))
+    d = draw(st.sampled_from([1, 3, 8, 9, 17, 64, 129, 300, 512]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):      # small integers: ties beyond the planted ones
+        protos = rng.integers(-2, 3, size=(c, d)).astype(np.float64)
+        queries = rng.integers(-2, 3, size=(rows, d)).astype(np.float64)
+    else:
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        protos = scale * rng.standard_normal((c, d))
+        queries = scale * rng.standard_normal((rows, d))
+    if c > 1:
+        i, j = np.sort(rng.choice(c, size=2, replace=False))
+        protos[j] = protos[i]
+        queries[::draw(st.integers(1, 5))] = protos[i]
+    classes = np.sort(rng.choice(1000, size=c, replace=False))
+    return queries, classes, protos
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(classify_cases())
+def test_classify_equals_the_former_rows_x_classes_form_bit_for_bit(case):
+    queries, classes, protos = case
+    np.testing.assert_array_equal(classify(queries, classes, protos),
+                                  former_classify(queries, classes, protos))
+
+
+def test_classify_at_40_classes_peaks_below_four_copies_of_its_queries():
+    """OGBN-Arxiv's 40 classes against 383 rows (the largest evaluation
+    block) of 512: distances one prototype at a time keep the peak near
+    one query copy, where a rows x C x d array took 40 MiB."""
+    rng = np.random.default_rng(0)
+    queries = rng.standard_normal((383, 512))
+    protos = rng.standard_normal((40, 512))
+    tracemalloc.start()
+    try:
+        classify(queries, np.arange(40), protos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * queries.nbytes
 
 
 def test_classify_tie_goes_to_the_smallest_class_id():
