@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the config seed (GOTHAM_SEED also honored)")
     run.add_argument("--out", default=None, help="output directory override")
     run.add_argument("--dataset", default=None, help="dataset directory override")
-    run.add_argument("--mode", default=None, help="run mode override")
+    run.add_argument("--mode", default=None, help="run mode override; gcl and "
+                     "gfscil_semantic name one semantic run")
     run.add_argument("--telemetry", action="store_true",
                      help="also report each session's post-update episode "
                           "query accuracy (one more forward per episode)")
@@ -184,12 +186,13 @@ def cmd_gradcheck(args) -> int:
         print(f"{name:<34s} max_rel_err={rep.max_rel_err:.3e} "
               f"checked={rep.n_checked} kinks_skipped={rep.n_kink_skipped} {status}")
     if out is not None:
-        payload = {name: {"max_rel_err": r.max_rel_err, "n_checked": r.n_checked,
+        payload = {name: {"max_rel_err": r.max_rel_err if math.isfinite(r.max_rel_err)
+                          else None, "n_checked": r.n_checked,
                           "n_kink_skipped": r.n_kink_skipped, "pass": r.passed}
                    for name, r in results.items()}
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+        out.write_text(json.dumps(payload, indent=1, sort_keys=True,
+                                  allow_nan=False) + "\n", encoding="utf-8")
     print("ALL PASS" if ok else "GRADIENT MISMATCH")
     return 0 if ok else 1
 

@@ -16,7 +16,8 @@ from pathlib import Path
 
 __all__ = ["RunConfig", "MODES", "is_semantic"]
 
-# gcl differs from gfscil_semantic only in accepting zero-shot classes
+# plain or semantic (``is_semantic``): gfscil_semantic and gcl name one run,
+# kept as two names for the configs that use either
 MODES = ("gfscil_plain", "gfscil_semantic", "gcl")
 
 

@@ -38,12 +38,15 @@ A row, mean or attention, reads only its own CSR entries, so a forward over a
 union of node sets (the mini-batch scheme of GraphSAGE) gives each set's rows
 bit for bit whenever BLAS sums a row of a dense product alike at both row
 counts; numpy's one-row product takes a vector path that may not.
+
+A checkpoint (``save_model``, a run's ``model.ckpt``) is write-only: its bytes
+let runs be compared, and nothing in the program loads it.
 """
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +58,7 @@ from .graphstore import GraphSnapshot
 __all__ = ["Layer", "GnnParams", "ModelState", "init_gnn", "init_model",
            "named_parameters", "ForwardPlan", "forward_plan", "gnn_forward",
            "mlp_forward",
-           "compute_gradients", "apply_update", "save_model", "load_model",
-           "NonFiniteError"]
+           "compute_gradients", "apply_update", "save_model", "NonFiniteError"]
 
 
 class NonFiniteError(FloatingPointError):
@@ -87,8 +89,6 @@ class ModelState:
     gnn: GnnParams
     mlp: GnnParams | None                      # the semantic encoder
     csd_projection: np.ndarray | None = None   # maps d_s -> gnn input dim
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def _init_layer(rng: np.random.Generator, d_in: int, d_out: int,
@@ -128,7 +128,7 @@ def init_model(feature_dim: int, hidden: int, out: int, num_layers: int,
         if csd_dim != feature_dim:
             # fixed random map so the graph encoder can also consume CSDs
             proj = rng.standard_normal((csd_dim, feature_dim)) / np.sqrt(csd_dim)
-    return ModelState(gnn=gnn, mlp=mlp, csd_projection=proj, seed=seed)
+    return ModelState(gnn=gnn, mlp=mlp, csd_projection=proj)
 
 
 _LAYER_FIELDS = tuple(f.name for f in fields(Layer))
@@ -384,13 +384,10 @@ def apply_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 # -- checkpoints --------------------------------------------------------------
 
-_MAGIC = b"GOTHAM1\n"
-_HEADER_KEYS = ("params", "gnn_negative_slope", "gnn_backbone",
-                "mlp_negative_slope", "csd_projection_shape", "seed", "extra")
-
-
 def save_model(model: ModelState, path) -> None:
-    """JSON header line + little-endian float64 blob; bit-exact round trip."""
+    """``GOTHAM1\\n``, the header's length as ``<I``, the sorted-key JSON
+    header, then the ``<f8`` bytes of every parameter in ``named_parameters``
+    order and last of the projection, if any."""
     params = named_parameters(model)
     entries = [{"name": k, "shape": list(v.data.shape)} for k, v in params.items()]
     header = {
@@ -400,75 +397,10 @@ def save_model(model: ModelState, path) -> None:
         "mlp_negative_slope": model.mlp.negative_slope if model.mlp else None,
         "csd_projection_shape": (list(model.csd_projection.shape)
                                  if model.csd_projection is not None else None),
-        "seed": model.seed,
-        "extra": model.extra,
     }
     arrays = [v.data for v in params.values()] + (
         [model.csd_projection] if model.csd_projection is not None else [])
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    hdr = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        hdr = json.dumps(header, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(hdr)))
-        fh.write(hdr)
-        fh.write(blob)
-
-
-def load_model(path) -> ModelState:
-    """The model ``save_model`` wrote to ``path``. Anything else raises a
-    ValueError that names ``path``: an unreadable header, one without a key
-    ``save_model`` writes or with a backbone other than ``mean`` and
-    ``attention``, a blob not the size of its shapes, or non-finite values."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path} is not a model checkpoint")
-        try:
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (struct.error, ValueError):
-            raise ValueError(f"{path}: unreadable checkpoint header") from None
-        blob = fh.read()
-    missing = [k for k in _HEADER_KEYS
-               if not isinstance(header, dict) or k not in header]
-    if missing:
-        raise ValueError(f"{path}: checkpoint header lacks {missing}")
-
-    # the projection's block follows the parameters' in the blob
-    try:
-        entries = header["params"] + (
-            [{"name": "csd_projection", "shape": header["csd_projection_shape"]}]
-            if header["csd_projection_shape"] is not None else [])
-        names = [str(entry["name"]) for entry in entries]
-        shapes = [tuple(int(n) for n in entry["shape"]) for entry in entries]
-    except (TypeError, KeyError, ValueError):
-        raise ValueError(f"{path}: malformed checkpoint parameter list") from None
-    ends = np.cumsum([0] + [8 * int(np.prod(shape)) for shape in shapes])
-    if len(blob) != ends[-1]:
-        raise ValueError(f"{path}: checkpoint holds {len(blob)} parameter "
-                         f"bytes, its header's shapes need {ends[-1]}")
-    arrays = {name: np.frombuffer(blob[start:end], dtype="<f8")
-              .reshape(shape).astype(np.float64)
-              for name, shape, start, end in zip(names, shapes, ends, ends[1:])}
-    bad = [k for k, v in arrays.items() if not np.isfinite(v).all()]
-    if bad:
-        raise ValueError(f"{path}: checkpoint holds non-finite parameters: {bad}")
-    proj = arrays.pop("csd_projection", None)
-
-    def layers(prefix: str) -> list[Layer]:
-        out, i = [], 0
-        while f"{prefix}.{i}.weight" in arrays:
-            out.append(Layer(**{name: ad.parameter(arrays[key])
-                                for name in _LAYER_FIELDS
-                                if (key := f"{prefix}.{i}.{name}") in arrays}))
-            i += 1
-        return out
-
-    if header["gnn_backbone"] not in ("mean", "attention"):
-        raise ValueError(f"{path}: checkpoint header names an unknown "
-                         f"gnn_backbone {header['gnn_backbone']!r}")
-    gnn = GnnParams(layers("gnn"), header["gnn_negative_slope"],
-                    header["gnn_backbone"])
-    mlp = (GnnParams(layers("mlp"), header["mlp_negative_slope"])
-           if "mlp.0.weight" in arrays else None)
-    return ModelState(gnn=gnn, mlp=mlp, csd_projection=proj,
-                      seed=header["seed"], extra=header["extra"])
+        fh.write(b"GOTHAM1\n" + struct.pack("<I", len(hdr)) + hdr + blob)

@@ -24,7 +24,8 @@ prototypes (which the run keeps as ``prototypes/session_<t>.tsv``) and
 every prediction run under ``autodiff.no_grad``. Evaluation and
 telemetry's query accuracy predict through one path, ``_predict``: it
 embeds ``_EVAL_ROWS`` nodes a forward and labels each by its nearest
-prototype (``classify``), ties going to the smallest class id. Only
+prototype (``classify``), ties going to the smallest class id, and
+refuses non-finite embeddings or prototypes. Only
 ``telemetry`` draws queries (``sampler.draw_queries``), after the
 episode's update, on the rng that drew its classes.
 
@@ -174,8 +175,8 @@ def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
     if not query:
         return None
     nodes, truth = (np.array(col, dtype=np.int64) for col in zip(*query))
-    pred = _predict(model, graph_at(bundle, episode.session), nodes,
-                    build.classes, build.final.data)
+    pred = _predict(model, graph_at(bundle, episode.session), episode.session,
+                    nodes, build.classes, build.final.data)
     return float((pred == truth).mean())
 
 
@@ -275,13 +276,18 @@ def _eval_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _predict(model, graph, nodes: np.ndarray, classes, prototypes) -> np.ndarray:
-    """Nearest-prototype labels of ``nodes`` on ``graph``: embedded without
-    a tape and classified a block (``_eval_blocks``) at a time."""
+def _predict(model, graph, t: int, nodes: np.ndarray, classes, prototypes) -> np.ndarray:
+    """Nearest-prototype labels of ``nodes`` on session t's ``graph``: embedded
+    without a tape and classified a block (``_eval_blocks``) at a time; a
+    non-finite prototype or embedding raises, naming the session."""
+    if not np.isfinite(prototypes).all():
+        raise network.NonFiniteError(f"session {t}: non-finite prototypes")
     pred = np.empty(nodes.size, dtype=np.int64)
     with ad.no_grad():
         for rows in _eval_blocks(nodes.size):
             emb = network.gnn_forward(model.gnn, graph, nodes[rows]).data
+            if not np.isfinite(emb).all():
+                raise network.NonFiniteError(f"session {t}: non-finite embeddings")
             pred[rows] = classify(emb, classes, prototypes)
     return pred
 
@@ -301,7 +307,7 @@ def evaluate_session(model: network.ModelState, bundle: DatasetBundle, t: int,
         raise DatasetError(f"empty evaluation split at session {t}")
     truth = np.repeat(np.asarray(session_classes, dtype=np.int64),
                       [ev.size for ev in held_out])
-    correct = _predict(model, graph, nodes, classes, prototypes) == truth
+    correct = _predict(model, graph, t, nodes, classes, prototypes) == truth
 
     def accuracy(mask):
         return float(correct[mask].mean()) if mask.any() else float("nan")
@@ -338,7 +344,8 @@ def _steady_heap() -> None:
 
 def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
                log_fn=None) -> list[SessionReport]:
-    """Base training followed by every scheduled session; writes artifacts."""
+    """Base training followed by every scheduled session. Once it is valid,
+    the artifacts an earlier run left in ``out_dir`` go; this run's follow."""
     cfg.validate()
     _check_mode(bundle, cfg)
     _steady_heap()
@@ -356,6 +363,11 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        # no file of an earlier run outlives a run that fails
+        for stale in [*map(out.joinpath, ("config.json", "model.ckpt", "summary.tsv")),
+                      *out.glob("reports/session_*.json"),
+                      *out.glob("prototypes/session_*.tsv")]:
+            stale.unlink(missing_ok=True)
         sink = open(out / "loss_log.jsonl", "w", encoding="utf-8")
 
         def emit(rec, _user=log_fn):
@@ -378,11 +390,13 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
 
 
 def _check_mode(bundle: DatasetBundle, cfg: RunConfig) -> None:
-    """The one relation of run mode to dataset: zero-shot classes in the
-    schedule need mode ``gcl``; a semantic mode needs every class's CSD."""
+    """The one relation of run mode to dataset: zero-shot classes need a
+    semantic mode (``is_semantic``), and a semantic mode needs every class's
+    CSD. ``gfscil_plain`` has no semantic encoder to embed those CSDs."""
     sched = bundle.schedule
-    if sched.unseen_at(sched.num_sessions) and cfg.mode != "gcl":
-        raise DatasetError("schedule contains zero-shot classes; run mode must be gcl")
+    if sched.unseen_at(sched.num_sessions) and not is_semantic(cfg.mode):
+        raise DatasetError(f"schedule contains zero-shot classes; mode "
+                           f"{cfg.mode} cannot embed their CSDs")
     if is_semantic(cfg.mode):
         missing = [c for c in sched.classes_at(sched.num_sessions)
                    if c not in bundle.csds.vectors]
@@ -411,13 +425,10 @@ def _check_tasks(bundle: DatasetBundle, cfg: RunConfig,
 def write_reports(reports: list[SessionReport], tables, out_dir) -> None:
     """Each session t's ``reports/session_<t>.json`` and, from its (classes,
     kinds, prototypes), the tab-separated ``prototypes/session_<t>.tsv``,
-    whose ``repr`` entries read back exact, in place of any an earlier run
-    left; then ``summary.tsv``."""
+    whose ``repr`` entries read back exact; then ``summary.tsv``."""
     out = Path(out_dir)
-    for name, suffix in (("reports", "json"), ("prototypes", "tsv")):
+    for name in ("reports", "prototypes"):
         (out / name).mkdir(exist_ok=True)
-        for stale in (out / name).glob(f"session_*.{suffix}"):
-            stale.unlink()
     for r, (classes, kinds, prototypes) in zip(reports, tables):
         (out / "reports" / f"session_{r.session}.json").write_text(
             json.dumps(r.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

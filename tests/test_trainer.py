@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gotham import autodiff as ad
 from gotham import nn as network
 from gotham import sampler, trainer
-from gotham.config import MODES, RunConfig
+from gotham.config import RunConfig
 from gotham.graphstore import DatasetError, graph_at, synth_generate
 from gotham.prototypes import encode_csds
 from gotham.trainer import classify, run_stream
@@ -82,27 +82,31 @@ def test_run_stream_is_byte_identical_on_rerun(tmp_path, mode, backbone, zero_sh
 
 @pytest.mark.parametrize("backbone", ["mean", "attention"])
 def test_zero_shot_classes_alone_make_a_gcl_stream(tmp_path, backbone):
-    """A stream that lists zero-shot classes runs only under ``gcl``; the
-    others are rejected before any output. On a stream without them ``gcl``
-    writes, byte for byte, what ``gfscil_semantic`` writes."""
-    for mode in MODES:
-        run_stream(tiny_bundle(), tiny_config(mode, backbone),
-                   out_dir=tmp_path / mode)
-    run_stream(tiny_bundle((4,)), tiny_config("gcl", backbone),
-               out_dir=tmp_path / "zero-shot-gcl")
-    for mode in ("gfscil_plain", "gfscil_semantic"):
-        out = tmp_path / f"zero-shot-{mode}"
-        with pytest.raises(DatasetError, match=r"^schedule contains zero-shot "
-                                               r"classes; run mode must be gcl$"):
-            run_stream(tiny_bundle((4,)), tiny_config(mode, backbone), out_dir=out)
-        assert not out.exists()
-    assert "unseen_semantic" in (tmp_path / "zero-shot-gcl" / "prototypes" /
-                                 "session_2.tsv").read_text(encoding="utf-8")
-    written = sorted(p.name for p in (tmp_path / "gcl" / "prototypes").iterdir())
-    assert written == [f"session_{t}.tsv" for t in range(3)]
-    for name in ARTIFACTS + tuple(f"prototypes/{w}" for w in written):
-        assert (tmp_path / "gcl" / name).read_bytes() == \
-            (tmp_path / "gfscil_semantic" / name).read_bytes(), name
+    """``gcl`` and ``gfscil_semantic`` name one semantic run: on a stream with
+    zero-shot classes and on one without, they write the same bytes. The
+    schedule, not the mode's name, makes a stream zero-shot; only
+    ``gfscil_plain``, which cannot embed CSDs, rejects one, before any
+    output."""
+    for zero_shot in ((), (4,)):
+        for mode in ("gcl", "gfscil_semantic"):
+            run_stream(tiny_bundle(zero_shot), tiny_config(mode, backbone),
+                       out_dir=tmp_path / f"{mode}-{len(zero_shot)}")
+    out = tmp_path / "gfscil_plain-1"
+    with pytest.raises(DatasetError, match=r"^schedule contains zero-shot "
+                                           r"classes; mode gfscil_plain cannot "
+                                           r"embed their CSDs$"):
+        run_stream(tiny_bundle((4,)), tiny_config("gfscil_plain", backbone),
+                   out_dir=out)
+    assert not out.exists()
+    for name in ("gcl-1", "gfscil_semantic-1"):
+        assert "unseen_semantic" in (tmp_path / name / "prototypes" /
+                                     "session_2.tsv").read_text(encoding="utf-8")
+    for n in (0, 1):
+        gcl, semantic = tmp_path / f"gcl-{n}", tmp_path / f"gfscil_semantic-{n}"
+        written = sorted(p.name for p in (gcl / "prototypes").iterdir())
+        assert written == [f"session_{t}.tsv" for t in range(3)]
+        for name in ARTIFACTS + tuple(f"prototypes/{w}" for w in written):
+            assert (gcl / name).read_bytes() == (semantic / name).read_bytes(), name
 
 
 def test_run_stream_with_streamed_class_arrivals(tmp_path):
@@ -679,6 +683,23 @@ def test_row_blocked_evaluation_reports_what_one_forward_reports(
         assert [r.shape[0] for r in rows] == sizes + [n]
         blocked = np.concatenate(rows[:-1])
         assert np.abs(blocked - rows[-1]).max() <= 1e-12 * np.abs(rows[-1]).max()
+
+
+@pytest.mark.parametrize("poison", ["prototypes", "embeddings"])
+def test_evaluation_refuses_non_finite_prototypes_or_embeddings(poison):
+    """``classify`` would label a NaN or infinite row by an argmin over NaN
+    distances; the prediction path raises instead, naming the session."""
+    bundle = tiny_bundle()
+    model = network.init_model(8, 16, 8, 2, seed=0)
+    split = trainer.run_split(bundle, tiny_config("gfscil_plain", "mean"))
+    prototypes = np.zeros((3, 8))
+    if poison == "prototypes":
+        prototypes[1, 2] = np.nan
+    else:
+        model.gnn.layers[-1].bias.data[0] = np.inf
+    with pytest.raises(network.NonFiniteError,
+                       match=f"^session 0: non-finite {poison}"):
+        trainer.evaluate_session(model, bundle, 0, [0, 1, 2], prototypes, split)
 
 
 def test_classify_in_row_blocks_equals_the_one_shot_formula():
