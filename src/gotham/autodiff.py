@@ -369,8 +369,11 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     out = Tensor(x.data[idx], parents=(x,))
     if out.requires_grad:
         shape = x.data.shape
-        # without repeats a buffered scatter adds each row once, as add.at does
-        distinct = np.unique(idx).size == idx.size
+        # without repeats a buffered scatter adds each row once, as add.at
+        # does; repeats sit side by side once sorted (np.unique would hash
+        # first on numpy >= 2.3)
+        ordered = np.sort(idx, axis=None)
+        distinct = not np.any(ordered[1:] == ordered[:-1])
         def bw(g):
             full = np.zeros(shape)
             if distinct:

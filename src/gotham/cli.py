@@ -5,7 +5,8 @@ Subcommands: ``run`` (train a stream from a config file), ``verify-theorem``
 training loss on both backbones), ``synth`` (write a synthetic dataset
 directory), and ``export-prototypes`` (copy the TSV of the prototypes a
 finished run classified session t with, the ``prototypes/session_<t>.tsv``
-the run wrote into the run directory ``--run``; it reads nothing else). A
+the run wrote into the run directory ``--run``; it reads nothing else, and
+refuses a run directory that holds ``FAILED``, quoting it). A
 seed comes from ``--seed``, else ``GOTHAM_SEED``, else the config's seed
 (``run``) or 0. Exit codes: 0 success, 1 runtime failure, 2 invalid
 arguments or input validation failure.

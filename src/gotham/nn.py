@@ -53,7 +53,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphstore import GraphSnapshot
+from .graphstore import GraphSnapshot, unique_ids
 
 __all__ = ["Layer", "GnnParams", "ModelState", "init_gnn", "init_model",
            "named_parameters", "ForwardPlan", "forward_plan", "gnn_forward",
@@ -167,13 +167,16 @@ def _positions(graph: GraphSnapshot, cols: np.ndarray) -> np.ndarray:
 
 
 def _hop_sets(graph: GraphSnapshot, nodes: np.ndarray, depth: int) -> list[np.ndarray]:
-    """needed[l] = nodes whose layer-l activations are required; needed[depth]=nodes."""
+    """needed[l] = nodes whose layer-l activations are required; needed[depth]=nodes.
+    Each hop set is the sorted union of the previous one and its CSR
+    neighbours, deduplicated by one sort (``unique_ids``): numpy >= 2.3's
+    flag-less ``np.unique`` would hash them first, several times slower."""
     needed = [None] * (depth + 1)
     needed[depth] = nodes
     current = nodes
     for l in range(depth - 1, -1, -1):
         _, take = _row_entries(graph, current)
-        current = np.unique(np.concatenate([graph.indices[take], current]))
+        current = unique_ids(np.concatenate([graph.indices[take], current]))
         needed[l] = current
     return needed
 

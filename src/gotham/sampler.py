@@ -117,7 +117,8 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
         picked = split_rng.choice(nodes, size=n_eval, replace=False) if n_eval else \
             np.empty(0, dtype=np.int64)
         eval_nodes[cls] = np.sort(picked.astype(np.int64))
-        rest = np.setdiff1d(nodes, eval_nodes[cls])
+        # both sorted and distinct: no dedup, and the result stays sorted
+        rest = np.setdiff1d(nodes, eval_nodes[cls], assume_unique=True)
         pool[cls] = rest
         if cls not in shots:  # zero-shot
             anchors[cls] = np.empty(0, dtype=np.int64)

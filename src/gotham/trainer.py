@@ -47,7 +47,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn as network
 from .config import RunConfig, is_semantic
-from .graphstore import DatasetBundle, DatasetError, graph_at
+from .graphstore import DatasetBundle, DatasetError, graph_at, unique_ids
 from .losses import (LossParts, loss_cluster, loss_kd_align, loss_kd_emb,
                      loss_seg, loss_sem, loss_total)
 from .prototypes import (PrototypeBuild, SupportPlan, build_prototype_tensors,
@@ -214,7 +214,7 @@ def session_plan(model: network.ModelState, bundle: DatasetBundle,
     read it."""
     extended = session_supports(bundle, t, split, cfg.walk_length,
                                 cfg.walks_per_seed, cfg.seed)
-    distill = None if t == 0 else np.unique(np.concatenate(
+    distill = None if t == 0 else unique_ids(np.concatenate(
         [split.anchors[c] for c in bundle.schedule.seen_at(t - 1)]))
     return plan_supports(model.gnn, graph_at(bundle, t), extended, distill)
 
@@ -330,6 +330,10 @@ def run_split(bundle: DatasetBundle, cfg: RunConfig) -> ClassSplit:
                              split_seed=cfg.split_seed, anchor_seed=cfg.seed)
 
 
+# the file a run that raised leaves in its run directory
+FAILED = "FAILED"
+
+
 def _steady_heap() -> None:
     """Fix glibc's malloc thresholds for the whole process (no-op elsewhere):
     the adaptive defaults hand the heap's free top back to the kernel after
@@ -345,7 +349,14 @@ def _steady_heap() -> None:
 def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
                log_fn=None) -> list[SessionReport]:
     """Base training followed by every scheduled session. Once it is valid,
-    the artifacts an earlier run left in ``out_dir`` go; this run's follow."""
+    the artifacts an earlier run left in ``out_dir`` go; this run's follow.
+    A run that raises after that leaves ``out_dir/FAILED``, holding the
+    exception's type and message, beside its partial ``loss_log.jsonl``.
+
+    The sessions run under ``np.errstate(over="ignore", invalid="ignore")``:
+    an overflow or NaN reaches ``compute_gradients``, ``apply_update`` or
+    ``_predict``, which raise ``NonFiniteError`` on it, so numpy's warning
+    would only repeat that error ahead of it."""
     cfg.validate()
     _check_mode(bundle, cfg)
     _steady_heap()
@@ -364,7 +375,8 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         # no file of an earlier run outlives a run that fails
-        for stale in [*map(out.joinpath, ("config.json", "model.ckpt", "summary.tsv")),
+        for stale in [*map(out.joinpath, ("config.json", "model.ckpt", "summary.tsv",
+                                          FAILED)),
                       *out.glob("reports/session_*.json"),
                       *out.glob("prototypes/session_*.tsv")]:
             stale.unlink(missing_ok=True)
@@ -376,16 +388,23 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
                 _user(rec)
 
     try:
-        reports, tables = zip(*[_run_session(model, bundle, cfg, split, t, emit)
-                                for t in range(bundle.schedule.num_sessions + 1)])
-    finally:
-        if sink is not None:
-            sink.close()
-
-    if out_dir is not None:
-        write_reports(reports, tables, out_dir)
-        network.save_model(model, Path(out_dir) / "model.ckpt")
-        cfg.to_json(Path(out_dir) / "config.json")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                reports, tables = zip(*[
+                    _run_session(model, bundle, cfg, split, t, emit)
+                    for t in range(bundle.schedule.num_sessions + 1)])
+        finally:
+            if sink is not None:
+                sink.close()
+        if out_dir is not None:
+            write_reports(reports, tables, out)
+            network.save_model(model, out / "model.ckpt")
+            cfg.to_json(out / "config.json")
+    except BaseException as exc:
+        if out_dir is not None:
+            (out / FAILED).write_text(f"{type(exc).__name__}: {exc}\n",
+                                      encoding="utf-8")
+        raise
     return list(reports)
 
 
@@ -440,7 +459,12 @@ def write_reports(reports: list[SessionReport], tables, out_dir) -> None:
 
 
 def prototype_files(run_dir) -> dict[int, Path]:
-    """Session t -> the ``prototypes/session_<t>.tsv`` in ``run_dir``."""
+    """Session t -> the ``prototypes/session_<t>.tsv`` in ``run_dir``; a run
+    that failed raises a ValueError quoting its ``FAILED``."""
+    failed = Path(run_dir) / FAILED
+    if failed.is_file():
+        raise ValueError(f"{failed}: the run failed: "
+                         f"{failed.read_text(encoding='utf-8').strip()}")
     paths = (Path(run_dir) / "prototypes").glob("session_*.tsv")
     return {int(p.stem[8:]): p for p in paths if p.stem[8:].isdecimal()}
 

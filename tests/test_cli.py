@@ -209,30 +209,57 @@ def test_a_reused_run_directory_exports_only_the_last_run(tmp_path, capsys):
     assert not (tmp_path / "s3.tsv").exists()
 
 
-def test_a_failed_run_leaves_no_file_of_an_earlier_run(tmp_path, capsys):
-    """A good run, then one into the same directory whose finetune steps
-    overflow: the failed run leaves its partial ``loss_log.jsonl`` and
-    nothing of the first run, so export finds no session to copy."""
-    data, run = tmp_path / "data", tmp_path / "run"
+def failing_configs(tmp_path):
+    """A good run's config and one whose finetune steps overflow, both
+    writing into ``tmp_path/run``."""
+    data = tmp_path / "data"
     write_dataset(synth_generate(0, 5, 20, 0.3, 0.02, 8, n_base=3, k_shot=3),
                   data)
-    good = RunConfig(dataset=str(data), out_dir=str(run), n_way=2, k_shot=3,
-                     query_per_class=3, hidden_dim=8, out_dim=4,
+    good = RunConfig(dataset=str(data), out_dir=str(tmp_path / "run"), n_way=2,
+                     k_shot=3, query_per_class=3, hidden_dim=8, out_dim=4,
                      episodes_base=2, episodes_finetune=1)
+    return good, good.replace(ft_lr=1e305)
+
+
+def test_a_failed_run_leaves_no_file_of_an_earlier_run(tmp_path, capsys):
+    """A good run, then one into the same directory whose finetune steps
+    overflow: the failed run leaves its partial ``loss_log.jsonl``, its
+    ``FAILED`` and nothing of the first run, so export copies no session."""
+    run = tmp_path / "run"
     first = {}
-    for cfg, code in ((good, 0), (good.replace(ft_lr=1e305), 1)):
+    for cfg, code in zip(failing_configs(tmp_path), (0, 1)):
         cfg.to_json(tmp_path / "config.json")
         assert main(["run", "--config", str(tmp_path / "config.json")]) == code
         if not first:
             first = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
-    assert "runtime error: session 1: non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "runtime error: session 1: non-finite prototypes\n"
     assert len(first) == 10    # 4 files, 3 sessions each of reports/ and prototypes/
-    left = [p for p in run.rglob("*") if p.is_file()]
-    assert left == [run / "loss_log.jsonl"]
-    assert left[0].read_bytes() != first[left[0]]
+    left = sorted(p for p in run.rglob("*") if p.is_file())
+    assert left == [run / trainer.FAILED, run / "loss_log.jsonl"]
+    assert left[1].read_bytes() != first[left[1]]
+    assert (run / trainer.FAILED).read_text(encoding="utf-8") == (
+        "NonFiniteError: session 1: non-finite prototypes\n")
     assert main(["export-prototypes", "--run", str(run), "--out",
                  str(tmp_path / "p.tsv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {run / trainer.FAILED}: the run failed: NonFiniteError: "
+        "session 1: non-finite prototypes\n")
     assert not (tmp_path / "p.tsv").exists()
+
+
+def test_a_run_that_finishes_deletes_an_earlier_failure(tmp_path, capsys):
+    """A failed run, then a good one into the same directory: ``FAILED`` goes
+    before the good run's first episode, and export copies its last session."""
+    run = tmp_path / "run"
+    for cfg, code in zip(reversed(failing_configs(tmp_path)), (1, 0)):
+        cfg.to_json(tmp_path / "config.json")
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == code
+        assert (run / trainer.FAILED).exists() == (code == 1)
+    assert main(["export-prototypes", "--run", str(run), "--out",
+                 str(tmp_path / "p.tsv")]) == 0
+    assert (tmp_path / "p.tsv").read_bytes() == (
+        run / "prototypes" / "session_2.tsv").read_bytes()
 
 
 def test_export_onto_a_directory_exits_2(tmp_path, gcl_run, capsys):

@@ -5,13 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gotham.graphstore import (CSDTable, DatasetBundle, DatasetError,
                                LabelTable, SessionSpec, StreamSchedule,
                                build_snapshot, graph_at, load_dataset,
-                               synth_generate, write_dataset)
+                               synth_generate, unique_ids, write_dataset)
 
 
 def write_toy_dataset(d, edges, features, labels, schedule, csd=None):
@@ -187,6 +187,72 @@ def test_asymmetry_warning_matches_set_scan(n, data):
                             "symmetrized"]
     else:
         assert messages == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.one_of(
+    # few distinct values: repeats are the rule
+    st.lists(st.integers(-3, 3), max_size=40),
+    # the whole int64 range, no value twice
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=40, unique=True),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=40)),
+    rows=st.booleans())
+@example(values=[], rows=False)
+@example(values=[-2**63], rows=False)
+def test_unique_ids_equals_np_unique(values, rows):
+    ids = np.asarray(values, dtype=np.int64)
+    if rows and ids.size % 2 == 0:     # an (m, 2) edge array flattens
+        ids = ids.reshape(-1, 2)
+    got, want = unique_ids(ids), np.unique(ids)
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("labels,match", [
+    # the first offending label in file order is named, whatever its fault
+    ("0\t9\n5\t0\n", "label class 9 absent from schedule"),
+    ("5\t0\n0\t9\n", "labeled node 5 out of range"),
+    ("0\t0\n-1\t0\n1\t9\n", "labeled node -1 out of range"),
+    # a label at fault twice names its node
+    ("1\t0\n4\t9\n", "labeled node 4 out of range"),
+    # a node listed again keeps its first position and its last class
+    ("1\t9\n5\t0\n1\t0\n", "labeled node 5 out of range"),
+])
+def test_validate_names_the_first_bad_label_in_file_order(tmp_path, labels,
+                                                          match):
+    write_toy_dataset(tmp_path, [(0, 1), (1, 2)], [[1.0], [1.0], [1.0]],
+                      [], path3_schedule())
+    (tmp_path / "labels.tsv").write_text(labels, encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"^{match}$"):
+        load_dataset(tmp_path)
+
+
+def validate_labels_oracle(bundle):
+    """The former per-label scan: the first bad label in ``by_node`` order."""
+    universe = set(bundle.schedule.classes_at(bundle.schedule.num_sessions))
+    for node, cls in bundle.labels.by_node.items():
+        if not 0 <= node < bundle.graph.num_nodes:
+            return f"labeled node {node} out of range"
+        if cls not in universe:
+            return f"label class {cls} absent from schedule"
+    return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6),
+       labels=st.dictionaries(st.integers(-3, 9), st.integers(-2, 5), max_size=8))
+def test_validate_labels_matches_the_per_label_scan(n, labels):
+    bundle = DatasetBundle(
+        graph=build_snapshot(n, np.empty((0, 2), np.int64), np.ones((n, 1))),
+        labels=LabelTable(labels), csds=CSDTable({}),
+        schedule=StreamSchedule(base_classes=(0, 1), sessions=(
+            SessionSpec(few_shot=(2,), zero_shot=(3,), k=1),)))
+    want = validate_labels_oracle(bundle)
+    if want is None:
+        bundle.validate()
+    else:
+        with pytest.raises(DatasetError, match=f"^{want}$"):
+            bundle.validate()
 
 
 def test_label_class_missing_from_schedule_errors(tmp_path):

@@ -265,6 +265,21 @@ def test_hop_sets_and_mean_blocks_equal_loop_oracles(case):
         np.testing.assert_array_equal(got.data, want.data)
 
 
+@ORACLE_SETTINGS
+@given(graphs_with_hidden_nodes())
+def test_hop_sets_equal_the_np_unique_formula(case):
+    """Each hop set deduplicated by one sort equals ``np.unique`` over the
+    same CSR entries, value for value and in dtype."""
+    graph, nodes, depth = case
+    needed = network._hop_sets(graph, nodes, depth)
+    current = nodes
+    for l in range(depth - 1, -1, -1):
+        _, take = network._row_entries(graph, current)
+        current = np.unique(np.concatenate([graph.indices[take], current]))
+        assert needed[l].dtype == current.dtype
+        np.testing.assert_array_equal(needed[l], current)
+
+
 def layer_params(params):
     return {f"{i}.{k}": t for i, layer in enumerate(params.layers)
             for k, t in vars(layer).items() if t is not None}

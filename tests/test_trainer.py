@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -462,6 +463,21 @@ def test_nonfinite_loss_names_the_session_episode_and_loss_parts(monkeypatch):
         assert f"'{part}': " in msg
     for part in ("sem", "kd_align"):
         assert f"'{part}'" not in msg
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+def test_an_overflowing_run_raises_its_own_error_and_no_numpy_warning(
+        tmp_path, backbone):
+    """A finetune rate that overflows the weights: numpy's overflow and
+    invalid-value warnings stay quiet, the run raises ``NonFiniteError``,
+    and its directory says so in ``FAILED``."""
+    cfg = tiny_config("gfscil_plain", backbone).replace(ft_lr=1e305)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(network.NonFiniteError, match="^session 1: "):
+            run_stream(tiny_bundle(), cfg, out_dir=tmp_path)
+    assert (tmp_path / trainer.FAILED).read_text(encoding="utf-8").startswith(
+        "NonFiniteError: session 1: ")
 
 
 @pytest.mark.parametrize("mode,semantic", [("gfscil_plain", False),
