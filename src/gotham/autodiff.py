@@ -36,6 +36,19 @@ that every backward function keeps: it never returns an array it captured.
 ``leaky_relu``'s backward is the one that may write its gradient, and only
 when the engine owns it.
 
+A gather without repeated indices returns a row contribution (``_Rows``):
+its indices, the rows of its gradient and its operand's shape. The engine
+scatters it into the parent's one buffer, which it owns: the first into
+fresh zeros, a later one in place, after copying a sum it does not own; the
+rows are only read. A gather with repeats returns ``np.add.at`` into zeros,
+since adding repeats into an existing sum would group, and so round, the
+additions differently.
+
+Adding a whole zero-filled array, as a gather's backward once returned,
+turns each -0.0 of a sum into +0.0; a scatter keeps it. So a gradient that
+took a row contribution after its first gets one ``+= 0.0`` when it is
+popped, which leaves it bit for bit what those whole-array sums gave.
+
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
 the positive-side slope is used.
 """
@@ -112,6 +125,15 @@ class _ConstantNode(_Node):
 
 
 _CONSTANT = _ConstantNode(())
+
+
+class _Rows:
+    """A row contribution: a gradient of ``shape`` that is ``rows`` at the
+    distinct row indices ``idx`` and zero elsewhere, never made whole."""
+    __slots__ = ("idx", "rows", "shape")
+
+    def __init__(self, idx: np.ndarray, rows: np.ndarray, shape: tuple):
+        self.idx, self.rows, self.shape = idx, rows, shape
 
 
 class Tensor:
@@ -369,17 +391,16 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     out = Tensor(x.data[idx], parents=(x,))
     if out.requires_grad:
         shape = x.data.shape
-        # without repeats a buffered scatter adds each row once, as add.at
-        # does; repeats sit side by side once sorted (np.unique would hash
+        # without repeats the engine scatters the rows, each once, as add.at
+        # would; repeats sit side by side once sorted (np.unique would hash
         # first on numpy >= 2.3)
         ordered = np.sort(idx, axis=None)
         distinct = not np.any(ordered[1:] == ordered[:-1])
         def bw(g):
-            full = np.zeros(shape)
             if distinct:
-                full[idx] += g
-            else:
-                np.add.at(full, idx, g)
+                return (_Rows(idx, g, shape),)
+            full = np.zeros(shape)
+            np.add.at(full, idx, g)
             return (full,)
         out._backward = bw
     return out
@@ -440,7 +461,8 @@ def backward(loss: Tensor) -> None:
     its own node. Intermediate gradients live only until their node has been
     processed. Only arrays the engine owns (see the module docstring) are
     written: a later contribution is added in place into an owned sum, and
-    out of place into any other, whose sum the engine then owns.
+    out of place into any other, whose sum the engine then owns; a row
+    contribution is scattered into an owned sum, copied first if need be.
     """
     if loss.data.size != 1:
         raise ValueError("backward() expects a scalar loss")
@@ -462,10 +484,15 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     owned = {id(root)}
+    # sums that took a row contribution after their first (zero signs, see
+    # the module docstring)
+    scattered = set()
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
+        if id(node) in scattered:
+            g += 0.0
         mine = id(node) in owned
         if node._backward is None:
             if node.grad is None:
@@ -480,7 +507,16 @@ def backward(loss: Tensor) -> None:
                 continue
             key = id(parent)
             acc = grads.get(key)
-            if acc is None:
+            if type(pg) is _Rows:
+                if acc is None:
+                    acc = grads[key] = np.zeros(pg.shape)
+                else:
+                    if key not in owned:
+                        acc = grads[key] = acc.copy()
+                    scattered.add(key)
+                owned.add(key)
+                acc[pg.idx] += pg.rows
+            elif acc is None:
                 grads[key] = pg
                 if _owned(pg, g, out):
                     owned.add(key)

@@ -93,15 +93,18 @@ class ModelState:
 
 def _init_layer(rng: np.random.Generator, d_in: int, d_out: int,
                 attention: bool = False) -> Layer:
+    def uniform(bound: float, size: tuple) -> Tensor:
+        # the draw is held by nothing else, so it becomes the parameter's
+        # data as it is; ad.parameter would copy it
+        return Tensor(rng.uniform(-bound, bound, size=size), requires_grad=True)
+
     bound = 1.0 / np.sqrt(d_in)
-    w = ad.parameter(rng.uniform(-bound, bound, size=(d_in, d_out)))
-    b = ad.parameter(rng.uniform(-bound, bound, size=(d_out,)))
+    w, b = uniform(bound, (d_in, d_out)), uniform(bound, (d_out,))
     if not attention:
         return Layer(w, b)
     a_bound = 1.0 / np.sqrt(d_out)
-    return Layer(w, b,
-                 att_src=ad.parameter(rng.uniform(-a_bound, a_bound, size=(d_out,))),
-                 att_dst=ad.parameter(rng.uniform(-a_bound, a_bound, size=(d_out,))))
+    return Layer(w, b, att_src=uniform(a_bound, (d_out,)),
+                 att_dst=uniform(a_bound, (d_out,)))
 
 
 def init_gnn(sizes, rng: np.random.Generator, negative_slope: float = 0.01,

@@ -551,9 +551,13 @@ def spy_tape(loss):
     the function was handed, a view, or one returned for two parents) with
     a copy taken on return; ``captured`` each array a function captured with
     a copy taken now; ``relu`` whether each in-place function was handed an
-    owned gradient; ``returned`` every array returned.
+    owned gradient; ``returned`` every array returned. A row contribution's
+    rows are the gradient the function was handed, so they count as shared;
+    ``arrivals`` lists ``(parent, "rows" or "array")`` for every returned
+    gradient, in the order the engine receives them.
     """
-    log = {"shared": [], "captured": [], "relu": [], "returned": []}
+    log = {"shared": [], "captured": [], "relu": [], "returned": [],
+           "arrivals": []}
     seen, stack = set(), [loss._tape_node]
     while stack:
         node = stack.pop()
@@ -569,15 +573,20 @@ def spy_tape(loss):
                 log["captured"].append((cell.cell_contents,
                                         cell.cell_contents.copy()))
 
-        def spy(g, *owned, fn=fn, in_place=node._in_place):
+        def spy(g, *owned, fn=fn, parents=node._parents,
+                in_place=node._in_place):
             before = g.copy()
             out = fn(g, *owned)
             if in_place:
                 log["relu"].append(bool(owned and owned[0]))
                 if not log["relu"][-1]:
                     assert same_bits(g, before)
-            for pg in out:
-                if isinstance(pg, np.ndarray):
+            for parent, pg in zip(parents, out):
+                if isinstance(pg, ad._Rows):
+                    log["arrivals"].append((parent, "rows"))
+                    log["shared"].append((pg.rows, pg.rows.copy()))
+                elif isinstance(pg, np.ndarray):
+                    log["arrivals"].append((parent, "array"))
                     log["returned"].append(pg)
                     if (pg is g or pg.base is not None
                             or sum(p is pg for p in out) > 1):
@@ -660,6 +669,74 @@ def test_one_parent_takes_dense_summed_and_pass_through_contributions(
             assert same_bits(t.grad, kept[id(want[name])]), name
         else:
             assert t.grad is None, name
+
+
+ROW_TERMS = {
+    # row contributions: gathers without repeats, both through rows 1 and 3
+    "rows": lambda r, q, gather: gather(r, [3, 1]),
+    "rows_again": lambda r, q, gather: gather(r, [1, 4, 3]),
+    # a product's gradient: a fresh array
+    "dense": lambda r, q, gather: r * np.ones((6, 2)),
+    # add's: the gradient it was handed, also given to q
+    "pass": lambda r, q, gather: r + q,
+    # a gather with repeats: a dense array, as the former engine made it
+    "repeat": lambda r, q, gather: gather(r, [0, 0, 2]),
+}
+# the weights that reach r[5], which no gather touches, and r[3, 0], which
+# both row gathers touch, are -0.0
+ROW_NEG_ZEROS = {"rows": [(0, 0)], "rows_again": [(2, 0)],
+                 "dense": [(5, 0), (5, 1), (3, 0)],
+                 "pass": [(5, 0), (5, 1), (3, 0)], "repeat": []}
+
+
+def row_terms_tape(kinds, gather, relu):
+    """One parent ``r`` (6 x 2), the parameter ``p`` itself or ``relu(p)``,
+    feeding one weighted term per kind; returns the loss, the leaves by
+    name and ``r``'s tape node."""
+    p = ad.parameter(np.arange(1.0, 13.0).reshape(6, 2))
+    q = ad.parameter(np.ones((6, 2)))
+    r = p if relu is None else relu(p, 0.1)
+    rng = np.random.default_rng(15)
+    loss = ad.constant(0.0)
+    for kind in kinds:
+        term = ROW_TERMS[kind](r, q, gather)
+        w = rng.standard_normal(term.shape)
+        for at in ROW_NEG_ZEROS[kind]:
+            w[at] = -0.0
+        loss = loss + (term * w).sum()
+    return loss, {"p": p, "q": q}, r._tape_node
+
+
+@pytest.mark.parametrize("relu", [None, ad.leaky_relu])
+@pytest.mark.parametrize("kinds", [
+    ("dense", "rows", "pass", "rows_again"),
+    ("pass", "rows", "rows_again"),
+    ("rows", "dense", "rows_again", "pass"),
+    ("rows", "rows_again", "dense", "pass", "repeat"),
+    ("repeat", "dense", "rows", "pass", "rows_again")])
+def test_one_parent_takes_row_dense_pass_through_and_repeat_contributions(
+        kinds, relu):
+    """A row contribution is scattered into the parent's one owned buffer:
+    the first into zeros, a later one in place, after a copy if the sum so
+    far is the array add also hands to ``q``. No handed array is written, a
+    row contribution's rows included, and the gradients equal the former
+    engine's bit for bit, which added whole zero-filled arrays: -0.0 + 0.0
+    is +0.0, so a sum of -0.0s that met one has no sign bit."""
+    loss, params, r = row_terms_tape(kinds, ad.gather_rows, relu)
+    log = spy_tape(loss)
+    ad.backward(loss)
+    assert_nothing_shared_was_written(log)
+    # the kinds are listed in the order their contributions reach r
+    assert [kind for parent, kind in log["arrivals"] if parent is r] == [
+        "rows" if k.startswith("rows") else "array" for k in kinds]
+    if relu is not None:
+        assert log["relu"] == [True]
+    assert not np.signbit(params["p"].grad[[5, 5, 3], [0, 1, 0]]).any()
+    oracle_relu = None if relu is None else leaky_relu_oracle
+    want_loss, want, _ = row_terms_tape(kinds, gather_rows_oracle, oracle_relu)
+    kept = backward_oracle(want_loss)
+    for name, t in params.items():
+        assert same_bits(t.grad, kept[id(want[name])]), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

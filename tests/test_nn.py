@@ -67,6 +67,28 @@ def test_equal_features_two_connected_nodes_equal_embeddings():
     np.testing.assert_allclose(out[0], out[1], rtol=1e-14)
 
 
+class RecordingRng:
+    """A generator that keeps every array its ``uniform`` draws."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), []
+
+    def uniform(self, *args, **kwargs):
+        self.drawn.append(self.rng.uniform(*args, **kwargs))
+        return self.drawn[-1]
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+def test_init_keeps_each_fresh_draw_as_its_parameter_without_a_copy(backbone):
+    rng = RecordingRng(5)
+    params = network.init_gnn([3, 4, 2], rng, backbone=backbone)
+    tensors = [getattr(layer, name) for layer in params.layers
+               for name in ("weight", "bias", "att_src", "att_dst")
+               if getattr(layer, name) is not None]
+    assert len(tensors) == len(rng.drawn) == (8 if backbone == "attention" else 4)
+    assert all(t.data is a and t.requires_grad for t, a in zip(tensors, rng.drawn))
+
+
 def test_star_matches_dense_oracle():
     g = star_graph()
     rng = np.random.default_rng(7)
