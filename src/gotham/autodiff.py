@@ -250,10 +250,12 @@ class Tensor:
         out = Tensor(self.data.sum(axis=axis), parents=(self,))
         if out.requires_grad:
             shape = self.data.shape
+            # a read-only view: the engine never writes an array whose base
+            # is set, and a leaf copies it
             def bw(g):
                 if axis is None:
-                    return (np.broadcast_to(g, shape).copy(),)
-                return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+                    return (np.broadcast_to(g, shape),)
+                return (np.broadcast_to(np.expand_dims(g, axis), shape),)
             out._backward = bw
         return out
 
@@ -406,17 +408,19 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return out
 
 
-def sparse_matmul(m: sp.spmatrix, x: Tensor, m_t: sp.spmatrix) -> Tensor:
+def sparse_matmul(m: sp.spmatrix, x: Tensor) -> Tensor:
     """Product of a constant sparse matrix with a dense tensor.
 
-    ``m_t`` is the transpose of ``m``, built once by a caller that multiplies
-    by ``m`` again and again; the backward multiplies by it. A CSR transpose
-    whose rows list their columns in ascending order sums each gradient row's
-    terms in the order ``m.T`` (CSC) would.
+    The backward multiplies by ``m.T``, scipy's view of ``m``'s own arrays,
+    made only when the backward runs, so no transpose is stored and a
+    ``no_grad`` product builds nothing. For a CSR ``m`` that view is CSC,
+    whose product adds each gradient row's terms in ascending row order of
+    ``m``. A CSR transpose lists its columns in that same order, so the
+    gradient has the bits a stored CSR transpose would give.
     """
     out = Tensor(m @ x.data, parents=(x,))
     if out.requires_grad:
-        out._backward = lambda g: (m_t @ g,)
+        out._backward = lambda g: (m.T @ g,)
     return out
 
 

@@ -19,9 +19,10 @@ backbone's scores depend on W, so it expands all L hops from the features.
 
 A ``ForwardPlan`` is everything of a forward that the parameters do not
 touch, derived from its hop sets: layer 0's input rows, and each layer's
-sparse operators beside their CSR transposes, which the backward multiplies
-by. It is built once per node list and snapshot and never written to, so it
-serves any number of forwards while the parameters change between them. The
+sparse operators, each stored once as a CSR; the backward multiplies by
+their ``.T`` views (see ``autodiff.sparse_matmul``). It is built once per
+node list and snapshot and never written to, so it serves any number of
+forwards while the parameters change between them. The
 trainer keeps one per session, inside the session's
 ``prototypes.SupportPlan``: the teacher, every episode and the evaluation
 prototypes forward it, and it is dropped when the session ends. A forward
@@ -194,23 +195,17 @@ def _restricted_mean_agg(graph: GraphSnapshot, rows: np.ndarray,
                          shape=(rows.size, cols.size))
 
 
-def _csr_pair(m: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """``m`` beside its CSR transpose, as ``ad.sparse_matmul`` takes them."""
-    return m, m.T.tocsr()
-
-
 @dataclass(frozen=True, eq=False)
 class _AttentionBlock:
-    """One attention layer's structure over its ``rows`` x ``cols`` block;
-    each constant CSR sits beside its CSR transpose."""
+    """One attention layer's structure over its ``rows`` x ``cols`` block.
+    Its two constant CSRs are stored once; ``sparse_matmul`` multiplies by
+    their ``.T`` views, also to broadcast a row's denominator."""
     indptr: np.ndarray           # block indptr of the rows' CSR entries
     col_idx: np.ndarray          # each entry's column, as a position in cols
     counts: np.ndarray           # entries per row
     row: np.ndarray              # each entry's row, as ``csr_matmul`` reads it
     pick: sp.csr_matrix          # (nnz x 2|cols|) picks an entry's two scores
-    pick_t: sp.csr_matrix
     segment: sp.csr_matrix       # (|rows| x nnz) sums each row's entries
-    segment_t: sp.csr_matrix
 
 
 def _attention_block(graph: GraphSnapshot, rows: np.ndarray,
@@ -226,8 +221,7 @@ def _attention_block(graph: GraphSnapshot, rows: np.ndarray,
     segment = sp.csr_matrix((np.ones(nnz), np.arange(nnz), indptr),
                             shape=(rows.size, nnz))
     return _AttentionBlock(indptr, col_idx, counts,
-                           np.repeat(np.arange(rows.size), counts),
-                           *_csr_pair(both), *_csr_pair(segment))
+                           np.repeat(np.arange(rows.size), counts), both, segment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +232,10 @@ class ForwardPlan:
     ``inputs`` is layer 0's input block: rows of M X on the mean backbone,
     rows of X on attention. ``blocks[l]`` is layer l's aggregation
     structure: None for mean layer 0, whose aggregate ``inputs`` already is,
-    a (CSR block of M, its CSR transpose) pair on later mean layers, and an
-    ``_AttentionBlock`` on attention. Nothing in it is written after
-    ``forward_plan`` returns.
+    a CSR block of M on later mean layers, and an ``_AttentionBlock`` on
+    attention. No transpose is stored: the backward multiplies by each
+    operator's ``.T`` view. Nothing in it is written after ``forward_plan``
+    returns.
     """
     graph: GraphSnapshot
     nodes: np.ndarray
@@ -265,8 +260,7 @@ def forward_plan(params: GnnParams, graph: GraphSnapshot, nodes) -> ForwardPlan:
         # sets stop one level short and no input rows are gathered
         needed = [None] + _hop_sets(graph, nodes, depth - 1)
         inputs = graph.mean_features[needed[1]]
-        blocks = [None] + [_csr_pair(_restricted_mean_agg(graph, needed[l + 1],
-                                                          needed[l]))
+        blocks = [None] + [_restricted_mean_agg(graph, needed[l + 1], needed[l])
                            for l in range(1, depth)]
     else:
         needed = _hop_sets(graph, nodes, depth)
@@ -296,7 +290,7 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
         if block is None:
             agg = h
         elif params.backbone == "mean":
-            agg = ad.sparse_matmul(block[0], h, block[1])
+            agg = ad.sparse_matmul(block, h)
         else:
             agg = _attention_aggregate(params, layer, block, h)
         # aggregating first is never dearer: its dense product costs
@@ -319,15 +313,15 @@ def _attention_aggregate(params: GnnParams, layer: Layer, block: _AttentionBlock
     # h (W a_src) and h (W a_dst) side by side, flattened to s[2j], s[2j + 1]
     att = ad.vstack([layer.att_src, layer.att_dst]).transpose()
     s = (h @ (layer.weight @ att)).reshape(-1, 1)
-    scores = ad.leaky_relu(ad.sparse_matmul(block.pick, s, block.pick_t),
-                           params.negative_slope)
+    scores = ad.leaky_relu(ad.sparse_matmul(block.pick, s), params.negative_slope)
     # subtract the row max (constant w.r.t. grad) for numeric stability; every
     # visible row holds its self-loop, so no segment is empty
     shift = np.repeat(np.maximum.reduceat(scores.data[:, 0], block.indptr[:-1]),
                       block.counts)
     weights = ad.exp(scores - ad.constant(shift[:, None]))
-    denom = ad.sparse_matmul(block.segment, weights, block.segment_t)
-    attn = weights / ad.sparse_matmul(block.segment_t, denom, block.segment)
+    denom = ad.sparse_matmul(block.segment, weights)
+    # each entry's row denominator: the CSC view segment.T has one entry per row
+    attn = weights / ad.sparse_matmul(block.segment.T, denom)
     return ad.csr_matmul(attn, block.col_idx, block.indptr, h, block.row)
 
 

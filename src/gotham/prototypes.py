@@ -20,12 +20,13 @@ episode on either backbone.
 Everything of that build that no parameter touches is a ``SupportPlan``, the
 only carrier of a session's supports: the union, each class's rows in it,
 the distillation rows, the membership CSR that averages a class's rows
-beside its CSR transpose, and the union's ``nn.ForwardPlan``. The trainer
-builds one per session from ``sampler.session_supports``; the teacher reads
-its distillation rows from it, and every episode and the session's
-evaluation prototypes build from it. A ``PrototypeBuild`` holds only the
-rows that depend on the parameters; the class of each ``seen`` row and each
-class's rows in ``embeddings`` are the plan's ``classes`` and ``members``.
+(stored once; the backward multiplies by its ``.T`` view), and the union's
+``nn.ForwardPlan``. The trainer builds one per session from
+``sampler.session_supports``; the teacher reads its distillation rows from
+it, and every episode and the session's evaluation prototypes build from
+it. A ``PrototypeBuild`` holds only the rows that depend on the parameters;
+the class of each ``seen`` row and each class's rows in ``embeddings`` are
+the plan's ``classes`` and ``members``.
 """
 from __future__ import annotations
 
@@ -87,7 +88,6 @@ class SupportPlan:
     inv_sizes: np.ndarray         # (S x 1) one over each support's size
     members: list[np.ndarray]     # union rows per class, ascending
     membership: sp.csr_matrix     # (S x |union|) ones: class i's rows in row i
-    membership_t: sp.csr_matrix   # its CSR transpose, for the backward
     distill: np.ndarray | None    # union rows of the distill nodes
     forward: network.ForwardPlan  # the union's encoder forward; nodes = union
 
@@ -113,7 +113,7 @@ def plan_supports(gnn: network.GnnParams, graph, supports: dict,
     return SupportPlan(
         classes=classes, inv_sizes=1.0 / sizes[:, None],
         members=np.split(position[:n_support], indptr[1:-1]),
-        membership=membership, membership_t=membership.T.tocsr(),
+        membership=membership,
         distill=position[n_support:] if distill_nodes is not None else None,
         forward=network.forward_plan(gnn, graph, union))
 
@@ -131,8 +131,7 @@ def build_prototype_tensors(model: network.ModelState, bundle: DatasetBundle,
     csds = bundle.csds.vectors
     classes = plan.classes
     embeddings = network.gnn_forward(model.gnn, graph_at(bundle, t), plan.forward)
-    seen = (ad.sparse_matmul(plan.membership, embeddings, plan.membership_t)
-            * plan.inv_sizes)
+    seen = ad.sparse_matmul(plan.membership, embeddings) * plan.inv_sizes
 
     encoded = None
     final, kinds = seen, ["seen"] * classes.size

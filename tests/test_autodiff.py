@@ -71,7 +71,7 @@ def test_sparse_matmul_matches_dense():
     x0 = rng.standard_normal((5, 3))
 
     t1 = ad.parameter(x0)
-    out1 = (ad.sparse_matmul(m, t1, m.T) * ad.sparse_matmul(m, t1, m.T)).sum()
+    out1 = (ad.sparse_matmul(m, t1) * ad.sparse_matmul(m, t1)).sum()
     ad.backward(out1)
 
     t2 = ad.parameter(x0)
@@ -412,7 +412,7 @@ def dense_of(values, indices, indptr, n_cols):
     scatter = sp.csr_matrix((np.ones(indices.size), (row * n_cols + indices,
                                                      np.arange(indices.size))),
                             shape=(n_rows * n_cols, indices.size))
-    return ad.sparse_matmul(scatter, values, scatter.T).reshape(n_rows, n_cols)
+    return ad.sparse_matmul(scatter, values).reshape(n_rows, n_cols)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -463,20 +463,54 @@ def test_csr_matmul_grads_accumulate_with_other_ops():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_sparse_matmul_with_a_csr_transpose_equals_the_csc_backward():
-    """A caller's CSR transpose gives the product and the gradient that
-    ``m.T`` (CSC) gives, bit for bit, at one column and at several."""
+def sparse_matmul_oracle(m, x):
+    """The former sparse product: its backward multiplies by a stored CSR
+    transpose."""
+    m_t = m.T.tocsr()
+    out = ad.Tensor(m @ x.data, parents=(x,))
+    if out.requires_grad:
+        out._backward = lambda g: (m_t @ g,)
+    return out
+
+
+def sparse_operators():
+    """A random CSR with an empty row and an empty column, a pick-style CSR
+    of two ones per row, and the one-entry-per-row ``segment.T`` (CSC) of a
+    segment CSR that sums each row's entries."""
+    rng = np.random.default_rng(11)
+    m = sp.random(40, 30, density=0.15, format="lil", random_state=1)
+    m[3, :] = 0.0
+    m[:, 7] = 0.0
+    m = m.tocsr()
+    m.eliminate_zeros()
+    assert m.getnnz(axis=1)[3] == 0 and m.getnnz(axis=0)[7] == 0
+    n_cols, nnz = 12, 50
+    picked = np.stack([2 * rng.integers(0, n_cols, nnz),
+                       2 * rng.integers(0, n_cols, nnz) + 1], axis=1)
+    pick = sp.csr_matrix((np.ones(2 * nnz), picked.ravel(),
+                          np.arange(0, 2 * nnz + 1, 2)), shape=(nnz, 2 * n_cols))
+    indptr = np.concatenate([[0], np.cumsum(rng.integers(1, 5, 9))])
+    segment = sp.csr_matrix((np.ones(indptr[-1]), np.arange(indptr[-1]), indptr),
+                            shape=(9, indptr[-1]))
+    return m, pick, segment.T
+
+
+def test_sparse_matmul_backward_through_the_transpose_view_equals_a_csr_transpose():
+    """The product, and the gradient through ``m.T``, scipy's view of ``m``,
+    equal bit for bit those of a backward through a stored CSR transpose, on
+    each operator of ``sparse_operators`` at one, five and 512 columns."""
     rng = np.random.default_rng(10)
-    m = sp.random(40, 30, density=0.15, format="csr", random_state=1)
-    for width in (1, 5):
-        x0, w = rng.standard_normal((30, width)), rng.standard_normal((40, width))
-        results = []
-        for transpose in (m.T, m.T.tocsr()):
-            x = ad.parameter(x0)
-            out = ad.sparse_matmul(m, x, transpose)
-            ad.backward((out * w).sum())
-            results.append((out.data.tobytes(), x.grad.tobytes()))
-        assert results[0] == results[1]
+    for m in sparse_operators():
+        for width in (1, 5, 512):
+            x0 = rng.standard_normal((m.shape[1], width))
+            w = rng.standard_normal((m.shape[0], width))
+            results = []
+            for product in (ad.sparse_matmul, sparse_matmul_oracle):
+                x = ad.parameter(x0)
+                out = product(m, x)
+                ad.backward((out * w).sum())
+                results.append((out.data.tobytes(), x.grad.tobytes()))
+            assert results[0] == results[1]
 
 
 def test_csr_matmul_computes_no_gradient_for_a_constant_operand():
@@ -506,7 +540,7 @@ def test_no_grad_results_have_no_node():
                 ad.sqrt(x * x), ad.log(x * x + 1.0), ad.exp(x),
                 ad.vstack([x, x]), ad.gather_rows(x, [2, 0]), x.sum(),
                 x.mean(axis=0), x.transpose(), x.reshape(6),
-                ad.sparse_matmul(sp.eye(3, format="csr"), x, sp.eye(3)),
+                ad.sparse_matmul(sp.eye(3, format="csr"), x),
                 ad.csr_matmul(v, indices, indptr, x, rows_of(indptr))]
         made = ad.parameter(np.zeros(2))
     for out in outs:
@@ -551,13 +585,14 @@ def spy_tape(loss):
     the function was handed, a view, or one returned for two parents) with
     a copy taken on return; ``captured`` each array a function captured with
     a copy taken now; ``relu`` whether each in-place function was handed an
-    owned gradient; ``returned`` every array returned. A row contribution's
-    rows are the gradient the function was handed, so they count as shared;
-    ``arrivals`` lists ``(parent, "rows" or "array")`` for every returned
-    gradient, in the order the engine receives them.
+    owned gradient, and ``handed`` that gradient by its node's id;
+    ``returned`` every array returned. A row contribution's rows are the
+    gradient the function was handed, so they count as shared; ``arrivals``
+    lists ``(parent, "rows" or "array")`` for every returned gradient, in
+    the order the engine receives them.
     """
-    log = {"shared": [], "captured": [], "relu": [], "returned": [],
-           "arrivals": []}
+    log = {"shared": [], "captured": [], "relu": [], "handed": {},
+           "returned": [], "arrivals": []}
     seen, stack = set(), [loss._tape_node]
     while stack:
         node = stack.pop()
@@ -573,15 +608,15 @@ def spy_tape(loss):
                 log["captured"].append((cell.cell_contents,
                                         cell.cell_contents.copy()))
 
-        def spy(g, *owned, fn=fn, parents=node._parents,
-                in_place=node._in_place):
+        def spy(g, *owned, fn=fn, node=node, in_place=node._in_place):
             before = g.copy()
             out = fn(g, *owned)
             if in_place:
                 log["relu"].append(bool(owned and owned[0]))
+                log["handed"][id(node)] = g
                 if not log["relu"][-1]:
                     assert same_bits(g, before)
-            for parent, pg in zip(parents, out):
+            for parent, pg in zip(node._parents, out):
                 if isinstance(pg, ad._Rows):
                     log["arrivals"].append((parent, "rows"))
                     log["shared"].append((pg.rows, pg.rows.copy()))
@@ -605,11 +640,22 @@ def assert_nothing_shared_was_written(log):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tapes())
 def test_no_array_handed_to_two_parents_or_captured_is_written(case):
-    # the same tapes as the former-engine test, which checks their gradients
-    loss, _, _ = build_tape(case, LEAN)
+    # the same tapes as the former-engine test, which checks their gradients,
+    # plus a sum and a row sum as the only readers of a leaky ReLU each and
+    # of a fresh leaf each: a sum hands its operand a read-only view
+    loss, _, nodes = build_tape(case, LEAN)
+    relus = [ad.leaky_relu(nodes[-1], 0.1) for _ in range(2)]
+    leaves = [ad.parameter(case[0][0]) for _ in range(2)]
+    for x, y in (relus, leaves):
+        loss = loss + x.sum() + y.sum(axis=1).sum()
     log = spy_tape(loss)
     ad.backward(loss)
     assert_nothing_shared_was_written(log)
+    for relu in relus:
+        view = log["handed"][id(relu._node)]
+        assert view.base is not None and not view.flags.writeable
+    for leaf in leaves:
+        assert leaf.grad.base is None and leaf.grad.flags.writeable
 
 
 CONTRIBUTIONS = {

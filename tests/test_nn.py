@@ -166,8 +166,7 @@ def hop_sets_oracle(graph, nodes, depth):
 def csc_backward_product(m, h):
     """``m @ h`` with ``m`` in CSR form and a backward through its ``.T``
     (CSC), as every sparse product was computed before forward plans."""
-    m = m.tocsr()
-    return ad.sparse_matmul(m, h, m.T)
+    return ad.sparse_matmul(m.tocsr(), h)
 
 
 def mean_agg_oracle(graph, rows, cols):
