@@ -267,6 +267,14 @@ class StreamSchedule:
     def validate(self) -> None:
         if not self.base_classes:
             raise DatasetError("a stream needs at least one base class")
+        lists = [("base_classes", self.base_classes)] + [
+            (f"session {t} {key}", getattr(s, key))
+            for t, s in enumerate(self.sessions, start=1)
+            for key in ("few_shot", "zero_shot")]
+        for where, ids in lists:
+            repeated = next((c for i, c in enumerate(ids) if c in ids[:i]), None)
+            if repeated is not None:
+                raise DatasetError(f"{where} lists class {repeated} twice")
         seen_sets = [set(self.base_classes)]
         for t, s in enumerate(self.sessions, start=1):
             novel = set(s.few_shot) | set(s.zero_shot)
@@ -340,7 +348,8 @@ def _require(path: Path) -> Path:
 
 def _read_table(path: Path, dtype, what: str, width: int | None = None) -> np.ndarray:
     """Rows of whitespace-separated numbers, blank lines skipped; an empty
-    file gives ``(0, width or 1)``."""
+    file gives ``(0, width or 1)``. A line that does not parse raises a
+    DatasetError naming the file and the line, counted from 1."""
     _require(path)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -349,10 +358,19 @@ def _read_table(path: Path, dtype, what: str, width: int | None = None) -> np.nd
                                ndmin=2, encoding="utf-8")
         except ValueError:
             with open(path, encoding="utf-8") as fh:
-                widths = {len(line.split()) for line in fh if line.strip()}
+                rows = [(n, line) for n, line in enumerate(fh, start=1)
+                        if line.strip()]
+            widths = {len(line.split()) for _, line in rows}
             if len(widths) > 1:
-                raise DatasetError(
-                    f"inconsistent {what} widths {sorted(widths)}") from None
+                raise DatasetError(f"{path.name}: inconsistent {what} widths "
+                                   f"{sorted(widths)}") from None
+            for n, line in rows:    # the first line loadtxt cannot read alone
+                try:
+                    np.loadtxt([line], dtype=dtype, comments=None)
+                except ValueError:
+                    raise DatasetError(
+                        f"{path.name} line {n}: could not convert "
+                        f"{line.strip()!r} to {np.dtype(dtype).name}") from None
             raise
     if width is None:
         return table

@@ -8,14 +8,18 @@ neighborhood feature mean,
 
 with leaky-ReLU slope beta. Output weights a_j and rows W_j are drawn
 uniformly within +-xi of a fixed optimum (variance xi^2/3 per coordinate);
-biases stay at the optimum. Graph growth adds zero-mean-feature nodes that
-attach to the support set with positive probability. The distortion
-E[(f_{t+1} - f_t)^2] is estimated and compared against
+biases stay at the optimum. One growth simulator, ``simulate_growth``, draws
+an independent growth path per trial: a standard-normal base support, then
+zero-mean-feature arrivals that each attach to the support with positive
+probability. The distortion E[(f_{t+1} - f_t)^2] is estimated and compared
+against
 
     full-constant form:  (N beta^2 xi^4 / 9) * E[(1/d_{t+1} - 1/d_t)^2 * sum_{k in N_t} |x_k|^2]
     constant-free form:  E[(1/d_{t+1} - 1/d_t)^2 * sum_{k in N_t} |x_k|^2]
 
-where the full-constant form is the pass/fail reference.
+where the full-constant form is the pass/fail reference. Both expectations
+are over fresh draws: each distortion trial has its own growth path and its
+own perturbation, and the bound averages its own growth paths.
 """
 from __future__ import annotations
 
@@ -23,11 +27,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-__all__ = ["WidthNNet", "GrowthTrace", "simulate_growth",
-           "empirical_distortion", "bound_rhs", "verify_bound",
+__all__ = ["WidthNNet", "GrowthParams", "simulate_growth",
+           "empirical_distortion", "BoundReport", "verify_bound",
            "default_sweep"]
 
-RANDOMIZE = ("params", "growth", "both")
 # xi^4 scales both the bound and the squared distortion and overflows float64
 # past about 1.2e77; a width that far beyond the O(1) optimum perturbs nothing
 XI_MAX = 1e6
@@ -52,19 +55,17 @@ class WidthNNet:
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
 
+    @property
+    def constant(self) -> float:
+        """N beta^2 xi^4 / 9, the full-constant form's factor."""
+        return self.n_units * self.beta ** 2 * self.xi ** 4 / 9.0
+
     def optimum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
         a_star = rng.standard_normal(self.n_units)
         w_star = rng.standard_normal((self.n_units, self.feature_dim))
         bias = rng.standard_normal(self.n_units)
         return a_star, w_star, bias
-
-    def perturb(self, rng: np.random.Generator, trials: int,
-                a_star: np.ndarray, w_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = a_star + rng.uniform(-self.xi, self.xi, size=(trials, self.n_units))
-        w = w_star + rng.uniform(-self.xi, self.xi,
-                                 size=(trials, self.n_units, self.feature_dim))
-        return a, w
 
 
 @dataclass(frozen=True)
@@ -76,63 +77,24 @@ class GrowthParams:
     arrivals_per_step: int = 3
     new_feature_sigma: float = 1.0
 
-
-@dataclass
-class GrowthTrace:
-    """One realized growth path of a tracked support neighborhood."""
-    params: GrowthParams
-    features: np.ndarray                  # all node features, arrival order
-    support_sets: list[np.ndarray]        # indices into features, per time step
-
-    def pair(self, t: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Support sets at the (t, t+1) step pair; defaults to the last pair."""
-        if t is None:
-            t = len(self.support_sets) - 2
-        return self.support_sets[t], self.support_sets[t + 1]
+    def __post_init__(self):
+        if self.n0 < 2:
+            raise ValueError("n0 must be >= 2")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not 0 < self.attach_prob <= 1:
+            raise ValueError("attach_prob must lie in (0, 1]")
 
 
-def simulate_growth(seed: int, n0: int, steps: int, attach_prob: float,
-                    d: int, *, arrivals_per_step: int = 3,
-                    new_feature_sigma: float = 1.0) -> GrowthTrace:
-    """Grow a tracked neighborhood for ``steps`` steps.
+def simulate_growth(rng: np.random.Generator, p: GrowthParams, trials: int):
+    """Grow one tracked support per trial for ``p.steps`` steps.
 
-    Base features are standard normal (continuous); every step appends
-    ``arrivals_per_step`` candidate nodes with zero-mean normal features,
-    each joining the tracked support independently with ``attach_prob``.
-    Existing membership is never removed.
-    """
-    if n0 < 2:
-        raise ValueError("n0 must be >= 2")
-    if not 0 < attach_prob <= 1:
-        raise ValueError("attach_prob must lie in (0, 1]")
-    params = GrowthParams(n0, steps, attach_prob, d, arrivals_per_step,
-                          new_feature_sigma)
-    rng = np.random.default_rng(seed)
-    feats, supports = _grow_one(rng, params)
-    return GrowthTrace(params=params, features=feats, support_sets=supports)
-
-
-def _grow_one(rng: np.random.Generator, p: GrowthParams):
-    features = [rng.standard_normal((p.n0, p.d))]
-    support = np.arange(p.n0, dtype=np.int64)
-    supports = [support]
-    total = p.n0
-    for _ in range(p.steps):
-        new = p.new_feature_sigma * rng.standard_normal((p.arrivals_per_step, p.d))
-        features.append(new)
-        joined = np.nonzero(rng.random(p.arrivals_per_step) < p.attach_prob)[0]
-        support = np.concatenate([support, total + joined])
-        supports.append(support.astype(np.int64))
-        total += p.arrivals_per_step
-    return np.concatenate(features, axis=0), supports
-
-
-def _batched_growth(rng: np.random.Generator, p: GrowthParams, trials: int):
-    """Vectorized growth: per-trial support means and bound statistics.
-
-    Returns (u_t, u_t1, rhs_core) where u is the support feature mean at the
-    final step pair and rhs_core = (1/d_{t+1} - 1/d_t)^2 * sum |x_k|^2 over
-    the time-t support.
+    Base features are standard normal; every step appends
+    ``p.arrivals_per_step`` candidates with zero-mean normal features, each
+    joining the support independently with ``p.attach_prob``. Membership is
+    never removed. Returns per-trial (u_t, u_t1, rhs_core): u is the support
+    feature mean at the final step pair and rhs_core =
+    (1/d_{t+1} - 1/d_t)^2 * sum |x_k|^2 over the time-t support.
     """
     base = rng.standard_normal((trials, p.n0, p.d))
     sum_t = base.sum(axis=1)
@@ -159,36 +121,15 @@ def _leaky(z: np.ndarray, beta: float) -> np.ndarray:
     return np.where(z >= 0.0, z, beta * z)
 
 
-def _trace_means(trace: GrowthTrace, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    s_t, s_t1 = trace.pair()
-    u_t = trace.features[s_t].mean(axis=0)
-    u_t1 = trace.features[s_t1].mean(axis=0)
-    return (np.broadcast_to(u_t, (trials, u_t.size)),
-            np.broadcast_to(u_t1, (trials, u_t1.size)))
-
-
-def empirical_distortion(trace: GrowthTrace, net: WidthNNet, trials: int,
-                         seed: int, randomize: str = "both") -> tuple[float, float]:
-    """Mean and standard error of (f_{t+1} - f_t)^2 over fresh perturbations."""
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    if randomize not in RANDOMIZE:
-        raise ValueError(f"randomize must be one of {RANDOMIZE}")
-    if net.feature_dim != trace.params.d:
-        raise ValueError("network feature dim does not match the trace")
-    rng = np.random.default_rng(seed)
-    if randomize == "params":
-        u_t, u_t1 = _trace_means(trace, trials)
-    else:
-        u_t, u_t1, _ = _batched_growth(rng, trace.params, trials)
+def empirical_distortion(u_t: np.ndarray, u_t1: np.ndarray, net: WidthNNet,
+                         rng: np.random.Generator) -> tuple[float, float]:
+    """Mean and standard error of (f_{t+1} - f_t)^2, one fresh perturbation
+    per row of the (trials, d) support means; ``a`` is drawn before ``W``."""
+    trials = u_t.shape[0]
     a_star, w_star, bias = net.optimum()
-    if randomize == "growth":
-        # one fixed parameter draw; only the growth varies across trials
-        a1, w1 = net.perturb(rng, 1, a_star, w_star)
-        a = np.broadcast_to(a1, (trials, net.n_units))
-        w = np.broadcast_to(w1, (trials, net.n_units, net.feature_dim))
-    else:
-        a, w = net.perturb(rng, trials, a_star, w_star)
+    a = a_star + rng.uniform(-net.xi, net.xi, size=(trials, net.n_units))
+    w = w_star + rng.uniform(-net.xi, net.xi,
+                             size=(trials, net.n_units, net.feature_dim))
     z_t = np.einsum("td,tnd->tn", u_t, w) + bias
     z_t1 = np.einsum("td,tnd->tn", u_t1, w) + bias
     f_t = (a * _leaky(z_t, net.beta)).sum(axis=1)
@@ -200,25 +141,6 @@ def empirical_distortion(trace: GrowthTrace, net: WidthNNet, trials: int,
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(trials))
     return mean, se
-
-
-def bound_rhs(trace: GrowthTrace, net: WidthNNet, *, trials: int = 1,
-              seed: int = 0, randomize: str = "params") -> tuple[float, float]:
-    """(full-constant form, constant-free form) of the lower bound.
-
-    Under growth randomization the expectation is estimated over ``trials``
-    fresh growth paths; otherwise it is the trace's own value.
-    """
-    if randomize == "params":
-        s_t, s_t1 = trace.pair()
-        core = (1.0 / s_t1.size - 1.0 / s_t.size) ** 2 * \
-            float((trace.features[s_t] ** 2).sum())
-    else:
-        rng = np.random.default_rng(seed)
-        _, _, rhs_core = _batched_growth(rng, trace.params, trials)
-        core = float(rhs_core.mean())
-    constant = net.n_units * net.beta ** 2 * net.xi ** 4 / 9.0
-    return constant * core, core
 
 
 @dataclass
@@ -242,30 +164,38 @@ class BoundReport:
 def verify_bound(*, n_units: int = 4, xi: float = 0.5, beta: float = 0.2,
                  d: int = 8, n0: int = 6, steps: int = 1,
                  attach_prob: float = 0.5, arrivals_per_step: int = 3,
-                 trials: int = 1000, repetitions: int = 20, seed: int = 0,
-                 randomize: str = "both") -> BoundReport:
+                 trials: int = 1000, repetitions: int = 20,
+                 seed: int = 0) -> BoundReport:
     """Repeated one-sided check that distortion clears the lower bound.
 
-    A repetition fails when delta_hat + 2 SE < RHS (full-constant form); the
-    overall check passes when at most 5% of repetitions fail.
+    Each repetition estimates the distortion over ``trials`` growth paths and
+    perturbations drawn from one generator, and the bound over ``trials``
+    more growth paths drawn from another. A repetition fails when
+    delta_hat + 2 SE < RHS (full-constant form); the overall check passes
+    when at most 5% of repetitions fail.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
+    # "randomize" names what each trial draws afresh: growth and parameters
     config = {"n_units": n_units, "xi": xi, "beta": beta, "d": d, "n0": n0,
               "steps": steps, "attach_prob": attach_prob,
               "arrivals_per_step": arrivals_per_step, "trials": trials,
-              "repetitions": repetitions, "seed": seed, "randomize": randomize}
+              "repetitions": repetitions, "seed": seed, "randomize": "both"}
     net = WidthNNet(n_units=n_units, feature_dim=d, xi=xi, beta=beta, seed=seed)
+    params = GrowthParams(n0, steps, attach_prob, d, arrivals_per_step)
     violations = 0
     deltas, ses, rhs_a, rhs_f = [], [], [], []
     for rep in range(repetitions):
         rep_seed = int(np.random.SeedSequence([seed, rep]).generate_state(1)[0])
-        trace = simulate_growth(rep_seed, n0, steps, attach_prob, d,
-                                arrivals_per_step=arrivals_per_step)
-        delta, se = empirical_distortion(trace, net, trials, rep_seed + 1,
-                                         randomize)
-        appendix, free = bound_rhs(trace, net, trials=trials, seed=rep_seed + 2,
-                                   randomize=randomize)
+        rng = np.random.default_rng(rep_seed + 1)
+        u_t, u_t1, _ = simulate_growth(rng, params, trials)
+        delta, se = empirical_distortion(u_t, u_t1, net, rng)
+        _, _, core = simulate_growth(np.random.default_rng(rep_seed + 2),
+                                     params, trials)
+        free = float(core.mean())
+        appendix = net.constant * free
         deltas.append(delta)
         ses.append(se)
         rhs_a.append(appendix)

@@ -424,8 +424,9 @@ def test_run_on_a_stream_without_base_classes_exits_2(tmp_path, capsys):
     (lambda s: {**s, "sessions": [{**s["sessions"][0], "k": -1}]}, "negative k"),
     (lambda s: {**s, "sessions": [{**s["sessions"][0], "arrivals": [3, 80]}]},
      "schedule.json: session 1: arrivals must be node ids in [0, 80)"),
+    (lambda s: {**s, "base_classes": [0, 0, 1]}, "base_classes lists class 0 twice"),
 ], ids=["no base_classes", "sessions of ints", "a list", "few-shot and zero-shot",
-        "negative k", "arrivals beyond the graph"])
+        "negative k", "arrivals beyond the graph", "a class twice"])
 def test_run_on_a_malformed_schedule_exits_2(tmp_path, edit, message, capsys):
     data = tmp_path / "data"
     write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=3, k_shot=3), data)
@@ -529,6 +530,9 @@ BAD_ARGUMENTS = [
     ("synth --out unwritten --seed -1", "--seed must be a non-negative integer"),
     ("gradcheck --seed -1", "--seed must be a non-negative integer"),
     ("verify-theorem --seed -1", "--seed must be a non-negative integer"),
+    # checked before the first draw, which would reject a negative shape itself
+    ("verify-theorem --trials 1", "trials must be >= 2"),
+    ("verify-theorem --trials -5", "trials must be >= 2"),
 ]
 
 

@@ -144,6 +144,14 @@ def write_text_dataset(d, features, edges="0\t1\n", labels="0\t0\n", csd=None):
      r"CSD vectors have mixed dimensions \[1, 2\]"),
     ({"features": "1\n2\n", "csd": "0\t1 2\n1\t1 inf\n"},
      "non-finite CSD entry for class 1"),
+    # a value the column's type cannot hold names its file and 1-based line,
+    # blank lines counted
+    ({"features": "1\n2\n", "edges": "0\t1\n\n1.5\t1\n"},
+     r"^edges\.tsv line 3: could not convert '1\.5\\t1' to int64$"),
+    ({"features": "1\n2\n", "labels": "0\t0\n1\tx\n"},
+     r"^labels\.tsv line 2: could not convert '1\\tx' to int64$"),
+    ({"features": "1 2\n3 y\n"},
+     r"^features\.tsv line 2: could not convert '3 y' to float64$"),
 ])
 def test_malformed_tables_raise_dataset_errors(tmp_path, files, match):
     write_text_dataset(tmp_path, **files)
@@ -508,6 +516,23 @@ def test_a_stream_without_base_classes_is_rejected(tmp_path):
     schedule["sessions"].insert(0, {"few_shot": [0], "k": 1})
     (tmp_path / "schedule.json").write_text(json.dumps(schedule))
     with pytest.raises(DatasetError, match="at least one base class"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda s: {**s, "base_classes": [0, 0, 1]}, "base_classes lists class 0 twice"),
+    (lambda s: {**s, "sessions": [{"few_shot": [2, 3, 2], "k": 1}]},
+     "session 1 few_shot lists class 2 twice"),
+    (lambda s: {**s, "sessions": [{"few_shot": [2], "k": 1},
+                                  {"zero_shot": [3, 3]}]},
+     "session 2 zero_shot lists class 3 twice"),
+], ids=["base", "few-shot", "zero-shot"])
+def test_a_class_listed_twice_in_one_list_is_rejected(tmp_path, edit, message):
+    """A repeat would let a task of n_way draws hold fewer distinct classes."""
+    write_dataset(synth_generate(0, 4, 10, 0.9, 0.1, 4, n_base=2), tmp_path)
+    schedule = json.loads((tmp_path / "schedule.json").read_text())
+    (tmp_path / "schedule.json").write_text(json.dumps(edit(schedule)))
+    with pytest.raises(DatasetError, match=f"^{message}$"):
         load_dataset(tmp_path)
 
 
