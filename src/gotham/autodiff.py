@@ -84,10 +84,6 @@ def no_grad():
         _grad_enabled = before
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` over the axes that were broadcast to reach its shape."""
     if grad.shape == shape:
@@ -140,7 +136,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False, parents=()):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or (
             _grad_enabled and any(p.requires_grad for p in parents))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -25,39 +26,43 @@ def _row_norms(diff: Tensor) -> Tensor:
     return ad.sqrt((diff * diff).sum(axis=1))
 
 
-def _hinges(embeddings: Tensor, prototype: Tensor, gamma: float) -> Tensor:
-    return ad.maximum(_row_norms(embeddings - prototype) - gamma, 0.0)
-
-
-def loss_cluster(embeddings: Tensor, members: dict[int, np.ndarray],
+def loss_cluster(embeddings: Tensor, members: sp.csr_matrix,
                  prototypes: Tensor, gamma: float,
                  variant: str = "mean_hinge") -> Tensor:
     """Pull extended-support embeddings inside a gamma-ball of their prototype.
 
-    ``members`` maps a row of ``prototypes`` to the rows of ``embeddings`` in
-    that class's extended support; the loss averages over those classes, in
-    ascending row order. ``mean_hinge`` averages the hinge distances;
-    ``self_normalized`` keeps the printed per-class normalization but squares
-    the numerator so the weights carry a usable gradient (the un-squared form
-    sums to a constant 1 per class whenever any hinge is active).
+    Row i of the CSR ``members`` lists the rows of ``embeddings`` in the
+    extended support of the class whose prototype is row i of ``prototypes``
+    (its entries are not read); the loss averages over those classes.
+    ``mean_hinge`` averages the hinge distances; ``self_normalized`` keeps
+    the printed per-class normalization but squares the numerator so the
+    weights carry a usable gradient (the un-squared form sums to a constant
+    1 per class whenever any hinge is active).
+
+    One expression covers every class, so the tape does not grow with their
+    count: constant products pick each member's embedding and prototype, and
+    ``sums``, ``members`` with one column per member, sums each class's hinges.
     """
     if variant not in ("mean_hinge", "self_normalized"):
         raise ValueError(f"unknown cluster-loss variant {variant!r}")
-    if not members:
+    sizes = np.diff(members.indptr)
+    if sizes.size == 0:
         raise ValueError("loss_cluster needs at least one class")
-    total = None
-    for row in sorted(members):
-        if len(members[row]) == 0:
-            raise ValueError(f"prototype row {row} has no extended-support embeddings")
-        h = _hinges(ad.gather_rows(embeddings, members[row]),
-                    ad.gather_rows(prototypes, [row]), gamma)
-        if variant == "mean_hinge":
-            term = h.mean()
-        else:
-            denom = ad.maximum(h.sum(), 1e-300)
-            term = (h * h).sum() / denom
-        total = term if total is None else total + term
-    return total * (1.0 / len(members))
+    if not sizes.all():
+        raise ValueError(f"prototype rows {np.flatnonzero(sizes == 0).tolist()} "
+                         "have no extended-support embeddings")
+    n = members.indptr[-1]
+    ones, each = np.ones(n), np.arange(n + 1)
+    pick = sp.csr_matrix((ones, members.indices, each), shape=(n, embeddings.shape[0]))
+    sums = sp.csr_matrix((ones, each[:-1], members.indptr))
+    diff = ad.sparse_matmul(pick, embeddings) - ad.sparse_matmul(sums.T, prototypes)
+    h = ad.maximum(_row_norms(diff) - gamma, 0.0)
+    if variant == "mean_hinge":
+        per_class = ad.sparse_matmul(sums, h) * (1.0 / sizes)
+    else:
+        per_class = (ad.sparse_matmul(sums, h * h)
+                     / ad.maximum(ad.sparse_matmul(sums, h), 1e-300))
+    return per_class.mean()
 
 
 def loss_seg(prototypes: Tensor, epsilon_log: float) -> Tensor:

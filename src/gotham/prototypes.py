@@ -18,15 +18,17 @@ distillation nodes gives every row the losses read: one encoder forward per
 episode on either backbone.
 
 Everything of that build that no parameter touches is a ``SupportPlan``, the
-only carrier of a session's supports: the union, each class's rows in it,
-the distillation rows, the membership CSR that averages a class's rows
-(stored once; the backward multiplies by its ``.T`` view), and the union's
-``nn.ForwardPlan``. The trainer builds one per session from
-``sampler.session_supports``; the teacher reads its distillation rows from
-it, and every episode and the session's evaluation prototypes build from
-it. A ``PrototypeBuild`` holds only the rows that depend on the parameters;
-the class of each ``seen`` row and each class's rows in ``embeddings`` are
-the plan's ``classes`` and ``members``.
+only carrier of a session's supports: the union, the distillation rows, the
+membership CSR, whose row i lists class i's rows of the union, and the
+union's ``nn.ForwardPlan``. The membership is the one record of those rows:
+the seen rows average through it (stored once; the backward multiplies by
+its ``.T`` view), and the cluster loss reads the task's rows of it. The
+trainer builds one per session from ``sampler.session_supports``; the
+teacher reads its distillation rows from it, and every episode and the
+session's evaluation prototypes build from it. A ``PrototypeBuild`` holds
+only the rows that depend on the parameters; the class of each ``seen`` row
+and each class's rows in ``embeddings`` are the plan's ``classes`` and
+``membership`` rows.
 """
 from __future__ import annotations
 
@@ -86,7 +88,6 @@ class SupportPlan:
     """
     classes: np.ndarray           # seen classes, ascending: rows of ``seen``
     inv_sizes: np.ndarray         # (S x 1) one over each support's size
-    members: list[np.ndarray]     # union rows per class, ascending
     membership: sp.csr_matrix     # (S x |union|) ones: class i's rows in row i
     distill: np.ndarray | None    # union rows of the distill nodes
     forward: network.ForwardPlan  # the union's encoder forward; nodes = union
@@ -112,7 +113,6 @@ def plan_supports(gnn: network.GnnParams, graph, supports: dict,
                                shape=(classes.size, union.size))
     return SupportPlan(
         classes=classes, inv_sizes=1.0 / sizes[:, None],
-        members=np.split(position[:n_support], indptr[1:-1]),
         membership=membership,
         distill=position[n_support:] if distill_nodes is not None else None,
         forward=network.forward_plan(gnn, graph, union))

@@ -68,9 +68,9 @@ class SessionReport:
     session: int                 # t; 0 is base training
     n_classes: int               # classes evaluated: every class through t
     overall: float               # accuracy over all held-out nodes of those classes
-    seen_acc: float              # accuracy on classes with anchors; nan if none
+    seen_acc: float              # accuracy on classes with anchors; nan (null) if none
     unseen_acc: float | None     # accuracy on zero-shot classes; None if none
-    per_class: dict[int, float]  # accuracy per class id; nan for an empty split
+    per_class: dict[int, float]  # accuracy per class id; nan (null) for an empty split
     n_queries: int               # held-out nodes classified
     # the total loss of each training episode, in order
     episode_losses: list[float] = field(default_factory=list)
@@ -82,8 +82,14 @@ class SessionReport:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "per_class": {
-            str(k): v for k, v in sorted(self.per_class.items())}}
+        """JSON values: a nan accuracy (an empty split) reads None."""
+        return {**{k: _none_if_nan(v) for k, v in asdict(self).items()},
+                "per_class": {str(k): _none_if_nan(v)
+                              for k, v in sorted(self.per_class.items())}}
+
+
+def _none_if_nan(v):
+    return None if isinstance(v, float) and np.isnan(v) else v
 
 
 # held-out nodes per evaluation forward (``_eval_blocks``)
@@ -142,15 +148,14 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
     build = build_prototype_tensors(model, bundle, episode.session, plan)
 
     parts = LossParts()
-    # clustering acts on the task's classes; the remaining seen classes
-    # still contribute anchor-built prototypes to segregation and alignment,
-    # so in "novel_only" mode old classes are shielded only by distillation.
-    # The task's classes and the teacher's (seen at t-1) are all rows of
-    # build.seen, whose classes are the plan's.
+    # clustering reads the task's rows of the plan's membership and of
+    # build.seen (the plan's classes, the teacher's among them); the other
+    # seen classes still give prototypes to segregation and alignment, so in
+    # "novel_only" mode old classes are shielded only by distillation.
     task = np.searchsorted(plan.classes, episode.classes)
-    parts.cluster = loss_cluster(build.embeddings,
-                                 {r: plan.members[r] for r in task},
-                                 build.seen, cfg.gamma, cfg.cluster_variant)
+    parts.cluster = loss_cluster(build.embeddings, plan.membership[task],
+                                 ad.gather_rows(build.seen, task), cfg.gamma,
+                                 cfg.cluster_variant)
     parts.seg = loss_seg(build.final, cfg.epsilon_log)
     if build.encoded is not None:
         parts.sem = loss_sem(build.encoded, build.seen)
@@ -450,7 +455,8 @@ def write_reports(reports: list[SessionReport], tables, out_dir) -> None:
         (out / name).mkdir(exist_ok=True)
     for r, (classes, kinds, prototypes) in zip(reports, tables):
         (out / "reports" / f"session_{r.session}.json").write_text(
-            json.dumps(r.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+            json.dumps(r.to_dict(), indent=1, sort_keys=True, allow_nan=False) + "\n",
+            encoding="utf-8")
         rows = "".join(f"{c}\t{k}\t{' '.join(map(repr, v))}\n"
                        for c, k, v in zip(classes, kinds, prototypes.tolist()))
         (out / "prototypes" / f"session_{r.session}.tsv").write_text(
@@ -475,10 +481,7 @@ def summary_tsv(reports: list[SessionReport]) -> str:
     lines = ["metric\t" + "\t".join(cols)]
 
     def row(name, vals):
-        cells = []
-        for v in vals:
-            cells.append("" if v is None or (isinstance(v, float) and np.isnan(v))
-                         else f"{v:.6f}")
+        cells = ("" if v is None else f"{v:.6f}" for v in map(_none_if_nan, vals))
         lines.append(name + "\t" + "\t".join(cells))
 
     row("overall", [r.overall for r in reports])

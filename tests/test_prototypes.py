@@ -55,7 +55,7 @@ def test_singleton_support_equals_embedding():
     build = build_prototype_tensors(model, b, 0, plan)
     emb = network.gnn_forward(model.gnn, graph_at(b, 0), [1]).data[0]
     np.testing.assert_array_equal(build.final.data[0], emb)
-    assert build.kinds == ["seen"] and plan.members[0].size == 1
+    assert build.kinds == ["seen"] and plan.membership[0].nnz == 1
 
 
 def test_opposite_embeddings_cancel():
@@ -98,7 +98,7 @@ def test_seen_prototypes_equal_column_means_bit_for_bit(seed):
     build = build_prototype_tensors(model, b, 0, plan)
     assert plan.classes.tolist() == [0, 1, 2] and build.seen.shape[0] == 3
     for row, c in enumerate(plan.classes):
-        rows = build.embeddings.data[plan.members[row]]
+        rows = build.embeddings.data[plan.membership[row].indices]
         np.testing.assert_array_equal(build.seen.data[row],
                                       ad.constant(rows).mean(axis=0).data)
         # the member rows are the class's support, in ascending node order

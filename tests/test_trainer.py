@@ -15,7 +15,7 @@ from gotham import autodiff as ad
 from gotham import nn as network
 from gotham import sampler, trainer
 from gotham.config import RunConfig
-from gotham.graphstore import DatasetError, graph_at, synth_generate
+from gotham.graphstore import DatasetError, LabelTable, graph_at, synth_generate
 from gotham.prototypes import encode_csds
 from gotham.trainer import classify, run_stream
 
@@ -499,6 +499,62 @@ def test_loss_log_writes_null_for_parts_never_computed(tmp_path, mode, semantic)
         else:
             assert rec["l_align"] is None
     assert {r["session"] for r in logged} == {0, 1, 2}
+
+
+def test_reports_write_null_for_a_class_without_held_out_nodes(tmp_path):
+    """A class whose one labelled node is its anchor holds out no node, so its
+    accuracy is nan; its report reads null, strict JSON, as summary.tsv
+    leaves its cell empty."""
+    bundle = synth_generate(0, 4, 10, 0.5, 0.05, 8, n_base=3, k_shot=1)
+    keep = bundle.labels.nodes_of(3)[0]
+    bundle = dataclasses.replace(bundle, labels=LabelTable(
+        {n: c for n, c in bundle.labels.by_node.items() if c != 3 or n == keep}))
+    run_stream(bundle, RunConfig(n_way=2, k_shot=1, hidden_dim=8, out_dim=4,
+                                 episodes_base=1, episodes_finetune=1),
+               out_dir=tmp_path)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    base, first = (json.loads((tmp_path / "reports" / f"session_{t}.json").read_text(
+        encoding="utf-8"), parse_constant=refuse) for t in (0, 1))
+    assert first["per_class"]["3"] is None
+    assert all(isinstance(first["per_class"][c], float) for c in "012")
+    assert (tmp_path / "summary.tsv").read_text(encoding="utf-8").count("nan") == 0
+
+
+def tape_nodes(loss):
+    """Nodes on the tape of ``loss``, found by ``autodiff.backward``'s walk."""
+    seen, stack = set(), [loss._tape_node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("mode", ["gfscil_plain", "gfscil_semantic"])
+@pytest.mark.parametrize("variant", ["mean_hinge", "self_normalized"])
+def test_an_episode_tape_does_not_grow_with_the_seen_classes(monkeypatch, mode,
+                                                             variant):
+    """A finetune task covers every seen class; its backward tape holds as
+    many nodes at 12 seen classes as at 6."""
+    bundle = synth_generate(0, 12, 10, 0.5, 0.05, 12, n_base=3, novel_per_session=3,
+                            k_shot=2)
+    cfg = RunConfig(mode=mode, cluster_variant=variant, n_way=2, k_shot=2,
+                    hidden_dim=8, out_dim=4, episodes_base=1, episodes_finetune=2)
+    step, nodes = trainer._episode_step, {}
+
+    def count_step(model, bundle, episode, cfg, cache, plan):
+        parts, total, build = step(model, bundle, episode, cfg, cache, plan)
+        nodes.setdefault(episode.session, set()).add(tape_nodes(total))
+        return parts, total, build
+
+    monkeypatch.setattr(trainer, "_episode_step", count_step)
+    run_stream(bundle, cfg)
+    assert [len(bundle.schedule.seen_at(t)) for t in (1, 3)] == [6, 12]
+    assert len(nodes[1]) == 1 and nodes[1] == nodes[2] == nodes[3]
 
 
 def test_kd_align_student_rows_equal_a_separate_encoding(monkeypatch):
