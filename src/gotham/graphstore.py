@@ -1,9 +1,9 @@
 """Graph snapshots, labels, class-semantic descriptors and stream schedules.
 
-Datasets live in a directory of UTF-8 TSV files plus one JSON schedule:
+Datasets live in a directory of UTF-8 TSV files, a .npy array and a schedule:
 
     edges.tsv     one edge per line, ``u<TAB>v`` (0-indexed, undirected)
-    features.tsv  line i holds the space-separated feature row of node i
+    features.npy  N x F float64 .npy array (read without pickles); row i is node i
     labels.tsv    ``node_id<TAB>class_id`` for each labeled node
     csd.tsv       ``class_id<TAB>f1 f2 ...`` (optional)
     schedule.json base classes, per-session few-shot and zero-shot classes,
@@ -346,15 +346,15 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _read_table(path: Path, dtype, what: str, width: int | None = None) -> np.ndarray:
-    """Rows of whitespace-separated numbers, blank lines skipped; an empty
-    file gives ``(0, width or 1)``. A line that does not parse raises a
+def _read_table(path: Path, what: str) -> np.ndarray:
+    """Rows of two whitespace-separated integers, blank lines skipped; an
+    empty file gives ``(0, 2)``. A line that does not parse raises a
     DatasetError naming the file and the line, counted from 1."""
     _require(path)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            table = np.loadtxt(path, dtype=dtype, comments=None,
+            table = np.loadtxt(path, dtype=np.int64, comments=None,
                                ndmin=2, encoding="utf-8")
         except ValueError:
             with open(path, encoding="utf-8") as fh:
@@ -366,20 +366,38 @@ def _read_table(path: Path, dtype, what: str, width: int | None = None) -> np.nd
                                    f"{sorted(widths)}") from None
             for n, line in rows:    # the first line loadtxt cannot read alone
                 try:
-                    np.loadtxt([line], dtype=dtype, comments=None)
+                    np.loadtxt([line], dtype=np.int64, comments=None)
                 except ValueError:
                     raise DatasetError(
                         f"{path.name} line {n}: could not convert "
-                        f"{line.strip()!r} to {np.dtype(dtype).name}") from None
+                        f"{line.strip()!r} to int64") from None
             raise
-    if width is None:
-        return table
     if table.size == 0:
-        return table.reshape(0, width)
-    if table.shape[1] != width:
-        raise DatasetError(f"{path.name} rows need {width} fields, "
-                           f"not {table.shape[1]}")
+        return table.reshape(0, 2)
+    if table.shape[1] != 2:
+        raise DatasetError(f"{path.name} rows need 2 fields, not {table.shape[1]}")
     return table
+
+
+def _read_features(d: Path) -> np.ndarray:
+    """``features.npy`` as a non-empty 2-D float64 array, read without
+    pickles; any other content raises a DatasetError that names the file."""
+    path = d / "features.npy"
+    if not path.exists() and (d / "features.tsv").exists():
+        raise DatasetError(f"missing dataset file: {path}; features.tsv is "
+                           "the former text layout, write the dataset again")
+    _require(path)
+    try:
+        with open(path, "rb") as fh:
+            features = np.load(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError, MemoryError) as exc:  # a header may claim any size
+        raise DatasetError(f"{path.name}: not a readable .npy array ({exc})") from None
+    if not isinstance(features, np.ndarray):        # an .npz archive
+        raise DatasetError(f"{path.name} is an .npz archive, not one .npy array")
+    if features.ndim != 2 or features.dtype.type is not np.float64 or not features.size:
+        raise DatasetError(f"{path.name} must hold a non-empty 2-D float64 array, "
+                           f"not {features.dtype} of shape {features.shape}")
+    return features
 
 
 def _read_schedule(path: Path, num_nodes: int) -> StreamSchedule:
@@ -418,17 +436,15 @@ def _read_schedule(path: Path, num_nodes: int) -> StreamSchedule:
 
 
 def load_dataset(directory) -> DatasetBundle:
-    """Load and validate a dataset directory. Node order follows the files."""
+    """Load and validate a dataset directory; node i is row i of features.npy."""
     d = Path(directory)
     if not d.is_dir():
         raise DatasetError(f"dataset directory not found: {d}")
 
-    features = _read_table(d / "features.tsv", np.float64, "feature")
-    if features.size == 0:
-        raise DatasetError("features.tsv is empty")
+    features = _read_features(d)
     num_nodes = features.shape[0]
-    edge_arr = _read_table(d / "edges.tsv", np.int64, "edge", width=2)
-    label_arr = _read_table(d / "labels.tsv", np.int64, "label", width=2)
+    edge_arr = _read_table(d / "edges.tsv", "edge")
+    label_arr = _read_table(d / "labels.tsv", "label")
     # later lines win, as when the file is read line by line
     labels = dict(zip(label_arr[:, 0].tolist(), label_arr[:, 1].tolist()))
 
@@ -457,28 +473,22 @@ def load_dataset(directory) -> DatasetBundle:
     return bundle
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_dataset(bundle: DatasetBundle, directory) -> None:
-    """Write a bundle back to the TSV/JSON layout (full float precision)."""
+    """Write a bundle to the dataset layout; features.npy keeps their bits."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
 
     g = bundle.graph
     with open(d / "edges.tsv", "w", encoding="utf-8") as fh:
         fh.writelines(f"{u}\t{v}\n" for u, v in g.edges().tolist())
-    with open(d / "features.tsv", "w", encoding="utf-8") as fh:
-        for row in g.features:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    np.save(d / "features.npy", g.features, allow_pickle=False)
     with open(d / "labels.tsv", "w", encoding="utf-8") as fh:
         for node in sorted(bundle.labels.by_node):
             fh.write(f"{node}\t{bundle.labels.by_node[node]}\n")
     if bundle.csds.vectors:
         with open(d / "csd.tsv", "w", encoding="utf-8") as fh:
             for cls in sorted(bundle.csds.vectors):
-                vec = " ".join(_fmt(x) for x in bundle.csds.vectors[cls])
+                vec = " ".join(repr(float(x)) for x in bundle.csds.vectors[cls])
                 fh.write(f"{cls}\t{vec}\n")
     with open(d / "schedule.json", "w", encoding="utf-8") as fh:
         # the schedule's fields in their declared order, tuples as lists
@@ -512,6 +522,11 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
     if not 1 <= n_base <= blocks:
         raise DatasetError(f"base classes must number 1 to blocks={blocks}, "
                            f"got {n_base}")
+    if not (np.isfinite(mean_separation) and mean_separation >= 0):
+        raise DatasetError(f"mean_separation must be finite and >= 0, "
+                           f"got {mean_separation}")
+    if not (np.isfinite(feature_sigma) and feature_sigma > 0):
+        raise DatasetError(f"feature_sigma must be finite and > 0, got {feature_sigma}")
     if novel_per_session < 1:
         raise DatasetError(f"novel_per_session must be at least 1, "
                            f"got {novel_per_session}")

@@ -12,6 +12,7 @@ from gotham.config import RunConfig
 from gotham.gradcheck import GRADCHECK_LOSSES
 from gotham.graphstore import load_dataset, synth_generate, write_dataset
 from gotham.trainer import run_stream
+from test_graphstore import BAD_FEATURES
 
 KINDS = {
     "gfscil_plain": {"seen"},
@@ -270,15 +271,24 @@ def test_export_onto_a_directory_exits_2(tmp_path, gcl_run, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_ragged_features_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "features", BAD_FEATURES + [None, "1.0 2.0 3.0\n" * 12],
+    ids=[f"npy{i}" for i in range(len(BAD_FEATURES))] + ["missing", "tsv-only"])
+def test_run_on_malformed_features_exits_2(tmp_path, features, capsys):
+    """A features.npy that is absent, unreadable or not a non-empty 2-D
+    float64 array, or a former features.tsv in its place, is bad input."""
     data = tmp_path / "data"
     write_dataset(synth_generate(0, 3, 4, 0.9, 0.1, 3), data)
-    with open(data / "features.tsv", "a", encoding="utf-8") as fh:
-        fh.write("1.0 2.0\n")
-    cfg = tmp_path / "cfg.json"
+    (data / "features.npy").unlink()
+    if isinstance(features, bytes):
+        (data / "features.npy").write_bytes(features)
+    elif features is not None:
+        (data / "features.tsv").write_text(features)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run"
     RunConfig(dataset=str(data)).to_json(cfg)
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert "inconsistent feature widths [2, 3]" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "features.npy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan")])
@@ -396,6 +406,18 @@ def test_synth_with_novel_per_session_below_1_exits_2(tmp_path, n, capsys):
             f"--novel-per-session={n}"]
     assert main(argv) == 2
     assert f"novel_per_session must be at least 1, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--separation=-1", "mean_separation must be finite and >= 0, got -1.0"),
+    ("--separation=nan", "mean_separation must be finite and >= 0, got nan"),
+    ("--separation=inf", "mean_separation must be finite and >= 0, got inf"),
+])
+def test_synth_with_a_bad_separation_exits_2(tmp_path, flag, message, capsys):
+    argv = ["synth", "--out", str(tmp_path / "data"), "--base-classes", "4", flag]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 

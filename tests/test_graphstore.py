@@ -1,6 +1,8 @@
 """Dataset loading, validation, snapshots, and the synthetic generator."""
 import dataclasses
+import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -18,9 +20,7 @@ def write_toy_dataset(d, edges, features, labels, schedule, csd=None):
     with open(d / "edges.tsv", "w") as fh:
         for u, v in edges:
             fh.write(f"{u}\t{v}\n")
-    with open(d / "features.tsv", "w") as fh:
-        for row in features:
-            fh.write(" ".join(str(x) for x in row) + "\n")
+    np.save(d / "features.npy", np.asarray(features, dtype=np.float64))
     with open(d / "labels.tsv", "w") as fh:
         for n, c in labels:
             fh.write(f"{n}\t{c}\n")
@@ -108,59 +108,138 @@ def test_labels_nodes_of_sorted_per_class():
 
 
 def test_missing_file_errors(tmp_path):
-    with pytest.raises(DatasetError, match="features.tsv"):
+    with pytest.raises(DatasetError, match="features.npy"):
         write_toy_dataset(tmp_path, [(0, 1)], [[1.0], [1.0]], [(0, 0)],
                           path3_schedule())
-        (tmp_path / "features.tsv").unlink()
+        (tmp_path / "features.npy").unlink()
         load_dataset(tmp_path)
 
 
+def test_a_former_features_tsv_is_not_read(tmp_path):
+    write_toy_dataset(tmp_path, [(0, 1)], [[1.0], [1.0]], [(0, 0)],
+                      path3_schedule())
+    (tmp_path / "features.npy").unlink()
+    (tmp_path / "features.tsv").write_text("1.0\n1.0\n")
+    with pytest.raises(DatasetError, match=r"features\.npy.*features\.tsv"):
+        load_dataset(tmp_path)
+
+
+def npy_bytes(array, **kwargs):
+    """The bytes ``np.save`` writes for ``array``."""
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+def npz_bytes(**arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def npy_header(shape):
+    """A version 1.0 ``.npy`` header of float64 rows of ``shape``."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
 def write_text_dataset(d, features, edges="0\t1\n", labels="0\t0\n", csd=None):
+    """A dataset of the given tables; ``features`` is either the bytes of
+    ``features.npy`` or the rows that ``np.save`` writes there."""
     write_toy_dataset(d, [], [], [], path3_schedule())
-    (d / "features.tsv").write_text(features)
+    if isinstance(features, bytes):
+        (d / "features.npy").write_bytes(features)
+    else:
+        np.save(d / "features.npy", np.asarray(features, dtype=np.float64))
     (d / "edges.tsv").write_text(edges)
     (d / "labels.tsv").write_text(labels)
     if csd is not None:
         (d / "csd.tsv").write_text(csd)
 
 
-@pytest.mark.parametrize("files,match", [
-    ({"features": ""}, "features.tsv is empty"),
-    ({"features": "\n  \n"}, "features.tsv is empty"),
-    ({"features": "1 2\n3\n4 5\n"}, r"inconsistent feature widths \[1, 2\]"),
-    ({"features": "1\n2\n", "edges": "0\t1\t1\n"}, "edges.tsv rows need 2 fields"),
-    ({"features": "1\n2\n", "edges": "0\t1\n1\n"}, r"inconsistent edge widths"),
-    ({"features": "1\n2\n", "labels": "0\n"}, "labels.tsv rows need 2 fields"),
-    ({"features": "1\n2\n", "csd": "0\t1 2\n1 1 2\n"},
+UNREADABLE = r"^features\.npy: not a readable \.npy array \("
+WHOLE_NPY = npy_bytes(np.ones((4, 3)))
+
+
+def not_2d_float(got):
+    return ("^features\\.npy must hold a non-empty 2-D float64 array, "
+            f"not {re.escape(got)}$")
+
+
+MALFORMED_TABLES = [
+    # features.npy, whatever it holds, if not one non-empty 2-D float64 array
+    ({"features": b""}, UNREADABLE),
+    ({"features": WHOLE_NPY[:len(WHOLE_NPY) // 2]}, UNREADABLE),
+    ({"features": npy_bytes(np.ones(2))}, not_2d_float("float64 of shape (2,)")),
+    ({"features": [[1], [2]], "edges": "0\t1\t1\n"}, "edges.tsv rows need 2 fields"),
+    ({"features": [[1], [2]], "edges": "0\t1\n1\n"}, r"inconsistent edge widths"),
+    ({"features": [[1], [2]], "labels": "0\n"}, "labels.tsv rows need 2 fields"),
+    ({"features": [[1], [2]], "csd": "0\t1 2\n1 1 2\n"},
      "csd.tsv line 2: expected class_id<TAB>vector"),
-    ({"features": "1\n2\n", "csd": "0\t1 2\n\nx\t1 2\n"},
+    ({"features": [[1], [2]], "csd": "0\t1 2\n\nx\t1 2\n"},
      "csd.tsv line 3: invalid literal for int"),
-    ({"features": "1\n2\n", "csd": "0\t1 two\n"},
+    ({"features": [[1], [2]], "csd": "0\t1 two\n"},
      "csd.tsv line 1: could not convert string to float: 'two'"),
-    ({"features": "1\nnan\n"}, "non-finite feature value"),
-    ({"features": "1\n2\n", "edges": "0\t2\n"}, "edge endpoint out of range"),
-    ({"features": "1\n2\n", "labels": "0\t0\n2\t1\n"}, "labeled node 2 out of range"),
-    ({"features": "1\n2\n", "csd": "0\t1 2\n1\t1\n"},
+    ({"features": [[1], [np.nan]]}, "non-finite feature value"),
+    ({"features": [[1], [2]], "edges": "0\t2\n"}, "edge endpoint out of range"),
+    ({"features": [[1], [2]], "labels": "0\t0\n2\t1\n"}, "labeled node 2 out of range"),
+    ({"features": [[1], [2]], "csd": "0\t1 2\n1\t1\n"},
      r"CSD vectors have mixed dimensions \[1, 2\]"),
-    ({"features": "1\n2\n", "csd": "0\t1 2\n1\t1 inf\n"},
+    ({"features": [[1], [2]], "csd": "0\t1 2\n1\t1 inf\n"},
      "non-finite CSD entry for class 1"),
     # a value the column's type cannot hold names its file and 1-based line,
     # blank lines counted
-    ({"features": "1\n2\n", "edges": "0\t1\n\n1.5\t1\n"},
+    ({"features": [[1], [2]], "edges": "0\t1\n\n1.5\t1\n"},
      r"^edges\.tsv line 3: could not convert '1\.5\\t1' to int64$"),
-    ({"features": "1\n2\n", "labels": "0\t0\n1\tx\n"},
+    ({"features": [[1], [2]], "labels": "0\t0\n1\tx\n"},
      r"^labels\.tsv line 2: could not convert '1\\tx' to int64$"),
-    ({"features": "1 2\n3 y\n"},
-     r"^features\.tsv line 2: could not convert '3 y' to float64$"),
-])
+    # a text table where the binary array belongs
+    ({"features": b"1 2\n3 y\n"}, UNREADABLE),
+    ({"features": WHOLE_NPY[:-8]}, UNREADABLE),
+    ({"features": npy_bytes(np.array([1.0, None], dtype=object), allow_pickle=True)},
+     UNREADABLE),
+    ({"features": npz_bytes(x=np.ones((2, 1)))},
+     r"^features\.npy is an \.npz archive, not one \.npy array$"),
+    ({"features": npy_bytes(np.ones((2, 1), dtype=np.int64))},
+     not_2d_float("int64 of shape (2, 1)")),
+    ({"features": npy_bytes(np.ones((0, 3)))}, not_2d_float("float64 of shape (0, 3)")),
+    ({"features": npy_bytes(np.ones((2, 0)))}, not_2d_float("float64 of shape (2, 0)")),
+    # a header that claims more rows than any address space holds
+    ({"features": npy_header((2**50, 1)) + bytes(8)}, UNREADABLE),
+]
+# every features.npy the loader refuses, as its bytes
+BAD_FEATURES = [files["features"] for files, _ in MALFORMED_TABLES
+                if isinstance(files["features"], bytes)]
+
+
+@pytest.mark.parametrize("files,match", MALFORMED_TABLES)
 def test_malformed_tables_raise_dataset_errors(tmp_path, files, match):
     write_text_dataset(tmp_path, **files)
     with pytest.raises(DatasetError, match=match):
         load_dataset(tmp_path)
 
 
+def test_features_npy_keeps_every_bit(tmp_path):
+    """Signed zeros, subnormals and the largest magnitudes survive a write
+    and a load bit for bit."""
+    sub = np.nextafter(0.0, 1.0)        # the smallest subnormal
+    features = np.array([[-0.0, 0.0, sub, -sub],
+                         [1e308, -1e308, np.finfo(np.float64).max, 3 * sub],
+                         [1.0 / 3.0, -2e-3, -1e-310, np.pi]])
+    bundle = synth_generate(0, 3, 1, 0.9, 0.1, 4)
+    bundle = dataclasses.replace(bundle, graph=build_snapshot(
+        3, bundle.graph.edges(), features))
+    write_dataset(bundle, tmp_path)
+    loaded = load_dataset(tmp_path).graph.features
+    assert loaded.dtype == np.float64 and loaded.shape == features.shape
+    np.testing.assert_array_equal(np.signbit(loaded), np.signbit(features))
+    np.testing.assert_array_equal(loaded.view(np.uint64), features.view(np.uint64))
+
+
 def test_tables_parse_blank_lines_and_empty_edges(tmp_path):
-    write_text_dataset(tmp_path, "1.5 -2e-3\n\n0.1 7\n", edges="",
+    write_text_dataset(tmp_path, [[1.5, -2e-3], [0.1, 7.0]], edges="",
                        labels="1\t1\n0\t0\n\n1\t0\n")
     bundle = load_dataset(tmp_path)
     np.testing.assert_array_equal(bundle.graph.features, [[1.5, -2e-3], [0.1, 7.0]])
@@ -597,6 +676,26 @@ def test_synth_rejects_fewer_than_one_novel_class_per_session(n):
         synth_generate(0, 8, 4, 0.5, 0.1, 8, n_base=4, novel_per_session=n)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"mean_separation": -1.0}, "mean_separation must be finite and >= 0, got -1.0"),
+    ({"mean_separation": float("nan")}, "mean_separation must be finite and >= 0, got nan"),
+    ({"mean_separation": float("-inf")},
+     "mean_separation must be finite and >= 0, got -inf"),
+    ({"feature_sigma": 0.0}, "feature_sigma must be finite and > 0, got 0.0"),
+    ({"feature_sigma": -0.5}, "feature_sigma must be finite and > 0, got -0.5"),
+    ({"feature_sigma": float("inf")}, "feature_sigma must be finite and > 0, got inf"),
+    ({"feature_sigma": float("nan")}, "feature_sigma must be finite and > 0, got nan"),
+])
+def test_synth_rejects_a_bad_separation_or_sigma(kwargs, message):
+    """Block means sit ``mean_separation * feature_sigma`` apart, which needs a
+    finite separation >= 0 and a finite sigma > 0."""
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        synth_generate(0, 4, 5, 0.5, 0.1, 4, **kwargs)
+    # coinciding means are a valid, if unseparable, stream
+    b = synth_generate(0, 4, 5, 0.5, 0.1, 4, mean_separation=0.0)
+    assert not np.any(np.stack(list(b.csds.vectors.values())))
+
+
 def test_synth_counts():
     b = synth_generate(1, 3, 30, 0.5, 0.1, 8)
     assert b.graph.num_nodes == 90
@@ -621,7 +720,7 @@ def test_synth_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     write_dataset(b1, d1)
     write_dataset(b2, d2)
-    for name in ("edges.tsv", "features.tsv", "labels.tsv", "csd.tsv",
+    for name in ("edges.tsv", "features.npy", "labels.tsv", "csd.tsv",
                  "schedule.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
