@@ -36,13 +36,13 @@ that every backward function keeps: it never returns an array it captured.
 ``leaky_relu``'s backward is the one that may write its gradient, and only
 when the engine owns it.
 
-A gather without repeated indices returns a row contribution (``_Rows``):
-its indices, the rows of its gradient and its operand's shape. The engine
-scatters it into the parent's one buffer, which it owns: the first into
-fresh zeros, a later one in place, after copying a sum it does not own; the
-rows are only read. A gather with repeats returns ``np.add.at`` into zeros,
-since adding repeats into an existing sum would group, and so round, the
-additions differently.
+A gather (``gather_rows``, the tape's one row selection) without repeats
+returns a row contribution (``_Rows``): its indices, the rows of its
+gradient and its operand's shape. The engine scatters it into the parent's
+one buffer, which it owns: the first into fresh zeros, a later one in place,
+after copying a sum it does not own; the rows are only read. A gather with
+repeats sums into fresh zeros, each row's terms in ascending position: added
+into an existing sum, repeats would be grouped, and so rounded, differently.
 
 Adding a whole zero-filled array, as a gather's backward once returned,
 turns each -0.0 of a sum into +0.0; a scatter keeps it. So a gradient that
@@ -385,21 +385,29 @@ def vstack(tensors) -> Tensor:
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
+    """Rows ``idx`` of ``x``: an integer array of any shape, none negative."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.data[idx], parents=(x,))
     if out.requires_grad:
         shape = x.data.shape
-        # without repeats the engine scatters the rows, each once, as add.at
-        # would; repeats sit side by side once sorted (np.unique would hash
-        # first on numpy >= 2.3)
-        ordered = np.sort(idx, axis=None)
-        distinct = not np.any(ordered[1:] == ordered[:-1])
+        # without repeats the engine scatters the rows, each once. More
+        # indices than rows must repeat one; among fewer, repeats sit side by
+        # side once sorted (np.unique would hash first on numpy >= 2.3)
+        ordered = np.sort(idx, axis=None) if idx.size <= shape[0] else None
+        distinct = ordered is not None and not np.any(ordered[1:] == ordered[:-1])
         def bw(g):
             if distinct:
                 return (_Rows(idx, g, shape),)
-            full = np.zeros(shape)
-            np.add.at(full, idx, g)
-            return (full,)
+            flat, n = idx.ravel(), idx.size
+            if g.size == n:
+                full = np.bincount(flat, weights=g.ravel(), minlength=shape[0])
+            else:
+                # the 0/1 selection's transpose, whose CSC product adds each
+                # column, a position of idx, in ascending order
+                full = (sp.csc_matrix((np.ones(n), flat, np.arange(n + 1)),
+                                      shape=(shape[0], n)) @ g.reshape(n, -1))
+            # a reshape to its own shape would make the fresh sum a view
+            return (full if full.shape == shape else full.reshape(shape),)
         out._backward = bw
     return out
 

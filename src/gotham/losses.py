@@ -40,8 +40,9 @@ def loss_cluster(embeddings: Tensor, members: sp.csr_matrix,
     1 per class whenever any hinge is active).
 
     One expression covers every class, so the tape does not grow with their
-    count: constant products pick each member's embedding and prototype, and
-    ``sums``, ``members`` with one column per member, sums each class's hinges.
+    count: two gathers pick each member's embedding and its class's
+    prototype, and the constant product ``sums``, ``members`` with one column
+    per member, sums each class's hinges.
     """
     if variant not in ("mean_hinge", "self_normalized"):
         raise ValueError(f"unknown cluster-loss variant {variant!r}")
@@ -51,11 +52,10 @@ def loss_cluster(embeddings: Tensor, members: sp.csr_matrix,
     if not sizes.all():
         raise ValueError(f"prototype rows {np.flatnonzero(sizes == 0).tolist()} "
                          "have no extended-support embeddings")
-    n = members.indptr[-1]
-    ones, each = np.ones(n), np.arange(n + 1)
-    pick = sp.csr_matrix((ones, members.indices, each), shape=(n, embeddings.shape[0]))
-    sums = sp.csr_matrix((ones, each[:-1], members.indptr))
-    diff = ad.sparse_matmul(pick, embeddings) - ad.sparse_matmul(sums.T, prototypes)
+    sums = sp.csr_matrix((np.ones(members.nnz), np.arange(members.nnz), members.indptr))
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    diff = (ad.gather_rows(embeddings, members.indices)
+            - ad.gather_rows(prototypes, owner))
     h = ad.maximum(_row_norms(diff) - gamma, 0.0)
     if variant == "mean_hinge":
         per_class = ad.sparse_matmul(sums, h) * (1.0 / sizes)

@@ -18,11 +18,11 @@ set holds the rows layer 0 produces, not its input rows. The attention
 backbone's scores depend on W, so it expands all L hops from the features.
 
 A ``ForwardPlan`` is everything of a forward that the parameters do not
-touch, derived from its hop sets: layer 0's input rows, and each layer's
-sparse operators, each stored once as a CSR; the backward multiplies by
-their ``.T`` views (see ``autodiff.sparse_matmul``). It is built once per
-node list and snapshot and never written to, so it serves any number of
-forwards while the parameters change between them. The
+touch, derived from its hop sets: layer 0's input rows and each layer's
+aggregation structure, a CSR block of M or an attention layer's entry
+indices and row sums; no transpose is stored (see ``ForwardPlan``). It is
+built once per node list and snapshot and never written to, so it serves
+any number of forwards while the parameters change between them. The
 trainer keeps one per session, inside the session's
 ``prototypes.SupportPlan``: the teacher, every episode and the evaluation
 prototypes forward it, and it is dropped when the session ends. A forward
@@ -197,14 +197,13 @@ def _restricted_mean_agg(graph: GraphSnapshot, rows: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class _AttentionBlock:
-    """One attention layer's structure over its ``rows`` x ``cols`` block.
-    Its two constant CSRs are stored once; ``sparse_matmul`` multiplies by
-    their ``.T`` views, also to broadcast a row's denominator."""
+    """One attention layer's structure over its ``rows`` x ``cols`` block:
+    each CSR entry's row and column, where its two scores sit, and the one
+    constant CSR, ``segment``, that sums each row's entries."""
     indptr: np.ndarray           # block indptr of the rows' CSR entries
     col_idx: np.ndarray          # each entry's column, as a position in cols
-    counts: np.ndarray           # entries per row
-    row: np.ndarray              # each entry's row, as ``csr_matmul`` reads it
-    pick: sp.csr_matrix          # (nnz x 2|cols|) picks an entry's two scores
+    row: np.ndarray              # each entry's row, as a position in rows
+    ends: np.ndarray             # (2 x nnz) each entry's two scores' rows of s
     segment: sp.csr_matrix       # (|rows| x nnz) sums each row's entries
 
 
@@ -213,15 +212,12 @@ def _attention_block(graph: GraphSnapshot, rows: np.ndarray,
     indptr, take = _row_entries(graph, rows)
     pos = _positions(graph, cols)
     col_idx = pos[graph.indices[take]]
-    nnz, counts = indptr[-1], np.diff(indptr)
-    # entry e scores s[2 row_e] + s[2 col_e + 1]: a constant CSR picks both
-    pick = np.stack([2 * np.repeat(pos[rows], counts), 2 * col_idx + 1], axis=1)
-    both = sp.csr_matrix((np.ones(2 * nnz), pick.ravel(),
-                          np.arange(0, 2 * nnz + 1, 2)), shape=(nnz, 2 * cols.size))
-    segment = sp.csr_matrix((np.ones(nnz), np.arange(nnz), indptr),
-                            shape=(rows.size, nnz))
-    return _AttentionBlock(indptr, col_idx, counts,
-                           np.repeat(np.arange(rows.size), counts), both, segment)
+    row = np.repeat(np.arange(rows.size), np.diff(indptr))
+    # entry e scores s[2 c(row_e)] + s[2 col_e + 1], c a node's position in cols
+    ends = np.stack([2 * pos[rows][row], 2 * col_idx + 1])
+    segment = sp.csr_matrix((np.ones(row.size), np.arange(row.size), indptr),
+                            shape=(rows.size, row.size))
+    return _AttentionBlock(indptr, col_idx, row, ends, segment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,9 +229,9 @@ class ForwardPlan:
     rows of X on attention. ``blocks[l]`` is layer l's aggregation
     structure: None for mean layer 0, whose aggregate ``inputs`` already is,
     a CSR block of M on later mean layers, and an ``_AttentionBlock`` on
-    attention. No transpose is stored: the backward multiplies by each
-    operator's ``.T`` view. Nothing in it is written after ``forward_plan``
-    returns.
+    attention. No transpose is stored: a backward multiplies by a CSR's
+    ``.T`` view or scatters a gather's rows. Nothing in it is written after
+    ``forward_plan`` returns.
     """
     graph: GraphSnapshot
     nodes: np.ndarray
@@ -313,15 +309,14 @@ def _attention_aggregate(params: GnnParams, layer: Layer, block: _AttentionBlock
     # h (W a_src) and h (W a_dst) side by side, flattened to s[2j], s[2j + 1]
     att = ad.vstack([layer.att_src, layer.att_dst]).transpose()
     s = (h @ (layer.weight @ att)).reshape(-1, 1)
-    scores = ad.leaky_relu(ad.sparse_matmul(block.pick, s), params.negative_slope)
+    scores = ad.leaky_relu(ad.gather_rows(s, block.ends[0])
+                           + ad.gather_rows(s, block.ends[1]), params.negative_slope)
     # subtract the row max (constant w.r.t. grad) for numeric stability; every
     # visible row holds its self-loop, so no segment is empty
-    shift = np.repeat(np.maximum.reduceat(scores.data[:, 0], block.indptr[:-1]),
-                      block.counts)
+    shift = np.maximum.reduceat(scores.data[:, 0], block.indptr[:-1])[block.row]
     weights = ad.exp(scores - ad.constant(shift[:, None]))
     denom = ad.sparse_matmul(block.segment, weights)
-    # each entry's row denominator: the CSC view segment.T has one entry per row
-    attn = weights / ad.sparse_matmul(block.segment.T, denom)
+    attn = weights / ad.gather_rows(denom, block.row)
     return ad.csr_matmul(attn, block.col_idx, block.indptr, h, block.row)
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import ctypes
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +72,6 @@ class SessionReport:
     unseen_acc: float | None     # accuracy on zero-shot classes; None if none
     per_class: dict[int, float]  # accuracy per class id; nan (null) for an empty split
     n_queries: int               # held-out nodes classified
-    # the total loss of each training episode, in order
-    episode_losses: list[float] = field(default_factory=list)
     # mean post-update accuracy on the episodes' own query draws, each
     # classified against that episode's prototypes; None unless the run's
     # ``telemetry`` is on, or when no episode drew queries
@@ -236,14 +234,13 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None):
                     else (cfg.episodes_finetune, cfg.ft_lr))
     step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
     params = network.named_parameters(model)
-    totals, q_accs = [], []
+    q_accs = []
     # every episode's tape, prototype build and gradients die before the
     # next episode's forward, the last one's before evaluation's, so no two
     # tapes are ever alive at once
     for e in range(episodes):
         total, vals, acc = _train_episode(model, bundle, cfg, split, t, e,
                                           cache, plan, params, lr)
-        totals.append(total)
         if acc is not None:
             q_accs.append(acc)
         if log_fn is not None:
@@ -257,7 +254,6 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None):
     # frees the build and the session's plan before evaluation's forward
     del build, plan
     report = evaluate_session(model, bundle, t, classes, prototypes, split)
-    report.episode_losses = totals
     report.episode_query_acc = float(np.mean(q_accs)) if q_accs else None
     report.wall_time = time.perf_counter() - start
     return report, (classes, kinds, prototypes)

@@ -350,14 +350,71 @@ def test_affine_is_one_node_and_skips_a_constant_inputs_gradient():
     assert gc is None and same_bits(gw, x0.T @ g)
 
 
+def same_sums(a, b):
+    """``same_bits``, except that a nan matches any nan: IEEE 754 leaves the
+    sign and payload of a sum of two nans unspecified, and ``np.add.at``
+    itself (numpy 2.4, x86-64) sums -nan + nan to -nan on a 1-D operand and
+    to +nan on a 2-D one."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and same_bits(np.where(nan, 0.0, a), np.where(nan, 0.0, b)))
+
+
+def special_rows(n_rows: int, width: int, turn: int) -> np.ndarray:
+    """Gradient rows of ``width`` values from ``SPECIAL``. Over the columns
+    and turns, the values of rows 0 and 1 run through every pair, so each
+    sum of two repeated terms meets -0.0, +-inf and nan on both sides."""
+    c = turn * width + np.arange(width)
+    base = len(SPECIAL)
+    digits = [(c // base ** i) % base if i < 2 else (c + 3 * i) % base
+              for i in range(n_rows)]
+    return np.asarray(SPECIAL)[np.stack(digits)]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_gather_rows_without_repeats_scatters_like_add_at():
-    g = np.array([[-0.0, 1.5], [np.inf, -2.0], [np.nan, 0.0]])
-    for idx in ([2, 0, 1], [1, 3, 0], [0, 0, 3]):
-        x, y = ad.parameter(np.ones((4, 2))), ad.parameter(np.ones((4, 2)))
+@pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 2), (5, 512)])
+@pytest.mark.parametrize("idx", [
+    [2, 0, 1], [1, 4, 0], [0, 0, 3], [4, 4, 1, 4, 4], [[0, 3], [3, 0], [1, 0]],
+    [[2, 0], [1, 4]]])
+def test_gather_rows_scatters_like_add_at(shape, idx):
+    """Without repeats the engine scatters a row contribution; with them
+    the backward sums into zeros (bincount one value wide, else the CSC
+    selection product): both give ``np.add.at``'s sums, on a 1-D operand
+    and a 2-D index too."""
+    idx = np.asarray(idx)
+    width = int(np.prod(shape[1:]))
+    for turn in range(-(-len(SPECIAL) ** 2 // width)):
+        g = special_rows(idx.size, width, turn).reshape(idx.shape + shape[1:])
+        x, y = ad.parameter(np.ones(shape)), ad.parameter(np.ones(shape))
         ad.backward((ad.gather_rows(x, idx) * g).sum())
         ad.backward((gather_rows_oracle(y, idx) * g).sum())
-        assert same_bits(x.grad, y.grad)
+        assert same_sums(x.grad, y.grad), turn
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("width", [1, 2, 512])
+@pytest.mark.parametrize("kinds", [("repeat", "dense", "rows"),
+                                   ("rows", "repeat", "dense"),
+                                   ("dense", "rows", "repeat")])
+def test_repeated_gather_beside_dense_and_row_contributions(kinds, width):
+    """A repeated gather's parent also takes a dense and a row contribution,
+    in each order; its gradient equals the former engine's, with
+    ``np.add.at`` gathers."""
+    terms = {"repeat": [0, 3, 0, 3, 1], "rows": [3, 0, 2], "dense": None}
+    def tape(gather):
+        x = ad.parameter(np.ones((4, width)))
+        loss = ad.constant(0.0)
+        for turn, kind in enumerate(kinds):
+            idx = terms[kind]
+            term = x * 2.0 if idx is None else gather(x, idx)
+            g = special_rows(term.shape[0], width, turn)
+            loss = loss + (term * g).sum()
+        return loss, x
+    loss, x = tape(ad.gather_rows)
+    ad.backward(loss)
+    want_loss, y = tape(gather_rows_oracle)
+    assert same_sums(x.grad, backward_oracle(want_loss)[id(y)])
 
 
 def test_parameter_accumulates_across_backward_calls():
