@@ -13,12 +13,13 @@ Snapshots keep the full node universe; a sorted ``visible`` array encodes
 which nodes exist at a given session. Adjacency is symmetric CSR with a
 self-loop on every visible node, so visible degrees are always >= 1. Only
 the full graph is built from an edge list (``build_snapshot``, which
-symmetrizes, deduplicates, sorts and adds a self-loop to every node).
-Node and edge ids are deduplicated by one sort (``unique_ids``), not by
-``np.unique``: numpy >= 2.3's flag-less ``np.unique`` hashes its input
-before it sorts the distinct values, which on mostly distinct ids costs
-many times one sort and, at OGBN-Arxiv's size (169,343 nodes, 1.2M edges),
-most of a snapshot build.
+symmetrizes, deduplicates, sorts and adds a self-loop to every node). One
+sort of tagged edge keys, each pair's own and its reverse's, builds that CSR
+and checks whether the list was symmetric. Ids elsewhere are deduplicated by
+one sort (``unique_ids``). Neither uses ``np.unique``: numpy >= 2.3's
+flag-less ``np.unique`` hashes its input before it sorts the distinct
+values, which on mostly distinct ids costs many times one sort and, at
+OGBN-Arxiv's size (169,343 nodes, 1.2M edges), most of a snapshot build.
 Per-session graph state has one owner: ``graph_at`` cuts each session's
 snapshot from the bundle's full graph with ``GraphSnapshot.restrict``, which
 keeps the CSR entries whose endpoints are both visible, so a snapshot is
@@ -129,42 +130,66 @@ def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray, *,
                    warn_asymmetric: bool = False) -> GraphSnapshot:
     """Symmetrize, deduplicate, add self-loops and pack into CSR.
 
-    ``edges`` is an (m, 2) int array; every node is visible. Self-loops
-    present in the input are merged with the injected ones. Each edge is
-    the key ``u * num_nodes + v``, deduplicated by one sort (``unique_ids``),
-    and the asymmetry check counts the keys that one sort of the edges and
-    their reverses holds twice, so no step hashes.
+    ``edges`` is an integer (m, 2) array, or an empty array of any shape;
+    every node is visible. Self-loops present in the input are merged with
+    the injected ones. One sort of tagged keys builds the CSR and checks
+    symmetry: ``2 * (u * n + v)`` for each listed pair, ``2 * (v * n + u) + 1``
+    for its implied reverse and ``2 * (i * n + i)`` for each self-loop. The
+    sorted keys shifted right by one are the CSR entries, row-major, each run
+    of equal entries once; an off-diagonal entry that holds both an even and
+    an odd key was listed both ways. No step hashes. The largest key,
+    ``2 * (n * n - 1) + 1``, fits int64 up to ``num_nodes`` = 2**31.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
         raise DatasetError(f"features must be ({num_nodes}, d)")
+    if num_nodes > 2 ** 31:
+        raise DatasetError(f"{num_nodes} nodes exceed the 2**31 a snapshot holds")
     if not np.all(np.isfinite(features)):
         raise DatasetError("non-finite feature value")
-    visible = np.arange(num_nodes, dtype=np.int64)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges)
+    if not edges.size:
+        edges = np.empty((0, 2), dtype=np.int64)
+    elif edges.ndim != 2 or edges.shape[1] != 2:
+        raise DatasetError(f"edges must be an (m, 2) array, not shape {edges.shape}")
+    elif not np.issubdtype(edges.dtype, np.integer):
+        raise DatasetError(f"edges must hold integers, not {edges.dtype}")
+    edges = edges.astype(np.int64, copy=False)
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise DatasetError("edge endpoint out of range")
 
-    if warn_asymmetric and edges.size:
+    visible = np.arange(num_nodes, dtype=np.int64)
+    m, n2 = edges.shape[0], 2 * num_nodes
+    tagged = np.empty(2 * m + num_nodes, dtype=np.int64)
+    listed, implied, loops = tagged[:m], tagged[m:2 * m], tagged[2 * m:]
+    np.multiply(edges[:, 0], n2, out=listed)
+    listed += 2 * edges[:, 1]
+    np.multiply(edges[:, 1], n2, out=implied)
+    implied += 2 * edges[:, 0] + 1
+    np.multiply(visible, n2 + 2, out=loops)
+    tagged.sort()
+    # sorted, two keys share an entry when they differ in the tag bit at most
+    step = tagged[1:] ^ tagged[:-1]
+    first = np.empty(tagged.size, dtype=bool)
+    first[:1] = True
+    np.greater(step, 1, out=first[1:])
+
+    if warn_asymmetric:
         # a file listing each undirected edge once is canonical; only a mixed
-        # export (some pairs in both directions, some not) looks directed
-        pairs = edges[edges[:, 0] != edges[:, 1]]
-        fwd = unique_ids(pairs[:, 0] * num_nodes + pairs[:, 1])
-        rev = (fwd % num_nodes) * num_nodes + fwd // num_nodes
-        # neither holds a repeat, so a key twice in both is a reversed pair
-        keys = np.sort(np.concatenate([fwd, rev]))
-        reversed_pairs = int(np.count_nonzero(keys[1:] == keys[:-1]))
-        missing = fwd.size - reversed_pairs
+        # export (some pairs in both directions, some not) looks directed.
+        # An entry with both tags was listed both ways, or is a listed
+        # self-loop: a diagonal entry, a multiple of n + 1
+        both = tagged[1:][step == 1] >> 1
+        reversed_pairs = int(np.count_nonzero(both % (num_nodes + 1)))
+        # the other off-diagonal entries pair up: listed one way, implied back
+        missing = (int(np.count_nonzero(first)) - num_nodes - reversed_pairs) // 2
         if missing and reversed_pairs:
             warnings.warn(f"{missing} edge(s) lacked a reverse counterpart; "
                           "symmetrized", stacklevel=2)
 
-    loops = np.stack([visible, visible], axis=1)
-    both = np.concatenate([edges, edges[:, ::-1], loops], axis=0)
-    # sorted unique keys are row-major: rows ascend, columns ascend per row
-    key = unique_ids(both[:, 0] * num_nodes + both[:, 1])
+    key = tagged[first] >> 1      # row-major: rows ascend, columns per row
     rows = key // num_nodes
-    indices = key % num_nodes
+    indices = key - rows * num_nodes
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
     return GraphSnapshot(indptr=indptr, indices=indices, features=features,
@@ -176,9 +201,17 @@ class LabelTable:
     by_node: dict[int, int]
 
     @cached_property
-    def _nodes_by_class(self) -> dict[int, np.ndarray]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(nodes, classes)``: ``by_node``'s keys and values in its order,
+        as read-only int64 arrays."""
         nodes = np.fromiter(self.by_node, dtype=np.int64, count=len(self.by_node))
         classes = np.fromiter(self.by_node.values(), dtype=np.int64, count=nodes.size)
+        nodes.flags.writeable = classes.flags.writeable = False
+        return nodes, classes
+
+    @cached_property
+    def _nodes_by_class(self) -> dict[int, np.ndarray]:
+        nodes, classes = self.arrays
         order = np.lexsort((nodes, classes))
         keys, starts = np.unique(classes[order], return_index=True)
         return dict(zip(keys.tolist(), np.split(nodes[order], starts[1:])))
@@ -307,9 +340,7 @@ class DatasetBundle:
     def validate(self) -> None:
         self.csds.validate()
         self.schedule.validate()
-        by_node = self.labels.by_node
-        nodes = np.fromiter(by_node, dtype=np.int64, count=len(by_node))
-        classes = np.fromiter(by_node.values(), dtype=np.int64, count=nodes.size)
+        nodes, classes = self.labels.arrays
         out_of_range = (nodes < 0) | (nodes >= self.graph.num_nodes)
         absent = ~np.isin(classes, self.schedule.classes_at(self.schedule.num_sessions))
         bad = np.flatnonzero(out_of_range | absent)
@@ -413,7 +444,8 @@ def _read_schedule(path: Path, num_nodes: int) -> StreamSchedule:
 
     def ids(obj: dict, key: str, where: str = "") -> tuple[int, ...]:
         value = obj.get(key, [])
-        check(isinstance(value, list) and all(type(c) is int for c in value),
+        # exact types, so a bool, a subclass of int, is no id
+        check(isinstance(value, list) and set(map(type, value)) <= {int},
               f"{where}{key} must be a list of integers")
         return tuple(value)
 
@@ -427,7 +459,7 @@ def _read_schedule(path: Path, num_nodes: int) -> StreamSchedule:
         where, k = f"session {t}: ", s.get("k", 0)
         check(type(k) is int, f"{where}k must be an integer, got {k!r}")
         arrivals = ids(s, "arrivals", where)
-        check(all(0 <= n < num_nodes for n in arrivals),
+        check(not arrivals or (min(arrivals) >= 0 and max(arrivals) < num_nodes),
               f"{where}arrivals must be node ids in [0, {num_nodes})")
         specs.append(SessionSpec(ids(s, "few_shot", where),
                                  ids(s, "zero_shot", where), k, arrivals))
@@ -473,18 +505,26 @@ def load_dataset(directory) -> DatasetBundle:
     return bundle
 
 
+def _write_pairs(path: Path, rows: np.ndarray, block: int = 1 << 16) -> None:
+    """One ``a<TAB>b`` line per row of the (m, 2) int array ``rows``; each
+    block of rows is one %-format, not one format per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(rows), block):
+            part = rows[start:start + block]
+            fh.write(("%d\t%d\n" * len(part)) % tuple(part.ravel().tolist()))
+
+
 def write_dataset(bundle: DatasetBundle, directory) -> None:
     """Write a bundle to the dataset layout; features.npy keeps their bits."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
 
     g = bundle.graph
-    with open(d / "edges.tsv", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u}\t{v}\n" for u, v in g.edges().tolist())
+    _write_pairs(d / "edges.tsv", g.edges())
     np.save(d / "features.npy", g.features, allow_pickle=False)
-    with open(d / "labels.tsv", "w", encoding="utf-8") as fh:
-        for node in sorted(bundle.labels.by_node):
-            fh.write(f"{node}\t{bundle.labels.by_node[node]}\n")
+    nodes, classes = bundle.labels.arrays
+    order = np.argsort(nodes)
+    _write_pairs(d / "labels.tsv", np.stack([nodes[order], classes[order]], axis=1))
     if bundle.csds.vectors:
         with open(d / "csd.tsv", "w", encoding="utf-8") as fh:
             for cls in sorted(bundle.csds.vectors):

@@ -117,8 +117,10 @@ def build_class_split(bundle: DatasetBundle, k_shot: int, *,
         picked = split_rng.choice(nodes, size=n_eval, replace=False) if n_eval else \
             np.empty(0, dtype=np.int64)
         eval_nodes[cls] = np.sort(picked.astype(np.int64))
-        # both sorted and distinct: no dedup, and the result stays sorted
-        rest = np.setdiff1d(nodes, eval_nodes[cls], assume_unique=True)
+        # eval_nodes is a sorted subset of the sorted nodes: mask its places
+        keep = np.ones(nodes.size, dtype=bool)
+        keep[np.searchsorted(nodes, eval_nodes[cls])] = False
+        rest = nodes[keep]
         pool[cls] = rest
         if cls not in shots:  # zero-shot
             anchors[cls] = np.empty(0, dtype=np.int64)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gotham import graphstore
 from gotham.graphstore import (CSDTable, DatasetBundle, DatasetError,
                                LabelTable, SessionSpec, StreamSchedule,
                                build_snapshot, graph_at, load_dataset,
@@ -96,6 +97,90 @@ def test_snapshot_rows_strictly_ascend(n, data):
         assert np.all(np.diff(row) > 0)
         assert g.degree[u] == row.size
     assert snapshot_edge_set(g) == induced_subgraph_oracle(edges, visible)
+
+
+def former_build_snapshot(num_nodes, edges, features, *, warn_asymmetric=False):
+    """The former three-sort build: one sort of the listed pairs, one of them
+    and their reverses for the asymmetry check, and one to build the CSR."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    visible = np.arange(num_nodes, dtype=np.int64)
+    if warn_asymmetric and edges.size:
+        pairs = edges[edges[:, 0] != edges[:, 1]]
+        fwd = unique_ids(pairs[:, 0] * num_nodes + pairs[:, 1])
+        rev = (fwd % num_nodes) * num_nodes + fwd // num_nodes
+        keys = np.sort(np.concatenate([fwd, rev]))
+        reversed_pairs = int(np.count_nonzero(keys[1:] == keys[:-1]))
+        missing = fwd.size - reversed_pairs
+        if missing and reversed_pairs:
+            warnings.warn(f"{missing} edge(s) lacked a reverse counterpart; "
+                          "symmetrized", stacklevel=2)
+    loops = np.stack([visible, visible], axis=1)
+    both = np.concatenate([edges, edges[:, ::-1], loops], axis=0)
+    key = unique_ids(both[:, 0] * num_nodes + both[:, 1])
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // num_nodes, minlength=num_nodes), out=indptr[1:])
+    return indptr, key % num_nodes
+
+
+def built_with_warnings(build, n, edges):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = build(n, edges, np.ones((n, 1)), warn_asymmetric=True)
+    return got, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), data=st.data())
+@example(n=1, data=None)
+def test_one_tagged_sort_equals_the_former_three_sort_build(n, data):
+    node = st.integers(0, n - 1)
+    edges = [] if data is None else data.draw(
+        st.lists(st.tuples(node, node), max_size=4 * n))
+    if data is not None and data.draw(st.booleans()):
+        # repeats, self-loops and pairs listed both ways, beside one-way pairs
+        edges = edges + edges[::2] + [(v, u) for u, v in edges[1::3]] \
+            + [(u, u) for u, _ in edges[::4]]
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    got, warned = built_with_warnings(build_snapshot, n, edges)
+    (indptr, indices), former_warned = built_with_warnings(
+        former_build_snapshot, n, edges)
+    np.testing.assert_array_equal(got.indptr, indptr)
+    np.testing.assert_array_equal(got.indices, indices)
+    assert got.indptr.dtype == got.indices.dtype == np.int64
+    assert warned == former_warned
+
+
+@pytest.mark.parametrize("edges,message", [
+    # an (m, 3) array was read as 3m/2 pairs
+    (np.array([[0, 1, 2], [3, 4, 5]]), "edges must be an (m, 2) array, not shape (2, 3)"),
+    # an odd-length flat array raised numpy's reshape error
+    (np.array([0, 1, 2]), "edges must be an (m, 2) array, not shape (3,)"),
+    (np.array([0, 1]), "edges must be an (m, 2) array, not shape (2,)"),
+    (np.zeros((1, 2, 2), np.int64), "edges must be an (m, 2) array, not shape (1, 2, 2)"),
+    # a float array was truncated to its integer parts
+    (np.array([[0.5, 1.9]]), "edges must hold integers, not float64"),
+    (np.array([[True, False]]), "edges must hold integers, not bool"),
+    (np.array([["0", "1"]]), "edges must hold integers, not <U1"),
+], ids=["m-by-3", "odd-flat", "flat-pair", "3-d", "float", "bool", "str"])
+def test_build_snapshot_rejects_a_malformed_edge_array(edges, message):
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        build_snapshot(6, edges, np.ones((6, 1)))
+
+
+@pytest.mark.parametrize("edges", [
+    [], np.empty(0), np.empty((0, 3)), np.empty((2, 0), np.int64),
+    np.empty((0, 2), np.float64)], ids=["list", "flat", "0-by-3", "2-by-0", "float"])
+def test_build_snapshot_reads_an_empty_edge_array_of_any_shape_as_no_edges(edges):
+    g = build_snapshot(3, edges, np.ones((3, 1)))
+    np.testing.assert_array_equal(g.indptr, [0, 1, 2, 3])
+    np.testing.assert_array_equal(g.indices, [0, 1, 2])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
+def test_build_snapshot_reads_any_integer_edge_dtype(dtype):
+    g = build_snapshot(3, np.array([[0, 2]], dtype=dtype), np.ones((3, 1)))
+    np.testing.assert_array_equal(g.indices, [0, 2, 1, 0, 2])
+    assert g.indices.dtype == np.int64
 
 
 def test_labels_nodes_of_sorted_per_class():
@@ -636,6 +721,37 @@ MALFORMED_SCHEDULES = [
 ]
 
 
+def schedule_with(key, value):
+    """A valid schedule of a two-node graph with ``value`` as its ``key``."""
+    schedule = {"base_classes": [0], "sessions": [{"few_shot": [1], "k": 1}]}
+    (schedule if key == "base_classes" else schedule["sessions"][0])[key] = value
+    return schedule
+
+
+ID_LISTS = {"base_classes": "", "few_shot": "session 1: ",
+            "zero_shot": "session 1: ", "arrivals": "session 1: "}
+BAD_ID_VALUES = {"bool": [True], "bool-after-int": [0, False], "float": [1.0],
+                 "float-after-int": [0, 1.5], "str": ["1"], "null": [0, None],
+                 "nested": [[0]], "int-not-list": 0, "str-not-list": "0",
+                 "object-not-list": {"0": 0}}
+BAD_IDS = [pytest.param(schedule_with(key, value),
+                        f"{where}{key} must be a list of integers", id=f"{key}-{name}")
+           for key, where in ID_LISTS.items()
+           for name, value in BAD_ID_VALUES.items()] + [
+    pytest.param(schedule_with("arrivals", value),
+                 "session 1: arrivals must be node ids in [0, 2)", id=f"arrivals-{name}")
+    for name, value in {"negative": [-1], "n": [2], "past-n-among-valid": [1, 0, 5],
+                        "negative-among-valid": [0, -3, 1], "huge": [2**63]}.items()]
+
+
+@pytest.mark.parametrize("schedule,message", BAD_IDS)
+def test_schedule_id_lists_are_checked_by_type_and_range(tmp_path, schedule, message):
+    write_toy_dataset(tmp_path, [(0, 1)], [[1.0], [1.0]], [(0, 0), (1, 1)],
+                      schedule)
+    with pytest.raises(DatasetError, match=f"^{re.escape('schedule.json: ' + message)}$"):
+        load_dataset(tmp_path)
+
+
 @pytest.mark.parametrize("schedule,message", MALFORMED_SCHEDULES,
                          ids=[m for _, m in MALFORMED_SCHEDULES])
 def test_malformed_schedule_raises_a_dataset_error_naming_the_file(
@@ -723,6 +839,26 @@ def test_synth_deterministic(tmp_path):
     for name in ("edges.tsv", "features.npy", "labels.tsv", "csd.tsv",
                  "schedule.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_tables_keep_the_bytes_of_one_format_per_line(tmp_path):
+    b = synth_generate(2, 4, 30, 0.5, 0.05, 4, n_base=2)
+    # nodes listed out of order, two of them with ids of more digits
+    labels = {**{n: b.labels.by_node[n] for n in reversed(b.labels.by_node)},
+              1000: 3, 123456: 1}
+    write_dataset(dataclasses.replace(b, labels=LabelTable(labels)), tmp_path)
+    edges = "".join(f"{u}\t{v}\n" for u, v in b.graph.edges().tolist())
+    assert (tmp_path / "edges.tsv").read_text(encoding="utf-8") == edges
+    assert (tmp_path / "labels.tsv").read_text(encoding="utf-8") == "".join(
+        f"{n}\t{labels[n]}\n" for n in sorted(labels))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4, 5, 9])
+def test_pairs_are_written_a_block_at_a_time_with_no_seam(tmp_path, rows):
+    pairs = np.arange(2 * rows, dtype=np.int64).reshape(-1, 2) * 7 - 3
+    graphstore._write_pairs(tmp_path / "t.tsv", pairs, block=2)
+    assert (tmp_path / "t.tsv").read_bytes() == "".join(
+        f"{a}\t{b}\n" for a, b in pairs.tolist()).encode()
 
 
 def test_synth_mean_separation():

@@ -318,3 +318,48 @@ def test_queries_come_from_the_visible_pool_minus_anchors():
                 draw_queries(b, split, episode, len(want[cls]) + 1, rng)
     # arrivals shrink the early pools of the streamed classes
     assert not graph_at(b, 0).visible_mask[split.pool[4]].any()
+
+
+def former_class_split(bundle, k_shot, split_seed=1234, anchor_seed=0):
+    """The former split: each class's pool by ``np.setdiff1d``."""
+    sched = bundle.schedule
+    shots = {cls: (0, k_shot) for cls in sched.base_classes}
+    for t, s in enumerate(sched.sessions, start=1):
+        shots.update((cls, (t, s.k)) for cls in s.few_shot)
+    visible_from = sched.visible_from(bundle.graph.num_nodes)
+    split_rng = np.random.default_rng(split_seed)
+    anchor_rng = np.random.default_rng(anchor_seed)
+    eval_nodes, pool, anchors = {}, {}, {}
+    for cls in sched.classes_at(sched.num_sessions):
+        nodes = bundle.labels.nodes_of(cls)
+        n_eval = max(1, int(round(0.2 * nodes.size)))
+        if n_eval >= nodes.size:
+            n_eval = nodes.size - 1 if nodes.size > 1 else 0
+        picked = split_rng.choice(nodes, size=n_eval, replace=False) if n_eval else \
+            np.empty(0, dtype=np.int64)
+        eval_nodes[cls] = np.sort(picked.astype(np.int64))
+        pool[cls] = rest = np.setdiff1d(nodes, eval_nodes[cls], assume_unique=True)
+        if cls not in shots:
+            anchors[cls] = np.empty(0, dtype=np.int64)
+        else:
+            t, k = shots[cls]
+            rest = rest[visible_from[rest] <= t]
+            anchors[cls] = np.sort(anchor_rng.choice(rest, size=k,
+                                                     replace=False).astype(np.int64))
+    return eval_nodes, pool, anchors
+
+
+@pytest.mark.parametrize("arrivals", [False, True], ids=["static", "arrivals"])
+@pytest.mark.parametrize("seed", range(4))
+def test_class_split_equals_the_setdiff1d_form(seed, arrivals):
+    b = synth_generate(seed, 6, 1 + 4 * seed, 0.6, 0.02, 8, n_base=3,
+                       zero_shot_classes=[5], k_shot=1)
+    if arrivals:
+        b = with_arrivals(b)
+    split = build_class_split(b, 1, anchor_seed=seed)
+    for got, want in zip((split.eval_nodes, split.pool, split.anchors),
+                         former_class_split(b, 1, anchor_seed=seed)):
+        assert list(got) == list(want)
+        for cls in want:
+            assert got[cls].dtype == want[cls].dtype == np.int64
+            np.testing.assert_array_equal(got[cls], want[cls])
