@@ -505,12 +505,15 @@ def load_dataset(directory) -> DatasetBundle:
     return bundle
 
 
-def _write_pairs(path: Path, rows: np.ndarray, block: int = 1 << 16) -> None:
+_PAIR_BLOCK = 1 << 16  # rows per %-format in _write_pairs
+
+
+def _write_pairs(path: Path, rows: np.ndarray) -> None:
     """One ``a<TAB>b`` line per row of the (m, 2) int array ``rows``; each
-    block of rows is one %-format, not one format per line."""
+    block of ``_PAIR_BLOCK`` rows is one %-format, not one format per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(rows), block):
-            part = rows[start:start + block]
+        for start in range(0, len(rows), _PAIR_BLOCK):
+            part = rows[start:start + _PAIR_BLOCK]
             fh.write(("%d\t%d\n" * len(part)) % tuple(part.ravel().tolist()))
 
 

@@ -26,15 +26,14 @@ def _row_norms(diff: Tensor) -> Tensor:
     return ad.sqrt((diff * diff).sum(axis=1))
 
 
-def loss_cluster(embeddings: Tensor,
-                 members: tuple[np.ndarray, np.ndarray],
+def loss_cluster(embeddings: Tensor, members: sp.csr_matrix,
                  prototypes: Tensor, gamma: float,
                  variant: str = "mean_hinge") -> Tensor:
     """Pull extended-support embeddings inside a gamma-ball of their prototype.
 
-    ``members`` is the ``(indptr, indices)`` of a CSR whose row i lists the
-    rows of ``embeddings`` in the extended support of the class whose
-    prototype is row i of ``prototypes``; the loss averages over those classes.
+    Row i of the CSR ``members`` lists the rows of ``embeddings`` in the
+    extended support of the class whose prototype is row i of ``prototypes``
+    (its entries are not read); the loss averages over those classes.
     ``mean_hinge`` averages the hinge distances; ``self_normalized`` keeps
     the printed per-class normalization but squares the numerator so the
     weights carry a usable gradient (the un-squared form sums to a constant
@@ -47,16 +46,15 @@ def loss_cluster(embeddings: Tensor,
     """
     if variant not in ("mean_hinge", "self_normalized"):
         raise ValueError(f"unknown cluster-loss variant {variant!r}")
-    indptr, indices = members
-    sizes = np.diff(indptr)
+    sizes = np.diff(members.indptr)
     if sizes.size == 0:
         raise ValueError("loss_cluster needs at least one class")
     if not sizes.all():
         raise ValueError(f"prototype rows {np.flatnonzero(sizes == 0).tolist()} "
                          "have no extended-support embeddings")
-    sums = sp.csr_matrix((np.ones(indices.size), np.arange(indices.size), indptr))
+    sums = sp.csr_matrix((np.ones(members.nnz), np.arange(members.nnz), members.indptr))
     owner = np.repeat(np.arange(sizes.size), sizes)
-    diff = (ad.gather_rows(embeddings, indices)
+    diff = (ad.gather_rows(embeddings, members.indices)
             - ad.gather_rows(prototypes, owner))
     h = ad.maximum(_row_norms(diff) - gamma, 0.0)
     if variant == "mean_hinge":

@@ -22,13 +22,13 @@ only carrier of a session's supports: the union, the distillation rows, the
 membership CSR, whose row i lists class i's rows of the union, and the
 union's ``nn.ForwardPlan``. The membership is the one record of those rows:
 the seen rows average through it (stored once; the backward multiplies by
-its ``.T`` view), and the cluster loss reads the task's rows of it
-(``SupportPlan.members``). The trainer builds one per session from
-``sampler.session_supports``; the teacher reads its distillation rows from
-it, and every episode and the session's evaluation prototypes build from it.
-A ``PrototypeBuild`` holds only the rows that depend on the parameters; the
-class of each ``seen`` row and each class's rows in ``embeddings`` are the
-plan's ``classes`` and ``membership`` rows.
+its ``.T`` view), and the cluster loss reads the task's rows of it. The
+trainer builds one per session from ``sampler.session_supports``; the
+teacher reads its distillation rows from it, and every episode and the
+session's evaluation prototypes build from it. A ``PrototypeBuild`` holds
+only the rows that depend on the parameters; the class of each ``seen`` row
+and each class's rows in ``embeddings`` are the plan's ``classes`` and
+``membership`` rows.
 """
 from __future__ import annotations
 
@@ -91,16 +91,6 @@ class SupportPlan:
     membership: sp.csr_matrix     # (S x |union|) ones: class i's rows in row i
     distill: np.ndarray | None    # union rows of the distill nodes
     forward: network.ForwardPlan  # the union's encoder forward; nodes = union
-
-    def members(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)`` of the membership's ``rows``, in that order:
-        row i lists class ``rows[i]``'s union rows. Sliced from the stored
-        arrays with numpy, not by scipy's row indexing."""
-        indptr, indices = self.membership.indptr, self.membership.indices
-        spans = [indices[a:b] for a, b in zip(indptr[rows].tolist(),
-                                              indptr[rows + 1].tolist())]
-        return (np.cumsum([0] + [s.size for s in spans], dtype=np.int64),
-                np.concatenate([indices[:0]] + spans))
 
 
 def plan_supports(gnn: network.GnnParams, graph, supports: dict,

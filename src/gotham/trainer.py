@@ -151,7 +151,7 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
     # seen classes still give prototypes to segregation and alignment, so in
     # "novel_only" mode old classes are shielded only by distillation.
     task = np.searchsorted(plan.classes, episode.classes)
-    parts.cluster = loss_cluster(build.embeddings, plan.members(task),
+    parts.cluster = loss_cluster(build.embeddings, plan.membership[task],
                                  ad.gather_rows(build.seen, task), cfg.gamma,
                                  cfg.cluster_variant)
     parts.seg = loss_seg(build.final, cfg.epsilon_log)

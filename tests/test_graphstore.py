@@ -853,10 +853,12 @@ def test_tables_keep_the_bytes_of_one_format_per_line(tmp_path):
         f"{n}\t{labels[n]}\n" for n in sorted(labels))
 
 
-@pytest.mark.parametrize("rows", [0, 1, 4, 5, 9])
+@pytest.mark.parametrize("rows", [0, 1, 65_536, 65_537, 2 * 65_536 + 1])
 def test_pairs_are_written_a_block_at_a_time_with_no_seam(tmp_path, rows):
+    # rows on, just past and two blocks past the block size
+    assert graphstore._PAIR_BLOCK == 65_536
     pairs = np.arange(2 * rows, dtype=np.int64).reshape(-1, 2) * 7 - 3
-    graphstore._write_pairs(tmp_path / "t.tsv", pairs, block=2)
+    graphstore._write_pairs(tmp_path / "t.tsv", pairs)
     assert (tmp_path / "t.tsv").read_bytes() == "".join(
         f"{a}\t{b}\n" for a, b in pairs.tolist()).encode()
 

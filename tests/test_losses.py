@@ -13,12 +13,14 @@ def T(x):
     return ad.constant(np.asarray(x, dtype=np.float64))
 
 
-def members_of(rows):
-    """``loss_cluster``'s (indptr, indices), whose row i lists the embedding
-    rows ``rows[i]`` in the order given."""
-    return (np.concatenate([[0], np.cumsum([len(r) for r in rows], dtype=np.int64)]),
-            np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]
-                           + [np.empty(0, np.int64)]))
+def member_csr(rows, n_embeddings):
+    """The members CSR whose row i lists the embedding rows ``rows[i]``, in
+    the order given."""
+    sizes = [len(r) for r in rows]
+    return sp.csr_matrix((np.ones(sum(sizes)),
+                          np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]),
+                          np.concatenate([[0], np.cumsum(sizes)])),
+                         shape=(len(rows), n_embeddings))
 
 
 # -- clustering ----------------------------------------------------------------
@@ -26,7 +28,7 @@ def members_of(rows):
 def test_cluster_zero_inside_boundary():
     emb = T([[0.0, 0.005], [0.003, 0.0]])
     protos = T([[0.0, 0.0]])
-    out = loss_cluster(emb, members_of([[0, 1]]), protos, gamma=0.01)
+    out = loss_cluster(emb, member_csr([[0, 1]], 2), protos, gamma=0.01)
     assert out.item() == 0.0
 
 
@@ -34,7 +36,7 @@ def test_cluster_one_sample_at_gamma_plus_one():
     emb = T([[1.5 + 1.0, 0.0]])
     protos = T([[1.5, 0.0]])
     # distance gamma + 1 with gamma = 0 -> hinge exactly 1
-    one = members_of([[0]])
+    one = member_csr([[0]], 1)
     assert loss_cluster(emb, one, protos, gamma=0.0).item() == pytest.approx(1.0)
     emb2 = T([[0.01 + 1.0, 0.0]])
     protos2 = T([[0.0, 0.0]])
@@ -64,11 +66,9 @@ def test_cluster_matches_direct_oracle(variant):
     # of a membership over every class are taken, so row 1 is a prototype of
     # no task class, and rows 2 and 5 of the embeddings belong to no member set
     members = {2: np.array([6, 0, 3]), 0: np.array([7, 1, 4])}
-    indptr, indices = members_of([members[0], [2, 5], members[2]])
-    membership = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(3, 8))
+    membership = member_csr([members[0], [2, 5], members[2]], 8)
     task = [2, 0]
-    rows = membership[task]
-    got = loss_cluster(T(emb), (rows.indptr, rows.indices), ad.gather_rows(T(protos), task),
+    got = loss_cluster(T(emb), membership[task], ad.gather_rows(T(protos), task),
                        0.5, variant)
     want = cluster_oracle(emb, members, protos, 0.5, variant)
     assert got.item() == pytest.approx(want, abs=1e-12)
@@ -76,10 +76,10 @@ def test_cluster_matches_direct_oracle(variant):
 
 def test_cluster_rejects_an_empty_member_set():
     with pytest.raises(ValueError, match=r"rows \[1\] have no extended-support"):
-        loss_cluster(T(np.ones((2, 3))), members_of([[0, 1], []]),
+        loss_cluster(T(np.ones((2, 3))), member_csr([[0, 1], []], 2),
                      T(np.zeros((2, 3))), 0.1)
     with pytest.raises(ValueError, match="at least one class"):
-        loss_cluster(T(np.ones((2, 3))), members_of([]), T(np.zeros((0, 3))),
+        loss_cluster(T(np.ones((2, 3))), sp.csr_matrix((0, 2)), T(np.zeros((0, 3))),
                      0.1)
 
 
@@ -102,7 +102,8 @@ def test_cluster_nonnegative_property():
     for trial in range(10):
         sizes = rng.integers(1, 5, size=3)
         emb = T(rng.standard_normal((sizes.sum(), 3)))
-        members = members_of(np.split(np.arange(sizes.sum()), np.cumsum(sizes)[:-1]))
+        members = member_csr(np.split(np.arange(sizes.sum()), np.cumsum(sizes)[:-1]),
+                             sizes.sum())
         protos = T(rng.standard_normal((3, 3)))
         for variant in ("mean_hinge", "self_normalized"):
             assert loss_cluster(emb, members, protos, 0.1, variant).item() >= 0.0
@@ -336,7 +337,7 @@ def test_translation_invariance_exact():
     rng = np.random.default_rng(8)
     emb = rng.integers(-5, 5, size=(9, 4)).astype(float)
     protos = rng.integers(-5, 5, size=(3, 4)).astype(float)
-    members = members_of([np.arange(3 * c, 3 * c + 3) for c in range(3)])
+    members = member_csr([np.arange(3 * c, 3 * c + 3) for c in range(3)], 9)
     shift = np.array([2.0, -8.0, 16.0, 4.0])
 
     before_c = loss_cluster(T(emb), members, T(protos), 0.5).item()

@@ -343,17 +343,3 @@ def test_gcl_rows_stay_aligned_around_a_zero_shot_class():
     assert build.kinds[rows.index(4)] == "unseen_semantic"
     np.testing.assert_array_equal(build.final.data[rows.index(4)],
                                   one_node_forward(model.gnn, b.csds.vectors[4]))
-
-
-@pytest.mark.parametrize("task", [[0], [2], [0, 2], [1, 2], [0, 1, 2], [2, 0], []])
-def test_plan_members_are_the_membership_rows_scipy_indexing_takes(task):
-    b = small_bundle()
-    supports = {0: frozenset({1, 4, 9}), 1: frozenset({12}),
-                2: frozenset({4, 20, 21, 29})}
-    plan = plan_supports(plain_model(b).gnn, graph_at(b, 0), supports, [3, 12])
-    task = np.asarray(task, dtype=np.int64)
-    indptr, indices = plan.members(task)
-    want = plan.membership[task]
-    np.testing.assert_array_equal(indptr, want.indptr)
-    np.testing.assert_array_equal(indices, want.indices)
-    assert indptr.dtype == np.int64 and indices.dtype == plan.membership.indices.dtype
