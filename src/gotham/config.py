@@ -2,8 +2,8 @@
 
 Defaults follow the published hyperparameter table: loss weights
 (1, 0.25, 1), distillation weights (1, 1), boundary 0.01, learning rates
-1e-3 (1e-5 preset available), weight decay 5e-3, 512-wide encoders, walk
-lengths 2-4 with default 3. ``RunConfig`` is the run's one settings object:
+1e-3 (the table's 1e-5 is set through ``meta_lr`` and ``ft_lr``), weight
+decay 5e-3, 512-wide encoders, walk lengths 2-4 with default 3. ``RunConfig`` is the run's one settings object:
 ``losses.loss_total`` weighs the loss parts by its fields, and the trainer
 passes its walk settings to ``sampler.session_supports`` as they are.
 """

@@ -37,6 +37,7 @@ _SOURCES = {
     "finetune_total": ("mean_hinge", True, "total"),
 }
 GRADCHECK_LOSSES = tuple(_SOURCES)
+_DENOM_FLOOR = 1e-2  # least slope scale and relative-error denominator
 
 
 @dataclass
@@ -54,8 +55,7 @@ class FiniteDiffReport:
 
 def finite_diff_check(params: dict[str, ad.Tensor], loss_fn,
                       rng: np.random.Generator, h: float = 1e-4,
-                      tol: float = 1e-4, n_coords: int = 50,
-                      denom_floor: float = 1e-2) -> FiniteDiffReport:
+                      tol: float = 1e-4, n_coords: int = 50) -> FiniteDiffReport:
     """Central-difference check of analytic gradients on sampled coordinates.
 
     Coordinates whose one-sided slopes disagree by more than 1% (a hinge or
@@ -92,11 +92,11 @@ def finite_diff_check(params: dict[str, ad.Tensor], loss_fn,
         if not np.isfinite([fp, fm, d_plus, d_minus, fd, analytic]).all():
             rel = np.inf
         else:
-            slope_scale = max(abs(d_plus), abs(d_minus), denom_floor)
+            slope_scale = max(abs(d_plus), abs(d_minus), _DENOM_FLOOR)
             if abs(d_plus - d_minus) > 1e-2 * slope_scale:
                 kinks += 1
                 continue
-            rel = abs(analytic - fd) / max(abs(analytic), abs(fd), denom_floor)
+            rel = abs(analytic - fd) / max(abs(analytic), abs(fd), _DENOM_FLOOR)
         checked += 1
         if rel > max_rel:
             max_rel, worst = rel, (name, idx)

@@ -4,7 +4,8 @@ Datasets live in a directory of UTF-8 TSV files, a .npy array and a schedule:
 
     edges.tsv     one edge per line, ``u<TAB>v`` (0-indexed, undirected)
     features.npy  N x F float64 .npy array (read without pickles); row i is node i
-    labels.tsv    ``node_id<TAB>class_id`` for each labeled node
+    labels.tsv    ``node_id<TAB>class_id`` for each labeled node; class ids
+                  here and below are non-negative integers
     csd.tsv       ``class_id<TAB>f1 f2 ...`` (optional)
     schedule.json base classes, per-session few-shot and zero-shot classes,
                   k, arrivals; no run mode (an old ``"mode"`` key is ignored)
@@ -308,6 +309,9 @@ class StreamSchedule:
             repeated = next((c for i, c in enumerate(ids) if c in ids[:i]), None)
             if repeated is not None:
                 raise DatasetError(f"{where} lists class {repeated} twice")
+            if min(ids, default=0) < 0:
+                raise DatasetError(f"{where} lists negative class {min(ids)}; "
+                                   "class ids are >= 0")
         seen_sets = [set(self.base_classes)]
         for t, s in enumerate(self.sessions, start=1):
             novel = set(s.few_shot) | set(s.zero_shot)
@@ -543,16 +547,17 @@ def write_dataset(bundle: DatasetBundle, directory) -> None:
 
 def synth_generate(seed: int, blocks: int, nodes_per_block: int,
                    p_in: float, p_out: float, d: int, *,
-                   mean_separation: float = 4.0, feature_sigma: float = 1.0,
-                   n_base: int | None = None, novel_per_session: int = 1,
-                   zero_shot_classes=(), k_shot: int = 5) -> DatasetBundle:
+                   mean_separation: float = 4.0, n_base: int | None = None,
+                   novel_per_session: int = 1, zero_shot_classes=(),
+                   k_shot: int = 5) -> DatasetBundle:
     """Class-separable stochastic block model with Gaussian features.
 
-    Node i belongs to block i // nodes_per_block; block means sit at pairwise
-    distance ``mean_separation * feature_sigma`` along orthonormal directions,
-    and each class's CSD vector is its population feature mean. Classes
-    ``n_base..blocks-1`` stream in ``novel_per_session`` at a time; ids in
-    ``zero_shot_classes`` stream without labeled shots.
+    Node i belongs to block i // nodes_per_block; its features are its block
+    mean plus unit-variance Gaussian noise. Block means sit at pairwise
+    distance ``mean_separation``, in units of that noise, along orthonormal
+    directions, and each class's CSD vector is its population feature mean.
+    Classes ``n_base..blocks-1`` stream in ``novel_per_session`` at a time;
+    ids in ``zero_shot_classes`` stream without labeled shots.
     """
     if blocks < 1 or nodes_per_block < 1:
         raise DatasetError("degenerate block sizes")
@@ -568,8 +573,6 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
     if not (np.isfinite(mean_separation) and mean_separation >= 0):
         raise DatasetError(f"mean_separation must be finite and >= 0, "
                            f"got {mean_separation}")
-    if not (np.isfinite(feature_sigma) and feature_sigma > 0):
-        raise DatasetError(f"feature_sigma must be finite and > 0, got {feature_sigma}")
     if novel_per_session < 1:
         raise DatasetError(f"novel_per_session must be at least 1, "
                            f"got {novel_per_session}")
@@ -587,9 +590,8 @@ def synth_generate(seed: int, blocks: int, nodes_per_block: int,
 
     # orthonormal class directions -> exact pairwise mean separation
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    scale = mean_separation * feature_sigma / np.sqrt(2.0)
-    means = basis[:blocks] * scale
-    features = means[block_of] + feature_sigma * rng.standard_normal((n, d))
+    means = basis[:blocks] * (mean_separation / np.sqrt(2.0))
+    features = means[block_of] + rng.standard_normal((n, d))
 
     rows = []
     for u in range(n):

@@ -10,9 +10,10 @@ with leaky-ReLU slope beta. Output weights a_j and rows W_j are drawn
 uniformly within +-xi of a fixed optimum (variance xi^2/3 per coordinate);
 biases stay at the optimum. One growth simulator, ``simulate_growth``, draws
 an independent growth path per trial: a standard-normal base support, then
-zero-mean-feature arrivals that each attach to the support with positive
-probability. The distortion E[(f_{t+1} - f_t)^2] is estimated and compared
-against
+standard-normal arrivals that each attach to the support with positive
+probability; ``verify_bound``'s fixed ``GROWTH`` adds to 6 base nodes in 8
+dimensions one step of 3 arrivals, each joining with probability 0.5. The
+distortion E[(f_{t+1} - f_t)^2] is estimated and compared against
 
     full-constant form:  (N beta^2 xi^4 / 9) * E[(1/d_{t+1} - 1/d_t)^2 * sum_{k in N_t} |x_k|^2]
     constant-free form:  E[(1/d_{t+1} - 1/d_t)^2 * sum_{k in N_t} |x_k|^2]
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-__all__ = ["WidthNNet", "GrowthParams", "simulate_growth",
+__all__ = ["WidthNNet", "GrowthParams", "GROWTH", "simulate_growth",
            "empirical_distortion", "BoundReport", "verify_bound",
            "default_sweep"]
 
@@ -75,7 +76,6 @@ class GrowthParams:
     attach_prob: float
     d: int
     arrivals_per_step: int = 3
-    new_feature_sigma: float = 1.0
 
     def __post_init__(self):
         if self.n0 < 2:
@@ -86,31 +86,30 @@ class GrowthParams:
             raise ValueError("attach_prob must lie in (0, 1]")
 
 
+GROWTH = GrowthParams(n0=6, steps=1, attach_prob=0.5, d=8, arrivals_per_step=3)
+
+
 def simulate_growth(rng: np.random.Generator, p: GrowthParams, trials: int):
     """Grow one tracked support per trial for ``p.steps`` steps.
 
     Base features are standard normal; every step appends
-    ``p.arrivals_per_step`` candidates with zero-mean normal features, each
+    ``p.arrivals_per_step`` candidates with standard-normal features, each
     joining the support independently with ``p.attach_prob``. Membership is
     never removed. Returns per-trial (u_t, u_t1, rhs_core): u is the support
     feature mean at the final step pair and rhs_core =
     (1/d_{t+1} - 1/d_t)^2 * sum |x_k|^2 over the time-t support.
     """
     base = rng.standard_normal((trials, p.n0, p.d))
-    sum_t = base.sum(axis=1)
-    normsq_t = (base ** 2).sum(axis=(1, 2))
-    d_t = np.full(trials, float(p.n0))
-    for step in range(p.steps):
-        new = p.new_feature_sigma * rng.standard_normal(
-            (trials, p.arrivals_per_step, p.d))
+    sum_t1 = base.sum(axis=1)
+    normsq_t1 = (base ** 2).sum(axis=(1, 2))
+    d_t1 = np.full(trials, float(p.n0))
+    for _ in range(p.steps):
+        sum_t, normsq_t, d_t = sum_t1, normsq_t1, d_t1
+        new = rng.standard_normal((trials, p.arrivals_per_step, p.d))
         joins = rng.random((trials, p.arrivals_per_step)) < p.attach_prob
-        if step == p.steps - 1:
-            sum_t1 = sum_t + (new * joins[:, :, None]).sum(axis=1)
-            d_t1 = d_t + joins.sum(axis=1)
-        else:
-            sum_t = sum_t + (new * joins[:, :, None]).sum(axis=1)
-            normsq_t = normsq_t + ((new ** 2).sum(axis=2) * joins).sum(axis=1)
-            d_t = d_t + joins.sum(axis=1)
+        sum_t1 = sum_t + (new * joins[:, :, None]).sum(axis=1)
+        normsq_t1 = normsq_t + ((new ** 2).sum(axis=2) * joins).sum(axis=1)
+        d_t1 = d_t + joins.sum(axis=1)
     u_t = sum_t / d_t[:, None]
     u_t1 = sum_t1 / d_t1[:, None]
     rhs_core = (1.0 / d_t1 - 1.0 / d_t) ** 2 * normsq_t
@@ -162,15 +161,13 @@ class BoundReport:
 
 
 def verify_bound(*, n_units: int = 4, xi: float = 0.5, beta: float = 0.2,
-                 d: int = 8, n0: int = 6, steps: int = 1,
-                 attach_prob: float = 0.5, arrivals_per_step: int = 3,
                  trials: int = 1000, repetitions: int = 20,
                  seed: int = 0) -> BoundReport:
     """Repeated one-sided check that distortion clears the lower bound.
 
-    Each repetition estimates the distortion over ``trials`` growth paths and
-    perturbations drawn from one generator, and the bound over ``trials``
-    more growth paths drawn from another. A repetition fails when
+    Each repetition estimates the distortion over ``trials`` ``GROWTH``
+    paths and perturbations drawn from one generator, and the bound over
+    ``trials`` more ``GROWTH`` paths drawn from another. A repetition fails when
     delta_hat + 2 SE < RHS (full-constant form); the overall check passes
     when at most 5% of repetitions fail.
     """
@@ -179,21 +176,19 @@ def verify_bound(*, n_units: int = 4, xi: float = 0.5, beta: float = 0.2,
     if trials < 2:
         raise ValueError("trials must be >= 2")
     # "randomize" names what each trial draws afresh: growth and parameters
-    config = {"n_units": n_units, "xi": xi, "beta": beta, "d": d, "n0": n0,
-              "steps": steps, "attach_prob": attach_prob,
-              "arrivals_per_step": arrivals_per_step, "trials": trials,
-              "repetitions": repetitions, "seed": seed, "randomize": "both"}
-    net = WidthNNet(n_units=n_units, feature_dim=d, xi=xi, beta=beta, seed=seed)
-    params = GrowthParams(n0, steps, attach_prob, d, arrivals_per_step)
+    config = {"n_units": n_units, "xi": xi, "beta": beta, **asdict(GROWTH),
+              "trials": trials, "repetitions": repetitions, "seed": seed,
+              "randomize": "both"}
+    net = WidthNNet(n_units, GROWTH.d, xi, beta, seed)
     violations = 0
     deltas, ses, rhs_a, rhs_f = [], [], [], []
     for rep in range(repetitions):
         rep_seed = int(np.random.SeedSequence([seed, rep]).generate_state(1)[0])
         rng = np.random.default_rng(rep_seed + 1)
-        u_t, u_t1, _ = simulate_growth(rng, params, trials)
+        u_t, u_t1, _ = simulate_growth(rng, GROWTH, trials)
         delta, se = empirical_distortion(u_t, u_t1, net, rng)
         _, _, core = simulate_growth(np.random.default_rng(rep_seed + 2),
-                                     params, trials)
+                                     GROWTH, trials)
         free = float(core.mean())
         appendix = net.constant * free
         deltas.append(delta)

@@ -263,6 +263,40 @@ def test_a_run_that_finishes_deletes_an_earlier_failure(tmp_path, capsys):
         run / "prototypes" / "session_2.tsv").read_bytes()
 
 
+def relabel_class_0_as_negative(data):
+    """Class 0 becomes class -1 in ``labels.tsv``, ``csd.tsv`` and the
+    schedule; every other file keeps its bytes."""
+    labels = np.loadtxt(data / "labels.tsv", dtype=np.int64, ndmin=2)
+    labels[labels[:, 1] == 0, 1] = -1
+    np.savetxt(data / "labels.tsv", labels, fmt="%d", delimiter="\t")
+    csd = (data / "csd.tsv").read_text(encoding="utf-8")
+    (data / "csd.tsv").write_text(csd.replace("0\t", "-1\t", 1), encoding="utf-8")
+    schedule = json.loads((data / "schedule.json").read_text(encoding="utf-8"))
+    schedule["base_classes"] = [-1 if c == 0 else c for c in schedule["base_classes"]]
+    (data / "schedule.json").write_text(json.dumps(schedule), encoding="utf-8")
+
+
+def test_a_run_on_a_negative_class_id_leaves_an_earlier_run_intact(tmp_path, capsys):
+    """A good run, then one into the same directory on the same dataset with
+    class 0 relabelled -1: set-up rejects the schedule before the run clears
+    the directory, so every file of the first run keeps its bytes."""
+    good = failing_configs(tmp_path)[0]
+    good.to_json(tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+    run = tmp_path / "run"
+    first = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    neg = tmp_path / "neg"
+    shutil.copytree(tmp_path / "data", neg)
+    relabel_class_0_as_negative(neg)
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--dataset", str(neg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: base_classes lists negative class -1; class ids are >= 0\n")
+    assert len(first) == 10
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == first
+
+
 def test_export_onto_a_directory_exits_2(tmp_path, gcl_run, capsys):
     _, run = gcl_run
     code = main(["export-prototypes", "--run", str(run), "--out", str(tmp_path)])

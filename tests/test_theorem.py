@@ -115,7 +115,7 @@ def loop_growth(rng, p):
     support = list(rng.standard_normal((p.n0, p.d)))
     for _ in range(p.steps):
         before = list(support)
-        for x in p.new_feature_sigma * rng.standard_normal((p.arrivals_per_step, p.d)):
+        for x in rng.standard_normal((p.arrivals_per_step, p.d)):
             if rng.random() < p.attach_prob:
                 support.append(x)
     core = (1 / len(support) - 1 / len(before)) ** 2 * sum(x @ x for x in before)
@@ -156,11 +156,23 @@ def test_verify_bound_passes_and_reproducible():
 
 
 def test_verify_bound_vacuous_when_xi_zero_frozen():
+    """xi = 0 freezes the weights at the optimum: the bound's constant, and so
+    the bound, is 0, which any distortion clears."""
     r = verify_bound(n_units=2, xi=0.0, beta=0.5, trials=200, repetitions=3,
-                     seed=1, arrivals_per_step=0)
-    assert r.delta_hat == 0.0
+                     seed=1)
     assert r.rhs_appendix == 0.0
-    assert r.passed
+    assert r.rhs_eq7 > 0.0 and r.delta_hat > 0.0
+    assert r.violations == 0 and r.passed
+
+
+def test_verify_bound_config_names_the_fixed_growth():
+    """The report's config, which ``verify-theorem --out`` writes, holds the
+    growth every support follows."""
+    config = verify_bound(n_units=1, trials=2, repetitions=1, seed=4).config
+    assert config == {"n_units": 1, "xi": 0.5, "beta": 0.2, "d": 8, "n0": 6,
+                      "steps": 1, "attach_prob": 0.5, "arrivals_per_step": 3,
+                      "trials": 2, "repetitions": 1, "seed": 4,
+                      "randomize": "both"}
 
 
 def test_default_sweep_small():
