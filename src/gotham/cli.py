@@ -19,6 +19,7 @@ import math
 import os
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig
@@ -86,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser("gradcheck", help="finite-difference audit of losses")
     gc.set_defaults(handler=cmd_gradcheck)
     gc.add_argument("--seed", type=int, default=None)
-    gc.add_argument("--h", type=float, default=1e-4)
-    gc.add_argument("--tol", type=float, default=1e-4)
     gc.add_argument("--coords", type=int, default=60,
                     help="coordinates sampled per loss")
     gc.add_argument("--inject-bug", action="store_true",
@@ -128,17 +127,17 @@ def cmd_run(args) -> int:
         return 2
     cfg = RunConfig.from_json(cfg_path)
     if args.dataset:
-        cfg = cfg.replace(dataset=args.dataset)
+        cfg = replace(cfg, dataset=args.dataset)
     if args.mode:
-        cfg = cfg.replace(mode=args.mode)
+        cfg = replace(cfg, mode=args.mode)
     if args.out:
-        cfg = cfg.replace(out_dir=args.out)
+        cfg = replace(cfg, out_dir=args.out)
     if args.telemetry:
-        cfg = cfg.replace(telemetry=True)
-    cfg = cfg.replace(seed=_seed(args.seed, cfg.seed))
+        cfg = replace(cfg, telemetry=True)
+    cfg = replace(cfg, seed=_seed(args.seed, cfg.seed))
     _out_path(cfg.out_dir, "--out" if args.out else "out_dir", directory=True)
-    if not cfg.dataset or not Path(cfg.dataset).is_dir():
-        print(f"error: dataset directory not found: {cfg.dataset}", file=sys.stderr)
+    if not cfg.dataset:     # Path("") is the working directory
+        print("error: no dataset directory given", file=sys.stderr)
         return 2
     bundle = load_dataset(cfg.dataset)
     reports = run_stream(bundle, cfg, out_dir=cfg.out_dir)
@@ -178,8 +177,8 @@ def cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
     out = _out_path(args.out) if args.out else None
     seed = _seed(args.seed)
-    results = run_gradcheck(seed=seed, h=args.h, tol=args.tol,
-                            n_coords=args.coords, inject_bug=args.inject_bug)
+    results = run_gradcheck(seed=seed, n_coords=args.coords,
+                            inject_bug=args.inject_bug)
     ok = True
     for name, rep in results.items():
         status = "pass" if rep.passed else "FAIL"

@@ -132,8 +132,3 @@ class RunConfig:
         cfg = cls(**raw)
         cfg.validate()
         return cfg
-
-    def replace(self, **kwargs) -> "RunConfig":
-        data = asdict(self)
-        data.update(kwargs)
-        return RunConfig(**data)

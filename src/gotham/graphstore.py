@@ -284,13 +284,11 @@ class StreamSchedule:
 
     def visible_from(self, num_nodes: int) -> np.ndarray:
         """First session at which each node is visible: the first session
-        that lists it as an arrival, 0 for a node that none lists."""
+        that lists it as an arrival, 0 for a node that none lists. Arrivals
+        are node ids in [0, num_nodes), as ``load_dataset`` checks."""
         first = np.zeros(num_nodes, dtype=np.int64)
         for t in range(len(self.sessions), 0, -1):     # earlier sessions win
-            arrivals = np.asarray(self.sessions[t - 1].arrivals, dtype=np.int64)
-            if arrivals.size and (arrivals.min() < 0 or arrivals.max() >= num_nodes):
-                raise DatasetError("visible node id out of range")
-            first[arrivals] = t
+            first[np.asarray(self.sessions[t - 1].arrivals, dtype=np.int64)] = t
         return first
 
     def _check_t(self, t: int) -> None:

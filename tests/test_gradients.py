@@ -14,7 +14,7 @@ REPORTS = {f"{backbone}/{name}" for backbone in ("mean", "attention")
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_every_loss_passes_fd_on_random_instances(seed):
-    reports = run_gradcheck(seed=seed, h=1e-4, tol=1e-4, n_coords=30)
+    reports = run_gradcheck(seed=seed, n_coords=30)
     for name, rep in reports.items():
         assert rep.n_checked >= 10, f"{name}: too few usable coordinates"
         assert rep.passed, (f"{name}: max rel err {rep.max_rel_err:.3e} "
@@ -59,8 +59,8 @@ def test_fd_check_quadratic_tight():
             total = s if total is None else total + s
         return total
 
-    rep = finite_diff_check(params, loss, h=1e-4, tol=1e-4,
-                            rng=np.random.default_rng(0), n_coords=40)
+    rep = finite_diff_check(params, loss, rng=np.random.default_rng(0),
+                            n_coords=40)
     assert rep.passed
     assert rep.max_rel_err < 1e-8
 

@@ -40,10 +40,11 @@ def with_arrivals(bundle):
     return dataclasses.replace(bundle, schedule=schedule)
 
 
-def tiny_config(mode, backbone):
-    return RunConfig(mode=mode, backbone=backbone, n_way=2, k_shot=3,
-                     query_per_class=3, hidden_dim=16, out_dim=8, seed=3,
-                     **EPISODES)
+def tiny_config(mode, backbone, **changes):
+    return dataclasses.replace(
+        RunConfig(mode=mode, backbone=backbone, n_way=2, k_shot=3,
+                  query_per_class=3, hidden_dim=16, out_dim=8, seed=3,
+                  **EPISODES), **changes)
 
 
 def stream(bundle, cfg, out_dir):
@@ -63,13 +64,19 @@ def assert_every_step_logged(bundle, cfg, out_dir, records):
     assert [r["session"] for r in logged] == sessions
 
 
-@pytest.mark.parametrize("mode,backbone,zero_shot", [
-    ("gcl", "mean", (4,)),
-    ("gfscil_semantic", "attention", ()),
-])
-def test_run_stream_is_byte_identical_on_rerun(tmp_path, mode, backbone, zero_shot):
+@pytest.mark.parametrize("mode,backbone,zero_shot,telemetry", [
+    ("gcl", "mean", (4,), False),
+    ("gfscil_semantic", "attention", (), False),
+    ("gcl", "mean", (4,), True),
+], ids=["gcl-mean-zero_shot0", "gfscil_semantic-attention-zero_shot1",
+        "gcl-mean-telemetry"])
+def test_run_stream_is_byte_identical_on_rerun(tmp_path, mode, backbone, zero_shot,
+                                               telemetry):
+    """A rerun writes the same bytes; under telemetry, the queries drawn after
+    each update repeat too, so each session report, but for its wall time,
+    is the same."""
     bundle = tiny_bundle(zero_shot)
-    cfg = tiny_config(mode, backbone)
+    cfg = tiny_config(mode, backbone, telemetry=telemetry)
     first, records = stream(bundle, cfg, tmp_path / "a")
     stream(tiny_bundle(zero_shot), cfg, tmp_path / "b")
     assert [r.session for r in first] == [0, 1, 2]
@@ -79,6 +86,12 @@ def test_run_stream_is_byte_identical_on_rerun(tmp_path, mode, backbone, zero_sh
     for name in ARTIFACTS + ("config.json",) + tuple(f"prototypes/{w}" for w in written):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+    for t in range(3):
+        a, b = (json.loads((tmp_path / run / "reports" / f"session_{t}.json")
+                           .read_text(encoding="utf-8")) for run in "ab")
+        del a["wall_time"], b["wall_time"]
+        assert a == b
+        assert isinstance(a["episode_query_acc"], float) == telemetry
 
 
 @pytest.mark.parametrize("backbone", ["mean", "attention"])
@@ -126,7 +139,7 @@ def test_run_stream_with_streamed_class_arrivals(tmp_path):
 def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
     bundle = tiny_bundle((4,))
     sched = bundle.schedule
-    cfg = tiny_config("gcl", "mean").replace(episodes_finetune=2)
+    cfg = tiny_config("gcl", "mean", episodes_finetune=2)
     draw, plan = trainer.session_supports, trainer.plan_supports
     build = trainer.build_prototype_tensors
     draws, plans = [], []
@@ -266,7 +279,7 @@ def test_only_training_episodes_build_a_tape(monkeypatch, mode, backbone,
     query accuracy run their encoders without a tape; every encoder forward
     of an episode's loss has one."""
     bundle = tiny_bundle(zero_shot)
-    cfg = tiny_config(mode, backbone).replace(telemetry=True)
+    cfg = tiny_config(mode, backbone, telemetry=True)
     forward, mlp, step = network.gnn_forward, network.mlp_forward, trainer._episode_step
     in_step, taped = [], {True: [], False: []}
 
@@ -350,7 +363,7 @@ def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
     build and gradient arrays are gone, freed by reference counting alone;
     evaluation's prototypes find the session's last episode gone too."""
     bundle = with_arrivals(tiny_bundle(zero_shot))
-    cfg = tiny_config(mode, backbone).replace(telemetry=True)
+    cfg = tiny_config(mode, backbone, telemetry=True)
     step, gradients = trainer._episode_step, network.compute_gradients
     evaluate = trainer._eval_prototypes
     alive, steps = [], []
@@ -431,8 +444,8 @@ def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
     monkeypatch.setattr(trainer, "draw_queries", spy)
     for seed in (0, 1, 2):
         # queries are drawn only under telemetry
-        cfg = tiny_config("gfscil_plain", "mean").replace(
-            seed=seed, k_shot=5, episodes_finetune=2, telemetry=True)
+        cfg = tiny_config("gfscil_plain", "mean", seed=seed, k_shot=5,
+                          episodes_finetune=2, telemetry=True)
         split = trainer.run_split(bundle, cfg)
         assert not set(split.anchors[0].tolist()) & set(range(10))
         reports, records = stream(bundle, cfg, tmp_path / str(seed))
@@ -443,7 +456,7 @@ def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
 
 
 def test_nonfinite_loss_names_the_session_episode_and_loss_parts(monkeypatch):
-    cfg = tiny_config("gfscil_plain", "mean").replace(episodes_finetune=2)
+    cfg = tiny_config("gfscil_plain", "mean", episodes_finetune=2)
     seg, calls = trainer.loss_seg, []
 
     def nan_on_fifth_call(*args, **kwargs):
@@ -471,7 +484,7 @@ def test_an_overflowing_run_raises_its_own_error_and_no_numpy_warning(
     """A finetune rate that overflows the weights: numpy's overflow and
     invalid-value warnings stay quiet, the run raises ``NonFiniteError``,
     and its directory says so in ``FAILED``."""
-    cfg = tiny_config("gfscil_plain", backbone).replace(ft_lr=1e305)
+    cfg = tiny_config("gfscil_plain", backbone, ft_lr=1e305)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(network.NonFiniteError, match="^session 1: "):
@@ -598,7 +611,8 @@ def test_telemetry_adds_query_accuracy_and_changes_no_artifact(tmp_path,
     monkeypatch.setattr(trainer, "_episode_query_accuracy", spy)
     off, _ = stream(bundle, cfg, tmp_path / "off")
     assert calls == []
-    on, _ = stream(bundle, cfg.replace(telemetry=True), tmp_path / "on")
+    on, _ = stream(bundle, dataclasses.replace(cfg, telemetry=True),
+                   tmp_path / "on")
     assert len(calls) == cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
     for name in ARTIFACTS:
         assert (tmp_path / "off" / name).read_bytes() == \
@@ -630,7 +644,7 @@ def test_episodes_draw_queries_only_under_telemetry(monkeypatch):
     run_stream(bundle, cfg)
     off, episodes[:] = list(episodes), []
     assert queries == []
-    run_stream(bundle, cfg.replace(telemetry=True))
+    run_stream(bundle, dataclasses.replace(cfg, telemetry=True))
     assert len(off) == len(episodes) == len(queries) > 0
     for quiet, queried, query in zip(off, episodes, queries):
         assert quiet.classes == queried.classes
@@ -641,7 +655,7 @@ def test_no_query_is_drawn_or_checked_without_telemetry(monkeypatch):
     """Without telemetry no episode draws queries or checks their supply;
     with it, each episode draws them once, after its update."""
     bundle = tiny_bundle((4,))
-    cfg = tiny_config("gcl", "mean").replace(episodes_finetune=2)
+    cfg = tiny_config("gcl", "mean", episodes_finetune=2)
     calls = []
 
     def spy(name, fn):
@@ -660,7 +674,7 @@ def test_no_query_is_drawn_or_checked_without_telemetry(monkeypatch):
     run_stream(bundle, cfg)
     assert set(calls) == {"update"}
     calls.clear()
-    run_stream(bundle, cfg.replace(telemetry=True))
+    run_stream(bundle, dataclasses.replace(cfg, telemetry=True))
     episodes = calls.count("update")
     assert episodes == cfg.episodes_base + 2 * cfg.episodes_finetune
     trained = [c for c in calls if c != "check"]
@@ -679,17 +693,16 @@ def test_n_way_beyond_a_session_is_rejected_before_the_first_episode(
     records = []
     for telemetry in (False, True):
         with pytest.raises(DatasetError, match=message):
-            run_stream(tiny_bundle(), tiny_config("gfscil_plain", "mean").replace(
-                telemetry=telemetry, **changes), out_dir=tmp_path / "run",
-                log_fn=records.append)
+            run_stream(tiny_bundle(), tiny_config(
+                "gfscil_plain", "mean", telemetry=telemetry, **changes),
+                out_dir=tmp_path / "run", log_fn=records.append)
     assert records == []
     assert not (tmp_path / "run").exists()
 
 
 def test_n_way_is_not_checked_for_sessions_that_train_no_episode():
-    cfg = tiny_config("gfscil_plain", "mean").replace(
-        n_way=4, episodes_base=0, episode_class_pool="novel_only",
-        episodes_finetune=0)
+    cfg = tiny_config("gfscil_plain", "mean", n_way=4, episodes_base=0,
+                      episode_class_pool="novel_only", episodes_finetune=0)
     assert len(run_stream(tiny_bundle(), cfg)) == 3
 
 
