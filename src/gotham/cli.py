@@ -8,8 +8,9 @@ finished run classified session t with, the ``prototypes/session_<t>.tsv``
 the run wrote into the run directory ``--run``; it reads nothing else, and
 refuses a run directory that holds ``FAILED``, quoting it). A
 seed comes from ``--seed``, else ``GOTHAM_SEED``, else the config's seed
-(``run``) or 0. Exit codes: 0 success, 1 runtime failure, 2 invalid
-arguments or input validation failure.
+(``run``) or 0. No flag may be abbreviated, so a misspelt or retired one
+is an error. Exit codes: 0 success, 1 runtime failure, 2 invalid arguments
+or input validation failure.
 """
 from __future__ import annotations
 
@@ -57,11 +58,12 @@ def _out_path(out, flag: str = "--out", *, directory: bool = False) -> Path:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gotham",
+    p = argparse.ArgumentParser(prog="gotham", allow_abbrev=False,
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="train and evaluate a class stream")
+    run = sub.add_parser("run", allow_abbrev=False,
+                         help="train and evaluate a class stream")
     run.set_defaults(handler=cmd_run)
     run.add_argument("--config", required=True, help="JSON run configuration")
     run.add_argument("--seed", type=int, default=None,
@@ -74,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also report each session's post-update episode "
                           "query accuracy (one more forward per episode)")
 
-    vt = sub.add_parser("verify-theorem", help="distortion lower-bound sweep")
+    vt = sub.add_parser("verify-theorem", allow_abbrev=False,
+                        help="distortion lower-bound sweep")
     vt.set_defaults(handler=cmd_verify_theorem)
     vt.add_argument("--trials", type=int, default=1000)
     vt.add_argument("--repetitions", type=int, default=20)
@@ -84,16 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--betas", type=float, nargs="+", default=[0.01, 0.2])
     vt.add_argument("--out", default=None, help="write the JSON report here")
 
-    gc = sub.add_parser("gradcheck", help="finite-difference audit of losses")
+    gc = sub.add_parser("gradcheck", allow_abbrev=False,
+                        help="finite-difference audit of losses")
     gc.set_defaults(handler=cmd_gradcheck)
     gc.add_argument("--seed", type=int, default=None)
     gc.add_argument("--coords", type=int, default=60,
                     help="coordinates sampled per loss")
-    gc.add_argument("--inject-bug", action="store_true",
-                    help="corrupt one gradient to prove the check can fail")
     gc.add_argument("--out", default=None)
 
-    sy = sub.add_parser("synth", help="generate a synthetic dataset directory")
+    sy = sub.add_parser("synth", allow_abbrev=False,
+                        help="generate a synthetic dataset directory")
     sy.set_defaults(handler=cmd_synth)
     sy.add_argument("--out", required=True)
     sy.add_argument("--seed", type=int, default=None)
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--k", type=int, default=5)
     sy.add_argument("--separation", type=float, default=4.0)
 
-    ex = sub.add_parser("export-prototypes",
+    ex = sub.add_parser("export-prototypes", allow_abbrev=False,
                         help="write a run's evaluation prototypes as TSV")
     ex.set_defaults(handler=cmd_export_prototypes)
     ex.add_argument("--run", required=True, metavar="RUN_DIR",
@@ -177,8 +180,7 @@ def cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
     out = _out_path(args.out) if args.out else None
     seed = _seed(args.seed)
-    results = run_gradcheck(seed=seed, n_coords=args.coords,
-                            inject_bug=args.inject_bug)
+    results = run_gradcheck(seed=seed, n_coords=args.coords)
     ok = True
     for name, rep in results.items():
         status = "pass" if rep.passed else "FAIL"
@@ -231,8 +233,10 @@ def cmd_export_prototypes(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse's exit: 2 on a usage error, 0 on --help
+        return exc.code
     try:
         return args.handler(args)
     except (DatasetError, ValueError) as exc:

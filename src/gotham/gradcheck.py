@@ -5,9 +5,8 @@ finetune episode, and checks, on both backbones, the analytic gradient of each
 loss part and of the weighted total as ``trainer._episode_step`` computes
 them: without a teacher for ``train_total``, with a teacher cache of an
 unrelated model for the distillation terms and ``finetune_total``. Both
-cases forward one session plan that holds the distillation nodes.
-``inject_bug`` adds a term the tape cannot see, proving the check fails when
-gradients are wrong.
+cases forward one session plan that holds the distillation nodes. The
+negative control, a loss with a term the tape cannot see, lives in the tests.
 """
 from __future__ import annotations
 
@@ -55,8 +54,7 @@ class FiniteDiffReport:
 
 
 def finite_diff_check(params: dict[str, ad.Tensor], loss_fn,
-                      rng: np.random.Generator, n_coords: int = 50
-                      ) -> FiniteDiffReport:
+                      rng: np.random.Generator, n_coords: int) -> FiniteDiffReport:
     """Central-difference check of analytic gradients on sampled coordinates.
 
     Coordinates whose one-sided slopes disagree by more than 1% (a hinge or
@@ -115,8 +113,7 @@ def _fixture(seed: int):
     return bundle, split, episode
 
 
-def run_gradcheck(seed: int = 0, n_coords: int = 60, inject_bug: bool = False
-                  ) -> dict[str, FiniteDiffReport]:
+def run_gradcheck(seed: int = 0, n_coords: int = 60) -> dict[str, FiniteDiffReport]:
     """One report per backbone and loss, keyed ``"<backbone>/<loss>"``."""
     if n_coords < 1:
         raise ValueError(f"n_coords must be >= 1, got {n_coords}")
@@ -132,7 +129,6 @@ def run_gradcheck(seed: int = 0, n_coords: int = 60, inject_bug: bool = False
         plan = trainer.session_plan(model, bundle, cfg, split, episode.session)
         cache = trainer._TeacherCache(teacher, bundle, plan, episode.session)
         params = network.named_parameters(model)
-        bug_param = params["gnn.0.weight"]
 
         def loss_fn(variant, distil, part):
             run_cfg = replace(cfg, cluster_variant=variant)
@@ -141,12 +137,7 @@ def run_gradcheck(seed: int = 0, n_coords: int = 60, inject_bug: bool = False
                 parts, total, _ = trainer._episode_step(
                     model, bundle, episode, run_cfg, cache if distil else None,
                     plan)
-                loss = total if part == "total" else getattr(parts, part)
-                if inject_bug:
-                    # forward-visible, tape-invisible term: FD sees it,
-                    # autodiff cannot
-                    loss = loss + ad.constant(0.05 * float(bug_param.data.sum()))
-                return loss
+                return total if part == "total" else getattr(parts, part)
             return fn
 
         for name, source in _SOURCES.items():

@@ -7,8 +7,9 @@ Datasets live in a directory of UTF-8 TSV files, a .npy array and a schedule:
     labels.tsv    ``node_id<TAB>class_id`` for each labeled node; class ids
                   here and below are non-negative integers
     csd.tsv       ``class_id<TAB>f1 f2 ...`` (optional)
-    schedule.json base classes, per-session few-shot and zero-shot classes,
-                  k, arrivals; no run mode (an old ``"mode"`` key is ignored)
+    schedule.json base classes, per-session few-shot and zero-shot classes
+                  (each class in one list, once), k, arrivals; no run mode
+                  (an old ``"mode"`` key is ignored)
 
 Snapshots keep the full node universe; a sorted ``visible`` array encodes
 which nodes exist at a given session. Adjacency is symmetric CSR with a
@@ -127,8 +128,8 @@ def unique_ids(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
-def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray, *,
-                   warn_asymmetric: bool = False) -> GraphSnapshot:
+def build_snapshot(num_nodes: int, edges: np.ndarray,
+                   features: np.ndarray) -> GraphSnapshot:
     """Symmetrize, deduplicate, add self-loops and pack into CSR.
 
     ``edges`` is an integer (m, 2) array, or an empty array of any shape;
@@ -138,8 +139,11 @@ def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray, *,
     for its implied reverse and ``2 * (i * n + i)`` for each self-loop. The
     sorted keys shifted right by one are the CSR entries, row-major, each run
     of equal entries once; an off-diagonal entry that holds both an even and
-    an odd key was listed both ways. No step hashes. The largest key,
-    ``2 * (n * n - 1) + 1``, fits int64 up to ``num_nodes`` = 2**31.
+    an odd key was listed both ways. A list with pairs given both ways
+    beside pairs given one way warns how many lacked their reverse; a list
+    of each pair once, or of both ways throughout, does not. No step hashes.
+    The largest key, ``2 * (n * n - 1) + 1``, fits int64 up to ``num_nodes``
+    = 2**31.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
@@ -175,18 +179,17 @@ def build_snapshot(num_nodes: int, edges: np.ndarray, features: np.ndarray, *,
     first[:1] = True
     np.greater(step, 1, out=first[1:])
 
-    if warn_asymmetric:
-        # a file listing each undirected edge once is canonical; only a mixed
-        # export (some pairs in both directions, some not) looks directed.
-        # An entry with both tags was listed both ways, or is a listed
-        # self-loop: a diagonal entry, a multiple of n + 1
-        both = tagged[1:][step == 1] >> 1
-        reversed_pairs = int(np.count_nonzero(both % (num_nodes + 1)))
-        # the other off-diagonal entries pair up: listed one way, implied back
-        missing = (int(np.count_nonzero(first)) - num_nodes - reversed_pairs) // 2
-        if missing and reversed_pairs:
-            warnings.warn(f"{missing} edge(s) lacked a reverse counterpart; "
-                          "symmetrized", stacklevel=2)
+    # a file listing each undirected edge once is canonical; only a mixed
+    # export (some pairs in both directions, some not) looks directed. An
+    # entry with both tags was listed both ways, or is a listed self-loop:
+    # a diagonal entry, a multiple of n + 1
+    both = tagged[1:][step == 1] >> 1
+    reversed_pairs = int(np.count_nonzero(both % (num_nodes + 1)))
+    # the other off-diagonal entries pair up: listed one way, implied back
+    missing = (int(np.count_nonzero(first)) - num_nodes - reversed_pairs) // 2
+    if missing and reversed_pairs:
+        warnings.warn(f"{missing} edge(s) lacked a reverse counterpart; "
+                      "symmetrized", stacklevel=2)
 
     key = tagged[first] >> 1      # row-major: rows ascend, columns per row
     rows = key // num_nodes
@@ -297,36 +300,33 @@ class StreamSchedule:
                                f"[0, {len(self.sessions)}]")
 
     def validate(self) -> None:
+        """One pass over every class list, base first, checks that no id is
+        negative or listed twice; then each session's k."""
         if not self.base_classes:
             raise DatasetError("a stream needs at least one base class")
         lists = [("base_classes", self.base_classes)] + [
             (f"session {t} {key}", getattr(s, key))
             for t, s in enumerate(self.sessions, start=1)
             for key in ("few_shot", "zero_shot")]
+        first: dict[int, str] = {}      # class -> the list that first names it
         for where, ids in lists:
-            repeated = next((c for i, c in enumerate(ids) if c in ids[:i]), None)
-            if repeated is not None:
-                raise DatasetError(f"{where} lists class {repeated} twice")
             if min(ids, default=0) < 0:
                 raise DatasetError(f"{where} lists negative class {min(ids)}; "
                                    "class ids are >= 0")
-        seen_sets = [set(self.base_classes)]
+            for c in ids:
+                if first.get(c) == where:
+                    raise DatasetError(f"{where} lists class {c} twice")
+                if c in first:
+                    raise DatasetError(f"{where} lists class {c}, which "
+                                       f"{first[c]} lists")
+                first[c] = where
         for t, s in enumerate(self.sessions, start=1):
-            novel = set(s.few_shot) | set(s.zero_shot)
-            if set(s.few_shot) & set(s.zero_shot):
-                raise DatasetError("class listed as both few-shot and zero-shot")
-            for prev in seen_sets:
-                overlap = prev & novel
-                if overlap:
-                    raise DatasetError(
-                        f"novel classes {sorted(overlap)} overlap an earlier session")
             if s.k < 0:
                 raise DatasetError("negative k")
             if s.few_shot and s.k == 0:
                 raise DatasetError(f"session {t} lists few-shot "
                                    f"classes {list(s.few_shot)} with k=0; "
                                    "few-shot classes need k >= 1")
-            seen_sets.append(novel)
 
 
 @dataclass(frozen=True)
@@ -500,7 +500,7 @@ def load_dataset(directory) -> DatasetBundle:
                     raise DatasetError(f"csd.tsv line {n}: {exc}") from None
 
     schedule = _read_schedule(_require(d / "schedule.json"), num_nodes)
-    graph = build_snapshot(num_nodes, edge_arr, features, warn_asymmetric=True)
+    graph = build_snapshot(num_nodes, edge_arr, features)
     bundle = DatasetBundle(graph=graph, labels=LabelTable(labels),
                            csds=CSDTable(vectors), schedule=schedule)
     bundle.validate()

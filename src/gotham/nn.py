@@ -1,9 +1,9 @@
 """Dense numeric core: graph encoder, semantic encoder, gradients, updates.
 
-Both encoders are ``GnnParams``; the semantic one is a plain layer chain that
-``mlp_forward`` runs without a graph, so its ``backbone`` is never read. The
-graph encoder stacks ``H <- act(agg(H) W + b)`` layers. ``agg`` is a CSR
-block over the rows a layer must produce and the hop rows they read, so
+Both encoders are ``GnnParams`` and run one chain of ``H <- act(agg(H) W + b)``
+layers; ``mlp_forward`` runs it with each input its own aggregate, so the
+semantic encoder's ``backbone`` is never read. In ``gnn_forward`` ``agg`` is a
+CSR block over the rows a layer must produce and the hop rows they read, so
 embeddings of a node depend on exactly its L-hop surroundings: the
 degree-normalized adjacency M (self-loops included) on the mean backbone, or a
 softmax over each row's CSR entries (GAT) on the attention backbone. The final
@@ -280,9 +280,14 @@ def gnn_forward(params: GnnParams, graph: GraphSnapshot, nodes) -> Tensor:
     if (plan.graph is not graph or plan.backbone != params.backbone
             or len(plan.blocks) != len(params.layers)):
         raise ValueError("forward plan was built for another snapshot or encoder")
-    h = ad.constant(plan.inputs)
+    return _layer_chain(params, ad.constant(plan.inputs), plan.blocks)
+
+
+def _layer_chain(params: GnnParams, h: Tensor, blocks) -> Tensor:
+    """``params``' layers over the input ``h``, layer l aggregating by
+    ``blocks[l]``; a None block makes the input its own aggregate."""
     last = len(params.layers) - 1
-    for l, (layer, block) in enumerate(zip(params.layers, plan.blocks)):
+    for l, (layer, block) in enumerate(zip(params.layers, blocks)):
         if block is None:
             agg = h
         elif params.backbone == "mean":
@@ -322,17 +327,13 @@ def _attention_aggregate(params: GnnParams, layer: Layer, block: _AttentionBlock
 
 def mlp_forward(params: GnnParams, vectors) -> Tensor:
     """Affine + leaky-ReLU chain with a linear final layer, a row per vector:
-    the encoder on nodes with only a self-loop."""
+    the encoder's layer chain with every block None, as on nodes whose only
+    CSR entry is their self-loop."""
     h = ad.constant(vectors)
     if h.data.ndim != 2 or h.shape[1] != params.in_dim:
         raise ValueError(f"inputs of shape {h.shape} do not fit encoder input "
                          f"dim {params.in_dim}")
-    last = len(params.layers) - 1
-    for l, layer in enumerate(params.layers):
-        h = ad.affine(h, layer.weight, layer.bias)
-        if l != last:
-            h = ad.leaky_relu(h, params.negative_slope)
-    return h
+    return _layer_chain(params, h, [None] * len(params.layers))
 
 
 # -- gradients and updates ---------------------------------------------------

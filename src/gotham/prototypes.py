@@ -6,7 +6,8 @@ row averages the embeddings of a class's extended support set. A *merged* row
 is the midpoint of the seen row and the encoded class-semantic vector. An
 *unseen_semantic* row is the graph encoder applied to the class's semantic
 vector (projected into graph-feature space when the widths differ) as a
-one-node self-loop graph; no other encoder makes zero-shot rows.
+one-node self-loop graph, which ``nn.mlp_forward`` runs as the encoder's own
+layer chain; no other encoder makes zero-shot rows.
 
 ``build_prototype_tensors`` is the one place that decides which kind each
 class in C^t gets, reading no run mode: a model without a semantic encoder
@@ -158,9 +159,9 @@ def add_unseen_prototypes(build: PrototypeBuild, model: network.ModelState,
     vectors = _csd_matrix(csds, unseen)
     if model.csd_projection is not None:     # into graph-feature space
         vectors = vectors @ model.csd_projection
-    # on either backbone a node whose only CSR entry is its self-loop passes
-    # each layer as a plain affine map, so the graph encoder on a one-node
-    # graph is its layers applied as an MLP
+    # on either backbone a node whose only CSR entry is its self-loop is its
+    # own aggregate, so the graph encoder on a one-node graph is its layer
+    # chain with every block None: its layers applied as an MLP
     rows = network.mlp_forward(model.gnn, vectors)
     classes = np.concatenate([build.classes, unseen])
     kinds = build.kinds + ["unseen_semantic"] * unseen.size

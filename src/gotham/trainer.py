@@ -160,7 +160,7 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
 
     if teacher_cache is not None:
         parts.kd_emb = loss_kd_emb(teacher_cache.embeddings, build.distill)
-        if teacher_cache.encodings is not None and teacher_cache.classes:
+        if teacher_cache.encodings is not None:
             student_enc = ad.gather_rows(build.encoded, np.searchsorted(
                 plan.classes, teacher_cache.classes))
             parts.kd_align = loss_kd_align(teacher_cache.encodings, student_enc,

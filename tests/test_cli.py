@@ -480,7 +480,7 @@ def test_run_on_a_stream_without_base_classes_exits_2(tmp_path, capsys):
      "schedule.json: sessions must be a list of objects"),
     (lambda s: list(s), "schedule.json: the top level must be an object"),
     (lambda s: {**s, "sessions": [{**s["sessions"][0], "zero_shot": [3]}]},
-     "class listed as both few-shot and zero-shot"),
+     "session 1 zero_shot lists class 3, which session 1 few_shot lists"),
     (lambda s: {**s, "sessions": [{**s["sessions"][0], "k": -1}]}, "negative k"),
     (lambda s: {**s, "sessions": [{**s["sessions"][0], "arrivals": [3, 80]}]},
      "schedule.json: session 1: arrivals must be node ids in [0, 80)"),
@@ -571,6 +571,10 @@ def test_telemetry_short_of_queries_exits_2_before_writing(tmp_path, capsys):
 
 BAD_ARGUMENTS = [
     ("gradcheck --coords=0", "n_coords must be"),
+    # no flag is abbreviated: --h would print --help's usage and exit 0, and
+    # --conf would stand for --config, which must be spelt out
+    ("gradcheck --h 1e-4", "unrecognized arguments: --h 1e-4"),
+    ("run --conf c.json", "the following arguments are required: --config"),
     # no repetition would be a vacuous pass
     ("verify-theorem --repetitions=0", "repetitions must be"),
     ("verify-theorem --xis nan --trials 10 --repetitions 2", "xi must be"),

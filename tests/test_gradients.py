@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from gotham import autodiff as ad
+from gotham import gradcheck
 from gotham import nn as network
+from gotham import trainer
+from gotham.config import RunConfig
 from gotham.gradcheck import GRADCHECK_LOSSES, finite_diff_check, run_gradcheck
 
 REPORTS = {f"{backbone}/{name}" for backbone in ("mean", "attention")
@@ -30,14 +33,26 @@ def test_gradcheck_covers_all_specified_losses():
 
 
 def test_injected_bug_is_caught():
-    reports = run_gradcheck(seed=0, n_coords=30, inject_bug=True)
-    # the invisible term touches gnn.0.weight; any loss sampling one of its
-    # coordinates must fail, on either backbone
+    """Negative control: on either backbone, the training loss plus a term
+    the tape cannot see fails the finite-difference check."""
+    bundle, split, episode = gradcheck._fixture(0)
     for backbone in ("mean", "attention"):
-        failed = [n for n, r in reports.items()
-                  if n.startswith(backbone + "/") and not r.passed]
-        assert failed, (f"negative control: corrupted {backbone} gradients "
-                        "went undetected")
+        model = network.init_model(feature_dim=4, hidden=6, out=5, num_layers=2,
+                                   seed=3, csd_dim=4, backbone=backbone)
+        cfg = RunConfig(backbone=backbone, walk_length=2, walks_per_seed=3, seed=4)
+        plan = trainer.session_plan(model, bundle, cfg, split, episode.session)
+        weight = network.named_parameters(model)["gnn.0.weight"]
+
+        def loss():
+            _, total, _ = trainer._episode_step(model, bundle, episode, cfg,
+                                                None, plan)
+            # finite differences see this term; autodiff cannot
+            return total + ad.constant(0.05 * float(weight.data.sum()))
+
+        rep = finite_diff_check({"gnn.0.weight": weight}, loss,
+                                rng=np.random.default_rng(10), n_coords=30)
+        assert not rep.passed, (f"negative control: corrupted {backbone} "
+                                "gradients went undetected")
 
 
 def test_gradcheck_runtime_budget():

@@ -122,10 +122,10 @@ def former_build_snapshot(num_nodes, edges, features, *, warn_asymmetric=False):
     return indptr, key % num_nodes
 
 
-def built_with_warnings(build, n, edges):
+def built_with_warnings(build, n, edges, **flags):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = build(n, edges, np.ones((n, 1)), warn_asymmetric=True)
+        got = build(n, edges, np.ones((n, 1)), **flags)
     return got, [str(w.message) for w in caught]
 
 
@@ -143,7 +143,7 @@ def test_one_tagged_sort_equals_the_former_three_sort_build(n, data):
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     got, warned = built_with_warnings(build_snapshot, n, edges)
     (indptr, indices), former_warned = built_with_warnings(
-        former_build_snapshot, n, edges)
+        former_build_snapshot, n, edges, warn_asymmetric=True)
     np.testing.assert_array_equal(got.indptr, indptr)
     np.testing.assert_array_equal(got.indices, indices)
     assert got.indptr.dtype == got.indices.dtype == np.int64
@@ -352,7 +352,7 @@ def test_asymmetry_warning_matches_set_scan(n, data):
     missing, has_bidir = asymmetry_oracle(edges)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        build_snapshot(n, edges, np.ones((n, 1)), warn_asymmetric=True)
+        build_snapshot(n, edges, np.ones((n, 1)))
     messages = [str(w.message) for w in caught]
     if missing and has_bidir:
         assert messages == [f"{missing} edge(s) lacked a reverse counterpart; "
@@ -438,14 +438,16 @@ def test_overlapping_novel_sets_rejected():
     sched = StreamSchedule(base_classes=(0, 1),
                            sessions=(SessionSpec((2,), (), 5),
                                      SessionSpec((2,), (), 5)))
-    with pytest.raises(DatasetError, match="overlap"):
+    with pytest.raises(DatasetError, match="^session 2 few_shot lists class 2, "
+                                           "which session 1 few_shot lists$"):
         sched.validate()
 
 
 def test_novel_overlapping_base_rejected():
     sched = StreamSchedule(base_classes=(0, 1),
                            sessions=(SessionSpec((1,), (), 5),))
-    with pytest.raises(DatasetError, match="overlap"):
+    with pytest.raises(DatasetError, match="^session 1 few_shot lists class 1, "
+                                           "which base_classes lists$"):
         sched.validate()
 
 
@@ -688,7 +690,10 @@ def test_a_stream_without_base_classes_is_rejected(tmp_path):
     (lambda s: {**s, "sessions": [{"few_shot": [2], "k": 1},
                                   {"zero_shot": [3, 3]}]},
      "session 2 zero_shot lists class 3 twice"),
-], ids=["base", "few-shot", "zero-shot"])
+    # the negative id is named, not its repeat
+    (lambda s: {**s, "base_classes": [0, -1, -1]},
+     "base_classes lists negative class -1; class ids are >= 0"),
+], ids=["base", "few-shot", "zero-shot", "negative"])
 def test_a_class_listed_twice_in_one_list_is_rejected(tmp_path, edit, message):
     """A repeat would let a task of n_way draws hold fewer distinct classes."""
     write_dataset(synth_generate(0, 4, 10, 0.9, 0.1, 4, n_base=2), tmp_path)
