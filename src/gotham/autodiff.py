@@ -194,9 +194,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_wrap(other))
 
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
-
     def __mul__(self, other):
         other = _wrap(other)
         out = Tensor(self.data * other.data, parents=(self, other))
@@ -462,6 +459,26 @@ def _owned(pg, g: np.ndarray, grads: tuple) -> bool:
             and sum(p is pg for p in grads) == 1)
 
 
+def _tape(loss: Tensor) -> list:
+    """The nodes that need a gradient on the tape of ``loss``, each once and
+    after every node it reads: the backward pass visits them reversed."""
+    order: list = []
+    seen = set()
+    stack = [(loss._tape_node, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
+    return order
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
 
@@ -475,27 +492,12 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError("backward() expects a scalar loss")
     root = loss._tape_node
-    order: list = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     owned = {id(root)}
     # sums that took a row contribution after their first (zero signs, see
     # the module docstring)
     scattered = set()
-    for node in reversed(order):
+    for node in reversed(_tape(loss)):
         g = grads.pop(id(node), None)
         if g is None:
             continue

@@ -279,12 +279,6 @@ class StreamSchedule:
     def classes_at(self, t: int) -> list[int]:
         return sorted(set(self.seen_at(t)) | set(self.unseen_at(t)))
 
-    def novel_few_shot_at(self, t: int) -> list[int]:
-        self._check_t(t)
-        if t == 0:
-            return sorted(self.base_classes)
-        return sorted(self.sessions[t - 1].few_shot)
-
     def visible_from(self, num_nodes: int) -> np.ndarray:
         """First session at which each node is visible: the first session
         that lists it as an arrival, 0 for a node that none lists. Arrivals
@@ -322,7 +316,7 @@ class StreamSchedule:
                 first[c] = where
         for t, s in enumerate(self.sessions, start=1):
             if s.k < 0:
-                raise DatasetError("negative k")
+                raise DatasetError(f"session {t} lists k={s.k}; k is >= 0")
             if s.few_shot and s.k == 0:
                 raise DatasetError(f"session {t} lists few-shot "
                                    f"classes {list(s.few_shot)} with k=0; "

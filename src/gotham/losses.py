@@ -76,14 +76,11 @@ def loss_seg(prototypes: Tensor, epsilon_log: float) -> Tensor:
     if c < 2:
         warnings.warn("loss_seg needs >= 2 prototypes; returning 0", stacklevel=2)
         return ad.constant(0.0)
-    # each unordered pair once, from its difference p_i - p_j (a +1/-1 row of
-    # an incidence matrix, exact in a product): |p_i|^2 + |p_j|^2 - 2 p_i.p_j
-    # cancels when two prototypes nearly coincide
+    # each unordered pair once, from its difference p_i - p_j of two gathered
+    # rows: |p_i|^2 + |p_j|^2 - 2 p_i.p_j cancels when two prototypes nearly
+    # coincide
     i, j = np.triu_indices(c, 1)
-    incidence = np.zeros((i.size, c))
-    incidence[np.arange(i.size), i] = 1.0
-    incidence[np.arange(i.size), j] = -1.0
-    diff = ad.constant(incidence) @ prototypes
+    diff = ad.gather_rows(prototypes, i) - ad.gather_rows(prototypes, j)
     d = ad.sqrt(ad.maximum((diff * diff).sum(axis=1), epsilon_log ** 2))
     return ad.log(d).sum() * (-2.0 / c)
 

@@ -187,7 +187,7 @@ def task_pool(schedule: StreamSchedule, t: int, n_way: int,
     if episode_class_pool == "all_seen":
         return schedule.seen_at(t), False
     if episode_class_pool == "novel_only":
-        novel = schedule.novel_few_shot_at(t)
+        novel = sorted(schedule.sessions[t - 1].few_shot)
         if n_way > len(novel):
             raise DatasetError(f"n_way={n_way} exceeds novel few-shot classes "
                                f"at session {t} ({len(novel)})")

@@ -1,10 +1,11 @@
 """Episodic training across streaming sessions with nearest-prototype eval.
 
-``run_stream`` runs one session loop over t = 0..S. Base training (t = 0)
-optimizes clustering/segregation (plus semantic alignment when class
-semantics are available) over sampled tasks. Each later session distils from
-a frozen teacher, the model that finished session t-1, then finetunes on
-tasks covering all currently-seen classes.
+``run_stream`` runs one session loop over t = 0..S and always writes the
+run to its ``out_dir``. Base training (t = 0) optimizes clustering/
+segregation (plus semantic alignment when class semantics are available)
+over sampled tasks. Each later session distils from a frozen teacher, the
+model that finished session t-1, then finetunes on tasks covering all
+currently-seen classes.
 
 ``_run_session`` reads session t top to bottom. ``session_plan`` draws its
 random walks once (``session_supports``) and plans them once: the
@@ -222,10 +223,10 @@ def session_plan(model: network.ModelState, bundle: DatasetBundle,
     return plan_supports(model.gnn, graph_at(bundle, t), extended, distill)
 
 
-def _run_session(model, bundle, cfg, split, t, log_fn=None):
+def _run_session(model, bundle, cfg, split, t, log_fn):
     """Session t: its plan, teacher, episodes and evaluation on the same walk
-    draw. Returns the report and the (classes, kinds, prototypes) evaluation
-    classified with."""
+    draw; ``log_fn`` takes each episode's loss record. Returns the report and
+    the (classes, kinds, prototypes) evaluation classified with."""
     start = time.perf_counter()
     plan = session_plan(model, bundle, cfg, split, t)
     # the teacher is read before the first update
@@ -243,11 +244,10 @@ def _run_session(model, bundle, cfg, split, t, log_fn=None):
                                           cache, plan, params, lr)
         if acc is not None:
             q_accs.append(acc)
-        if log_fn is not None:
-            log_fn({"step": step_offset + e, "session": t,
-                    "l_cls": vals["cluster"], "l_seg": vals["seg"],
-                    "l_sem": vals["sem"], "l_emb": vals["kd_emb"],
-                    "l_align": vals["kd_align"], "total": total})
+        log_fn({"step": step_offset + e, "session": t,
+                "l_cls": vals["cluster"], "l_seg": vals["seg"],
+                "l_sem": vals["sem"], "l_emb": vals["kd_emb"],
+                "l_align": vals["kd_align"], "total": total})
     del cache
     build = _eval_prototypes(model, bundle, t, plan)
     classes, kinds, prototypes = build.classes, build.kinds, build.final.data
@@ -347,12 +347,14 @@ def _steady_heap() -> None:
         pass
 
 
-def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
+def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir,
                log_fn=None) -> list[SessionReport]:
-    """Base training followed by every scheduled session. Once it is valid,
-    the artifacts an earlier run left in ``out_dir`` go; this run's follow.
-    A run that raises after that leaves ``out_dir/FAILED``, holding the
-    exception's type and message, beside its partial ``loss_log.jsonl``.
+    """Base training followed by every scheduled session, written to
+    ``out_dir``. Once the run is valid, the artifacts an earlier run left
+    there go; this run's follow. Each loss record goes to
+    ``loss_log.jsonl``, then to ``log_fn`` if one is given. A run that
+    raises after that leaves ``out_dir/FAILED``, holding the exception's
+    type and message, beside its partial ``loss_log.jsonl``.
 
     The sessions run under ``np.errstate(over="ignore", invalid="ignore")``:
     an overflow or NaN reaches ``compute_gradients``, ``apply_update`` or
@@ -370,41 +372,31 @@ def run_stream(bundle: DatasetBundle, cfg: RunConfig, *, out_dir=None,
                                negative_slope=cfg.negative_slope,
                                backbone=cfg.backbone)
 
-    sink = None
-    emit = log_fn
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        # no file of an earlier run outlives a run that fails
-        for stale in [*map(out.joinpath, ("config.json", "model.ckpt", "summary.tsv",
-                                          FAILED)),
-                      *out.glob("reports/session_*.json"),
-                      *out.glob("prototypes/session_*.tsv")]:
-            stale.unlink(missing_ok=True)
-        sink = open(out / "loss_log.jsonl", "w", encoding="utf-8")
-
-        def emit(rec, _user=log_fn):
-            sink.write(json.dumps(rec, sort_keys=True) + "\n")
-            if _user is not None:
-                _user(rec)
-
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    # no file of an earlier run outlives a run that fails
+    for stale in [*map(out.joinpath, ("config.json", "model.ckpt", "summary.tsv",
+                                      FAILED)),
+                  *out.glob("reports/session_*.json"),
+                  *out.glob("prototypes/session_*.tsv")]:
+        stale.unlink(missing_ok=True)
     try:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                reports, tables = zip(*[
-                    _run_session(model, bundle, cfg, split, t, emit)
-                    for t in range(bundle.schedule.num_sessions + 1)])
-        finally:
-            if sink is not None:
-                sink.close()
-        if out_dir is not None:
-            write_reports(reports, tables, out)
-            network.save_model(model, out / "model.ckpt")
-            cfg.to_json(out / "config.json")
+        with (open(out / "loss_log.jsonl", "w", encoding="utf-8") as sink,
+              np.errstate(over="ignore", invalid="ignore")):
+            def emit(rec):
+                sink.write(json.dumps(rec, sort_keys=True) + "\n")
+                if log_fn is not None:
+                    log_fn(rec)
+
+            reports, tables = zip(*[
+                _run_session(model, bundle, cfg, split, t, emit)
+                for t in range(bundle.schedule.num_sessions + 1)])
+        write_reports(reports, tables, out)
+        network.save_model(model, out / "model.ckpt")
+        cfg.to_json(out / "config.json")
     except BaseException as exc:
-        if out_dir is not None:
-            (out / FAILED).write_text(f"{type(exc).__name__}: {exc}\n",
-                                      encoding="utf-8")
+        (out / FAILED).write_text(f"{type(exc).__name__}: {exc}\n",
+                                  encoding="utf-8")
         raise
     return list(reports)
 

@@ -2,12 +2,16 @@
 theorem sweep, exit codes."""
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gotham import trainer
+from gotham import cli, trainer
 from gotham.cli import main
 from gotham.config import RunConfig
 from gotham.gradcheck import GRADCHECK_LOSSES
@@ -420,45 +424,6 @@ def test_telemetry_config_round_trips_and_the_flag_sets_it(tmp_path):
     assert isinstance(report["episode_query_acc"], float)
 
 
-def test_synth_with_k_0_exits_2(tmp_path, capsys):
-    argv = ["synth", "--out", str(tmp_path / "data"), "--blocks", "5",
-            "--base-classes", "4", "--k", "0"]
-    assert main(argv) == 2
-    assert "k_shot=0" in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
-
-
-@pytest.mark.parametrize("n_base", ["0", "-2", "10"])
-def test_synth_with_base_classes_outside_1_to_blocks_exits_2(tmp_path, n_base,
-                                                             capsys):
-    argv = ["synth", "--out", str(tmp_path / "data"), "--blocks", "8",
-            "--base-classes", n_base]
-    assert main(argv) == 2
-    assert f"blocks=8, got {n_base}" in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
-
-
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_synth_with_novel_per_session_below_1_exits_2(tmp_path, n, capsys):
-    argv = ["synth", "--out", str(tmp_path / "data"), "--base-classes", "4",
-            f"--novel-per-session={n}"]
-    assert main(argv) == 2
-    assert f"novel_per_session must be at least 1, got {n}" in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
-
-
-@pytest.mark.parametrize("flag,message", [
-    ("--separation=-1", "mean_separation must be finite and >= 0, got -1.0"),
-    ("--separation=nan", "mean_separation must be finite and >= 0, got nan"),
-    ("--separation=inf", "mean_separation must be finite and >= 0, got inf"),
-])
-def test_synth_with_a_bad_separation_exits_2(tmp_path, flag, message, capsys):
-    argv = ["synth", "--out", str(tmp_path / "data"), "--base-classes", "4", flag]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
-
-
 def test_run_on_a_stream_without_base_classes_exits_2(tmp_path, capsys):
     data = tmp_path / "data"
     write_dataset(synth_generate(0, 4, 20, 0.3, 0.02, 8, n_base=1, k_shot=3), data)
@@ -481,7 +446,8 @@ def test_run_on_a_stream_without_base_classes_exits_2(tmp_path, capsys):
     (lambda s: list(s), "schedule.json: the top level must be an object"),
     (lambda s: {**s, "sessions": [{**s["sessions"][0], "zero_shot": [3]}]},
      "session 1 zero_shot lists class 3, which session 1 few_shot lists"),
-    (lambda s: {**s, "sessions": [{**s["sessions"][0], "k": -1}]}, "negative k"),
+    (lambda s: {**s, "sessions": [{**s["sessions"][0], "k": -1}]},
+     "session 1 lists k=-1; k is >= 0"),
     (lambda s: {**s, "sessions": [{**s["sessions"][0], "arrivals": [3, 80]}]},
      "schedule.json: session 1: arrivals must be node ids in [0, 80)"),
     (lambda s: {**s, "base_classes": [0, 0, 1]}, "base_classes lists class 0 twice"),
@@ -569,6 +535,19 @@ def test_telemetry_short_of_queries_exits_2_before_writing(tmp_path, capsys):
     assert (run / "loss_log.jsonl").stat().st_size > 0
 
 
+def test_importing_the_cli_loads_no_training_module():
+    """The package root re-exports nothing, so ``gotham.cli`` loads only the
+    modules it imports itself; a command loads the rest when it runs."""
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import sys, gotham.cli; "
+            "print(*sorted(m for m in sys.modules if m.startswith('gotham')))")
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "gotham.cli" in loaded
+    assert "gotham.trainer" not in loaded and "gotham.nn" not in loaded
+
+
 BAD_ARGUMENTS = [
     ("gradcheck --coords=0", "n_coords must be"),
     # no flag is abbreviated: --h would print --help's usage and exit 0, and
@@ -581,14 +560,22 @@ BAD_ARGUMENTS = [
     ("verify-theorem --xis inf --trials 10 --repetitions 2", "xi must be"),
     ("verify-theorem --xis 1e200 --trials 10 --repetitions 2 --widths 1 "
      "--betas 0.2", "xi must be"),
-    # rejected before anything is written, so --out names no real directory
+    # rejected before anything is written: the test runs in an empty
+    # directory and checks that it stays empty
     ("synth --out unwritten --blocks 4 --base-classes 2 --zero-shot 1",
      "zero-shot classes [1] are not streamed"),
     ("synth --out unwritten --blocks 8 --dim 4",
      "feature dim must be >= number of blocks"),
-    ("synth --out unwritten --seed -1", "--seed must be a non-negative integer"),
-    ("gradcheck --seed -1", "--seed must be a non-negative integer"),
-    ("verify-theorem --seed -1", "--seed must be a non-negative integer"),
+    ("synth --out unwritten --blocks 5 --base-classes 4 --k 0",
+     "k_shot=0: few-shot sessions need k >= 1"),
+    *((f"synth --out unwritten --blocks 8 --base-classes {n}",
+       f"base classes must number 1 to blocks=8, got {n}")
+      for n in ("0", "-2", "10")),
+    *((f"synth --out unwritten --novel-per-session={n}",
+       f"novel_per_session must be at least 1, got {n}") for n in ("0", "-1")),
+    *((f"synth --out unwritten --separation={x}",
+       f"mean_separation must be finite and >= 0, got {float(x)}")
+      for x in ("-1", "nan", "inf")),
     # checked before the first draw, which would reject a negative shape itself
     ("verify-theorem --trials 1", "trials must be >= 2"),
     ("verify-theorem --trials -5", "trials must be >= 2"),
@@ -597,9 +584,11 @@ BAD_ARGUMENTS = [
 
 @pytest.mark.parametrize("argv,message", BAD_ARGUMENTS,
                          ids=[argv for argv, _ in BAD_ARGUMENTS])
-def test_bad_argument_exits_2(argv, message, capsys):
+def test_bad_argument_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv.split()) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["run", "synth", "gradcheck",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gotham import autodiff as ad
 from gotham import nn as network
 from gotham.graphstore import build_snapshot, graph_at, synth_generate
+from test_graphstore import MIXED_EDGES
 
 
 def dense_mean_adjacency(graph):
@@ -268,6 +269,7 @@ def graphs_with_hidden_nodes(draw):
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
+@MIXED_EDGES
 @ORACLE_SETTINGS
 @given(graphs_with_hidden_nodes())
 def test_hop_sets_and_mean_blocks_equal_loop_oracles(case):
@@ -286,6 +288,7 @@ def test_hop_sets_and_mean_blocks_equal_loop_oracles(case):
         np.testing.assert_array_equal(got.data, want.data)
 
 
+@MIXED_EDGES
 @ORACLE_SETTINGS
 @given(graphs_with_hidden_nodes())
 def test_hop_sets_equal_the_np_unique_formula(case):
@@ -328,6 +331,7 @@ def assert_gradients_close(got, want, rtol):
         assert np.abs(got[name] - w).max() <= rtol * max(ref, 1e-300), name
 
 
+@MIXED_EDGES
 @ORACLE_SETTINGS
 @given(graphs_with_hidden_nodes(), st.sampled_from(["mean", "attention"]))
 def test_gnn_forward_and_gradients_equal_loop_oracle(case, backbone):
@@ -350,6 +354,7 @@ def test_gnn_forward_and_gradients_equal_loop_oracle(case, backbone):
         assert_gradients_close(got_grads, want_grads, 1e-12)
 
 
+@MIXED_EDGES
 @ORACLE_SETTINGS
 @given(graphs_with_hidden_nodes(), st.sampled_from(["mean", "attention"]))
 def test_gnn_forward_and_gradients_match_transform_first_oracle(case, backbone):
@@ -644,6 +649,7 @@ def union_rows(params, graph, sets):
 @ORACLE_SETTINGS
 @given(graphs_with_hidden_nodes(), st.sampled_from(["mean", "attention"]),
        st.data())
+@MIXED_EDGES
 def test_union_forward_rows_equal_per_set_forwards(case, backbone, data):
     graph, _, depth = case
     assume(graph.visible.size >= 2)

@@ -201,7 +201,7 @@ def novel_bundle():
 def test_novel_only_task_draws_the_session_novel_classes():
     b = novel_bundle()
     split = build_class_split(b, 3, anchor_seed=7)
-    novel, seen = b.schedule.novel_few_shot_at(1), b.schedule.seen_at(1)
+    novel, seen = sorted(b.schedule.sessions[0].few_shot), b.schedule.seen_at(1)
     assert novel == [3, 4]
     drawn = set()
     for seed in range(8):
@@ -225,7 +225,7 @@ def test_novel_only_n_way_beyond_the_session_novel_classes_rejected(t, n_way):
     with pytest.raises(DatasetError, match="n_way=.* exceeds novel few-shot"):
         draw(b, t, split, n_way=n_way, seed=0, query_per_class=3,
              episode_class_pool="novel_only")
-    novel = len(b.schedule.novel_few_shot_at(t))
+    novel = len(b.schedule.sessions[t - 1].few_shot)
     with pytest.raises(DatasetError, match=rf"^n_way={n_way} exceeds novel few-shot "
                                            rf"classes at session {t} \({novel}\)$"):
         task_pool(b.schedule, t, n_way, "novel_only")

@@ -136,7 +136,8 @@ def test_run_stream_with_streamed_class_arrivals(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
 
 
-def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
+def test_episodes_and_evaluation_share_the_session_supports(monkeypatch,
+                                                            tmp_path):
     bundle = tiny_bundle((4,))
     sched = bundle.schedule
     cfg = tiny_config("gcl", "mean", episodes_finetune=2)
@@ -160,7 +161,7 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
     monkeypatch.setattr(trainer, "session_supports", count_draws)
     monkeypatch.setattr(trainer, "plan_supports", spy_plan)
     monkeypatch.setattr(trainer, "build_prototype_tensors", spy_build)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     # one walk draw and one plan of it per session serve its episodes and
     # its evaluation
     assert [t for t, _ in draws] == list(range(sched.num_sessions + 1))
@@ -182,7 +183,7 @@ def test_episodes_and_evaluation_share_the_session_supports(monkeypatch):
     ("gfscil_semantic", "attention", ()),
 ])
 def test_teacher_cache_equals_a_frozen_copy_of_the_previous_session(
-        monkeypatch, mode, backbone, zero_shot):
+        monkeypatch, mode, backbone, zero_shot, tmp_path):
     """The cache read from the live model at the start of session t holds,
     bit for bit, what a frozen copy taken after session t-1 computes on the
     session's plan; the first finetune episode's student rows equal it, so
@@ -194,7 +195,7 @@ def test_teacher_cache_equals_a_frozen_copy_of_the_previous_session(
     step = trainer._episode_step
     frozen, caches, first = {}, {}, {}
 
-    def spy_session(model, bundle, cfg, split, t, log_fn=None):
+    def spy_session(model, bundle, cfg, split, t, log_fn):
         report = run_session(model, bundle, cfg, split, t, log_fn)
         frozen[t] = (copy.deepcopy(model), split)
         for tensor in network.named_parameters(frozen[t][0]).values():
@@ -214,7 +215,7 @@ def test_teacher_cache_equals_a_frozen_copy_of_the_previous_session(
     monkeypatch.setattr(trainer, "_run_session", spy_session)
     monkeypatch.setattr(trainer, "_TeacherCache", SpyCache)
     monkeypatch.setattr(trainer, "_episode_step", spy_step)
-    _, records = stream(bundle, cfg, None)
+    _, records = stream(bundle, cfg, tmp_path)
     assert sorted(caches) == list(range(1, sched.num_sessions + 1))
     for t, (cache, plan) in caches.items():
         teacher, split = frozen[t - 1]
@@ -240,7 +241,8 @@ def test_teacher_cache_equals_a_frozen_copy_of_the_previous_session(
     ("gcl", "mean", (4,)),
     ("gfscil_semantic", "attention", ()),
 ])
-def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
+def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot,
+                                       tmp_path):
     """One encoder forward per training episode serves every seen class and
     the distillation rows, on either backbone."""
     bundle = tiny_bundle(zero_shot)
@@ -264,7 +266,7 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
 
     monkeypatch.setattr(network, "gnn_forward", count_forward)
     monkeypatch.setattr(trainer, "_episode_step", count_step)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     assert len(counts) == cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
     assert all(n == 1 for _, _, n in counts)
 
@@ -274,7 +276,7 @@ def test_episode_forwards_per_backbone(monkeypatch, mode, backbone, zero_shot):
     ("gfscil_semantic", "attention", ()),
 ])
 def test_only_training_episodes_build_a_tape(monkeypatch, mode, backbone,
-                                             zero_shot):
+                                             zero_shot, tmp_path):
     """The teacher, the evaluation prototypes, evaluation and telemetry's
     query accuracy run their encoders without a tape; every encoder forward
     of an episode's loss has one."""
@@ -300,7 +302,7 @@ def test_only_training_episodes_build_a_tape(monkeypatch, mode, backbone,
     monkeypatch.setattr(network, "gnn_forward", spy(forward))
     monkeypatch.setattr(network, "mlp_forward", spy(mlp))
     monkeypatch.setattr(trainer, "_episode_step", spy_step)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     episodes = cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
     assert len(taped[True]) >= episodes and all(taped[True])
     # per session an evaluation-prototype forward and evaluation's, per
@@ -313,7 +315,7 @@ def test_only_training_episodes_build_a_tape(monkeypatch, mode, backbone,
     ("gfscil_semantic", "attention", ()),
 ])
 def test_one_plan_per_session_is_freed_when_the_session_returns(
-        monkeypatch, mode, backbone, zero_shot):
+        monkeypatch, mode, backbone, zero_shot, tmp_path):
     """The teacher, every episode and the evaluation prototypes of a session
     read one plan, and nothing holds it once ``_run_session`` returns."""
     bundle = with_arrivals(tiny_bundle(zero_shot))
@@ -336,7 +338,7 @@ def test_one_plan_per_session_is_freed_when_the_session_returns(
             used.append(id(plan))
             super().__init__(model, bundle, plan, t)
 
-    def spy_session(model, bundle, cfg, split, t, log_fn=None):
+    def spy_session(model, bundle, cfg, split, t, log_fn):
         used.clear()
         report = run_session(model, bundle, cfg, split, t, log_fn)
         episodes = cfg.episodes_base if t == 0 else cfg.episodes_finetune
@@ -349,7 +351,7 @@ def test_one_plan_per_session_is_freed_when_the_session_returns(
     monkeypatch.setattr(trainer, "build_prototype_tensors", spy_build)
     monkeypatch.setattr(trainer, "_TeacherCache", SpyCache)
     monkeypatch.setattr(trainer, "_run_session", spy_session)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     assert len(plans) == bundle.schedule.num_sessions + 1
 
 
@@ -358,7 +360,7 @@ def test_one_plan_per_session_is_freed_when_the_session_returns(
     ("gfscil_semantic", "attention", ()),
 ])
 def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
-                                        backbone, zero_shot):
+                                        backbone, zero_shot, tmp_path):
     """When an episode's forward starts, the previous episode's prototype
     build and gradient arrays are gone, freed by reference counting alone;
     evaluation's prototypes find the session's last episode gone too."""
@@ -391,7 +393,7 @@ def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
     monkeypatch.setattr(trainer, "_episode_step", spy_step)
     monkeypatch.setattr(network, "compute_gradients", spy_gradients)
     monkeypatch.setattr(trainer, "_eval_prototypes", spy_eval)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     assert len(steps) == cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
 
 
@@ -400,7 +402,7 @@ def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
     ("gfscil_semantic", "attention", ()),
 ])
 def test_forward_plans_are_built_per_session_and_per_evaluation_only(
-        monkeypatch, mode, backbone, zero_shot):
+        monkeypatch, mode, backbone, zero_shot, tmp_path):
     """A stream builds one forward plan per session plan and one for each
     evaluation forward: none per episode and none for the teacher."""
     bundle = with_arrivals(tiny_bundle(zero_shot))
@@ -421,7 +423,7 @@ def test_forward_plans_are_built_per_session_and_per_evaluation_only(
 
     monkeypatch.setattr(network, "forward_plan", spy_forward)
     monkeypatch.setattr(trainer, "plan_supports", spy_plan)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     assert built == ["session", "evaluation"] * (bundle.schedule.num_sessions + 1)
 
 
@@ -455,7 +457,8 @@ def test_base_class_arrivals_run_to_completion(tmp_path, monkeypatch):
     assert any(set(nodes) & set(range(10)) for t, nodes in queried if t >= 2)
 
 
-def test_nonfinite_loss_names_the_session_episode_and_loss_parts(monkeypatch):
+def test_nonfinite_loss_names_the_session_episode_and_loss_parts(monkeypatch,
+                                                                 tmp_path):
     cfg = tiny_config("gfscil_plain", "mean", episodes_finetune=2)
     seg, calls = trainer.loss_seg, []
 
@@ -467,7 +470,7 @@ def test_nonfinite_loss_names_the_session_episode_and_loss_parts(monkeypatch):
 
     monkeypatch.setattr(trainer, "loss_seg", nan_on_fifth_call)
     with pytest.raises(network.NonFiniteError) as info:
-        run_stream(tiny_bundle(), cfg)
+        run_stream(tiny_bundle(), cfg, out_dir=tmp_path)
     msg = str(info.value)
     assert msg.startswith("session 1, episode 1: loss is nan")
     assert "'seg': nan" in msg
@@ -536,21 +539,10 @@ def test_reports_write_null_for_a_class_without_held_out_nodes(tmp_path):
     assert (tmp_path / "summary.tsv").read_text(encoding="utf-8").count("nan") == 0
 
 
-def tape_nodes(loss):
-    """Nodes on the tape of ``loss``, found by ``autodiff.backward``'s walk."""
-    seen, stack = set(), [loss._tape_node]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and node.requires_grad:
-            seen.add(id(node))
-            stack.extend(node._parents)
-    return len(seen)
-
-
 @pytest.mark.parametrize("mode", ["gfscil_plain", "gfscil_semantic"])
 @pytest.mark.parametrize("variant", ["mean_hinge", "self_normalized"])
 def test_an_episode_tape_does_not_grow_with_the_seen_classes(monkeypatch, mode,
-                                                             variant):
+                                                             variant, tmp_path):
     """A finetune task covers every seen class; its backward tape holds as
     many nodes at 12 seen classes as at 6."""
     bundle = synth_generate(0, 12, 10, 0.5, 0.05, 12, n_base=3, novel_per_session=3,
@@ -561,16 +553,16 @@ def test_an_episode_tape_does_not_grow_with_the_seen_classes(monkeypatch, mode,
 
     def count_step(model, bundle, episode, cfg, cache, plan):
         parts, total, build = step(model, bundle, episode, cfg, cache, plan)
-        nodes.setdefault(episode.session, set()).add(tape_nodes(total))
+        nodes.setdefault(episode.session, set()).add(len(ad._tape(total)))
         return parts, total, build
 
     monkeypatch.setattr(trainer, "_episode_step", count_step)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     assert [len(bundle.schedule.seen_at(t)) for t in (1, 3)] == [6, 12]
     assert len(nodes[1]) == 1 and nodes[1] == nodes[2] == nodes[3]
 
 
-def test_kd_align_student_rows_equal_a_separate_encoding(monkeypatch):
+def test_kd_align_student_rows_equal_a_separate_encoding(monkeypatch, tmp_path):
     """The student's semantic rows for distillation are gathered from the
     prototypes' own semantic forward, not recomputed."""
     bundle = tiny_bundle()
@@ -592,7 +584,7 @@ def test_kd_align_student_rows_equal_a_separate_encoding(monkeypatch):
 
     monkeypatch.setattr(trainer, "_episode_step", spy_step)
     monkeypatch.setattr(trainer, "loss_kd_align", spy_align)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     assert checked == [3, 4]      # one finetune episode per session
 
 
@@ -625,7 +617,7 @@ def test_telemetry_adds_query_accuracy_and_changes_no_artifact(tmp_path,
         assert written["episode_query_acc"] is None
 
 
-def test_episodes_draw_queries_only_under_telemetry(monkeypatch):
+def test_episodes_draw_queries_only_under_telemetry(monkeypatch, tmp_path):
     bundle = tiny_bundle((4,))
     cfg = tiny_config("gcl", "mean")
     sample, episodes = trainer.sample_episode, []
@@ -641,17 +633,18 @@ def test_episodes_draw_queries_only_under_telemetry(monkeypatch):
 
     monkeypatch.setattr(trainer, "sample_episode", spy_sample)
     monkeypatch.setattr(trainer, "draw_queries", spy_draw)
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     off, episodes[:] = list(episodes), []
     assert queries == []
-    run_stream(bundle, dataclasses.replace(cfg, telemetry=True))
+    run_stream(bundle, dataclasses.replace(cfg, telemetry=True),
+               out_dir=tmp_path)
     assert len(off) == len(episodes) == len(queries) > 0
     for quiet, queried, query in zip(off, episodes, queries):
         assert quiet.classes == queried.classes
         assert {c for _, c in query} >= set(queried.classes)
 
 
-def test_no_query_is_drawn_or_checked_without_telemetry(monkeypatch):
+def test_no_query_is_drawn_or_checked_without_telemetry(monkeypatch, tmp_path):
     """Without telemetry no episode draws queries or checks their supply;
     with it, each episode draws them once, after its update."""
     bundle = tiny_bundle((4,))
@@ -671,10 +664,11 @@ def test_no_query_is_drawn_or_checked_without_telemetry(monkeypatch):
                         spy("draw", trainer.draw_queries))
     monkeypatch.setattr(network, "apply_update",
                         spy("update", network.apply_update))
-    run_stream(bundle, cfg)
+    run_stream(bundle, cfg, out_dir=tmp_path)
     assert set(calls) == {"update"}
     calls.clear()
-    run_stream(bundle, dataclasses.replace(cfg, telemetry=True))
+    run_stream(bundle, dataclasses.replace(cfg, telemetry=True),
+               out_dir=tmp_path)
     episodes = calls.count("update")
     assert episodes == cfg.episodes_base + 2 * cfg.episodes_finetune
     trained = [c for c in calls if c != "check"]
@@ -700,10 +694,10 @@ def test_n_way_beyond_a_session_is_rejected_before_the_first_episode(
     assert not (tmp_path / "run").exists()
 
 
-def test_n_way_is_not_checked_for_sessions_that_train_no_episode():
+def test_n_way_is_not_checked_for_sessions_that_train_no_episode(tmp_path):
     cfg = tiny_config("gfscil_plain", "mean", n_way=4, episodes_base=0,
                       episode_class_pool="novel_only", episodes_finetune=0)
-    assert len(run_stream(tiny_bundle(), cfg)) == 3
+    assert len(run_stream(tiny_bundle(), cfg, out_dir=tmp_path)) == 3
 
 
 # -- nearest-prototype classification -------------------------------------------
