@@ -566,6 +566,9 @@ BAD_ARGUMENTS = [
      "zero-shot classes [1] are not streamed"),
     ("synth --out unwritten --blocks 8 --dim 4",
      "feature dim must be >= number of blocks"),
+    ("synth --out unwritten --seed -1", "--seed must be a non-negative integer"),
+    ("gradcheck --seed -1", "--seed must be a non-negative integer"),
+    ("verify-theorem --seed -1", "--seed must be a non-negative integer"),
     ("synth --out unwritten --blocks 5 --base-classes 4 --k 0",
      "k_shot=0: few-shot sessions need k >= 1"),
     *((f"synth --out unwritten --blocks 8 --base-classes {n}",
