@@ -36,18 +36,11 @@ that every backward function keeps: it never returns an array it captured.
 ``leaky_relu``'s backward is the one that may write its gradient, and only
 when the engine owns it.
 
-A gather (``gather_rows``, the tape's one row selection) without repeats
-returns a row contribution (``_Rows``): its indices, the rows of its
-gradient and its operand's shape. The engine scatters it into the parent's
-one buffer, which it owns: the first into fresh zeros, a later one in place,
-after copying a sum it does not own; the rows are only read. A gather with
-repeats sums into fresh zeros, each row's terms in ascending position: added
-into an existing sum, repeats would be grouped, and so rounded, differently.
-
-Adding a whole zero-filled array, as a gather's backward once returned,
-turns each -0.0 of a sum into +0.0; a scatter keeps it. So a gradient that
-took a row contribution after its first gets one ``+= 0.0`` when it is
-popped, which leaves it bit for bit what those whole-array sums gave.
+A gather (``gather_rows``, the tape's one row selection) sums its gradient
+into fresh zeros of its operand's shape, each row's terms in ascending
+position (a bincount one value wide, else the 0/1 selection's CSC product):
+``np.add.at``'s sums bit for bit, zero signs included. Added into an existing
+sum, repeats would be grouped, and so rounded, differently.
 
 Subgradient conventions: at a ``maximum`` tie and at the leaky-ReLU origin
 the positive-side slope is used.
@@ -121,15 +114,6 @@ class _ConstantNode(_Node):
 
 
 _CONSTANT = _ConstantNode(())
-
-
-class _Rows:
-    """A row contribution: a gradient of ``shape`` that is ``rows`` at the
-    distinct row indices ``idx`` and zero elsewhere, never made whole."""
-    __slots__ = ("idx", "rows", "shape")
-
-    def __init__(self, idx: np.ndarray, rows: np.ndarray, shape: tuple):
-        self.idx, self.rows, self.shape = idx, rows, shape
 
 
 class Tensor:
@@ -387,22 +371,18 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     out = Tensor(x.data[idx], parents=(x,))
     if out.requires_grad:
         shape = x.data.shape
-        # without repeats the engine scatters the rows, each once. More
-        # indices than rows must repeat one; among fewer, repeats sit side by
-        # side once sorted (np.unique would hash first on numpy >= 2.3)
-        ordered = np.sort(idx, axis=None) if idx.size <= shape[0] else None
-        distinct = ordered is not None and not np.any(ordered[1:] == ordered[:-1])
+        width = int(np.prod(shape[1:]))
         def bw(g):
-            if distinct:
-                return (_Rows(idx, g, shape),)
             flat, n = idx.ravel(), idx.size
-            if g.size == n:
+            if n == 0:  # np.bincount of no indices counts in integers
+                return (np.zeros(shape),)
+            if width == 1:
                 full = np.bincount(flat, weights=g.ravel(), minlength=shape[0])
             else:
                 # the 0/1 selection's transpose, whose CSC product adds each
                 # column, a position of idx, in ascending order
                 full = (sp.csc_matrix((np.ones(n), flat, np.arange(n + 1)),
-                                      shape=(shape[0], n)) @ g.reshape(n, -1))
+                                      shape=(shape[0], n)) @ g.reshape(n, width))
             # a reshape to its own shape would make the fresh sum a view
             return (full if full.shape == shape else full.reshape(shape),)
         out._backward = bw
@@ -486,23 +466,17 @@ def backward(loss: Tensor) -> None:
     its own node. Intermediate gradients live only until their node has been
     processed. Only arrays the engine owns (see the module docstring) are
     written: a later contribution is added in place into an owned sum, and
-    out of place into any other, whose sum the engine then owns; a row
-    contribution is scattered into an owned sum, copied first if need be.
+    out of place into any other, whose sum the engine then owns.
     """
     if loss.data.size != 1:
         raise ValueError("backward() expects a scalar loss")
     root = loss._tape_node
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     owned = {id(root)}
-    # sums that took a row contribution after their first (zero signs, see
-    # the module docstring)
-    scattered = set()
     for node in reversed(_tape(loss)):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if id(node) in scattered:
-            g += 0.0
         mine = id(node) in owned
         if node._backward is None:
             if node.grad is None:
@@ -517,16 +491,7 @@ def backward(loss: Tensor) -> None:
                 continue
             key = id(parent)
             acc = grads.get(key)
-            if type(pg) is _Rows:
-                if acc is None:
-                    acc = grads[key] = np.zeros(pg.shape)
-                else:
-                    if key not in owned:
-                        acc = grads[key] = acc.copy()
-                    scattered.add(key)
-                owned.add(key)
-                acc[pg.idx] += pg.rows
-            elif acc is None:
+            if acc is None:
                 grads[key] = pg
                 if _owned(pg, g, out):
                     owned.add(key)

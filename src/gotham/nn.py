@@ -230,7 +230,7 @@ class ForwardPlan:
     structure: None for mean layer 0, whose aggregate ``inputs`` already is,
     a CSR block of M on later mean layers, and an ``_AttentionBlock`` on
     attention. No transpose is stored: a backward multiplies by a CSR's
-    ``.T`` view or scatters a gather's rows. Nothing in it is written after
+    ``.T`` view or sums a gather's rows. Nothing in it is written after
     ``forward_plan`` returns.
     """
     graph: GraphSnapshot

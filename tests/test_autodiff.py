@@ -378,10 +378,9 @@ def special_rows(n_rows: int, width: int, turn: int) -> np.ndarray:
     [2, 0, 1], [1, 4, 0], [0, 0, 3], [4, 4, 1, 4, 4], [[0, 3], [3, 0], [1, 0]],
     [[2, 0], [1, 4]]])
 def test_gather_rows_scatters_like_add_at(shape, idx):
-    """Without repeats the engine scatters a row contribution; with them
-    the backward sums into zeros (bincount one value wide, else the CSC
-    selection product): both give ``np.add.at``'s sums, on a 1-D operand
-    and a 2-D index too."""
+    """With repeats or without, the backward sums into zeros (bincount one
+    value wide, else the CSC selection product) and gives ``np.add.at``'s
+    sums, on a 1-D operand and a 2-D index too."""
     idx = np.asarray(idx)
     width = int(np.prod(shape[1:]))
     for turn in range(-(-len(SPECIAL) ** 2 // width)):
@@ -398,9 +397,9 @@ def test_gather_rows_scatters_like_add_at(shape, idx):
                                    ("rows", "repeat", "dense"),
                                    ("dense", "rows", "repeat")])
 def test_repeated_gather_beside_dense_and_row_contributions(kinds, width):
-    """A repeated gather's parent also takes a dense and a row contribution,
-    in each order; its gradient equals the former engine's, with
-    ``np.add.at`` gathers."""
+    """A repeated gather's parent also takes a dense contribution and one
+    from a gather without repeats ("rows"), in each order; its gradient
+    equals the former engine's, with ``np.add.at`` gathers."""
     terms = {"repeat": [0, 3, 0, 3, 1], "rows": [3, 0, 2], "dense": None}
     def tape(gather):
         x = ad.parameter(np.ones((4, width)))
@@ -415,6 +414,38 @@ def test_repeated_gather_beside_dense_and_row_contributions(kinds, width):
     ad.backward(loss)
     want_loss, y = tape(gather_rows_oracle)
     assert same_sums(x.grad, backward_oracle(want_loss)[id(y)])
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3)])
+@pytest.mark.parametrize("idx", [[4, 0, 4, 1], [3, 0, 2], [[2, 2], [1, 2]],
+                                 [[0, 3], [1, 4]], []])
+def test_gather_backward_returns_one_fresh_array_the_engine_adds_into(shape, idx):
+    """With repeats or without, on a 2-D index and an empty one, a gather's
+    backward returns one fresh array of its operand's shape, not a view; a
+    second contribution to the operand is added into it in place, so the
+    leaf keeps that very array, with the former engine's bits."""
+    rng = np.random.default_rng(16)
+    x0, w_x = rng.standard_normal(shape), rng.standard_normal(shape)
+    w_rows = rng.standard_normal(np.shape(idx) + shape[1:])
+    def tape(gather):
+        x = ad.parameter(x0)
+        rows = gather(x, idx)
+        return (rows * w_rows).sum() + (x * w_x).sum(), x, rows
+    loss, x, rows = tape(ad.gather_rows)
+    g = np.ones(rows.shape)
+    (full,) = rows._backward(g)
+    assert type(full) is np.ndarray and full.shape == shape
+    assert full.base is None and full is not g
+    fn, returned = rows._backward, []
+    def spy(g):
+        returned.extend(fn(g))
+        return tuple(returned)
+    rows._backward = spy
+    ad.backward(loss)
+    # the gather's array reaches x first and takes the product's in place
+    assert len(returned) == 1 and x.grad is returned[0]
+    want_loss, y, _ = tape(gather_rows_oracle)
+    assert same_bits(x.grad, backward_oracle(want_loss)[id(y)])
 
 
 def test_parameter_accumulates_across_backward_calls():
@@ -643,13 +674,10 @@ def spy_tape(loss):
     a copy taken on return; ``captured`` each array a function captured with
     a copy taken now; ``relu`` whether each in-place function was handed an
     owned gradient, and ``handed`` that gradient by its node's id;
-    ``returned`` every array returned. A row contribution's rows are the
-    gradient the function was handed, so they count as shared; ``arrivals``
-    lists ``(parent, "rows" or "array")`` for every returned gradient, in
-    the order the engine receives them.
+    ``returned`` every array returned.
     """
     log = {"shared": [], "captured": [], "relu": [], "handed": {},
-           "returned": [], "arrivals": []}
+           "returned": []}
     seen, stack = set(), [loss._tape_node]
     while stack:
         node = stack.pop()
@@ -673,12 +701,8 @@ def spy_tape(loss):
                 log["handed"][id(node)] = g
                 if not log["relu"][-1]:
                     assert same_bits(g, before)
-            for parent, pg in zip(node._parents, out):
-                if isinstance(pg, ad._Rows):
-                    log["arrivals"].append((parent, "rows"))
-                    log["shared"].append((pg.rows, pg.rows.copy()))
-                elif isinstance(pg, np.ndarray):
-                    log["arrivals"].append((parent, "array"))
+            for pg in out:
+                if isinstance(pg, np.ndarray):
                     log["returned"].append(pg)
                     if (pg is g or pg.base is not None
                             or sum(p is pg for p in out) > 1):
@@ -775,14 +799,14 @@ def test_one_parent_takes_dense_summed_and_pass_through_contributions(
 
 
 ROW_TERMS = {
-    # row contributions: gathers without repeats, both through rows 1 and 3
+    # gathers without repeats, both through rows 1 and 3
     "rows": lambda r, q, gather: gather(r, [3, 1]),
     "rows_again": lambda r, q, gather: gather(r, [1, 4, 3]),
     # a product's gradient: a fresh array
     "dense": lambda r, q, gather: r * np.ones((6, 2)),
     # add's: the gradient it was handed, also given to q
     "pass": lambda r, q, gather: r + q,
-    # a gather with repeats: a dense array, as the former engine made it
+    # a gather with repeats
     "repeat": lambda r, q, gather: gather(r, [0, 0, 2]),
 }
 # the weights that reach r[5], which no gather touches, and r[3, 0], which
@@ -794,8 +818,8 @@ ROW_NEG_ZEROS = {"rows": [(0, 0)], "rows_again": [(2, 0)],
 
 def row_terms_tape(kinds, gather, relu):
     """One parent ``r`` (6 x 2), the parameter ``p`` itself or ``relu(p)``,
-    feeding one weighted term per kind; returns the loss, the leaves by
-    name and ``r``'s tape node."""
+    feeding one weighted term per kind; returns the loss and the leaves by
+    name."""
     p = ad.parameter(np.arange(1.0, 13.0).reshape(6, 2))
     q = ad.parameter(np.ones((6, 2)))
     r = p if relu is None else relu(p, 0.1)
@@ -807,7 +831,7 @@ def row_terms_tape(kinds, gather, relu):
         for at in ROW_NEG_ZEROS[kind]:
             w[at] = -0.0
         loss = loss + (term * w).sum()
-    return loss, {"p": p, "q": q}, r._tape_node
+    return loss, {"p": p, "q": q}
 
 
 @pytest.mark.parametrize("relu", [None, ad.leaky_relu])
@@ -819,24 +843,20 @@ def row_terms_tape(kinds, gather, relu):
     ("repeat", "dense", "rows", "pass", "rows_again")])
 def test_one_parent_takes_row_dense_pass_through_and_repeat_contributions(
         kinds, relu):
-    """A row contribution is scattered into the parent's one owned buffer:
-    the first into zeros, a later one in place, after a copy if the sum so
-    far is the array add also hands to ``q``. No handed array is written, a
-    row contribution's rows included, and the gradients equal the former
-    engine's bit for bit, which added whole zero-filled arrays: -0.0 + 0.0
-    is +0.0, so a sum of -0.0s that met one has no sign bit."""
-    loss, params, r = row_terms_tape(kinds, ad.gather_rows, relu)
+    """Gathers with and without repeats, a dense product and add's pass-through
+    all reach one parent, in each order. No handed array is written, and the
+    gradients equal the former engine's bit for bit: every gather's gradient
+    is a whole array summed into zeros, and -0.0 + 0.0 is +0.0, so a sum of
+    -0.0s that met one has no sign bit."""
+    loss, params = row_terms_tape(kinds, ad.gather_rows, relu)
     log = spy_tape(loss)
     ad.backward(loss)
     assert_nothing_shared_was_written(log)
-    # the kinds are listed in the order their contributions reach r
-    assert [kind for parent, kind in log["arrivals"] if parent is r] == [
-        "rows" if k.startswith("rows") else "array" for k in kinds]
     if relu is not None:
         assert log["relu"] == [True]
     assert not np.signbit(params["p"].grad[[5, 5, 3], [0, 1, 0]]).any()
     oracle_relu = None if relu is None else leaky_relu_oracle
-    want_loss, want, _ = row_terms_tape(kinds, gather_rows_oracle, oracle_relu)
+    want_loss, want = row_terms_tape(kinds, gather_rows_oracle, oracle_relu)
     kept = backward_oracle(want_loss)
     for name, t in params.items():
         assert same_bits(t.grad, kept[id(want[name])]), name
