@@ -2,7 +2,8 @@
 
 Supports exactly the operations the training losses need: dense and sparse
 matrix products (a sparse matrix's entries may be a tensor), the affine map
-``affine(x, w, b) = x @ w + b`` as one node, broadcasting add/mul, leaky ReLU,
+``affine(x, w, b) = x @ w + b`` as one node (with a slope, a hidden layer:
+its leaky ReLU in the same node and buffer), broadcasting add/mul, leaky ReLU,
 hinges via ``maximum``, sqrt/log/exp, reductions, row gather and row
 stacking. Gradients accumulate into ``Tensor.grad`` of the leaves
 (parameters) after ``backward(loss)`` on a scalar; intermediate nodes keep
@@ -19,6 +20,12 @@ needs no gradient stands on the tape as the shared ``_CONSTANT`` node, and
 no operation computes, or keeps the arrays for, a gradient that would be
 thrown away.
 
+A tape is spent by its backward. ``backward`` drops each node's backward
+function as soon as it has run, so the arrays it captured are freed while
+the walk goes on, not when the last tensor of the tape dies; the node keeps
+its operands, so the tape can still be walked and counted, but a second
+backward through it raises ``RuntimeError``.
+
 Inside ``with no_grad():`` no result requires a gradient, so no operation
 makes a node or a backward function and nothing is captured: a forward's
 temporaries die as soon as nothing reads them. Parameters made inside it
@@ -33,8 +40,8 @@ added in place into an owned sum, and a leaf keeps an owned array as its
 ``.grad`` without a copy; every other array may be shared (``__add__`` hands
 one array to both operands) and is never written. This rests on one rule
 that every backward function keeps: it never returns an array it captured.
-``leaky_relu``'s backward is the one that may write its gradient, and only
-when the engine owns it.
+The backwards of ``leaky_relu`` and of a hidden layer's ``affine`` are the
+ones that may write their gradient, and only when the engine owns it.
 
 A gather (``gather_rows``, the tape's one row selection) sums its gradient
 into fresh zeros of its operand's shape, each row's terms in ascending
@@ -266,20 +273,33 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node, the bias added in place on the product."""
+def affine(x: Tensor, w: Tensor, b: Tensor, slope: float | None = None) -> Tensor:
+    """``x @ w + b`` as one node, the bias added in place on the product.
+
+    Given a ``slope``, it is a hidden layer: the leaky ReLU of that map,
+    applied in the product's own buffer, so a layer keeps one array. The
+    backward keeps the sign mask and scales its gradient as ``leaky_relu``
+    does, in place when the engine owns it.
+    """
     z = x.data @ w.data
     z += b.data
+    keep = None
+    if slope is not None:
+        keep = z >= 0.0
+        _scale_rows(z, keep, slope, z)
     out = Tensor(z, parents=(x, w, b))
     if out.requires_grad:
         wd = w.data if x.requires_grad else None
         xd = x.data if w.requires_grad else None
         need_b = b.requires_grad
-        def bw(g):
+        def bw(g, owned=False):
+            if keep is not None:
+                g = _scale_rows(g, keep, slope, g if owned else np.empty_like(g))
             return (None if wd is None else g @ wd.T,
                     None if xd is None else xd.T @ g,
                     g.sum(axis=0) if need_b else None)
         out._backward = bw
+        out._node._in_place = keep is not None
     return out
 
 
@@ -408,8 +428,9 @@ def sparse_matmul(m: sp.spmatrix, x: Tensor) -> Tensor:
 def csr_matmul(values: Tensor, indices: np.ndarray, indptr: np.ndarray,
                x: Tensor, row: np.ndarray) -> Tensor:
     """``A @ x`` for the CSR matrix A with ``indptr``, column ``indices`` and
-    entries ``values`` (nnz x 1), differentiable in ``values`` and in ``x``.
-    ``row`` is each entry's row, which the backward reads."""
+    entries ``values`` (nnz of them, in any shape), differentiable in
+    ``values`` and in ``x``. ``row`` is each entry's row, which the backward
+    reads."""
     m = sp.csr_matrix((values.data.ravel(), indices, indptr),
                       shape=(indptr.size - 1, x.data.shape[0]))
     out = Tensor(m @ x.data, parents=(values, x))
@@ -459,14 +480,22 @@ def _tape(loss: Tensor) -> list:
     return order
 
 
+def _spent(*_):
+    raise RuntimeError("this tape was spent by an earlier backward; "
+                       "build the forward again to differentiate it")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
 
     Leaves are the nodes without a backward function: the parameters, each
     its own node. Intermediate gradients live only until their node has been
-    processed. Only arrays the engine owns (see the module docstring) are
-    written: a later contribution is added in place into an owned sum, and
-    out of place into any other, whose sum the engine then owns.
+    processed, and a node's backward function, with every array it captured,
+    is dropped as soon as it has run: the tape is spent, and a second
+    backward through it raises ``RuntimeError``. Only arrays the engine owns
+    (see the module docstring) are written: a later contribution is added in
+    place into an owned sum, and out of place into any other, whose sum the
+    engine then owns.
     """
     if loss.data.size != 1:
         raise ValueError("backward() expects a scalar loss")
@@ -475,17 +504,22 @@ def backward(loss: Tensor) -> None:
     owned = {id(root)}
     for node in reversed(_tape(loss)):
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        mine = id(node) in owned
-        if node._backward is None:
+        fn = node._backward
+        if fn is None:
+            if g is None:
+                continue
             if node.grad is None:
                 # an array no one else holds becomes the leaf's; others are copied
-                node.grad = g if mine else np.array(g, dtype=np.float64)
+                node.grad = g if id(node) in owned else np.array(g, dtype=np.float64)
             else:
                 node.grad += g
             continue
-        out = node._backward(g, mine) if node._in_place else node._backward(g)
+        node._backward = _spent
+        if g is None:
+            continue
+        out = fn(g, id(node) in owned) if node._in_place else fn(g)
+        # the captured arrays die here, not when the tape's last tensor does
+        del fn
         for parent, pg in zip(node._parents, out):
             if not parent.requires_grad:
                 continue

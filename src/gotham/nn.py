@@ -31,9 +31,11 @@ or one row block of evaluation's held-out nodes) builds a plan of its own
 and drops it on return, so evaluation plans per block and no plan covers
 every held-out node.
 
-Without a tape (``autodiff.no_grad``) nothing else holds a layer's arrays,
-so a forward keeps at most three alive beside the plan: a layer's input,
-its aggregate and its pre-activation, each dropped once the next exists.
+A hidden layer is one ``autodiff.affine`` node, its leaky ReLU applied in
+the product's own buffer, so it makes one array; the final layer is the
+affine map alone. Without a tape (``autodiff.no_grad``) nothing else holds a
+layer's arrays, so a forward keeps at most two alive beside the plan: a
+layer's input and its aggregate, each dropped once the next exists.
 
 A row, mean or attention, reads only its own CSR entries, so a forward over a
 union of node sets (the mini-batch scheme of GraphSAGE) gives each set's rows
@@ -298,12 +300,11 @@ def _layer_chain(params: GnnParams, h: Tensor, blocks) -> Tensor:
         # |rows| d_in d_out against |cols| d_in d_out for transforming first,
         # and the sparse products differ by nnz (d_in - d_out), small next to
         # that because the mean degree is far below d_out
-        h = ad.affine(agg, layer.weight, layer.bias)
+        h = ad.affine(agg, layer.weight, layer.bias,
+                      None if l == last else params.negative_slope)
         # without a tape nothing else holds the layer's input (rebound just
-        # now), its aggregate or, once rebound below, its pre-activation
+        # now) or its aggregate
         del agg
-        if l != last:
-            h = ad.leaky_relu(h, params.negative_slope)
     return h
 
 
@@ -311,15 +312,17 @@ def _attention_aggregate(params: GnnParams, layer: Layer, block: _AttentionBlock
                          h: Tensor) -> Tensor:
     """``attn @ h`` for the softmax over each row's CSR entries (GAT), which
     the caller multiplies by W; scores use ``(h W) a = h (W a)``."""
-    # h (W a_src) and h (W a_dst) side by side, flattened to s[2j], s[2j + 1]
+    # h (W a_src) and h (W a_dst) side by side, flattened to s[2j], s[2j + 1];
+    # one-dimensional, so each gather's gradient sum has s's own shape and
+    # the engine adds the other into it in place
     att = ad.vstack([layer.att_src, layer.att_dst]).transpose()
-    s = (h @ (layer.weight @ att)).reshape(-1, 1)
+    s = (h @ (layer.weight @ att)).reshape(-1)
     scores = ad.leaky_relu(ad.gather_rows(s, block.ends[0])
                            + ad.gather_rows(s, block.ends[1]), params.negative_slope)
     # subtract the row max (constant w.r.t. grad) for numeric stability; every
     # visible row holds its self-loop, so no segment is empty
-    shift = np.maximum.reduceat(scores.data[:, 0], block.indptr[:-1])[block.row]
-    weights = ad.exp(scores - ad.constant(shift[:, None]))
+    shift = np.maximum.reduceat(scores.data, block.indptr[:-1])[block.row]
+    weights = ad.exp(scores - ad.constant(shift))
     denom = ad.sparse_matmul(block.segment, weights)
     attn = weights / ad.gather_rows(denom, block.row)
     return ad.csr_matmul(attn, block.col_idx, block.indptr, h, block.row)
@@ -344,8 +347,8 @@ def compute_gradients(params: dict[str, Tensor], loss: Tensor) -> dict[str, np.n
     for t in params.values():
         t.grad = None
     # backward gives each leaf an array of its own, and the leaves hand it
-    # over here, so the arrays returned are never written to again and live
-    # only as long as the caller keeps them
+    # over here, so no one else holds the arrays returned: ``apply_update``
+    # may write them
     ad.backward(loss)
     grads = {}
     for k, t in params.items():
@@ -358,24 +361,25 @@ def apply_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                  lr: float, weight_decay: float = 0.0) -> None:
     """SGD step with decoupled L2: p <- p - lr * (g + wd * p).
 
-    All or nothing: if any parameter's new value is not finite, none moves.
-    Neither ``grads`` nor the old parameter arrays are written to.
+    Consumes ``grads``: each gradient array is overwritten with its
+    parameter's new value and becomes that parameter's data, so no third
+    parameter-sized array is made. All or nothing: if any parameter's new
+    value is not finite, none moves. The old parameter arrays are never
+    written to.
     """
-    steps = {}
     for name, t in params.items():
-        p, g = t.data, grads[name]
-        if g.shape != p.shape:
+        p, new = t.data, grads[name]
+        if new.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        # p - lr * (g + wd * p) operation for operation, in one buffer
-        new = np.multiply(p, weight_decay)
-        new += g
+        # p - lr * (g + wd * p) operation for operation; g + p wd and
+        # p wd + g are one sum, bit for bit
+        new += p * weight_decay
         new *= lr
         np.subtract(p, new, out=new)
         if not np.isfinite(new).all():
             raise NonFiniteError(f"non-finite update for parameter {name}")
-        steps[name] = new
-    for name, new in steps.items():
-        params[name].data = new
+    for name, t in params.items():
+        t.data = grads[name]
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -16,9 +16,11 @@ holds the teacher's parameters when session t starts, so the teacher's
 outputs are its forward on that plan, read before the first update. Every
 episode, which is only a class draw, and the session's evaluation
 prototypes build from the same plan; it is dropped before evaluation's
-forward. An episode runs in ``_train_episode``, which returns only floats,
-so its autodiff tape, prototype build and gradients die before the next
-forward: at most one tape is alive at a time.
+forward. An episode runs in ``_train_episode``, which returns only floats.
+It drops its prototype build before the backward, whose walk spends the tape
+(each node's captured arrays die as it is passed), and the update turns the
+gradients into the new parameters, so at most one tape is alive at a time
+and none outlives its backward.
 
 Only training builds a tape. The teacher's outputs, the evaluation
 prototypes (which the run keeps as ``prototypes/session_<t>.tsv``) and
@@ -170,17 +172,18 @@ def _episode_step(model: network.ModelState, bundle: DatasetBundle,
 
 
 def _episode_query_accuracy(model: network.ModelState, bundle: DatasetBundle,
-                            episode: Episode, build, split: ClassSplit,
-                            query_per_class: int,
+                            episode: Episode, classes, prototypes,
+                            split: ClassSplit, query_per_class: int,
                             rng: np.random.Generator) -> float | None:
     """Accuracy of the updated model on queries ``rng`` draws for
-    ``episode``, against its prototypes ``build``; None without queries."""
+    ``episode``, against its ``prototypes`` of ``classes``, as ``classify``
+    takes them; None without queries."""
     query = draw_queries(bundle, split, episode, query_per_class, rng)
     if not query:
         return None
     nodes, truth = (np.array(col, dtype=np.int64) for col in zip(*query))
     pred = _predict(model, graph_at(bundle, episode.session), episode.session,
-                    nodes, build.classes, build.final.data)
+                    nodes, classes, prototypes)
     return float((pred == truth).mean())
 
 
@@ -188,13 +191,17 @@ def _train_episode(model, bundle, cfg, split, t, e, cache, plan, params,
                    lr) -> tuple[float, dict[str, float | None], float | None]:
     """Episode e of session t: its draw, forward, update and telemetry. Only
     floats leave it: the loss total, the loss parts and the query accuracy
-    (None unless ``telemetry`` and queries were drawn), so its tape,
-    prototype build and gradients are freed when it returns, before the next
-    episode's forward."""
+    (None unless ``telemetry`` and queries were drawn). The prototype build
+    is dropped before the backward, which spends the tape as it walks it,
+    and the update writes the new parameters into the gradient arrays, so
+    nothing of the episode outlives it but the classes and final prototype
+    rows telemetry reads."""
     rng = _episode_rng(cfg, t, e)
     episode = sample_episode(bundle, t, cfg.n_way, rng,
                              episode_class_pool=cfg.episode_class_pool)
     parts, total, build = _episode_step(model, bundle, episode, cfg, cache, plan)
+    classes, prototypes = build.classes, build.final.data
+    del build
     values = parts.values()
     try:
         grads = network.compute_gradients(params, total)
@@ -204,8 +211,8 @@ def _train_episode(model, bundle, cfg, split, t, e, cache, plan, params,
         raise network.NonFiniteError(
             f"session {t}, episode {e}: {exc}; loss parts "
             f"{computed}") from exc
-    acc = (_episode_query_accuracy(model, bundle, episode, build, split,
-                                   cfg.query_per_class, rng)
+    acc = (_episode_query_accuracy(model, bundle, episode, classes, prototypes,
+                                   split, cfg.query_per_class, rng)
            if cfg.telemetry else None)
     return total.item(), values, acc
 
@@ -236,9 +243,9 @@ def _run_session(model, bundle, cfg, split, t, log_fn):
     step_offset = 0 if t == 0 else cfg.episodes_base + (t - 1) * cfg.episodes_finetune
     params = network.named_parameters(model)
     q_accs = []
-    # every episode's tape, prototype build and gradients die before the
-    # next episode's forward, the last one's before evaluation's, so no two
-    # tapes are ever alive at once
+    # every episode's tape and prototype build die before the next
+    # episode's forward, the last one's before evaluation's, so no two tapes
+    # are ever alive at once
     for e in range(episodes):
         total, vals, acc = _train_episode(model, bundle, cfg, split, t, e,
                                           cache, plan, params, lr)

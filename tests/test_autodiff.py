@@ -1,5 +1,6 @@
 """Engine unit tests: each op against central finite differences, and the
 leaf gradients of the tape against the engine it replaced."""
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -455,6 +456,28 @@ def test_parameter_accumulates_across_backward_calls():
     np.testing.assert_array_equal(x.grad, [5.0, 7.0])
 
 
+def test_backward_spends_the_tape_and_frees_what_it_captured(refcount_only):
+    x = ad.parameter(np.array([1.0, 2.0]))
+    c = np.array([3.0, 4.0])
+    loss = (x * c).sum()
+    ref = weakref.ref(c)
+    del c
+    # the product's backward holds c, and the loss holds the tape
+    assert ref() is not None
+    ad.backward(loss)
+    assert ref() is None
+    with pytest.raises(RuntimeError, match="spent"):
+        ad.backward(loss)
+    # a new loss over a spent node raises on reaching it, before any leaf
+    y = x * 2.0
+    ad.backward(y.sum())
+    with pytest.raises(RuntimeError, match="spent"):
+        ad.backward((y * 2.0).sum())
+    np.testing.assert_array_equal(x.grad, [5.0, 6.0])
+    # the spent tape still walks, for counting
+    assert len(ad._tape(loss)) == 3
+
+
 def test_leaves_fed_one_gradient_array_do_not_share_it():
     # add's backward hands the same array to both parents
     a, b = ad.parameter(np.ones(3)), ad.parameter(np.ones(3))
@@ -875,3 +898,40 @@ def test_leaky_relu_backward_writes_only_an_owned_gradient(owned, monkeypatch):
     assert same_bits(got, before * np.where(x0 >= 0.0, 1.0, 0.01))
     if not owned:
         assert same_bits(g, before)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("owned", [False, True])
+def test_a_hidden_layer_equals_affine_then_leaky_relu_bit_for_bit(slope, owned,
+                                                                  monkeypatch):
+    """``affine`` with a slope is ``leaky_relu(affine(...))`` in one node:
+    the same output and leaf gradients bit for bit, with zeros of both signs
+    in the input, the bias and the gradient, whether the gradient it is
+    handed is the engine's own (written in place) or shared (left alone)."""
+    monkeypatch.setattr(ad, "_SCALE_BLOCK", 5)
+    rng = np.random.default_rng(11)
+    x0, w0, b0 = (rng.standard_normal((6, 3)), rng.standard_normal((3, 4)),
+                  rng.standard_normal(4))
+    x0[0], x0[1, :2], b0[:2] = 0.0, -0.0, (0.0, -0.0)
+    weights = rng.standard_normal((6, 4))
+    weights[2], weights[3, 1:] = -0.0, 0.0
+
+    def run(layer):
+        x, w, b = (ad.parameter(a) for a in (x0, w0, b0))
+        out = layer(x, w, b)
+        # a product hands the layer an array the engine owns, a sum a view
+        ad.backward((out * weights).sum() if owned else out.sum())
+        return [out.data, x.grad, w.grad, b.grad]
+
+    got = run(lambda x, w, b: ad.affine(x, w, b, slope))
+    want = run(lambda x, w, b: ad.leaky_relu(ad.affine(x, w, b), slope))
+    z = x0 @ w0 + b0
+    # the pre-activation has zeros and both branches
+    assert (z == 0.0).any() and (z < 0.0).any() and (z > 0.0).any()
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+    out = ad.affine(ad.parameter(x0), ad.parameter(w0), ad.parameter(b0), slope)
+    g = weights.copy()
+    out._backward(g, owned)
+    scale = np.where(z >= 0.0, 1.0, slope)
+    assert same_bits(g, weights * scale if owned else weights)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gotham import autodiff as ad
 from gotham import nn as network
 from gotham.graphstore import build_snapshot, graph_at, synth_generate
+from test_autodiff import same_bits
 from test_graphstore import MIXED_EDGES
 
 
@@ -375,11 +376,12 @@ def test_gnn_forward_and_gradients_match_transform_first_oracle(case, backbone):
 @pytest.mark.parametrize("depth", [2, 3])
 def test_a_taped_mean_forward_frees_its_hidden_activations(depth, monkeypatch,
                                                            refcount_only):
-    """No backward reads a hidden layer's pre-activation or post-activation:
-    leaky ReLU keeps its slope mask and the next layer's sparse product its
-    operator. Both arrays of every hidden layer, layer 0's included, are
-    freed before ``gnn_forward`` returns, and the gradients still equal the
-    loop oracle's bit for bit."""
+    """A hidden layer is one ``affine`` node that applies its leaky ReLU in
+    its own buffer, so it makes one array, and no ``leaky_relu`` runs. No
+    backward reads that array: the node keeps its slope mask and the next
+    layer's sparse product its operator. Every hidden layer's array, layer
+    0's included, is freed before ``gnn_forward`` returns, and the gradients
+    still equal the loop oracle's bit for bit."""
     graph = graph_at(synth_generate(0, 3, 10, 0.5, 0.1, 4), 0)
     nodes = np.arange(0, 30, 3)
     params = network.init_gnn([4] + [5] * depth, np.random.default_rng(depth))
@@ -393,11 +395,15 @@ def test_a_taped_mean_forward_frees_its_hidden_activations(depth, monkeypatch,
             return out
         return taped
 
+    def no_relu(*args):
+        raise AssertionError("a hidden layer ran a leaky_relu node of its own")
+
     monkeypatch.setattr(ad, "affine", spy(ad.affine))
-    monkeypatch.setattr(ad, "leaky_relu", spy(ad.leaky_relu))
+    monkeypatch.setattr(ad, "leaky_relu", no_relu)
     out = network.gnn_forward(params, graph, nodes)
-    # z_0, h_0, ..., z_{L-1}: the output's array is the only one alive
-    assert [ref() is None for ref in made] == [True] * (2 * depth - 2) + [False]
+    # h_0, ..., h_{L-2}, then the output: one array a layer, and the
+    # output's is the only one alive
+    assert [ref() is None for ref in made] == [True] * (depth - 1) + [False]
     got = network.compute_gradients(layer_params(params), (out * weights).sum())
     monkeypatch.undo()
     _, want = forward_and_gradients(gnn_forward_oracle, params, graph, nodes,
@@ -411,43 +417,70 @@ def test_a_tape_free_mean_forward_drops_each_layer_as_it_moves_on(
         depth, monkeypatch, refcount_only):
     """Under ``no_grad`` nothing keeps a layer's arrays: when an operation of
     the forward starts, the only arrays it made earlier that are alive are
-    the operation's operands and the last leaky-ReLU output, the input of the
-    aggregate being transformed. So a layer's pre-activation and aggregate
-    die while the forward still runs, and only the output outlives it."""
+    the operation's operands and the last layer output, the input of the
+    aggregate being transformed, so at most two: that input and its
+    aggregate. A layer's aggregate dies while the forward still runs, and
+    only the output outlives it."""
     graph = graph_at(synth_generate(0, 3, 10, 0.5, 0.1, 4), 0)
     nodes = np.arange(0, 30, 3)
     params = network.init_gnn([4] + [5] * depth, np.random.default_rng(depth))
-    made, relu_out, calls = [], [], []
+    made, layer_out, calls = [], [], []
 
-    def spy(fn, relu=False):
+    def spy(fn, layer=False):
         def run(*args):
             allowed = {id(a.data) for a in args if isinstance(a, ad.Tensor)}
-            if relu_out:
-                allowed.add(id(relu_out[-1]()))
+            if layer_out:
+                allowed.add(id(layer_out[-1]()))
             alive = {id(ref()) for ref in made if ref() is not None}
-            assert alive <= allowed, fn.__name__
+            assert alive <= allowed and len(alive) <= 2, fn.__name__
             calls.append(fn.__name__)
             out = fn(*args)
             assert out._node is None
             made.append(weakref.ref(out.data))
-            if relu:
-                relu_out.append(made[-1])
+            if layer:
+                layer_out.append(made[-1])
             return out
         return run
 
     monkeypatch.setattr(ad, "sparse_matmul", spy(ad.sparse_matmul))
-    monkeypatch.setattr(ad, "affine", spy(ad.affine))
-    monkeypatch.setattr(ad, "leaky_relu", spy(ad.leaky_relu, relu=True))
+    monkeypatch.setattr(ad, "affine", spy(ad.affine, layer=True))
+    monkeypatch.setattr(ad, "leaky_relu", spy(ad.leaky_relu))
     with ad.no_grad():
         out = network.gnn_forward(params, graph, nodes)
     monkeypatch.undo()
-    # layer 0 aggregates nothing; each later layer multiplies by M first
-    assert calls == ["affine", "leaky_relu"] + ["sparse_matmul", "affine",
-                                                "leaky_relu"] * (depth - 2) + [
-        "sparse_matmul", "affine"]
+    # layer 0 aggregates nothing; each later layer multiplies by M first;
+    # no layer runs a leaky_relu of its own
+    assert calls == ["affine"] + ["sparse_matmul", "affine"] * (depth - 1)
     assert [ref() is None for ref in made] == [True] * (len(made) - 1) + [False]
     taped = network.gnn_forward(params, graph, nodes)
     assert out.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("backbone", ["mean", "attention"])
+def test_compute_gradients_frees_what_the_backward_captured(backbone,
+                                                            monkeypatch,
+                                                            refcount_only):
+    """Each layer's backward captures its aggregate; once
+    ``compute_gradients`` returns, the spent tape holds none of them, though
+    the forward's output tensor and loss are still alive."""
+    graph = graph_at(synth_generate(0, 3, 10, 0.5, 0.1, 4), 0)
+    nodes = np.arange(0, 30, 3)
+    params = network.init_gnn([4, 5, 5], np.random.default_rng(2),
+                              backbone=backbone)
+    captured, affine = [], ad.affine
+
+    def spy(x, *args):
+        captured.append(weakref.ref(x.data))
+        return affine(x, *args)
+
+    monkeypatch.setattr(ad, "affine", spy)
+    out = network.gnn_forward(params, graph, nodes)
+    loss = (out * out).sum()
+    monkeypatch.undo()
+    assert len(captured) == 2 and all(ref() is not None for ref in captured)
+    network.compute_gradients(layer_params(params), loss)
+    assert all(ref() is None for ref in captured)
+    assert out.data is not None and loss.item() > 0.0
 
 
 @pytest.mark.parametrize("backbone", ["mean", "attention"])
@@ -749,16 +782,27 @@ def test_compute_gradients_quadratic():
 
 
 def test_returned_gradients_survive_the_next_step():
+    """``apply_update`` consumes the gradients it is given: each array
+    becomes its parameter's new data, and the parameter array it replaced is
+    not written. The next step moves every parameter onto that step's
+    gradient arrays and leaves the first ones, the parameters it replaced,
+    as they were."""
     model = network.init_model(3, 4, 2, 2, seed=0)
     params = network.named_parameters(model)
     w = params["gnn.0.weight"]
+    old = {k: t.data for k, t in params.items()}
+    kept = {k: a.copy() for k, a in old.items()}
     first = network.compute_gradients(params, (w * w).sum())
-    kept = {k: g.copy() for k, g in first.items()}
     network.apply_update(params, first, lr=0.1)
+    for name, t in params.items():
+        assert t.data is first[name]
+        assert same_bits(old[name], kept[name])
+    kept = {k: g.copy() for k, g in first.items()}
     second = network.compute_gradients(params, (w * w * w).sum())
     network.apply_update(params, second, lr=0.1)
     for name, g in first.items():
-        np.testing.assert_array_equal(g, kept[name])
+        assert params[name].data is second[name]
+        assert same_bits(g, kept[name])
         assert not np.shares_memory(g, second[name])
 
 
@@ -812,25 +856,30 @@ UPDATE_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, np.inf,
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 6), st.data())
 def test_apply_update_equals_formula_bit_for_bit(n, data):
+    """The new value is the formula's, bit for bit, written into the
+    gradient array, which becomes the parameter's data; the old parameter
+    array is not written. A non-finite value moves no parameter, not even
+    one whose finite step was already written into its gradient."""
     values = st.one_of(st.floats(-4, 4), st.sampled_from(UPDATE_SPECIAL))
-    p0, g = (np.asarray(data.draw(st.lists(values, min_size=n, max_size=n)))
-             for _ in range(2))
+    p0, g0 = (np.asarray(data.draw(st.lists(values, min_size=n, max_size=n)))
+              for _ in range(2))
     lr = data.draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 3.0]))
     wd = data.draw(st.sampled_from([0.0, 5e-3, 0.5, 1.0]))
-    want = p0 - lr * (g + wd * p0)
-    t, kept = ad.parameter(p0), g.copy()
-    old = t.data
+    want = p0 - lr * (g0 + wd * p0)
+    # a finite step first, so an all-or-nothing update must undo nothing
+    a, t = ad.parameter(np.ones(2)), ad.parameter(p0)
+    grads = {"a": np.full(2, 0.5), "w": g0.copy()}
+    olds = (a.data, t.data)
     if np.isfinite(want).all():
-        network.apply_update({"w": t}, {"w": g}, lr, wd)
-        assert t.data.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        assert not np.shares_memory(t.data, g)
+        network.apply_update({"a": a, "w": t}, grads, lr, wd)
+        assert t.data is grads["w"] and a.data is grads["a"]
+        assert same_bits(t.data, want)
     else:
-        with pytest.raises(network.NonFiniteError):
-            network.apply_update({"w": t}, {"w": g}, lr, wd)
-        assert t.data is old
-    # neither the gradient nor the old parameter array was written to
-    assert g.view(np.uint64).tolist() == kept.view(np.uint64).tolist()
-    assert old.view(np.uint64).tolist() == p0.view(np.uint64).tolist()
+        with pytest.raises(network.NonFiniteError, match="w"):
+            network.apply_update({"a": a, "w": t}, grads, lr, wd)
+        assert a.data is olds[0] and t.data is olds[1]
+    # neither old parameter array was written to
+    assert same_bits(olds[0], np.ones(2)) and same_bits(olds[1], p0)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -361,14 +361,17 @@ def test_one_plan_per_session_is_freed_when_the_session_returns(
 ])
 def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
                                         backbone, zero_shot, tmp_path):
-    """When an episode's forward starts, the previous episode's prototype
-    build and gradient arrays are gone, freed by reference counting alone;
-    evaluation's prototypes find the session's last episode gone too."""
+    """An episode drops its prototype build before the backward, and the
+    update makes each gradient array its parameter's data. When the next
+    episode's forward starts, the previous episode's build and the
+    parameter arrays its update replaced are gone, freed by reference
+    counting alone; evaluation's prototypes find the session's last episode
+    gone too."""
     bundle = with_arrivals(tiny_bundle(zero_shot))
     cfg = tiny_config(mode, backbone, telemetry=True)
     step, gradients = trainer._episode_step, network.compute_gradients
-    evaluate = trainer._eval_prototypes
-    alive, steps = [], []
+    update, evaluate = network.apply_update, trainer._eval_prototypes
+    alive, builds, steps = [], [], []
 
     def assert_previous_freed():
         assert all(ref() is None for ref in alive)
@@ -378,13 +381,18 @@ def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
         assert_previous_freed()
         steps.append(None)
         parts, total, build = step(*args)
+        builds.append(weakref.ref(build))
         alive.append(weakref.ref(build.embeddings.data))
         return parts, total, build
 
     def spy_gradients(params, loss):
-        grads = gradients(params, loss)
-        alive.extend(weakref.ref(g) for g in grads.values())
-        return grads
+        assert builds[-1]() is None
+        return gradients(params, loss)
+
+    def spy_update(params, grads, *args):
+        alive.extend(weakref.ref(t.data) for t in params.values())
+        update(params, grads, *args)
+        assert all(t.data is grads[k] for k, t in params.items())
 
     def spy_eval(*args):
         assert_previous_freed()
@@ -392,6 +400,7 @@ def test_no_episode_outlives_its_update(monkeypatch, refcount_only, mode,
 
     monkeypatch.setattr(trainer, "_episode_step", spy_step)
     monkeypatch.setattr(network, "compute_gradients", spy_gradients)
+    monkeypatch.setattr(network, "apply_update", spy_update)
     monkeypatch.setattr(trainer, "_eval_prototypes", spy_eval)
     run_stream(bundle, cfg, out_dir=tmp_path)
     assert len(steps) == cfg.episodes_base + bundle.schedule.num_sessions * cfg.episodes_finetune
